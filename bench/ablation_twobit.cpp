@@ -116,6 +116,8 @@ void bm_pipeline_char_vs_packed(benchmark::State& state) {
   const bool packed = state.range(0) != 0;
   cof::engine_options opt;
   opt.backend = packed ? cof::backend_kind::sycl_twobit : cof::backend_kind::sycl;
+  // The upstream format against plain chars; opt6 would upload words on both.
+  opt.variant = cof::comparer_variant::base;
   opt.max_chunk = 64 << 10;
   util::u64 h2d = 0;
   size_t records = 0;

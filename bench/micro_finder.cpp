@@ -1,7 +1,10 @@
 // Microbenchmark: finder kernel throughput (positions/s on the simulated
-// accelerator) across PAM patterns of different selectivity, plus chunk-size
-// sensitivity of the full finder step.
+// accelerator) across PAM patterns of different selectivity, for the
+// per-position char finder (base) and opt6's packed-word finder side by
+// side, plus chunk-size sensitivity of the full finder step.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "genome/synth.hpp"
@@ -25,10 +28,18 @@ const char* kPatterns[] = {
     "NNNNNNNNNNNNNNNNNNNNNNG",  // NNG (permissive)
 };
 
+// Finder variants of the PAM sweep: the char finder every base..opt4 run
+// uses, and opt6's packed-word finder (32 start positions per work-item).
+const cof::comparer_variant kFinderVariants[] = {cof::comparer_variant::base,
+                                                 cof::comparer_variant::opt6};
+
 void bm_finder_pam(benchmark::State& state) {
   auto& g = test_genome();
-  const auto pat = cof::make_pattern(kPatterns[state.range(0)]);
+  const char* pattern = kPatterns[state.range(0)];
+  const cof::comparer_variant variant = kFinderVariants[state.range(1)];
+  const auto pat = cof::make_pattern(pattern);
   cof::pipeline_options opt;
+  opt.variant = variant;
   opt.wg_size = 256;
   auto pipe = cof::make_sycl_pipeline(opt);
   const auto& seq = g.chroms[0].seq;
@@ -42,13 +53,15 @@ void bm_finder_pam(benchmark::State& state) {
                           static_cast<int64_t>(seq.size()));
   state.counters["hit_rate_pct"] =
       100.0 * static_cast<double>(hits) / static_cast<double>(seq.size());
-  state.SetLabel(kPatterns[state.range(0)] + 18);
+  state.SetLabel(std::string(pattern + 18) +
+                 (variant == cof::comparer_variant::opt6 ? " packed" : " char"));
 }
 
 void bm_finder_chunk_size(benchmark::State& state) {
   auto& g = test_genome();
   const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
   cof::pipeline_options opt;
+  opt.variant = cof::comparer_variant::base;
   opt.wg_size = 256;
   auto pipe = cof::make_sycl_pipeline(opt);
   const auto chunk = static_cast<util::usize>(state.range(0));
@@ -68,7 +81,9 @@ void bm_finder_chunk_size(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(bm_finder_pam)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_finder_pam)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 3, 1), {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_finder_chunk_size)
     ->Arg(16 << 10)
     ->Arg(64 << 10)

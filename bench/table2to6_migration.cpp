@@ -232,6 +232,7 @@ void table6_kernel_execution() {
   auto g = genome::generate(genome::hg19_like(16384, 3));
   const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
   cof::pipeline_options opt;
+  opt.variant = cof::comparer_variant::base;  // the paper's per-position finder
   auto ocl = cof::make_opencl_pipeline(opt);
   auto syc = cof::make_sycl_pipeline(opt);
   const std::string_view chunk(g.chroms[0].seq.data(),

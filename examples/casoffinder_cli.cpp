@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
                  false);
   cli.positional("output", "output file ('-' or empty = stdout)", false);
   cli.opt("wg", "work-group size (0 = backend default)", "0");
-  cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt5|opt6", "base");
+  cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt5|opt6",
+          cof::comparer_variant_name(cof::engine_options{}.variant));
   cli.opt("chunk", "max device chunk bytes", "4194304");
   cli.flag("profile", "print the kernel hotspot profile");
   cli.flag("score", "print MIT specificity scores per guide");
@@ -67,7 +68,8 @@ int main(int argc, char** argv) {
                    "(sites: dev.alloc dev.launch pipe.event queue.push "
                    "queue.pop spill.write spill.merge entry.clamp "
                    "index.persist index.load serve.admit serve.batch "
-                   "shard.assign; modes: always, hit:N, prob:P[:seed], off; "
+                   "shard.assign exec.kernel fasta.parse; modes: always, "
+                   "hit:N, prob:P[:seed], off; "
                    "a site@N suffix targets shard ordinal N, e.g. "
                    "'dev.launch@1=always' kills device 1 of a --devices set)",
           "");
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
       break;
     case 'U': case 'u': opt.backend = cof::backend_kind::sycl_usm; break;
     case 'P': case 'p': opt.backend = cof::backend_kind::sycl_twobit; break;
-    default: util::die("unknown device (use C, O, G or S): " + dev);
+    default: util::die("unknown device (use C, O, G, S, U or P): " + dev);
   }
   opt.wg_size = cli.get_u64("wg");
   opt.max_chunk = cli.get_u64("chunk");

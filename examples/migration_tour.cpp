@@ -172,6 +172,7 @@ void tour_kernel_side() {
   auto g = genome::generate(genome::hg19_like(32768, 5));
   const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
   cof::pipeline_options popt;
+  popt.variant = cof::comparer_variant::base;  // the paper's per-position finder
   auto ocl = cof::make_opencl_pipeline(popt);
   auto syc = cof::make_sycl_pipeline(popt);
   const auto& seq = g.chroms[0].seq;

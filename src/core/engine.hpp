@@ -24,7 +24,9 @@ const char* backend_name(backend_kind k);
 
 struct engine_options {
   backend_kind backend = backend_kind::sycl;
-  comparer_variant variant = comparer_variant::base;
+  /// opt6 (the packed-word finder and comparer) is the production default;
+  /// the paper's benches and the gpumodel projections pin base..opt4.
+  comparer_variant variant = comparer_variant::opt6;
   /// 0 = backend default (OpenCL: runtime-chosen; SYCL: 256, as in the paper).
   usize wg_size = 0;
   /// Maximum chunk fed to the device at once.

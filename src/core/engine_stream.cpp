@@ -184,9 +184,20 @@ std::string spill_path(usize queue_index) {
 // ---------------------------------------------------------------------------
 struct stream_chunk {
   std::string text;
+  /// The producer's swar_pack(text) when the pipelines read packed words;
+  /// empty for the other variants and for recovery split halves, which
+  /// upload_view packs on the consumer.
+  std::optional<swar_ref> words;
   util::u64 start = 0;
   u32 chrom_index = 0;
 };
+
+/// `ch` as a pipeline uploads it. Packs here only when the producer's words
+/// are missing (a split half) and the pipeline needs them.
+packed_chunk upload_view(stream_chunk& ch, const device_pipeline& pipe) {
+  if (pipe.packs_words() && !ch.words) ch.words = swar_pack(ch.text);
+  return {ch.text, ch.words ? &*ch.words : nullptr};
+}
 
 /// A chunk awaiting (re-)processing on a queue's recovery work stack.
 /// `overflowed` marks chunks that already hit an entry overflow, so a later
@@ -496,7 +507,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
           for (usize attempt = 0;; ++attempt) {
             t0 = util::process_nanos();
             try {
-              st.pipe->load_chunk_async(item.ch.text).wait();
+              st.pipe->load_chunk_async(upload_view(item.ch, *st.pipe)).wait();
               const u32 hits = st.pipe->run_finder(pat);
               device_pipeline::entries entries;
               if (hits != 0) {
@@ -610,6 +621,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
                     right.ch.start = item.ch.start + mid;
                     right.ch.chrom_index = item.ch.chrom_index;
                     item.ch.text.resize(mid + overlap);
+                    item.ch.words.reset();
                     work.push_back(std::move(right));
                     work.push_back(std::move(item));
                     break;  // halves re-enter via the work stack
@@ -682,6 +694,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
 
   // Producer: the only thread touching the FASTA stream and chrom_names.
   if (tracing) obs::set_thread_name("stream.producer");
+  const bool pack_words = comparer_variant_packs_words(opt.variant);
   chunk_source source(path, opt.max_chunk, overlap);
   u64 decode_ns = 0, push_ns = 0;
   try {
@@ -708,6 +721,14 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       ch.text = std::move(ev.text);
       ch.start = ev.start;
       ch.chrom_index = static_cast<u32>(out.chrom_names.size()) - 1;
+      if (pack_words) {
+        // Pack once, here, off the consumers' critical path: every queue
+        // uploads these words as they are.
+        const u64 p0 = util::process_nanos();
+        obs::span sp("pack", "stream");
+        ch.words = swar_pack(ch.text);
+        decode_ns += util::process_nanos() - p0;
+      }
       t0 = util::process_nanos();
       util::wait_status ws;
       usize target = 0;

@@ -21,6 +21,7 @@ namespace cof {
 /// within one queue's thread they partition its loop.
 struct stream_stage_times {
   double decode_s = 0;      // producer: FASTA decode + chunk assembly
+                            // (and word packing under opt6)
   double queue_wait_s = 0;  // blocked on the bounded queue (push + pop) and
                             // on the previous format job (backpressure)
   double device_s = 0;      // H2D + finder + comparer batch + entry fetch

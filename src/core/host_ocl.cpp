@@ -471,6 +471,72 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
   }
 }
 
+/* opt6's packed-word finder: one work-item per 32 start positions, no local
+ * memory and no barrier. For each non-N PAM position k it fetches the
+ * 32-base window at start+k from the 2-bit words (the comparer's two-word
+ * shift-combine) and clears the lanes whose base the PAM character's deny
+ * LUT rejects; an ambiguous reference base behaves like 'N' (LUT bit 15).
+ * The surviving lanes of each strand are compacted behind ONE atomic per
+ * work-item; stores past the capacity are dropped, the count still
+ * advances. */
+ulong find_strand(__global ulong* chr_packed2, __global ulong* chr_amb2,
+                  __constant unsigned short* pat_mask,
+                  __constant int* pat_index, unsigned int plen,
+                  unsigned int half, unsigned int first, ulong ok) {
+  const ulong even = 0x5555555555555555UL;
+  for (unsigned int j = 0; j < plen && ok != 0; j++) {
+    int k = pat_index[half * plen + j];
+    if (k == -1) break;
+    unsigned int lut = pat_mask[half * plen + k];
+    unsigned int pos = first + (unsigned int)k;
+    unsigned int shift = 2u * (pos & 31u), wi = pos >> 5;
+    ulong ref = (chr_packed2[wi] >> shift) |
+                ((chr_packed2[wi + 1] << (63u - shift)) << 1);
+    ulong amb = (chr_amb2[wi] >> shift) |
+                ((chr_amb2[wi + 1] << (63u - shift)) << 1);
+    ulong mm = 0;
+    for (unsigned int c = 0; c < 4; c++) {
+      if (((lut >> (1u << c)) & 1u) == 0) continue;
+      ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
+      ulong t = ~(ref ^ bc);
+      mm |= t & (t >> 1) & even;
+    }
+    mm &= ~amb;
+    if ((lut >> 15) & 1u) mm |= amb;
+    ok &= ~mm;
+  }
+  return ok;
+}
+
+__kernel void finder_opt6(__global ulong* __restrict chr_packed2,
+                          __global ulong* __restrict chr_amb2,
+                          __constant unsigned short* pat_mask,
+                          __constant int* pat_index, unsigned int chrsize,
+                          unsigned int plen, __global unsigned int* __restrict loci,
+                          __global char* __restrict flag,
+                          __global unsigned int* __restrict entrycount,
+                          unsigned int entry_capacity) {
+  unsigned int first = get_global_id(0) * 32u;
+  if (first >= chrsize) return;
+  unsigned int live_n = min(32u, chrsize - first);
+  ulong live = 0x5555555555555555UL;
+  if (live_n < 32u) live &= (1UL << (2u * live_n)) - 1;
+  ulong fw = find_strand(chr_packed2, chr_amb2, pat_mask, pat_index, plen, 0u,
+                         first, live);
+  ulong rc = find_strand(chr_packed2, chr_amb2, pat_mask, pat_index, plen, 1u,
+                         first, live);
+  ulong rest = fw | rc;
+  if (rest == 0) return;
+  unsigned int slot = atomic_add(entrycount, (unsigned int)popcount(rest));
+  for (; rest != 0; rest &= rest - 1, slot++) {
+    if (slot >= entry_capacity) continue;
+    ulong bit = rest & -rest;
+    unsigned int j = (unsigned int)(63 - clz(bit)) >> 1;
+    loci[slot] = first + j;
+    flag[slot] = ((fw & bit) && (rc & bit)) ? 0 : ((fw & bit) ? 1 : 2);
+  }
+}
+
 /* Optimised comparer variants (paper SIV.B): opt1 adds __restrict, opt2
  * registers loci[i]/flag[i], opt3 fetches the pattern cooperatively, opt4
  * additionally registers the pattern char read from local memory. Bodies
@@ -524,6 +590,22 @@ void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
 }
 
 template <class P>
+void finder_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
+  finder_swar_args fa;
+  fa.chr_packed2 = a.global<const u64>(0);
+  fa.chr_amb2 = a.global<const u64>(1);
+  fa.pat_mask = a.global<const u16>(2);
+  fa.pat_index = a.global<const i32>(3);
+  fa.chrsize = a.scalar<u32>(4);
+  fa.plen = a.scalar<u32>(5);
+  fa.loci = a.global<u32>(6);
+  fa.flag = a.global<char>(7);
+  fa.entrycount = a.global<u32>(8);
+  fa.entry_capacity = a.scalar<u32>(9);
+  finder_swar_kernel<P>(it, fa);
+}
+
+template <class P>
 void comparer_native_dispatch(comparer_variant v, const oclsim::arg_view& a,
                               xpu::xitem& it) {
   comparer_args ca;
@@ -573,6 +655,13 @@ const std::vector<oclsim::arg_kind> kFinderSig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::scalar, oclsim::arg_kind::mem,
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar,
     oclsim::arg_kind::local,  oclsim::arg_kind::local,
+};
+
+const std::vector<oclsim::arg_kind> kFinderOpt6Sig = {
+    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
+    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
+    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
+    oclsim::arg_kind::scalar,
 };
 
 const std::vector<oclsim::arg_kind> kComparerSig = {
@@ -707,9 +796,10 @@ const std::vector<oclsim::arg_kind> kComparerMultiOpt6Sig = {
     oclsim::arg_kind::local,  oclsim::arg_kind::local,
 };
 
-// Every kernel here has exactly one leading barrier (cooperative pattern
-// fetch, then compute), and the native bodies cooperate with the two-phase
-// executor, so all registrations opt into the barrier-free fast path.
+// Every kernel here except finder_opt6 has exactly one leading barrier
+// (cooperative pattern fetch, then compute), and the native bodies cooperate
+// with the two-phase executor, so those registrations opt into the
+// barrier-free fast path. finder_opt6 has no barrier at all.
 const bool kKernelsRegistered = [] {
   oclsim::register_kernel({"finder", kFinderSig, /*uses_barrier=*/true,
                            &finder_native<direct_mem>,
@@ -718,6 +808,9 @@ const bool kKernelsRegistered = [] {
   oclsim::register_kernel({"finder_mask", kFinderSig, true,
                            &finder_mask_native<direct_mem>,
                            &finder_mask_native<counting_mem>, true});
+  oclsim::register_kernel({"finder_opt6", kFinderOpt6Sig, /*uses_barrier=*/false,
+                           &finder_opt6_native<direct_mem>,
+                           &finder_opt6_native<counting_mem>, false});
   oclsim::register_kernel({"comparer", kComparerSig, true,
                            &comparer_native<comparer_variant::base, direct_mem>,
                            &comparer_native<comparer_variant::base, counting_mem>,
@@ -767,7 +860,8 @@ const bool kKernelsRegistered = [] {
 
 class opencl_pipeline final : public device_pipeline {
  public:
-  explicit opencl_pipeline(const pipeline_options& opt) : opt_(opt) {
+  explicit opencl_pipeline(const pipeline_options& opt)
+      : device_pipeline(opt), opt_(opt) {
     COF_CHECK(kKernelsRegistered);
     // Steps 1-3 of Table I: platform query, device query, context creation.
     cl_uint n = 0;
@@ -785,8 +879,9 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(err);
     COF_CL_CHECK(clBuildProgram(program_, 1, &device_, "-O3", nullptr, nullptr));
     // Step 8: kernel objects. opt5 pairs the comparer with the bitmask-LUT
-    // finder (the pattern chars never reach the device at all).
-    finder_k_ = clCreateKernel(program_, use_mask() ? "finder_mask" : "finder", &err);
+    // finder (the pattern chars never reach the device at all); opt6 with
+    // the packed-word finder.
+    finder_k_ = clCreateKernel(program_, finder_kernel_name(), &err);
     COF_CL_CHECK(err);
     comparer_k_ = clCreateKernel(program_, comparer_kernel_name(), &err);
     COF_CL_CHECK(err);
@@ -812,41 +907,8 @@ class opencl_pipeline final : public device_pipeline {
 
   const char* name() const override { return "opencl"; }
 
-  void load_chunk(std::string_view seq) override {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(seq.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    release_chunk();
-    chunk_len_ = seq.size();
-    locicnt_ = 0;
-    loci_cap_ = cap_entries(chunk_len_);
-    const usize loci_n = std::max<usize>(1, loci_cap_);
-    cl_int err;
-    // Step 5 + 11: memory objects, host-to-device transfer.
-    chr_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, chunk_len_,
-                          const_cast<char*>(seq.data()), &err);
-    COF_CL_CHECK(err);
-    loci_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n * sizeof(u32), nullptr,
-                           &err);
-    COF_CL_CHECK(err);
-    flag_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n, nullptr, &err);
-    COF_CL_CHECK(err);
-    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
-    COF_CL_CHECK(err);
-    metrics_.h2d_bytes += chunk_len_;
-    if (opt_.variant == comparer_variant::opt6) {
-      // opt6 twin: 2-bit codes + ambiguity flags in SWAR word geometry.
-      const swar_ref swar = swar_pack(seq);
-      chr2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             swar.packed2.size() * sizeof(u64),
-                             const_cast<u64*>(swar.packed2.data()), &err);
-      COF_CL_CHECK(err);
-      amb2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             swar.amb2.size() * sizeof(u64),
-                             const_cast<u64*>(swar.amb2.data()), &err);
-      COF_CL_CHECK(err);
-      metrics_.h2d_bytes += (swar.packed2.size() + swar.amb2.size()) * sizeof(u64);
-    }
+  void load_chunk(const packed_chunk& ch) override {
+    upload(ch, cap_entries(ch.text.size()));
   }
 
   u32 run_finder(const device_pattern& pat) override {
@@ -858,8 +920,9 @@ class opencl_pipeline final : public device_pipeline {
       return 0;
     }
     const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
+    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
     cl_int err;
-    // Under opt5 the device sees the u16 deny LUTs instead of the chars.
+    // Under opt5/opt6 the device sees the u16 deny LUTs instead of the chars.
     cl_mem patm;
     usize pat_bytes;
     if (use_mask()) {
@@ -881,20 +944,37 @@ class opencl_pipeline final : public device_pipeline {
 
     // Step 9: kernel arguments.
     const u32 plen = pat.plen;
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 0, sizeof(cl_mem), &chr_));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 1, sizeof(cl_mem), &patm));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 2, sizeof(cl_mem), &idxm));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 3, sizeof(u32), &chrsize));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 4, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 5, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 6, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 7, sizeof(cl_mem), &count_));
     const u32 loci_cap = static_cast<u32>(loci_cap_);
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 8, sizeof(u32), &loci_cap));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 9, pat_bytes, nullptr));
-    COF_CL_CHECK(clSetKernelArg(finder_k_, 10, pat.index.size() * sizeof(i32), nullptr));
+    usize items = chrsize;
+    if (packs_words()) {
+      // finder_opt6: words in, no local memory, 32 start positions per item.
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 0, sizeof(cl_mem), &chr2_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 1, sizeof(cl_mem), &amb2_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 2, sizeof(cl_mem), &patm));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 3, sizeof(cl_mem), &idxm));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 4, sizeof(u32), &chrsize));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 5, sizeof(u32), &plen));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 6, sizeof(cl_mem), &loci_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 7, sizeof(cl_mem), &flag_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 8, sizeof(cl_mem), &count_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 9, sizeof(u32), &loci_cap));
+      items = swar_finder_items(chrsize);
+    } else {
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 0, sizeof(cl_mem), &chr_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 1, sizeof(cl_mem), &patm));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 2, sizeof(cl_mem), &idxm));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 3, sizeof(u32), &chrsize));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 4, sizeof(u32), &plen));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 5, sizeof(cl_mem), &loci_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 6, sizeof(cl_mem), &flag_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 7, sizeof(cl_mem), &count_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 8, sizeof(u32), &loci_cap));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 9, pat_bytes, nullptr));
+      COF_CL_CHECK(
+          clSetKernelArg(finder_k_, 10, pat.index.size() * sizeof(i32), nullptr));
+    }
 
-    locicnt_ = enqueue_and_count(finder_k_, chrsize, "finder");
+    locicnt_ = enqueue_and_count(finder_k_, items, "finder");
     detail::check_entry_capacity("finder", locicnt_, loci_cap_);
     metrics_.total_loci += locicnt_;
     ++metrics_.finder_launches;
@@ -925,25 +1005,31 @@ class opencl_pipeline final : public device_pipeline {
     return out;
   }
 
-  void load_indexed_chunk(std::string_view seq, u32 plen,
+  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
                           const std::vector<u32>& loci,
                           const std::vector<char>& flags) override {
     obs::span sp("h2d.index_chunk", "device");
     sp.arg("hits", static_cast<double>(loci.size()));
-    load_chunk(seq);
+    // A warm chunk never runs the finder: its hit arrays hold exactly the
+    // prebuilt hits (run_finder regrows them if it ever does).
+    upload(ch, loci.size());
     detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 loci_cap_);
+                                 cap_entries(chunk_len_));
     const u32 n = static_cast<u32>(loci.size());
     if (n != 0) {
       COF_CL_CHECK(clEnqueueWriteBuffer(q_, loci_, CL_TRUE, 0, n * sizeof(u32),
                                         loci.data(), 0, nullptr, nullptr));
       COF_CL_CHECK(clEnqueueWriteBuffer(q_, flag_, CL_TRUE, 0, n, flags.data(), 0,
                                         nullptr, nullptr));
-      metrics_.h2d_bytes += n * (sizeof(u32) + sizeof(char));
+      metrics_.h2d_bytes += hit_bytes(n);
     }
     locicnt_ = n;
     plen_ = plen;
     metrics_.total_loci += n;
+  }
+
+  usize indexed_chunk_bytes(usize bases, usize hits) const override {
+    return chunk_bytes(bases) + hit_bytes(hits);
   }
 
   entries run_comparer(const device_pattern& query, u16 threshold) override {
@@ -1341,6 +1427,17 @@ class opencl_pipeline final : public device_pipeline {
   // never reach the device; opt6's ambiguity fallback reuses the same LUTs).
   bool use_mask() const { return comparer_variant_uses_mask(opt_.variant); }
 
+  const char* finder_kernel_name() const {
+    if (packs_words()) return "finder_opt6";
+    return use_mask() ? "finder_mask" : "finder";
+  }
+
+  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
+  /// two word arrays under opt6.
+  usize chunk_bytes(usize bases) const {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  }
+
   /// Entry-allocation size for a worst-case demand, honouring the
   /// max_entries cap (0 = worst case, which cannot overflow).
   usize cap_entries(usize worst) const {
@@ -1394,6 +1491,53 @@ class opencl_pipeline final : public device_pipeline {
   /// to pad gws so the runtime's pick divides it.
   static usize oclsim_default_lws(usize /*work_items*/) { return 64; }
 
+  /// Upload the chunk (its chars, plus the words under opt6) and allocate
+  /// hit arrays for `hit_cap` entries.
+  void upload(const packed_chunk& ch, usize hit_cap) {
+    obs::span sp("h2d.chunk", "device");
+    sp.arg("bytes", static_cast<double>(ch.text.size()));
+    fault::inject_point(fault::site::dev_alloc);
+    release_chunk();
+    chunk_len_ = ch.text.size();
+    locicnt_ = 0;
+    cl_int err;
+    // Step 5 + 11: memory objects, host-to-device transfer.
+    chr_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, chunk_len_,
+                          const_cast<char*>(ch.text.data()), &err);
+    COF_CL_CHECK(err);
+    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
+    COF_CL_CHECK(err);
+    if (packs_words()) {
+      // opt6: the producer's 2-bit words + ambiguity flags.
+      const swar_ref& words = words_of(ch);
+      chr2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                             words.packed2.size() * sizeof(u64),
+                             const_cast<u64*>(words.packed2.data()), &err);
+      COF_CL_CHECK(err);
+      amb2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                             words.amb2.size() * sizeof(u64),
+                             const_cast<u64*>(words.amb2.data()), &err);
+      COF_CL_CHECK(err);
+    }
+    alloc_hits(hit_cap);
+    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+  }
+
+  /// Hit arrays for `cap` entries: the finder's worst case unless
+  /// opt_.max_entries caps it, or a warm chunk's prebuilt hits.
+  void alloc_hits(usize cap) {
+    if (loci_ != nullptr) clReleaseMemObject(loci_);
+    if (flag_ != nullptr) clReleaseMemObject(flag_);
+    loci_cap_ = cap;
+    const usize loci_n = std::max<usize>(1, loci_cap_);
+    cl_int err;
+    loci_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n * sizeof(u32), nullptr,
+                           &err);
+    COF_CL_CHECK(err);
+    flag_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n, nullptr, &err);
+    COF_CL_CHECK(err);
+  }
+
   void release_chunk() {
     if (chr_ != nullptr) clReleaseMemObject(chr_);
     if (loci_ != nullptr) clReleaseMemObject(loci_);
@@ -1428,8 +1572,8 @@ class opencl_pipeline final : public device_pipeline {
   cl_mem loci_ = nullptr;
   cl_mem flag_ = nullptr;
   cl_mem count_ = nullptr;
-  cl_mem chr2_ = nullptr;  // opt6 SWAR twin
-  cl_mem amb2_ = nullptr;  // opt6 SWAR twin
+  cl_mem chr2_ = nullptr;  // opt6: the chunk's 2-bit words
+  cl_mem amb2_ = nullptr;  // opt6: their ambiguity flags
   // Staged output of the last launch_comparer_batch (released by
   // fetch_entries or the destructor).
   cl_mem batch_mm_ = nullptr;

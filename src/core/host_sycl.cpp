@@ -18,36 +18,14 @@ namespace {
 class sycl_pipeline final : public device_pipeline {
  public:
   explicit sycl_pipeline(const pipeline_options& opt)
-      : opt_(opt), q_(sycl::gpu_selector{}) {
+      : device_pipeline(opt), opt_(opt), q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;  // the SYCL application pins 256
   }
 
   const char* name() const override { return "sycl"; }
 
-  void load_chunk(std::string_view seq) override {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(seq.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    chunk_len_ = seq.size();
-    locicnt_ = 0;
-    // Device-resident chunk + hit arrays: worst case (every position a hit)
-    // unless opt_.max_entries caps the allocation — the kernels clamp their
-    // appends to the capacity and the host reports any overflow.
-    loci_cap_ = cap_entries(chunk_len_);
-    chr_buf_.emplace(seq.data(), sycl::range<1>(chunk_len_));
-    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
-    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
-    count_buf_.emplace(sycl::range<1>(1));
-    metrics_.h2d_bytes += chunk_len_;
-    if (opt_.variant == comparer_variant::opt6) {
-      // opt6 keeps a 2-bit packed twin of the chunk resident (plus the
-      // ambiguity flags) for the SWAR comparer; the char chunk stays for the
-      // finder and the ambiguous-base fallback.
-      const swar_ref packed = swar_pack(seq);
-      chr2_buf_.emplace(packed.packed2.data(), sycl::range<1>(packed.packed2.size()));
-      amb2_buf_.emplace(packed.amb2.data(), sycl::range<1>(packed.amb2.size()));
-      metrics_.h2d_bytes += 2 * packed.packed2.size() * sizeof(util::u64);
-    }
+  void load_chunk(const packed_chunk& ch) override {
+    upload(ch, cap_entries(ch.text.size()));
   }
 
   u32 run_finder(const device_pattern& pat) override {
@@ -85,14 +63,16 @@ class sycl_pipeline final : public device_pipeline {
     return out;
   }
 
-  void load_indexed_chunk(std::string_view seq, u32 plen,
+  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
                           const std::vector<u32>& loci,
                           const std::vector<char>& flags) override {
     obs::span sp("h2d.index_chunk", "device");
     sp.arg("hits", static_cast<double>(loci.size()));
-    load_chunk(seq);
+    // A warm chunk never runs the finder: its hit arrays hold exactly the
+    // prebuilt hits (run_finder regrows them if it ever does).
+    upload(ch, loci.size());
     detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 loci_cap_);
+                                 cap_entries(chunk_len_));
     const u32 n = static_cast<u32>(loci.size());
     if (n != 0) {
       q_.submit([&](sycl::handler& cgh) {
@@ -105,11 +85,15 @@ class sycl_pipeline final : public device_pipeline {
              cgh, sycl::range<1>(n), sycl::id<1>(0));
          cgh.copy(flags.data(), acc);
        }).wait();
-      metrics_.h2d_bytes += n * (sizeof(u32) + sizeof(char));
+      metrics_.h2d_bytes += hit_bytes(n);
     }
     locicnt_ = n;
     plen_ = plen;
     metrics_.total_loci += n;
+  }
+
+  usize indexed_chunk_bytes(usize bases, usize hits) const override {
+    return chunk_bytes(bases) + hit_bytes(hits);
   }
 
   entries run_comparer(const device_pattern& query, u16 threshold) override {
@@ -147,6 +131,38 @@ class sycl_pipeline final : public device_pipeline {
   const pipeline_metrics& metrics() const override { return metrics_; }
 
  private:
+  /// Upload the chunk (its chars, plus the words under opt6) and allocate
+  /// hit arrays for `hit_cap` entries.
+  void upload(const packed_chunk& ch, usize hit_cap) {
+    obs::span sp("h2d.chunk", "device");
+    sp.arg("bytes", static_cast<double>(ch.text.size()));
+    fault::inject_point(fault::site::dev_alloc);
+    chunk_len_ = ch.text.size();
+    locicnt_ = 0;
+    chr_buf_.emplace(ch.text.data(), sycl::range<1>(chunk_len_));
+    if (packs_words()) {
+      // opt6 keeps the producer's 2-bit words resident (plus the ambiguity
+      // flags) for the packed-word finder and comparer; the char chunk stays
+      // for the comparer's ambiguous-base fallback.
+      const swar_ref& words = words_of(ch);
+      chr2_buf_.emplace(words.packed2.data(), sycl::range<1>(words.packed2.size()));
+      amb2_buf_.emplace(words.amb2.data(), sycl::range<1>(words.amb2.size()));
+    }
+    alloc_hits(hit_cap);
+    count_buf_.emplace(sycl::range<1>(1));
+    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+  }
+
+  /// Device-resident hit arrays for `cap` entries: the finder's worst case
+  /// (every position a hit) unless opt_.max_entries caps it — the kernels
+  /// clamp their appends to the capacity and the host reports any
+  /// overflow — or a warm chunk's prebuilt hits.
+  void alloc_hits(usize cap) {
+    loci_cap_ = cap;
+    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
+    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
+  }
+
   /// Zero the one-element counter buffer through a write accessor.
   void zero_count(sycl::buffer<u32, 1>& buf) {
     const u32 zero = 0;
@@ -173,6 +189,12 @@ class sycl_pipeline final : public device_pipeline {
     return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
   }
 
+  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
+  /// two word arrays under opt6.
+  usize chunk_bytes(usize bases) const {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  }
+
   template <class P>
   u32 run_finder_impl(const device_pattern& pat) {
     plen_ = pat.plen;
@@ -181,18 +203,37 @@ class sycl_pipeline final : public device_pipeline {
       return 0;
     }
     const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
+    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
+    zero_count(*count_buf_);
+    detail::kernel_record_scope rec(opt_, "finder");
+    if (packs_words()) {
+      submit_finder_swar<P>(pat, chrsize);
+    } else {
+      submit_finder<P>(pat, chrsize);
+    }
+    const auto stats = q_.cof_last_launch();
+    metrics_.kernel_nanos += stats.wall_nanos;
+    ++metrics_.finder_launches;
+    rec.finish(stats.wall_nanos);
+
+    locicnt_ = read_count(*count_buf_);
+    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
+    metrics_.total_loci += locicnt_;
+    return locicnt_;
+  }
+
+  /// The per-position finder (base..opt5): one work-item per start
+  /// position, pattern fetched into local memory behind one barrier.
+  template <class P>
+  void submit_finder(const device_pattern& pat, u32 chrsize) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(chrsize, lws);
-
     sycl::buffer<char, 1> pat_buf(pat.data(), sycl::range<1>(pat.device_chars()));
     sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
     sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
     metrics_.h2d_bytes += pat.device_chars() + pat.index.size() * sizeof(i32);
-    zero_count(*count_buf_);
-
     const bool use_mask = comparer_variant_uses_mask(opt_.variant);
     if (use_mask) metrics_.h2d_bytes += pat.mask.size() * sizeof(u16);
-    detail::kernel_record_scope rec(opt_, "finder");
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -234,15 +275,45 @@ class sycl_pipeline final : public device_pipeline {
                           }
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.finder_launches;
-    rec.finish(stats.wall_nanos);
+  }
 
-    locicnt_ = read_count(*count_buf_);
-    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
-    metrics_.total_loci += locicnt_;
-    return locicnt_;
+  /// opt6: the packed-word finder over the resident words, one work-item
+  /// per 32 start positions, no local memory and no barrier.
+  template <class P>
+  void submit_finder_swar(const device_pattern& pat, u32 chrsize) {
+    const usize lws = opt_.wg_size;
+    const usize gws = util::round_up<usize>(swar_finder_items(chrsize), lws);
+    sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
+    sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
+    metrics_.h2d_bytes += pat.index.size() * sizeof(i32) + pat.mask.size() * sizeof(u16);
+    q_.submit([&](sycl::handler& cgh) {
+       cgh.cof_set_name("finder");
+       cgh.cof_hint_no_barrier();
+       auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
+       auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
+       auto pidx = idx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
+       auto pmask = mask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
+       auto loci = loci_buf_->get_access<sycl::sycl_write>(cgh);
+       auto flag = flag_buf_->get_access<sycl::sycl_write>(cgh);
+       auto cnt = count_buf_->get_access<sycl::sycl_read_write>(cgh);
+       const u32 plen = pat.plen;
+       const u32 loci_cap = static_cast<u32>(loci_cap_);
+       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
+                        [=](sycl::nd_item<1> item) {
+                          finder_swar_args a;
+                          a.chr_packed2 = chr2.get_pointer();
+                          a.chr_amb2 = amb2.get_pointer();
+                          a.pat_mask = pmask.get_pointer();
+                          a.pat_index = pidx.get_pointer();
+                          a.chrsize = chrsize;
+                          a.plen = plen;
+                          a.loci = loci.get_pointer();
+                          a.flag = flag.get_pointer();
+                          a.entrycount = cnt.get_pointer();
+                          a.entry_capacity = loci_cap;
+                          finder_swar_kernel<P>(item, a);
+                        });
+     }).wait();
   }
 
   template <class P>
@@ -361,7 +432,7 @@ class sycl_pipeline final : public device_pipeline {
     return out;
   }
 
-  /// opt6: SWAR comparer over the 2-bit packed chunk twin, raw-char LUT
+  /// opt6: SWAR comparer over the chunk's 2-bit words, raw-char LUT
   /// fallback for ambiguous reference bases. Non-counting runs additionally
   /// install the lane-batched row body, which the executor substitutes for
   /// per-item execution when the host's SIMD lanes are enabled.
@@ -698,7 +769,7 @@ class sycl_pipeline final : public device_pipeline {
   sycl::queue q_;
   pipeline_metrics metrics_;
   std::optional<sycl::buffer<char, 1>> chr_buf_;
-  // opt6: 2-bit packed chunk twin + ambiguity flags (see kernels_swar.hpp).
+  // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   std::optional<sycl::buffer<util::u64, 1>> chr2_buf_;
   std::optional<sycl::buffer<util::u64, 1>> amb2_buf_;
   std::optional<sycl::buffer<u32, 1>> loci_buf_;

@@ -1,6 +1,9 @@
 // SYCL host program over 2-bit packed chunks (the upstream memory
 // optimisation, §V [21]): the host packs each chunk with genome::twobit_seq
 // and uploads ~3/8 of the char payload (2 bits/base + 1 ambiguity bit/base).
+// Under opt6 it uploads the producer's packed words instead (kernels_swar.hpp)
+// and runs the packed-word finder and comparer over them; no chars and no
+// second encoding reach the device.
 #include <algorithm>
 #include <optional>
 
@@ -19,37 +22,14 @@ namespace {
 class sycl_twobit_pipeline final : public device_pipeline {
  public:
   explicit sycl_twobit_pipeline(const pipeline_options& opt)
-      : opt_(opt), q_(sycl::gpu_selector{}) {
+      : device_pipeline(opt), opt_(opt), q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;
   }
 
   const char* name() const override { return "sycl-2bit"; }
 
-  void load_chunk(std::string_view seq) override {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(seq.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    chunk_len_ = seq.size();
-    locicnt_ = 0;
-    packed_ = genome::twobit_seq::encode(seq);
-    packed_buf_.emplace(packed_.packed().data(),
-                        sycl::range<1>(std::max<usize>(1, packed_.packed_bytes())));
-    amb_buf_.emplace(packed_.ambiguity_words().data(),
-                     sycl::range<1>(std::max<usize>(1, packed_.ambiguity_words().size())));
-    if (opt_.variant == comparer_variant::opt6) {
-      // opt6 twin: 2-bit codes in SWAR word geometry (32 bases/u64 plus tail
-      // padding) next to the nibble-packed chunk the finder reads.
-      const swar_ref swar = swar_pack(seq);
-      chr2_buf_.emplace(swar.packed2.data(), sycl::range<1>(swar.packed2.size()));
-      amb2_buf_.emplace(swar.amb2.data(), sycl::range<1>(swar.amb2.size()));
-      metrics_.h2d_bytes += (swar.packed2.size() + swar.amb2.size()) * sizeof(u64);
-    }
-    loci_cap_ = cap_entries(chunk_len_);
-    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
-    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
-    count_buf_.emplace(sycl::range<1>(1));
-    metrics_.h2d_bytes +=
-        packed_.packed_bytes() + packed_.ambiguity_words().size() * sizeof(u64);
+  void load_chunk(const packed_chunk& ch) override {
+    upload(ch, cap_entries(ch.text.size()));
   }
 
   u32 run_finder(const device_pattern& pat) override {
@@ -87,14 +67,16 @@ class sycl_twobit_pipeline final : public device_pipeline {
     return out;
   }
 
-  void load_indexed_chunk(std::string_view seq, u32 plen,
+  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
                           const std::vector<u32>& loci,
                           const std::vector<char>& flags) override {
     obs::span sp("h2d.index_chunk", "device");
     sp.arg("hits", static_cast<double>(loci.size()));
-    load_chunk(seq);
+    // A warm chunk never runs the finder: its hit arrays hold exactly the
+    // prebuilt hits (run_finder regrows them if it ever does).
+    upload(ch, loci.size());
     detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 loci_cap_);
+                                 cap_entries(chunk_len_));
     const u32 n = static_cast<u32>(loci.size());
     if (n != 0) {
       q_.submit([&](sycl::handler& cgh) {
@@ -107,11 +89,15 @@ class sycl_twobit_pipeline final : public device_pipeline {
              cgh, sycl::range<1>(n), sycl::id<1>(0));
          cgh.copy(flags.data(), acc);
        }).wait();
-      metrics_.h2d_bytes += n * (sizeof(u32) + sizeof(char));
+      metrics_.h2d_bytes += hit_bytes(n);
     }
     locicnt_ = n;
     plen_ = plen;
     metrics_.total_loci += n;
+  }
+
+  usize indexed_chunk_bytes(usize bases, usize hits) const override {
+    return chunk_bytes(bases) + hit_bytes(hits);
   }
 
   entries run_comparer(const device_pattern& query, u16 threshold) override {
@@ -123,6 +109,41 @@ class sycl_twobit_pipeline final : public device_pipeline {
   const pipeline_metrics& metrics() const override { return metrics_; }
 
  private:
+  /// Upload the chunk (nibble-packed, or the producer's words under opt6)
+  /// and allocate hit arrays for `hit_cap` entries.
+  void upload(const packed_chunk& ch, usize hit_cap) {
+    obs::span sp("h2d.chunk", "device");
+    sp.arg("bytes", static_cast<double>(ch.text.size()));
+    fault::inject_point(fault::site::dev_alloc);
+    chunk_len_ = ch.text.size();
+    locicnt_ = 0;
+    if (packs_words()) {
+      // opt6: the producer's words in SWAR geometry (32 bases/u64 plus tail
+      // padding) are the only copy of the chunk on the device.
+      const swar_ref& words = words_of(ch);
+      chr2_buf_.emplace(words.packed2.data(), sycl::range<1>(words.packed2.size()));
+      amb2_buf_.emplace(words.amb2.data(), sycl::range<1>(words.amb2.size()));
+    } else {
+      packed_ = genome::twobit_seq::encode(ch.text);
+      packed_buf_.emplace(packed_.packed().data(),
+                          sycl::range<1>(std::max<usize>(1, packed_.packed_bytes())));
+      amb_buf_.emplace(
+          packed_.ambiguity_words().data(),
+          sycl::range<1>(std::max<usize>(1, packed_.ambiguity_words().size())));
+    }
+    alloc_hits(hit_cap);
+    count_buf_.emplace(sycl::range<1>(1));
+    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+  }
+
+  /// Device-resident hit arrays for `cap` entries: the finder's worst case
+  /// unless opt_.max_entries caps it, or a warm chunk's prebuilt hits.
+  void alloc_hits(usize cap) {
+    loci_cap_ = cap;
+    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
+    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
+  }
+
   void zero_count(sycl::buffer<u32, 1>& buf) {
     const u32 zero = 0;
     q_.submit([&](sycl::handler& cgh) {
@@ -148,6 +169,14 @@ class sycl_twobit_pipeline final : public device_pipeline {
     return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
   }
 
+  /// Bytes load_chunk uploads for a chunk of `bases`: the two word arrays
+  /// under opt6, else the nibble-packed codes (4 bases/byte) and the
+  /// ambiguity bitmask (64 bases/u64).
+  usize chunk_bytes(usize bases) const {
+    if (packs_words()) return swar_ref_bytes(bases);
+    return (bases + 3) / 4 + (bases + 63) / 64 * sizeof(u64);
+  }
+
   template <class P>
   u32 run_finder_impl(const device_pattern& pat) {
     plen_ = pat.plen;
@@ -156,15 +185,35 @@ class sycl_twobit_pipeline final : public device_pipeline {
       return 0;
     }
     const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
+    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
+    zero_count(*count_buf_);
+    detail::kernel_record_scope rec(opt_,
+                                    packs_words() ? "finder/2bit-opt6" : "finder/2bit");
+    if (packs_words()) {
+      submit_finder_swar<P>(pat, chrsize);
+    } else {
+      submit_finder<P>(pat, chrsize);
+    }
+    const auto stats = q_.cof_last_launch();
+    metrics_.kernel_nanos += stats.wall_nanos;
+    ++metrics_.finder_launches;
+    rec.finish(stats.wall_nanos);
+
+    locicnt_ = read_count(*count_buf_);
+    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
+    metrics_.total_loci += locicnt_;
+    return locicnt_;
+  }
+
+  /// The nibble-packed finder (base..opt5): one work-item per start
+  /// position, pattern chars in local memory behind a barrier.
+  template <class P>
+  void submit_finder(const device_pattern& pat, u32 chrsize) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(chrsize, lws);
-
     sycl::buffer<char, 1> pat_buf(pat.data(), sycl::range<1>(pat.device_chars()));
     sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
     metrics_.h2d_bytes += pat.device_chars() + pat.index.size() * sizeof(i32);
-    zero_count(*count_buf_);
-
-    detail::kernel_record_scope rec(opt_, "finder/2bit");
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder/2bit");
        auto packed = packed_buf_->get_access<sycl::sycl_read>(cgh);
@@ -196,15 +245,45 @@ class sycl_twobit_pipeline final : public device_pipeline {
                           finder_twobit_kernel<P>(item, a);
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.finder_launches;
-    rec.finish(stats.wall_nanos);
+  }
 
-    locicnt_ = read_count(*count_buf_);
-    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
-    metrics_.total_loci += locicnt_;
-    return locicnt_;
+  /// opt6: the packed-word finder over the producer's words (no local
+  /// memory, no barrier, 32 start positions per work-item).
+  template <class P>
+  void submit_finder_swar(const device_pattern& pat, u32 chrsize) {
+    const usize lws = opt_.wg_size;
+    const usize gws = util::round_up<usize>(swar_finder_items(chrsize), lws);
+    sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
+    sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
+    metrics_.h2d_bytes += pat.index.size() * sizeof(i32) + pat.mask.size() * sizeof(u16);
+    q_.submit([&](sycl::handler& cgh) {
+       cgh.cof_set_name("finder/2bit-opt6");
+       cgh.cof_hint_no_barrier();
+       auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
+       auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
+       auto pidx = idx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
+       auto pmask = mask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
+       auto loci = loci_buf_->get_access<sycl::sycl_write>(cgh);
+       auto flag = flag_buf_->get_access<sycl::sycl_write>(cgh);
+       auto cnt = count_buf_->get_access<sycl::sycl_read_write>(cgh);
+       const u32 plen = pat.plen;
+       const u32 loci_cap = static_cast<u32>(loci_cap_);
+       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
+                        [=](sycl::nd_item<1> item) {
+                          finder_swar_args a;
+                          a.chr_packed2 = chr2.get_pointer();
+                          a.chr_amb2 = amb2.get_pointer();
+                          a.pat_mask = pmask.get_pointer();
+                          a.pat_index = pidx.get_pointer();
+                          a.chrsize = chrsize;
+                          a.plen = plen;
+                          a.loci = loci.get_pointer();
+                          a.flag = flag.get_pointer();
+                          a.entrycount = cnt.get_pointer();
+                          a.entry_capacity = loci_cap;
+                          finder_swar_kernel<P>(item, a);
+                        });
+     }).wait();
   }
 
   template <class P>
@@ -301,7 +380,7 @@ class sycl_twobit_pipeline final : public device_pipeline {
     return out;
   }
 
-  /// opt6: SWAR comparer over the 2-bit twin arrays. CharRef = false — this
+  /// opt6: SWAR comparer over the chunk's words. CharRef = false — this
   /// facade never keeps the raw chars resident, so ambiguous reference bases
   /// take the collapsed-'N' path (the per-word 'N' deny mask), exactly the
   /// semantics of comparer_twobit_kernel. Non-counting runs install the
@@ -412,8 +491,8 @@ class sycl_twobit_pipeline final : public device_pipeline {
   genome::twobit_seq packed_;
   std::optional<sycl::buffer<u8, 1>> packed_buf_;
   std::optional<sycl::buffer<u64, 1>> amb_buf_;
-  std::optional<sycl::buffer<u64, 1>> chr2_buf_;  // opt6 SWAR twin
-  std::optional<sycl::buffer<u64, 1>> amb2_buf_;  // opt6 SWAR twin
+  std::optional<sycl::buffer<u64, 1>> chr2_buf_;  // opt6: the chunk's words
+  std::optional<sycl::buffer<u64, 1>> amb2_buf_;  // opt6: their ambiguity flags
   std::optional<sycl::buffer<u32, 1>> loci_buf_;
   std::optional<sycl::buffer<char, 1>> flag_buf_;
   std::optional<sycl::buffer<u32, 1>> count_buf_;

@@ -19,7 +19,7 @@ namespace {
 class sycl_usm_pipeline final : public device_pipeline {
  public:
   explicit sycl_usm_pipeline(const pipeline_options& opt)
-      : opt_(opt), q_(sycl::gpu_selector{}) {
+      : device_pipeline(opt), opt_(opt), q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;
   }
 
@@ -30,30 +30,8 @@ class sycl_usm_pipeline final : public device_pipeline {
 
   const char* name() const override { return "sycl-usm"; }
 
-  void load_chunk(std::string_view seq) override {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(seq.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    release_chunk();
-    chunk_len_ = seq.size();
-    locicnt_ = 0;
-    loci_cap_ = cap_entries(chunk_len_);
-    chr_ = sycl::malloc_device<char>(chunk_len_, q_);
-    loci_ = sycl::malloc_device<u32>(loci_cap_, q_);
-    flag_ = sycl::malloc_device<char>(loci_cap_, q_);
-    count_ = sycl::malloc_device<u32>(1, q_);
-    q_.memcpy(chr_, seq.data(), chunk_len_);
-    metrics_.h2d_bytes += chunk_len_;
-    if (opt_.variant == comparer_variant::opt6) {
-      // opt6: device-resident 2-bit packed twin + ambiguity flags for the
-      // SWAR comparer (the char chunk stays for the finder and fallback).
-      const swar_ref packed = swar_pack(seq);
-      chr2_ = sycl::malloc_device<util::u64>(packed.packed2.size(), q_);
-      amb2_ = sycl::malloc_device<util::u64>(packed.amb2.size(), q_);
-      q_.memcpy(chr2_, packed.packed2.data(), packed.packed2.size() * sizeof(util::u64));
-      q_.memcpy(amb2_, packed.amb2.data(), packed.amb2.size() * sizeof(util::u64));
-      metrics_.h2d_bytes += 2 * packed.packed2.size() * sizeof(util::u64);
-    }
+  void load_chunk(const packed_chunk& ch) override {
+    upload(ch, cap_entries(ch.text.size()));
   }
 
   u32 run_finder(const device_pattern& pat) override {
@@ -83,23 +61,29 @@ class sycl_usm_pipeline final : public device_pipeline {
     return out;
   }
 
-  void load_indexed_chunk(std::string_view seq, u32 plen,
+  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
                           const std::vector<u32>& loci,
                           const std::vector<char>& flags) override {
     obs::span sp("h2d.index_chunk", "device");
     sp.arg("hits", static_cast<double>(loci.size()));
-    load_chunk(seq);
+    // A warm chunk never runs the finder: its hit arrays hold exactly the
+    // prebuilt hits (run_finder regrows them if it ever does).
+    upload(ch, loci.size());
     detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 loci_cap_);
+                                 cap_entries(chunk_len_));
     const u32 n = static_cast<u32>(loci.size());
     if (n != 0) {
       q_.memcpy(loci_, loci.data(), n * sizeof(u32));
       q_.memcpy(flag_, flags.data(), n);
-      metrics_.h2d_bytes += n * (sizeof(u32) + sizeof(char));
+      metrics_.h2d_bytes += hit_bytes(n);
     }
     locicnt_ = n;
     plen_ = plen;
     metrics_.total_loci += n;
+  }
+
+  usize indexed_chunk_bytes(usize bases, usize hits) const override {
+    return chunk_bytes(bases) + hit_bytes(hits);
   }
 
   entries run_comparer(const device_pattern& query, u16 threshold) override {
@@ -137,6 +121,42 @@ class sycl_usm_pipeline final : public device_pipeline {
   const pipeline_metrics& metrics() const override { return metrics_; }
 
  private:
+  /// Upload the chunk (its chars, plus the words under opt6) and allocate
+  /// hit arrays for `hit_cap` entries.
+  void upload(const packed_chunk& ch, usize hit_cap) {
+    obs::span sp("h2d.chunk", "device");
+    sp.arg("bytes", static_cast<double>(ch.text.size()));
+    fault::inject_point(fault::site::dev_alloc);
+    release_chunk();
+    chunk_len_ = ch.text.size();
+    locicnt_ = 0;
+    chr_ = sycl::malloc_device<char>(chunk_len_, q_);
+    count_ = sycl::malloc_device<u32>(1, q_);
+    q_.memcpy(chr_, ch.text.data(), chunk_len_);
+    if (packs_words()) {
+      // opt6: the producer's 2-bit words + ambiguity flags, device-resident
+      // for the packed-word finder and comparer (the char chunk stays for
+      // the comparer's ambiguous-base fallback).
+      const swar_ref& words = words_of(ch);
+      chr2_ = sycl::malloc_device<util::u64>(words.packed2.size(), q_);
+      amb2_ = sycl::malloc_device<util::u64>(words.amb2.size(), q_);
+      q_.memcpy(chr2_, words.packed2.data(), words.packed2.size() * sizeof(util::u64));
+      q_.memcpy(amb2_, words.amb2.data(), words.amb2.size() * sizeof(util::u64));
+    }
+    alloc_hits(hit_cap);
+    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+  }
+
+  /// Device-resident hit arrays for `cap` entries: the finder's worst case
+  /// unless opt_.max_entries caps it, or a warm chunk's prebuilt hits.
+  void alloc_hits(usize cap) {
+    sycl::free(loci_, q_);
+    sycl::free(flag_, q_);
+    loci_cap_ = cap;
+    loci_ = sycl::malloc_device<u32>(loci_cap_, q_);
+    flag_ = sycl::malloc_device<char>(loci_cap_, q_);
+  }
+
   void release_chunk() {
     sycl::free(chr_, q_);
     sycl::free(chr2_, q_);
@@ -171,6 +191,12 @@ class sycl_usm_pipeline final : public device_pipeline {
     return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
   }
 
+  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
+  /// two word arrays under opt6.
+  usize chunk_bytes(usize bases) const {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  }
+
   template <class P>
   u32 run_finder_impl(const device_pattern& pat) {
     plen_ = pat.plen;
@@ -179,15 +205,21 @@ class sycl_usm_pipeline final : public device_pipeline {
       return 0;
     }
     const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
+    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(chrsize, lws);
+    // opt6's packed-word finder covers 32 start positions per work-item.
+    const usize gws = util::round_up<usize>(
+        packs_words() ? swar_finder_items(chrsize) : chrsize, lws);
 
     char* patd = sycl::malloc_device<char>(pat.device_chars(), q_);
     i32* idxd = sycl::malloc_device<i32>(pat.index.size(), q_);
     u16* maskd = sycl::malloc_device<u16>(pat.mask.size(), q_);
-    q_.memcpy(patd, pat.data(), pat.device_chars());
     q_.memcpy(idxd, pat.index_data(), pat.index.size() * sizeof(i32));
-    metrics_.h2d_bytes += pat.device_chars() + pat.index.size() * sizeof(i32);
+    metrics_.h2d_bytes += pat.index.size() * sizeof(i32);
+    if (!packs_words()) {
+      q_.memcpy(patd, pat.data(), pat.device_chars());
+      metrics_.h2d_bytes += pat.device_chars();
+    }
     const bool use_mask = comparer_variant_uses_mask(opt_.variant);
     if (use_mask) {
       q_.memcpy(maskd, pat.mask_data(), pat.mask.size() * sizeof(u16));
@@ -197,39 +229,61 @@ class sycl_usm_pipeline final : public device_pipeline {
 
     detail::kernel_record_scope rec(opt_, "finder");
     const char* chr = chr_;
+    const util::u64* chr2 = chr2_;
+    const util::u64* amb2 = amb2_;
     u32* loci = loci_;
     char* flag = flag_;
     u32* count = count_;
     const u32 plen = pat.plen;
     const u32 loci_cap = static_cast<u32>(loci_cap_);
+    const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
+       if (packs_words()) {
+         // No local memory, no barrier: reads the words and constants
+         // straight from device memory.
+         cgh.cof_hint_no_barrier();
+         cgh.parallel_for(ndr, [=](sycl::nd_item<1> item) {
+           finder_swar_args a;
+           a.chr_packed2 = chr2;
+           a.chr_amb2 = amb2;
+           a.pat_mask = maskd;
+           a.pat_index = idxd;
+           a.chrsize = chrsize;
+           a.plen = plen;
+           a.loci = loci;
+           a.flag = flag;
+           a.entrycount = count;
+           a.entry_capacity = loci_cap;
+           finder_swar_kernel<P>(item, a);
+         });
+         return;
+       }
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<char, 1> l_pat(sycl::range<1>(pat.device_chars()), cgh);
        sycl::local_accessor<i32, 1> l_idx(sycl::range<1>(pat.index.size()), cgh);
        sycl::local_accessor<u16, 1> l_mask(sycl::range<1>(pat.mask.size()), cgh);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          finder_args a;
-                          a.chr = chr;
-                          a.pat = patd;
-                          a.pat_index = idxd;
-                          a.pat_mask = maskd;
-                          a.chrsize = chrsize;
-                          a.plen = plen;
-                          a.loci = loci;
-                          a.flag = flag;
-                          a.entrycount = count;
-                          a.entry_capacity = loci_cap;
-                          a.l_pat = l_pat.get_pointer();
-                          a.l_pat_index = l_idx.get_pointer();
-                          a.l_pat_mask = l_mask.get_pointer();
-                          if (use_mask) {
-                            finder_kernel_mask<P>(item, a);
-                          } else {
-                            finder_kernel<P>(item, a);
-                          }
-                        });
+       cgh.parallel_for(ndr, [=](sycl::nd_item<1> item) {
+         finder_args a;
+         a.chr = chr;
+         a.pat = patd;
+         a.pat_index = idxd;
+         a.pat_mask = maskd;
+         a.chrsize = chrsize;
+         a.plen = plen;
+         a.loci = loci;
+         a.flag = flag;
+         a.entrycount = count;
+         a.entry_capacity = loci_cap;
+         a.l_pat = l_pat.get_pointer();
+         a.l_pat_index = l_idx.get_pointer();
+         a.l_pat_mask = l_mask.get_pointer();
+         if (use_mask) {
+           finder_kernel_mask<P>(item, a);
+         } else {
+           finder_kernel<P>(item, a);
+         }
+       });
      }).wait();
     const auto stats = q_.cof_last_launch();
     metrics_.kernel_nanos += stats.wall_nanos;
@@ -339,7 +393,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     return out;
   }
 
-  /// opt6: SWAR comparer over the packed USM twin of the chunk, raw-char
+  /// opt6: SWAR comparer over the chunk's device-resident words, raw-char
   /// LUT fallback for ambiguous bases. Non-counting runs install the
   /// lane-batched row body (AVX2 when the host has it, scalar otherwise).
   template <class P>
@@ -674,7 +728,7 @@ class sycl_usm_pipeline final : public device_pipeline {
   sycl::queue q_;
   pipeline_metrics metrics_;
   char* chr_ = nullptr;
-  // opt6: 2-bit packed chunk twin + ambiguity flags (see kernels_swar.hpp).
+  // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   util::u64* chr2_ = nullptr;
   util::u64* amb2_ = nullptr;
   u32* loci_ = nullptr;

@@ -79,27 +79,49 @@ struct reader {
   }
 };
 
-/// 2-bit pack (A=0 C=1 G=2 T=3, LSB-first within each byte — the twobit_seq
-/// layout). Non-ACGT bases pack as 0 and are recorded as (position, raw
-/// char) exceptions so the decode is byte-exact for any input.
-std::string pack_text(const std::string& text,
-                      std::vector<std::pair<u32, char>>& exceptions) {
-  std::string packed((text.size() + 3) / 4, '\0');
-  for (usize i = 0; i < text.size(); ++i) {
-    u8 code = 0;
-    switch (text[i]) {
-      case 'A': code = 0; break;
-      case 'C': code = 1; break;
-      case 'G': code = 2; break;
-      case 'T': code = 3; break;
-      default:
-        exceptions.emplace_back(static_cast<u32>(i), text[i]);
-        break;
+/// The payload's 2-bit codes (A=0 C=1 G=2 T=3, LSB-first within each byte)
+/// are the little-endian bytes of swar_pack's code words, so a chunk's words
+/// serialise as they are. Non-ACGT bases pack as 0 and are recorded as
+/// (position, raw char) exceptions — exactly the bases swar_pack flags as
+/// ambiguous — so the decode is byte-exact for any input.
+std::string payload_codes(const index_chunk& ch,
+                          std::vector<std::pair<u32, char>>& exceptions) {
+  COF_CHECK_MSG(ch.words.bases == ch.text.size(),
+                "index chunk without its packed words");
+  std::string packed((ch.text.size() + 3) / 4, '\0');
+  for (usize b = 0; b < packed.size(); ++b) {
+    packed[b] = static_cast<char>((ch.words.packed2[b >> 3] >> (8 * (b & 7))) & 0xFF);
+  }
+  for (usize w = 0; w < ch.words.amb2.size(); ++w) {
+    for (u64 rest = ch.words.amb2[w]; rest != 0; rest &= rest - 1) {
+      const usize pos = 32 * w + (static_cast<usize>(__builtin_ctzll(rest)) >> 1);
+      exceptions.emplace_back(static_cast<u32>(pos), ch.text[pos]);
     }
-    packed[i >> 2] = static_cast<char>(static_cast<u8>(packed[i >> 2]) |
-                                       (code << ((i & 3) * 2)));
   }
   return packed;
+}
+
+/// swar_pack(text) rebuilt from the payload without re-packing: the packed
+/// bytes become the code words, and each exception (never a plain A/C/G/T,
+/// load_index rejects those) sets its ambiguity flag and clears its code.
+/// Pad bits past `len` are cleared too, so the words equal swar_pack of
+/// the decoded text whatever the file holds there.
+swar_ref words_from_payload(const std::string& packed, usize len,
+                            const std::vector<std::pair<u32, char>>& exceptions) {
+  swar_ref w;
+  w.bases = len;
+  w.packed2.assign(swar_words_for(len), 0);
+  w.amb2.assign(swar_words_for(len), 0);
+  for (usize b = 0; b < packed.size(); ++b) {
+    w.packed2[b >> 3] |= static_cast<u64>(static_cast<u8>(packed[b])) << (8 * (b & 7));
+  }
+  if (len % 32 != 0) w.packed2[len / 32] &= (u64{1} << (2 * (len % 32))) - 1;
+  for (const auto& exc : exceptions) {
+    const u32 shift = 2 * (exc.first & 31u);
+    w.packed2[exc.first >> 5] &= ~(u64{3} << shift);
+    w.amb2[exc.first >> 5] |= u64{1} << shift;
+  }
+  return w;
 }
 
 std::string unpack_text(const std::string& packed, usize len,
@@ -226,12 +248,15 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
         if (ci >= chunks.size()) break;
         const auto& ch = chunks[ci];
         const std::string_view seq = genome::chunk_view(g, ch);
-        pipe->load_chunk(seq);
-        const u32 hits = pipe->run_finder(pat);
         index_chunk& out = idx.chunks[ci];
         out.chrom_index = static_cast<u32>(ch.chrom_index);
         out.start = ch.offset;
         out.text.assign(seq.data(), seq.size());
+        // Packed once, here: the finder below and every warm upload of this
+        // chunk use these words.
+        out.words = swar_pack(out.text);
+        pipe->load_chunk(packed_chunk{out.text, &out.words});
+        const u32 hits = pipe->run_finder(pat);
         if (hits != 0) {
           out.loci = pipe->read_loci();
           out.flags = pipe->read_flags();
@@ -273,7 +298,7 @@ void save_index(const std::string& path, const genome_index& idx) {
     put_u64(payload, ch.start);
     put_u32(payload, static_cast<u32>(ch.text.size()));
     std::vector<std::pair<u32, char>> exceptions;
-    payload += pack_text(ch.text, exceptions);
+    payload += payload_codes(ch, exceptions);
     put_u32(payload, static_cast<u32>(exceptions.size()));
     for (const auto& [pos, c] : exceptions) {
       put_u32(payload, pos);
@@ -398,9 +423,14 @@ genome_index load_index(const std::string& path) {
     for (u32 e = 0; e < nexc; ++e) {
       const u32 pos = cr.get_u32();
       const char c = static_cast<char>(cr.get_u8());
+      if (c == 'A' || c == 'C' || c == 'G' || c == 'T') {
+        throw index_error(fault::site::index_load,
+                          "exception byte is a plain base (A/C/G/T)");
+      }
       exceptions.emplace_back(pos, c);
     }
     ch.text = unpack_text(packed, text_len, exceptions);
+    ch.words = words_from_payload(packed, text_len, exceptions);
     const u32 nloci = cr.get_u32();
     if (nloci > text_len) {
       throw index_error(fault::site::index_load, "hit count past chunk size");
@@ -459,10 +489,10 @@ void check_index_matches_genome(const genome_index& idx,
 }
 
 /// One serving queue: the chunks pinned to it and the device-resident
-/// subset of them. Every resident chunk owns its own pipeline (chunk text +
-/// loci/flags stay in that pipeline's device buffers between query() calls)
-/// and is evicted least-recently-used when the slot's share of
-/// engine_options::resident_bytes is exceeded. `mu` serialises concurrent
+/// subset of them. Every resident chunk owns its own pipeline (chunk text
+/// and/or words + loci/flags stay in that pipeline's device buffers between
+/// query() calls) and is evicted least-recently-used when the slot's share
+/// of engine_options::resident_bytes is exceeded. `mu` serialises concurrent
 /// query() calls over the slot — residency state, the sticky entry cap and
 /// the pipelines' staged entries are all guarded by it.
 struct index_query_session::slot {
@@ -546,11 +576,6 @@ struct index_query_session::slot {
 };
 
 namespace {
-
-/// Device-resident footprint of one chunk: text plus candidate loci/flags.
-usize chunk_resident_bytes(const index_chunk& ch) {
-  return ch.text.size() + ch.loci.size() * (sizeof(u32) + sizeof(char));
-}
 
 // Bounded recovery attempts per chunk, matching the streaming engine: a
 // real overflow converges in one or two retries (the thrown error carries
@@ -687,15 +712,18 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
             csp.arg("batch", static_cast<double>(trace.batch_id));
             slot::resident_chunk* rc = sl.find_resident(ci);
             if (rc == nullptr) {
-              const usize bytes = chunk_resident_bytes(ch);
-              evictions += sl.make_room(slot_budget_, bytes);
               slot::resident_chunk fresh;
               fresh.chunk = ci;
-              fresh.bytes = bytes;
               fresh.pipe = make_index_pipeline(opt_, sl.cur_max_entries);
-              fresh.pipe->load_indexed_chunk(ch.text, plen, ch.loci, ch.flags);
+              // The budget charges what this pipeline uploads and keeps:
+              // text and/or packed words per facade and variant, plus loci.
+              fresh.bytes =
+                  fresh.pipe->indexed_chunk_bytes(ch.text.size(), ch.loci.size());
+              evictions += sl.make_room(slot_budget_, fresh.bytes);
+              fresh.pipe->load_indexed_chunk(packed_chunk{ch.text, &ch.words}, plen,
+                                             ch.loci, ch.flags);
+              sl.resident_bytes += fresh.bytes;
               sl.resident.push_back(std::move(fresh));
-              sl.resident_bytes += bytes;
               rc = &sl.resident.back();
               ++misses;
             } else {

@@ -37,11 +37,16 @@
 namespace cof {
 
 /// One device-chunk of the index: the decoded chunk text (overlap included,
-/// byte-exact with the FASTA decode) plus the finder's output for it.
+/// byte-exact with the FASTA decode), its packed words, plus the finder's
+/// output for it.
 struct index_chunk {
   u32 chrom_index = 0;
   util::u64 start = 0;         // offset of text[0] within the chromosome
   std::string text;            // decoded bases, length == chunk length
+  /// swar_pack(text), packed once where the chunk is produced (build_index)
+  /// or read from the .cofidx 2-bit payload (load_index), which has the
+  /// same bit order; packed-word pipelines upload it as is.
+  swar_ref words;
   std::vector<u32> loci;       // finder hits, text-relative
   std::vector<char> flags;     // per hit: 0 = both strands, 1 = fw, 2 = rc
 };
@@ -107,8 +112,9 @@ void check_index_matches_source(const genome_index& idx,
 /// Warm phase: device-resident index for a long-lived serving process. The
 /// session owns opt.num_queues slots; each chunk is pinned to one slot
 /// (round-robin) and each slot keeps a MULTI-CHUNK resident set — every
-/// chunk it serves stays device-resident (text + candidate loci/flags)
-/// until least-recently-used eviction is forced by the byte budget
+/// chunk it serves stays device-resident (whatever its pipeline uploaded:
+/// text and/or packed words, plus candidate loci/flags) until
+/// least-recently-used eviction is forced by the byte budget
 /// (engine_options::resident_bytes, split evenly across slots), so repeated
 /// query() calls re-upload nothing while the working set fits (chunk_hits
 /// counts device-resident reuses, chunk_misses the uploads, chunk_evictions

@@ -75,6 +75,9 @@ struct direct_mem {
       return ptr[i];
     }
     u32 atomic_inc(u32* ptr) const { return std::atomic_ref<u32>(*ptr).fetch_add(1u); }
+    u32 atomic_add(u32* ptr, u32 v) const {
+      return std::atomic_ref<u32>(*ptr).fetch_add(v);
+    }
     void count_compare() const {}
     void count_mask() const {}
     void count_swar() const {}
@@ -122,6 +125,10 @@ struct counting_mem {
     u32 atomic_inc(u32* ptr) {
       ++c[prof::ev::atomic_op];
       return std::atomic_ref<u32>(*ptr).fetch_add(1u);
+    }
+    u32 atomic_add(u32* ptr, u32 v) {
+      ++c[prof::ev::atomic_op];
+      return std::atomic_ref<u32>(*ptr).fetch_add(v);
     }
     void count_compare() { ++c[prof::ev::compare]; }
     void count_mask() { ++c[prof::ev::mask_op]; }
@@ -323,6 +330,13 @@ inline const char* comparer_variant_name(comparer_variant v) {
 /// same table). These pair with the bitmask-LUT finder.
 inline constexpr bool comparer_variant_uses_mask(comparer_variant v) {
   return v >= comparer_variant::opt5;
+}
+
+/// Variants whose kernels read the chunk as 2-bit packed words (opt6: the
+/// SWAR finder and comparer, kernels_swar.hpp). Producers pack each chunk
+/// once for these; the other variants never see packed words.
+inline constexpr bool comparer_variant_packs_words(comparer_variant v) {
+  return v == comparer_variant::opt6;
 }
 
 namespace detail {

@@ -1,11 +1,12 @@
-// Host-side packing for the opt6 SWAR comparer and its AVX2 lane-batched
-// body. The AVX2 code lives here (not in the header) so it can carry a
-// target("avx2") attribute and compile in a portable build; runtime
+// Host-side packing for the opt6 SWAR kernels and the comparer's AVX2
+// lane-batched body. The AVX2 code lives here (not in the header) so it can
+// carry a target("avx2") attribute and compile in a portable build; runtime
 // dispatch (util::simd_lanes_enabled) guarantees it only executes on hosts
 // with the instructions.
 #include "core/kernels_swar.hpp"
 
 #include <algorithm>
+#include <array>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -13,26 +14,49 @@
 
 namespace cof {
 
+namespace {
+
+/// Per byte: bits 0-1 hold the 2-bit code (A=0 C=1 G=2 T=3, 0 otherwise),
+/// bit 2 is set for every byte that is not an upper-case A/C/G/T.
+constexpr std::array<u8, 256> kPackTable = [] {
+  std::array<u8, 256> t{};
+  t.fill(4);
+  t['A'] = 0;
+  t['C'] = 1;
+  t['G'] = 2;
+  t['T'] = 3;
+  return t;
+}();
+
+/// Pack n <= 32 bases into one code word and one ambiguity word. Inlined
+/// with n == 32 for every full word, so the loop unrolls into table loads,
+/// shifts and ORs with no per-base branch.
+inline void pack_word(const char* s, usize n, u64& code, u64& amb) {
+  u64 c = 0;
+  u64 a = 0;
+  for (usize j = 0; j < n; ++j) {
+    const u64 v = kPackTable[static_cast<u8>(s[j])];
+    c |= (v & 3u) << (2 * j);
+    a |= (v >> 2) << (2 * j);
+  }
+  code = c;
+  amb = a;
+}
+
+}  // namespace
+
 swar_ref swar_pack(std::string_view seq) {
   swar_ref r;
   r.bases = seq.size();
-  const usize nwords = (seq.size() + 31) / 32 + 2;  // +2: window-fetch padding
-  r.packed2.assign(nwords, 0);
-  r.amb2.assign(nwords, 0);
-  for (usize i = 0; i < seq.size(); ++i) {
-    const usize w = i >> 5;
-    const u32 bit = 2 * (static_cast<u32>(i) & 31u);
-    u64 code;
-    switch (seq[i]) {
-      case 'A': code = 0; break;
-      case 'C': code = 1; break;
-      case 'G': code = 2; break;
-      case 'T': code = 3; break;
-      default:
-        r.amb2[w] |= u64{1} << bit;
-        continue;
-    }
-    r.packed2[w] |= code << bit;
+  const usize full = seq.size() / 32;
+  const usize nwords = swar_words_for(seq.size());
+  r.packed2.resize(nwords);
+  r.amb2.resize(nwords);
+  for (usize w = 0; w < full; ++w) {
+    pack_word(seq.data() + 32 * w, 32, r.packed2[w], r.amb2[w]);
+  }
+  if (const usize tail = seq.size() - 32 * full; tail != 0) {
+    pack_word(seq.data() + 32 * full, tail, r.packed2[full], r.amb2[full]);
   }
   return r;
 }

@@ -1,31 +1,45 @@
-// opt6 — the two-bit SWAR comparer (the rung past opt5 on the optimisation
-// ladder). The reference chunk travels as 2-bit packed codes (32 bases per
-// 64-bit word) plus an ambiguity flag in the same 2-bit geometry; the host
-// precomputes, per query half and per 32-base word, one 64-bit deny mask for
-// each reference code (device_pattern::swar, derived bit-for-bit from the
-// opt5 deny LUT). One word evaluation replaces up to 32 opt5 loop
-// iterations:
+// opt6 — the two-bit SWAR variant (the rung past opt5 on the optimisation
+// ladder): a packed-word PAM finder and comparer. The reference chunk
+// travels as 2-bit packed codes (32 bases per 64-bit word) plus an ambiguity
+// flag in the same 2-bit geometry, packed once by whoever produces the chunk
+// (swar_pack). Both kernels test 32 bases per word operation:
 //
 //   eq_c  = SWAR "both bits equal" of (ref ^ broadcast(c)), even bits
 //   mm   |= eq_c & deny_c            for c in {A,C,G,T}
+//
+// Finder (finder_swar_kernel): one work-item covers 32 consecutive start
+// positions. For each non-N PAM position k it fetches the 32-base window at
+// start+k (the comparer's shift-combined two-word fetch) and tests it
+// against that PAM character's broadcast deny masks; the surviving even
+// bits of each strand are its hits, compacted with popcount/ctz behind one
+// entrycount atomic per work-item. An ambiguous reference base (any
+// non-ACGT byte) mismatches exactly when the PAM character is a concrete
+// A/C/G/T, which is casoffinder_mismatch's rule for every non-ACGT
+// character, so the finder needs no raw-character fallback and no barrier.
+//
+// Comparer (comparer_swar_kernel): the host precomputes, per query half and
+// per 32-base word, one 64-bit deny mask for each reference code
+// (device_pattern::swar, derived bit-for-bit from the opt5 deny LUT). One
+// word evaluation replaces up to 32 opt5 loop iterations:
+//
 //   count = popcount(mm & ~ambiguous & active)
 //
-// Ambiguous reference positions (any non-ACGT base) are exact-matched by a
-// scalar fallback: against the raw chunk chars through the opt5 LUT when the
-// facade keeps them resident (CharRef = true: buffer-SYCL, USM, OpenCL), or
-// with the collapsed-'N' semantics of the twobit facade (CharRef = false,
-// via the per-word 'N' deny mask). Either way the kernel is byte-identical
-// to the facade's opt5/reference comparer on every input — asserted
-// exhaustively by tests/test_swar.cpp.
+// Ambiguous reference positions are exact-matched by a scalar fallback:
+// against the raw chunk chars through the opt5 LUT when the facade keeps
+// them resident (CharRef = true: buffer-SYCL, USM, OpenCL), or through the
+// per-word 'N' deny mask (CharRef = false: the twobit facade). Either way
+// the kernels are byte-identical to the facade's opt5/reference kernels on
+// every input, asserted exhaustively by tests/test_swar.cpp.
 //
-// The kernels cooperate with the two-phase executor (single leading barrier)
-// like every other comparer, and additionally expose a lane-batched
-// post-fetch body (comparer_swar_lanes) the executor can invoke over a whole
-// work-group row; on AVX2 hosts that body processes four work-items per
-// instruction stream (kernels_swar.cpp), with a scalar per-lane loop as the
-// portable fallback.
+// The comparers cooperate with the two-phase executor (single leading
+// barrier) like every other comparer, and additionally expose a
+// lane-batched post-fetch body (comparer_swar_lanes) the executor can
+// invoke over a whole work-group row; on AVX2 hosts that body processes four
+// work-items per instruction stream (kernels_swar.cpp), with a scalar
+// per-lane loop as the portable fallback.
 #pragma once
 
+#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -47,7 +61,7 @@ inline constexpr u64 kSwarEvenBits = 0x5555555555555555ull;
 inline constexpr u64 kSwarBroadcast[4] = {
     0x0000000000000000ull, kSwarEvenBits, ~kSwarEvenBits, ~0ull};
 
-/// Host-packed reference chunk for the opt6 comparer: 2-bit codes, 32 bases
+/// Host-packed reference chunk for the opt6 kernels: 2-bit codes, 32 bases
 /// per u64, plus ambiguity flags in the same geometry (bit 2*(i&31) of word
 /// i>>5 set when base i is not a concrete A/C/G/T). Both arrays carry two
 /// zero words of tail padding so the kernel's unaligned two-word window
@@ -58,8 +72,116 @@ struct swar_ref {
   usize bases = 0;
 };
 
-/// Pack an upper-case IUPAC sequence (kernels_swar.cpp).
+/// u64 words in each of swar_pack(seq)'s arrays for `bases` bases.
+inline constexpr usize swar_words_for(usize bases) { return (bases + 31) / 32 + 2; }
+
+/// Bytes of both of swar_pack(seq)'s arrays for `bases` bases.
+inline constexpr usize swar_ref_bytes(usize bases) {
+  return 2 * swar_words_for(bases) * sizeof(u64);
+}
+
+/// Pack a chunk (kernels_swar.cpp): A/C/G/T take codes 0..3; every other
+/// byte (IUPAC codes, lower case, anything else) packs as code 0 with its
+/// ambiguity flag set.
 swar_ref swar_pack(std::string_view seq);
+
+/// Start positions one finder work-item covers (one packed word).
+inline constexpr u32 kSwarFinderSpan = 32;
+
+/// Work-items a finder launch needs for `chrsize` start positions.
+inline constexpr usize swar_finder_items(usize chrsize) {
+  return (chrsize + kSwarFinderSpan - 1) / kSwarFinderSpan;
+}
+
+// ---------------------------------------------------------------------------
+// packed-word finder
+// ---------------------------------------------------------------------------
+
+struct finder_swar_args {
+  const u64* chr_packed2 = nullptr;  // 2-bit codes, padded (global)
+  const u64* chr_amb2 = nullptr;     // ambiguity flags, same geometry (global)
+  const u16* pat_mask = nullptr;     // 2*plen deny LUTs (constant)
+  const i32* pat_index = nullptr;    // non-N positions, -1 terminated (constant)
+  u32 chrsize = 0;                   // valid start positions in the chunk
+  u32 plen = 0;
+  u32* loci = nullptr;               // out: matching positions (global)
+  char* flag = nullptr;              // out: 0 both strands, 1 fw, 2 rc (global)
+  u32* entrycount = nullptr;         // atomic append counter (global)
+  /// Output-array capacity; appends at or past it are dropped (counter
+  /// still advances so the host can report the overflow).
+  u32 entry_capacity = ~u32{0};
+};
+
+namespace detail {
+
+/// Even bits of the `first` start positions' lanes that survive one strand's
+/// PAM: the AND over its non-N positions k of "window at first+k does not
+/// mismatch the PAM character there".
+template <class PItem>
+inline u64 swar_find_strand(PItem& p, const finder_swar_args& a, int half,
+                            usize first, u64 live) {
+  const usize off = static_cast<usize>(half) * a.plen;
+  u64 ok = live;
+  for (u32 j = 0; j < a.plen && ok != 0; ++j) {
+    p.count_loop();
+    const i32 k = p.gload(a.pat_index, off + j);
+    if (k == -1) break;
+    const u16 lut = p.gload(a.pat_mask, off + static_cast<usize>(k));
+    const usize pos = first + static_cast<usize>(k);
+    const u32 shift = 2 * (static_cast<u32>(pos) & 31u);
+    const usize wi = pos >> 5;
+    const u64 lo = p.gload(a.chr_packed2, wi);
+    const u64 hi = p.gload(a.chr_packed2, wi + 1);
+    const u64 alo = p.gload(a.chr_amb2, wi);
+    const u64 ahi = p.gload(a.chr_amb2, wi + 1);
+    const u64 ref = (lo >> shift) | ((hi << (63 - shift)) << 1);
+    const u64 amb = (alo >> shift) | ((ahi << (63 - shift)) << 1);
+    p.count_swar();
+    // Reference code c mismatches when the LUT bit of its nibble (1 << c)
+    // is set; every ambiguous byte behaves like nibble 15 ('N').
+    u64 mm = 0;
+    for (u32 c = 0; c < 4; ++c) {
+      if (((lut >> (1u << c)) & 1u) == 0) continue;
+      const u64 t = ~(ref ^ kSwarBroadcast[c]);
+      mm |= t & (t >> 1) & kSwarEvenBits;
+    }
+    mm &= ~amb;
+    if ((lut >> 15) & 1u) mm |= amb;
+    ok &= ~mm;
+  }
+  return ok;
+}
+
+}  // namespace detail
+
+/// opt6 finder: one work-item per 32 start positions, no local memory and
+/// no barrier. Hits within a work-item append in ascending position order;
+/// the order across work-items is whatever the atomic yields (as for the
+/// per-position finders).
+template <class P, class Item>
+inline void finder_swar_kernel(const Item& it, const finder_swar_args& a) {
+  typename P::item p;
+  const usize first = it.get_global_id(0) * kSwarFinderSpan;
+  if (first >= a.chrsize) return;
+  const usize live_n = std::min<usize>(kSwarFinderSpan, a.chrsize - first);
+  const u64 live = live_n == kSwarFinderSpan
+                       ? kSwarEvenBits
+                       : kSwarEvenBits & ((u64{1} << (2 * live_n)) - 1);
+  const u64 fw = detail::swar_find_strand(p, a, 0, first, live);
+  const u64 rc = detail::swar_find_strand(p, a, 1, first, live);
+  u64 rest = fw | rc;
+  if (rest == 0) return;
+  u32 slot = p.atomic_add(a.entrycount,
+                          static_cast<u32>(__builtin_popcountll(rest)));
+  for (; rest != 0; rest &= rest - 1, ++slot) {
+    if (slot >= a.entry_capacity) continue;
+    const u64 bit = rest & (~rest + 1);
+    const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
+    p.gstore(a.loci, slot, static_cast<u32>(first + j));
+    const char f = (fw & bit) && (rc & bit) ? 0 : ((fw & bit) ? 1 : 2);
+    p.gstore(a.flag, slot, f);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // kernel arguments

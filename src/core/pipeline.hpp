@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/kernels.hpp"
+#include "core/kernels_swar.hpp"
 #include "core/pattern.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
@@ -54,7 +55,7 @@ class entry_overflow_error : public std::runtime_error {
 };
 
 struct pipeline_options {
-  comparer_variant variant = comparer_variant::base;
+  comparer_variant variant = comparer_variant::opt6;
   /// Work-group size for kernel launches. 0 = let the runtime choose (the
   /// OpenCL application's behaviour in the paper); the SYCL application
   /// pins 256.
@@ -91,6 +92,15 @@ class pipe_event {
   void wait() const { fault::inject_point(fault::site::pipe_event); }
 };
 
+/// A genome chunk as a pipeline uploads it: the decoded text and, when its
+/// producer packed it, the 2-bit words (swar_pack(text)). Pipelines whose
+/// kernels read packed words (comparer_variant_packs_words) upload `words`;
+/// the others ignore them.
+struct packed_chunk {
+  std::string_view text;
+  const swar_ref* words = nullptr;
+};
+
 class device_pipeline {
  public:
   struct entries {
@@ -101,19 +111,32 @@ class device_pipeline {
     usize size() const { return mm.size(); }
   };
 
+  explicit device_pipeline(const pipeline_options& opt)
+      : packs_words_(comparer_variant_packs_words(opt.variant)) {}
   virtual ~device_pipeline() = default;
 
   virtual const char* name() const = 0;
 
-  /// Upload a genome chunk to the device.
-  virtual void load_chunk(std::string_view seq) = 0;
+  /// True when this pipeline's kernels read the chunk as packed words.
+  bool packs_words() const { return packs_words_; }
+
+  /// Upload a genome chunk to the device. A packed-word pipeline needs
+  /// ch.words (producers pack each chunk once, where they decode it).
+  virtual void load_chunk(const packed_chunk& ch) = 0;
+
+  /// Text-only upload for callers that hold no words: packs the chunk here
+  /// when this pipeline needs them.
+  void load_chunk(std::string_view seq) {
+    swar_ref words;
+    load_chunk(with_words(seq, words));
+  }
 
   /// Async upload: returns once the transfer is enqueued; the returned
-  /// event completes when the chunk is device-resident. The host `seq`
-  /// storage may be reused after the event completes. The default forwards
-  /// to load_chunk (the sim runtimes copy at submission).
-  virtual pipe_event load_chunk_async(std::string_view seq) {
-    load_chunk(seq);
+  /// event completes when the chunk is device-resident. The host storage
+  /// behind `ch` may be reused after the event completes. The default
+  /// forwards to load_chunk (the sim runtimes copy at submission).
+  virtual pipe_event load_chunk_async(const packed_chunk& ch) {
+    load_chunk(ch);
     return {};
   }
 
@@ -135,19 +158,26 @@ class device_pipeline {
   /// Warm-path upload: load a chunk together with PREBUILT finder output
   /// (loci + strand flags from a genome_index) so subsequent comparer
   /// launches run without a finder launch. Implementations upload the chunk
-  /// text and write loci/flags straight into the device buffers the finder
-  /// would have filled. Throws entry_overflow_error when the pipeline's
-  /// max_entries cap cannot hold the prebuilt hits.
-  virtual void load_indexed_chunk(std::string_view seq, u32 plen,
+  /// (text or words, as load_chunk) and write loci/flags straight into the
+  /// device buffers the finder would have filled. Throws
+  /// entry_overflow_error when the pipeline's max_entries cap cannot hold
+  /// the prebuilt hits.
+  virtual void load_indexed_chunk(const packed_chunk& ch, u32 plen,
                                   const std::vector<u32>& loci,
-                                  const std::vector<char>& flags) {
-    (void)seq;
-    (void)plen;
-    (void)loci;
-    (void)flags;
-    throw std::logic_error(std::string(name()) +
-                           ": load_indexed_chunk not implemented");
+                                  const std::vector<char>& flags) = 0;
+
+  /// Text-only warm-path upload: packs the chunk here when needed.
+  void load_indexed_chunk(std::string_view seq, u32 plen,
+                          const std::vector<u32>& loci,
+                          const std::vector<char>& flags) {
+    swar_ref words;
+    load_indexed_chunk(with_words(seq, words), plen, loci, flags);
   }
+
+  /// Device bytes load_indexed_chunk uploads and keeps resident for a chunk
+  /// of `bases` bases with `hits` prebuilt finder hits: what a residency
+  /// budget charges for holding it.
+  virtual usize indexed_chunk_bytes(usize bases, usize hits) const = 0;
 
   /// Run the comparer for one query against the finder's hits.
   virtual entries run_comparer(const device_pattern& query, u16 threshold) = 0;
@@ -197,8 +227,30 @@ class device_pipeline {
   virtual const pipeline_metrics& metrics() const = 0;
 
  protected:
+  /// The words a packed-word pipeline uploads for `ch`; checks that the
+  /// producer supplied them for exactly this text.
+  const swar_ref& words_of(const packed_chunk& ch) const {
+    COF_CHECK_MSG(ch.words != nullptr && ch.words->bases == ch.text.size(),
+                  "packed-word pipeline loaded a chunk without its words");
+    return *ch.words;
+  }
+
+  /// Bytes of a chunk's prebuilt hits (u32 locus + char flag each).
+  static usize hit_bytes(usize hits) { return hits * (sizeof(u32) + sizeof(char)); }
+
   entries staged_;            // default launch/fetch staging
   bool staged_valid_ = false;
+
+ private:
+  /// `seq` as load_chunk takes it, packed into `storage` when this pipeline
+  /// reads words.
+  packed_chunk with_words(std::string_view seq, swar_ref& storage) const {
+    if (!packs_words_) return {seq, nullptr};
+    storage = swar_pack(seq);
+    return {seq, &storage};
+  }
+
+  bool packs_words_ = false;
 };
 
 std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& opt);
@@ -206,8 +258,9 @@ std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt)
 /// The USM flavour of the SYCL host program (paper §III.A's alternative).
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
 /// SYCL host program over 2-bit packed chunks (the upstream memory
-/// optimisation, §V [21]). Comparer variants do not apply (always
-/// optimised-style kernels); reference ambiguity codes collapse to 'N'.
+/// optimisation, §V [21]). base..opt5 all run its optimised-style nibble
+/// kernels; opt6 runs the packed-word finder and comparer over the
+/// producer's words instead. Reference ambiguity codes collapse to 'N'.
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt);
 
 /// The host programming steps each implementation performs (Table I).

@@ -50,11 +50,13 @@ TEST(BatchComparer, AmortisesLociFlagLoads) {
   prof::profiler per_q, batched;
   (void)run_search(cfg, g,
                    {.backend = backend_kind::sycl,
+                    .variant = comparer_variant::base,
                     .max_chunk = 16384,
                     .counting = true,
                     .profiler = &per_q});
   (void)run_search(cfg, g,
                    {.backend = backend_kind::sycl,
+                    .variant = comparer_variant::base,
                     .max_chunk = 16384,
                     .counting = true,
                     .profiler = &batched,

@@ -73,7 +73,9 @@ bool index_equal(const cof::genome_index& a, const cof::genome_index& b) {
     const auto& x = a.chunks[i];
     const auto& y = b.chunks[i];
     if (x.chrom_index != y.chrom_index || x.start != y.start ||
-        x.text != y.text || x.loci != y.loci || x.flags != y.flags) {
+        x.text != y.text || x.loci != y.loci || x.flags != y.flags ||
+        x.words.bases != y.words.bases || x.words.packed2 != y.words.packed2 ||
+        x.words.amb2 != y.words.amb2) {
       return false;
     }
   }
@@ -105,6 +107,12 @@ TEST(IndexRoundTrip, PersistLoadIsLossless) {
     cof::save_index(path, built);
     const auto loaded = cof::load_index(path);
     EXPECT_TRUE(index_equal(built, loaded)) << "seed " << seed;
+    // The words come straight from the payload, yet equal a fresh pack.
+    for (const auto& ch : loaded.chunks) {
+      const cof::swar_ref packed = cof::swar_pack(ch.text);
+      EXPECT_EQ(ch.words.packed2, packed.packed2) << "seed " << seed;
+      EXPECT_EQ(ch.words.amb2, packed.amb2) << "seed " << seed;
+    }
   }
 }
 
@@ -324,6 +332,54 @@ TEST(IndexQuery, DeviceResidentChunksAreUploadedOnce) {
   EXPECT_EQ(second.metrics.pipeline.finder_launches, 0u);
 }
 
+/// The residency budget charges what each chunk's pipeline uploads — the
+/// chars, the packed words, or both, plus the prebuilt hits — so with an
+/// unbounded budget the session's resident_bytes() equals the summed h2d
+/// bytes of loading every chunk with hits into a fresh pipeline, on every
+/// facade under base and opt6.
+TEST(IndexQuery, ResidentBytesEqualPerChunkUploads) {
+  temp_dir dir;
+  const auto c = make_case(dir, 215, 6);
+  const genome::genome_t g = genome::load_genome(c.file);
+  cof::engine_options build;
+  build.max_chunk = 9000;
+  const auto idx = cof::build_index(g, c.cfg.pattern, build);
+  const auto plen = static_cast<util::u32>(c.cfg.pattern.size());
+  for (const auto backend :
+       {cof::backend_kind::sycl, cof::backend_kind::opencl,
+        cof::backend_kind::sycl_usm, cof::backend_kind::sycl_twobit}) {
+    for (const auto variant : {cof::comparer_variant::base, cof::comparer_variant::opt6}) {
+      cof::engine_options opt = build;
+      opt.backend = backend;
+      opt.variant = variant;
+      opt.resident_bytes = 0;  // unbounded: every chunk with hits stays
+      cof::index_query_session session(idx, opt);
+      (void)session.query(c.cfg.queries);
+
+      cof::pipeline_options po;
+      po.variant = variant;
+      util::usize uploads = 0;
+      for (const auto& ch : idx.chunks) {
+        if (ch.loci.empty()) continue;
+        std::unique_ptr<cof::device_pipeline> pipe;
+        switch (backend) {
+          case cof::backend_kind::opencl: pipe = cof::make_opencl_pipeline(po); break;
+          case cof::backend_kind::sycl_usm: pipe = cof::make_sycl_usm_pipeline(po); break;
+          case cof::backend_kind::sycl_twobit:
+            pipe = cof::make_sycl_twobit_pipeline(po);
+            break;
+          default: pipe = cof::make_sycl_pipeline(po); break;
+        }
+        pipe->load_indexed_chunk(ch.text, plen, ch.loci, ch.flags);
+        uploads += pipe->metrics().h2d_bytes;
+      }
+      EXPECT_GT(uploads, 0u);
+      EXPECT_EQ(session.resident_bytes(), uploads)
+          << cof::backend_name(backend) << " " << cof::comparer_variant_name(variant);
+    }
+  }
+}
+
 /// An undersized max_entries cap on a warm query recovers with the engine's
 /// bounded grow-retry policy (sticky per-slot capacity seeded by the true
 /// demand) instead of failing the query — and with recovery disabled the
@@ -431,6 +487,43 @@ TEST_F(CorruptIndex, TruncatedFileFailsClean) {
     write_file(data.substr(0, keep));
     expect_load_fails("truncated");
   }
+}
+
+/// save_index lists only non-ACGT bytes as exceptions; an exception naming a
+/// plain base would decode text that disagrees with the packed codes the
+/// warm path uploads, so load_index rejects it.
+TEST_F(CorruptIndex, PlainBaseExceptionFailsClean) {
+  std::string data = read_file();
+  auto u32_at = [&](util::usize at) {
+    util::u32 v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<util::u32>(static_cast<unsigned char>(data[at + i])) << (8 * i);
+    }
+    return v;
+  };
+  // Header: magic, version, pattern, max_chunk, source_bases, content hash,
+  // chromosome names, nchunks, payload_bytes, checksum, offset table.
+  util::usize at = 4 + 4 + 4 + idx_.pattern.size() + 8 + 8 + 8 + 4;
+  for (const auto& name : idx_.chrom_names) at += 4 + name.size();
+  at += 4 + 8;
+  const util::usize checksum_at = at;
+  const util::usize payload_at = at + 8 + 8 * idx_.chunks.size();
+  // Chunk 0 (the leading telomere N run): chrom, start, text_len, codes,
+  // then the exception count and (pos u32, byte) pairs.
+  const util::usize nexc_at =
+      payload_at + 4 + 8 + 4 + (idx_.chunks[0].text.size() + 3) / 4;
+  ASSERT_GT(u32_at(nexc_at), 0u);
+  data[nexc_at + 4 + 4] = 'C';
+  util::u64 h = 1469598103934665603ULL;  // FNV-1a64 of the payload
+  for (util::usize i = payload_at; i < data.size(); ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= 1099511628211ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    data[checksum_at + i] = static_cast<char>((h >> (8 * i)) & 0xFF);
+  }
+  write_file(data);
+  expect_load_fails("plain base");
 }
 
 TEST_F(CorruptIndex, BadMagicFailsClean) {

@@ -145,8 +145,11 @@ TEST(Pipelines, CountingModeMatchesDirectResults) {
   auto g = small_genome(9, 20000);
   auto cfg = small_config();
   prof::profiler prof;
-  engine_options direct{.backend = backend_kind::sycl, .max_chunk = 8192};
+  engine_options direct{.backend = backend_kind::sycl,
+                        .variant = comparer_variant::base,
+                        .max_chunk = 8192};
   engine_options counting{.backend = backend_kind::sycl,
+                          .variant = comparer_variant::base,
                           .max_chunk = 8192,
                           .counting = true,
                           .profiler = &prof};
@@ -162,6 +165,7 @@ TEST(Pipelines, OclCountingAlsoRecords) {
   auto cfg = small_config();
   prof::profiler prof;
   engine_options opt{.backend = backend_kind::opencl,
+                     .variant = comparer_variant::base,
                      .max_chunk = 8192,
                      .counting = true,
                      .profiler = &prof};

@@ -1,7 +1,11 @@
-// opt6 SWAR comparer tests: exhaustive IUPAC x mismatch-count equivalence
-// against opt5, ragged-tail fuzz across pattern lengths, both dispatch
-// paths (AVX2 lanes and the forced-scalar fallback), and engine-level
-// byte-identity of opt6 output across all four backends and queue counts.
+// opt6 tests: swar_pack against the per-base reference packer; the
+// packed-word finder against the char finder (every PAM character x every
+// reference byte class, every chunk length around the 32/64 word multiples,
+// every facade, counting and direct); the SWAR comparer's exhaustive
+// IUPAC x mismatch-count equivalence against opt5, ragged-tail fuzz across
+// pattern lengths, both dispatch paths (AVX2 lanes and the forced-scalar
+// fallback); and engine-level byte-identity of opt6 output across all four
+// backends and queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +18,7 @@
 #include "core/kernels.hpp"
 #include "core/kernels_swar.hpp"
 #include "core/pattern.hpp"
+#include "core/pipeline.hpp"
 #include "genome/synth.hpp"
 #include "util/cpufeat.hpp"
 #include "util/rng.hpp"
@@ -192,6 +197,244 @@ void random_loci(util::rng& rng, usize chunk_len, u32 plen, usize count,
 }
 
 constexpr const char* kIupac = "ACGTRYSWKMBDHVN";
+
+// ---------------------------------------------------------------------------
+// swar_pack: bit for bit against the per-base packer it replaced.
+// ---------------------------------------------------------------------------
+
+/// The original one-switch-per-base packer, kept as the reference.
+swar_ref reference_pack(std::string_view seq) {
+  swar_ref r;
+  r.bases = seq.size();
+  const usize nwords = (seq.size() + 31) / 32 + 2;
+  r.packed2.assign(nwords, 0);
+  r.amb2.assign(nwords, 0);
+  for (usize i = 0; i < seq.size(); ++i) {
+    const usize w = i >> 5;
+    const u32 bit = 2 * (static_cast<u32>(i) & 31u);
+    util::u64 code;
+    switch (seq[i]) {
+      case 'A': code = 0; break;
+      case 'C': code = 1; break;
+      case 'G': code = 2; break;
+      case 'T': code = 3; break;
+      default:
+        r.amb2[w] |= util::u64{1} << bit;
+        continue;
+    }
+    r.packed2[w] |= code << bit;
+  }
+  return r;
+}
+
+void expect_same_pack(std::string_view seq) {
+  const swar_ref got = swar_pack(seq);
+  const swar_ref want = reference_pack(seq);
+  ASSERT_EQ(got.bases, want.bases);
+  ASSERT_EQ(got.packed2, want.packed2) << "len=" << seq.size();
+  ASSERT_EQ(got.amb2, want.amb2) << "len=" << seq.size();
+}
+
+/// Random bytes drawn from upper- and lower-case IUPAC codes and a few
+/// non-nucleotide bytes, with N runs spliced in.
+std::string random_text(util::rng& rng, usize len) {
+  static const std::string alpha = std::string(kIupac) + "acgtnryk?X-\x01\xff";
+  std::string s;
+  while (s.size() < len) {
+    if (rng.next_below(8) == 0) {
+      s.append(std::min<usize>(len - s.size(), 1 + rng.next_below(40)), 'N');
+    } else {
+      s += alpha[rng.next_below(alpha.size())];
+    }
+  }
+  return s;
+}
+
+TEST(SwarPack, MatchesPerBaseReference) {
+  util::rng rng(611);
+  for (usize len = 0; len <= 97; ++len) {
+    for (int rep = 0; rep < 4; ++rep) expect_same_pack(random_text(rng, len));
+  }
+  // One device-sized chunk: mostly ACGT with the same exceptions mixed in.
+  std::string big = random_chunk(rng, usize{4} << 20, /*with_n=*/false);
+  const std::string noise = random_text(rng, 1 << 16);
+  for (usize i = 0; i < noise.size(); ++i) big[rng.next_below(big.size())] = noise[i];
+  expect_same_pack(big);
+}
+
+// ---------------------------------------------------------------------------
+// Packed-word finder: compared as sorted (locus, flag) sets against the char
+// finder, since append order across work-items is unspecified.
+// ---------------------------------------------------------------------------
+
+using hit_set = std::vector<std::pair<u32, char>>;
+
+hit_set sorted_hits(const std::vector<u32>& loci, const std::vector<char>& flags,
+                    usize count) {
+  hit_set h;
+  for (usize i = 0; i < count; ++i) h.emplace_back(loci[i], flags[i]);
+  std::sort(h.begin(), h.end());
+  return h;
+}
+
+/// Reference: the per-position char finder (the Boolean chain), one
+/// work-item per start position.
+hit_set run_char_finder(const std::string& chunk, const device_pattern& pat,
+                        usize wg = 8) {
+  if (chunk.size() < pat.plen) return {};
+  const u32 chrsize = static_cast<u32>(chunk.size() - pat.plen + 1);
+  std::vector<u32> loci(chrsize);
+  std::vector<char> flags(chrsize);
+  u32 count = 0;
+  xpu::launch_config cfg;
+  cfg.global[0] = util::round_up<usize>(chrsize, wg);
+  cfg.local[0] = wg;
+  const usize idx_off = util::round_up<usize>(pat.device_chars(), 8);
+  cfg.local_mem_bytes = idx_off + pat.index.size() * sizeof(i32);
+  cfg.uses_barrier = true;
+  cfg.single_leading_barrier = true;
+  finder_args a;
+  a.chr = chunk.data();
+  a.pat = pat.data();
+  a.pat_index = pat.index_data();
+  a.chrsize = chrsize;
+  a.plen = pat.plen;
+  a.loci = loci.data();
+  a.flag = flags.data();
+  a.entrycount = &count;
+  dev().run(cfg, [&](xpu::xitem& it) {
+    finder_args b = a;
+    b.l_pat = it.local_mem_base();
+    b.l_pat_index = reinterpret_cast<i32*>(it.local_mem_base() + idx_off);
+    finder_kernel<direct_mem>(it, b);
+  });
+  return sorted_hits(loci, flags, count);
+}
+
+/// The packed-word finder over swar_pack(chunk), barrier-free.
+hit_set run_packed_finder(const std::string& chunk, const device_pattern& pat,
+                          usize wg = 4) {
+  if (chunk.size() < pat.plen) return {};
+  const swar_ref words = swar_pack(chunk);
+  const u32 chrsize = static_cast<u32>(chunk.size() - pat.plen + 1);
+  std::vector<u32> loci(chrsize);
+  std::vector<char> flags(chrsize);
+  u32 count = 0;
+  xpu::launch_config cfg;
+  cfg.global[0] = util::round_up<usize>(swar_finder_items(chrsize), wg);
+  cfg.local[0] = wg;
+  finder_swar_args a;
+  a.chr_packed2 = words.packed2.data();
+  a.chr_amb2 = words.amb2.data();
+  a.pat_mask = pat.mask_data();
+  a.pat_index = pat.index_data();
+  a.chrsize = chrsize;
+  a.plen = pat.plen;
+  a.loci = loci.data();
+  a.flag = flags.data();
+  a.entrycount = &count;
+  dev().run(cfg, [&](xpu::xitem& it) { finder_swar_kernel<direct_mem>(it, a); });
+  return sorted_hits(loci, flags, count);
+}
+
+// Every PAM character against every class of reference byte — the four
+// bases, every degenerate IUPAC code, 'N', lower case and non-nucleotide
+// bytes — on both strands: "NN"+c puts c on the forward strand at offset 2
+// and its complement on the reverse strand at offset 0; c+"GN" adds a
+// second PAM position per strand.
+TEST(SwarFinder, EveryPamCharAgainstEveryReferenceClass) {
+  util::rng rng(612);
+  const std::string classes = std::string(kIupac) + "acgtnrk?X-";
+  for (const char* c = kIupac; *c != '\0'; ++c) {
+    for (const char r : classes) {
+      const std::string pool = std::string("ACGT") + r + r + r;
+      std::string chunk;
+      for (int i = 0; i < 83; ++i) chunk += pool[rng.next_below(pool.size())];
+      for (const std::string& p : {std::string("NN") + *c, *c + std::string("GN")}) {
+        const auto pat = make_pattern(p);
+        ASSERT_EQ(run_packed_finder(chunk, pat), run_char_finder(chunk, pat))
+            << "pam=" << p << " ref=" << static_cast<int>(r);
+      }
+    }
+  }
+}
+
+/// A random PAM-bearing pattern: mostly 'N', otherwise any IUPAC code.
+std::string random_pam(util::rng& rng, u32 plen) {
+  std::string p;
+  for (u32 i = 0; i < plen; ++i) {
+    p += rng.next_below(3) == 0 ? kIupac[rng.next_below(15)] : 'N';
+  }
+  return p;
+}
+
+// Chunk lengths 1..97 (around the 32/64 word multiples: ragged last work-item,
+// a window reaching into the padding words) and pattern lengths 1..40, on a
+// mixed IUPAC / lower-case / N-run reference.
+TEST(SwarFinder, ChunkLengthsAndPatternLengths) {
+  util::rng rng(613);
+  auto check = [&](usize len, u32 plen) {
+    if (plen > len) return;
+    const std::string chunk = random_text(rng, len);
+    const auto pat = make_pattern(random_pam(rng, plen));
+    ASSERT_EQ(run_packed_finder(chunk, pat), run_char_finder(chunk, pat))
+        << "len=" << len << " pattern=" << pat.seq;
+  };
+  for (usize len = 1; len <= 97; ++len) {
+    for (u32 plen : {1u, 3u, 23u, 32u, 40u}) check(len, plen);
+  }
+  for (u32 plen = 1; plen <= 40; ++plen) {
+    for (usize len : {usize{plen}, usize{plen} + 1, usize{32}, usize{33}, usize{63},
+                      usize{64}, usize{65}, usize{96}, usize{97}}) {
+      check(len, plen);
+    }
+  }
+}
+
+/// One facade's finder output as a sorted (locus, flag) set.
+hit_set facade_hits(backend_kind backend, comparer_variant variant, bool counting,
+                    const std::string& chunk, const device_pattern& pat,
+                    prof::profiler* profiler = nullptr) {
+  pipeline_options po;
+  po.variant = variant;
+  po.counting = counting;
+  po.profiler = profiler;
+  std::unique_ptr<device_pipeline> pipe;
+  switch (backend) {
+    case backend_kind::opencl: pipe = make_opencl_pipeline(po); break;
+    case backend_kind::sycl_usm: pipe = make_sycl_usm_pipeline(po); break;
+    case backend_kind::sycl_twobit: pipe = make_sycl_twobit_pipeline(po); break;
+    default: pipe = make_sycl_pipeline(po); break;
+  }
+  pipe->load_chunk(chunk);
+  const u32 n = pipe->run_finder(pat);
+  return sorted_hits(pipe->read_loci(), pipe->read_flags(), n);
+}
+
+// Every facade's opt6 finder, counting and direct, equals the char finder.
+TEST(SwarFinder, AllFacadesCountingAndDirect) {
+  util::rng rng(614);
+  std::string chunk = random_chunk(rng, 5000, /*with_n=*/false);
+  const std::string noise = random_text(rng, 400);
+  for (usize i = 0; i < noise.size(); ++i) chunk[rng.next_below(chunk.size())] = noise[i];
+  for (const char* p : {"NNNNNNNNNNNNNNNNNNNNNRG", "TTTVNNNNNNNNNNNNNNNNNNNNN",
+                        "NNNNNNNNNNNNNNNNNNNNNNG", "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNGRRT"}) {
+    const auto pat = make_pattern(p);
+    const hit_set want = run_char_finder(chunk, pat);
+    ASSERT_FALSE(want.empty()) << p;
+    for (backend_kind backend : {backend_kind::sycl, backend_kind::opencl,
+                                 backend_kind::sycl_usm, backend_kind::sycl_twobit}) {
+      for (bool counting : {false, true}) {
+        prof::profiler prof;
+        EXPECT_EQ(facade_hits(backend, comparer_variant::opt6, counting, chunk, pat,
+                              &prof),
+                  want)
+            << "pattern=" << p << " backend=" << backend_name(backend)
+            << " counting=" << counting;
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Exhaustive equivalence: every IUPAC pattern base x every mismatch count.
@@ -440,14 +683,17 @@ TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
   }
 }
 
-// Counting mode (profiler attached) must not disturb opt6 results, and must
-// record SWAR word evaluations rather than per-character events.
+// Counting mode (profiler attached) on the default variant (opt6) must not
+// disturb results, and must profile the packed-word finder and the SWAR
+// comparer with word evaluations rather than per-character events.
 TEST(SwarEngine, CountingRunMatchesAndCountsSwarOps) {
+  ASSERT_EQ(engine_options{}.variant, comparer_variant::opt6);
   auto g = swar_genome(75);
   auto cfg = parse_input(example_input("<mem>"));
-  engine_options plain{.backend = backend_kind::sycl,
-                       .variant = comparer_variant::opt6,
-                       .max_chunk = 8192};
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 4, 1, 77);
+  engine_options plain;
+  plain.max_chunk = 8192;
   prof::profiler p;
   engine_options counting = plain;
   counting.counting = true;
@@ -455,11 +701,12 @@ TEST(SwarEngine, CountingRunMatchesAndCountsSwarOps) {
   const auto want = run_search(cfg, g, plain);
   const auto got = run_search(cfg, g, counting);
   EXPECT_EQ(got.records, want.records);
-  util::u64 swar_ops = 0;
-  for (const auto& [name, prof] : p.kernels()) {
-    swar_ops += prof.events[prof::ev::swar_op];
+  EXPECT_FALSE(want.records.empty());
+  for (const char* kernel : {"finder", "comparer/opt6"}) {
+    EXPECT_GT(p.get(kernel).launches, 0u) << kernel;
+    EXPECT_GT(p.get(kernel).events[prof::ev::work_item], 0u) << kernel;
+    EXPECT_GT(p.get(kernel).events[prof::ev::swar_op], 0u) << kernel;
   }
-  EXPECT_GT(swar_ops, 0u);
 }
 
 }  // namespace

@@ -105,6 +105,7 @@ TEST(TwobitPipeline, CountingModeWorks) {
   prof::profiler prof;
   auto r = run_search(cfg, g,
                       {.backend = backend_kind::sycl_twobit,
+                       .variant = comparer_variant::base,
                        .max_chunk = 8192,
                        .counting = true,
                        .profiler = &prof});
