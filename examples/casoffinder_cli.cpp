@@ -24,7 +24,6 @@
 #include "core/scoring.hpp"
 #include "fault/fault.hpp"
 #include "genome/synth.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
@@ -44,11 +43,13 @@ int main(int argc, char** argv) {
   cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt5|opt6",
           cof::comparer_variant_name(cof::engine_options{}.variant));
   cli.opt("chunk", "max device chunk bytes", "4194304");
-  cli.flag("profile", "print the kernel hotspot profile");
+  cli.flag("profile", "print the kernel hotspot profile (implies --per-query: "
+                      "the paper's comparer/<variant> kernel)");
   cli.flag("score", "print MIT specificity scores per guide");
   cli.flag("stream", "stream chunks from the FASTA file(s) instead of "
                      "loading the genome (O(chunk) host memory)");
-  cli.flag("batch", "one comparer launch per chunk covering all queries");
+  cli.flag("per-query", "one comparer launch per query per chunk, as in the "
+                        "paper (default: one batched launch per chunk)");
   cli.opt("queues", "host threads each driving a device pipeline (per "
                     "device when --devices > 1)", "1");
   cli.opt("devices", "shard streamed chunks across N simulated devices, "
@@ -61,8 +62,8 @@ int main(int argc, char** argv) {
   cli.opt("metrics-json", "write the obs metrics snapshot (counters/gauges/"
                           "histograms) as JSON", "");
   cli.opt("max-entries", "cap per-chunk device entry allocations (0 = "
-                         "worst-case sizing); streaming runs recover from "
-                         "an undersized cap by retrying/splitting", "0");
+                         "worst-case sizing); runs recover from an "
+                         "undersized cap by retrying/splitting", "0");
   cli.opt("fault", "fault-injection plan, e.g. "
                    "'spill.write=hit:1,dev.launch=prob:0.01:7' "
                    "(sites: dev.alloc dev.launch pipe.event queue.push "
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
   }
   opt.wg_size = cli.get_u64("wg");
   opt.max_chunk = cli.get_u64("chunk");
-  opt.batch_queries = cli.get_flag("batch");
+  opt.batch_queries = !cli.get_flag("per-query");
   opt.num_queues = cli.get_u64("queues");
   opt.num_devices = cli.get_u64("devices");
   opt.shard = cof::parse_shard_policy(cli.get("shard-policy"));
@@ -161,6 +162,7 @@ int main(int argc, char** argv) {
   if (cli.get_flag("profile")) {
     opt.counting = true;
     opt.profiler = &profiler;
+    opt.batch_queries = false;
   }
 
   // --build-index: the cold phase alone — decode + finder over every chunk,
@@ -199,9 +201,7 @@ int main(int argc, char** argv) {
   if (cli.get_flag("serve")) {
     COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
                   "--serve needs a device backend (O, G, S, U or P)");
-    obs::run_scope obs_guard(!opt.trace_out.empty() ||
-                             !opt.metrics_json.empty());
-    fault::scope fault_guard(opt.faults);
+    cof::run_scope run(opt);
     try {
       cof::genome_index idx;
       if (!opt.index_path.empty() &&
@@ -362,12 +362,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(srv.session().chunk_hits()),
                    static_cast<unsigned long long>(
                        srv.session().chunk_evictions()));
-      if (obs::enabled()) {
-        if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-        if (!opt.metrics_json.empty()) {
-          obs::metrics_registry::global().write_json(opt.metrics_json);
-        }
-      }
+      run.finish();
     } catch (const std::exception& e) {
       util::die(e.what());
     }

@@ -2,7 +2,7 @@
 // for the UCSC hg19/hg38 downloads), optionally plant known off-target
 // sites, and write everything to FASTA for use with casoffinder_cli.
 //
-//   $ ./examples/genome_simulator --assembly hg19 --scale 4096 --out /tmp/hg19.fa \
+//   $ ./examples/genome_simulator --assembly hg19 --scale 4096 --out /tmp/hg19.fa
 //         --plant-guide GGCCGACCTGTCGCTGACGCNGG --plant-count 10 --plant-mm 2
 #include <cstdio>
 

@@ -12,7 +12,9 @@
 #include "core/results.hpp"
 #include "core/serial_ref.hpp"
 #include "core/shard_policy.hpp"
+#include "fault/fault.hpp"
 #include "genome/chunker.hpp"
+#include "obs/trace.hpp"
 
 namespace cof {
 
@@ -34,37 +36,29 @@ struct engine_options {
   /// Instrumented kernels; event counts recorded into `profiler`.
   bool counting = false;
   prof::profiler* profiler = nullptr;
-  /// Compare every query in one kernel launch per chunk (the batched
-  /// multi-query comparer extension) instead of one launch per query as in
-  /// the paper / upstream. Results identical; loci/flag traffic amortised.
-  /// Supported by the buffer-based SYCL pipeline; other backends fall back
-  /// to per-query launches.
-  bool batch_queries = false;
-  /// Streaming mode (run_search_streaming) only: drive the two-deep async
-  /// pipeline — decode of chunk N+1 overlaps the device phase of chunk N,
-  /// every chunk's queries go through ONE batched comparer launch with a
-  /// deferred entry download, and record formatting runs on the shared
-  /// thread pool. false preserves the synchronous per-query loop (the PR 1
-  /// behaviour, kept as the bench baseline). Results are identical.
-  bool stream_async = true;
+  /// The runner's launch mode. true: every query of a chunk goes through
+  /// ONE batched multi-query comparer launch with a deferred entry download
+  /// (the production path). false: one comparer launch per query, as in the
+  /// paper / upstream — set it to read the per-query `comparer/<variant>`
+  /// kernel profiles. Records are identical either way.
+  bool batch_queries = true;
   /// Host threads, each driving its own pipeline over a shared chunk queue
   /// — the multi-device extension the paper marks as future work ("the SYCL
   /// application currently executes on a single GPU device"). Results are
   /// identical for any value (canonical order + dedup). 0/1 = single queue.
-  /// Applies to run_search and run_search_streaming (async path).
   /// With num_devices > 1 this is the consumer count PER DEVICE.
   usize num_queues = 1;
-  /// Streaming (async) and warm index paths: shard chunks across this many
-  /// simulated xpu devices (core/shard.hpp device_set), each with its own
-  /// pipelines and spill runs; the k-way merge keeps records byte-identical
-  /// for any device count. 0/1 = the single global simulator device.
+  /// Shard chunks across this many simulated xpu devices (core/shard.hpp
+  /// device_set), cold and warm, each with its own pipelines and spill
+  /// runs; the k-way merge keeps records byte-identical for any device
+  /// count. 0/1 = the single global simulator device.
   usize num_devices = 1;
   /// Chunk-to-device assignment policy when num_devices > 1.
   shard_policy shard = shard_policy::round_robin;
   /// Cap on per-chunk device entry allocations (see
   /// pipeline_options::max_entries). 0 = worst-case sizing (never
-  /// overflows); a too-small cap aborts with an overflow report instead of
-  /// writing out of bounds.
+  /// overflows). A chunk that overflows a too-small cap is retried with a
+  /// grown capacity, or split in half (core/recovery.hpp).
   usize max_entries = 0;
   /// Non-empty: enable the obs subsystem for this run and write a Chrome
   /// trace-event JSON (Perfetto / chrome://tracing loadable) of the run's
@@ -78,19 +72,10 @@ struct engine_options {
   /// fault/fault.hpp). Applied on top of the COF_FAULT environment variable.
   /// Empty (default): nothing armed beyond COF_FAULT.
   std::string faults;
-  /// Streaming only: when a chunk overflows its max_entries-capped device
-  /// allocation, retry it with a geometrically grown capacity (bounded by
-  /// the worst case) or split it in half instead of dying. false restores
-  /// the fatal overflow report.
-  bool overflow_recovery = true;
   /// Overflow recovery: retry capacities never grow past this many entries;
   /// once a retry would exceed it the chunk is split in half instead
   /// (bounded-memory guarantee). 0 = no cap (grow to worst case, no splits).
   usize max_retry_entries = 0;
-  /// Streaming bounded-queue hand-off timeout. A push/pop that waits this
-  /// long reports a stall (queue.push / queue.pop failure) instead of
-  /// hanging the run forever.
-  usize queue_timeout_ms = 60000;
   /// Warm query path: total device-residency budget (bytes) an
   /// index_query_session may pin across its slots. Each slot keeps a
   /// multi-chunk resident set (chunk text + candidate loci/flags stay on
@@ -110,7 +95,7 @@ struct engine_options {
   std::string index_path;
 };
 
-/// Overflow/fault recovery accounting for one streaming run.
+/// Overflow/fault recovery accounting for one run.
 struct recovery_metrics {
   util::u64 overflow_retries = 0;     // chunk re-runs with a grown capacity
   util::u64 chunk_splits = 0;         // chunks split in half after an overflow
@@ -138,8 +123,31 @@ struct search_outcome {
 /// Resolve cfg.genome_path: "synth:..." URI or filesystem path.
 genome::genome_t load_configured_genome(const search_config& cfg);
 
-/// Run the full search with the chosen backend.
+/// Run the full search with the chosen backend. Device backends run the
+/// in-memory genome through the same chunk runner as run_search_streaming
+/// (core/engine_stream.hpp): queues, shards, overflow/fault recovery and
+/// spilled records included.
 search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
                           const engine_options& opt = {});
+
+/// A device pipeline for opt's backend, variant, work-group size and
+/// profiler, with its entry allocations capped at `max_entries`.
+std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
+                                               usize max_entries);
+
+/// Per-run scoping shared by every engine entry point: enables the obs
+/// subsystem when opt asks for a trace or metrics file and arms opt.faults
+/// for the run. finish() is the run epilogue: it folds opt.profiler into
+/// the trace and writes opt.trace_out / opt.metrics_json.
+class run_scope {
+ public:
+  explicit run_scope(const engine_options& opt);
+  void finish() const;
+
+ private:
+  const engine_options& opt_;
+  obs::run_scope obs_;
+  fault::scope faults_;
+};
 
 }  // namespace cof

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "core/index.hpp"
+#include "core/recovery.hpp"
 #include "core/shard.hpp"
 #include "fault/fault.hpp"
 #include "genome/fasta.hpp"
@@ -28,14 +29,12 @@ namespace cof {
 namespace {
 
 // ---------------------------------------------------------------------------
-// chunk_source: pull-based FASTA decode. Reproduces the synchronous loop's
-// chunking exactly — one chrom event per record (even empty ones), chunks of
-// up to max_chunk bases, and a plen-1 overlap carried across chunk
-// boundaries so straddling sites are re-scanned. A record whose length lands
-// exactly on a chunk boundary ends at that boundary: the carried overlap
-// alone never forms a trailing chunk (its bases were already scanned as the
-// tail of the previous chunk). Single reader: the engine's producer thread
-// is the only caller.
+// chunk_source: what the runner's producer pulls chunks from. One chrom event
+// per genome record (even an empty one, so chrom indices match the record
+// order), then that record's chunks of up to max_chunk bases, consecutive
+// chunks overlapping by plen-1 bases so straddling sites are re-scanned.
+// genome::make_chunks defines the geometry; both sources reproduce it. Single
+// reader: the runner's producer thread is the only caller.
 // ---------------------------------------------------------------------------
 class chunk_source {
  public:
@@ -47,14 +46,26 @@ class chunk_source {
     util::u64 start = 0;  // chunk: chromosome offset of text[0]
   };
 
-  chunk_source(const std::string& path, usize max_chunk, usize overlap)
+  virtual ~chunk_source() = default;
+  virtual event next() = 0;
+  /// Genome bases produced so far (each base once, overlaps not recounted).
+  virtual util::u64 streamed_bases() const = 0;
+};
+
+/// Pull-based FASTA decode of a file or directory. A record whose length
+/// lands exactly on a chunk boundary ends at that boundary: the carried
+/// overlap alone never forms a trailing chunk (its bases were already
+/// scanned as the tail of the previous chunk).
+class fasta_source final : public chunk_source {
+ public:
+  fasta_source(const std::string& path, usize max_chunk, usize overlap)
       : files_(genome::fasta_files_at(path)),
         max_chunk_(max_chunk),
         overlap_(overlap) {}
 
-  util::u64 streamed_bases() const { return streamed_bases_; }
+  util::u64 streamed_bases() const override { return streamed_bases_; }
 
-  event next() {
+  event next() override {
     for (;;) {
       if (!stream_) {
         if (file_idx_ >= files_.size()) return {};
@@ -115,21 +126,40 @@ class chunk_source {
   usize overlap_ = 0;
 };
 
-std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
-                                               usize max_entries) {
-  pipeline_options popt;
-  popt.variant = opt.variant;
-  popt.wg_size = opt.wg_size;
-  popt.counting = opt.counting;
-  popt.profiler = opt.profiler;
-  popt.max_entries = max_entries;
-  switch (opt.backend) {
-    case backend_kind::opencl: return make_opencl_pipeline(popt);
-    case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
-    default: return make_sycl_pipeline(popt);
+/// An in-memory genome as chunk events: genome::make_chunks' chunks, each
+/// copied out of `g` for the runner to own. make_chunks skips empty records;
+/// they still emit their chrom event here.
+class genome_source final : public chunk_source {
+ public:
+  genome_source(const genome::genome_t& g, usize max_chunk, usize overlap)
+      : g_(g), chunks_(genome::make_chunks(g, max_chunk, overlap)) {}
+
+  util::u64 streamed_bases() const override { return streamed_bases_; }
+
+  event next() override {
+    event ev;
+    if (next_chunk_ < chunks_.size() &&
+        chunks_[next_chunk_].chrom_index < next_chrom_) {
+      const genome::chunk& c = chunks_[next_chunk_++];
+      ev.kind = event::chunk;
+      ev.text = std::string(genome::chunk_view(g_, c));
+      ev.start = c.offset;
+    } else if (next_chrom_ < g_.chroms.size()) {
+      const genome::chromosome& chrom = g_.chroms[next_chrom_++];
+      ev.kind = event::chrom;
+      ev.name = chrom.name;
+      streamed_bases_ += chrom.seq.size();
+    }
+    return ev;
   }
-}
+
+ private:
+  const genome::genome_t& g_;
+  std::vector<genome::chunk> chunks_;
+  usize next_chunk_ = 0;
+  usize next_chrom_ = 0;
+  util::u64 streamed_bases_ = 0;
+};
 
 std::string spill_path(usize queue_index) {
   static std::atomic<unsigned> serial{0};
@@ -140,32 +170,34 @@ std::string spill_path(usize queue_index) {
 }
 
 // ---------------------------------------------------------------------------
-// Async engine: one decode producer feeding num_queues device consumers
-// over a bounded chunk queue.
+// The chunk runner: the one cold engine behind run_search and
+// run_search_streaming. One producer feeds num_queues device consumers over
+// a bounded chunk queue.
 //
-//   decode (producer) -> bounded_queue -> device queue 0..N-1 -> spill files
-//                                          |
-//                                          +-> format+spill job (pool)
+//   chunk_source (producer) -> bounded_queue -> device queue 0..N-1 -> spill
+//                                                |
+//                                                +-> format+spill job (pool)
 //
-// The producer (the calling thread) decodes chunks from the FASTA stream
-// and pushes them to the queue; backpressure (capacity num_queues + 2)
-// bounds the decoded-but-unprocessed text to a fixed lookahead. Each
-// consumer owns one pipeline: it runs finder + ONE batched comparer launch
-// per chunk, then hands the entry batch to a pool job that formats records
-// and spills them to the queue's own temp file as one sorted run. Format
-// jobs are chained per queue (the next is submitted only after the previous
-// finished), which (a) keeps the spill writer single-owner, (b) bounds
-// live chunk texts to two per queue, and (c) preserves the two-deep
-// decode/device/format overlap at num_queues == 1. After the consumers
-// join, every queue's runs are k-way merged (with key dedup) into canonical
-// order — identical output to sort_and_dedup over an in-memory record set,
-// for any queue count.
+// The producer (the calling thread) pulls chunks from the source (FASTA
+// decode or an in-memory genome) and pushes them to the queue; backpressure
+// (capacity num_queues + 2) bounds the produced-but-unprocessed text to a
+// fixed lookahead. Each consumer owns one pipeline: it uploads the chunk,
+// runs the finder, then the comparer — ONE batched launch per chunk, or one
+// launch per query when engine_options::batch_queries is off — and hands the
+// entry batch to a pool job that formats records and spills them to the
+// queue's own temp file as one sorted run. Format jobs are chained per
+// queue (the next is submitted only after the previous finished), which
+// (a) keeps the spill writer single-owner, (b) bounds live chunk texts to
+// two per queue, and (c) preserves the two-deep decode/device/format
+// overlap at num_queues == 1. After the consumers join, every queue's runs
+// are k-way merged (with key dedup) into canonical order — identical output
+// to sort_and_dedup over an in-memory record set, for any queue count.
 //
-// Failure model: a chunk whose max_entries-capped allocation overflows is
-// retried with a geometrically grown capacity (seeded by the true demand the
-// kernels round-trip, bounded by the worst case) or split in half when
-// growing would exceed max_retry_entries; transient device faults rebuild
-// the queue's pipeline and retry; spill-write failures retry with backoff.
+// Failure model (core/recovery.hpp): a chunk whose max_entries-capped
+// allocation overflows is retried with a grown capacity or split in half
+// when growing would exceed max_retry_entries; transient device faults
+// rebuild the queue's pipeline and retry; spill-write failures retry with
+// backoff. A queue hand-off that waits kQueueTimeout reports a stall.
 // Anything unrecoverable wins the first-failure race, closes the queue, and
 // is rethrown after the join — spill files are removed on unwind, so a
 // failed run never leaves partial output.
@@ -207,41 +239,26 @@ struct work_item {
   bool overflowed = false;
 };
 
-void accumulate(pipeline_metrics& into, const pipeline_metrics& pm) {
-  into.kernel_nanos += pm.kernel_nanos;
-  into.finder_launches += pm.finder_launches;
-  into.comparer_launches += pm.comparer_launches;
-  into.h2d_bytes += pm.h2d_bytes;
-  into.d2h_bytes += pm.d2h_bytes;
-  into.total_loci += pm.total_loci;
-  into.total_entries += pm.total_entries;
-}
+/// A bounded-queue push or pop that waits this long reports a stall
+/// (queue.push / queue.pop failure) instead of hanging the run forever.
+constexpr long long kQueueTimeoutMs = 60000;
+constexpr std::chrono::milliseconds kQueueTimeout{kQueueTimeoutMs};
 
-// Bounded recovery attempts per chunk: a real overflow converges in one or
-// two retries (the thrown error carries the true demand), so the bound only
-// exists to turn an `entry.clamp=always` fault plan into a clean error
-// instead of a retry livelock.
-constexpr usize kMaxOverflowAttempts = 12;
-// Transient device faults (dev.alloc / dev.launch / pipe.event) get a fresh
-// pipeline and a few retries before the run fails cleanly.
-constexpr usize kMaxDeviceAttempts = 4;
-// Spill writes roll back to the previous run boundary on failure; retried
-// with short exponential backoff before the run fails.
-constexpr usize kMaxSpillAttempts = 4;
-
-streamed_outcome run_streaming_async(const search_config& cfg,
-                                     const std::string& path,
-                                     const engine_options& opt,
-                                     const device_pattern& pat,
-                                     const std::vector<device_pattern>& dev_queries,
-                                     usize overlap, util::stopwatch& sw,
-                                     const record_sink& sink) {
+streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
+                            const engine_options& opt, const record_sink& sink) {
   streamed_outcome out;
   util::thread_pool& pool = util::thread_pool::global();
 
+  const device_pattern pat = make_pattern(cfg.pattern);
+  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
+  std::vector<device_pattern> dev_queries;
   std::vector<u16> thresholds;
+  dev_queries.reserve(cfg.queries.size());
   thresholds.reserve(cfg.queries.size());
-  for (const auto& q : cfg.queries) thresholds.push_back(q.max_mismatches);
+  for (const auto& q : cfg.queries) {
+    dev_queries.push_back(make_query(q.seq));
+    thresholds.push_back(q.max_mismatches);
+  }
 
   // Profiling serialises the queues (the process-global event counters are
   // reset/snapshot around each launch, as a profiler would) and pins the
@@ -274,9 +291,6 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     m_format = &reg.histogram("stream.format_us", bounds);
   }
   const util::thread_pool::sched_stats pool0 = pool.stats();
-
-  const auto queue_timeout =
-      std::chrono::milliseconds(std::max<usize>(1, opt.queue_timeout_ms));
 
   // The device set must outlive the pipelines (their buffers free against
   // their device) — declared before the queue states.
@@ -321,6 +335,18 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   }
   // Chunks taken but not yet finished, per device (least-loaded input).
   std::vector<std::atomic<usize>> inflight(ndev);
+  auto close_all = [&] {
+    for (auto& q : dev_queues) q->close();
+  };
+  // Chunks pushed (by the producer, or reassigned off a dying device) but
+  // not yet finished. After the last chunk is produced the queues close
+  // when this drains, never earlier: a device dying on the last chunks must
+  // still be able to hand them to a survivor's open queue.
+  std::atomic<usize> pending{0};
+  std::atomic<bool> produced{false};
+  auto finish_chunk = [&] {
+    if (pending.fetch_sub(1) == 1 && produced.load()) close_all();
+  };
 
   // First failure wins: it closes every chunk queue so all threads unwind,
   // and is rethrown once the workers have joined. The rethrow unwinds this
@@ -334,7 +360,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     if (failure == nullptr) {
       failure = std::move(ep);
       failed.store(true, std::memory_order_release);
-      for (auto& q : dev_queues) q->close();
+      close_all();
     }
   };
 
@@ -347,7 +373,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   // Replace a queue's pipeline (fresh device state, possibly a new entry
   // cap), folding the old one's accounting into the retired bucket first.
   auto rebuild = [&](queue_state& st) {
-    accumulate(st.retired, st.pipe->metrics());
+    st.retired += st.pipe->metrics();
     st.pipe = make_pipeline(opt, st.cur_max_entries);
   };
 
@@ -369,11 +395,13 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       fault::inject_point(fault::site::shard_assign);
       const usize target = sched.assign(load_snapshot());
       if (target >= ndev) return false;  // nobody left alive
-      const util::wait_status ws = dev_queues[target]->push_for(ch, queue_timeout);
+      pending.fetch_add(1);
+      const util::wait_status ws = dev_queues[target]->push_for(ch, kQueueTimeout);
       if (ws == util::wait_status::ready) {
         shard_reassigns.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
+      pending.fetch_sub(1);  // the caller still holds its own chunk
       if (ws == util::wait_status::timeout) return false;
       // closed: the target died inside the window — try the next survivor.
     }
@@ -384,7 +412,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   // deepest other device's queue. Closed queues still drain, so survivors
   // pick up a dead device's backlog here. Returns ready (stolen set),
   // closed (every queue drained+closed, this device is dead, or the run
-  // failed), or timeout (queue_timeout passed with open queues, no chunk).
+  // failed), or timeout (kQueueTimeout passed with open queues, no chunk).
   auto take_sharded = [&](queue_state& st, stream_chunk& ch, bool& stolen) {
     fault::inject_point(fault::site::queue_pop);
     const auto slice = std::chrono::milliseconds(2);
@@ -421,7 +449,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       if (all_closed) return util::wait_status::closed;
       if (own == util::wait_status::timeout) {
         waited += slice;
-        if (waited >= queue_timeout) return util::wait_status::timeout;
+        if (waited >= kQueueTimeout) return util::wait_status::timeout;
       }
     }
   };
@@ -468,7 +496,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
           obs::span sp("queue.pop", "stream");
           if (ndev == 1) {
             fault::inject_point(fault::site::queue_pop);
-            got = dev_queues[0]->pop_for(ch, queue_timeout);
+            got = dev_queues[0]->pop_for(ch, kQueueTimeout);
           } else {
             got = take_sharded(st, ch, stolen);
           }
@@ -487,7 +515,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
           if (failed.load(std::memory_order_acquire)) break;
           throw std::runtime_error(
               util::format("stream queue.pop stalled: no chunk arrived for "
-                           "%zu ms", opt.queue_timeout_ms));
+                           "%lld ms", kQueueTimeoutMs));
         }
         ++st.chunks;
         if (stolen) ++st.steals;
@@ -507,15 +535,12 @@ streamed_outcome run_streaming_async(const search_config& cfg,
           for (usize attempt = 0;; ++attempt) {
             t0 = util::process_nanos();
             try {
-              st.pipe->load_chunk_async(upload_view(item.ch, *st.pipe)).wait();
+              st.pipe->load_chunk(upload_view(item.ch, *st.pipe));
               const u32 hits = st.pipe->run_finder(pat);
               device_pipeline::entries entries;
               if (hits != 0) {
-                // ONE batched launch for every query; the finder's loci/flag
-                // arrays are consumed device-side, the entry download
-                // deferred past launch.
-                st.pipe->launch_comparer_batch(dev_queries, thresholds).wait();
-                entries = st.pipe->fetch_entries();
+                entries = st.pipe->run_comparers(dev_queries, thresholds,
+                                                 opt.batch_queries);
               }
               const u64 device_ns = util::process_nanos() - t0;
               st.device_ns += device_ns;
@@ -560,18 +585,8 @@ streamed_outcome run_streaming_async(const search_config& cfg,
                         }
                         // spill() rolls back to the previous run boundary on
                         // failure and leaves the batch intact — retry it.
-                        for (usize a = 0;; ++a) {
-                          try {
-                            writer->spill(batch);
-                            break;
-                          } catch (const spill_error&) {
-                            if (a + 1 >= kMaxSpillAttempts) throw;
-                            spill_retries.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(1u << a));
-                          }
-                        }
+                        recovery::with_spill_retries(
+                            [&] { writer->spill(batch); }, spill_retries);
                         const u64 format_ns = util::process_nanos() - f0;
                         stp->format_ns += format_ns;
                         if (m_format != nullptr) {
@@ -585,57 +600,43 @@ streamed_outcome run_streaming_async(const search_config& cfg,
               break;  // chunk done
             } catch (const entry_overflow_error& e) {
               st.device_ns += util::process_nanos() - t0;
-              if (!opt.overflow_recovery || attempt + 1 >= kMaxOverflowAttempts) {
-                throw;
-              }
+              if (attempt + 1 >= recovery::kMaxOverflowAttempts) throw;
               obs::span sp("recover.retry", "stream");
               sp.arg("required", static_cast<double>(e.required()));
               sp.arg("capacity", static_cast<double>(e.capacity()));
               item.overflowed = true;
               const usize cur = st.cur_max_entries;
-              if (cur != 0) {
-                // Grow geometrically but never past the worst case (every
-                // position a hit for every query — the sizing max_entries=0
-                // would have used); the true demand the error round-tripped
-                // short-circuits the doubling.
-                const usize nq = std::max<usize>(1, dev_queries.size());
-                const usize worst = item.ch.text.size() * 2 * nq;
-                usize grown = std::min<usize>(
-                    worst, std::max<usize>(e.required(), cur * 2));
-                if (opt.max_retry_entries != 0 &&
-                    grown > opt.max_retry_entries) {
-                  // Splitting halves the demand instead of growing the
-                  // allocation past the cap (the bounded-memory guarantee).
-                  // The left half keeps the plen-1 overlap past the cut so
-                  // straddling sites stay covered; the duplicates the
-                  // overlap re-scan produces are dropped by the merge.
-                  const usize mid = item.ch.text.size() / 2;
-                  if (mid > 0 && mid + overlap < item.ch.text.size()) {
-                    obs::span ssp("recover.split", "stream");
-                    ssp.arg("bases",
-                            static_cast<double>(item.ch.text.size()));
-                    chunk_splits.fetch_add(1, std::memory_order_relaxed);
-                    work_item right;
-                    right.overflowed = true;
-                    right.ch.text = item.ch.text.substr(mid);
-                    right.ch.start = item.ch.start + mid;
-                    right.ch.chrom_index = item.ch.chrom_index;
-                    item.ch.text.resize(mid + overlap);
-                    item.ch.words.reset();
-                    work.push_back(std::move(right));
-                    work.push_back(std::move(item));
-                    break;  // halves re-enter via the work stack
-                  }
-                  grown = std::min(grown, opt.max_retry_entries);
-                  if (grown <= cur) throw;  // can neither grow nor split
+              usize grown = recovery::grown_capacity(
+                  cur, e, item.ch.text.size(), dev_queries.size());
+              if (opt.max_retry_entries != 0 && grown > opt.max_retry_entries) {
+                // Splitting halves the demand instead of growing the
+                // allocation past the cap (the bounded-memory guarantee).
+                // The left half keeps the plen-1 overlap past the cut so
+                // straddling sites stay covered; the duplicates the overlap
+                // re-scan produces are dropped by the merge.
+                const usize mid = item.ch.text.size() / 2;
+                if (mid > 0 && mid + overlap < item.ch.text.size()) {
+                  obs::span ssp("recover.split", "stream");
+                  ssp.arg("bases", static_cast<double>(item.ch.text.size()));
+                  chunk_splits.fetch_add(1, std::memory_order_relaxed);
+                  work_item right;
+                  right.overflowed = true;
+                  right.ch.text = item.ch.text.substr(mid);
+                  right.ch.start = item.ch.start + mid;
+                  right.ch.chrom_index = item.ch.chrom_index;
+                  item.ch.text.resize(mid + overlap);
+                  item.ch.words.reset();
+                  work.push_back(std::move(right));
+                  work.push_back(std::move(item));
+                  break;  // halves re-enter via the work stack
                 }
-                if (grown > cur) {
-                  st.cur_max_entries = grown;
-                  rebuild(st);
-                }
+                grown = std::min(grown, opt.max_retry_entries);
+                if (grown <= cur) throw;  // can neither grow nor split
               }
-              // cur == 0 is worst-case sizing: only an injected entry.clamp
-              // lands here — retry as-is within the attempt bound.
+              if (grown > cur) {
+                st.cur_max_entries = grown;
+                rebuild(st);
+              }
               overflow_retries.fetch_add(1, std::memory_order_relaxed);
             } catch (const fault::injected_error&) {
               // Transient device failure (dev.alloc / dev.launch /
@@ -645,7 +646,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
               // the survivors; with none left the run fails cleanly.
               st.device_ns += util::process_nanos() - t0;
               bool rebuilt = false;
-              if (attempt + 1 < kMaxDeviceAttempts) {
+              if (attempt + 1 < recovery::kMaxDeviceAttempts) {
                 try {
                   rebuild(st);
                   rebuilt = true;
@@ -661,6 +662,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
           }
         }
         inflight[st.device].fetch_sub(1, std::memory_order_relaxed);
+        finish_chunk();
       }
       {
         obs::span sp("format.wait", "stream");
@@ -670,16 +672,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       }
       // finish() clears the stream state before throwing, so the final
       // flush gets the same bounded retry as the per-batch spills.
-      for (usize a = 0;; ++a) {
-        try {
-          st.writer->finish();
-          break;
-        } catch (const spill_error&) {
-          if (a + 1 >= kMaxSpillAttempts) throw;
-          spill_retries.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(1u << a));
-        }
-      }
+      recovery::with_spill_retries([&] { st.writer->finish(); }, spill_retries);
     } catch (...) {
       record_failure(std::current_exception());
       format_job.wait();  // the chained job must not outlive this frame
@@ -692,10 +685,9 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     workers.emplace_back(consume, std::ref(qs[i]), i);
   }
 
-  // Producer: the only thread touching the FASTA stream and chrom_names.
+  // Producer: the only thread touching the source and chrom_names.
   if (tracing) obs::set_thread_name("stream.producer");
   const bool pack_words = comparer_variant_packs_words(opt.variant);
-  chunk_source source(path, opt.max_chunk, overlap);
   u64 decode_ns = 0, push_ns = 0;
   try {
     for (;;) {
@@ -735,8 +727,9 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       {
         obs::span sp("queue.push", "stream");
         fault::inject_point(fault::site::queue_push);
+        pending.fetch_add(1);
         if (ndev == 1) {
-          ws = dev_queues[0]->push_for(ch, queue_timeout);
+          ws = dev_queues[0]->push_for(ch, kQueueTimeout);
         } else {
           // Assign through the shard scheduler; a push that lands on a
           // queue closed by a mid-window device death retries against the
@@ -747,7 +740,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
             fault::inject_point(fault::site::shard_assign);
             target = sched.assign(load_snapshot());
             if (target >= ndev) break;  // no device left: consumers failed
-            ws = dev_queues[target]->push_for(ch, queue_timeout);
+            ws = dev_queues[target]->push_for(ch, kQueueTimeout);
             if (ws != util::wait_status::closed) break;
           }
         }
@@ -755,12 +748,13 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       const u64 p_ns = util::process_nanos() - t0;
       push_ns += p_ns;
       if (m_push != nullptr) m_push->observe(p_ns / 1000);
+      if (ws != util::wait_status::ready) pending.fetch_sub(1);
       if (ws == util::wait_status::closed) break;  // a consumer failed
       if (ws == util::wait_status::timeout) {
         if (failed.load(std::memory_order_acquire)) break;
         throw std::runtime_error(
             util::format("stream queue.push stalled: no consumer took a "
-                         "chunk for %zu ms", opt.queue_timeout_ms));
+                         "chunk for %lld ms", kQueueTimeoutMs));
       }
       const usize depth = dev_queues[target]->size();
       out.peak_queue_depth = std::max(out.peak_queue_depth, depth);
@@ -772,7 +766,10 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   } catch (...) {
     record_failure(std::current_exception());
   }
-  for (auto& q : dev_queues) q->close();
+  // End of input: the queues close here if nothing is pending, else when
+  // the last pending chunk finishes (a failure has closed them already).
+  produced.store(true);
+  if (pending.load() == 0) close_all();
   for (auto& t : workers) t.join();
 
   // Everything has joined; `failure` is stable. Rethrow before touching the
@@ -796,9 +793,9 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     spill_paths.push_back(st.writer->path());
     pipeline_metrics pm = st.retired;
     // A device that died before its pipeline was built leaves pipe null.
-    if (st.pipe != nullptr) accumulate(pm, st.pipe->metrics());
+    if (st.pipe != nullptr) pm += st.pipe->metrics();
     out.metrics.per_queue.push_back(pm);
-    accumulate(out.metrics.pipeline, pm);
+    out.metrics.pipeline += pm;
     stream_stage_times qt;
     qt.queue_wait_s = static_cast<double>(st.wait_ns) / 1e9;
     qt.device_s = static_cast<double>(st.device_ns) / 1e9;
@@ -862,156 +859,64 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   }
 
   out.streamed_bases = source.streamed_bases();
-  out.metrics.elapsed_seconds = sw.seconds();
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous engine: the PR 1 loop, kept verbatim as the bench baseline —
-// blocking decode, then one comparer launch per query per chunk, records
-// accumulated in memory until end of run.
+// Warm branch: answer the queries against a genome index with comparer-only
+// launches through an index_query_session — no decode, no finder launch. The
+// index is opt.index, else the .cofidx cache at opt.index_path (a hit), else
+// built from the genome (`g`, or the FASTA at `path`) and persisted there (a
+// miss). Results are byte-identical to the chunk runner's for any backend
+// and queue count (same chunk geometry, same kernels, same canonical
+// sort+dedup).
 // ---------------------------------------------------------------------------
-streamed_outcome run_streaming_sync(const search_config& cfg,
-                                    const std::string& path,
-                                    const engine_options& opt,
-                                    device_pipeline* pipe,
-                                    const device_pattern& pat,
-                                    const std::vector<device_pattern>& dev_queries,
-                                    usize overlap, util::stopwatch& sw,
-                                    const record_sink& sink) {
-  streamed_outcome out;
-  std::string chunk;
-  chunk.reserve(opt.max_chunk);
-  u64 decode_ns = 0, device_ns = 0, format_ns = 0;
-
-  auto search_chunk = [&](u32 chrom_index, util::u64 chunk_start) {
-    ++out.metrics.chunks;
-    out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, chunk.size());
-    u64 t0 = util::process_nanos();
-    pipe->load_chunk(chunk);
-    const u32 hits = pipe->run_finder(pat);
-    device_ns += util::process_nanos() - t0;
-    if (hits == 0) return;
-    for (u32 qi = 0; qi < cfg.queries.size(); ++qi) {
-      t0 = util::process_nanos();
-      const auto entries =
-          pipe->run_comparer(dev_queries[qi], cfg.queries[qi].max_mismatches);
-      device_ns += util::process_nanos() - t0;
-      const std::string& qseq = dev_queries[qi].seq;
-      t0 = util::process_nanos();
-      for (usize e = 0; e < entries.size(); ++e) {
-        // The chunk buffer is still host-resident: slice the site from it.
-        const std::string_view slice(chunk.data() + entries.loci[e], pat.plen);
-        out.records.push_back(ot_record{
-            qi, chrom_index, chunk_start + entries.loci[e], entries.dir[e],
-            entries.mm[e], make_site_string(qseq, slice, entries.dir[e])});
-      }
-      format_ns += util::process_nanos() - t0;
-    }
-  };
-
-  for (const auto& file : genome::fasta_files_at(path)) {
-    genome::fasta_stream stream(file);
-    while (stream.next_record()) {
-      const u32 chrom_index = static_cast<u32>(out.chrom_names.size());
-      out.chrom_names.push_back(stream.record_name());
-      util::u64 chunk_start = 0;  // chromosome offset of chunk[0]
-      chunk.clear();
-      for (;;) {
-        const u64 d0 = util::process_nanos();
-        const usize got = stream.read_bases(chunk, opt.max_chunk - chunk.size());
-        decode_ns += util::process_nanos() - d0;
-        out.streamed_bases += got;
-        // EOF with nothing new: the record was empty or ended exactly on
-        // the previous chunk boundary — the carried overlap was already
-        // scanned, so there is no carry-only tail chunk to search.
-        if (got == 0) break;
-        const bool record_done = chunk.size() < opt.max_chunk;
-        LOG_DEBUG("stream %s@%llu: %zu bases%s", stream.record_name().c_str(),
-                  static_cast<unsigned long long>(chunk_start), chunk.size(),
-                  record_done ? " (tail)" : "");
-        search_chunk(chrom_index, chunk_start);
-        if (record_done) break;
-        // Carry the overlap so boundary-straddling sites are re-scanned.
-        chunk_start += chunk.size() - overlap;
-        chunk.erase(0, chunk.size() - overlap);
-      }
-    }
-  }
-
-  const u64 m0 = util::process_nanos();
-  sort_and_dedup(out.records);
-  out.stage_times.merge_s = static_cast<double>(util::process_nanos() - m0) / 1e9;
-  out.stage_times.decode_s = static_cast<double>(decode_ns) / 1e9;
-  out.stage_times.device_s = static_cast<double>(device_ns) / 1e9;
-  out.stage_times.format_s = static_cast<double>(format_ns) / 1e9;
-  for (const auto& r : out.records) {
-    out.peak_record_bytes += sizeof(ot_record) + r.site.size();
-  }
-  out.total_records = out.records.size();
-  if (sink) {
-    for (auto& r : out.records) sink(std::move(r));
-    out.records.clear();
-  }
-  out.metrics.pipeline = pipe->metrics();
-  out.metrics.elapsed_seconds = sw.seconds();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Index/query split. Resolves the index — in-memory (opt.index), from the
-// .cofidx cache at opt.index_path (warm), or built from the FASTA at `path`
-// and persisted (cold) — then answers the queries with comparer-only
-// launches through an index_query_session. Results are byte-identical to
-// the classic streaming run for any backend and queue count (same chunk
-// geometry, same kernels, same canonical sort+dedup).
-// ---------------------------------------------------------------------------
-streamed_outcome run_streaming_indexed(const search_config& cfg,
-                                       const std::string& path,
-                                       const engine_options& opt,
-                                       util::stopwatch& sw,
-                                       const record_sink& sink) {
+streamed_outcome run_indexed(const search_config& cfg, const genome::genome_t* g,
+                             const std::string& path, const engine_options& opt) {
   streamed_outcome out;
   out.used_index = true;
   genome_index owned;
   const genome_index* idx = opt.index;
-  bool cache_hit = idx != nullptr;  // prebuilt in memory counts as warm
+  out.index_cache_hit = idx != nullptr;  // prebuilt in memory counts as warm
   if (idx == nullptr) {
+    util::stopwatch isw;
     if (std::filesystem::exists(opt.index_path)) {
-      util::stopwatch lsw;
       owned = load_index(opt.index_path);
-      out.stage_times.index_load_s = lsw.seconds();
-      cache_hit = true;
+      out.stage_times.index_load_s = isw.seconds();
+      out.index_cache_hit = true;
     } else {
-      // Cold path: the one place the warm split still decodes FASTA and
-      // launches the finder — once, to populate the cache.
-      util::stopwatch bsw;
-      search_config src = cfg;
-      src.genome_path = path;
-      const genome::genome_t g = load_configured_genome(src);
-      owned = build_index(g, cfg.pattern, opt);
-      out.stage_times.index_build_s = bsw.seconds();
-      save_index(opt.index_path, owned);
+      // The one place a warm run decodes and launches the finder: once, to
+      // populate the cache.
+      if (g != nullptr) {
+        owned = build_index(*g, cfg.pattern, opt);
+      } else {
+        search_config src = cfg;
+        src.genome_path = path;
+        owned = build_index(load_configured_genome(src), cfg.pattern, opt);
+      }
+      out.stage_times.index_build_s = isw.seconds();
       out.streamed_bases = owned.source_bases;
+      save_index(opt.index_path, owned);
     }
     idx = &owned;
   }
   if (obs::enabled()) {
     obs::metrics_registry::global()
-        .counter(cache_hit ? "index.cache.hit" : "index.cache.miss")
+        .counter(out.index_cache_hit ? "index.cache.hit" : "index.cache.miss")
         .add(1);
   }
-  out.index_cache_hit = cache_hit;
   check_index_compatible(*idx, cfg);
-  // A warm index never sees the decoded genome, so verify its identity
-  // against a decode-free summary scan of the source (names, base count,
-  // content hash — no sequence materialised, no finder). Sources that
-  // cannot be summarised cheaply (synth: URIs, .2bit) skip the check; the
-  // cold branch above built from the genome and is trivially consistent.
-  if (cache_hit) {
+  // A stale or foreign index must never answer for the wrong genome. An
+  // in-memory genome is checked in full. A streamed run never decodes the
+  // FASTA, so a prebuilt index is checked against a decode-free summary of
+  // the source (names, base count, content hash); sources that cannot be
+  // summarised cheaply (synth: URIs, .2bit) skip the check, and an index
+  // built from the source this run is consistent by construction.
+  if (g != nullptr) {
+    check_index_matches_genome(*idx, *g);
+  } else if (out.index_cache_hit) {
     if (const auto sum = genome::summarize_source(path)) {
-      check_index_matches_source(*idx, sum->names, sum->total_bases,
-                                 sum->hash);
+      check_index_matches_source(*idx, sum->names, sum->total_bases, sum->hash);
     }
   }
 
@@ -1020,7 +925,7 @@ streamed_outcome run_streaming_indexed(const search_config& cfg,
   search_outcome q = session.query(cfg.queries);
   out.stage_times.query_s = qsw.seconds();
   out.records = std::move(q.records);
-  out.metrics = q.metrics;
+  out.metrics = std::move(q.metrics);
   out.chrom_names = idx->chrom_names;
   out.index_chunk_hits = session.chunk_hits();
   out.index_chunk_misses = session.chunk_misses();
@@ -1030,82 +935,66 @@ streamed_outcome run_streaming_indexed(const search_config& cfg,
   for (const auto& r : out.records) {
     out.peak_record_bytes += sizeof(ot_record) + r.site.size();
   }
-  out.total_records = out.records.size();
-  if (sink) {
-    for (auto& r : out.records) sink(std::move(r));
-    out.records.clear();
-  }
-  out.metrics.elapsed_seconds = sw.seconds();
   return out;
 }
 
 }  // namespace
 
+namespace detail {
+
+streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
+                            const std::string& path, const engine_options& opt,
+                            const record_sink& sink) {
+  run_scope run(opt);
+  util::stopwatch sw;
+  streamed_outcome out;
+  const bool warm = opt.index != nullptr || !opt.index_path.empty();
+  if (!warm && opt.backend != backend_kind::serial) {
+    const usize plen = make_pattern(cfg.pattern).plen;
+    const usize overlap = plen > 0 ? plen - 1 : 0;
+    COF_CHECK_MSG(opt.max_chunk > overlap, "max_chunk must exceed pattern length");
+    std::unique_ptr<chunk_source> source;
+    if (g != nullptr) {
+      source = std::make_unique<genome_source>(*g, opt.max_chunk, overlap);
+    } else {
+      source = std::make_unique<fasta_source>(path, opt.max_chunk, overlap);
+    }
+    out = run_chunks(cfg, *source, opt, sink);
+  } else {
+    if (warm) {
+      out = run_indexed(cfg, g, path, opt);
+    } else {
+      COF_CHECK_MSG(g != nullptr,
+                    "streaming mode drives a device pipeline; use run_search "
+                    "for the serial reference");
+      out.records = serial_search(cfg.pattern, cfg.queries, *g);
+    }
+    // Unlike the runner's merge, these branches hold their records in
+    // memory: hand them to the sink from there.
+    out.total_records = out.records.size();
+    if (sink) {
+      for (auto& r : out.records) sink(std::move(r));
+      out.records.clear();
+    }
+  }
+  out.metrics.elapsed_seconds = sw.seconds();
+  run.finish();
+  return out;
+}
+
+}  // namespace detail
+
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt) {
-  return run_search_streaming(cfg, path, opt, record_sink{});
+  return detail::run_engine(cfg, nullptr, path, opt, record_sink{});
 }
 
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt,
                                       const record_sink& sink) {
-  // Per-run observability lifetime: enables + clears the tracer and the
-  // metrics registry when either output was requested, restores the
-  // previous state on exit. With neither set, every probe below is one
-  // relaxed atomic load.
-  obs::run_scope obs_guard(!opt.trace_out.empty() || !opt.metrics_json.empty());
-  // Fault plan: COF_FAULT plus opt.faults, armed for this run only.
-  fault::scope fault_guard(opt.faults);
-  util::stopwatch sw;
-
-  COF_CHECK_MSG(opt.backend != backend_kind::serial,
-                "streaming mode drives a device pipeline; use run_search for "
-                "the serial reference");
-
-  // Index/query split: a prebuilt (or cached) index answers the queries
-  // with comparer-only launches — zero FASTA decode, zero finder launches
-  // on the warm path.
-  if (opt.index != nullptr || !opt.index_path.empty()) {
-    streamed_outcome out = run_streaming_indexed(cfg, path, opt, sw, sink);
-    if (obs::enabled()) {
-      if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-      if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-      if (!opt.metrics_json.empty()) {
-        obs::metrics_registry::global().write_json(opt.metrics_json);
-      }
-    }
-    return out;
-  }
-
-  const device_pattern pat = make_pattern(cfg.pattern);
-  std::vector<device_pattern> dev_queries;
-  dev_queries.reserve(cfg.queries.size());
-  for (const auto& q : cfg.queries) dev_queries.push_back(make_query(q.seq));
-  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
-  COF_CHECK_MSG(opt.max_chunk > overlap, "max_chunk must exceed pattern length");
-
-  streamed_outcome out;
-  // The synchronous loop drives exactly one pipeline; a multi-device run
-  // needs the async engine's per-device consumers, whatever stream_async
-  // says.
-  if (opt.stream_async || opt.num_devices > 1) {
-    out = run_streaming_async(cfg, path, opt, pat, dev_queries, overlap, sw,
-                              sink);
-  } else {
-    std::unique_ptr<device_pipeline> pipe = make_pipeline(opt, opt.max_entries);
-    out = run_streaming_sync(cfg, path, opt, pipe.get(), pat, dev_queries,
-                             overlap, sw, sink);
-  }
-  if (obs::enabled()) {
-    if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-    if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-    if (!opt.metrics_json.empty()) {
-      obs::metrics_registry::global().write_json(opt.metrics_json);
-    }
-  }
-  return out;
+  return detail::run_engine(cfg, nullptr, path, opt, sink);
 }
 
 }  // namespace cof

@@ -42,12 +42,11 @@ struct streamed_outcome {
   util::u64 streamed_bases = 0;
   util::usize peak_chunk_bytes = 0;
   /// Bounded-memory accounting: the most record bytes the engine held in
-  /// host memory at once. Async path: sum over queues of the largest
-  /// single-chunk batch (per-chunk bound — records spill to disk between
-  /// chunks). Sync path: the whole accumulated record set (the contrast
-  /// the spill writer exists to avoid).
+  /// host memory at once — the sum over queues of the largest single-chunk
+  /// batch (records spill to disk between chunks). The warm index path
+  /// holds its whole record set.
   util::usize peak_record_bytes = 0;
-  /// Sorted runs spilled across all queues (async path; 0 in sync mode).
+  /// Sorted runs spilled across all queues.
   util::usize spill_runs = 0;
   /// Records after the merge-dedup (== records.size() unless a sink
   /// consumed them).
@@ -55,15 +54,14 @@ struct streamed_outcome {
   /// Run-wide stage breakdown: decode/merge from the producer thread,
   /// queue_wait/device/format summed across queues.
   stream_stage_times stage_times;
-  /// Per-queue breakdown (async path; empty in sync mode). decode/merge are
-  /// producer-side and stay 0 here.
+  /// Per-queue breakdown. decode/merge are producer-side and stay 0 here.
   std::vector<stream_stage_times> queue_stages;
-  /// Most chunks ever resident in the bounded queue (async path) — the
-  /// backpressure high-water mark against capacity num_queues + 2.
+  /// Most chunks ever resident in the bounded queue — the backpressure
+  /// high-water mark against capacity num_queues + 2.
   util::usize peak_queue_depth = 0;
   /// Per-device accounting for sharded runs (engine_options::num_devices).
   /// One entry per device even when a device failed mid-run; size 1 for
-  /// single-device runs on the async path.
+  /// single-device runs.
   struct shard_device_stats {
     std::string name;            // device_set name ("xpu0"… or the simulator)
     util::usize chunks = 0;      // chunks this device completed
@@ -90,9 +88,9 @@ using record_sink = std::function<void(ot_record&&)>;
 
 /// Run the search against the FASTA file/directory at `path` (the config's
 /// genome line is ignored). Results are identical to loading the genome and
-/// calling run_search. opt.num_queues > 1 (async path) decodes once and
-/// fans the chunks out to that many independent device pipelines over a
-/// bounded queue; results stay byte-identical for any queue count.
+/// calling run_search: both drive the same chunk runner, which decodes once
+/// and fans the chunks out to opt.num_queues device pipelines (per device)
+/// over a bounded queue; results stay byte-identical for any queue count.
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt = {});
@@ -105,4 +103,15 @@ streamed_outcome run_search_streaming(const search_config& cfg,
                                       const engine_options& opt,
                                       const record_sink& sink);
 
+namespace detail {
+
+/// The engine behind run_search (`g` set) and run_search_streaming (`g`
+/// null: the FASTA at `path`): per-run obs/fault scoping, then the warm
+/// index branch, the serial reference, or the chunk runner over the
+/// in-memory genome or the decoded FASTA, then the run epilogue.
+streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
+                            const std::string& path, const engine_options& opt,
+                            const record_sink& sink);
+
+}  // namespace detail
 }  // namespace cof

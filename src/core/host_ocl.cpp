@@ -854,6 +854,9 @@ const bool kKernelsRegistered = [] {
                   util::format("%s failed: %d", #expr, cof_cl_err_));            \
   } while (0)
 
+/// A read-only buffer initialised from host memory.
+constexpr cl_mem_flags kConstIn = CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR;
+
 // ---------------------------------------------------------------------------
 // pipeline
 // ---------------------------------------------------------------------------
@@ -895,6 +898,7 @@ class opencl_pipeline final : public device_pipeline {
 
   ~opencl_pipeline() override {
     // Step 13: explicit resource release (reverse creation order).
+    release_launch();
     release_batch();
     release_chunk();
     if (comparer_multi_k_ != nullptr) clReleaseKernel(comparer_multi_k_);
@@ -921,24 +925,14 @@ class opencl_pipeline final : public device_pipeline {
     }
     const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
     if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
-    cl_int err;
     // Under opt5/opt6 the device sees the u16 deny LUTs instead of the chars.
-    cl_mem patm;
-    usize pat_bytes;
-    if (use_mask()) {
-      pat_bytes = pat.mask.size() * sizeof(u16);
-      patm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, pat_bytes,
-                            const_cast<u16*>(pat.mask_data()), &err);
-    } else {
-      pat_bytes = pat.device_chars();
-      patm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, pat_bytes,
-                            const_cast<char*>(pat.data()), &err);
-    }
-    COF_CL_CHECK(err);
-    cl_mem idxm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                 pat.index.size() * sizeof(i32),
-                                 const_cast<i32*>(pat.index_data()), &err);
-    COF_CL_CHECK(err);
+    const usize pat_bytes =
+        use_mask() ? pat.mask.size() * sizeof(u16) : pat.device_chars();
+    cl_mem patm = launch_buffer(
+        kConstIn, pat_bytes,
+        use_mask() ? static_cast<const void*>(pat.mask_data()) : pat.data());
+    cl_mem idxm =
+        launch_buffer(kConstIn, pat.index.size() * sizeof(i32), pat.index_data());
     metrics_.h2d_bytes += pat_bytes + pat.index.size() * sizeof(i32);
     zero_counter();
 
@@ -975,13 +969,11 @@ class opencl_pipeline final : public device_pipeline {
     }
 
     locicnt_ = enqueue_and_count(finder_k_, items, "finder");
+    release_launch();
     detail::check_entry_capacity("finder", locicnt_, loci_cap_);
     metrics_.total_loci += locicnt_;
     ++metrics_.finder_launches;
     sp.arg("hits", static_cast<double>(locicnt_));
-
-    COF_CL_CHECK(clReleaseMemObject(patm));
-    COF_CL_CHECK(clReleaseMemObject(idxm));
     return locicnt_;
   }
 
@@ -1041,31 +1033,16 @@ class opencl_pipeline final : public device_pipeline {
       return run_comparer_swar(query, threshold);
     }
     const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
-    cl_int err;
-    cl_mem compm;
-    usize comp_bytes;
-    if (use_mask()) {
-      comp_bytes = query.mask.size() * sizeof(u16);
-      compm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             comp_bytes, const_cast<u16*>(query.mask_data()), &err);
-    } else {
-      comp_bytes = query.device_chars();
-      compm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             comp_bytes, const_cast<char*>(query.data()), &err);
-    }
-    COF_CL_CHECK(err);
-    cl_mem cidxm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                  query.index.size() * sizeof(i32),
-                                  const_cast<i32*>(query.index_data()), &err);
-    COF_CL_CHECK(err);
-    cl_mem mmm = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
-                                &err);
-    COF_CL_CHECK(err);
-    cl_mem dirm = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap, nullptr, &err);
-    COF_CL_CHECK(err);
-    cl_mem mlocim = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr,
-                                   &err);
-    COF_CL_CHECK(err);
+    const usize comp_bytes =
+        use_mask() ? query.mask.size() * sizeof(u16) : query.device_chars();
+    cl_mem compm = launch_buffer(
+        kConstIn, comp_bytes,
+        use_mask() ? static_cast<const void*>(query.mask_data()) : query.data());
+    cl_mem cidxm = launch_buffer(kConstIn, query.index.size() * sizeof(i32),
+                                 query.index_data());
+    cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
+    cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
+    cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
     metrics_.h2d_bytes += comp_bytes + query.index.size() * sizeof(i32);
     zero_counter();
 
@@ -1091,28 +1068,7 @@ class opencl_pipeline final : public device_pipeline {
     const std::string tag =
         std::string("comparer/") + comparer_variant_name(opt_.variant);
     const u32 n = enqueue_and_count(comparer_k_, locicnt_, tag);
-    detail::check_entry_capacity("comparer", n, cap);
-    ++metrics_.comparer_launches;
-    metrics_.total_entries += n;
-
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    if (n != 0) {
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, mmm, CL_TRUE, 0, n * sizeof(u16),
-                                       out.mm.data(), 0, nullptr, nullptr));
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, dirm, CL_TRUE, 0, n, out.dir.data(), 0,
-                                       nullptr, nullptr));
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, mlocim, CL_TRUE, 0, n * sizeof(u32),
-                                       out.loci.data(), 0, nullptr, nullptr));
-      metrics_.d2h_bytes += n * (sizeof(u16) + 1 + sizeof(u32));
-    }
-    COF_CL_CHECK(clReleaseMemObject(compm));
-    COF_CL_CHECK(clReleaseMemObject(cidxm));
-    COF_CL_CHECK(clReleaseMemObject(mmm));
-    COF_CL_CHECK(clReleaseMemObject(dirm));
-    COF_CL_CHECK(clReleaseMemObject(mlocim));
-    return out;
+    return read_entries(n, cap, mmm, dirm, mlocim);
   }
 
   /// opt6: SWAR comparer. clSetKernelArg marshals the per-word deny masks
@@ -1120,25 +1076,14 @@ class opencl_pipeline final : public device_pipeline {
   /// registered signature; the enqueue picks the lane-batched native body
   /// up automatically when profiling is off.
   entries run_comparer_swar(const device_pattern& query, u16 threshold) {
-    entries out;
     const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
-    cl_int err;
-    cl_mem cswarm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                   query.swar.size() * sizeof(u64),
-                                   const_cast<u64*>(query.swar_data()), &err);
-    COF_CL_CHECK(err);
-    cl_mem cmaskm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                   query.mask.size() * sizeof(u16),
-                                   const_cast<u16*>(query.mask_data()), &err);
-    COF_CL_CHECK(err);
-    cl_mem mmm = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
-                                &err);
-    COF_CL_CHECK(err);
-    cl_mem dirm = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap, nullptr, &err);
-    COF_CL_CHECK(err);
-    cl_mem mlocim = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr,
-                                   &err);
-    COF_CL_CHECK(err);
+    cl_mem cswarm = launch_buffer(kConstIn, query.swar.size() * sizeof(u64),
+                                  query.swar_data());
+    cl_mem cmaskm = launch_buffer(kConstIn, query.mask.size() * sizeof(u16),
+                                  query.mask_data());
+    cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
+    cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
+    cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
     metrics_.h2d_bytes +=
         query.swar.size() * sizeof(u64) + query.mask.size() * sizeof(u16);
     zero_counter();
@@ -1168,14 +1113,18 @@ class opencl_pipeline final : public device_pipeline {
         clSetKernelArg(comparer_k_, 17, query.mask.size() * sizeof(u16), nullptr));
 
     const u32 n = enqueue_and_count(comparer_k_, locicnt_, "comparer/opt6");
-    detail::check_entry_capacity("comparer", n, cap);
-    ++metrics_.comparer_launches;
-    metrics_.total_entries += n;
+    return read_entries(n, cap, mmm, dirm, mlocim);
+  }
 
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    if (n != 0) {
+  /// Steps 11 + 13 of a per-query comparer: download the `n` entries when
+  /// they fit the `cap`-entry outputs, release the launch's buffers, and
+  /// only then report an overflow, so an overflowing launch leaks nothing.
+  entries read_entries(u32 n, usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
+    entries out;
+    if (n != 0 && n <= cap) {
+      out.mm.resize(n);
+      out.dir.resize(n);
+      out.loci.resize(n);
       COF_CL_CHECK(clEnqueueReadBuffer(q_, mmm, CL_TRUE, 0, n * sizeof(u16),
                                        out.mm.data(), 0, nullptr, nullptr));
       COF_CL_CHECK(clEnqueueReadBuffer(q_, dirm, CL_TRUE, 0, n, out.dir.data(), 0,
@@ -1184,18 +1133,11 @@ class opencl_pipeline final : public device_pipeline {
                                        out.loci.data(), 0, nullptr, nullptr));
       metrics_.d2h_bytes += n * (sizeof(u16) + 1 + sizeof(u32));
     }
-    COF_CL_CHECK(clReleaseMemObject(cswarm));
-    COF_CL_CHECK(clReleaseMemObject(cmaskm));
-    COF_CL_CHECK(clReleaseMemObject(mmm));
-    COF_CL_CHECK(clReleaseMemObject(dirm));
-    COF_CL_CHECK(clReleaseMemObject(mlocim));
+    release_launch();
+    detail::check_entry_capacity("comparer", n, cap);
+    ++metrics_.comparer_launches;
+    metrics_.total_entries += n;
     return out;
-  }
-
-  entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds) override {
-    launch_comparer_batch(queries, thresholds);
-    return fetch_entries();
   }
 
   /// Batched comparer, launch half: one comparer_multi enqueue consumes the
@@ -1229,18 +1171,11 @@ class opencl_pipeline final : public device_pipeline {
 
     const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
     batch_cap_ = cap;
+    cl_mem compm = launch_buffer(kConstIn, comp_all.size(), comp_all.data());
+    cl_mem cidxm =
+        launch_buffer(kConstIn, cidx_all.size() * sizeof(i32), cidx_all.data());
+    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), thresholds.data());
     cl_int err;
-    cl_mem compm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                  comp_all.size(), comp_all.data(), &err);
-    COF_CL_CHECK(err);
-    cl_mem cidxm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                  cidx_all.size() * sizeof(i32), cidx_all.data(),
-                                  &err);
-    COF_CL_CHECK(err);
-    cl_mem thrm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                 nq * sizeof(u16),
-                                 const_cast<u16*>(thresholds.data()), &err);
-    COF_CL_CHECK(err);
     batch_mm_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
                                &err);
     COF_CL_CHECK(err);
@@ -1282,11 +1217,8 @@ class opencl_pipeline final : public device_pipeline {
         clSetKernelArg(comparer_multi_k_, 16, cidx_all.size() * sizeof(i32), nullptr));
 
     enqueue_profiled(comparer_multi_k_, locicnt_, "comparer/batch");
+    release_launch();
     ++metrics_.comparer_launches;
-
-    COF_CL_CHECK(clReleaseMemObject(compm));
-    COF_CL_CHECK(clReleaseMemObject(cidxm));
-    COF_CL_CHECK(clReleaseMemObject(thrm));
     return {};
   }
 
@@ -1307,19 +1239,12 @@ class opencl_pipeline final : public device_pipeline {
 
     const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
     batch_cap_ = cap;
+    cl_mem cswarm =
+        launch_buffer(kConstIn, swar_all.size() * sizeof(u64), swar_all.data());
+    cl_mem cmaskm =
+        launch_buffer(kConstIn, cmask_all.size() * sizeof(u16), cmask_all.data());
+    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), thresholds.data());
     cl_int err;
-    cl_mem cswarm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                   swar_all.size() * sizeof(u64), swar_all.data(),
-                                   &err);
-    COF_CL_CHECK(err);
-    cl_mem cmaskm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                   cmask_all.size() * sizeof(u16), cmask_all.data(),
-                                   &err);
-    COF_CL_CHECK(err);
-    cl_mem thrm = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                                 nq * sizeof(u16),
-                                 const_cast<u16*>(thresholds.data()), &err);
-    COF_CL_CHECK(err);
     batch_mm_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
                                &err);
     COF_CL_CHECK(err);
@@ -1365,11 +1290,8 @@ class opencl_pipeline final : public device_pipeline {
                                 cmask_all.size() * sizeof(u16), nullptr));
 
     enqueue_profiled(comparer_multi_k_, locicnt_, "comparer/batch-opt6");
+    release_launch();
     ++metrics_.comparer_launches;
-
-    COF_CL_CHECK(clReleaseMemObject(cswarm));
-    COF_CL_CHECK(clReleaseMemObject(cmaskm));
-    COF_CL_CHECK(clReleaseMemObject(thrm));
   }
 
   /// Batched comparer, fetch half: deferred download of the staged entry
@@ -1548,6 +1470,23 @@ class opencl_pipeline final : public device_pipeline {
     chr_ = loci_ = flag_ = count_ = chr2_ = amb2_ = nullptr;
   }
 
+  /// Step 5 for a buffer of one launch only (a pattern/query upload or a
+  /// per-query output). The launch releases it with release_launch() before
+  /// any check that can throw; if the launch throws anyway, the next
+  /// launch's release_launch() or the destructor releases it.
+  cl_mem launch_buffer(cl_mem_flags flags, usize bytes, const void* host) {
+    cl_int err;
+    cl_mem m = clCreateBuffer(ctx_, flags, bytes, const_cast<void*>(host), &err);
+    COF_CL_CHECK(err);
+    launch_mem_.push_back(m);
+    return m;
+  }
+
+  void release_launch() {
+    for (cl_mem m : launch_mem_) COF_CL_CHECK(clReleaseMemObject(m));
+    launch_mem_.clear();
+  }
+
   void release_batch() {
     if (batch_mm_ != nullptr) clReleaseMemObject(batch_mm_);
     if (batch_dir_ != nullptr) clReleaseMemObject(batch_dir_);
@@ -1574,6 +1513,7 @@ class opencl_pipeline final : public device_pipeline {
   cl_mem count_ = nullptr;
   cl_mem chr2_ = nullptr;  // opt6: the chunk's 2-bit words
   cl_mem amb2_ = nullptr;  // opt6: their ambiguity flags
+  std::vector<cl_mem> launch_mem_;  // the running launch's own buffers
   // Staged output of the last launch_comparer_batch (released by
   // fetch_entries or the destructor).
   cl_mem batch_mm_ = nullptr;

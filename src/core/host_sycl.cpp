@@ -102,12 +102,6 @@ class sycl_pipeline final : public device_pipeline {
                          : run_comparer_impl<direct_mem>(query, threshold);
   }
 
-  entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds) override {
-    launch_comparer_batch(queries, thresholds);
-    return fetch_entries();
-  }
-
   pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
                                    const std::vector<u16>& thresholds) override {
     obs::span sp("comparer.batch", "device");

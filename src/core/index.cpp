@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 
+#include "core/recovery.hpp"
 #include "fault/fault.hpp"
 #include "genome/chunker.hpp"
 #include "obs/metrics.hpp"
@@ -141,62 +142,6 @@ std::string unpack_text(const std::string& packed, usize len,
   return text;
 }
 
-std::unique_ptr<device_pipeline> make_index_pipeline(const engine_options& opt,
-                                                     usize max_entries) {
-  pipeline_options popt;
-  popt.variant = opt.variant;
-  popt.wg_size = opt.wg_size;
-  popt.counting = opt.counting;
-  popt.profiler = opt.profiler;
-  popt.max_entries = max_entries;
-  switch (opt.backend) {
-    case backend_kind::opencl: return make_opencl_pipeline(popt);
-    case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
-    default: return make_sycl_pipeline(popt);
-  }
-}
-
-void merge_pipeline_metrics(run_metrics& m, const pipeline_metrics& pm) {
-  m.per_queue.push_back(pm);
-  m.pipeline.kernel_nanos += pm.kernel_nanos;
-  m.pipeline.finder_launches += pm.finder_launches;
-  m.pipeline.comparer_launches += pm.comparer_launches;
-  m.pipeline.h2d_bytes += pm.h2d_bytes;
-  m.pipeline.d2h_bytes += pm.d2h_bytes;
-  m.pipeline.total_loci += pm.total_loci;
-  m.pipeline.total_entries += pm.total_entries;
-}
-
-/// Fold one pipeline's lifetime accounting into a running total (the
-/// field-wise sum, without the per_queue bookkeeping of
-/// merge_pipeline_metrics).
-void accumulate_metrics(pipeline_metrics& into, const pipeline_metrics& pm) {
-  into.kernel_nanos += pm.kernel_nanos;
-  into.finder_launches += pm.finder_launches;
-  into.comparer_launches += pm.comparer_launches;
-  into.h2d_bytes += pm.h2d_bytes;
-  into.d2h_bytes += pm.d2h_bytes;
-  into.total_loci += pm.total_loci;
-  into.total_entries += pm.total_entries;
-}
-
-/// pipeline_metrics accumulate over the pipeline's lifetime; a long-lived
-/// session must report per-query() deltas or the second and later outcomes
-/// double-count every prior call.
-pipeline_metrics metrics_delta(const pipeline_metrics& now,
-                               const pipeline_metrics& prev) {
-  pipeline_metrics d;
-  d.kernel_nanos = now.kernel_nanos - prev.kernel_nanos;
-  d.finder_launches = now.finder_launches - prev.finder_launches;
-  d.comparer_launches = now.comparer_launches - prev.comparer_launches;
-  d.h2d_bytes = now.h2d_bytes - prev.h2d_bytes;
-  d.d2h_bytes = now.d2h_bytes - prev.d2h_bytes;
-  d.total_loci = now.total_loci - prev.total_loci;
-  d.total_entries = now.total_entries - prev.total_entries;
-  return d;
-}
-
 void check_query_lengths(const genome_index& idx,
                          const std::vector<query_spec>& queries) {
   for (const auto& q : queries) {
@@ -242,7 +187,7 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
   std::exception_ptr first_error;
   auto worker = [&] {
     try {
-      auto pipe = make_index_pipeline(opt, /*max_entries=*/0);
+      auto pipe = make_pipeline(opt, /*max_entries=*/0);
       for (;;) {
         const usize ci = next.fetch_add(1);
         if (ci >= chunks.size()) break;
@@ -511,7 +456,7 @@ struct index_query_session::slot {
   usize device = 0;
   usize resident_bytes = 0;
   /// This slot's entry cap. Grows when a chunk overflows and stays grown
-  /// (sticky), mirroring the streaming engine's per-queue policy.
+  /// (sticky), mirroring the chunk runner's per-queue policy.
   usize cur_max_entries = 0;
   u64 tick = 0;  // LRU clock (monotonic per slot, under mu)
   pipeline_metrics retired;   // accounting of evicted/rebuilt pipelines
@@ -521,7 +466,7 @@ struct index_query_session::slot {
   /// retired bucket. Deltas against `reported` keep per-call outcomes honest.
   pipeline_metrics total_metrics() const {
     pipeline_metrics pm = retired;
-    for (const auto& rc : resident) accumulate_metrics(pm, rc.pipe->metrics());
+    for (const auto& rc : resident) pm += rc.pipe->metrics();
     return pm;
   }
 
@@ -537,7 +482,7 @@ struct index_query_session::slot {
   bool evict(usize ci) {
     for (usize i = 0; i < resident.size(); ++i) {
       if (resident[i].chunk != ci) continue;
-      accumulate_metrics(retired, resident[i].pipe->metrics());
+      retired += resident[i].pipe->metrics();
       resident_bytes -= resident[i].bytes;
       resident.erase(resident.begin() + i);
       return true;
@@ -549,7 +494,7 @@ struct index_query_session::slot {
   /// device are unreachable, survivors re-upload on demand). Accounting
   /// folds into the retired bucket like any other eviction.
   void evict_all() {
-    for (auto& rc : resident) accumulate_metrics(retired, rc.pipe->metrics());
+    for (auto& rc : resident) retired += rc.pipe->metrics();
     resident.clear();
     resident_bytes = 0;
   }
@@ -574,17 +519,6 @@ struct index_query_session::slot {
     return evicted;
   }
 };
-
-namespace {
-
-// Bounded recovery attempts per chunk, matching the streaming engine: a
-// real overflow converges in one or two retries (the thrown error carries
-// the true demand); the bounds only exist to turn an `always` fault plan
-// into a clean error instead of a retry livelock.
-constexpr usize kMaxOverflowAttempts = 12;
-constexpr usize kMaxDeviceAttempts = 4;
-
-}  // namespace
 
 index_query_session::index_query_session(const genome_index& idx,
                                          const engine_options& opt)
@@ -714,7 +648,7 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
             if (rc == nullptr) {
               slot::resident_chunk fresh;
               fresh.chunk = ci;
-              fresh.pipe = make_index_pipeline(opt_, sl.cur_max_entries);
+              fresh.pipe = make_pipeline(opt_, sl.cur_max_entries);
               // The budget charges what this pipeline uploads and keeps:
               // text and/or packed words per facade and variant, plus loci.
               fresh.bytes =
@@ -730,11 +664,10 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
               ++hits;
             }
             rc->last_used = ++sl.tick;
-            // One multi-query launch per chunk: N guides coalesce into a
-            // single comparer_multi (or opt6 SWAR) dispatch over the
-            // device-resident loci.
-            rc->pipe->launch_comparer_batch(dev_queries, thresholds).wait();
-            const auto entries = rc->pipe->fetch_entries();
+            // Batched: N guides coalesce into a single comparer_multi (or
+            // opt6 SWAR) dispatch over the device-resident loci.
+            const auto entries = rc->pipe->run_comparers(dev_queries, thresholds,
+                                                         opt_.batch_queries);
             if (overflowed) ++recovered;
             for (usize e = 0; e < entries.size(); ++e) {
               const u32 qi = entries.qidx[e];
@@ -747,38 +680,27 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
             }
             break;  // chunk done
           } catch (const entry_overflow_error& e) {
-            // The engine's bounded grow-retry policy: the retry capacity is
-            // seeded by the TRUE demand the error round-trips, grows
-            // geometrically, never past the worst case, and stays grown
-            // (sticky per slot). The overflowing chunk's pipeline is
-            // retired; the next attempt re-admits at the grown cap.
-            if (!opt_.overflow_recovery ||
-                attempt + 1 >= kMaxOverflowAttempts) {
-              throw;
-            }
+            // The engine's grow-retry policy (core/recovery.hpp), with the
+            // grown cap sticky per slot. The overflowing chunk's pipeline
+            // is retired; the next attempt re-admits at the grown cap.
+            if (attempt + 1 >= recovery::kMaxOverflowAttempts) throw;
             obs::span rsp("recover.retry", "engine");
             rsp.arg("required", static_cast<double>(e.required()));
             rsp.arg("capacity", static_cast<double>(e.capacity()));
             overflowed = true;
             sl.evict(ci);
             const usize cur = sl.cur_max_entries;
-            if (cur != 0) {
-              const usize nq = std::max<usize>(1, dev_queries.size());
-              const usize worst = ch.text.size() * 2 * nq;
-              const usize grown = std::min<usize>(
-                  worst, std::max<usize>(e.required(), cur * 2));
-              if (grown <= cur) throw;  // already worst-case sized
-              sl.cur_max_entries = grown;
-            }
-            // cur == 0 is worst-case sizing: only an injected entry.clamp
-            // lands here — retry as-is within the attempt bound.
+            const usize grown = recovery::grown_capacity(cur, e, ch.text.size(),
+                                                         dev_queries.size());
+            if (cur != 0 && grown <= cur) throw;  // already worst-case sized
+            sl.cur_max_entries = grown;
             ++overflow_retries;
             ++attempt;
           } catch (const fault::injected_error&) {
             // Transient device failure (dev.alloc / dev.launch /
             // pipe.event): retire this chunk's pipeline for fresh device
-            // state, bounded retries — the streaming engine's policy.
-            if (attempt + 1 < kMaxDeviceAttempts) {
+            // state, bounded retries — the chunk runner's policy.
+            if (attempt + 1 < recovery::kMaxDeviceAttempts) {
               sl.evict(ci);
               ++attempt;
               continue;
@@ -818,7 +740,10 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
       const pipeline_metrics now = sl.total_metrics();
       std::lock_guard lock(merge_mu);
       out.records.insert(out.records.end(), local.begin(), local.end());
-      merge_pipeline_metrics(out.metrics, metrics_delta(now, sl.reported));
+      // Pipeline metrics accumulate over the pipeline's lifetime; a
+      // long-lived session reports per-query() deltas.
+      out.metrics.per_queue.push_back(now - sl.reported);
+      out.metrics.pipeline += out.metrics.per_queue.back();
       sl.reported = now;
       out.metrics.recovery.overflow_retries += overflow_retries;
       out.metrics.recovery.recovered_overflows += recovered;
@@ -854,16 +779,10 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
 search_outcome run_query(const genome_index& idx,
                          const std::vector<query_spec>& queries,
                          const engine_options& opt) {
-  obs::run_scope obs_guard(!opt.trace_out.empty() || !opt.metrics_json.empty());
-  fault::scope fault_guard(opt.faults);
+  run_scope run(opt);
   index_query_session session(idx, opt);
   search_outcome out = session.query(queries);
-  if (obs::enabled()) {
-    if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-    if (!opt.metrics_json.empty()) {
-      obs::metrics_registry::global().write_json(opt.metrics_json);
-    }
-  }
+  run.finish();
   return out;
 }
 

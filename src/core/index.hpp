@@ -119,7 +119,7 @@ void check_index_matches_source(const genome_index& idx,
 /// query() calls re-upload nothing while the working set fits (chunk_hits
 /// counts device-resident reuses, chunk_misses the uploads, chunk_evictions
 /// the budget-forced drops). Every query() runs ONE batched multi-query
-/// comparer launch per chunk.
+/// comparer launch per chunk (one per query when opt.batch_queries is off).
 ///
 /// With engine_options::num_devices > 1 the session shards its slots across
 /// a device_set (opt.num_queues slots PER device, slot s pinned to device
@@ -135,12 +135,11 @@ void check_index_matches_source(const genome_index& idx,
 /// locked individually for the duration of their chunk sweep, so concurrent
 /// calls interleave across slots but never race on residency state or on a
 /// pipeline's staged entries. Entry-buffer overflows recover with the
-/// streaming engine's bounded grow-retry policy (sticky per-slot capacity,
-/// seeded by the true demand the error round-trips) when
-/// opt.overflow_recovery is set; transient device faults retire the chunk's
-/// pipeline and retry, both within the engine's attempt bounds. The caller
-/// is responsible for obs/fault scoping (run_query below, the engine, or
-/// serve::server).
+/// engine's bounded grow-retry policy (core/recovery.hpp; sticky per-slot
+/// capacity, seeded by the true demand the error round-trips); transient
+/// device faults retire the chunk's pipeline and retry, both within the
+/// same attempt bounds. The caller is responsible for obs/fault scoping
+/// (run_query below, the engine, or serve::server).
 /// Trace context a caller threads through query(): when the serving layer
 /// coalesces N requests into one launch it passes the batch id here so the
 /// per-chunk comparer spans ("index.chunk.compare") carry it — Perfetto can

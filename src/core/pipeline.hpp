@@ -28,10 +28,8 @@ namespace cof {
 /// Recoverable entry-buffer overflow: a chunk produced more finder hits or
 /// comparer entries than the max_entries-capped allocation could hold. The
 /// kernels keep advancing the append counter past the capacity (only stores
-/// are clamped), so `required` round-trips the TRUE demand — the streaming
-/// engine sizes its retry from it, and the message reports it. run_search
-/// turns this into the historical fatal report; run_search_streaming
-/// retries the chunk with a grown capacity or splits it.
+/// are clamped), so `required` round-trips the TRUE demand — the engine
+/// sizes its retry from it (core/recovery.hpp), and the message reports it.
 class entry_overflow_error : public std::runtime_error {
  public:
   entry_overflow_error(std::string kernel, util::u64 required, util::u64 capacity)
@@ -80,13 +78,40 @@ struct pipeline_metrics {
   util::u64 d2h_bytes = 0;
   util::u64 total_loci = 0;       // finder hits across chunks
   util::u64 total_entries = 0;    // comparer entries across chunks/queries
+
+  /// Field-wise sum: folds another pipeline's (or a retired one's) lifetime
+  /// accounting into a running total.
+  pipeline_metrics& operator+=(const pipeline_metrics& o) {
+    kernel_nanos += o.kernel_nanos;
+    finder_launches += o.finder_launches;
+    comparer_launches += o.comparer_launches;
+    h2d_bytes += o.h2d_bytes;
+    d2h_bytes += o.d2h_bytes;
+    total_loci += o.total_loci;
+    total_entries += o.total_entries;
+    return *this;
+  }
+
+  /// Field-wise difference: the accounting accrued since the snapshot `o`
+  /// (a long-lived pipeline's per-call delta).
+  friend pipeline_metrics operator-(pipeline_metrics a, const pipeline_metrics& o) {
+    a.kernel_nanos -= o.kernel_nanos;
+    a.finder_launches -= o.finder_launches;
+    a.comparer_launches -= o.comparer_launches;
+    a.h2d_bytes -= o.h2d_bytes;
+    a.d2h_bytes -= o.d2h_bytes;
+    a.total_loci -= o.total_loci;
+    a.total_entries -= o.total_entries;
+    return a;
+  }
 };
 
 /// Completion handle for async pipeline operations. Both simulated runtimes
 /// execute kernels and copies synchronously inside the submitting call, so
-/// wait() is structurally where a real backend would block — the streaming
-/// engine calls it at the same points a production queue would require, and
-/// the pipe.event fault site models a completion failure surfacing there.
+/// wait() is structurally where a real backend would block — callers wait
+/// on a batched launch before fetching its entries, as a production queue
+/// would require, and the pipe.event fault site models a completion failure
+/// surfacing there.
 class pipe_event {
  public:
   void wait() const { fault::inject_point(fault::site::pipe_event); }
@@ -131,15 +156,6 @@ class device_pipeline {
     load_chunk(with_words(seq, words));
   }
 
-  /// Async upload: returns once the transfer is enqueued; the returned
-  /// event completes when the chunk is device-resident. The host storage
-  /// behind `ch` may be reused after the event completes. The default
-  /// forwards to load_chunk (the sim runtimes copy at submission).
-  virtual pipe_event load_chunk_async(const packed_chunk& ch) {
-    load_chunk(ch);
-    return {};
-  }
-
   /// Run the finder over the loaded chunk; hits stay device-resident.
   /// Returns the hit count.
   virtual u32 run_finder(const device_pattern& pat) = 0;
@@ -151,9 +167,7 @@ class device_pipeline {
   /// strands matched the PAM, 1 = forward only, 2 = reverse only). Length
   /// equals the last finder run's hit count. The index build phase persists
   /// these so warm queries can skip the finder entirely.
-  virtual std::vector<char> read_flags() {
-    throw std::logic_error(std::string(name()) + ": read_flags not implemented");
-  }
+  virtual std::vector<char> read_flags() = 0;
 
   /// Warm-path upload: load a chunk together with PREBUILT finder output
   /// (loci + strand flags from a genome_index) so subsequent comparer
@@ -182,11 +196,17 @@ class device_pipeline {
   /// Run the comparer for one query against the finder's hits.
   virtual entries run_comparer(const device_pattern& query, u16 threshold) = 0;
 
-  /// Run the comparer for every query in ONE pass. The default loops
-  /// run_comparer (per-query launches, as in the paper / upstream);
-  /// pipelines with a batched kernel override it.
-  virtual entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                                     const std::vector<u16>& thresholds) {
+  /// Every query's entries for the loaded chunk, each tagged with its query
+  /// index. Batched: ONE multi-query launch (launch_comparer_batch, then
+  /// fetch_entries). Otherwise one run_comparer launch per query, as in the
+  /// paper / upstream — what the per-query `comparer/<variant>` kernel
+  /// profiles measure.
+  entries run_comparers(const std::vector<device_pattern>& queries,
+                        const std::vector<u16>& thresholds, bool batched) {
+    if (batched) {
+      launch_comparer_batch(queries, thresholds).wait();
+      return fetch_entries();
+    }
     entries all;
     for (usize q = 0; q < queries.size(); ++q) {
       entries e = run_comparer(queries[q], thresholds[q]);
@@ -200,17 +220,15 @@ class device_pipeline {
 
   /// Split batched comparer: launch_comparer_batch starts the single
   /// multi-query launch (finder loci/flags are consumed device-side, no
-  /// host round trip); fetch_entries later downloads the entry list. This
-  /// is the deferred-download half of the async interface — the engine
-  /// launches chunk N's comparer, overlaps host work, then fetches.
-  /// Defaults stage run_comparer_batch's result so every facade (including
-  /// ones without a batched kernel) supports the split protocol.
+  /// host round trip); fetch_entries later downloads the entry list.
+  /// Pipelines with a batched kernel override both; the defaults stage the
+  /// per-query launches so every facade supports the protocol.
   virtual pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
                                            const std::vector<u16>& thresholds) {
     obs::span sp("comparer.batch", "device");
     sp.arg("queries", static_cast<double>(queries.size()));
     fault::inject_point(fault::site::dev_launch);
-    staged_ = run_comparer_batch(queries, thresholds);
+    staged_ = run_comparers(queries, thresholds, /*batched=*/false);
     staged_valid_ = true;
     return {};
   }

@@ -75,7 +75,8 @@ namespace cof::serve {
 
 struct server_options {
   /// Backend/variant/num_queues/max_entries/resident_bytes etc. for the
-  /// underlying index_query_session. overflow_recovery applies unchanged.
+  /// underlying index_query_session, whose overflow recovery applies
+  /// unchanged.
   engine_options engine;
   /// Micro-batching window: after the first request of a batch arrives the
   /// dispatcher keeps admitting for this long before launching. 0 = no

@@ -8,6 +8,10 @@
 #if COF_FIBER_TSAN
 #include <sanitizer/tsan_interface.h>
 #endif
+#if COF_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace xpu {
 
@@ -83,6 +87,28 @@ void tsan_switch_to(void*) {}
 void* tsan_recreate_fiber(void*) { return nullptr; }
 void tsan_retire_fiber(void*&) {}
 #endif
+
+// ASan: start_switch right before each switch names the stack being
+// entered; finish_switch right after it lands records the stack just left.
+// A fiber that is finishing passes a null fake-stack slot so ASan drops
+// its fake frames.
+#if COF_FIBER_ASAN
+void asan_start_switch(void** fake_stack, const void* bottom, usize size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+void asan_finish_switch(void* fake_stack, const void** bottom, usize* size) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom, size);
+}
+// A pooled stack keeps the poisoned redzones of the fiber that last ran on
+// it (it never unwound); clear them before the stack is reused.
+void asan_unpoison_stack(fiber_stack* stack) {
+  ASAN_UNPOISON_MEMORY_REGION(stack->base(), stack->size());
+}
+#else
+void asan_start_switch(void**, const void*, usize) {}
+void asan_finish_switch(void*, const void**, usize*) {}
+void asan_unpoison_stack(fiber_stack*) {}
+#endif
 }  // namespace
 
 #if COF_FIBER_TSAN
@@ -91,18 +117,23 @@ fiber::~fiber() {
 }
 #endif
 
+#if !COF_FIBER_UCONTEXT
+extern "C" void cof_ctx_switch(void** save_sp, void* load_sp);
+#endif
+
 // Runs the fiber body; reached via the first context switch into the fiber.
 void fiber_trampoline_dispatch() {
   fiber* f = tl_current_fiber;
+  asan_finish_switch(nullptr, &f->sched_bottom_, &f->sched_size_);
   f->entry_(f->arg_);
   f->done_ = true;
   // Final switch back to the scheduler; this fiber is never resumed again.
-#if COF_FIBER_UCONTEXT
-  // ucontext path returns via uc_link instead.
+  asan_start_switch(nullptr, f->sched_bottom_, f->sched_size_);
   tsan_switch_to(f->tsan_sched_);
-#else
-  fiber::yield();
+#if !COF_FIBER_UCONTEXT
+  cof_ctx_switch(&f->fiber_sp_, f->sched_sp_);
 #endif
+  // ucontext path: returning here resumes uc_link, the scheduler.
 }
 
 #if COF_FIBER_UCONTEXT
@@ -121,6 +152,9 @@ void fiber::start(fiber_stack* stack, entry_t entry, void* arg) {
   fiber_ctx_.uc_link = &sched_ctx_;
   makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(ucontext_entry), 0);
   tsan_fiber_ = tsan_recreate_fiber(tsan_fiber_);
+  stack_bottom_ = stack->base();
+  stack_size_ = stack->size();
+  asan_unpoison_stack(stack);
 }
 
 bool fiber::resume() {
@@ -128,8 +162,11 @@ bool fiber::resume() {
   fiber* prev = tl_current_fiber;
   tl_current_fiber = this;
   tsan_sched_ = tsan_current_fiber();
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, stack_bottom_, stack_size_);
   tsan_switch_to(tsan_fiber_);
   COF_CHECK(swapcontext(&sched_ctx_, &fiber_ctx_) == 0);
+  asan_finish_switch(fake_stack, nullptr, nullptr);
   tl_current_fiber = prev;
   if (done_) tsan_retire_fiber(tsan_fiber_);
   return done_;
@@ -138,13 +175,14 @@ bool fiber::resume() {
 void fiber::yield() {
   fiber* f = tl_current_fiber;
   COF_CHECK_MSG(f != nullptr, "fiber::yield outside a fiber");
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, f->sched_bottom_, f->sched_size_);
   tsan_switch_to(f->tsan_sched_);
   COF_CHECK(swapcontext(&f->fiber_ctx_, &f->sched_ctx_) == 0);
+  asan_finish_switch(fake_stack, &f->sched_bottom_, &f->sched_size_);
 }
 
 #else  // x86-64 fast path
-
-extern "C" void cof_ctx_switch(void** save_sp, void* load_sp);
 
 namespace {
 // Entered via `ret` from the first cof_ctx_switch into the fiber.
@@ -172,6 +210,9 @@ void fiber::start(fiber_stack* stack, entry_t entry, void* arg) {
   slots[6] = reinterpret_cast<util::u64>(&cof_fiber_trampoline);
   fiber_sp_ = slots;
   tsan_fiber_ = tsan_recreate_fiber(tsan_fiber_);
+  stack_bottom_ = stack->base();
+  stack_size_ = stack->size();
+  asan_unpoison_stack(stack);
 }
 
 bool fiber::resume() {
@@ -179,8 +220,11 @@ bool fiber::resume() {
   fiber* prev = tl_current_fiber;
   tl_current_fiber = this;
   tsan_sched_ = tsan_current_fiber();
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, stack_bottom_, stack_size_);
   tsan_switch_to(tsan_fiber_);
   cof_ctx_switch(&sched_sp_, fiber_sp_);
+  asan_finish_switch(fake_stack, nullptr, nullptr);
   tl_current_fiber = prev;
   if (done_) tsan_retire_fiber(tsan_fiber_);
   return done_;
@@ -189,8 +233,11 @@ bool fiber::resume() {
 void fiber::yield() {
   fiber* f = tl_current_fiber;
   COF_CHECK_MSG(f != nullptr, "fiber::yield outside a fiber");
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, f->sched_bottom_, f->sched_size_);
   tsan_switch_to(f->tsan_sched_);
   cof_ctx_switch(&f->fiber_sp_, f->sched_sp_);
+  asan_finish_switch(fake_stack, &f->sched_bottom_, &f->sched_size_);
 }
 
 #endif

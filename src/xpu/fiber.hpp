@@ -33,6 +33,17 @@
 #endif
 #endif
 
+// AddressSanitizer likewise has to be told which stack is live across a
+// switch (__sanitizer_start/finish_switch_fiber), or it treats the fiber
+// stack as a wild range and reports barrier kernels' locals as overflows.
+#if defined(__SANITIZE_ADDRESS__)
+#define COF_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COF_FIBER_ASAN 1
+#endif
+#endif
+
 namespace xpu {
 
 /// A reusable fiber stack (mmap'd, with a PROT_NONE guard page at the low
@@ -109,6 +120,11 @@ class fiber {
   bool done_ = false;
   void* tsan_fiber_ = nullptr;  // __tsan_create_fiber context (TSan builds)
   void* tsan_sched_ = nullptr;  // scheduler thread's context during resume()
+  // ASan builds: this fiber's stack, and the scheduler stack it returns to.
+  const void* stack_bottom_ = nullptr;
+  util::usize stack_size_ = 0;
+  const void* sched_bottom_ = nullptr;
+  util::usize sched_size_ = 0;
 };
 
 }  // namespace xpu

@@ -21,7 +21,8 @@ TEST(BatchComparer, MatchesPerQueryResults) {
   auto g = batch_genome(81);
   auto cfg = parse_input(example_input("<mem>"));
   auto per_query = run_search(
-      cfg, g, {.backend = backend_kind::sycl, .max_chunk = 16384});
+      cfg, g,
+      {.backend = backend_kind::sycl, .max_chunk = 16384, .batch_queries = false});
   auto batched = run_search(cfg, g,
                             {.backend = backend_kind::sycl,
                              .max_chunk = 16384,
@@ -34,7 +35,8 @@ TEST(BatchComparer, OneComparerLaunchPerChunk) {
   auto cfg = parse_input(example_input("<mem>"));
   ASSERT_EQ(cfg.queries.size(), 3u);
   auto per_query = run_search(
-      cfg, g, {.backend = backend_kind::sycl, .max_chunk = 16384});
+      cfg, g,
+      {.backend = backend_kind::sycl, .max_chunk = 16384, .batch_queries = false});
   auto batched = run_search(cfg, g,
                             {.backend = backend_kind::sycl,
                              .max_chunk = 16384,
@@ -53,7 +55,8 @@ TEST(BatchComparer, AmortisesLociFlagLoads) {
                     .variant = comparer_variant::base,
                     .max_chunk = 16384,
                     .counting = true,
-                    .profiler = &per_q});
+                    .profiler = &per_q,
+                    .batch_queries = false});
   (void)run_search(cfg, g,
                    {.backend = backend_kind::sycl,
                     .variant = comparer_variant::base,

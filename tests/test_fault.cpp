@@ -595,7 +595,9 @@ TEST(ShardFaults, IndexSessionMigratesOffADeadDevice) {
   EXPECT_GE(faulted_s.device_migrations(), 1u);
   // The survivor owns every resident chunk now.
   for (const auto& d : faulted_s.device_residency()) {
-    if (!d.alive) EXPECT_EQ(d.resident_bytes, 0u);
+    if (!d.alive) {
+      EXPECT_EQ(d.resident_bytes, 0u);
+    }
   }
 }
 

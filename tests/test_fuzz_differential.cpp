@@ -1,10 +1,18 @@
-// Differential fuzzing: random genomes (with N-gaps), random IUPAC PAM
-// patterns, random degenerate queries and thresholds — every device backend
-// must agree with the serial reference bit-for-bit, across chunkings and
-// work-group sizes. This is the repository's broadest invariant.
+// Differential fuzzing: random genomes (with N-gaps, an empty record and a
+// record ending exactly on a chunk boundary), random IUPAC PAM patterns,
+// random degenerate queries and thresholds — every entry point (in-memory,
+// streamed from FASTA, warm index) on every device backend, in both launch
+// modes, must agree with the serial reference bit-for-bit, across chunkings
+// and work-group sizes. This is the repository's broadest invariant.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include <unistd.h>
+
+#include <filesystem>
+
+#include "core/engine_stream.hpp"
+#include "core/index.hpp"
+#include "genome/fasta.hpp"
 #include "genome/iupac.hpp"
 #include "util/rng.hpp"
 
@@ -78,41 +86,90 @@ fuzz_case make_case(util::u64 seed) {
   fc.max_chunk = 1500 + rng.next_below(20000);
   const usize wgs[] = {0, 16, 64, 128, 256};
   fc.wg = wgs[rng.next_below(5)];
+
+  // A record ending exactly on a chunk boundary (max_chunk plus k whole
+  // strides, the carried overlap alone left at EOF) and an empty record,
+  // each at a random position among the others.
+  const usize stride = fc.max_chunk - (plen - 1);
+  genome::chromosome exact;
+  exact.name = "exact";
+  exact.seq.resize(fc.max_chunk + rng.next_below(3) * stride);
+  for (auto& b : exact.seq) b = "ACGT"[rng.next_below(4)];
+  genome::chromosome empty;
+  empty.name = "empty";
+  for (genome::chromosome* extra : {&exact, &empty}) {
+    const auto at = rng.next_below(fc.g.chroms.size() + 1);
+    fc.g.chroms.insert(fc.g.chroms.begin() + static_cast<std::ptrdiff_t>(at),
+                       std::move(*extra));
+  }
   return fc;
 }
 
+/// The case's genome as a FASTA file for the streamed entry point.
+struct temp_fasta {
+  std::string path;
+  explicit temp_fasta(const genome::genome_t& g, int seed)
+      : path((std::filesystem::temp_directory_path() /
+              ("cof_fuzz_" + std::to_string(::getpid()) + "_" +
+               std::to_string(seed) + ".fa"))
+                 .string()) {
+    genome::write_fasta_file(path, g.chroms);
+  }
+  ~temp_fasta() { std::filesystem::remove(path); }
+};
+
 class Differential : public ::testing::TestWithParam<int> {};
 
-TEST_P(Differential, AllBackendsMatchSerial) {
+TEST_P(Differential, EveryEntryPointMatchesSerial) {
   const auto fc = make_case(static_cast<util::u64>(GetParam()));
   const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
+  const temp_fasta fasta(fc.g, GetParam());
   for (auto backend : {backend_kind::opencl, backend_kind::sycl,
-                       backend_kind::sycl_usm}) {
+                       backend_kind::sycl_usm, backend_kind::sycl_twobit}) {
     engine_options opt{.backend = backend,
                        .wg_size = fc.wg,
                        .max_chunk = fc.max_chunk};
-    const auto r = run_search(fc.cfg, fc.g, opt);
-    ASSERT_EQ(r.records, serial.records)
-        << backend_name(backend) << " seed=" << GetParam()
-        << " pattern=" << fc.cfg.pattern << " chunk=" << fc.max_chunk
-        << " wg=" << fc.wg;
+    const genome_index idx = build_index(fc.g, fc.cfg.pattern, opt);
+    for (const bool batched : {true, false}) {
+      opt.batch_queries = batched;
+      const auto where = [&](const char* entry) {
+        return std::string(entry) + " " + backend_name(backend) +
+               (batched ? " batched" : " per-query") +
+               " seed=" + std::to_string(GetParam()) + " pattern=" +
+               fc.cfg.pattern + " chunk=" + std::to_string(fc.max_chunk) +
+               " wg=" + std::to_string(fc.wg);
+      };
+      ASSERT_EQ(run_search(fc.cfg, fc.g, opt).records, serial.records)
+          << where("in-memory");
+      ASSERT_EQ(run_search_streaming(fc.cfg, fasta.path, opt).records,
+                serial.records)
+          << where("streamed");
+      ASSERT_EQ(run_query(idx, fc.cfg.queries, opt).records, serial.records)
+          << where("warm");
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range(1, 17));
 
+// Both launch modes, so the per-query kernels of opt1..opt4 (which have no
+// batched twin) stay fuzzed now that batched launches are the default.
 class DifferentialVariants : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialVariants, VariantsMatchSerial) {
   const auto fc = make_case(static_cast<util::u64>(GetParam()) + 1000);
   const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
   for (int v = 0; v < kNumComparerVariants; ++v) {
-    engine_options opt{.backend = backend_kind::sycl,
-                       .variant = static_cast<comparer_variant>(v),
-                       .max_chunk = fc.max_chunk};
-    const auto r = run_search(fc.cfg, fc.g, opt);
-    ASSERT_EQ(r.records, serial.records)
-        << "variant " << v << " seed=" << GetParam();
+    for (const bool batched : {true, false}) {
+      engine_options opt{.backend = backend_kind::sycl,
+                         .variant = static_cast<comparer_variant>(v),
+                         .max_chunk = fc.max_chunk,
+                         .batch_queries = batched};
+      const auto r = run_search(fc.cfg, fc.g, opt);
+      ASSERT_EQ(r.records, serial.records)
+          << "variant " << v << (batched ? " batched" : " per-query")
+          << " seed=" << GetParam();
+    }
   }
 }
 

@@ -408,11 +408,6 @@ TEST(IndexQuery, WarmQueryRecoversFromUndersizedEntryCap) {
   const auto repeat = session.query(c.cfg.queries);
   EXPECT_EQ(repeat.records, expected);
   EXPECT_EQ(repeat.metrics.recovery.overflow_retries, 0u);
-
-  cof::engine_options fatal = tight;
-  fatal.overflow_recovery = false;
-  cof::index_query_session dying(idx, fatal);
-  EXPECT_THROW((void)dying.query(c.cfg.queries), cof::entry_overflow_error);
 }
 
 /// index.chunk.hit/miss land in the metrics registry even when tracing is

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/engine_stream.hpp"
+#include "core/index.hpp"
 #include "genome/fasta.hpp"
 #include "genome/synth.hpp"
 #include "json_compat.hpp"
@@ -512,6 +513,73 @@ INSTANTIATE_TEST_SUITE_P(AllFacades, FacadeTrace,
                                            backend_kind::sycl_twobit,
                                            backend_kind::opencl));
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// run_search runs the in-memory genome through the streaming runner, so a
+/// traced run carries the runner's span names.
+TEST(ObsEngine, TracedRunSearchEmitsStreamingSpans) {
+  temp_dir dir;
+  const auto g = obs_genome();
+  auto cfg = parse_input(example_input("<mem>"));
+  engine_options opt;
+  opt.backend = backend_kind::sycl;
+  opt.max_chunk = 8192;
+  opt.trace_out = (dir.path / "trace.json").string();
+  const auto out = run_search(cfg, g, opt);
+  ASSERT_FALSE(out.records.empty());
+  const jvalue doc = parse_json(slurp(opt.trace_out));
+  for (const char* name : {"decode", "queue.pop", "finder", "comparer.batch",
+                           "format", "spill", "merge"}) {
+    EXPECT_FALSE(events_named(doc, name).empty()) << "missing span '" << name << "'";
+  }
+}
+
+/// The serial reference shares the run epilogue: its metrics snapshot and
+/// trace are written like every device run's.
+TEST(ObsEngine, SerialRunSearchWritesTraceAndMetrics) {
+  temp_dir dir;
+  const auto g = obs_genome();
+  auto cfg = parse_input(example_input("<mem>"));
+  engine_options opt;
+  opt.backend = backend_kind::serial;
+  opt.trace_out = (dir.path / "trace.json").string();
+  opt.metrics_json = (dir.path / "metrics.json").string();
+  (void)run_search(cfg, g, opt);
+  ASSERT_TRUE(std::filesystem::exists(opt.metrics_json));
+  ASSERT_TRUE(std::filesystem::exists(opt.trace_out));
+  EXPECT_TRUE(parse_json(slurp(opt.metrics_json)).has("counters"));
+  EXPECT_TRUE(parse_json(slurp(opt.trace_out)).has("traceEvents"));
+}
+
+/// A counting warm query folds its kernel profiles into the trace, like
+/// run_search's warm branch: kernel/<name>/... counter tracks.
+TEST(ObsEngine, RunQueryTraceCarriesKernelTracks) {
+  temp_dir dir;
+  const auto g = obs_genome();
+  auto cfg = parse_input(example_input("<mem>"));
+  engine_options opt;
+  opt.backend = backend_kind::sycl;
+  opt.max_chunk = 8192;
+  const genome_index idx = build_index(g, cfg.pattern, opt);
+  prof::profiler profiler;
+  opt.counting = true;
+  opt.profiler = &profiler;
+  opt.trace_out = (dir.path / "trace.json").string();
+  const auto out = run_query(idx, cfg.queries, opt);
+  ASSERT_FALSE(out.records.empty());
+  ASSERT_FALSE(profiler.kernels().empty());
+  const jvalue doc = parse_json(slurp(opt.trace_out));
+  for (const auto& [kernel, profile] : profiler.kernels()) {
+    EXPECT_FALSE(events_named(doc, "kernel/" + kernel + "/launches").empty())
+        << "missing kernel track for " << kernel;
+  }
+}
+
 TEST(ObsEngine, UntracedRunLeavesSubsystemDisabled) {
   temp_dir dir;
   const auto g = obs_genome();
@@ -552,12 +620,6 @@ TEST(ObsEngine, BackToBackTracedRunsExportIndependentFiles) {
   const auto r2 = run_search_streaming(cfg, fasta, opt);
   EXPECT_EQ(r1.records, r2.records);
 
-  auto slurp = [](const std::string& p) {
-    std::ifstream in(p);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
   const jvalue m1 = parse_json(slurp((dir.path / "m1.json").string()));
   const jvalue m2 = parse_json(slurp((dir.path / "m2.json").string()));
   // Identical runs, independent registries: the second snapshot's chunk

@@ -5,6 +5,7 @@
 
 #include "core/engine.hpp"
 #include "genome/synth.hpp"
+#include "oclsim/cl_objects.hpp"
 
 namespace {
 
@@ -152,7 +153,8 @@ TEST(Pipelines, CountingModeMatchesDirectResults) {
                           .variant = comparer_variant::base,
                           .max_chunk = 8192,
                           .counting = true,
-                          .profiler = &prof};
+                          .profiler = &prof,
+                          .batch_queries = false};
   auto rd = run_search(cfg, g, direct);
   auto rc = run_search(cfg, g, counting);
   EXPECT_EQ(rd.records, rc.records);
@@ -168,10 +170,57 @@ TEST(Pipelines, OclCountingAlsoRecords) {
                      .variant = comparer_variant::base,
                      .max_chunk = 8192,
                      .counting = true,
-                     .profiler = &prof};
+                     .profiler = &prof,
+                     .batch_queries = false};
   auto r = run_search(cfg, g, opt);
   EXPECT_GT(prof.get("comparer/base").events[prof::ev::work_item], 0u);
   EXPECT_GT(prof.get("comparer/base").launches, 0u);
+}
+
+/// An overflowing launch must not leak its own buffers: once the pipeline
+/// is destroyed, the OpenCL object census is back where it started. The
+/// entry.clamp fault forces the overflow at the finder (its first capacity
+/// check), or at the first per-query comparer or the batched comparer's
+/// fetch (the second).
+TEST(Pipelines, OclOverflowLeaksNoLaunchBuffers) {
+  auto g = small_genome(11, 20000);
+  auto cfg = small_config();
+  const device_pattern pat = make_pattern(cfg.pattern);
+  std::vector<device_pattern> queries;
+  std::vector<u16> thresholds;
+  for (const auto& q : cfg.queries) {
+    queries.push_back(make_query(q.seq));
+    thresholds.push_back(q.max_mismatches);
+  }
+  const std::string_view chunk(g.chroms[0].seq);
+  struct overflow_case {
+    const char* kernel;
+    const char* plan;
+    bool batched;
+  };
+  (void)make_opencl_pipeline({});  // any lazily built runtime state
+  for (const auto variant : {comparer_variant::base, comparer_variant::opt6}) {
+    for (const auto& c :
+         {overflow_case{"finder", "entry.clamp=hit:1", false},
+          overflow_case{"comparer", "entry.clamp=hit:2", false},
+          overflow_case{"comparer/batch", "entry.clamp=hit:2", true}}) {
+      const long before = oclsim::census::live().load();
+      {
+        fault::scope faults(c.plan);
+        auto pipe = make_opencl_pipeline({.variant = variant});
+        pipe->load_chunk(chunk);
+        EXPECT_THROW(
+            {
+              (void)pipe->run_finder(pat);
+              (void)pipe->run_comparers(queries, thresholds, c.batched);
+            },
+            entry_overflow_error)
+            << c.kernel;
+      }
+      EXPECT_EQ(oclsim::census::live().load(), before)
+          << c.kernel << " overflow on " << comparer_variant_name(variant);
+    }
+  }
 }
 
 TEST(Pipelines, PlantedRecallAllMismatchLevels) {

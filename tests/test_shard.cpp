@@ -177,6 +177,23 @@ INSTANTIATE_TEST_SUITE_P(Backends, ShardSweep,
                                            cof::backend_kind::sycl_usm,
                                            cof::backend_kind::sycl_twobit));
 
+/// run_search drives the same runner, so it shards the in-memory genome too:
+/// two devices, one consumer each, return the one-device records.
+TEST_P(ShardSweep, InMemoryRunSearchMatchesOneDevice) {
+  auto g = shard_genome(303);
+  const auto cfg = cof::parse_input(cof::example_input("<mem>"));
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 6, 2, 304);
+  cof::engine_options opt{.backend = GetParam(), .max_chunk = 5000};
+  const auto one = cof::run_search(cfg, g, opt);
+  ASSERT_FALSE(one.records.empty());
+  opt.num_devices = 2;
+  const auto two = cof::run_search(cfg, g, opt);
+  EXPECT_EQ(two.records, one.records);
+  EXPECT_EQ(two.metrics.chunks, one.metrics.chunks);
+  EXPECT_EQ(two.metrics.per_queue.size(), 2u);
+}
+
 /// Both assignment policies converge on the same canonical record stream.
 TEST(ShardPolicySweep, LeastLoadedMatchesRoundRobin) {
   temp_dir dir;

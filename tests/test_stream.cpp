@@ -249,11 +249,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Range(1, 9));
 
 namespace {
 
-/// The async pipeline (decode overlap + single batched comparer launch +
-/// deferred downloads + pool-side formatting) must be bit-identical to the
-/// synchronous per-query loop, including chrom bookkeeping and chunk-boundary
-/// overlap sites.
-TEST(StreamingAsync, MatchesSynchronousLoop) {
+/// The runner's two launch modes (one batched comparer launch per chunk
+/// with a deferred download, or the paper's per-query launches) must be
+/// bit-identical, including chrom bookkeeping and chunk-boundary overlap
+/// sites, and both must match the in-memory search.
+TEST(StreamingAsync, BatchedMatchesPerQueryLaunches) {
   temp_dir dir;
   auto g = stream_genome(64);
   auto cfg = cof::parse_input(cof::example_input("<file>"));
@@ -262,24 +262,24 @@ TEST(StreamingAsync, MatchesSynchronousLoop) {
   const auto file = dir.path / "g.fa";
   genome::write_fasta_file(file.string(), g.chroms);
 
-  cof::engine_options async_opt{.backend = cof::backend_kind::sycl,
-                                .max_chunk = 7000};
-  async_opt.stream_async = true;
-  cof::engine_options sync_opt = async_opt;
-  sync_opt.stream_async = false;
+  cof::engine_options batched_opt{.backend = cof::backend_kind::sycl,
+                                  .max_chunk = 7000};
+  cof::engine_options per_query_opt = batched_opt;
+  per_query_opt.batch_queries = false;
 
-  const auto a = cof::run_search_streaming(cfg, file.string(), async_opt);
-  const auto s = cof::run_search_streaming(cfg, file.string(), sync_opt);
+  const auto a = cof::run_search_streaming(cfg, file.string(), batched_opt);
+  const auto s = cof::run_search_streaming(cfg, file.string(), per_query_opt);
   EXPECT_EQ(a.records, s.records);
+  EXPECT_EQ(a.records, cof::run_search(cfg, g, batched_opt).records);
   EXPECT_EQ(a.chrom_names, s.chrom_names);
   EXPECT_EQ(a.streamed_bases, s.streamed_bases);
   EXPECT_EQ(a.metrics.chunks, s.metrics.chunks);
   EXPECT_EQ(a.peak_chunk_bytes, s.peak_chunk_bytes);
 }
 
-/// Per-chunk comparer launches drop from num_queries to exactly 1 on the
-/// async path: for every chunk with finder hits, the sync loop launches once
-/// per query, the async path once total.
+/// Per-chunk comparer launches drop from num_queries to exactly 1 in the
+/// batched mode: for every chunk with finder hits, per-query mode launches
+/// once per query, batched mode once total.
 TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
   temp_dir dir;
   auto g = stream_genome(65);
@@ -289,13 +289,12 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
   genome::write_fasta_file(file.string(), g.chroms);
 
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
-  opt.stream_async = true;
   const auto a = cof::run_search_streaming(cfg, file.string(), opt);
-  opt.stream_async = false;
+  opt.batch_queries = false;
   const auto s = cof::run_search_streaming(cfg, file.string(), opt);
 
-  // Both paths chunk identically, so chunks-with-hits agree; the async count
-  // is one launch per such chunk, the sync count num_queries per chunk.
+  // Both modes chunk identically, so chunks-with-hits agree; the batched
+  // count is one launch per such chunk, the per-query count num_queries.
   EXPECT_EQ(a.metrics.pipeline.comparer_launches * cfg.queries.size(),
             s.metrics.pipeline.comparer_launches);
   EXPECT_LE(a.metrics.pipeline.comparer_launches, a.metrics.chunks);
@@ -304,8 +303,8 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
 }
 
 /// Every device backend must produce the serial reference's records through
-/// the async streaming path (exercises the batched launch/fetch protocol of
-/// each facade: buffer SYCL, USM, OpenCL comparer_multi, twobit fallback).
+/// the streamed path (exercises the batched launch/fetch protocol of each
+/// facade: buffer SYCL, USM, OpenCL comparer_multi, twobit fallback).
 class StreamBackends : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
@@ -320,7 +319,6 @@ TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
   const auto reference =
       cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
   cof::engine_options opt{.backend = GetParam(), .max_chunk = 9000};
-  opt.stream_async = true;
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
   EXPECT_EQ(streamed.records, reference.records);
 }
@@ -331,8 +329,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, StreamBackends,
                                            cof::backend_kind::sycl_usm,
                                            cof::backend_kind::sycl_twobit));
 
-/// Chunk-boundary site straddling a chunk edge must survive the async path's
-/// overlap carry (same planted-site setup as the synchronous boundary test).
+/// Chunk-boundary site straddling a chunk edge must survive the streamed
+/// overlap carry (same planted-site setup as the in-memory boundary test).
 TEST(StreamingAsync, SiteAtExactChunkBoundary) {
   temp_dir dir;
   genome::genome_t g;
@@ -345,7 +343,6 @@ TEST(StreamingAsync, SiteAtExactChunkBoundary) {
   auto cfg = cof::parse_input(cof::example_input("<file>"));
   cof::engine_options opt{.backend = cof::backend_kind::sycl,
                           .max_chunk = chunk_size};
-  opt.stream_async = true;
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
   bool found = false;
   for (const auto& rec : streamed.records) {
@@ -366,7 +363,8 @@ namespace {
 /// chunk boundary. The streaming reader used to emit the carried overlap as
 /// a degenerate trailing chunk — bases already scanned as the tail of the
 /// previous chunk — inflating metrics.chunks past the in-memory chunker's
-/// count. Both streaming paths must now match genome::make_chunks exactly.
+/// count. The FASTA source must match genome::make_chunks exactly, in both
+/// launch modes.
 class StreamBoundary : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
@@ -391,13 +389,13 @@ TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
 
   const auto mem =
       cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
-  for (const bool async : {false, true}) {
+  for (const bool batched : {false, true}) {
     cof::engine_options opt{.backend = GetParam(), .max_chunk = chunk_size};
-    opt.stream_async = async;
+    opt.batch_queries = batched;
     const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
-    EXPECT_EQ(streamed.metrics.chunks, chunks.size()) << "async=" << async;
-    EXPECT_EQ(streamed.streamed_bases, len) << "async=" << async;
-    EXPECT_EQ(streamed.records, mem.records) << "async=" << async;
+    EXPECT_EQ(streamed.metrics.chunks, chunks.size()) << "batched=" << batched;
+    EXPECT_EQ(streamed.streamed_bases, len) << "batched=" << batched;
+    EXPECT_EQ(streamed.records, mem.records) << "batched=" << batched;
   }
 }
 
@@ -409,9 +407,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, StreamBoundary,
 
 /// An entry buffer sized below the hit count overflows; the kernel counter
 /// keeps advancing past the capacity (only stores are dropped), so the host
-/// learns the true demand. The streaming engine now RECOVERS: the chunk is
-/// retried with a grown allocation and the results must be byte-identical
-/// to worst-case sizing. With recovery disabled it stays a clean error.
+/// learns the true demand. The engine RECOVERS: the chunk is retried with a
+/// grown allocation and the results must be byte-identical to worst-case
+/// sizing.
 class StreamOverflow : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamOverflow, UndersizedEntryBufferRecovers) {
@@ -430,33 +428,28 @@ TEST_P(StreamOverflow, UndersizedEntryBufferRecovers) {
   EXPECT_EQ(worst.metrics.recovery.overflow_retries, 0u);
 }
 
-TEST_P(StreamOverflow, UndersizedEntryBufferThrowsWithRecoveryOff) {
-  temp_dir dir;
-  auto g = stream_genome(67);
-  auto cfg = cof::parse_input(cof::example_input("<file>"));
-  const auto file = dir.path / "g.fa";
-  genome::write_fasta_file(file.string(), g.chroms);
-  cof::engine_options opt{.backend = GetParam(), .max_chunk = 9000};
-  opt.max_entries = 2;
-  opt.overflow_recovery = false;
-  EXPECT_THROW((void)cof::run_search_streaming(cfg, file.string(), opt),
-               cof::entry_overflow_error);
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, StreamOverflow,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
                                            cof::backend_kind::sycl_usm,
                                            cof::backend_kind::sycl_twobit));
 
-/// The non-streamed engine path checks the same capacity.
-TEST(StreamOverflow, RunSearchUndersizedEntryBufferDies) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+/// The in-memory entry point runs the same runner, so it recovers the same
+/// way: identical records to worst-case sizing, in both launch modes.
+TEST_P(StreamOverflow, RunSearchUndersizedEntryBufferRecovers) {
   auto g = stream_genome(69);
   auto cfg = cof::parse_input(cof::example_input("<synth>"));
-  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
-  opt.max_entries = 2;
-  EXPECT_DEATH((void)cof::run_search(cfg, g, opt), "entry-buffer overflow");
+  for (const bool batched : {false, true}) {
+    cof::engine_options opt{.backend = GetParam(),
+                            .max_chunk = 9000,
+                            .batch_queries = batched};
+    const auto worst = cof::run_search(cfg, g, opt);
+    opt.max_entries = 2;
+    const auto capped = cof::run_search(cfg, g, opt);
+    EXPECT_EQ(capped.records, worst.records) << "batched=" << batched;
+    EXPECT_GE(capped.metrics.recovery.overflow_retries, 1u);
+    EXPECT_GE(capped.metrics.recovery.recovered_overflows, 1u);
+  }
 }
 
 /// A max_entries cap that is merely generous (above the actual hit count but
@@ -491,24 +484,27 @@ TEST_P(StreamMultiQueue, ByteIdenticalForAnyQueueCount) {
 
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 5000};
   const auto mem = cof::run_search(cfg, g, opt);
-  opt.stream_async = false;
-  const auto sync = cof::run_search_streaming(cfg, file.string(), opt);
-  opt.stream_async = true;
   opt.num_queues = GetParam();
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
 
   EXPECT_EQ(streamed.records, mem.records);
-  EXPECT_EQ(streamed.chrom_names, sync.chrom_names);
-  EXPECT_EQ(streamed.metrics.chunks, sync.metrics.chunks);
+  std::vector<std::string> names;
+  for (const auto& c : g.chroms) names.push_back(c.name);
+  EXPECT_EQ(streamed.chrom_names, names);
+  EXPECT_EQ(streamed.metrics.chunks,
+            genome::make_chunks(g, opt.max_chunk, cfg.pattern.size() - 1).size());
   ASSERT_EQ(streamed.metrics.per_queue.size(), GetParam());
   EXPECT_EQ(streamed.total_records, streamed.records.size());
   EXPECT_GE(streamed.spill_runs, 1u);
   ASSERT_FALSE(streamed.records.empty());
-  // Bounded-memory accounting: the async path holds at most one formatted
-  // batch per queue at a time, so its peak must undercut the sync loop's
-  // whole accumulated record set.
+  // Bounded-memory accounting: the runner holds at most one formatted batch
+  // per queue at a time, so its peak must undercut the whole record set.
+  util::usize total_record_bytes = 0;
+  for (const auto& r : streamed.records) {
+    total_record_bytes += sizeof(cof::ot_record) + r.site.size();
+  }
   EXPECT_GT(streamed.peak_record_bytes, 0u);
-  EXPECT_LT(streamed.peak_record_bytes, sync.peak_record_bytes);
+  EXPECT_LT(streamed.peak_record_bytes, total_record_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Queues, StreamMultiQueue,
@@ -538,14 +534,15 @@ TEST(StreamingSearch, RecordSinkReceivesCanonicalRecords) {
   EXPECT_EQ(streamed.total_records, sunk.size());
   EXPECT_EQ(sunk, mem.records);
 
-  opt.stream_async = false;
+  opt.batch_queries = false;
   opt.num_queues = 1;
-  std::vector<cof::ot_record> sunk_sync;
+  std::vector<cof::ot_record> sunk_per_query;
   const auto s = cof::run_search_streaming(
-      cfg, file.string(), opt,
-      [&sunk_sync](cof::ot_record&& r) { sunk_sync.push_back(std::move(r)); });
+      cfg, file.string(), opt, [&sunk_per_query](cof::ot_record&& r) {
+        sunk_per_query.push_back(std::move(r));
+      });
   EXPECT_TRUE(s.records.empty());
-  EXPECT_EQ(sunk_sync, mem.records);
+  EXPECT_EQ(sunk_per_query, mem.records);
 }
 
 }  // namespace

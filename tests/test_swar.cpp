@@ -621,8 +621,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{backend_kind::sycl_twobit, 2},
                       std::pair{backend_kind::sycl_twobit, 4}));
 
-// The batched multi-query comparer (comparer_multi_opt6) runs when
-// batch_queries is set; it must agree with the per-query path.
+// The batched multi-query comparer (comparer_multi_opt6) runs unless
+// batch_queries is cleared; it must agree with the per-query path.
 TEST(SwarEngine, BatchedQueriesMatchUnbatched) {
   auto g = swar_genome(72);
   auto cfg = parse_input(example_input("<mem>"));
@@ -631,7 +631,8 @@ TEST(SwarEngine, BatchedQueriesMatchUnbatched) {
         backend_kind::sycl_twobit}) {
     engine_options plain{.backend = backend,
                          .variant = comparer_variant::opt6,
-                         .max_chunk = 8192};
+                         .max_chunk = 8192,
+                         .batch_queries = false};
     engine_options batched = plain;
     batched.batch_queries = true;
     const auto want = run_search(cfg, g, plain);
@@ -698,6 +699,7 @@ TEST(SwarEngine, CountingRunMatchesAndCountsSwarOps) {
   engine_options counting = plain;
   counting.counting = true;
   counting.profiler = &p;
+  counting.batch_queries = false;  // per-query launches: comparer/opt6
   const auto want = run_search(cfg, g, plain);
   const auto got = run_search(cfg, g, counting);
   EXPECT_EQ(got.records, want.records);
