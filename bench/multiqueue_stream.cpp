@@ -250,11 +250,10 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(faulted.best_nanos),
           bps(faulted.best_nanos), fault_overhead_pct,
           fault_identical ? "identical" : "DIVERGED");
-      std::printf("  recovery: %llu overflow retries, %llu chunk splits, "
-                  "%llu recovered overflows, %llu spill retries\n",
+      std::printf("  recovery: %llu overflow retries, %llu recovered "
+                  "overflows, %llu spill retries\n",
                   static_cast<unsigned long long>(
                       faulted.recovery.overflow_retries),
-                  static_cast<unsigned long long>(faulted.recovery.chunk_splits),
                   static_cast<unsigned long long>(
                       faulted.recovery.recovered_overflows),
                   static_cast<unsigned long long>(
@@ -367,14 +366,13 @@ int main(int argc, char** argv) {
           "  \"fault\": {\"plan\": \"%s\", \"failed\": false, "
           "\"best_nanos\": %llu, \"bases_per_s\": %.0f, "
           "\"overhead_pct\": %.2f, \"identical\": %s, "
-          "\"overflow_retries\": %llu, \"chunk_splits\": %llu, "
+          "\"overflow_retries\": %llu, "
           "\"recovered_overflows\": %llu, \"spill_retries\": %llu},\n",
           fault_plan.c_str(),
           static_cast<unsigned long long>(faulted.best_nanos),
           bps(faulted.best_nanos), fault_overhead_pct,
           fault_identical ? "true" : "false",
           static_cast<unsigned long long>(faulted.recovery.overflow_retries),
-          static_cast<unsigned long long>(faulted.recovery.chunk_splits),
           static_cast<unsigned long long>(faulted.recovery.recovered_overflows),
           static_cast<unsigned long long>(faulted.recovery.spill_retries));
     }

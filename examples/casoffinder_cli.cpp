@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                           "histograms) as JSON", "");
   cli.opt("max-entries", "cap per-chunk device entry allocations (0 = "
                          "worst-case sizing); runs recover from an "
-                         "undersized cap by retrying/splitting", "0");
+                         "undersized cap by retrying with a grown cap", "0");
   cli.opt("fault", "fault-injection plan, e.g. "
                    "'spill.write=hit:1,dev.launch=prob:0.01:7' "
                    "(sites: dev.alloc dev.launch pipe.event queue.push "
@@ -384,7 +384,7 @@ int main(int argc, char** argv) {
       util::die(e.what());
     }
     const auto& rec = streamed.metrics.recovery;
-    if (rec.overflow_retries + rec.chunk_splits + rec.spill_retries != 0 ||
+    if (rec.overflow_retries + rec.spill_retries != 0 ||
         streamed.used_index) {
       std::string index_part;
       if (streamed.used_index) {
@@ -396,10 +396,9 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(streamed.index_chunk_hits));
       }
       std::fprintf(stderr,
-                   "recovery: %llu overflow retries, %llu chunk splits, "
-                   "%llu recovered overflows, %llu spill retries%s\n",
+                   "recovery: %llu overflow retries, %llu recovered "
+                   "overflows, %llu spill retries%s\n",
                    static_cast<unsigned long long>(rec.overflow_retries),
-                   static_cast<unsigned long long>(rec.chunk_splits),
                    static_cast<unsigned long long>(rec.recovered_overflows),
                    static_cast<unsigned long long>(rec.spill_retries),
                    index_part.c_str());

@@ -44,6 +44,17 @@ std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
   }
 }
 
+void append_records(const device_pipeline::entries& e, std::string_view text, u32 chrom,
+                    u64 start, const std::vector<device_pattern>& queries,
+                    std::vector<ot_record>& out) {
+  for (usize i = 0; i < e.size(); ++i) {
+    const device_pattern& q = queries[e.qidx[i]];
+    out.push_back(ot_record{e.qidx[i], chrom, start + e.loci[i], e.dir[i], e.mm[i],
+                            make_site_string(q.seq, text.substr(e.loci[i], q.plen),
+                                             e.dir[i])});
+  }
+}
+
 run_scope::run_scope(const engine_options& opt)
     : opt_(opt),
       obs_(!opt.trace_out.empty() || !opt.metrics_json.empty()),

@@ -58,24 +58,20 @@ struct engine_options {
   /// Cap on per-chunk device entry allocations (see
   /// pipeline_options::max_entries). 0 = worst-case sizing (never
   /// overflows). A chunk that overflows a too-small cap is retried with a
-  /// grown capacity, or split in half (core/recovery.hpp).
+  /// grown capacity (core/recovery.hpp).
   usize max_entries = 0;
   /// Non-empty: enable the obs subsystem for this run and write a Chrome
   /// trace-event JSON (Perfetto / chrome://tracing loadable) of the run's
   /// spans and counter tracks to this path. Empty (default): tracing stays
   /// off and every probe is a single relaxed atomic load.
-  std::string trace_out;
+  std::string trace_out{};
   /// Non-empty: enable the obs subsystem and write the metrics-registry
   /// snapshot (counters / gauges / latency histograms) as JSON to this path.
-  std::string metrics_json;
+  std::string metrics_json{};
   /// Fault-injection plan for this run ("site=mode[,site=mode...]"; see
   /// fault/fault.hpp). Applied on top of the COF_FAULT environment variable.
   /// Empty (default): nothing armed beyond COF_FAULT.
-  std::string faults;
-  /// Overflow recovery: retry capacities never grow past this many entries;
-  /// once a retry would exceed it the chunk is split in half instead
-  /// (bounded-memory guarantee). 0 = no cap (grow to worst case, no splits).
-  usize max_retry_entries = 0;
+  std::string faults{};
   /// Warm query path: total device-residency budget (bytes) an
   /// index_query_session may pin across its slots. Each slot keeps a
   /// multi-chunk resident set (chunk text + candidate loci/flags stay on
@@ -92,13 +88,12 @@ struct engine_options {
   /// .cofidx file at this path if it exists (cache hit), otherwise build the
   /// index from the input genome and persist it here (cache miss), then
   /// answer the queries against it.
-  std::string index_path;
+  std::string index_path{};
 };
 
 /// Overflow/fault recovery accounting for one run.
 struct recovery_metrics {
   util::u64 overflow_retries = 0;     // chunk re-runs with a grown capacity
-  util::u64 chunk_splits = 0;         // chunks split in half after an overflow
   util::u64 recovered_overflows = 0;  // overflows that ended in a clean chunk
   util::u64 spill_retries = 0;        // spill writes retried after a failure
 };
@@ -134,6 +129,13 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
 /// profiler, with its entry allocations capped at `max_entries`.
 std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
                                                usize max_entries);
+
+/// Append one chunk's comparer entries to `out` as records: the chunk is
+/// `text`, at offset `start` of chromosome `chrom`, and each entry's qidx
+/// indexes `queries`.
+void append_records(const device_pipeline::entries& e, std::string_view text, u32 chrom,
+                    u64 start, const std::vector<device_pattern>& queries,
+                    std::vector<ot_record>& out);
 
 /// Per-run scoping shared by every engine entry point: enables the obs
 /// subsystem when opt asks for a trace or metrics file and arms opt.faults

@@ -194,10 +194,9 @@ std::string spill_path(usize queue_index) {
 // to sort_and_dedup over an in-memory record set, for any queue count.
 //
 // Failure model (core/recovery.hpp): a chunk whose max_entries-capped
-// allocation overflows is retried with a grown capacity or split in half
-// when growing would exceed max_retry_entries; transient device faults
-// rebuild the queue's pipeline and retry; spill-write failures retry with
-// backoff. A queue hand-off that waits kQueueTimeout reports a stall.
+// allocation overflows is retried with a grown capacity; transient device
+// faults rebuild the queue's pipeline and retry; spill-write failures retry
+// with backoff. A queue hand-off that waits kQueueTimeout reports a stall.
 // Anything unrecoverable wins the first-failure race, closes the queue, and
 // is rethrown after the join — spill files are removed on unwind, so a
 // failed run never leaves partial output.
@@ -217,26 +216,10 @@ std::string spill_path(usize queue_index) {
 struct stream_chunk {
   std::string text;
   /// The producer's swar_pack(text) when the pipelines read packed words;
-  /// empty for the other variants and for recovery split halves, which
-  /// upload_view packs on the consumer.
+  /// empty for the other variants.
   std::optional<swar_ref> words;
   util::u64 start = 0;
   u32 chrom_index = 0;
-};
-
-/// `ch` as a pipeline uploads it. Packs here only when the producer's words
-/// are missing (a split half) and the pipeline needs them.
-packed_chunk upload_view(stream_chunk& ch, const device_pipeline& pipe) {
-  if (pipe.packs_words() && !ch.words) ch.words = swar_pack(ch.text);
-  return {ch.text, ch.words ? &*ch.words : nullptr};
-}
-
-/// A chunk awaiting (re-)processing on a queue's recovery work stack.
-/// `overflowed` marks chunks that already hit an entry overflow, so a later
-/// clean completion counts as a recovery (split halves inherit the mark).
-struct work_item {
-  stream_chunk ch;
-  bool overflowed = false;
 };
 
 /// A bounded-queue push or pop that waits this long reports a stall
@@ -250,7 +233,6 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   util::thread_pool& pool = util::thread_pool::global();
 
   const device_pattern pat = make_pattern(cfg.pattern);
-  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
   std::vector<device_pattern> dev_queries;
   std::vector<u16> thresholds;
   dev_queries.reserve(cfg.queries.size());
@@ -365,7 +347,6 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   };
 
   std::atomic<u64> overflow_retries{0};
-  std::atomic<u64> chunk_splits{0};
   std::atomic<u64> recovered_overflows{0};
   std::atomic<u64> spill_retries{0};
   std::atomic<u64> shard_reassigns{0};
@@ -454,16 +435,13 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     }
   };
 
-  // Mark st's device dead and hand its pending work to the survivors.
-  // False when none survive or a hand-off failed — the caller rethrows the
-  // original error and the run fails cleanly.
-  auto degrade = [&](queue_state& st, std::vector<work_item>& work) {
+  // Mark st's device dead and hand the chunk in hand (if any) to the
+  // survivors. False when none survive or the hand-off failed — the caller
+  // rethrows the original error and the run fails cleanly.
+  auto degrade = [&](queue_state& st, stream_chunk* in_hand) {
     if (ndev <= 1 || devs.mark_failed(st.device) == 0) return false;
     dev_queues[st.device]->close();
-    while (!work.empty()) {
-      if (!reassign(std::move(work.back().ch))) return false;
-      work.pop_back();
-    }
+    if (in_hand != nullptr && !reassign(std::move(*in_hand))) return false;
     st.device_gone = true;
     return true;
   };
@@ -482,13 +460,12 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
       } catch (const fault::injected_error&) {
         // Dead on arrival. With survivors the run degrades (the producer
         // routes around the closed queue); alone, the run fails.
-        std::vector<work_item> none;
-        if (!degrade(st, none)) throw;
+        if (!degrade(st, nullptr)) throw;
       }
-      stream_chunk ch;
       while (!st.device_gone) {
         if (failed.load(std::memory_order_acquire)) break;
         if (!devs.alive(st.device)) break;  // a sibling marked it dead
+        stream_chunk ch;  // freed when this iteration ends
         u64 t0 = util::process_nanos();
         util::wait_status got;
         bool stolen = false;
@@ -525,139 +502,94 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
         LOG_DEBUG("stream chunk@%llu: %zu bases",
                   static_cast<unsigned long long>(ch.start), ch.text.size());
 
-        // Device phase with overflow/fault recovery: the work stack holds
-        // the chunk — and, after a split, its halves — still to process.
-        std::vector<work_item> work;
-        work.push_back(work_item{std::move(ch), false});
-        while (!work.empty() && !st.device_gone) {
-          work_item item = std::move(work.back());
-          work.pop_back();
-          for (usize attempt = 0;; ++attempt) {
-            t0 = util::process_nanos();
-            try {
-              st.pipe->load_chunk(upload_view(item.ch, *st.pipe));
-              const u32 hits = st.pipe->run_finder(pat);
-              device_pipeline::entries entries;
-              if (hits != 0) {
-                entries = st.pipe->run_comparers(dev_queries, thresholds,
-                                                 opt.batch_queries);
+        // Device phase with overflow/fault recovery for the chunk in hand.
+        // `overflowed` marks a chunk that already hit an entry overflow, so
+        // its clean completion counts as a recovery.
+        bool overflowed = false;
+        for (usize attempt = 0;; ++attempt) {
+          t0 = util::process_nanos();
+          try {
+            st.pipe->load_chunk(packed_chunk{ch.text, ch.words ? &*ch.words : nullptr});
+            const u32 hits = st.pipe->run_finder(pat);
+            device_pipeline::entries entries;
+            if (hits != 0) {
+              entries =
+                  st.pipe->run_comparers(dev_queries, thresholds, opt.batch_queries);
+            }
+            const u64 device_ns = util::process_nanos() - t0;
+            st.device_ns += device_ns;
+            if (m_device != nullptr) m_device->observe(device_ns / 1000);
+            if (overflowed) recovered_overflows.fetch_add(1, std::memory_order_relaxed);
+            if (entries.size() != 0) {
+              // Record formatting + spilling runs on the pool, off the
+              // device critical path. Chained per queue: wait out the
+              // previous job so the spill writer stays single-owner and at
+              // most one batch (plus the chunk text it slices) is held per
+              // queue.
+              const u64 w0 = util::process_nanos();
+              {
+                obs::span sp("format.wait", "stream");
+                format_job.wait();
               }
-              const u64 device_ns = util::process_nanos() - t0;
-              st.device_ns += device_ns;
-              if (m_device != nullptr) m_device->observe(device_ns / 1000);
-              if (item.overflowed) {
-                recovered_overflows.fetch_add(1, std::memory_order_relaxed);
-              }
-              if (entries.size() != 0) {
-                // Record formatting + spilling runs on the pool, off the
-                // device critical path. Chained per queue: wait out the
-                // previous job so the spill writer stays single-owner and
-                // at most one batch (plus the chunk text it slices) is held
-                // per queue.
-                const u64 w0 = util::process_nanos();
-                {
-                  obs::span sp("format.wait", "stream");
-                  format_job.wait();
-                }
-                st.wait_ns += util::process_nanos() - w0;
-                format_job = pool.submit_job(
-                    [text = std::move(item.ch.text), ent = std::move(entries),
-                     chrom = item.ch.chrom_index, start = item.ch.start,
-                     writer = st.writer.get(), &dev_queries, plen = pat.plen,
-                     stp = &st, m_format, &spill_retries, &record_failure] {
-                      // Pool jobs may not throw: a spill that keeps failing
-                      // past its retries fails the run via record_failure.
-                      try {
-                        const u64 f0 = util::process_nanos();
-                        obs::span sp("format", "stream");
-                        sp.arg("entries", static_cast<double>(ent.size()));
-                        std::vector<ot_record> batch;
-                        batch.reserve(ent.size());
-                        for (usize e = 0; e < ent.size(); ++e) {
-                          const u32 qi = ent.qidx[e];
-                          const std::string_view slice(text.data() + ent.loci[e],
-                                                       plen);
-                          batch.push_back(ot_record{
-                              qi, chrom, start + ent.loci[e], ent.dir[e],
-                              ent.mm[e],
-                              make_site_string(dev_queries[qi].seq, slice,
-                                               ent.dir[e])});
-                        }
-                        // spill() rolls back to the previous run boundary on
-                        // failure and leaves the batch intact — retry it.
-                        recovery::with_spill_retries(
-                            [&] { writer->spill(batch); }, spill_retries);
-                        const u64 format_ns = util::process_nanos() - f0;
-                        stp->format_ns += format_ns;
-                        if (m_format != nullptr) {
-                          m_format->observe(format_ns / 1000);
-                        }
-                      } catch (...) {
-                        record_failure(std::current_exception());
-                      }
-                    });
-              }
-              break;  // chunk done
-            } catch (const entry_overflow_error& e) {
-              st.device_ns += util::process_nanos() - t0;
-              if (attempt + 1 >= recovery::kMaxOverflowAttempts) throw;
-              obs::span sp("recover.retry", "stream");
-              sp.arg("required", static_cast<double>(e.required()));
-              sp.arg("capacity", static_cast<double>(e.capacity()));
-              item.overflowed = true;
-              const usize cur = st.cur_max_entries;
-              usize grown = recovery::grown_capacity(
-                  cur, e, item.ch.text.size(), dev_queries.size());
-              if (opt.max_retry_entries != 0 && grown > opt.max_retry_entries) {
-                // Splitting halves the demand instead of growing the
-                // allocation past the cap (the bounded-memory guarantee).
-                // The left half keeps the plen-1 overlap past the cut so
-                // straddling sites stay covered; the duplicates the overlap
-                // re-scan produces are dropped by the merge.
-                const usize mid = item.ch.text.size() / 2;
-                if (mid > 0 && mid + overlap < item.ch.text.size()) {
-                  obs::span ssp("recover.split", "stream");
-                  ssp.arg("bases", static_cast<double>(item.ch.text.size()));
-                  chunk_splits.fetch_add(1, std::memory_order_relaxed);
-                  work_item right;
-                  right.overflowed = true;
-                  right.ch.text = item.ch.text.substr(mid);
-                  right.ch.start = item.ch.start + mid;
-                  right.ch.chrom_index = item.ch.chrom_index;
-                  item.ch.text.resize(mid + overlap);
-                  item.ch.words.reset();
-                  work.push_back(std::move(right));
-                  work.push_back(std::move(item));
-                  break;  // halves re-enter via the work stack
-                }
-                grown = std::min(grown, opt.max_retry_entries);
-                if (grown <= cur) throw;  // can neither grow nor split
-              }
-              if (grown > cur) {
-                st.cur_max_entries = grown;
+              st.wait_ns += util::process_nanos() - w0;
+              format_job = pool.submit_job(
+                  [text = std::move(ch.text), ent = std::move(entries),
+                   chrom = ch.chrom_index, start = ch.start, writer = st.writer.get(),
+                   &dev_queries, stp = &st, m_format, &spill_retries,
+                   &record_failure] {
+                    // Pool jobs may not throw: a spill that keeps failing
+                    // past its retries fails the run via record_failure.
+                    try {
+                      const u64 f0 = util::process_nanos();
+                      obs::span sp("format", "stream");
+                      sp.arg("entries", static_cast<double>(ent.size()));
+                      std::vector<ot_record> batch;
+                      batch.reserve(ent.size());
+                      append_records(ent, text, chrom, start, dev_queries, batch);
+                      // spill() rolls back to the previous run boundary on
+                      // failure and leaves the batch intact — retry it.
+                      recovery::with_spill_retries([&] { writer->spill(batch); },
+                                                   spill_retries);
+                      const u64 format_ns = util::process_nanos() - f0;
+                      stp->format_ns += format_ns;
+                      if (m_format != nullptr) m_format->observe(format_ns / 1000);
+                    } catch (...) {
+                      record_failure(std::current_exception());
+                    }
+                  });
+            }
+            break;  // chunk done
+          } catch (const entry_overflow_error& e) {
+            st.device_ns += util::process_nanos() - t0;
+            const usize cap = recovery::retry_capacity(
+                attempt, st.cur_max_entries, e, ch.text.size(), dev_queries.size());
+            obs::span sp("recover.retry", "stream");
+            sp.arg("required", static_cast<double>(e.required()));
+            sp.arg("capacity", static_cast<double>(e.capacity()));
+            overflowed = true;
+            if (cap != st.cur_max_entries) {
+              st.cur_max_entries = cap;
+              rebuild(st);
+            }
+            overflow_retries.fetch_add(1, std::memory_order_relaxed);
+          } catch (const fault::injected_error&) {
+            // Transient device failure (dev.alloc / dev.launch /
+            // pipe.event): fresh device state, bounded retries. Past the
+            // bound — or when the replacement pipeline won't even build —
+            // the device is marked dead and the chunk handed to the
+            // survivors; with none left the run fails cleanly.
+            st.device_ns += util::process_nanos() - t0;
+            bool rebuilt = false;
+            if (attempt + 1 < recovery::kMaxDeviceAttempts) {
+              try {
                 rebuild(st);
+                rebuilt = true;
+              } catch (const fault::injected_error&) {
               }
-              overflow_retries.fetch_add(1, std::memory_order_relaxed);
-            } catch (const fault::injected_error&) {
-              // Transient device failure (dev.alloc / dev.launch /
-              // pipe.event): fresh device state, bounded retries. Past the
-              // bound — or when the replacement pipeline won't even build —
-              // the device is marked dead and its pending work handed to
-              // the survivors; with none left the run fails cleanly.
-              st.device_ns += util::process_nanos() - t0;
-              bool rebuilt = false;
-              if (attempt + 1 < recovery::kMaxDeviceAttempts) {
-                try {
-                  rebuild(st);
-                  rebuilt = true;
-                } catch (const fault::injected_error&) {
-                }
-              }
-              if (!rebuilt) {
-                work.push_back(std::move(item));
-                if (!degrade(st, work)) throw;
-                break;  // device_gone: the while loops unwind
-              }
+            }
+            if (!rebuilt) {
+              if (!degrade(st, &ch)) throw;
+              break;  // device_gone: the consumer loop unwinds
             }
           }
         }
@@ -815,7 +747,6 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   out.shard_reassigns = shard_reassigns.load();
 
   out.metrics.recovery.overflow_retries = overflow_retries.load();
-  out.metrics.recovery.chunk_splits = chunk_splits.load();
   out.metrics.recovery.recovered_overflows = recovered_overflows.load();
   out.metrics.recovery.spill_retries = spill_retries.load();
 
@@ -843,7 +774,6 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     reg.counter("stream.records").add(out.total_records);
     reg.counter("recover.overflow_retries")
         .add(out.metrics.recovery.overflow_retries);
-    reg.counter("recover.chunk_splits").add(out.metrics.recovery.chunk_splits);
     reg.counter("recover.recovered_overflows")
         .add(out.metrics.recovery.recovered_overflows);
     reg.counter("recover.spill_retries")

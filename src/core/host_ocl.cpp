@@ -864,7 +864,10 @@ constexpr cl_mem_flags kConstIn = CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR;
 class opencl_pipeline final : public device_pipeline {
  public:
   explicit opencl_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt), opt_(opt) {
+      : device_pipeline(opt, "opencl",
+                        {"finder", comparer_tag(opt.variant),
+                         comparer_variant_packs_words(opt.variant) ? "comparer/batch-opt6"
+                                                                   : "comparer/batch"}) {
     COF_CHECK(kKernelsRegistered);
     // Steps 1-3 of Table I: platform query, device query, context creation.
     cl_uint n = 0;
@@ -909,22 +912,70 @@ class opencl_pipeline final : public device_pipeline {
     if (ctx_ != nullptr) clReleaseContext(ctx_);
   }
 
-  const char* name() const override { return "opencl"; }
-
-  void load_chunk(const packed_chunk& ch) override {
-    upload(ch, cap_entries(ch.text.size()));
+ private:
+  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
+  /// the two word arrays under opt6.
+  usize chunk_bytes(usize bases) const override {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
   }
 
-  u32 run_finder(const device_pattern& pat) override {
-    obs::span sp("finder", "device");
-    fault::inject_point(fault::site::dev_launch);
-    plen_ = pat.plen;
-    if (chunk_len_ < pat.plen) {
-      locicnt_ = 0;
-      return 0;
+  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
+  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
+              std::span<const char> flags) override {
+    release_chunk();
+    cl_int err;
+    // Step 5 + 11: memory objects, host-to-device transfer.
+    chr_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, ch.text.size(),
+                          const_cast<char*>(ch.text.data()), &err);
+    COF_CL_CHECK(err);
+    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
+    COF_CL_CHECK(err);
+    if (packs_words()) {
+      // opt6: the producer's 2-bit words + ambiguity flags.
+      const swar_ref& words = words_of(ch);
+      chr2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                             words.packed2.size() * sizeof(u64),
+                             const_cast<u64*>(words.packed2.data()), &err);
+      COF_CL_CHECK(err);
+      amb2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                             words.amb2.size() * sizeof(u64),
+                             const_cast<u64*>(words.amb2.data()), &err);
+      COF_CL_CHECK(err);
     }
-    const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
-    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
+    alloc_hits(hit_cap);
+    if (!loci.empty()) {
+      COF_CL_CHECK(clEnqueueWriteBuffer(q_, loci_, CL_TRUE, 0, loci.size() * sizeof(u32),
+                                        loci.data(), 0, nullptr, nullptr));
+      COF_CL_CHECK(clEnqueueWriteBuffer(q_, flag_, CL_TRUE, 0, flags.size(), flags.data(),
+                                        0, nullptr, nullptr));
+    }
+  }
+
+  void alloc_hits(usize cap) override {
+    if (loci_ != nullptr) clReleaseMemObject(loci_);
+    if (flag_ != nullptr) clReleaseMemObject(flag_);
+    const usize loci_n = std::max<usize>(1, cap);
+    cl_int err;
+    loci_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n * sizeof(u32), nullptr,
+                           &err);
+    COF_CL_CHECK(err);
+    flag_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n, nullptr, &err);
+    COF_CL_CHECK(err);
+  }
+
+  void read_hits(u32 n, u32* loci, char* flags) override {
+    if (loci != nullptr) {
+      COF_CL_CHECK(clEnqueueReadBuffer(q_, loci_, CL_TRUE, 0, n * sizeof(u32), loci, 0,
+                                       nullptr, nullptr));
+    }
+    if (flags != nullptr) {
+      COF_CL_CHECK(
+          clEnqueueReadBuffer(q_, flag_, CL_TRUE, 0, n, flags, 0, nullptr, nullptr));
+    }
+  }
+
+  launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) override {
     // Under opt5/opt6 the device sees the u16 deny LUTs instead of the chars.
     const usize pat_bytes =
         use_mask() ? pat.mask.size() * sizeof(u16) : pat.device_chars();
@@ -933,12 +984,12 @@ class opencl_pipeline final : public device_pipeline {
         use_mask() ? static_cast<const void*>(pat.mask_data()) : pat.data());
     cl_mem idxm =
         launch_buffer(kConstIn, pat.index.size() * sizeof(i32), pat.index_data());
-    metrics_.h2d_bytes += pat_bytes + pat.index.size() * sizeof(i32);
-    zero_counter();
+    count_h2d(pat_bytes + pat.index.size() * sizeof(i32));
+    zero_counter(count_);
 
     // Step 9: kernel arguments.
     const u32 plen = pat.plen;
-    const u32 loci_cap = static_cast<u32>(loci_cap_);
+    const u32 loci_cap = static_cast<u32>(cap);
     usize items = chrsize;
     if (packs_words()) {
       // finder_opt6: words in, no local memory, 32 start positions per item.
@@ -968,71 +1019,44 @@ class opencl_pipeline final : public device_pipeline {
           clSetKernelArg(finder_k_, 10, pat.index.size() * sizeof(i32), nullptr));
     }
 
-    locicnt_ = enqueue_and_count(finder_k_, items, "finder");
+    const util::u64 nanos = enqueue(finder_k_, items);
+    const u32 n = read_counter(count_);
     release_launch();
-    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
-    metrics_.total_loci += locicnt_;
-    ++metrics_.finder_launches;
-    sp.arg("hits", static_cast<double>(locicnt_));
-    return locicnt_;
+    return {n, nanos};
   }
 
-  std::vector<u32> read_loci() override {
-    std::vector<u32> out(locicnt_);
-    if (locicnt_ != 0) {
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, loci_, CL_TRUE, 0, locicnt_ * sizeof(u32),
-                                       out.data(), 0, nullptr, nullptr));
-      metrics_.d2h_bytes += locicnt_ * sizeof(u32);
+  /// Steps 5 + 9: one query's comparer buffers and arguments, then the
+  /// launch, the downloads that fit, and the release of every buffer the
+  /// launch created.
+  launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
+                               usize cap, entries& out) override {
+    cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
+    cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
+    cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
+    if (packs_words()) {
+      set_comparer_swar_args(query, threshold, locicnt, cap, mmm, dirm, mlocim);
+    } else {
+      set_comparer_args(query, threshold, locicnt, cap, mmm, dirm, mlocim);
     }
-    return out;
-  }
+    zero_counter(count_);
 
-  std::vector<char> read_flags() override {
-    std::vector<char> out(locicnt_);
-    if (locicnt_ != 0) {
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, flag_, CL_TRUE, 0, locicnt_, out.data(),
-                                       0, nullptr, nullptr));
-      metrics_.d2h_bytes += locicnt_;
+    const util::u64 nanos = enqueue(comparer_k_, locicnt);
+    const u32 n = read_counter(count_);
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      COF_CL_CHECK(clEnqueueReadBuffer(q_, mmm, CL_TRUE, 0, n * sizeof(u16),
+                                       out.mm.data(), 0, nullptr, nullptr));
+      COF_CL_CHECK(clEnqueueReadBuffer(q_, dirm, CL_TRUE, 0, n, out.dir.data(), 0,
+                                       nullptr, nullptr));
+      COF_CL_CHECK(clEnqueueReadBuffer(q_, mlocim, CL_TRUE, 0, n * sizeof(u32),
+                                       out.loci.data(), 0, nullptr, nullptr));
     }
-    return out;
+    release_launch();
+    return {n, nanos};
   }
 
-  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
-                          const std::vector<u32>& loci,
-                          const std::vector<char>& flags) override {
-    obs::span sp("h2d.index_chunk", "device");
-    sp.arg("hits", static_cast<double>(loci.size()));
-    // A warm chunk never runs the finder: its hit arrays hold exactly the
-    // prebuilt hits (run_finder regrows them if it ever does).
-    upload(ch, loci.size());
-    detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 cap_entries(chunk_len_));
-    const u32 n = static_cast<u32>(loci.size());
-    if (n != 0) {
-      COF_CL_CHECK(clEnqueueWriteBuffer(q_, loci_, CL_TRUE, 0, n * sizeof(u32),
-                                        loci.data(), 0, nullptr, nullptr));
-      COF_CL_CHECK(clEnqueueWriteBuffer(q_, flag_, CL_TRUE, 0, n, flags.data(), 0,
-                                        nullptr, nullptr));
-      metrics_.h2d_bytes += hit_bytes(n);
-    }
-    locicnt_ = n;
-    plen_ = plen;
-    metrics_.total_loci += n;
-  }
-
-  usize indexed_chunk_bytes(usize bases, usize hits) const override {
-    return chunk_bytes(bases) + hit_bytes(hits);
-  }
-
-  entries run_comparer(const device_pattern& query, u16 threshold) override {
-    obs::span sp("comparer", "device");
-    entries out;
-    if (locicnt_ == 0) return out;
-    COF_CHECK_MSG(query.plen == plen_, "query length != pattern length");
-    if (opt_.variant == comparer_variant::opt6) {
-      return run_comparer_swar(query, threshold);
-    }
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
+  void set_comparer_args(const device_pattern& query, u16 threshold, u32 locicnt,
+                         usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
     const usize comp_bytes =
         use_mask() ? query.mask.size() * sizeof(u16) : query.device_chars();
     cl_mem compm = launch_buffer(
@@ -1040,14 +1064,10 @@ class opencl_pipeline final : public device_pipeline {
         use_mask() ? static_cast<const void*>(query.mask_data()) : query.data());
     cl_mem cidxm = launch_buffer(kConstIn, query.index.size() * sizeof(i32),
                                  query.index_data());
-    cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
-    cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
-    cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
-    metrics_.h2d_bytes += comp_bytes + query.index.size() * sizeof(i32);
-    zero_counter();
+    count_h2d(comp_bytes + query.index.size() * sizeof(i32));
 
     const u32 plen = query.plen;
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr_));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &loci_));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &compm));
@@ -1064,33 +1084,23 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 13, comp_bytes, nullptr));
     COF_CL_CHECK(
         clSetKernelArg(comparer_k_, 14, query.index.size() * sizeof(i32), nullptr));
-
-    const std::string tag =
-        std::string("comparer/") + comparer_variant_name(opt_.variant);
-    const u32 n = enqueue_and_count(comparer_k_, locicnt_, tag);
-    return read_entries(n, cap, mmm, dirm, mlocim);
   }
 
   /// opt6: SWAR comparer. clSetKernelArg marshals the per-word deny masks
   /// (and the opt5 LUTs for the ambiguity fallback) against comparer_opt6's
   /// registered signature; the enqueue picks the lane-batched native body
   /// up automatically when profiling is off.
-  entries run_comparer_swar(const device_pattern& query, u16 threshold) {
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
+  void set_comparer_swar_args(const device_pattern& query, u16 threshold, u32 locicnt,
+                              usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
     cl_mem cswarm = launch_buffer(kConstIn, query.swar.size() * sizeof(u64),
                                   query.swar_data());
     cl_mem cmaskm = launch_buffer(kConstIn, query.mask.size() * sizeof(u16),
                                   query.mask_data());
-    cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
-    cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
-    cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
-    metrics_.h2d_bytes +=
-        query.swar.size() * sizeof(u64) + query.mask.size() * sizeof(u16);
-    zero_counter();
+    count_h2d(query.swar.size() * sizeof(u64) + query.mask.size() * sizeof(u16));
 
     const u32 plen = query.plen;
     const u32 swar_words = query.swar_words;
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr_));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &chr2_));
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &amb2_));
@@ -1111,70 +1121,14 @@ class opencl_pipeline final : public device_pipeline {
         clSetKernelArg(comparer_k_, 16, query.swar.size() * sizeof(u64), nullptr));
     COF_CL_CHECK(
         clSetKernelArg(comparer_k_, 17, query.mask.size() * sizeof(u16), nullptr));
-
-    const u32 n = enqueue_and_count(comparer_k_, locicnt_, "comparer/opt6");
-    return read_entries(n, cap, mmm, dirm, mlocim);
-  }
-
-  /// Steps 11 + 13 of a per-query comparer: download the `n` entries when
-  /// they fit the `cap`-entry outputs, release the launch's buffers, and
-  /// only then report an overflow, so an overflowing launch leaks nothing.
-  entries read_entries(u32 n, usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
-    entries out;
-    if (n != 0 && n <= cap) {
-      out.mm.resize(n);
-      out.dir.resize(n);
-      out.loci.resize(n);
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, mmm, CL_TRUE, 0, n * sizeof(u16),
-                                       out.mm.data(), 0, nullptr, nullptr));
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, dirm, CL_TRUE, 0, n, out.dir.data(), 0,
-                                       nullptr, nullptr));
-      COF_CL_CHECK(clEnqueueReadBuffer(q_, mlocim, CL_TRUE, 0, n * sizeof(u32),
-                                       out.loci.data(), 0, nullptr, nullptr));
-      metrics_.d2h_bytes += n * (sizeof(u16) + 1 + sizeof(u32));
-    }
-    release_launch();
-    detail::check_entry_capacity("comparer", n, cap);
-    ++metrics_.comparer_launches;
-    metrics_.total_entries += n;
-    return out;
   }
 
   /// Batched comparer, launch half: one comparer_multi enqueue consumes the
   /// finder's device-resident loci/flag buffers for every query. Output
   /// buffers (incl. a dedicated entry counter, so the shared counter stays
-  /// free for the next finder) stay staged until fetch_entries.
-  pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
-                                   const std::vector<u16>& thresholds) override {
-    obs::span sp("comparer.batch", "device");
-    sp.arg("queries", static_cast<double>(queries.size()));
-    fault::inject_point(fault::site::dev_launch);
+  /// free for the next finder) stay staged until read_batch.
+  util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
     release_batch();
-    batch_staged_ = true;
-    if (locicnt_ == 0 || queries.empty()) return {};  // fetch yields empty
-    COF_CHECK(queries.size() == thresholds.size());
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    COF_CHECK_MSG(plen == plen_, "query length != pattern length");
-    if (opt_.variant == comparer_variant::opt6) {
-      launch_batch_swar(queries, thresholds);
-      return {};
-    }
-
-    std::string comp_all;
-    std::vector<i32> cidx_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      comp_all += q.fwrc;
-      cidx_all.insert(cidx_all.end(), q.index.begin(), q.index.end());
-    }
-
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
-    batch_cap_ = cap;
-    cl_mem compm = launch_buffer(kConstIn, comp_all.size(), comp_all.data());
-    cl_mem cidxm =
-        launch_buffer(kConstIn, cidx_all.size() * sizeof(i32), cidx_all.data());
-    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), thresholds.data());
     cl_int err;
     batch_mm_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
                                &err);
@@ -1189,14 +1143,27 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(err);
     batch_count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
     COF_CL_CHECK(err);
-    metrics_.h2d_bytes +=
-        comp_all.size() + cidx_all.size() * sizeof(i32) + nq * sizeof(u16);
-    const u32 zero = 0;
-    COF_CL_CHECK(clEnqueueWriteBuffer(q_, batch_count_, CL_TRUE, 0, sizeof(u32),
-                                      &zero, 0, nullptr, nullptr));
-    metrics_.h2d_bytes += sizeof(u32);
+    if (packs_words()) {
+      set_batch_swar_args(b, locicnt, cap);
+    } else {
+      set_batch_args(b, locicnt, cap);
+    }
+    zero_counter(batch_count_);
 
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt_));
+    const util::u64 nanos = enqueue(comparer_multi_k_, locicnt);
+    release_launch();
+    return nanos;
+  }
+
+  void set_batch_args(const query_batch& b, u32 locicnt, usize cap) {
+    const u32 nq = b.queries;
+    const u32 plen = b.plen;
+    cl_mem compm = launch_buffer(kConstIn, b.chars.size(), b.chars.data());
+    cl_mem cidxm = launch_buffer(kConstIn, b.index.size() * sizeof(i32), b.index.data());
+    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), b.thresholds);
+    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + nq * sizeof(u16));
+
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr_));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &loci_));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &flag_));
@@ -1212,60 +1179,24 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 13, sizeof(cl_mem), &batch_count_));
     const u32 entry_cap = static_cast<u32>(cap);
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 14, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, comp_all.size(), nullptr));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, b.chars.size(), nullptr));
     COF_CL_CHECK(
-        clSetKernelArg(comparer_multi_k_, 16, cidx_all.size() * sizeof(i32), nullptr));
-
-    enqueue_profiled(comparer_multi_k_, locicnt_, "comparer/batch");
-    release_launch();
-    ++metrics_.comparer_launches;
-    return {};
+        clSetKernelArg(comparer_multi_k_, 16, b.index.size() * sizeof(i32), nullptr));
   }
 
-  /// Batched comparer, opt6 launch: comparer_multi_opt6 over the
-  /// concatenated per-query SWAR deny masks and ambiguity-fallback LUTs.
-  void launch_batch_swar(const std::vector<device_pattern>& queries,
-                         const std::vector<u16>& thresholds) {
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    const u32 swar_words = queries.front().swar_words;
-    std::vector<u64> swar_all;
-    std::vector<u16> cmask_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      swar_all.insert(swar_all.end(), q.swar.begin(), q.swar.end());
-      cmask_all.insert(cmask_all.end(), q.mask.begin(), q.mask.end());
-    }
+  /// Batched comparer, opt6: comparer_multi_opt6 over the concatenated
+  /// per-query SWAR deny masks and ambiguity-fallback LUTs.
+  void set_batch_swar_args(const query_batch& b, u32 locicnt, usize cap) {
+    const u32 nq = b.queries;
+    const u32 plen = b.plen;
+    const u32 swar_words = b.swar_words;
+    cl_mem cswarm = launch_buffer(kConstIn, b.swar.size() * sizeof(u64), b.swar.data());
+    cl_mem cmaskm = launch_buffer(kConstIn, b.mask.size() * sizeof(u16), b.mask.data());
+    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), b.thresholds);
+    count_h2d(b.swar.size() * sizeof(u64) + b.mask.size() * sizeof(u16) +
+              nq * sizeof(u16));
 
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
-    batch_cap_ = cap;
-    cl_mem cswarm =
-        launch_buffer(kConstIn, swar_all.size() * sizeof(u64), swar_all.data());
-    cl_mem cmaskm =
-        launch_buffer(kConstIn, cmask_all.size() * sizeof(u16), cmask_all.data());
-    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), thresholds.data());
-    cl_int err;
-    batch_mm_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
-                               &err);
-    COF_CL_CHECK(err);
-    batch_dir_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap, nullptr, &err);
-    COF_CL_CHECK(err);
-    batch_loci_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr,
-                                 &err);
-    COF_CL_CHECK(err);
-    batch_query_ = clCreateBuffer(ctx_, CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr,
-                                  &err);
-    COF_CL_CHECK(err);
-    batch_count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
-    COF_CL_CHECK(err);
-    metrics_.h2d_bytes += swar_all.size() * sizeof(u64) +
-                          cmask_all.size() * sizeof(u16) + nq * sizeof(u16);
-    const u32 zero = 0;
-    COF_CL_CHECK(clEnqueueWriteBuffer(q_, batch_count_, CL_TRUE, 0, sizeof(u32),
-                                      &zero, 0, nullptr, nullptr));
-    metrics_.h2d_bytes += sizeof(u32);
-
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr_));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &chr2_));
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &amb2_));
@@ -1284,35 +1215,19 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 16, sizeof(cl_mem), &batch_count_));
     const u32 entry_cap = static_cast<u32>(cap);
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 17, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 18,
-                                swar_all.size() * sizeof(u64), nullptr));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 19,
-                                cmask_all.size() * sizeof(u16), nullptr));
-
-    enqueue_profiled(comparer_multi_k_, locicnt_, "comparer/batch-opt6");
-    release_launch();
-    ++metrics_.comparer_launches;
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 18, b.swar.size() * sizeof(u64),
+                                nullptr));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 19, b.mask.size() * sizeof(u16),
+                                nullptr));
   }
 
-  /// Batched comparer, fetch half: deferred download of the staged entry
-  /// buffers, then release of the device objects.
-  entries fetch_entries() override {
-    obs::span sp("fetch", "device");
-    COF_CHECK_MSG(batch_staged_, "fetch_entries without launch_comparer_batch");
-    batch_staged_ = false;
-    entries out;
-    if (batch_cap_ == 0) return out;  // empty launch (no loci or no queries)
-
-    u32 n = 0;
-    COF_CL_CHECK(clEnqueueReadBuffer(q_, batch_count_, CL_TRUE, 0, sizeof(u32), &n, 0,
-                                     nullptr, nullptr));
-    metrics_.d2h_bytes += sizeof(u32);
-    detail::check_entry_capacity("comparer/batch", n, batch_cap_);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    out.qidx.resize(n);
-    if (n != 0) {
+  /// Batched comparer, read half: deferred download of the staged entry
+  /// buffers that fit, then release of the device objects.
+  u32 read_batch(usize cap, entries& out) override {
+    const u32 n = read_counter(batch_count_);
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      out.qidx.resize(n);
       COF_CL_CHECK(clEnqueueReadBuffer(q_, batch_mm_, CL_TRUE, 0, n * sizeof(u16),
                                        out.mm.data(), 0, nullptr, nullptr));
       COF_CL_CHECK(clEnqueueReadBuffer(q_, batch_dir_, CL_TRUE, 0, n, out.dir.data(),
@@ -1321,17 +1236,11 @@ class opencl_pipeline final : public device_pipeline {
                                        out.loci.data(), 0, nullptr, nullptr));
       COF_CL_CHECK(clEnqueueReadBuffer(q_, batch_query_, CL_TRUE, 0, n * sizeof(u16),
                                        out.qidx.data(), 0, nullptr, nullptr));
-      metrics_.d2h_bytes += n * (2 * sizeof(u16) + 1 + sizeof(u32));
     }
-    metrics_.total_entries += n;
-    sp.arg("entries", static_cast<double>(n));
     release_batch();
-    return out;
+    return n;
   }
 
-  const pipeline_metrics& metrics() const override { return metrics_; }
-
- private:
   const char* comparer_kernel_name() const {
     switch (opt_.variant) {
       case comparer_variant::base: return "comparer";
@@ -1354,32 +1263,25 @@ class opencl_pipeline final : public device_pipeline {
     return use_mask() ? "finder_mask" : "finder";
   }
 
-  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
-  /// two word arrays under opt6.
-  usize chunk_bytes(usize bases) const {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
-  }
-
-  /// Entry-allocation size for a worst-case demand, honouring the
-  /// max_entries cap (0 = worst case, which cannot overflow).
-  usize cap_entries(usize worst) const {
-    return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
-  }
-
-  void zero_counter() {
+  void zero_counter(cl_mem counter) {
     const u32 zero = 0;
-    COF_CL_CHECK(clEnqueueWriteBuffer(q_, count_, CL_TRUE, 0, sizeof(u32), &zero, 0,
+    COF_CL_CHECK(clEnqueueWriteBuffer(q_, counter, CL_TRUE, 0, sizeof(u32), &zero, 0,
                                       nullptr, nullptr));
-    metrics_.h2d_bytes += sizeof(u32);
+  }
+
+  u32 read_counter(cl_mem counter) {
+    u32 count = 0;
+    COF_CL_CHECK(clEnqueueReadBuffer(q_, counter, CL_TRUE, 0, sizeof(u32), &count, 0,
+                                     nullptr, nullptr));
+    return count;
   }
 
   /// Step 10 + 12: enqueue an ND-range kernel (runtime-chosen lws unless the
-  /// caller pinned one), wait on its event, read the profiled span back.
-  void enqueue_profiled(cl_kernel k, usize work_items, const std::string& tag) {
+  /// caller pinned one), wait on its event, and return its profiled span.
+  util::u64 enqueue(cl_kernel k, usize work_items) {
     const usize lws = opt_.wg_size != 0 ? opt_.wg_size
                                         : oclsim_default_lws(work_items);
     const usize gws = util::round_up<usize>(work_items, lws);
-    detail::kernel_record_scope rec(opt_, tag);
     if (opt_.counting) oclsim::set_profiling_mode(true);
     cl_event ev = nullptr;
     const size_t gws_arr[1] = {gws};
@@ -1395,70 +1297,12 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clGetEventProfilingInfo(ev, CL_PROFILING_COMMAND_END, sizeof(t1), &t1,
                                          nullptr));
     COF_CL_CHECK(clReleaseEvent(ev));
-    metrics_.kernel_nanos += t1 - t0;
-    rec.finish(t1 - t0);
-  }
-
-  /// enqueue_profiled + read the shared atomic counter back.
-  u32 enqueue_and_count(cl_kernel k, usize work_items, const std::string& tag) {
-    enqueue_profiled(k, work_items, tag);
-    u32 count = 0;
-    COF_CL_CHECK(clEnqueueReadBuffer(q_, count_, CL_TRUE, 0, sizeof(u32), &count, 0,
-                                     nullptr, nullptr));
-    metrics_.d2h_bytes += sizeof(u32);
-    return count;
+    return t1 - t0;
   }
 
   /// Mirror of the facade's lws=NULL choice (wavefront-sized groups), used
   /// to pad gws so the runtime's pick divides it.
   static usize oclsim_default_lws(usize /*work_items*/) { return 64; }
-
-  /// Upload the chunk (its chars, plus the words under opt6) and allocate
-  /// hit arrays for `hit_cap` entries.
-  void upload(const packed_chunk& ch, usize hit_cap) {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(ch.text.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    release_chunk();
-    chunk_len_ = ch.text.size();
-    locicnt_ = 0;
-    cl_int err;
-    // Step 5 + 11: memory objects, host-to-device transfer.
-    chr_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, chunk_len_,
-                          const_cast<char*>(ch.text.data()), &err);
-    COF_CL_CHECK(err);
-    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
-    COF_CL_CHECK(err);
-    if (packs_words()) {
-      // opt6: the producer's 2-bit words + ambiguity flags.
-      const swar_ref& words = words_of(ch);
-      chr2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             words.packed2.size() * sizeof(u64),
-                             const_cast<u64*>(words.packed2.data()), &err);
-      COF_CL_CHECK(err);
-      amb2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             words.amb2.size() * sizeof(u64),
-                             const_cast<u64*>(words.amb2.data()), &err);
-      COF_CL_CHECK(err);
-    }
-    alloc_hits(hit_cap);
-    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
-  }
-
-  /// Hit arrays for `cap` entries: the finder's worst case unless
-  /// opt_.max_entries caps it, or a warm chunk's prebuilt hits.
-  void alloc_hits(usize cap) {
-    if (loci_ != nullptr) clReleaseMemObject(loci_);
-    if (flag_ != nullptr) clReleaseMemObject(flag_);
-    loci_cap_ = cap;
-    const usize loci_n = std::max<usize>(1, loci_cap_);
-    cl_int err;
-    loci_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n * sizeof(u32), nullptr,
-                           &err);
-    COF_CL_CHECK(err);
-    flag_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, loci_n, nullptr, &err);
-    COF_CL_CHECK(err);
-  }
 
   void release_chunk() {
     if (chr_ != nullptr) clReleaseMemObject(chr_);
@@ -1471,9 +1315,9 @@ class opencl_pipeline final : public device_pipeline {
   }
 
   /// Step 5 for a buffer of one launch only (a pattern/query upload or a
-  /// per-query output). The launch releases it with release_launch() before
-  /// any check that can throw; if the launch throws anyway, the next
-  /// launch's release_launch() or the destructor releases it.
+  /// per-query output). The launch hook releases it with release_launch()
+  /// before it returns; if the launch throws instead, the next launch's
+  /// release_launch() or the destructor releases it.
   cl_mem launch_buffer(cl_mem_flags flags, usize bytes, const void* host) {
     cl_int err;
     cl_mem m = clCreateBuffer(ctx_, flags, bytes, const_cast<void*>(host), &err);
@@ -1494,11 +1338,8 @@ class opencl_pipeline final : public device_pipeline {
     if (batch_query_ != nullptr) clReleaseMemObject(batch_query_);
     if (batch_count_ != nullptr) clReleaseMemObject(batch_count_);
     batch_mm_ = batch_dir_ = batch_loci_ = batch_query_ = batch_count_ = nullptr;
-    batch_cap_ = 0;
   }
 
-  pipeline_options opt_;
-  pipeline_metrics metrics_;
   cl_platform_id platform_ = nullptr;
   cl_device_id device_ = nullptr;
   cl_context ctx_ = nullptr;
@@ -1514,19 +1355,13 @@ class opencl_pipeline final : public device_pipeline {
   cl_mem chr2_ = nullptr;  // opt6: the chunk's 2-bit words
   cl_mem amb2_ = nullptr;  // opt6: their ambiguity flags
   std::vector<cl_mem> launch_mem_;  // the running launch's own buffers
-  // Staged output of the last launch_comparer_batch (released by
-  // fetch_entries or the destructor).
+  // Staged output of the last launch_batch (released by read_batch, the
+  // next launch_batch or the destructor).
   cl_mem batch_mm_ = nullptr;
   cl_mem batch_dir_ = nullptr;
   cl_mem batch_loci_ = nullptr;
   cl_mem batch_query_ = nullptr;
   cl_mem batch_count_ = nullptr;
-  usize batch_cap_ = 0;
-  bool batch_staged_ = false;
-  usize chunk_len_ = 0;
-  usize loci_cap_ = 0;
-  u32 locicnt_ = 0;
-  u32 plen_ = 0;
 };
 
 }  // namespace

@@ -18,122 +18,24 @@ namespace {
 class sycl_pipeline final : public device_pipeline {
  public:
   explicit sycl_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt), opt_(opt), q_(sycl::gpu_selector{}) {
+      : device_pipeline(opt, "sycl",
+                        {"finder", comparer_tag(opt.variant), "comparer/batch"}),
+        q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;  // the SYCL application pins 256
   }
 
-  const char* name() const override { return "sycl"; }
-
-  void load_chunk(const packed_chunk& ch) override {
-    upload(ch, cap_entries(ch.text.size()));
-  }
-
-  u32 run_finder(const device_pattern& pat) override {
-    obs::span sp("finder", "device");
-    fault::inject_point(fault::site::dev_launch);
-    const u32 hits = opt_.counting ? run_finder_impl<counting_mem>(pat)
-                                   : run_finder_impl<direct_mem>(pat);
-    sp.arg("hits", static_cast<double>(hits));
-    return hits;
-  }
-
-  std::vector<u32> read_loci() override {
-    std::vector<u32> out(locicnt_);
-    if (locicnt_ != 0) {
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = loci_buf_->get_access<sycl::sycl_read>(
-             cgh, sycl::range<1>(locicnt_), sycl::id<1>(0));
-         cgh.copy(acc, out.data());
-       }).wait();
-      metrics_.d2h_bytes += locicnt_ * sizeof(u32);
-    }
-    return out;
-  }
-
-  std::vector<char> read_flags() override {
-    std::vector<char> out(locicnt_);
-    if (locicnt_ != 0) {
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = flag_buf_->get_access<sycl::sycl_read>(
-             cgh, sycl::range<1>(locicnt_), sycl::id<1>(0));
-         cgh.copy(acc, out.data());
-       }).wait();
-      metrics_.d2h_bytes += locicnt_;
-    }
-    return out;
-  }
-
-  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
-                          const std::vector<u32>& loci,
-                          const std::vector<char>& flags) override {
-    obs::span sp("h2d.index_chunk", "device");
-    sp.arg("hits", static_cast<double>(loci.size()));
-    // A warm chunk never runs the finder: its hit arrays hold exactly the
-    // prebuilt hits (run_finder regrows them if it ever does).
-    upload(ch, loci.size());
-    detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 cap_entries(chunk_len_));
-    const u32 n = static_cast<u32>(loci.size());
-    if (n != 0) {
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = loci_buf_->get_access<sycl::sycl_write>(
-             cgh, sycl::range<1>(n), sycl::id<1>(0));
-         cgh.copy(loci.data(), acc);
-       }).wait();
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = flag_buf_->get_access<sycl::sycl_write>(
-             cgh, sycl::range<1>(n), sycl::id<1>(0));
-         cgh.copy(flags.data(), acc);
-       }).wait();
-      metrics_.h2d_bytes += hit_bytes(n);
-    }
-    locicnt_ = n;
-    plen_ = plen;
-    metrics_.total_loci += n;
-  }
-
-  usize indexed_chunk_bytes(usize bases, usize hits) const override {
-    return chunk_bytes(bases) + hit_bytes(hits);
-  }
-
-  entries run_comparer(const device_pattern& query, u16 threshold) override {
-    obs::span sp("comparer", "device");
-    return opt_.counting ? run_comparer_impl<counting_mem>(query, threshold)
-                         : run_comparer_impl<direct_mem>(query, threshold);
-  }
-
-  pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
-                                   const std::vector<u16>& thresholds) override {
-    obs::span sp("comparer.batch", "device");
-    sp.arg("queries", static_cast<double>(queries.size()));
-    fault::inject_point(fault::site::dev_launch);
-    if (opt_.counting) {
-      launch_batch_impl<counting_mem>(queries, thresholds);
-    } else {
-      launch_batch_impl<direct_mem>(queries, thresholds);
-    }
-    return {};
-  }
-
-  entries fetch_entries() override {
-    obs::span sp("fetch", "device");
-    entries out = fetch_staged();
-    sp.arg("entries", static_cast<double>(out.size()));
-    return out;
-  }
-
-  const pipeline_metrics& metrics() const override { return metrics_; }
-
  private:
-  /// Upload the chunk (its chars, plus the words under opt6) and allocate
-  /// hit arrays for `hit_cap` entries.
-  void upload(const packed_chunk& ch, usize hit_cap) {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(ch.text.size()));
-    fault::inject_point(fault::site::dev_alloc);
-    chunk_len_ = ch.text.size();
-    locicnt_ = 0;
-    chr_buf_.emplace(ch.text.data(), sycl::range<1>(chunk_len_));
+  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
+  /// the two word arrays under opt6.
+  usize chunk_bytes(usize bases) const override {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  }
+
+  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
+  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
+              std::span<const char> flags) override {
+    chr_buf_.emplace(ch.text.data(), sycl::range<1>(ch.text.size()));
     if (packs_words()) {
       // opt6 keeps the producer's 2-bit words resident (plus the ambiguity
       // flags) for the packed-word finder and comparer; the char chunk stays
@@ -144,90 +46,80 @@ class sycl_pipeline final : public device_pipeline {
     }
     alloc_hits(hit_cap);
     count_buf_.emplace(sycl::range<1>(1));
-    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+    if (!loci.empty()) {
+      copy_in(loci.data(), *loci_buf_, loci.size());
+      copy_in(flags.data(), *flag_buf_, flags.size());
+    }
   }
 
-  /// Device-resident hit arrays for `cap` entries: the finder's worst case
-  /// (every position a hit) unless opt_.max_entries caps it — the kernels
-  /// clamp their appends to the capacity and the host reports any
-  /// overflow — or a warm chunk's prebuilt hits.
-  void alloc_hits(usize cap) {
-    loci_cap_ = cap;
-    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
-    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, loci_cap_)));
+  void alloc_hits(usize cap) override {
+    loci_buf_.emplace(sycl::range<1>(std::max<usize>(1, cap)));
+    flag_buf_.emplace(sycl::range<1>(std::max<usize>(1, cap)));
+  }
+
+  void read_hits(u32 n, u32* loci, char* flags) override {
+    if (loci != nullptr) copy_out(*loci_buf_, n, loci);
+    if (flags != nullptr) copy_out(*flag_buf_, n, flags);
+  }
+
+  /// Write `n` host elements into the front of `buf` through a ranged
+  /// write accessor.
+  template <class T>
+  void copy_in(const T* src, sycl::buffer<T, 1>& buf, usize n) {
+    q_.submit([&](sycl::handler& cgh) {
+       auto acc = buf.template get_access<sycl::sycl_write>(cgh, sycl::range<1>(n),
+                                                            sycl::id<1>(0));
+       cgh.copy(src, acc);
+     }).wait();
+  }
+
+  /// Read the first `n` elements of `buf` back through a ranged accessor.
+  template <class T>
+  void copy_out(sycl::buffer<T, 1>& buf, usize n, T* dst) {
+    q_.submit([&](sycl::handler& cgh) {
+       auto acc = buf.template get_access<sycl::sycl_read>(cgh, sycl::range<1>(n),
+                                                           sycl::id<1>(0));
+       cgh.copy(acc, dst);
+     }).wait();
   }
 
   /// Zero the one-element counter buffer through a write accessor.
   void zero_count(sycl::buffer<u32, 1>& buf) {
     const u32 zero = 0;
-    q_.submit([&](sycl::handler& cgh) {
-       auto acc = buf.get_access<sycl::sycl_write>(cgh);
-       cgh.copy(&zero, acc);
-     }).wait();
-    metrics_.h2d_bytes += sizeof(u32);
+    copy_in(&zero, buf, 1);
   }
 
   u32 read_count(sycl::buffer<u32, 1>& buf) {
     u32 count = 0;
-    q_.submit([&](sycl::handler& cgh) {
-       auto acc = buf.get_access<sycl::sycl_read>(cgh);
-       cgh.copy(acc, &count);
-     }).wait();
-    metrics_.d2h_bytes += sizeof(u32);
+    copy_out(buf, 1, &count);
     return count;
   }
 
-  /// Entry-allocation size for a worst-case demand, honouring the
-  /// max_entries cap (0 = worst case, which cannot overflow).
-  usize cap_entries(usize worst) const {
-    return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
-  }
-
-  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
-  /// two word arrays under opt6.
-  usize chunk_bytes(usize bases) const {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
-  }
-
-  template <class P>
-  u32 run_finder_impl(const device_pattern& pat) {
-    plen_ = pat.plen;
-    if (chunk_len_ < pat.plen) {
-      locicnt_ = 0;
-      return 0;
-    }
-    const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
-    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
+  launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) override {
     zero_count(*count_buf_);
-    detail::kernel_record_scope rec(opt_, "finder");
     if (packs_words()) {
-      submit_finder_swar<P>(pat, chrsize);
+      opt_.counting ? submit_finder_swar<counting_mem>(pat, chrsize, cap)
+                    : submit_finder_swar<direct_mem>(pat, chrsize, cap);
     } else {
-      submit_finder<P>(pat, chrsize);
+      opt_.counting ? submit_finder<counting_mem>(pat, chrsize, cap)
+                    : submit_finder<direct_mem>(pat, chrsize, cap);
     }
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.finder_launches;
-    rec.finish(stats.wall_nanos);
-
-    locicnt_ = read_count(*count_buf_);
-    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
-    metrics_.total_loci += locicnt_;
-    return locicnt_;
+    const util::u64 nanos = q_.cof_last_launch().wall_nanos;
+    return {read_count(*count_buf_), nanos};
   }
 
   /// The per-position finder (base..opt5): one work-item per start
   /// position, pattern fetched into local memory behind one barrier.
   template <class P>
-  void submit_finder(const device_pattern& pat, u32 chrsize) {
+  void submit_finder(const device_pattern& pat, u32 chrsize, usize loci_cap) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(chrsize, lws);
     sycl::buffer<char, 1> pat_buf(pat.data(), sycl::range<1>(pat.device_chars()));
     sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
     sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
-    metrics_.h2d_bytes += pat.device_chars() + pat.index.size() * sizeof(i32);
+    count_h2d(pat.device_chars() + pat.index.size() * sizeof(i32));
     const bool use_mask = comparer_variant_uses_mask(opt_.variant);
-    if (use_mask) metrics_.h2d_bytes += pat.mask.size() * sizeof(u16);
+    if (use_mask) count_h2d(pat.mask.size() * sizeof(u16));
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -245,7 +137,6 @@ class sycl_pipeline final : public device_pipeline {
        sycl::accessor<u16, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_mask(
            sycl::range<1>(pat.mask.size()), cgh);
        const u32 plen = pat.plen;
-       const usize loci_cap = loci_cap_;
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           finder_args a;
@@ -274,12 +165,12 @@ class sycl_pipeline final : public device_pipeline {
   /// opt6: the packed-word finder over the resident words, one work-item
   /// per 32 start positions, no local memory and no barrier.
   template <class P>
-  void submit_finder_swar(const device_pattern& pat, u32 chrsize) {
+  void submit_finder_swar(const device_pattern& pat, u32 chrsize, usize loci_cap) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(swar_finder_items(chrsize), lws);
     sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
     sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
-    metrics_.h2d_bytes += pat.index.size() * sizeof(i32) + pat.mask.size() * sizeof(u16);
+    count_h2d(pat.index.size() * sizeof(i32) + pat.mask.size() * sizeof(u16));
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
        cgh.cof_hint_no_barrier();
@@ -291,7 +182,7 @@ class sycl_pipeline final : public device_pipeline {
        auto flag = flag_buf_->get_access<sycl::sycl_write>(cgh);
        auto cnt = count_buf_->get_access<sycl::sycl_read_write>(cgh);
        const u32 plen = pat.plen;
-       const u32 loci_cap = static_cast<u32>(loci_cap_);
+       const u32 entry_cap = static_cast<u32>(loci_cap);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           finder_swar_args a;
@@ -304,44 +195,64 @@ class sycl_pipeline final : public device_pipeline {
                           a.loci = loci.get_pointer();
                           a.flag = flag.get_pointer();
                           a.entrycount = cnt.get_pointer();
-                          a.entry_capacity = loci_cap;
+                          a.entry_capacity = entry_cap;
                           finder_swar_kernel<P>(item, a);
                         });
      }).wait();
   }
 
-  template <class P>
-  entries run_comparer_impl(const device_pattern& query, u16 threshold) {
-    entries out;
-    if (locicnt_ == 0) return out;
-    COF_CHECK_MSG(query.plen == plen_, "query length != pattern length");
-    if (opt_.variant == comparer_variant::opt6) {
-      return run_comparer_swar<P>(query, threshold);
-    }
+  /// A per-query comparer launch's output buffers.
+  struct comparer_out {
+    sycl::buffer<u16, 1>& mm;
+    sycl::buffer<char, 1>& dir;
+    sycl::buffer<u32, 1>& loci;
+    sycl::buffer<u32, 1>& count;
+  };
 
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    // fw + rc per locus worst case, shrunk by the max_entries cap.
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
-
-    sycl::buffer<char, 1> comp_buf(query.data(), sycl::range<1>(query.device_chars()));
-    sycl::buffer<i32, 1> cidx_buf(query.index_data(),
-                                  sycl::range<1>(query.index.size()));
-    sycl::buffer<u16, 1> cmask_buf(query.mask_data(), sycl::range<1>(query.mask.size()));
+  /// One query's comparer: device-local outputs for `cap` entries, released
+  /// with this frame.
+  launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
+                               usize cap, entries& out) override {
     sycl::buffer<u16, 1> mm_buf{sycl::range<1>(cap)};
     sycl::buffer<char, 1> dir_buf{sycl::range<1>(cap)};
     sycl::buffer<u32, 1> mm_loci_buf{sycl::range<1>(cap)};
     sycl::buffer<u32, 1> ccount_buf{sycl::range<1>(1)};
-    metrics_.h2d_bytes += query.device_chars() + query.index.size() * sizeof(i32);
-    if (opt_.variant == comparer_variant::opt5) {
-      metrics_.h2d_bytes += query.mask.size() * sizeof(u16);
-    }
     zero_count(ccount_buf);
+    const comparer_out o{mm_buf, dir_buf, mm_loci_buf, ccount_buf};
+    if (packs_words()) {
+      opt_.counting ? submit_comparer_swar<counting_mem>(query, threshold, locicnt, cap, o)
+                    : submit_comparer_swar<direct_mem>(query, threshold, locicnt, cap, o);
+    } else {
+      opt_.counting ? submit_comparer<counting_mem>(query, threshold, locicnt, cap, o)
+                    : submit_comparer<direct_mem>(query, threshold, locicnt, cap, o);
+    }
+    const util::u64 nanos = q_.cof_last_launch().wall_nanos;
+    const u32 n = read_count(ccount_buf);
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      copy_out(mm_buf, n, out.mm.data());
+      copy_out(dir_buf, n, out.dir.data());
+      copy_out(mm_loci_buf, n, out.loci.data());
+    }
+    return {n, nanos};
+  }
 
-    const std::string tag = std::string("comparer/") + comparer_variant_name(opt_.variant);
-    detail::kernel_record_scope rec(opt_, tag);
+  template <class P>
+  void submit_comparer(const device_pattern& query, u16 threshold, u32 locicnt, usize cap,
+                       const comparer_out& o) {
+    const usize lws = opt_.wg_size;
+    const usize gws = util::round_up<usize>(locicnt, lws);
+    sycl::buffer<char, 1> comp_buf(query.data(), sycl::range<1>(query.device_chars()));
+    sycl::buffer<i32, 1> cidx_buf(query.index_data(),
+                                  sycl::range<1>(query.index.size()));
+    sycl::buffer<u16, 1> cmask_buf(query.mask_data(), sycl::range<1>(query.mask.size()));
+    count_h2d(query.device_chars() + query.index.size() * sizeof(i32));
+    if (opt_.variant == comparer_variant::opt5) {
+      count_h2d(query.mask.size() * sizeof(u16));
+    }
+
+    const std::string tag = comparer_tag(opt_.variant);
     const comparer_variant variant = opt_.variant;
-    const u32 locicnt = locicnt_;
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name(tag.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -351,10 +262,10 @@ class sycl_pipeline final : public device_pipeline {
        auto comp = comp_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto cidx = cidx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto mm = mm_buf.get_access<sycl::sycl_write>(cgh);
-       auto dir = dir_buf.get_access<sycl::sycl_write>(cgh);
-       auto mloci = mm_loci_buf.get_access<sycl::sycl_write>(cgh);
-       auto cnt = ccount_buf.get_access<sycl::sycl_read_write>(cgh);
+       auto mm = o.mm.get_access<sycl::sycl_write>(cgh);
+       auto dir = o.dir.get_access<sycl::sycl_write>(cgh);
+       auto mloci = o.loci.get_access<sycl::sycl_write>(cgh);
+       auto cnt = o.count.get_access<sycl::sycl_read_write>(cgh);
        sycl::accessor<char, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_comp(
            sycl::range<1>(query.device_chars()), cgh);
        sycl::accessor<i32, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_cidx(
@@ -385,45 +296,6 @@ class sycl_pipeline final : public device_pipeline {
                           comparer_dispatch<P>(variant, item, a);
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-
-    return download_entries(mm_buf, dir_buf, mm_loci_buf, ccount_buf, cap);
-  }
-
-  /// Count readback + entry-array download shared by the single-query
-  /// comparer launches (opt5-and-below and the opt6 SWAR twin).
-  entries download_entries(sycl::buffer<u16, 1>& mm_buf, sycl::buffer<char, 1>& dir_buf,
-                           sycl::buffer<u32, 1>& mm_loci_buf,
-                           sycl::buffer<u32, 1>& ccount_buf, usize cap) {
-    entries out;
-    const u32 n = read_count(ccount_buf);
-    detail::check_entry_capacity("comparer", n, cap);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    if (n != 0) {
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = mm_buf.get_access<sycl::sycl_read>(cgh, sycl::range<1>(n),
-                                                       sycl::id<1>(0));
-         cgh.copy(acc, out.mm.data());
-       }).wait();
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = dir_buf.get_access<sycl::sycl_read>(cgh, sycl::range<1>(n),
-                                                        sycl::id<1>(0));
-         cgh.copy(acc, out.dir.data());
-       }).wait();
-      q_.submit([&](sycl::handler& cgh) {
-         auto acc = mm_loci_buf.get_access<sycl::sycl_read>(cgh, sycl::range<1>(n),
-                                                            sycl::id<1>(0));
-         cgh.copy(acc, out.loci.data());
-       }).wait();
-      metrics_.d2h_bytes += n * (sizeof(u16) + sizeof(char) + sizeof(u32));
-    }
-    metrics_.total_entries += n;
-    return out;
   }
 
   /// opt6: SWAR comparer over the chunk's 2-bit words, raw-char LUT
@@ -431,26 +303,16 @@ class sycl_pipeline final : public device_pipeline {
   /// install the lane-batched row body, which the executor substitutes for
   /// per-item execution when the host's SIMD lanes are enabled.
   template <class P>
-  entries run_comparer_swar(const device_pattern& query, u16 threshold) {
+  void submit_comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt,
+                            usize cap, const comparer_out& o) {
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
-
+    const usize gws = util::round_up<usize>(locicnt, lws);
     sycl::buffer<util::u64, 1> cswar_buf(query.swar_data(),
                                          sycl::range<1>(query.swar.size()));
     sycl::buffer<u16, 1> cmask_buf(query.mask_data(), sycl::range<1>(query.mask.size()));
-    sycl::buffer<u16, 1> mm_buf{sycl::range<1>(cap)};
-    sycl::buffer<char, 1> dir_buf{sycl::range<1>(cap)};
-    sycl::buffer<u32, 1> mm_loci_buf{sycl::range<1>(cap)};
-    sycl::buffer<u32, 1> ccount_buf{sycl::range<1>(1)};
-    metrics_.h2d_bytes +=
-        query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16);
-    zero_count(ccount_buf);
+    count_h2d(query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16));
 
-    const std::string tag =
-        std::string("comparer/") + comparer_variant_name(opt_.variant);
-    detail::kernel_record_scope rec(opt_, tag);
-    const u32 locicnt = locicnt_;
+    const std::string tag = comparer_tag(opt_.variant);
     const u32 plen = query.plen;
     const u32 swar_words = query.swar_words;
     const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
@@ -464,10 +326,10 @@ class sycl_pipeline final : public device_pipeline {
        auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
        auto cswar = cswar_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto mm = mm_buf.get_access<sycl::sycl_write>(cgh);
-       auto dir = dir_buf.get_access<sycl::sycl_write>(cgh);
-       auto mloci = mm_loci_buf.get_access<sycl::sycl_write>(cgh);
-       auto cnt = ccount_buf.get_access<sycl::sycl_read_write>(cgh);
+       auto mm = o.mm.get_access<sycl::sycl_write>(cgh);
+       auto dir = o.dir.get_access<sycl::sycl_write>(cgh);
+       auto mloci = o.loci.get_access<sycl::sycl_write>(cgh);
+       auto cnt = o.count.get_access<sycl::sycl_read_write>(cgh);
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(query.swar.size()),
                                                  cgh);
        sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(query.mask.size()), cgh);
@@ -511,69 +373,42 @@ class sycl_pipeline final : public device_pipeline {
              });
        }
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-    return download_entries(mm_buf, dir_buf, mm_loci_buf, ccount_buf, cap);
   }
 
   /// Batched comparer, launch half: one kernel covers every query (see
   /// kernels.hpp/comparer_multi_kernel), consuming the finder's loci/flag
   /// buffers device-side. Output buffers stay device-resident as staged
-  /// members until fetch_staged() downloads them.
-  template <class P>
-  void launch_batch_impl(const std::vector<device_pattern>& queries,
-                         const std::vector<u16>& thresholds) {
-    if (opt_.variant == comparer_variant::opt6) {
-      launch_batch_swar<P>(queries, thresholds);
-      return;
-    }
-    batch_staged_ = true;
-    batch_cap_ = 0;
-    if (locicnt_ == 0 || queries.empty()) return;  // fetch yields empty
-    COF_CHECK(queries.size() == thresholds.size());
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    COF_CHECK_MSG(plen == plen_, "query length != pattern length");
-
-    // Concatenate every query's device arrays.
-    std::string comp_all;
-    std::vector<i32> cidx_all;
-    std::vector<u16> cmask_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      comp_all += q.fwrc;
-      cidx_all.insert(cidx_all.end(), q.index.begin(), q.index.end());
-      cmask_all.insert(cmask_all.end(), q.mask.begin(), q.mask.end());
-    }
-
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
-
-    sycl::buffer<char, 1> comp_buf(comp_all.data(), sycl::range<1>(comp_all.size()));
-    sycl::buffer<i32, 1> cidx_buf(cidx_all.data(), sycl::range<1>(cidx_all.size()));
-    sycl::buffer<u16, 1> cmask_buf(cmask_all.data(), sycl::range<1>(cmask_all.size()));
-    sycl::buffer<u16, 1> thr_buf(thresholds.data(), sycl::range<1>(nq));
+  /// members until read_batch downloads them.
+  util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
     batch_mm_buf_.emplace(sycl::range<1>(cap));
     batch_dir_buf_.emplace(sycl::range<1>(cap));
     batch_loci_buf_.emplace(sycl::range<1>(cap));
     batch_query_buf_.emplace(sycl::range<1>(cap));
     batch_count_buf_.emplace(sycl::range<1>(1));
-    auto& mm_buf = *batch_mm_buf_;
-    auto& dir_buf = *batch_dir_buf_;
-    auto& mm_loci_buf = *batch_loci_buf_;
-    auto& mm_query_buf = *batch_query_buf_;
-    auto& ccount_buf = *batch_count_buf_;
-    batch_cap_ = cap;
-    metrics_.h2d_bytes +=
-        comp_all.size() + cidx_all.size() * sizeof(i32) + nq * sizeof(u16);
-    zero_count(ccount_buf);
+    zero_count(*batch_count_buf_);
+    if (packs_words()) {
+      opt_.counting ? submit_batch_swar<counting_mem>(b, locicnt, cap)
+                    : submit_batch_swar<direct_mem>(b, locicnt, cap);
+    } else {
+      opt_.counting ? submit_batch<counting_mem>(b, locicnt, cap)
+                    : submit_batch<direct_mem>(b, locicnt, cap);
+    }
+    return q_.cof_last_launch().wall_nanos;
+  }
+
+  template <class P>
+  void submit_batch(const query_batch& b, u32 locicnt, usize cap) {
+    const usize lws = opt_.wg_size;
+    const usize gws = util::round_up<usize>(locicnt, lws);
+    sycl::buffer<char, 1> comp_buf(b.chars.data(), sycl::range<1>(b.chars.size()));
+    sycl::buffer<i32, 1> cidx_buf(b.index.data(), sycl::range<1>(b.index.size()));
+    sycl::buffer<u16, 1> cmask_buf(b.mask.data(), sycl::range<1>(b.mask.size()));
+    sycl::buffer<u16, 1> thr_buf(b.thresholds, sycl::range<1>(b.queries));
+    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + b.queries * sizeof(u16));
 
     const bool use_mask = opt_.variant == comparer_variant::opt5;
-    detail::kernel_record_scope rec(opt_, "comparer/batch");
-    const u32 locicnt = locicnt_;
+    const u32 nq = b.queries;
+    const u32 plen = b.plen;
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -584,14 +419,14 @@ class sycl_pipeline final : public device_pipeline {
        auto cidx = cidx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto thr = thr_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto mm = mm_buf.get_access<sycl::sycl_write>(cgh);
-       auto dir = dir_buf.get_access<sycl::sycl_write>(cgh);
-       auto mloci = mm_loci_buf.get_access<sycl::sycl_write>(cgh);
-       auto mquery = mm_query_buf.get_access<sycl::sycl_write>(cgh);
-       auto cnt = ccount_buf.get_access<sycl::sycl_read_write>(cgh);
-       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(comp_all.size()), cgh);
-       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(cidx_all.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(cmask_all.size()), cgh);
+       auto mm = batch_mm_buf_->get_access<sycl::sycl_write>(cgh);
+       auto dir = batch_dir_buf_->get_access<sycl::sycl_write>(cgh);
+       auto mloci = batch_loci_buf_->get_access<sycl::sycl_write>(cgh);
+       auto mquery = batch_query_buf_->get_access<sycl::sycl_write>(cgh);
+       auto cnt = batch_count_buf_->get_access<sycl::sycl_read_write>(cgh);
+       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(b.chars.size()), cgh);
+       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(b.index.size()), cgh);
+       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           comparer_multi_args a;
@@ -621,55 +456,23 @@ class sycl_pipeline final : public device_pipeline {
                           }
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
   }
 
   /// Batched comparer under opt6: one SWAR kernel covers every query,
   /// reading loci/flag once per locus (comparer_multi_swar_kernel).
   template <class P>
-  void launch_batch_swar(const std::vector<device_pattern>& queries,
-                         const std::vector<u16>& thresholds) {
-    batch_staged_ = true;
-    batch_cap_ = 0;
-    if (locicnt_ == 0 || queries.empty()) return;  // fetch yields empty
-    COF_CHECK(queries.size() == thresholds.size());
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    const u32 swar_words = queries.front().swar_words;
-    COF_CHECK_MSG(plen == plen_, "query length != pattern length");
-
-    // Concatenate every query's SWAR deny masks and fallback LUTs.
-    std::vector<util::u64> swar_all;
-    std::vector<u16> cmask_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      swar_all.insert(swar_all.end(), q.swar.begin(), q.swar.end());
-      cmask_all.insert(cmask_all.end(), q.mask.begin(), q.mask.end());
-    }
-
+  void submit_batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
+    const usize gws = util::round_up<usize>(locicnt, lws);
+    sycl::buffer<util::u64, 1> cswar_buf(b.swar.data(), sycl::range<1>(b.swar.size()));
+    sycl::buffer<u16, 1> cmask_buf(b.mask.data(), sycl::range<1>(b.mask.size()));
+    sycl::buffer<u16, 1> thr_buf(b.thresholds, sycl::range<1>(b.queries));
+    count_h2d(b.swar.size() * sizeof(util::u64) + b.mask.size() * sizeof(u16) +
+              b.queries * sizeof(u16));
 
-    sycl::buffer<util::u64, 1> cswar_buf(swar_all.data(),
-                                         sycl::range<1>(swar_all.size()));
-    sycl::buffer<u16, 1> cmask_buf(cmask_all.data(), sycl::range<1>(cmask_all.size()));
-    sycl::buffer<u16, 1> thr_buf(thresholds.data(), sycl::range<1>(nq));
-    batch_mm_buf_.emplace(sycl::range<1>(cap));
-    batch_dir_buf_.emplace(sycl::range<1>(cap));
-    batch_loci_buf_.emplace(sycl::range<1>(cap));
-    batch_query_buf_.emplace(sycl::range<1>(cap));
-    batch_count_buf_.emplace(sycl::range<1>(1));
-    batch_cap_ = cap;
-    metrics_.h2d_bytes += swar_all.size() * sizeof(util::u64) +
-                          cmask_all.size() * sizeof(u16) + nq * sizeof(u16);
-    zero_count(*batch_count_buf_);
-
-    detail::kernel_record_scope rec(opt_, "comparer/batch");
-    const u32 locicnt = locicnt_;
+    const u32 nq = b.queries;
+    const u32 plen = b.plen;
+    const u32 swar_words = b.swar_words;
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -686,8 +489,8 @@ class sycl_pipeline final : public device_pipeline {
        auto mloci = batch_loci_buf_->get_access<sycl::sycl_write>(cgh);
        auto mquery = batch_query_buf_->get_access<sycl::sycl_write>(cgh);
        auto cnt = batch_count_buf_->get_access<sycl::sycl_read_write>(cgh);
-       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(swar_all.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(cmask_all.size()), cgh);
+       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
+       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(
            sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
            [=](sycl::nd_item<1> item) {
@@ -715,53 +518,29 @@ class sycl_pipeline final : public device_pipeline {
              comparer_multi_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
            });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
   }
 
-  /// Batched comparer, fetch half: deferred download of the staged entry
+  /// Batched comparer, read half: deferred download of the staged entry
   /// buffers (count + four arrays), then release of the device storage.
-  entries fetch_staged() {
-    COF_CHECK_MSG(batch_staged_, "fetch_entries without launch_comparer_batch");
-    batch_staged_ = false;
-    entries out;
-    if (batch_cap_ == 0) return out;  // empty launch (no loci or no queries)
-
+  u32 read_batch(usize cap, entries& out) override {
     const u32 n = read_count(*batch_count_buf_);
-    detail::check_entry_capacity("comparer/batch", n, batch_cap_);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    out.qidx.resize(n);
-    if (n != 0) {
-      auto copy_out = [&](auto& buf, auto* dst) {
-        q_.submit([&](sycl::handler& cgh) {
-           auto acc = buf.template get_access<sycl::sycl_read>(
-               cgh, sycl::range<1>(n), sycl::id<1>(0));
-           cgh.copy(acc, dst);
-         }).wait();
-      };
-      copy_out(*batch_mm_buf_, out.mm.data());
-      copy_out(*batch_dir_buf_, out.dir.data());
-      copy_out(*batch_loci_buf_, out.loci.data());
-      copy_out(*batch_query_buf_, out.qidx.data());
-      metrics_.d2h_bytes += n * (2 * sizeof(u16) + 1 + sizeof(u32));
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      out.qidx.resize(n);
+      copy_out(*batch_mm_buf_, n, out.mm.data());
+      copy_out(*batch_dir_buf_, n, out.dir.data());
+      copy_out(*batch_loci_buf_, n, out.loci.data());
+      copy_out(*batch_query_buf_, n, out.qidx.data());
     }
-    metrics_.total_entries += n;
     batch_mm_buf_.reset();
     batch_dir_buf_.reset();
     batch_loci_buf_.reset();
     batch_query_buf_.reset();
     batch_count_buf_.reset();
-    batch_cap_ = 0;
-    return out;
+    return n;
   }
 
-  pipeline_options opt_;
   sycl::queue q_;
-  pipeline_metrics metrics_;
   std::optional<sycl::buffer<char, 1>> chr_buf_;
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   std::optional<sycl::buffer<util::u64, 1>> chr2_buf_;
@@ -769,19 +548,13 @@ class sycl_pipeline final : public device_pipeline {
   std::optional<sycl::buffer<u32, 1>> loci_buf_;
   std::optional<sycl::buffer<char, 1>> flag_buf_;
   std::optional<sycl::buffer<u32, 1>> count_buf_;
-  // Staged output of the last launch_comparer_batch (device-resident until
-  // fetch_staged).
+  // Staged output of the last launch_batch (device-resident until
+  // read_batch).
   std::optional<sycl::buffer<u16, 1>> batch_mm_buf_;
   std::optional<sycl::buffer<char, 1>> batch_dir_buf_;
   std::optional<sycl::buffer<u32, 1>> batch_loci_buf_;
   std::optional<sycl::buffer<u16, 1>> batch_query_buf_;
   std::optional<sycl::buffer<u32, 1>> batch_count_buf_;
-  usize batch_cap_ = 0;
-  bool batch_staged_ = false;
-  usize chunk_len_ = 0;
-  usize loci_cap_ = 0;
-  u32 locicnt_ = 0;
-  u32 plen_ = 0;
 };
 
 }  // namespace

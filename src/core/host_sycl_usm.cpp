@@ -19,7 +19,9 @@ namespace {
 class sycl_usm_pipeline final : public device_pipeline {
  public:
   explicit sycl_usm_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt), opt_(opt), q_(sycl::gpu_selector{}) {
+      : device_pipeline(opt, "sycl-usm",
+                        {"finder", comparer_tag(opt.variant), "comparer/batch"}),
+        q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;
   }
 
@@ -28,105 +30,21 @@ class sycl_usm_pipeline final : public device_pipeline {
     release_chunk();
   }
 
-  const char* name() const override { return "sycl-usm"; }
-
-  void load_chunk(const packed_chunk& ch) override {
-    upload(ch, cap_entries(ch.text.size()));
-  }
-
-  u32 run_finder(const device_pattern& pat) override {
-    obs::span sp("finder", "device");
-    fault::inject_point(fault::site::dev_launch);
-    const u32 hits = opt_.counting ? run_finder_impl<counting_mem>(pat)
-                                   : run_finder_impl<direct_mem>(pat);
-    sp.arg("hits", static_cast<double>(hits));
-    return hits;
-  }
-
-  std::vector<u32> read_loci() override {
-    std::vector<u32> out(locicnt_);
-    if (locicnt_ != 0) {
-      q_.memcpy(out.data(), loci_, locicnt_ * sizeof(u32));
-      metrics_.d2h_bytes += locicnt_ * sizeof(u32);
-    }
-    return out;
-  }
-
-  std::vector<char> read_flags() override {
-    std::vector<char> out(locicnt_);
-    if (locicnt_ != 0) {
-      q_.memcpy(out.data(), flag_, locicnt_);
-      metrics_.d2h_bytes += locicnt_;
-    }
-    return out;
-  }
-
-  void load_indexed_chunk(const packed_chunk& ch, u32 plen,
-                          const std::vector<u32>& loci,
-                          const std::vector<char>& flags) override {
-    obs::span sp("h2d.index_chunk", "device");
-    sp.arg("hits", static_cast<double>(loci.size()));
-    // A warm chunk never runs the finder: its hit arrays hold exactly the
-    // prebuilt hits (run_finder regrows them if it ever does).
-    upload(ch, loci.size());
-    detail::check_entry_capacity("finder", static_cast<u32>(loci.size()),
-                                 cap_entries(chunk_len_));
-    const u32 n = static_cast<u32>(loci.size());
-    if (n != 0) {
-      q_.memcpy(loci_, loci.data(), n * sizeof(u32));
-      q_.memcpy(flag_, flags.data(), n);
-      metrics_.h2d_bytes += hit_bytes(n);
-    }
-    locicnt_ = n;
-    plen_ = plen;
-    metrics_.total_loci += n;
-  }
-
-  usize indexed_chunk_bytes(usize bases, usize hits) const override {
-    return chunk_bytes(bases) + hit_bytes(hits);
-  }
-
-  entries run_comparer(const device_pattern& query, u16 threshold) override {
-    obs::span sp("comparer", "device");
-    return opt_.counting ? run_comparer_impl<counting_mem>(query, threshold)
-                         : run_comparer_impl<direct_mem>(query, threshold);
-  }
-
-  pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
-                                   const std::vector<u16>& thresholds) override {
-    obs::span sp("comparer.batch", "device");
-    sp.arg("queries", static_cast<double>(queries.size()));
-    fault::inject_point(fault::site::dev_launch);
-    if (opt_.counting) {
-      launch_batch_impl<counting_mem>(queries, thresholds);
-    } else {
-      launch_batch_impl<direct_mem>(queries, thresholds);
-    }
-    return {};
-  }
-
-  entries fetch_entries() override {
-    obs::span sp("fetch", "device");
-    entries out = fetch_staged();
-    sp.arg("entries", static_cast<double>(out.size()));
-    return out;
-  }
-
-  const pipeline_metrics& metrics() const override { return metrics_; }
-
  private:
-  /// Upload the chunk (its chars, plus the words under opt6) and allocate
-  /// hit arrays for `hit_cap` entries.
-  void upload(const packed_chunk& ch, usize hit_cap) {
-    obs::span sp("h2d.chunk", "device");
-    sp.arg("bytes", static_cast<double>(ch.text.size()));
-    fault::inject_point(fault::site::dev_alloc);
+  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
+  /// the two word arrays under opt6.
+  usize chunk_bytes(usize bases) const override {
+    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  }
+
+  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
+  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
+              std::span<const char> flags) override {
     release_chunk();
-    chunk_len_ = ch.text.size();
-    locicnt_ = 0;
-    chr_ = sycl::malloc_device<char>(chunk_len_, q_);
+    chr_ = sycl::malloc_device<char>(ch.text.size(), q_);
     count_ = sycl::malloc_device<u32>(1, q_);
-    q_.memcpy(chr_, ch.text.data(), chunk_len_);
+    q_.memcpy(chr_, ch.text.data(), ch.text.size());
     if (packs_words()) {
       // opt6: the producer's 2-bit words + ambiguity flags, device-resident
       // for the packed-word finder and comparer (the char chunk stays for
@@ -138,17 +56,22 @@ class sycl_usm_pipeline final : public device_pipeline {
       q_.memcpy(amb2_, words.amb2.data(), words.amb2.size() * sizeof(util::u64));
     }
     alloc_hits(hit_cap);
-    metrics_.h2d_bytes += chunk_bytes(chunk_len_);
+    if (!loci.empty()) {
+      q_.memcpy(loci_, loci.data(), loci.size() * sizeof(u32));
+      q_.memcpy(flag_, flags.data(), flags.size());
+    }
   }
 
-  /// Device-resident hit arrays for `cap` entries: the finder's worst case
-  /// unless opt_.max_entries caps it, or a warm chunk's prebuilt hits.
-  void alloc_hits(usize cap) {
+  void alloc_hits(usize cap) override {
     sycl::free(loci_, q_);
     sycl::free(flag_, q_);
-    loci_cap_ = cap;
-    loci_ = sycl::malloc_device<u32>(loci_cap_, q_);
-    flag_ = sycl::malloc_device<char>(loci_cap_, q_);
+    loci_ = sycl::malloc_device<u32>(cap, q_);
+    flag_ = sycl::malloc_device<char>(cap, q_);
+  }
+
+  void read_hits(u32 n, u32* loci, char* flags) override {
+    if (loci != nullptr) q_.memcpy(loci, loci_, n * sizeof(u32));
+    if (flags != nullptr) q_.memcpy(flags, flag_, n);
   }
 
   void release_chunk() {
@@ -169,37 +92,21 @@ class sycl_usm_pipeline final : public device_pipeline {
   void zero_count(u32* ptr) {
     const u32 zero = 0;
     q_.memcpy(ptr, &zero, sizeof(u32));
-    metrics_.h2d_bytes += sizeof(u32);
   }
 
   u32 read_count(const u32* ptr) {
     u32 n = 0;
     q_.memcpy(&n, ptr, sizeof(u32));
-    metrics_.d2h_bytes += sizeof(u32);
     return n;
   }
 
-  /// Entry-allocation size for a worst-case demand, honouring the
-  /// max_entries cap (0 = worst case, which cannot overflow).
-  usize cap_entries(usize worst) const {
-    return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
-  }
-
-  /// Bytes load_chunk uploads for a chunk of `bases`: the chars, plus the
-  /// two word arrays under opt6.
-  usize chunk_bytes(usize bases) const {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+  launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) override {
+    return opt_.counting ? finder<counting_mem>(pat, chrsize, cap)
+                         : finder<direct_mem>(pat, chrsize, cap);
   }
 
   template <class P>
-  u32 run_finder_impl(const device_pattern& pat) {
-    plen_ = pat.plen;
-    if (chunk_len_ < pat.plen) {
-      locicnt_ = 0;
-      return 0;
-    }
-    const u32 chrsize = static_cast<u32>(chunk_len_ - pat.plen + 1);
-    if (loci_cap_ < cap_entries(chunk_len_)) alloc_hits(cap_entries(chunk_len_));
+  launch_stats finder(const device_pattern& pat, u32 chrsize, usize loci_cap) {
     const usize lws = opt_.wg_size;
     // opt6's packed-word finder covers 32 start positions per work-item.
     const usize gws = util::round_up<usize>(
@@ -209,19 +116,18 @@ class sycl_usm_pipeline final : public device_pipeline {
     i32* idxd = sycl::malloc_device<i32>(pat.index.size(), q_);
     u16* maskd = sycl::malloc_device<u16>(pat.mask.size(), q_);
     q_.memcpy(idxd, pat.index_data(), pat.index.size() * sizeof(i32));
-    metrics_.h2d_bytes += pat.index.size() * sizeof(i32);
+    count_h2d(pat.index.size() * sizeof(i32));
     if (!packs_words()) {
       q_.memcpy(patd, pat.data(), pat.device_chars());
-      metrics_.h2d_bytes += pat.device_chars();
+      count_h2d(pat.device_chars());
     }
     const bool use_mask = comparer_variant_uses_mask(opt_.variant);
     if (use_mask) {
       q_.memcpy(maskd, pat.mask_data(), pat.mask.size() * sizeof(u16));
-      metrics_.h2d_bytes += pat.mask.size() * sizeof(u16);
+      count_h2d(pat.mask.size() * sizeof(u16));
     }
     zero_count(count_);
 
-    detail::kernel_record_scope rec(opt_, "finder");
     const char* chr = chr_;
     const util::u64* chr2 = chr2_;
     const util::u64* amb2 = amb2_;
@@ -229,7 +135,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     char* flag = flag_;
     u32* count = count_;
     const u32 plen = pat.plen;
-    const u32 loci_cap = static_cast<u32>(loci_cap_);
+    const u32 entry_cap = static_cast<u32>(loci_cap);
     const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
@@ -248,7 +154,7 @@ class sycl_usm_pipeline final : public device_pipeline {
            a.loci = loci;
            a.flag = flag;
            a.entrycount = count;
-           a.entry_capacity = loci_cap;
+           a.entry_capacity = entry_cap;
            finder_swar_kernel<P>(item, a);
          });
          return;
@@ -268,7 +174,7 @@ class sycl_usm_pipeline final : public device_pipeline {
          a.loci = loci;
          a.flag = flag;
          a.entrycount = count;
-         a.entry_capacity = loci_cap;
+         a.entry_capacity = entry_cap;
          a.l_pat = l_pat.get_pointer();
          a.l_pat_index = l_idx.get_pointer();
          a.l_pat_mask = l_mask.get_pointer();
@@ -279,53 +185,79 @@ class sycl_usm_pipeline final : public device_pipeline {
          }
        });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.finder_launches;
-    rec.finish(stats.wall_nanos);
+    const util::u64 nanos = q_.cof_last_launch().wall_nanos;
 
     sycl::free(patd, q_);
     sycl::free(idxd, q_);
     sycl::free(maskd, q_);
-    locicnt_ = read_count(count_);
-    detail::check_entry_capacity("finder", locicnt_, loci_cap_);
-    metrics_.total_loci += locicnt_;
-    return locicnt_;
+    return {read_count(count_), nanos};
+  }
+
+  /// A per-query comparer launch's device outputs.
+  struct comparer_out {
+    u16* mm;
+    char* dir;
+    u32* loci;
+    u32* count;
+  };
+
+  comparer_out alloc_out(usize cap) {
+    comparer_out o{sycl::malloc_device<u16>(cap, q_), sycl::malloc_device<char>(cap, q_),
+                   sycl::malloc_device<u32>(cap, q_), sycl::malloc_device<u32>(1, q_)};
+    zero_count(o.count);
+    return o;
+  }
+
+  /// Read the launch's count back, download its entries into `out` when
+  /// they fit `cap`, and free the outputs.
+  u32 read_out(const comparer_out& o, usize cap, entries& out) {
+    const u32 n = read_count(o.count);
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      q_.memcpy(out.mm.data(), o.mm, n * sizeof(u16));
+      q_.memcpy(out.dir.data(), o.dir, n);
+      q_.memcpy(out.loci.data(), o.loci, n * sizeof(u32));
+    }
+    sycl::free(o.mm, q_);
+    sycl::free(o.dir, q_);
+    sycl::free(o.loci, q_);
+    sycl::free(o.count, q_);
+    return n;
+  }
+
+  launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
+                               usize cap, entries& out) override {
+    const comparer_out o = alloc_out(cap);
+    if (packs_words()) {
+      opt_.counting ? comparer_swar<counting_mem>(query, threshold, locicnt, cap, o)
+                    : comparer_swar<direct_mem>(query, threshold, locicnt, cap, o);
+    } else {
+      opt_.counting ? comparer<counting_mem>(query, threshold, locicnt, cap, o)
+                    : comparer<direct_mem>(query, threshold, locicnt, cap, o);
+    }
+    const util::u64 nanos = q_.cof_last_launch().wall_nanos;
+    return {read_out(o, cap, out), nanos};
   }
 
   template <class P>
-  entries run_comparer_impl(const device_pattern& query, u16 threshold) {
-    entries out;
-    if (locicnt_ == 0) return out;
-    COF_CHECK_MSG(query.plen == plen_, "query length != pattern length");
-    if (opt_.variant == comparer_variant::opt6) {
-      return run_comparer_swar<P>(query, threshold);
-    }
+  void comparer(const device_pattern& query, u16 threshold, u32 locicnt, usize cap,
+                const comparer_out& o) {
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
+    const usize gws = util::round_up<usize>(locicnt, lws);
 
     char* compd = sycl::malloc_device<char>(query.device_chars(), q_);
     i32* cidxd = sycl::malloc_device<i32>(query.index.size(), q_);
     u16* cmaskd = sycl::malloc_device<u16>(query.mask.size(), q_);
-    u16* mmd = sycl::malloc_device<u16>(cap, q_);
-    char* dird = sycl::malloc_device<char>(cap, q_);
-    u32* mlocid = sycl::malloc_device<u32>(cap, q_);
-    u32* ccountd = sycl::malloc_device<u32>(1, q_);
     q_.memcpy(compd, query.data(), query.device_chars());
     q_.memcpy(cidxd, query.index_data(), query.index.size() * sizeof(i32));
-    metrics_.h2d_bytes += query.device_chars() + query.index.size() * sizeof(i32);
+    count_h2d(query.device_chars() + query.index.size() * sizeof(i32));
     if (opt_.variant == comparer_variant::opt5) {
       q_.memcpy(cmaskd, query.mask_data(), query.mask.size() * sizeof(u16));
-      metrics_.h2d_bytes += query.mask.size() * sizeof(u16);
+      count_h2d(query.mask.size() * sizeof(u16));
     }
-    zero_count(ccountd);
 
-    const std::string tag =
-        std::string("comparer/") + comparer_variant_name(opt_.variant);
-    detail::kernel_record_scope rec(opt_, tag);
+    const std::string tag = comparer_tag(opt_.variant);
     const comparer_variant variant = opt_.variant;
-    const u32 locicnt = locicnt_;
     const char* chr = chr_;
     const u32* loci = loci_;
     const char* flag = flag_;
@@ -349,10 +281,10 @@ class sycl_usm_pipeline final : public device_pipeline {
                           a.comp_mask = cmaskd;
                           a.plen = plen;
                           a.threshold = threshold;
-                          a.mm_count = mmd;
-                          a.direction = dird;
-                          a.mm_loci = mlocid;
-                          a.entrycount = ccountd;
+                          a.mm_count = o.mm;
+                          a.direction = o.dir;
+                          a.mm_loci = o.loci;
+                          a.entrycount = o.count;
                           a.entry_capacity = entry_cap;
                           a.l_comp = l_comp.get_pointer();
                           a.l_comp_index = l_cidx.get_pointer();
@@ -360,60 +292,29 @@ class sycl_usm_pipeline final : public device_pipeline {
                           comparer_dispatch<P>(variant, item, a);
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-
-    const u32 n = read_count(ccountd);
-    detail::check_entry_capacity("comparer", n, cap);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    if (n != 0) {
-      q_.memcpy(out.mm.data(), mmd, n * sizeof(u16));
-      q_.memcpy(out.dir.data(), dird, n);
-      q_.memcpy(out.loci.data(), mlocid, n * sizeof(u32));
-      metrics_.d2h_bytes += n * (sizeof(u16) + 1 + sizeof(u32));
-    }
-    metrics_.total_entries += n;
     sycl::free(compd, q_);
     sycl::free(cidxd, q_);
     sycl::free(cmaskd, q_);
-    sycl::free(mmd, q_);
-    sycl::free(dird, q_);
-    sycl::free(mlocid, q_);
-    sycl::free(ccountd, q_);
-    return out;
   }
 
   /// opt6: SWAR comparer over the chunk's device-resident words, raw-char
   /// LUT fallback for ambiguous bases. Non-counting runs install the
   /// lane-batched row body (AVX2 when the host has it, scalar otherwise).
   template <class P>
-  entries run_comparer_swar(const device_pattern& query, u16 threshold) {
-    entries out;
+  void comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt, usize cap,
+                     const comparer_out& o) {
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
+    const usize gws = util::round_up<usize>(locicnt, lws);
 
     util::u64* csward = sycl::malloc_device<util::u64>(query.swar.size(), q_);
     u16* cmaskd = sycl::malloc_device<u16>(query.mask.size(), q_);
-    u16* mmd = sycl::malloc_device<u16>(cap, q_);
-    char* dird = sycl::malloc_device<char>(cap, q_);
-    u32* mlocid = sycl::malloc_device<u32>(cap, q_);
-    u32* ccountd = sycl::malloc_device<u32>(1, q_);
     q_.memcpy(csward, query.swar_data(), query.swar.size() * sizeof(util::u64));
     q_.memcpy(cmaskd, query.mask_data(), query.mask.size() * sizeof(u16));
-    metrics_.h2d_bytes +=
-        query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16);
-    zero_count(ccountd);
+    count_h2d(query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16));
 
-    const std::string tag =
-        std::string("comparer/") + comparer_variant_name(opt_.variant);
-    detail::kernel_record_scope rec(opt_, tag);
+    const std::string tag = comparer_tag(opt_.variant);
     comparer_swar_args base;
-    base.locicnts = locicnt_;
+    base.locicnts = locicnt;
     base.chr_packed2 = chr2_;
     base.chr_amb2 = amb2_;
     base.chr = chr_;
@@ -424,10 +325,10 @@ class sycl_usm_pipeline final : public device_pipeline {
     base.plen = query.plen;
     base.swar_words = query.swar_words;
     base.threshold = threshold;
-    base.mm_count = mmd;
-    base.direction = dird;
-    base.mm_loci = mlocid;
-    base.entrycount = ccountd;
+    base.mm_count = o.mm;
+    base.direction = o.dir;
+    base.mm_loci = o.loci;
+    base.entrycount = o.count;
     base.entry_capacity = static_cast<u32>(cap);
     const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
@@ -455,88 +356,52 @@ class sycl_usm_pipeline final : public device_pipeline {
          });
        }
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-
-    const u32 n = read_count(ccountd);
-    detail::check_entry_capacity("comparer", n, cap);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    if (n != 0) {
-      q_.memcpy(out.mm.data(), mmd, n * sizeof(u16));
-      q_.memcpy(out.dir.data(), dird, n);
-      q_.memcpy(out.loci.data(), mlocid, n * sizeof(u32));
-      metrics_.d2h_bytes += n * (sizeof(u16) + 1 + sizeof(u32));
-    }
-    metrics_.total_entries += n;
     sycl::free(csward, q_);
     sycl::free(cmaskd, q_);
-    sycl::free(mmd, q_);
-    sycl::free(dird, q_);
-    sycl::free(mlocid, q_);
-    sycl::free(ccountd, q_);
-    return out;
   }
 
   /// Batched comparer, launch half: one multi-query kernel over the
   /// device-resident loci/flag arrays; output allocations stay on device
-  /// (staged members) until fetch_staged() downloads and frees them.
-  template <class P>
-  void launch_batch_impl(const std::vector<device_pattern>& queries,
-                         const std::vector<u16>& thresholds) {
-    if (opt_.variant == comparer_variant::opt6) {
-      launch_batch_swar<P>(queries, thresholds);
-      return;
-    }
+  /// (staged members) until read_batch downloads and frees them.
+  util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
     release_batch();
-    batch_staged_ = true;
-    if (locicnt_ == 0 || queries.empty()) return;  // fetch yields empty
-    COF_CHECK(queries.size() == thresholds.size());
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    COF_CHECK_MSG(plen == plen_, "query length != pattern length");
-
-    std::string comp_all;
-    std::vector<i32> cidx_all;
-    std::vector<u16> cmask_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      comp_all += q.fwrc;
-      cidx_all.insert(cidx_all.end(), q.index.begin(), q.index.end());
-      cmask_all.insert(cmask_all.end(), q.mask.begin(), q.mask.end());
-    }
-
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
-    batch_cap_ = cap;
-
-    char* compd = sycl::malloc_device<char>(comp_all.size(), q_);
-    i32* cidxd = sycl::malloc_device<i32>(cidx_all.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(cmask_all.size(), q_);
-    u16* thrd = sycl::malloc_device<u16>(nq, q_);
     batch_mm_ = sycl::malloc_device<u16>(cap, q_);
     batch_dir_ = sycl::malloc_device<char>(cap, q_);
     batch_loci_ = sycl::malloc_device<u32>(cap, q_);
     batch_query_ = sycl::malloc_device<u16>(cap, q_);
     batch_count_ = sycl::malloc_device<u32>(1, q_);
-    q_.memcpy(compd, comp_all.data(), comp_all.size());
-    q_.memcpy(cidxd, cidx_all.data(), cidx_all.size() * sizeof(i32));
-    q_.memcpy(thrd, thresholds.data(), nq * sizeof(u16));
-    metrics_.h2d_bytes +=
-        comp_all.size() + cidx_all.size() * sizeof(i32) + nq * sizeof(u16);
-    if (opt_.variant == comparer_variant::opt5) {
-      q_.memcpy(cmaskd, cmask_all.data(), cmask_all.size() * sizeof(u16));
-      metrics_.h2d_bytes += cmask_all.size() * sizeof(u16);
-    }
     zero_count(batch_count_);
+    if (packs_words()) {
+      opt_.counting ? batch_swar<counting_mem>(b, locicnt, cap)
+                    : batch_swar<direct_mem>(b, locicnt, cap);
+    } else {
+      opt_.counting ? batch<counting_mem>(b, locicnt, cap)
+                    : batch<direct_mem>(b, locicnt, cap);
+    }
+    return q_.cof_last_launch().wall_nanos;
+  }
+
+  template <class P>
+  void batch(const query_batch& b, u32 locicnt, usize cap) {
+    const usize lws = opt_.wg_size;
+    const usize gws = util::round_up<usize>(locicnt, lws);
+    const u32 nq = b.queries;
+
+    char* compd = sycl::malloc_device<char>(b.chars.size(), q_);
+    i32* cidxd = sycl::malloc_device<i32>(b.index.size(), q_);
+    u16* cmaskd = sycl::malloc_device<u16>(b.mask.size(), q_);
+    u16* thrd = sycl::malloc_device<u16>(nq, q_);
+    q_.memcpy(compd, b.chars.data(), b.chars.size());
+    q_.memcpy(cidxd, b.index.data(), b.index.size() * sizeof(i32));
+    q_.memcpy(thrd, b.thresholds, nq * sizeof(u16));
+    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + nq * sizeof(u16));
+    if (opt_.variant == comparer_variant::opt5) {
+      q_.memcpy(cmaskd, b.mask.data(), b.mask.size() * sizeof(u16));
+      count_h2d(b.mask.size() * sizeof(u16));
+    }
 
     const bool use_mask = opt_.variant == comparer_variant::opt5;
-    detail::kernel_record_scope rec(opt_, "comparer/batch");
-    const u32 locicnt = locicnt_;
+    const u32 plen = b.plen;
     const char* chr = chr_;
     const u32* loci = loci_;
     const char* flag = flag_;
@@ -549,9 +414,9 @@ class sycl_usm_pipeline final : public device_pipeline {
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(comp_all.size()), cgh);
-       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(cidx_all.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(cmask_all.size()), cgh);
+       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(b.chars.size()), cgh);
+       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(b.index.size()), cgh);
+       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           comparer_multi_args a;
@@ -581,11 +446,6 @@ class sycl_usm_pipeline final : public device_pipeline {
                           }
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-
     sycl::free(compd, q_);
     sycl::free(cidxd, q_);
     sycl::free(cmaskd, q_);
@@ -595,48 +455,22 @@ class sycl_usm_pipeline final : public device_pipeline {
   /// Batched comparer under opt6: one multi-query SWAR kernel
   /// (comparer_multi_swar_kernel), loci/flag read once per locus.
   template <class P>
-  void launch_batch_swar(const std::vector<device_pattern>& queries,
-                         const std::vector<u16>& thresholds) {
-    release_batch();
-    batch_staged_ = true;
-    if (locicnt_ == 0 || queries.empty()) return;  // fetch yields empty
-    COF_CHECK(queries.size() == thresholds.size());
-    const u32 nq = static_cast<u32>(queries.size());
-    const u32 plen = queries.front().plen;
-    const u32 swar_words = queries.front().swar_words;
-    COF_CHECK_MSG(plen == plen_, "query length != pattern length");
-
-    std::vector<util::u64> swar_all;
-    std::vector<u16> cmask_all;
-    for (const auto& q : queries) {
-      COF_CHECK_MSG(q.plen == plen, "batched queries must share one length");
-      swar_all.insert(swar_all.end(), q.swar.begin(), q.swar.end());
-      cmask_all.insert(cmask_all.end(), q.mask.begin(), q.mask.end());
-    }
-
+  void batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt_, lws);
-    const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * nq);
-    batch_cap_ = cap;
+    const usize gws = util::round_up<usize>(locicnt, lws);
+    const u32 nq = b.queries;
 
-    util::u64* csward = sycl::malloc_device<util::u64>(swar_all.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(cmask_all.size(), q_);
+    util::u64* csward = sycl::malloc_device<util::u64>(b.swar.size(), q_);
+    u16* cmaskd = sycl::malloc_device<u16>(b.mask.size(), q_);
     u16* thrd = sycl::malloc_device<u16>(nq, q_);
-    batch_mm_ = sycl::malloc_device<u16>(cap, q_);
-    batch_dir_ = sycl::malloc_device<char>(cap, q_);
-    batch_loci_ = sycl::malloc_device<u32>(cap, q_);
-    batch_query_ = sycl::malloc_device<u16>(cap, q_);
-    batch_count_ = sycl::malloc_device<u32>(1, q_);
-    q_.memcpy(csward, swar_all.data(), swar_all.size() * sizeof(util::u64));
-    q_.memcpy(cmaskd, cmask_all.data(), cmask_all.size() * sizeof(u16));
-    q_.memcpy(thrd, thresholds.data(), nq * sizeof(u16));
-    metrics_.h2d_bytes += swar_all.size() * sizeof(util::u64) +
-                          cmask_all.size() * sizeof(u16) + nq * sizeof(u16);
-    zero_count(batch_count_);
+    q_.memcpy(csward, b.swar.data(), b.swar.size() * sizeof(util::u64));
+    q_.memcpy(cmaskd, b.mask.data(), b.mask.size() * sizeof(u16));
+    q_.memcpy(thrd, b.thresholds, nq * sizeof(u16));
+    count_h2d(b.swar.size() * sizeof(util::u64) + b.mask.size() * sizeof(u16) +
+              nq * sizeof(u16));
 
-    detail::kernel_record_scope rec(opt_, "comparer/batch");
     comparer_multi_swar_args base;
-    base.locicnts = locicnt_;
+    base.locicnts = locicnt;
     base.chr_packed2 = chr2_;
     base.chr_amb2 = amb2_;
     base.chr = chr_;
@@ -646,8 +480,8 @@ class sycl_usm_pipeline final : public device_pipeline {
     base.comp_mask = cmaskd;
     base.thresholds = thrd;
     base.nqueries = nq;
-    base.plen = plen;
-    base.swar_words = swar_words;
+    base.plen = b.plen;
+    base.swar_words = b.swar_words;
     base.mm_count = batch_mm_;
     base.direction = batch_dir_;
     base.mm_loci = batch_loci_;
@@ -657,8 +491,8 @@ class sycl_usm_pipeline final : public device_pipeline {
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(swar_all.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(cmask_all.size()), cgh);
+       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
+       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           comparer_multi_swar_args a = base;
@@ -668,40 +502,25 @@ class sycl_usm_pipeline final : public device_pipeline {
                                                                                 a);
                         });
      }).wait();
-    const auto stats = q_.cof_last_launch();
-    metrics_.kernel_nanos += stats.wall_nanos;
-    ++metrics_.comparer_launches;
-    rec.finish(stats.wall_nanos);
-
     sycl::free(csward, q_);
     sycl::free(cmaskd, q_);
     sycl::free(thrd, q_);
   }
 
-  /// Batched comparer, fetch half: deferred download + free of the staged
+  /// Batched comparer, read half: deferred download + free of the staged
   /// device allocations.
-  entries fetch_staged() {
-    COF_CHECK_MSG(batch_staged_, "fetch_entries without launch_comparer_batch");
-    batch_staged_ = false;
-    entries out;
-    if (batch_cap_ == 0) return out;  // empty launch (no loci or no queries)
-
+  u32 read_batch(usize cap, entries& out) override {
     const u32 n = read_count(batch_count_);
-    detail::check_entry_capacity("comparer/batch", n, batch_cap_);
-    out.mm.resize(n);
-    out.dir.resize(n);
-    out.loci.resize(n);
-    out.qidx.resize(n);
-    if (n != 0) {
+    if (n != 0 && n <= cap) {
+      out.resize(n);
+      out.qidx.resize(n);
       q_.memcpy(out.mm.data(), batch_mm_, n * sizeof(u16));
       q_.memcpy(out.dir.data(), batch_dir_, n);
       q_.memcpy(out.loci.data(), batch_loci_, n * sizeof(u32));
       q_.memcpy(out.qidx.data(), batch_query_, n * sizeof(u16));
-      metrics_.d2h_bytes += n * (2 * sizeof(u16) + 1 + sizeof(u32));
     }
-    metrics_.total_entries += n;
     release_batch();
-    return out;
+    return n;
   }
 
   void release_batch() {
@@ -715,12 +534,9 @@ class sycl_usm_pipeline final : public device_pipeline {
     batch_loci_ = nullptr;
     batch_query_ = nullptr;
     batch_count_ = nullptr;
-    batch_cap_ = 0;
   }
 
-  pipeline_options opt_;
   sycl::queue q_;
-  pipeline_metrics metrics_;
   char* chr_ = nullptr;
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   util::u64* chr2_ = nullptr;
@@ -728,19 +544,13 @@ class sycl_usm_pipeline final : public device_pipeline {
   u32* loci_ = nullptr;
   char* flag_ = nullptr;
   u32* count_ = nullptr;
-  // Staged output of the last launch_comparer_batch (freed by fetch_staged,
-  // release_batch, or the destructor).
+  // Staged output of the last launch_batch (freed by read_batch, the next
+  // launch_batch, or the destructor).
   u16* batch_mm_ = nullptr;
   char* batch_dir_ = nullptr;
   u32* batch_loci_ = nullptr;
   u16* batch_query_ = nullptr;
   u32* batch_count_ = nullptr;
-  usize batch_cap_ = 0;
-  bool batch_staged_ = false;
-  usize chunk_len_ = 0;
-  usize loci_cap_ = 0;
-  u32 locicnt_ = 0;
-  u32 plen_ = 0;
 };
 
 }  // namespace

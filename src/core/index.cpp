@@ -669,31 +669,19 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
             const auto entries = rc->pipe->run_comparers(dev_queries, thresholds,
                                                          opt_.batch_queries);
             if (overflowed) ++recovered;
-            for (usize e = 0; e < entries.size(); ++e) {
-              const u32 qi = entries.qidx[e];
-              const u64 pos = ch.start + entries.loci[e];
-              const std::string_view slice(ch.text.data() + entries.loci[e],
-                                           plen);
-              local.push_back(ot_record{
-                  qi, ch.chrom_index, pos, entries.dir[e], entries.mm[e],
-                  make_site_string(dev_queries[qi].seq, slice, entries.dir[e])});
-            }
+            append_records(entries, ch.text, ch.chrom_index, ch.start, dev_queries, local);
             break;  // chunk done
           } catch (const entry_overflow_error& e) {
-            // The engine's grow-retry policy (core/recovery.hpp), with the
-            // grown cap sticky per slot. The overflowing chunk's pipeline
-            // is retired; the next attempt re-admits at the grown cap.
-            if (attempt + 1 >= recovery::kMaxOverflowAttempts) throw;
+            // The engine's overflow rule (core/recovery.hpp), with the cap
+            // sticky per slot. The overflowing chunk's pipeline is retired;
+            // the next attempt re-admits at the retry cap.
+            sl.cur_max_entries = recovery::retry_capacity(
+                attempt, sl.cur_max_entries, e, ch.text.size(), dev_queries.size());
             obs::span rsp("recover.retry", "engine");
             rsp.arg("required", static_cast<double>(e.required()));
             rsp.arg("capacity", static_cast<double>(e.capacity()));
             overflowed = true;
             sl.evict(ci);
-            const usize cur = sl.cur_max_entries;
-            const usize grown = recovery::grown_capacity(cur, e, ch.text.size(),
-                                                         dev_queries.size());
-            if (cur != 0 && grown <= cur) throw;  // already worst-case sized
-            sl.cur_max_entries = grown;
             ++overflow_retries;
             ++attempt;
           } catch (const fault::injected_error&) {

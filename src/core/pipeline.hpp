@@ -1,16 +1,65 @@
-// The device-pipeline interface both host programs implement. The engine
-// (engine.hpp) drives either implementation through this interface; the
-// implementations differ only in the host programming model — which is
-// exactly the variable the paper studies:
+// The device-pipeline contract. The engine (engine.hpp) drives every facade
+// through device_pipeline's public calls, none of which is virtual: the base
+// class owns the engine policy, and each facade overrides only the protected
+// hooks, written in its own host programming model — which is exactly the
+// variable the paper studies:
 //
-//   host_ocl.cpp  — the original-style OpenCL host program (explicit
-//                   platform/context/queue/program/kernel/buffer objects,
-//                   clSetKernelArg, clEnqueueNDRangeKernel, manual release)
-//   host_sycl.cpp — the migrated SYCL host program (selector, queue,
-//                   buffers, accessors, lambda kernels, implicit cleanup)
+//   host_ocl.cpp         — the original-style OpenCL host program (explicit
+//                          platform/context/queue/program/kernel/buffer
+//                          objects, clSetKernelArg, clEnqueueNDRangeKernel,
+//                          manual release)
+//   host_sycl.cpp        — the migrated SYCL host program (selector, queue,
+//                          buffers, accessors, lambda kernels, implicit
+//                          cleanup)
+//   host_sycl_usm.cpp    — the same with USM pointers (malloc_device, memcpy)
+//   host_sycl_twobit.cpp — SYCL over 2-bit packed chunks
+//
+// The base owns:
+//   * the chunk and candidate state: chunk length, hit capacity, hit count
+//     and pattern length;
+//   * entry sizing (cap_entries): the finder's worst case is one hit per
+//     position, a per-query comparer's two entries per hit, a batched one's
+//     two per hit and query, each shrunk to pipeline_options::max_entries
+//     when set; a warm chunk's hit arrays hold exactly its prebuilt hits and
+//     run_finder regrows them to the finder's size;
+//   * the argument checks (query length, one length per batch) and the
+//     entry-capacity checks that throw entry_overflow_error;
+//   * packing a batch's queries into one query_batch;
+//   * the profiler scope around every launch;
+//   * the `h2d.chunk`, `h2d.index_chunk`, `finder`, `comparer`,
+//     `comparer.batch` and `fetch` spans, and the `dev.alloc` (upload) and
+//     `dev.launch` (finder, batched comparer) fault points;
+//   * every pipeline_metrics field except the h2d bytes of the pattern and
+//     query constants a facade chooses to upload, which it reports through
+//     count_h2d.
+//
+// A facade's hooks:
+//   * upload: put the chunk on the device (chars, words or nibbles), with
+//     hit arrays for the capacity given, and write the prebuilt candidates
+//     into them when there are any;
+//   * alloc_hits: (re)allocate the hit arrays; read_hits: copy hits back;
+//   * launch_finder, launch_comparer: one launch each;
+//   * launch_batch, read_batch: the multi-query comparer, launched and read
+//     back later. A facade without one names no batch kernel in its
+//     kernel_tags (the 2-bit facade), and launch_comparer_batch then stages
+//     the per-query launches instead;
+//   * chunk_bytes: the device bytes upload puts there for a chunk.
+//
+// Counting rule: a launch hook zeroes the kernel's append counter before it
+// launches and reads it back after (the base charges both 4-byte copies),
+// and returns the count and the kernel's wall nanos. The base counts a
+// launch whether or not its count overflows the capacity.
+//
+// Release rule: a launch hook downloads entries only when the count fits the
+// capacity it was given, and releases what it allocated for the launch
+// before it returns, so the base's capacity check can throw without leaking.
+// A batched launch's outputs stay on the device until read_batch, which
+// releases them the same way.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -20,7 +69,6 @@
 #include "core/kernels_swar.hpp"
 #include "core/pattern.hpp"
 #include "fault/fault.hpp"
-#include "obs/trace.hpp"
 #include "profile/profiler.hpp"
 
 namespace cof {
@@ -134,20 +182,26 @@ class device_pipeline {
     std::vector<u32> loci;
     std::vector<u16> qidx;  // query index per entry (batched path)
     usize size() const { return mm.size(); }
+    /// Size mm, dir and loci for `n` downloaded entries.
+    void resize(usize n) {
+      mm.resize(n);
+      dir.resize(n);
+      loci.resize(n);
+    }
   };
 
-  explicit device_pipeline(const pipeline_options& opt)
-      : packs_words_(comparer_variant_packs_words(opt.variant)) {}
   virtual ~device_pipeline() = default;
+  device_pipeline(const device_pipeline&) = delete;
+  device_pipeline& operator=(const device_pipeline&) = delete;
 
-  virtual const char* name() const = 0;
+  const char* name() const { return name_; }
 
   /// True when this pipeline's kernels read the chunk as packed words.
   bool packs_words() const { return packs_words_; }
 
   /// Upload a genome chunk to the device. A packed-word pipeline needs
   /// ch.words (producers pack each chunk once, where they decode it).
-  virtual void load_chunk(const packed_chunk& ch) = 0;
+  void load_chunk(const packed_chunk& ch);
 
   /// Text-only upload for callers that hold no words: packs the chunk here
   /// when this pipeline needs them.
@@ -158,27 +212,24 @@ class device_pipeline {
 
   /// Run the finder over the loaded chunk; hits stay device-resident.
   /// Returns the hit count.
-  virtual u32 run_finder(const device_pattern& pat) = 0;
+  u32 run_finder(const device_pattern& pat);
 
   /// Copy the finder's hit positions back to the host.
-  virtual std::vector<u32> read_loci() = 0;
+  std::vector<u32> read_loci();
 
   /// Copy the finder's per-hit strand flags back to the host (0 = both
   /// strands matched the PAM, 1 = forward only, 2 = reverse only). Length
   /// equals the last finder run's hit count. The index build phase persists
   /// these so warm queries can skip the finder entirely.
-  virtual std::vector<char> read_flags() = 0;
+  std::vector<char> read_flags();
 
   /// Warm-path upload: load a chunk together with PREBUILT finder output
   /// (loci + strand flags from a genome_index) so subsequent comparer
-  /// launches run without a finder launch. Implementations upload the chunk
-  /// (text or words, as load_chunk) and write loci/flags straight into the
-  /// device buffers the finder would have filled. Throws
-  /// entry_overflow_error when the pipeline's max_entries cap cannot hold
-  /// the prebuilt hits.
-  virtual void load_indexed_chunk(const packed_chunk& ch, u32 plen,
-                                  const std::vector<u32>& loci,
-                                  const std::vector<char>& flags) = 0;
+  /// launches run without a finder launch. The hit arrays hold exactly the
+  /// prebuilt hits. Throws entry_overflow_error when the pipeline's
+  /// max_entries cap cannot hold them.
+  void load_indexed_chunk(const packed_chunk& ch, u32 plen, const std::vector<u32>& loci,
+                          const std::vector<char>& flags);
 
   /// Text-only warm-path upload: packs the chunk here when needed.
   void load_indexed_chunk(std::string_view seq, u32 plen,
@@ -191,10 +242,12 @@ class device_pipeline {
   /// Device bytes load_indexed_chunk uploads and keeps resident for a chunk
   /// of `bases` bases with `hits` prebuilt finder hits: what a residency
   /// budget charges for holding it.
-  virtual usize indexed_chunk_bytes(usize bases, usize hits) const = 0;
+  usize indexed_chunk_bytes(usize bases, usize hits) const {
+    return chunk_bytes(bases) + hit_bytes(hits);
+  }
 
   /// Run the comparer for one query against the finder's hits.
-  virtual entries run_comparer(const device_pattern& query, u16 threshold) = 0;
+  entries run_comparer(const device_pattern& query, u16 threshold);
 
   /// Every query's entries for the loaded chunk, each tagged with its query
   /// index. Batched: ONE multi-query launch (launch_comparer_batch, then
@@ -202,49 +255,99 @@ class device_pipeline {
   /// paper / upstream — what the per-query `comparer/<variant>` kernel
   /// profiles measure.
   entries run_comparers(const std::vector<device_pattern>& queries,
-                        const std::vector<u16>& thresholds, bool batched) {
-    if (batched) {
-      launch_comparer_batch(queries, thresholds).wait();
-      return fetch_entries();
-    }
-    entries all;
-    for (usize q = 0; q < queries.size(); ++q) {
-      entries e = run_comparer(queries[q], thresholds[q]);
-      all.mm.insert(all.mm.end(), e.mm.begin(), e.mm.end());
-      all.dir.insert(all.dir.end(), e.dir.begin(), e.dir.end());
-      all.loci.insert(all.loci.end(), e.loci.begin(), e.loci.end());
-      all.qidx.insert(all.qidx.end(), e.size(), static_cast<u16>(q));
-    }
-    return all;
-  }
+                        const std::vector<u16>& thresholds, bool batched);
 
   /// Split batched comparer: launch_comparer_batch starts the single
   /// multi-query launch (finder loci/flags are consumed device-side, no
-  /// host round trip); fetch_entries later downloads the entry list.
-  /// Pipelines with a batched kernel override both; the defaults stage the
-  /// per-query launches so every facade supports the protocol.
-  virtual pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
-                                           const std::vector<u16>& thresholds) {
-    obs::span sp("comparer.batch", "device");
-    sp.arg("queries", static_cast<double>(queries.size()));
-    fault::inject_point(fault::site::dev_launch);
-    staged_ = run_comparers(queries, thresholds, /*batched=*/false);
-    staged_valid_ = true;
-    return {};
-  }
+  /// host round trip); fetch_entries later downloads the entry list. A
+  /// facade without a multi-query kernel runs the per-query launches here
+  /// and fetch_entries returns their staged entries.
+  pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
+                                   const std::vector<u16>& thresholds);
 
-  /// Download the entries staged by the last launch_comparer_batch.
-  virtual entries fetch_entries() {
-    obs::span sp("fetch", "device");
-    COF_CHECK(staged_valid_);
-    staged_valid_ = false;
-    sp.arg("entries", static_cast<double>(staged_.size()));
-    return std::move(staged_);
-  }
+  /// Download the entries of the last launch_comparer_batch.
+  entries fetch_entries();
 
-  virtual const pipeline_metrics& metrics() const = 0;
+  const pipeline_metrics& metrics() const { return metrics_; }
 
  protected:
+  /// Profiler names of a facade's launches.
+  struct kernel_tags {
+    std::string finder{};
+    std::string comparer{};  // one per-query launch
+    std::string batch{};     // the multi-query launch; empty: none
+  };
+
+  /// A finished launch: the kernel's append count (its true demand, past
+  /// any capacity) and its wall time.
+  struct launch_stats {
+    u32 count = 0;
+    util::u64 nanos = 0;
+  };
+
+  /// A batch's queries, concatenated for one multi-query launch: under opt6
+  /// their SWAR deny masks, otherwise their fwrc chars and indices; their
+  /// deny LUTs either way.
+  struct query_batch {
+    u32 queries = 0;
+    u32 plen = 0;
+    u32 swar_words = 0;
+    const u16* thresholds = nullptr;
+    std::string chars{};
+    std::vector<i32> index{};
+    std::vector<u16> mask{};
+    std::vector<util::u64> swar{};
+  };
+
+  device_pipeline(const pipeline_options& opt, const char* name, kernel_tags tags);
+
+  /// "comparer/<variant>": the per-query comparer's profiler name.
+  static std::string comparer_tag(comparer_variant v) {
+    return std::string("comparer/") + comparer_variant_name(v);
+  }
+
+  // --- Hooks: the host programming model. ---
+
+  /// Device bytes upload puts on the device for a chunk of `bases` bases.
+  virtual usize chunk_bytes(usize bases) const = 0;
+
+  /// Upload `ch` (replacing the previous chunk) with hit arrays for
+  /// `hit_cap` hits, and write `loci`/`flags` into them when non-empty.
+  virtual void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
+                      std::span<const char> flags) = 0;
+
+  /// Replace the hit arrays with ones for `cap` hits.
+  virtual void alloc_hits(usize cap) = 0;
+
+  /// Copy the first `n` hits back into `loci` and/or `flags` (either may be
+  /// null).
+  virtual void read_hits(u32 n, u32* loci, char* flags) = 0;
+
+  /// Launch the finder over `chrsize` start positions into hit arrays of
+  /// `cap` hits.
+  virtual launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) = 0;
+
+  /// Launch one query's comparer over the first `loci` hits with outputs for
+  /// `cap` entries; download them into `out` when the count fits.
+  virtual launch_stats launch_comparer(const device_pattern& query, u16 threshold,
+                                       u32 loci, usize cap, entries& out) = 0;
+
+  /// Launch the multi-query comparer over the first `loci` hits with
+  /// outputs for `cap` entries, left on the device for read_batch; returns
+  /// the kernel's wall nanos. Only a facade whose kernel_tags name a batch
+  /// kernel overrides this pair; the defaults are never called.
+  virtual util::u64 launch_batch(const query_batch& b, u32 loci, usize cap);
+
+  /// Read back the last launch_batch: its append count, downloading the
+  /// entries (with their query indices) into `out` when the count fits
+  /// `cap`, and releasing its outputs.
+  virtual u32 read_batch(usize cap, entries& out);
+
+  // --- Helpers for the hooks. ---
+
+  /// Charge the h2d bytes of pattern or query constants a launch uploads.
+  void count_h2d(usize bytes) { metrics_.h2d_bytes += bytes; }
+
   /// The words a packed-word pipeline uploads for `ch`; checks that the
   /// producer supplied them for exactly this text.
   const swar_ref& words_of(const packed_chunk& ch) const {
@@ -253,13 +356,13 @@ class device_pipeline {
     return *ch.words;
   }
 
+  /// The options, as the facade adjusted them in its constructor.
+  pipeline_options opt_;
+
+ private:
   /// Bytes of a chunk's prebuilt hits (u32 locus + char flag each).
   static usize hit_bytes(usize hits) { return hits * (sizeof(u32) + sizeof(char)); }
 
-  entries staged_;            // default launch/fetch staging
-  bool staged_valid_ = false;
-
- private:
   /// `seq` as load_chunk takes it, packed into `storage` when this pipeline
   /// reads words.
   packed_chunk with_words(std::string_view seq, swar_ref& storage) const {
@@ -268,7 +371,33 @@ class device_pipeline {
     return {seq, &storage};
   }
 
+  /// Entry-allocation size for a worst-case demand, honouring the
+  /// max_entries cap (0 = worst case, which cannot overflow).
+  usize cap_entries(usize worst) const {
+    return opt_.max_entries != 0 ? std::min(worst, opt_.max_entries) : worst;
+  }
+
+  void upload_chunk(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
+                    std::span<const char> flags);
+  /// One launch under its profiler scope, with the launch's accounting.
+  template <class Launch>
+  launch_stats launch(const std::string& tag, util::u64& launches, Launch&& go);
+  query_batch pack(const std::vector<device_pattern>& queries,
+                   const std::vector<u16>& thresholds) const;
+
+  const char* name_;
+  kernel_tags tags_;
   bool packs_words_ = false;
+  pipeline_metrics metrics_;
+  usize chunk_len_ = 0;
+  usize loci_cap_ = 0;  // hit-array capacity
+  u32 locicnt_ = 0;     // hits of the last finder run or warm upload
+  u32 plen_ = 0;        // their pattern length
+  // The last launch_comparer_batch: outputs of batch_cap_ entries on the
+  // device (0 = nothing launched), or the staged per-query entries.
+  usize batch_cap_ = 0;
+  entries staged_;
+  bool batch_pending_ = false;
 };
 
 std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& opt);
@@ -288,43 +417,4 @@ std::vector<std::string> sycl_programming_steps();
 /// The OpenCL C source the OpenCL host builds (finder + comparer variants).
 const char* opencl_kernel_source();
 
-namespace detail {
-
-/// Shared post-download capacity check for every facade: the kernels drop
-/// appends past the capacity but keep counting, so a count above the
-/// allocation means the cap was too small for this chunk — `count` is the
-/// true demand and rides the thrown error into the retry sizing. The
-/// entry.clamp fault site forces this same path (with the observed count as
-/// demand) so recovery is exercisable without crafting a saturating genome.
-inline void check_entry_capacity(const char* kernel, u32 count, usize cap) {
-  if (count > cap || fault::should_fail(fault::site::entry_clamp)) {
-    throw entry_overflow_error(kernel, count, cap);
-  }
-}
-
-/// RAII helper: when counting, isolates prof::counters around one launch and
-/// records the snapshot (plus wall nanos) into the profiler under `kernel`.
-class kernel_record_scope {
- public:
-  kernel_record_scope(const pipeline_options& opt, std::string kernel)
-      : opt_(opt), kernel_(std::move(kernel)) {
-    if (opt_.counting) prof::counters::reset();
-  }
-  void finish(util::u64 wall_nanos) {
-    if (finished_) return;
-    finished_ = true;
-    if (opt_.counting && opt_.profiler != nullptr) {
-      opt_.profiler->record(kernel_, prof::counters::snapshot(), wall_nanos);
-    } else if (opt_.profiler != nullptr) {
-      opt_.profiler->record(kernel_, {}, wall_nanos);
-    }
-  }
-
- private:
-  const pipeline_options& opt_;
-  std::string kernel_;
-  bool finished_ = false;
-};
-
-}  // namespace detail
 }  // namespace cof

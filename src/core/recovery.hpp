@@ -26,17 +26,21 @@ inline constexpr usize kMaxDeviceAttempts = 4;
 // with short exponential backoff before the run fails.
 inline constexpr usize kMaxSpillAttempts = 4;
 
-/// Entry cap to retry a chunk of `bases` bases and `queries` queries with
-/// after `e` overflowed cap `cur`: geometric growth, short-circuited by the
-/// true demand the error round-trips, never past the worst case (every
-/// position a hit for every query, what max_entries = 0 sizes). `cur` == 0
-/// is worst-case sizing already: only an injected entry.clamp lands there,
-/// and the chunk retries as is.
-inline usize grown_capacity(usize cur, const entry_overflow_error& e, usize bases,
-                            usize queries) {
+/// The one overflow rule, shared by the chunk runner and the warm session:
+/// the entry cap to retry a chunk of `bases` bases and `queries` queries
+/// with after its attempt `attempt` overflowed cap `cur`. Growth is
+/// geometric, short-circuited by the true demand the error round-trips, and
+/// never past the worst case (every position a hit for every query, what
+/// max_entries = 0 sizes). A cap that cannot grow — `cur` == 0 is worst-case
+/// sizing already, and only an injected entry.clamp lands there — comes back
+/// unchanged and the chunk retries as is. Throws `e` once the attempts are
+/// spent.
+inline usize retry_capacity(usize attempt, usize cur, const entry_overflow_error& e,
+                            usize bases, usize queries) {
+  if (attempt + 1 >= kMaxOverflowAttempts) throw e;
   if (cur == 0) return 0;
   const usize worst = bases * 2 * std::max<usize>(1, queries);
-  return std::min<usize>(worst, std::max<usize>(e.required(), cur * 2));
+  return std::max(cur, std::min<usize>(worst, std::max<usize>(e.required(), cur * 2)));
 }
 
 /// Run `write` (a spill or the final flush), retrying a spill_error with

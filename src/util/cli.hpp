@@ -51,7 +51,7 @@ class cli {
     bool is_flag = false;
     bool seen = false;
     bool is_multi = false;
-    std::vector<std::string> values;  // multi options accumulate here
+    std::vector<std::string> values{};  // multi options accumulate here
   };
   struct pos_spec {
     std::string name;

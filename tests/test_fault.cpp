@@ -749,22 +749,6 @@ TEST(OverflowRecovery, TinyCapMatchesUncappedOnEveryBackendAndQueueCount) {
   }
 }
 
-/// When growing would exceed max_retry_entries, the engine splits the chunk
-/// instead (bounded memory) — and the records still match.
-TEST(OverflowRecovery, SplitsInsteadOfGrowingPastTheMemoryCap) {
-  temp_dir dir;
-  const auto c = make_case(dir, 106, 8);
-
-  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
-  const auto uncapped = cof::run_search_streaming(c.cfg, c.file, opt);
-  opt.max_entries = 3;
-  opt.max_retry_entries = 256;  // growth cap well below per-chunk demand
-  const auto capped = cof::run_search_streaming(c.cfg, c.file, opt);
-  EXPECT_EQ(capped.records, uncapped.records);
-  EXPECT_GE(capped.metrics.recovery.chunk_splits, 1u);
-  EXPECT_GE(capped.metrics.recovery.recovered_overflows, 1u);
-}
-
 // --- true-demand regression --------------------------------------------------
 
 /// The kernels keep advancing the entry counter past the capacity (only the
@@ -772,24 +756,24 @@ TEST(OverflowRecovery, SplitsInsteadOfGrowingPastTheMemoryCap) {
 /// exactly the hit count an uncapped run observes — not the clamped
 /// capacity. The retry sizing consumes this number; a regression here would
 /// silently degrade recovery to blind doubling.
-class TrueDemand : public ::testing::TestWithParam<cof::backend_kind> {};
-
-TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
-  auto g = fault_genome(107);
-  const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNGG");
-  const std::string_view seq(g.chroms[0].seq.data(), 9000);
-
-  auto make = [&](util::usize max_entries) {
+class TrueDemand : public ::testing::TestWithParam<cof::backend_kind> {
+ protected:
+  std::unique_ptr<cof::device_pipeline> make(util::usize max_entries) const {
     cof::pipeline_options popt;
     popt.max_entries = max_entries;
     switch (GetParam()) {
       case cof::backend_kind::opencl: return cof::make_opencl_pipeline(popt);
       case cof::backend_kind::sycl_usm: return cof::make_sycl_usm_pipeline(popt);
-      case cof::backend_kind::sycl_twobit:
-        return cof::make_sycl_twobit_pipeline(popt);
+      case cof::backend_kind::sycl_twobit: return cof::make_sycl_twobit_pipeline(popt);
       default: return cof::make_sycl_pipeline(popt);
     }
-  };
+  }
+};
+
+TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
+  auto g = fault_genome(107);
+  const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNGG");
+  const std::string_view seq(g.chroms[0].seq.data(), 9000);
 
   auto uncapped = make(0);
   uncapped->load_chunk(seq);
@@ -805,6 +789,45 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
     EXPECT_EQ(e.kernel(), "finder");
     EXPECT_EQ(e.required(), hits);  // true demand, not the clamped count
     EXPECT_EQ(e.capacity(), 2u);
+  }
+}
+
+/// The same round trip for the per-query and the batched comparer. An
+/// all-N pattern and all-N queries make every position a hit on both
+/// strands and every hit two entries per query, so a cap of exactly the
+/// finder's hits lets the finder fit and overflows the comparers. The 2-bit
+/// facade has no multi-query kernel and stages per-query launches, so its
+/// batched overflow is a "comparer" one.
+TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
+  auto g = fault_genome(108);
+  const std::string all_n(23, 'N');
+  const auto pat = cof::make_pattern(all_n);
+  const std::vector<cof::device_pattern> queries = {cof::make_query(all_n),
+                                                    cof::make_query(all_n)};
+  const std::vector<util::u16> thresholds = {0, 1};
+  const std::string_view seq(g.chroms[0].seq.data(), 3000);
+  const bool stages = GetParam() == cof::backend_kind::sycl_twobit;
+
+  for (const bool batched : {false, true}) {
+    auto uncapped = make(0);
+    uncapped->load_chunk(seq);
+    const util::u32 hits = uncapped->run_finder(pat);
+    const util::usize first = uncapped->run_comparer(queries[0], thresholds[0]).size();
+    const util::usize all = uncapped->run_comparers(queries, thresholds, batched).size();
+    ASSERT_GT(first, hits);
+    const bool batch_kernel = batched && !stages;
+
+    auto capped = make(hits);
+    capped->load_chunk(seq);
+    ASSERT_EQ(capped->run_finder(pat), hits);
+    try {
+      (void)capped->run_comparers(queries, thresholds, batched);
+      FAIL() << "expected entry_overflow_error, batched=" << batched;
+    } catch (const cof::entry_overflow_error& e) {
+      EXPECT_EQ(e.kernel(), batch_kernel ? "comparer/batch" : "comparer");
+      EXPECT_EQ(e.required(), batch_kernel ? all : first) << "batched=" << batched;
+      EXPECT_EQ(e.capacity(), hits);
+    }
   }
 }
 

@@ -223,6 +223,70 @@ TEST(Pipelines, OclOverflowLeaksNoLaunchBuffers) {
   }
 }
 
+/// The accounting device_pipeline owns is the same on every facade: one
+/// chunk and one query set, per-query, batched and warm, on all four
+/// facades and every variant. The finder and entry counts always agree;
+/// launches and downloads agree wherever every facade runs the same launches
+/// (the 2-bit facade stages a batch as per-query launches).
+TEST(Pipelines, FacadesAgreeOnAccounting) {
+  auto g = small_genome(21, 20000);
+  auto cfg = small_config();
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 8, 2, 22);
+  const device_pattern pat = make_pattern(cfg.pattern);
+  std::vector<device_pattern> queries;
+  std::vector<u16> thresholds;
+  for (const auto& q : cfg.queries) {
+    queries.push_back(make_query(q.seq));
+    thresholds.push_back(q.max_mismatches);
+  }
+  const std::string_view chunk(g.chroms[0].seq);
+  using maker = std::unique_ptr<device_pipeline> (*)(const pipeline_options&);
+  const maker facades[] = {make_opencl_pipeline, make_sycl_pipeline,
+                           make_sycl_usm_pipeline, make_sycl_twobit_pipeline};
+  for (int v = 0; v < kNumComparerVariants; ++v) {
+    const pipeline_options po{.variant = static_cast<comparer_variant>(v)};
+    std::vector<u32> loci;
+    std::vector<char> flags;
+    {
+      auto pipe = make_sycl_pipeline(po);
+      pipe->load_chunk(chunk);
+      ASSERT_GT(pipe->run_finder(pat), 0u);
+      loci = pipe->read_loci();
+      flags = pipe->read_flags();
+    }
+    for (const char* mode : {"per-query", "batched", "warm"}) {
+      std::vector<pipeline_metrics> ms;
+      for (const maker make : facades) {
+        auto pipe = make(po);
+        if (std::string_view(mode) == "warm") {
+          pipe->load_indexed_chunk(chunk, pat.plen, loci, flags);
+        } else {
+          pipe->load_chunk(chunk);
+          (void)pipe->run_finder(pat);
+        }
+        const auto e = pipe->run_comparers(queries, thresholds,
+                                           std::string_view(mode) == "batched");
+        EXPECT_EQ(e.size(), pipe->metrics().total_entries);
+        ms.push_back(pipe->metrics());
+      }
+      const std::string where =
+          std::string(mode) + " " + comparer_variant_name(po.variant);
+      EXPECT_GT(ms[0].total_entries, 0u) << where;
+      for (usize f = 1; f < ms.size(); ++f) {
+        EXPECT_EQ(ms[f].finder_launches, ms[0].finder_launches) << where << " " << f;
+        EXPECT_EQ(ms[f].total_loci, ms[0].total_loci) << where << " " << f;
+        EXPECT_EQ(ms[f].total_entries, ms[0].total_entries) << where << " " << f;
+        if (std::string_view(mode) != "batched") {
+          EXPECT_EQ(ms[f].comparer_launches, ms[0].comparer_launches)
+              << where << " " << f;
+          EXPECT_EQ(ms[f].d2h_bytes, ms[0].d2h_bytes) << where << " " << f;
+        }
+      }
+    }
+  }
+}
+
 TEST(Pipelines, PlantedRecallAllMismatchLevels) {
   auto g = small_genome(11, 80000);
   auto cfg = small_config();

@@ -76,7 +76,8 @@ TEST(TwoBitFile, RandomRoundTrip) {
     const auto nchroms = 1 + rng.next_below(4);
     for (util::u64 c = 0; c < nchroms; ++c) {
       genome::chromosome chrom;
-      chrom.name = "c" + std::to_string(c);
+      chrom.name = "c";
+      chrom.name += std::to_string(c);
       const auto len = rng.next_below(3000);
       for (util::u64 i = 0; i < len; ++i) chrom.seq += "ACGTN"[rng.next_below(5)];
       g.chroms.push_back(std::move(chrom));
