@@ -316,19 +316,18 @@ __kernel void comparer_multi(unsigned int locicnts, __global char* chr,
   }
 }
 
-/* opt6: two-bit SWAR comparer. The chunk additionally travels as 2-bit
- * packed codes (32 bases per ulong) plus ambiguity flags in the same
- * geometry; the host precomputes, per query half and per 32-base word, one
- * 64-bit deny mask for each reference code (plus a fifth 'N' mask). One
- * word evaluation replaces up to 32 opt5 iterations; ambiguous reference
- * positions fall back to the opt5 LUT against the raw chars. */
-__kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr,
+/* opt6: two-bit SWAR comparer. The chunk travels only as 2-bit packed
+ * codes (32 bases per ulong) plus ambiguity flags in the same geometry; the
+ * host precomputes, per query half and per 32-base word, one 64-bit deny
+ * mask for each reference code plus a fifth 'N' mask. One word evaluation
+ * replaces up to 32 opt5 iterations; every ambiguous reference base scores
+ * through the 'N' mask, exactly as mismatch() treats any non-ACGT byte. */
+__kernel void comparer_opt6(unsigned int locicnts,
                             __global ulong* __restrict chr_packed2,
                             __global ulong* __restrict chr_amb2,
                             __global unsigned int* __restrict loci,
                             __global char* __restrict flag,
                             __constant ulong* comp_swar,
-                            __constant unsigned short* comp_mask,
                             unsigned int plen, unsigned int swar_words,
                             unsigned short threshold,
                             __global unsigned short* __restrict mm_count,
@@ -336,15 +335,12 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
                             __global unsigned int* __restrict mm_loci,
                             __global unsigned int* __restrict entrycount,
                             unsigned int entry_capacity,
-                            __local ulong* l_comp_swar,
-                            __local unsigned short* l_comp_mask) {
+                            __local ulong* l_comp_swar) {
   unsigned int i = get_global_id(0);
   unsigned int li = i - get_group_id(0) * get_local_size(0);
   const ulong even = 0x5555555555555555UL;
   for (unsigned int k = li; k < 2 * swar_words * 5; k += get_local_size(0))
     l_comp_swar[k] = comp_swar[k];
-  for (unsigned int k = li; k < plen * 2; k += get_local_size(0))
-    l_comp_mask[k] = comp_mask[k];
   barrier(CLK_LOCAL_MEM_FENCE);
   if (i >= locicnts) return;
   char f = flag[i];
@@ -352,7 +348,6 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
   for (int half = 0; half < 2; half++) {
     if (!(f == 0 || f == (char)(half + 1))) continue;
     unsigned int sbase = (unsigned int)half * swar_words * 5;
-    unsigned int mbase = (unsigned int)half * plen;
     unsigned int shift = 2u * (locus & 31u);
     unsigned int wi = locus >> 5;
     unsigned short lmm = 0;
@@ -371,14 +366,8 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
         ulong t = ~(ref ^ bc);
         mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
       }
-      lmm += (unsigned short)popcount(mm & ~amb);
-      ulong rest = amb;
-      while (rest != 0) {
-        unsigned int j = (unsigned int)(63 - clz(rest & -rest)) >> 1;
-        rest &= rest - 1;
-        unsigned int k = 32u * w + j;
-        if ((l_comp_mask[mbase + k] >> nibble(chr[locus + k])) & 1u) lmm++;
-      }
+      mm = (mm & ~amb) | (amb & l_comp_swar[sbase + w * 5 + 4]);
+      lmm += (unsigned short)popcount(mm);
       if (lmm > threshold) under = 0;
     }
     if (under) {
@@ -392,16 +381,14 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
   }
 }
 
-/* Batched multi-query twin of comparer_opt6: per-query SWAR deny masks and
- * LUTs are concatenated, loci[i]/flag[i] read once per candidate site. */
+/* Batched multi-query twin of comparer_opt6: per-query SWAR deny masks are
+ * concatenated, loci[i]/flag[i] read once per candidate site. */
 __kernel void comparer_multi_opt6(unsigned int locicnts,
-                                  __global char* __restrict chr,
                                   __global ulong* __restrict chr_packed2,
                                   __global ulong* __restrict chr_amb2,
                                   __global unsigned int* __restrict loci,
                                   __global char* __restrict flag,
                                   __constant ulong* comp_swar,
-                                  __constant unsigned short* comp_mask,
                                   __constant unsigned short* thresholds,
                                   unsigned int nqueries, unsigned int plen,
                                   unsigned int swar_words,
@@ -411,15 +398,12 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
                                   __global unsigned short* __restrict mm_query,
                                   __global unsigned int* __restrict entrycount,
                                   unsigned int entry_capacity,
-                                  __local ulong* l_comp_swar,
-                                  __local unsigned short* l_comp_mask) {
+                                  __local ulong* l_comp_swar) {
   unsigned int i = get_global_id(0);
   unsigned int li = i - get_group_id(0) * get_local_size(0);
   const ulong even = 0x5555555555555555UL;
   for (unsigned int k = li; k < nqueries * 2 * swar_words * 5; k += get_local_size(0))
     l_comp_swar[k] = comp_swar[k];
-  for (unsigned int k = li; k < nqueries * plen * 2; k += get_local_size(0))
-    l_comp_mask[k] = comp_mask[k];
   barrier(CLK_LOCAL_MEM_FENCE);
   if (i >= locicnts) return;
   char f = flag[i];
@@ -429,7 +413,6 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
     for (int half = 0; half < 2; half++) {
       if (!(f == 0 || f == (char)(half + 1))) continue;
       unsigned int sbase = (q * 2 + (unsigned int)half) * swar_words * 5;
-      unsigned int mbase = (q * 2 + (unsigned int)half) * plen;
       unsigned int shift = 2u * (locus & 31u);
       unsigned int wi = locus >> 5;
       unsigned short lmm = 0;
@@ -448,14 +431,8 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
           ulong t = ~(ref ^ bc);
           mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
         }
-        lmm += (unsigned short)popcount(mm & ~amb);
-        ulong rest = amb;
-        while (rest != 0) {
-          unsigned int j = (unsigned int)(63 - clz(rest & -rest)) >> 1;
-          rest &= rest - 1;
-          unsigned int k = 32u * w + j;
-          if ((l_comp_mask[mbase + k] >> nibble(chr[locus + k])) & 1u) lmm++;
-        }
+        mm = (mm & ~amb) | (amb & l_comp_swar[sbase + w * 5 + 4]);
+        lmm += (unsigned short)popcount(mm);
         if (lmm > threshold) under = 0;
       }
       if (under) {
@@ -710,90 +687,81 @@ void comparer_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_native_dispatch<P>(V, a, it);
 }
 
-/// Shared unpack of comparer_opt6's global/scalar arguments (0..15); the
-/// two local args (16/17) resolve only inside a kernel item context, so the
-/// lane entry points them at the globals instead.
+/// Shared unpack of comparer_opt6's global/scalar arguments (0..13); the
+/// local arg (14) resolves only inside a kernel item context, so the lane
+/// entry points it at the global masks instead.
 void comparer_opt6_unpack(const oclsim::arg_view& a, comparer_swar_args& ca) {
   ca.locicnts = a.scalar<u32>(0);
-  ca.chr = a.global<const char>(1);
-  ca.chr_packed2 = a.global<const u64>(2);
-  ca.chr_amb2 = a.global<const u64>(3);
-  ca.loci = a.global<const u32>(4);
-  ca.flag = a.global<const char>(5);
-  ca.comp_swar = a.global<const u64>(6);
-  ca.comp_mask = a.global<const u16>(7);
-  ca.plen = a.scalar<u32>(8);
-  ca.swar_words = a.scalar<u32>(9);
-  ca.threshold = a.scalar<u16>(10);
-  ca.mm_count = a.global<u16>(11);
-  ca.direction = a.global<char>(12);
-  ca.mm_loci = a.global<u32>(13);
-  ca.entrycount = a.global<u32>(14);
-  ca.entry_capacity = a.scalar<u32>(15);
+  ca.chr_packed2 = a.global<const u64>(1);
+  ca.chr_amb2 = a.global<const u64>(2);
+  ca.loci = a.global<const u32>(3);
+  ca.flag = a.global<const char>(4);
+  ca.comp_swar = a.global<const u64>(5);
+  ca.plen = a.scalar<u32>(6);
+  ca.swar_words = a.scalar<u32>(7);
+  ca.threshold = a.scalar<u16>(8);
+  ca.mm_count = a.global<u16>(9);
+  ca.direction = a.global<char>(10);
+  ca.mm_loci = a.global<u32>(11);
+  ca.entrycount = a.global<u32>(12);
+  ca.entry_capacity = a.scalar<u32>(13);
 }
 
 template <class P>
 void comparer_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_swar_args ca;
   comparer_opt6_unpack(a, ca);
-  ca.l_comp_swar = a.local<u64>(16);
-  ca.l_comp_mask = a.local<u16>(17);
-  comparer_swar_kernel<P, xpu::xitem, true>(it, ca);
+  ca.l_comp_swar = a.local<u64>(14);
+  comparer_swar_kernel<P>(it, ca);
 }
 
 /// Lane-batched row body (executor lane dispatch, profiling off only): no
-/// cooperative fetch, constants read straight from the global arguments.
+/// cooperative fetch, masks read straight from the global argument.
 void comparer_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
   comparer_swar_args ca;
   comparer_opt6_unpack(a, ca);
   ca.l_comp_swar = const_cast<u64*>(ca.comp_swar);
-  ca.l_comp_mask = const_cast<u16*>(ca.comp_mask);
-  comparer_swar_lanes<true>(ca, first, nlanes);
+  comparer_swar_lanes(ca, first, nlanes);
 }
 
 template <class P>
 void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_multi_swar_args ca;
   ca.locicnts = a.scalar<u32>(0);
-  ca.chr = a.global<const char>(1);
-  ca.chr_packed2 = a.global<const u64>(2);
-  ca.chr_amb2 = a.global<const u64>(3);
-  ca.loci = a.global<const u32>(4);
-  ca.flag = a.global<const char>(5);
-  ca.comp_swar = a.global<const u64>(6);
-  ca.comp_mask = a.global<const u16>(7);
-  ca.thresholds = a.global<const u16>(8);
-  ca.nqueries = a.scalar<u32>(9);
-  ca.plen = a.scalar<u32>(10);
-  ca.swar_words = a.scalar<u32>(11);
-  ca.mm_count = a.global<u16>(12);
-  ca.direction = a.global<char>(13);
-  ca.mm_loci = a.global<u32>(14);
-  ca.mm_query = a.global<u16>(15);
-  ca.entrycount = a.global<u32>(16);
-  ca.entry_capacity = a.scalar<u32>(17);
-  ca.l_comp_swar = a.local<u64>(18);
-  ca.l_comp_mask = a.local<u16>(19);
-  comparer_multi_swar_kernel<P, xpu::xitem, true>(it, ca);
+  ca.chr_packed2 = a.global<const u64>(1);
+  ca.chr_amb2 = a.global<const u64>(2);
+  ca.loci = a.global<const u32>(3);
+  ca.flag = a.global<const char>(4);
+  ca.comp_swar = a.global<const u64>(5);
+  ca.thresholds = a.global<const u16>(6);
+  ca.nqueries = a.scalar<u32>(7);
+  ca.plen = a.scalar<u32>(8);
+  ca.swar_words = a.scalar<u32>(9);
+  ca.mm_count = a.global<u16>(10);
+  ca.direction = a.global<char>(11);
+  ca.mm_loci = a.global<u32>(12);
+  ca.mm_query = a.global<u16>(13);
+  ca.entrycount = a.global<u32>(14);
+  ca.entry_capacity = a.scalar<u32>(15);
+  ca.l_comp_swar = a.local<u64>(16);
+  comparer_multi_swar_kernel<P>(it, ca);
 }
 
 const std::vector<oclsim::arg_kind> kComparerOpt6Sig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar,
-    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar, oclsim::arg_kind::mem,
+    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::scalar, oclsim::arg_kind::local,  oclsim::arg_kind::local,
+    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar, oclsim::arg_kind::local,
 };
 
 const std::vector<oclsim::arg_kind> kComparerMultiOpt6Sig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
+    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
+    oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar,
-    oclsim::arg_kind::local,  oclsim::arg_kind::local,
+    oclsim::arg_kind::scalar, oclsim::arg_kind::local,
 };
 
 // Every kernel here except finder_opt6 has exactly one leading barrier
@@ -913,36 +881,37 @@ class opencl_pipeline final : public device_pipeline {
   }
 
  private:
-  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
-  /// the two word arrays under opt6.
+  /// Bytes upload puts on the device for a chunk of `bases`: the two word
+  /// arrays under opt6, else the chars.
   usize chunk_bytes(usize bases) const override {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+    return packs_words() ? swar_ref_bytes(bases) : bases;
   }
 
-  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
-  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  /// Upload the chunk (the producer's words under opt6, else its chars),
+  /// allocate hit arrays for `hit_cap` entries and write any prebuilt hits
+  /// into them.
   void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
               std::span<const char> flags) override {
     release_chunk();
     cl_int err;
     // Step 5 + 11: memory objects, host-to-device transfer.
-    chr_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR, ch.text.size(),
-                          const_cast<char*>(ch.text.data()), &err);
-    COF_CL_CHECK(err);
-    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
-    COF_CL_CHECK(err);
     if (packs_words()) {
-      // opt6: the producer's 2-bit words + ambiguity flags.
+      // opt6: the producer's 2-bit words + ambiguity flags, the only copy
+      // of the chunk on the device.
       const swar_ref& words = words_of(ch);
-      chr2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             words.packed2.size() * sizeof(u64),
+      chr2_ = clCreateBuffer(ctx_, kConstIn, words.packed2.size() * sizeof(u64),
                              const_cast<u64*>(words.packed2.data()), &err);
       COF_CL_CHECK(err);
-      amb2_ = clCreateBuffer(ctx_, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
-                             words.amb2.size() * sizeof(u64),
+      amb2_ = clCreateBuffer(ctx_, kConstIn, words.amb2.size() * sizeof(u64),
                              const_cast<u64*>(words.amb2.data()), &err);
       COF_CL_CHECK(err);
+    } else {
+      chr_ = clCreateBuffer(ctx_, kConstIn, ch.text.size(),
+                            const_cast<char*>(ch.text.data()), &err);
+      COF_CL_CHECK(err);
     }
+    count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
+    COF_CL_CHECK(err);
     alloc_hits(hit_cap);
     if (!loci.empty()) {
       COF_CL_CHECK(clEnqueueWriteBuffer(q_, loci_, CL_TRUE, 0, loci.size() * sizeof(u32),
@@ -1087,40 +1056,33 @@ class opencl_pipeline final : public device_pipeline {
   }
 
   /// opt6: SWAR comparer. clSetKernelArg marshals the per-word deny masks
-  /// (and the opt5 LUTs for the ambiguity fallback) against comparer_opt6's
-  /// registered signature; the enqueue picks the lane-batched native body
-  /// up automatically when profiling is off.
+  /// against comparer_opt6's registered signature; the enqueue picks the
+  /// lane-batched native body up automatically when profiling is off.
   void set_comparer_swar_args(const device_pattern& query, u16 threshold, u32 locicnt,
                               usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
     cl_mem cswarm = launch_buffer(kConstIn, query.swar.size() * sizeof(u64),
                                   query.swar_data());
-    cl_mem cmaskm = launch_buffer(kConstIn, query.mask.size() * sizeof(u16),
-                                  query.mask_data());
-    count_h2d(query.swar.size() * sizeof(u64) + query.mask.size() * sizeof(u16));
+    count_h2d(query.swar.size() * sizeof(u64));
 
     const u32 plen = query.plen;
     const u32 swar_words = query.swar_words;
     COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &chr2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &amb2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 4, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 5, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 6, sizeof(cl_mem), &cswarm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 7, sizeof(cl_mem), &cmaskm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 8, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 9, sizeof(u32), &swar_words));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 10, sizeof(u16), &threshold));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 11, sizeof(cl_mem), &mmm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 12, sizeof(cl_mem), &dirm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 13, sizeof(cl_mem), &mlocim));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 14, sizeof(cl_mem), &count_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &amb2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &loci_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 4, sizeof(cl_mem), &flag_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 5, sizeof(cl_mem), &cswarm));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 6, sizeof(u32), &plen));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 7, sizeof(u32), &swar_words));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 8, sizeof(u16), &threshold));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 9, sizeof(cl_mem), &mmm));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 10, sizeof(cl_mem), &dirm));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 11, sizeof(cl_mem), &mlocim));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 12, sizeof(cl_mem), &count_));
     const u32 entry_cap = static_cast<u32>(cap);
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 15, sizeof(u32), &entry_cap));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 13, sizeof(u32), &entry_cap));
     COF_CL_CHECK(
-        clSetKernelArg(comparer_k_, 16, query.swar.size() * sizeof(u64), nullptr));
-    COF_CL_CHECK(
-        clSetKernelArg(comparer_k_, 17, query.mask.size() * sizeof(u16), nullptr));
+        clSetKernelArg(comparer_k_, 14, query.swar.size() * sizeof(u64), nullptr));
   }
 
   /// Batched comparer, launch half: one comparer_multi enqueue consumes the
@@ -1185,39 +1147,33 @@ class opencl_pipeline final : public device_pipeline {
   }
 
   /// Batched comparer, opt6: comparer_multi_opt6 over the concatenated
-  /// per-query SWAR deny masks and ambiguity-fallback LUTs.
+  /// per-query SWAR deny masks.
   void set_batch_swar_args(const query_batch& b, u32 locicnt, usize cap) {
     const u32 nq = b.queries;
     const u32 plen = b.plen;
     const u32 swar_words = b.swar_words;
     cl_mem cswarm = launch_buffer(kConstIn, b.swar.size() * sizeof(u64), b.swar.data());
-    cl_mem cmaskm = launch_buffer(kConstIn, b.mask.size() * sizeof(u16), b.mask.data());
     cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), b.thresholds);
-    count_h2d(b.swar.size() * sizeof(u64) + b.mask.size() * sizeof(u16) +
-              nq * sizeof(u16));
+    count_h2d(b.swar.size() * sizeof(u64) + nq * sizeof(u16));
 
     COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &chr2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &amb2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 4, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 5, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 6, sizeof(cl_mem), &cswarm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 7, sizeof(cl_mem), &cmaskm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 8, sizeof(cl_mem), &thrm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 9, sizeof(u32), &nq));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 10, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 11, sizeof(u32), &swar_words));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 12, sizeof(cl_mem), &batch_mm_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 13, sizeof(cl_mem), &batch_dir_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 14, sizeof(cl_mem), &batch_loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, sizeof(cl_mem), &batch_query_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 16, sizeof(cl_mem), &batch_count_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &amb2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &loci_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 4, sizeof(cl_mem), &flag_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 5, sizeof(cl_mem), &cswarm));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 6, sizeof(cl_mem), &thrm));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 7, sizeof(u32), &nq));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 8, sizeof(u32), &plen));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 9, sizeof(u32), &swar_words));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 10, sizeof(cl_mem), &batch_mm_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 11, sizeof(cl_mem), &batch_dir_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 12, sizeof(cl_mem), &batch_loci_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 13, sizeof(cl_mem), &batch_query_));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 14, sizeof(cl_mem), &batch_count_));
     const u32 entry_cap = static_cast<u32>(cap);
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 17, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 18, b.swar.size() * sizeof(u64),
-                                nullptr));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 19, b.mask.size() * sizeof(u16),
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, sizeof(u32), &entry_cap));
+    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 16, b.swar.size() * sizeof(u64),
                                 nullptr));
   }
 
@@ -1254,8 +1210,9 @@ class opencl_pipeline final : public device_pipeline {
     return "comparer";
   }
 
-  // opt5 and opt6 both pair with the bitmask-LUT finder (the pattern chars
-  // never reach the device; opt6's ambiguity fallback reuses the same LUTs).
+  // opt5 and opt6 both read the pattern as deny LUTs (the pattern chars
+  // never reach the device): opt5's bitmask-LUT finder, opt6's packed-word
+  // finder.
   bool use_mask() const { return comparer_variant_uses_mask(opt_.variant); }
 
   const char* finder_kernel_name() const {
@@ -1348,7 +1305,7 @@ class opencl_pipeline final : public device_pipeline {
   cl_kernel finder_k_ = nullptr;
   cl_kernel comparer_k_ = nullptr;
   cl_kernel comparer_multi_k_ = nullptr;
-  cl_mem chr_ = nullptr;
+  cl_mem chr_ = nullptr;  // base..opt5: the chunk's chars
   cl_mem loci_ = nullptr;
   cl_mem flag_ = nullptr;
   cl_mem count_ = nullptr;

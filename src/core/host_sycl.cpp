@@ -17,32 +17,34 @@ namespace {
 
 class sycl_pipeline final : public device_pipeline {
  public:
-  explicit sycl_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt, "sycl",
-                        {"finder", comparer_tag(opt.variant), "comparer/batch"}),
-        q_(sycl::gpu_selector{}) {
+  sycl_pipeline(const pipeline_options& opt, const char* name, kernel_tags tags)
+      : device_pipeline(opt, name, std::move(tags)), q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;  // the SYCL application pins 256
   }
+  explicit sycl_pipeline(const pipeline_options& opt)
+      : sycl_pipeline(opt, "sycl",
+                      {"finder", comparer_tag(opt.variant), "comparer/batch"}) {}
 
  private:
-  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
-  /// the two word arrays under opt6.
+  /// Bytes upload puts on the device for a chunk of `bases`: the two word
+  /// arrays under opt6, else the chars.
   usize chunk_bytes(usize bases) const override {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+    return packs_words() ? swar_ref_bytes(bases) : bases;
   }
 
-  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
-  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  /// Upload the chunk (the producer's words under opt6, else its chars),
+  /// allocate hit arrays for `hit_cap` entries and write any prebuilt hits
+  /// into them.
   void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
               std::span<const char> flags) override {
-    chr_buf_.emplace(ch.text.data(), sycl::range<1>(ch.text.size()));
     if (packs_words()) {
-      // opt6 keeps the producer's 2-bit words resident (plus the ambiguity
-      // flags) for the packed-word finder and comparer; the char chunk stays
-      // for the comparer's ambiguous-base fallback.
+      // opt6: the 2-bit words and their ambiguity flags are the only copy of
+      // the chunk on the device.
       const swar_ref& words = words_of(ch);
       chr2_buf_.emplace(words.packed2.data(), sycl::range<1>(words.packed2.size()));
       amb2_buf_.emplace(words.amb2.data(), sycl::range<1>(words.amb2.size()));
+    } else {
+      chr_buf_.emplace(ch.text.data(), sycl::range<1>(ch.text.size()));
     }
     alloc_hits(hit_cap);
     count_buf_.emplace(sycl::range<1>(1));
@@ -121,7 +123,7 @@ class sycl_pipeline final : public device_pipeline {
     const bool use_mask = comparer_variant_uses_mask(opt_.variant);
     if (use_mask) count_h2d(pat.mask.size() * sizeof(u16));
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("finder");
+       cgh.cof_set_name(tags().finder.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto patc = pat_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
@@ -172,7 +174,7 @@ class sycl_pipeline final : public device_pipeline {
     sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
     count_h2d(pat.index.size() * sizeof(i32) + pat.mask.size() * sizeof(u16));
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("finder");
+       cgh.cof_set_name(tags().finder.c_str());
        cgh.cof_hint_no_barrier();
        auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
@@ -251,10 +253,9 @@ class sycl_pipeline final : public device_pipeline {
       count_h2d(query.mask.size() * sizeof(u16));
     }
 
-    const std::string tag = comparer_tag(opt_.variant);
     const comparer_variant variant = opt_.variant;
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tag.c_str());
+       cgh.cof_set_name(tags().comparer.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
@@ -298,10 +299,10 @@ class sycl_pipeline final : public device_pipeline {
      }).wait();
   }
 
-  /// opt6: SWAR comparer over the chunk's 2-bit words, raw-char LUT
-  /// fallback for ambiguous reference bases. Non-counting runs additionally
-  /// install the lane-batched row body, which the executor substitutes for
-  /// per-item execution when the host's SIMD lanes are enabled.
+  /// opt6: SWAR comparer over the chunk's 2-bit words. Non-counting runs
+  /// additionally install the lane-batched row body, which the executor
+  /// substitutes for per-item execution when the host's SIMD lanes are
+  /// enabled.
   template <class P>
   void submit_comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt,
                             usize cap, const comparer_out& o) {
@@ -309,39 +310,32 @@ class sycl_pipeline final : public device_pipeline {
     const usize gws = util::round_up<usize>(locicnt, lws);
     sycl::buffer<util::u64, 1> cswar_buf(query.swar_data(),
                                          sycl::range<1>(query.swar.size()));
-    sycl::buffer<u16, 1> cmask_buf(query.mask_data(), sycl::range<1>(query.mask.size()));
-    count_h2d(query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16));
+    count_h2d(query.swar.size() * sizeof(util::u64));
 
-    const std::string tag = comparer_tag(opt_.variant);
     const u32 plen = query.plen;
     const u32 swar_words = query.swar_words;
     const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tag.c_str());
+       cgh.cof_set_name(tags().comparer.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
        auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
        auto cswar = cswar_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto mm = o.mm.get_access<sycl::sycl_write>(cgh);
        auto dir = o.dir.get_access<sycl::sycl_write>(cgh);
        auto mloci = o.loci.get_access<sycl::sycl_write>(cgh);
        auto cnt = o.count.get_access<sycl::sycl_read_write>(cgh);
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(query.swar.size()),
                                                  cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(query.mask.size()), cgh);
        const auto fill_args = [=](comparer_swar_args& a) {
          a.locicnts = locicnt;
          a.chr_packed2 = chr2.get_pointer();
          a.chr_amb2 = amb2.get_pointer();
-         a.chr = chr.get_pointer();
          a.loci = loci.get_pointer();
          a.flag = flag.get_pointer();
          a.comp_swar = cswar.get_pointer();
-         a.comp_mask = cmask.get_pointer();
          a.plen = plen;
          a.swar_words = swar_words;
          a.threshold = threshold;
@@ -355,22 +349,19 @@ class sycl_pipeline final : public device_pipeline {
          comparer_swar_args a;
          fill_args(a);
          a.l_comp_swar = l_swar.get_pointer();
-         a.l_comp_mask = l_cmask.get_pointer();
-         comparer_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+         comparer_swar_kernel<P>(item, a);
        };
        if (opt_.counting) {
          cgh.parallel_for(ndr, kernel);
        } else {
-         cgh.cof_parallel_for_lanes(
-             ndr, kernel, [=](size_t first, size_t nlanes) {
-               comparer_swar_args a;
-               fill_args(a);
-               // Lane rows skip the cooperative fetch; constants are read
-               // straight from the global arrays.
-               a.l_comp_swar = cswar.get_pointer();
-               a.l_comp_mask = cmask.get_pointer();
-               comparer_swar_lanes<true>(a, first, nlanes);
-             });
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           comparer_swar_args a;
+           fill_args(a);
+           // Lane rows skip the cooperative fetch; masks come straight from
+           // the constant-memory array.
+           a.l_comp_swar = cswar.get_pointer();
+           comparer_swar_lanes(a, first, nlanes);
+         });
        }
      }).wait();
   }
@@ -410,7 +401,7 @@ class sycl_pipeline final : public device_pipeline {
     const u32 nq = b.queries;
     const u32 plen = b.plen;
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("comparer/batch");
+       cgh.cof_set_name(tags().batch.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
@@ -465,24 +456,20 @@ class sycl_pipeline final : public device_pipeline {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(locicnt, lws);
     sycl::buffer<util::u64, 1> cswar_buf(b.swar.data(), sycl::range<1>(b.swar.size()));
-    sycl::buffer<u16, 1> cmask_buf(b.mask.data(), sycl::range<1>(b.mask.size()));
     sycl::buffer<u16, 1> thr_buf(b.thresholds, sycl::range<1>(b.queries));
-    count_h2d(b.swar.size() * sizeof(util::u64) + b.mask.size() * sizeof(u16) +
-              b.queries * sizeof(u16));
+    count_h2d(b.swar.size() * sizeof(util::u64) + b.queries * sizeof(u16));
 
     const u32 nq = b.queries;
     const u32 plen = b.plen;
     const u32 swar_words = b.swar_words;
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("comparer/batch");
+       cgh.cof_set_name(tags().batch.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
        auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
        auto cswar = cswar_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto thr = thr_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto mm = batch_mm_buf_->get_access<sycl::sycl_write>(cgh);
        auto dir = batch_dir_buf_->get_access<sycl::sycl_write>(cgh);
@@ -490,7 +477,6 @@ class sycl_pipeline final : public device_pipeline {
        auto mquery = batch_query_buf_->get_access<sycl::sycl_write>(cgh);
        auto cnt = batch_count_buf_->get_access<sycl::sycl_read_write>(cgh);
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(
            sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
            [=](sycl::nd_item<1> item) {
@@ -498,11 +484,9 @@ class sycl_pipeline final : public device_pipeline {
              a.locicnts = locicnt;
              a.chr_packed2 = chr2.get_pointer();
              a.chr_amb2 = amb2.get_pointer();
-             a.chr = chr.get_pointer();
              a.loci = loci.get_pointer();
              a.flag = flag.get_pointer();
              a.comp_swar = cswar.get_pointer();
-             a.comp_mask = cmask.get_pointer();
              a.thresholds = thr.get_pointer();
              a.nqueries = nq;
              a.plen = plen;
@@ -514,8 +498,7 @@ class sycl_pipeline final : public device_pipeline {
              a.entrycount = cnt.get_pointer();
              a.entry_capacity = static_cast<u32>(cap);
              a.l_comp_swar = l_swar.get_pointer();
-             a.l_comp_mask = l_cmask.get_pointer();
-             comparer_multi_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+             comparer_multi_swar_kernel<P>(item, a);
            });
      }).wait();
   }
@@ -541,7 +524,7 @@ class sycl_pipeline final : public device_pipeline {
   }
 
   sycl::queue q_;
-  std::optional<sycl::buffer<char, 1>> chr_buf_;
+  std::optional<sycl::buffer<char, 1>> chr_buf_;  // base..opt5: the chunk's chars
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   std::optional<sycl::buffer<util::u64, 1>> chr2_buf_;
   std::optional<sycl::buffer<util::u64, 1>> amb2_buf_;
@@ -561,6 +544,12 @@ class sycl_pipeline final : public device_pipeline {
 
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt) {
   return std::make_unique<sycl_pipeline>(opt);
+}
+
+std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
+                                                    const char* name,
+                                                    device_pipeline::kernel_tags tags) {
+  return std::make_unique<sycl_pipeline>(opt, name, std::move(tags));
 }
 
 std::vector<std::string> sycl_programming_steps() {

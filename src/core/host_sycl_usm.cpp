@@ -31,29 +31,30 @@ class sycl_usm_pipeline final : public device_pipeline {
   }
 
  private:
-  /// Bytes upload puts on the device for a chunk of `bases`: the chars, plus
-  /// the two word arrays under opt6.
+  /// Bytes upload puts on the device for a chunk of `bases`: the two word
+  /// arrays under opt6, else the chars.
   usize chunk_bytes(usize bases) const override {
-    return bases + (packs_words() ? swar_ref_bytes(bases) : 0);
+    return packs_words() ? swar_ref_bytes(bases) : bases;
   }
 
-  /// Upload the chunk (its chars, plus the words under opt6), allocate hit
-  /// arrays for `hit_cap` entries and write any prebuilt hits into them.
+  /// Upload the chunk (the producer's words under opt6, else its chars),
+  /// allocate hit arrays for `hit_cap` entries and write any prebuilt hits
+  /// into them.
   void upload(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
               std::span<const char> flags) override {
     release_chunk();
-    chr_ = sycl::malloc_device<char>(ch.text.size(), q_);
     count_ = sycl::malloc_device<u32>(1, q_);
-    q_.memcpy(chr_, ch.text.data(), ch.text.size());
     if (packs_words()) {
-      // opt6: the producer's 2-bit words + ambiguity flags, device-resident
-      // for the packed-word finder and comparer (the char chunk stays for
-      // the comparer's ambiguous-base fallback).
+      // opt6: the 2-bit words and their ambiguity flags are the only copy of
+      // the chunk on the device.
       const swar_ref& words = words_of(ch);
       chr2_ = sycl::malloc_device<util::u64>(words.packed2.size(), q_);
       amb2_ = sycl::malloc_device<util::u64>(words.amb2.size(), q_);
       q_.memcpy(chr2_, words.packed2.data(), words.packed2.size() * sizeof(util::u64));
       q_.memcpy(amb2_, words.amb2.data(), words.amb2.size() * sizeof(util::u64));
+    } else {
+      chr_ = sycl::malloc_device<char>(ch.text.size(), q_);
+      q_.memcpy(chr_, ch.text.data(), ch.text.size());
     }
     alloc_hits(hit_cap);
     if (!loci.empty()) {
@@ -297,9 +298,9 @@ class sycl_usm_pipeline final : public device_pipeline {
     sycl::free(cmaskd, q_);
   }
 
-  /// opt6: SWAR comparer over the chunk's device-resident words, raw-char
-  /// LUT fallback for ambiguous bases. Non-counting runs install the
-  /// lane-batched row body (AVX2 when the host has it, scalar otherwise).
+  /// opt6: SWAR comparer over the chunk's device-resident words.
+  /// Non-counting runs install the lane-batched row body (AVX2 when the host
+  /// has it, scalar otherwise).
   template <class P>
   void comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt, usize cap,
                      const comparer_out& o) {
@@ -307,21 +308,17 @@ class sycl_usm_pipeline final : public device_pipeline {
     const usize gws = util::round_up<usize>(locicnt, lws);
 
     util::u64* csward = sycl::malloc_device<util::u64>(query.swar.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(query.mask.size(), q_);
     q_.memcpy(csward, query.swar_data(), query.swar.size() * sizeof(util::u64));
-    q_.memcpy(cmaskd, query.mask_data(), query.mask.size() * sizeof(u16));
-    count_h2d(query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16));
+    count_h2d(query.swar.size() * sizeof(util::u64));
 
     const std::string tag = comparer_tag(opt_.variant);
     comparer_swar_args base;
     base.locicnts = locicnt;
     base.chr_packed2 = chr2_;
     base.chr_amb2 = amb2_;
-    base.chr = chr_;
     base.loci = loci_;
     base.flag = flag_;
     base.comp_swar = csward;
-    base.comp_mask = cmaskd;
     base.plen = query.plen;
     base.swar_words = query.swar_words;
     base.threshold = threshold;
@@ -336,28 +333,24 @@ class sycl_usm_pipeline final : public device_pipeline {
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(query.swar.size()),
                                                  cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(query.mask.size()), cgh);
        const auto kernel = [=](sycl::nd_item<1> item) {
          comparer_swar_args a = base;
          a.l_comp_swar = l_swar.get_pointer();
-         a.l_comp_mask = l_cmask.get_pointer();
-         comparer_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+         comparer_swar_kernel<P>(item, a);
        };
        if (opt_.counting) {
          cgh.parallel_for(ndr, kernel);
        } else {
          cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
            comparer_swar_args a = base;
-           // Lane rows skip the cooperative fetch; constants come straight
-           // from the device-global arrays (read-only through these aliases).
+           // Lane rows skip the cooperative fetch; masks come straight from
+           // the device-global array (read-only through this alias).
            a.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
-           a.l_comp_mask = const_cast<u16*>(a.comp_mask);
-           comparer_swar_lanes<true>(a, first, nlanes);
+           comparer_swar_lanes(a, first, nlanes);
          });
        }
      }).wait();
     sycl::free(csward, q_);
-    sycl::free(cmaskd, q_);
   }
 
   /// Batched comparer, launch half: one multi-query kernel over the
@@ -461,23 +454,18 @@ class sycl_usm_pipeline final : public device_pipeline {
     const u32 nq = b.queries;
 
     util::u64* csward = sycl::malloc_device<util::u64>(b.swar.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(b.mask.size(), q_);
     u16* thrd = sycl::malloc_device<u16>(nq, q_);
     q_.memcpy(csward, b.swar.data(), b.swar.size() * sizeof(util::u64));
-    q_.memcpy(cmaskd, b.mask.data(), b.mask.size() * sizeof(u16));
     q_.memcpy(thrd, b.thresholds, nq * sizeof(u16));
-    count_h2d(b.swar.size() * sizeof(util::u64) + b.mask.size() * sizeof(u16) +
-              nq * sizeof(u16));
+    count_h2d(b.swar.size() * sizeof(util::u64) + nq * sizeof(u16));
 
     comparer_multi_swar_args base;
     base.locicnts = locicnt;
     base.chr_packed2 = chr2_;
     base.chr_amb2 = amb2_;
-    base.chr = chr_;
     base.loci = loci_;
     base.flag = flag_;
     base.comp_swar = csward;
-    base.comp_mask = cmaskd;
     base.thresholds = thrd;
     base.nqueries = nq;
     base.plen = b.plen;
@@ -492,18 +480,14 @@ class sycl_usm_pipeline final : public device_pipeline {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           comparer_multi_swar_args a = base;
                           a.l_comp_swar = l_swar.get_pointer();
-                          a.l_comp_mask = l_cmask.get_pointer();
-                          comparer_multi_swar_kernel<P, sycl::nd_item<1>, true>(item,
-                                                                                a);
+                          comparer_multi_swar_kernel<P>(item, a);
                         });
      }).wait();
     sycl::free(csward, q_);
-    sycl::free(cmaskd, q_);
     sycl::free(thrd, q_);
   }
 
@@ -537,7 +521,7 @@ class sycl_usm_pipeline final : public device_pipeline {
   }
 
   sycl::queue q_;
-  char* chr_ = nullptr;
+  char* chr_ = nullptr;  // base..opt5: the chunk's chars
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   util::u64* chr2_ = nullptr;
   util::u64* amb2_ = nullptr;

@@ -67,11 +67,10 @@ namespace {
 
 /// Scalar lane loop — the portable body and the tail handler of the AVX2
 /// path. Identical arithmetic to comparer_swar_kernel's post-fetch phase.
-template <bool CharRef>
 void lanes_scalar(const comparer_swar_args& a, usize first, usize nlanes) {
   for (usize l = 0; l < nlanes; ++l) {
     direct_mem::item p;
-    swar_item_body<direct_mem::item, CharRef>(p, a, first + l);
+    swar_item_body(p, a, first + l);
   }
 }
 
@@ -82,13 +81,12 @@ void lanes_scalar(const comparer_swar_args& a, usize first, usize nlanes) {
 namespace {
 
 /// Four loci per instruction stream: gathered window fetch, SWAR mismatch
-/// masks and popcounts across lanes; ambiguity fallback and the atomic
-/// appends peel out per lane. Only sound for the direct memory policy (no
-/// event counting) — the facades only install the lane path when profiling
-/// is off.
+/// masks (ambiguous lanes scored by the 'N' mask) and popcounts across
+/// lanes; the atomic appends peel out per lane. Only sound for the direct
+/// memory policy (no event counting) — the facades only install the lane
+/// path when profiling is off.
 __attribute__((target("avx2,popcnt"))) void avx2_quad(const comparer_swar_args& a,
-                                                      const usize gid[4],
-                                                      bool char_ref) {
+                                                      const usize gid[4]) {
   const auto* packed = reinterpret_cast<const long long*>(a.chr_packed2);
   const auto* ambp = reinterpret_cast<const long long*>(a.chr_amb2);
 
@@ -139,30 +137,13 @@ __attribute__((target("avx2,popcnt"))) void avx2_quad(const comparer_swar_args& 
             a.l_comp_swar[swar_base + w * kSwarMasksPerWord + c]));
         mm = _mm256_or_si256(mm, _mm256_and_si256(eq, deny));
       }
-      mm = _mm256_andnot_si256(amb, mm);
+      const __m256i deny_n = _mm256_set1_epi64x(
+          static_cast<long long>(a.l_comp_swar[swar_base + w * kSwarMasksPerWord + 4]));
+      mm = _mm256_or_si256(_mm256_andnot_si256(amb, mm), _mm256_and_si256(amb, deny_n));
 
       alignas(32) u64 mm_l[4];
-      alignas(32) u64 amb_l[4];
       _mm256_store_si256(reinterpret_cast<__m256i*>(mm_l), mm);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(amb_l), amb);
-      for (int l = 0; l < 4; ++l) {
-        lmm[l] += static_cast<u32>(_mm_popcnt_u64(mm_l[l]));
-        if (amb_l[l] == 0) continue;
-        if (char_ref) {
-          u64 rest = amb_l[l];
-          while (rest != 0) {
-            const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
-            rest &= rest - 1;
-            const usize k = 32 * w + j;
-            const char rv = a.chr[locus[l] + k];
-            const u16 lut = a.l_comp_mask[static_cast<usize>(half) * a.plen + k];
-            if ((lut >> genome::iupac_nibble(rv)) & 1u) ++lmm[l];
-          }
-        } else {
-          lmm[l] += static_cast<u32>(_mm_popcnt_u64(
-              amb_l[l] & a.l_comp_swar[swar_base + w * kSwarMasksPerWord + 4]));
-        }
-      }
+      for (int l = 0; l < 4; ++l) lmm[l] += static_cast<u32>(_mm_popcnt_u64(mm_l[l]));
     }
     for (int l = 0; l < 4; ++l) {
       if (!(f[l] == 0 || f[l] == half + 1)) continue;
@@ -179,8 +160,7 @@ __attribute__((target("avx2,popcnt"))) void avx2_quad(const comparer_swar_args& 
 
 }  // namespace
 
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes,
-                             bool char_ref) {
+void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes) {
   // Lanes past locicnts are idle (the ND-range is rounded up to the group
   // size); clip them so quads only cover live work-items.
   const usize end = first >= a.locicnts
@@ -189,24 +169,15 @@ void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nla
   usize i = first;
   for (; i + 4 <= end; i += 4) {
     const usize gid[4] = {i, i + 1, i + 2, i + 3};
-    avx2_quad(a, gid, char_ref);
+    avx2_quad(a, gid);
   }
-  if (char_ref) {
-    lanes_scalar<true>(a, i, end - i);
-  } else {
-    lanes_scalar<false>(a, i, end - i);
-  }
+  lanes_scalar(a, i, end - i);
 }
 
 #else  // !__x86_64__
 
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes,
-                             bool char_ref) {
-  if (char_ref) {
-    lanes_scalar<true>(a, first, nlanes);
-  } else {
-    lanes_scalar<false>(a, first, nlanes);
-  }
+void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes) {
+  lanes_scalar(a, first, nlanes);
 }
 
 #endif

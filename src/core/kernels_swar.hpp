@@ -1,8 +1,8 @@
 // opt6 — the two-bit SWAR variant (the rung past opt5 on the optimisation
 // ladder): a packed-word PAM finder and comparer. The reference chunk
-// travels as 2-bit packed codes (32 bases per 64-bit word) plus an ambiguity
-// flag in the same 2-bit geometry, packed once by whoever produces the chunk
-// (swar_pack). Both kernels test 32 bases per word operation:
+// travels only as 2-bit packed codes (32 bases per 64-bit word) plus an
+// ambiguity flag in the same 2-bit geometry, packed once by whoever produces
+// the chunk (swar_pack). Both kernels test 32 bases per word operation:
 //
 //   eq_c  = SWAR "both bits equal" of (ref ^ broadcast(c)), even bits
 //   mm   |= eq_c & deny_c            for c in {A,C,G,T}
@@ -18,18 +18,17 @@
 // character, so the finder needs no raw-character fallback and no barrier.
 //
 // Comparer (comparer_swar_kernel): the host precomputes, per query half and
-// per 32-base word, one 64-bit deny mask for each reference code
-// (device_pattern::swar, derived bit-for-bit from the opt5 deny LUT). One
-// word evaluation replaces up to 32 opt5 loop iterations:
+// per 32-base word, one 64-bit deny mask for each reference code plus a
+// fifth for 'N' (device_pattern::swar, derived bit-for-bit from the opt5
+// deny LUT). One word evaluation replaces up to 32 opt5 loop iterations:
 //
-//   count = popcount(mm & ~ambiguous & active)
+//   count = popcount(mm & ~ambiguous) + popcount(ambiguous & deny_N)
 //
-// Ambiguous reference positions are exact-matched by a scalar fallback:
-// against the raw chunk chars through the opt5 LUT when the facade keeps
-// them resident (CharRef = true: buffer-SYCL, USM, OpenCL), or through the
-// per-word 'N' deny mask (CharRef = false: the twobit facade). Either way
-// the kernels are byte-identical to the facade's opt5/reference kernels on
-// every input, asserted exhaustively by tests/test_swar.cpp.
+// The second term is the finder's ambiguity rule again: every non-ACGT
+// reference byte mismatches exactly where 'N' does, so the words alone are
+// exact and no chunk chars reach the device. The kernels are byte-identical
+// to opt5 on every reference byte, asserted exhaustively by
+// tests/test_swar.cpp.
 //
 // The comparers cooperate with the two-phase executor (single leading
 // barrier) like every other comparer, and additionally expose a
@@ -191,11 +190,9 @@ struct comparer_swar_args {
   u32 locicnts = 0;
   const u64* chr_packed2 = nullptr;  // 2-bit codes, padded (global)
   const u64* chr_amb2 = nullptr;     // ambiguity flags, same geometry (global)
-  const char* chr = nullptr;         // raw chars, CharRef fallback (global)
   const u32* loci = nullptr;         // finder output (global)
   const char* flag = nullptr;        // finder output (global)
   const u64* comp_swar = nullptr;    // 2*swar_words*kSwarMasksPerWord (constant)
-  const u16* comp_mask = nullptr;    // opt5 LUTs, CharRef fallback (constant)
   u32 plen = 0;
   u32 swar_words = 0;                // ceil(plen/32)
   u16 threshold = 0;
@@ -207,20 +204,17 @@ struct comparer_swar_args {
   /// still advances so the host can report the overflow).
   u32 entry_capacity = ~u32{0};
   u64* l_comp_swar = nullptr;        // local, 2*swar_words*kSwarMasksPerWord
-  u16* l_comp_mask = nullptr;        // local, 2*plen (CharRef only)
 };
 
 /// Batched multi-query twin (the comparer_multi path under opt6): per-query
-/// SWAR masks and LUTs are concatenated, loci/flag read once per locus.
+/// SWAR masks are concatenated, loci/flag read once per locus.
 struct comparer_multi_swar_args {
   u32 locicnts = 0;
   const u64* chr_packed2 = nullptr;
   const u64* chr_amb2 = nullptr;
-  const char* chr = nullptr;
   const u32* loci = nullptr;
   const char* flag = nullptr;
   const u64* comp_swar = nullptr;    // nqueries x 2*swar_words*kSwarMasksPerWord
-  const u16* comp_mask = nullptr;    // nqueries x 2*plen (CharRef)
   const u16* thresholds = nullptr;   // per query
   u32 nqueries = 0;
   u32 plen = 0;
@@ -232,7 +226,6 @@ struct comparer_multi_swar_args {
   u32* entrycount = nullptr;
   u32 entry_capacity = ~u32{0};
   u64* l_comp_swar = nullptr;        // local
-  u16* l_comp_mask = nullptr;        // local (CharRef only)
 };
 
 // ---------------------------------------------------------------------------
@@ -241,15 +234,14 @@ struct comparer_multi_swar_args {
 
 namespace detail {
 
-/// Mismatches of one strand at `locus`, SWAR word by word. `swar_base` /
-/// `mask_base` address this (query, half)'s masks inside the local arrays.
-/// Sets `under` false (and stops) once the count exceeds the threshold;
-/// when `under` survives, the return value is the exact mismatch count the
+/// Mismatches of one strand at `locus`, SWAR word by word. `swar_base`
+/// addresses this (query, half)'s masks inside the local array. Sets
+/// `under` false (and stops) once the count exceeds the threshold; when
+/// `under` survives, the return value is the exact mismatch count the
 /// sequential opt5 scan would produce.
-template <class PItem, bool CharRef>
+template <class PItem>
 inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
-                             const u64* l_swar, usize swar_base,
-                             const u16* l_mask, usize mask_base, u32 locus,
+                             const u64* l_swar, usize swar_base, u32 locus,
                              u16 threshold, bool& under) {
   const u32 shift = 2 * (locus & 31u);
   const usize wi = locus >> 5;
@@ -276,31 +268,11 @@ inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
       const u64 eq = t & (t >> 1) & kSwarEvenBits;
       mm |= eq & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + c);
     }
-    // Packed codes are meaningless at ambiguous positions; those fall back
-    // below.
+    // Packed codes are meaningless at ambiguous positions; every ambiguous
+    // reference byte scores like 'N' instead.
     mm &= ~amb;
+    if (amb != 0) mm |= amb & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + 4);
     lmm = static_cast<u16>(lmm + __builtin_popcountll(mm));
-
-    if (amb != 0) {
-      if constexpr (CharRef) {
-        // Exact opt5 semantics for every reference character: LUT test on
-        // the raw chunk char.
-        u64 rest = amb;
-        while (rest != 0) {
-          const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
-          rest &= rest - 1;
-          const usize k = 32 * w + j;
-          const char rv = p.gload(a.chr, locus + k);
-          auto mask = [&] { return p.lload(l_mask, mask_base + k); };
-          if (mask_mismatch(p, mask, rv)) ++lmm;
-        }
-      } else {
-        // twobit semantics: every ambiguous reference base behaves like 'N'.
-        lmm = static_cast<u16>(
-            lmm + __builtin_popcountll(
-                      amb & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + 4)));
-      }
-    }
     if (lmm > threshold) {
       p.count_branch();
       under = false;
@@ -310,14 +282,13 @@ inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
   return lmm;
 }
 
-template <class PItem, bool CharRef>
+template <class PItem>
 inline void swar_strand(PItem& p, const comparer_swar_args& a, int half, char dir,
                         u32 locus) {
   bool under = false;
-  const u16 lmm = swar_count_strand<PItem, CharRef>(
-      p, a, a.l_comp_swar,
-      static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord, a.l_comp_mask,
-      static_cast<usize>(half) * a.plen, locus, a.threshold, under);
+  const u16 lmm = swar_count_strand(
+      p, a, a.l_comp_swar, static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord,
+      locus, a.threshold, under);
   if (under) {
     const u32 old = p.atomic_inc(a.entrycount);
     if (old < a.entry_capacity) {
@@ -329,29 +300,27 @@ inline void swar_strand(PItem& p, const comparer_swar_args& a, int half, char di
 }
 
 /// Post-fetch work of one work-item (also the lane-loop body).
-template <class PItem, bool CharRef>
+template <class PItem>
 inline void swar_item_body(PItem& p, const comparer_swar_args& a, usize i) {
   if (i >= a.locicnts) return;
   const char f = p.gload(a.flag, i);
   const u32 locus = p.gload(a.loci, i);
-  if (f == 0 || f == 1) swar_strand<PItem, CharRef>(p, a, 0, '+', locus);
-  if (f == 0 || f == 2) swar_strand<PItem, CharRef>(p, a, 1, '-', locus);
+  if (f == 0 || f == 1) swar_strand(p, a, 0, '+', locus);
+  if (f == 0 || f == 2) swar_strand(p, a, 1, '-', locus);
 }
 
 /// AVX2 lane-batched post-fetch body: four work-items per instruction
 /// stream, direct (uncounted) accesses only. Implemented in
 /// kernels_swar.cpp behind a target("avx2") attribute; only called when
 /// util::cpu().avx2 holds.
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes,
-                             bool char_ref);
+void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes);
 
 }  // namespace detail
 
 /// opt6 comparer. Structure mirrors opt5 (cooperative fetch, single leading
 /// barrier, two-phase cooperation); the fetch brings in the per-word SWAR
-/// masks (and, for CharRef facades, the opt5 LUTs for the ambiguity
-/// fallback).
-template <class P, class Item, bool CharRef>
+/// masks.
+template <class P, class Item>
 inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
   typename P::item p;
   const usize i = it.get_global_id(0);
@@ -364,32 +333,24 @@ inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
          k += static_cast<u32>(it.get_local_range(0))) {
       p.lstore(a.l_comp_swar, k, p.gload(a.comp_swar, k));
     }
-    if constexpr (CharRef) {
-      for (u32 k = static_cast<u32>(li); k < a.plen * 2;
-           k += static_cast<u32>(it.get_local_range(0))) {
-        p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
-      }
-    }
     if (ph == xpu::exec_phase::fetch_only) return;
     it.barrier();
   }
-  detail::swar_item_body<typename P::item, CharRef>(p, a, i);
+  detail::swar_item_body(p, a, i);
 }
 
 /// Lane-batched post-fetch entry (direct memory policy only): the facades
 /// hand this to the executor's lane dispatch for work-items
 /// [first, first+nlanes). AVX2 when available, scalar lane loop otherwise;
 /// both orders of arithmetic are identical, so the output bytes are too.
-template <bool CharRef>
-inline void comparer_swar_lanes(const comparer_swar_args& a, usize first,
-                                usize nlanes) {
+inline void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes) {
   if (util::simd_lanes_enabled()) {
-    detail::comparer_swar_post_avx2(a, first, nlanes, CharRef);
+    detail::comparer_swar_post_avx2(a, first, nlanes);
     return;
   }
   for (usize l = 0; l < nlanes; ++l) {
     direct_mem::item p;
-    detail::swar_item_body<direct_mem::item, CharRef>(p, a, first + l);
+    detail::swar_item_body(p, a, first + l);
   }
 }
 
@@ -397,7 +358,7 @@ inline void comparer_swar_lanes(const comparer_swar_args& a, usize first,
 // batched multi-query kernel
 // ---------------------------------------------------------------------------
 
-template <class P, class Item, bool CharRef>
+template <class P, class Item>
 inline void comparer_multi_swar_kernel(const Item& it,
                                        const comparer_multi_swar_args& a) {
   typename P::item p;
@@ -411,12 +372,6 @@ inline void comparer_multi_swar_kernel(const Item& it,
     for (u32 k = static_cast<u32>(li); k < nswar;
          k += static_cast<u32>(it.get_local_range(0))) {
       p.lstore(a.l_comp_swar, k, p.gload(a.comp_swar, k));
-    }
-    if constexpr (CharRef) {
-      for (u32 k = static_cast<u32>(li); k < a.nqueries * a.plen * 2;
-           k += static_cast<u32>(it.get_local_range(0))) {
-        p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
-      }
     }
     if (ph == xpu::exec_phase::fetch_only) return;
     it.barrier();
@@ -433,7 +388,6 @@ inline void comparer_multi_swar_kernel(const Item& it,
   s.locicnts = a.locicnts;
   s.chr_packed2 = a.chr_packed2;
   s.chr_amb2 = a.chr_amb2;
-  s.chr = a.chr;
   s.plen = a.plen;
   s.swar_words = a.swar_words;
   for (u32 q = 0; q < a.nqueries; ++q) {
@@ -441,13 +395,11 @@ inline void comparer_multi_swar_kernel(const Item& it,
     for (int half = 0; half < 2; ++half) {
       if (!(f == 0 || f == static_cast<char>(half + 1))) continue;
       bool under = false;
-      const u16 lmm = detail::swar_count_strand<typename P::item, CharRef>(
+      const u16 lmm = detail::swar_count_strand(
           p, s, a.l_comp_swar,
           (static_cast<usize>(q) * 2 + static_cast<usize>(half)) * a.swar_words *
               kSwarMasksPerWord,
-          a.l_comp_mask,
-          (static_cast<usize>(q) * 2 + static_cast<usize>(half)) * a.plen, locus,
-          threshold, under);
+          locus, threshold, under);
       if (under) {
         const u32 old = p.atomic_inc(a.entrycount);
         if (old < a.entry_capacity) {

@@ -5,10 +5,10 @@
 // pattern/query arrays stay IUPAC chars in shared local memory and are
 // matched against the packed reference through the base-mask algebra.
 //
-// Semantics: exactly the char kernels' relation for A/C/G/T references;
-// every ambiguous reference base behaves like 'N' (degenerate ambiguity
-// codes in the reference are collapsed — tests pin this equivalence on
-// ACGTN genomes).
+// Semantics: exactly the char kernels' relation. Every ambiguous reference
+// base behaves like 'N', which is how the char kernels treat every non-ACGT
+// reference byte (tests/test_fuzz_differential.cpp mixes reference IUPAC
+// codes into its genomes).
 #pragma once
 
 #include "core/kernels.hpp"

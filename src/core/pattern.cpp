@@ -4,14 +4,19 @@
 
 namespace cof {
 
+char normalize_base(char c) {
+  c = genome::upper_base(c);
+  if (c == 'U') c = 'T';
+  return genome::is_iupac(c) ? c : '\0';
+}
+
 std::string normalize_sequence(std::string_view seq) {
   COF_CHECK_MSG(!seq.empty(), "empty sequence");
   std::string out(seq);
   for (char& c : out) {
-    c = genome::upper_base(c);
-    if (c == 'U') c = 'T';
-    COF_CHECK_MSG(genome::is_iupac(c),
-                  std::string("non-IUPAC character in sequence: ") + c);
+    const char n = normalize_base(c);
+    COF_CHECK_MSG(n != '\0', std::string("non-IUPAC character in sequence: ") + c);
+    c = n;
   }
   return out;
 }

@@ -55,6 +55,10 @@ device_pattern make_pattern(std::string_view pattern);
 /// Build the comparer arrays from a query line (e.g. "GGCC...GCNNN").
 device_pattern make_query(std::string_view query);
 
+/// One character as normalize_sequence keeps it (upper case, U read as T), or
+/// '\0' when it is not an IUPAC code.
+char normalize_base(char c);
+
 /// Normalise a sequence: upper-case, U->T; dies on non-IUPAC characters.
 std::string normalize_sequence(std::string_view seq);
 

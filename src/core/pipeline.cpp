@@ -193,8 +193,8 @@ device_pipeline::query_batch device_pipeline::pack(
     } else {
       b.chars += q.fwrc;
       b.index.insert(b.index.end(), q.index.begin(), q.index.end());
+      b.mask.insert(b.mask.end(), q.mask.begin(), q.mask.end());
     }
-    b.mask.insert(b.mask.end(), q.mask.begin(), q.mask.end());
   }
   return b;
 }

@@ -12,7 +12,12 @@
 //                          buffers, accessors, lambda kernels, implicit
 //                          cleanup)
 //   host_sycl_usm.cpp    — the same with USM pointers (malloc_device, memcpy)
-//   host_sycl_twobit.cpp — SYCL over 2-bit packed chunks
+//   host_sycl_twobit.cpp — SYCL over 2-bit packed chunks: nibble kernels for
+//                          base..opt5; under opt6 the buffer-SYCL program
+//                          under this facade's name
+//
+// Under opt6 every facade uploads the same bytes: the chunk's 2-bit words
+// and ambiguity flags (kernels_swar.hpp), never its chars.
 //
 // The base owns:
 //   * the chunk and candidate state: chunk length, hit capacity, hit count
@@ -167,8 +172,8 @@ class pipe_event {
 
 /// A genome chunk as a pipeline uploads it: the decoded text and, when its
 /// producer packed it, the 2-bit words (swar_pack(text)). Pipelines whose
-/// kernels read packed words (comparer_variant_packs_words) upload `words`;
-/// the others ignore them.
+/// kernels read packed words (comparer_variant_packs_words) upload only
+/// `words`; the others ignore them.
 struct packed_chunk {
   std::string_view text;
   const swar_ref* words = nullptr;
@@ -193,6 +198,13 @@ class device_pipeline {
   virtual ~device_pipeline() = default;
   device_pipeline(const device_pipeline&) = delete;
   device_pipeline& operator=(const device_pipeline&) = delete;
+
+  /// Profiler names of a facade's launches.
+  struct kernel_tags {
+    std::string finder{};
+    std::string comparer{};  // one per-query launch
+    std::string batch{};     // the multi-query launch; empty: none
+  };
 
   const char* name() const { return name_; }
 
@@ -271,13 +283,6 @@ class device_pipeline {
   const pipeline_metrics& metrics() const { return metrics_; }
 
  protected:
-  /// Profiler names of a facade's launches.
-  struct kernel_tags {
-    std::string finder{};
-    std::string comparer{};  // one per-query launch
-    std::string batch{};     // the multi-query launch; empty: none
-  };
-
   /// A finished launch: the kernel's append count (its true demand, past
   /// any capacity) and its wall time.
   struct launch_stats {
@@ -286,8 +291,8 @@ class device_pipeline {
   };
 
   /// A batch's queries, concatenated for one multi-query launch: under opt6
-  /// their SWAR deny masks, otherwise their fwrc chars and indices; their
-  /// deny LUTs either way.
+  /// their SWAR deny masks, otherwise their fwrc chars, indices and deny
+  /// LUTs.
   struct query_batch {
     u32 queries = 0;
     u32 plen = 0;
@@ -305,6 +310,9 @@ class device_pipeline {
   static std::string comparer_tag(comparer_variant v) {
     return std::string("comparer/") + comparer_variant_name(v);
   }
+
+  /// This facade's launch names, as its constructor gave them.
+  const kernel_tags& tags() const { return tags_; }
 
   // --- Hooks: the host programming model. ---
 
@@ -402,12 +410,19 @@ class device_pipeline {
 
 std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& opt);
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt);
+/// The buffer-SYCL host program under another facade's name and launch
+/// names; an empty tags.batch leaves it without the multi-query kernel. The
+/// 2-bit facade's opt6 path.
+std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
+                                                    const char* name,
+                                                    device_pipeline::kernel_tags tags);
 /// The USM flavour of the SYCL host program (paper §III.A's alternative).
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
 /// SYCL host program over 2-bit packed chunks (the upstream memory
 /// optimisation, §V [21]). base..opt5 all run its optimised-style nibble
-/// kernels; opt6 runs the packed-word finder and comparer over the
-/// producer's words instead. Reference ambiguity codes collapse to 'N'.
+/// kernels, which collapse every non-ACGT reference byte to 'N'. Under opt6
+/// the chunk is already packed, so it is the buffer-SYCL host program under
+/// the 2-bit facade's name and launch names, with per-query launches only.
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt);
 
 /// The host programming steps each implementation performs (Table I).

@@ -381,9 +381,8 @@ void pass_swar(kir_kernel& k, const build_params& p) {
   COF_CHECK_MSG(removed_any, "swar pass found no unrolled compare iterations");
   k.ops = std::move(out);
   dce_dead_valu(k);
-  // LDS now holds the per-word deny masks plus the opt5 LUTs retained for
-  // the ambiguity fallback.
-  k.lds_bytes = 2 * words * 5 * 8 + p.plen * 2 * 2;
+  // LDS now holds only the per-word deny masks (four codes plus 'N').
+  k.lds_bytes = 2 * words * 5 * 8;
 }
 
 }  // namespace gpumodel

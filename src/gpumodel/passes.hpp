@@ -28,8 +28,8 @@
 //     strand's unrolled per-character loop collapses into ceil(plen/32)
 //     two-bit SWAR word evaluations (two-word window fetch, shift-combine,
 //     four XOR/AND deny-mask tests, popcount), so the static code shrinks
-//     again while the per-word LDS deny masks join the retained opt5 LUTs
-//     (the ambiguity fallback) in local memory.
+//     again and local memory holds only the per-word deny masks (the
+//     fifth, 'N', scores ambiguous reference bases).
 #pragma once
 
 #include "gpumodel/builder.hpp"

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -119,6 +120,15 @@ std::future<request_result> server::submit(const std::string& guide,
     throw index_error(fault::site::serve_admit,
                       "guide length " + std::to_string(guide.size()) +
                           " != indexed pattern length " + std::to_string(plen));
+  }
+  // The alphabet rule make_query applies, checked here so a bad guide is a
+  // rejection instead of an abort on the dispatcher.
+  const auto bad = std::find_if(guide.begin(), guide.end(),
+                                [](char c) { return normalize_base(c) == '\0'; });
+  if (bad != guide.end()) {
+    note_admission(true);
+    throw index_error(fault::site::serve_admit,
+                      std::string("non-IUPAC character in guide: ") + *bad);
   }
   if (stopping_.load()) {
     note_admission(true);

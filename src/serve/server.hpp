@@ -18,8 +18,8 @@
 //     records a standalone query for its guide would have produced
 //     (query_index rewritten to 0), byte-identical site strings included.
 //   * Admission is validated per request (guide length vs the indexed
-//     pattern) so one malformed request is rejected at submit() and can
-//     never fail a coalesced batch for its neighbours.
+//     pattern, IUPAC alphabet) so one malformed request is rejected at
+//     submit() and can never fail a coalesced batch for its neighbours.
 //   * Backpressure: submit() blocks while the admission queue is full —
 //     host memory stays bounded no matter how fast clients push.
 //   * Batch dispatch retries transient device faults with the engine's
@@ -156,8 +156,9 @@ class server {
   server& operator=(const server&) = delete;
 
   /// Admit one request. Throws index_error (site "serve.admit") when the
-  /// guide length does not match the indexed pattern or the server is shut
-  /// down; blocks while the admission queue is full. The future yields this
+  /// guide length does not match the indexed pattern, the guide has a
+  /// non-IUPAC character or the server is shut down; blocks while the
+  /// admission queue is full. The future yields this
   /// guide's records (query_index == 0) wrapped in the request envelope, or
   /// rethrows the batch failure.
   std::future<request_result> submit(const std::string& guide,

@@ -171,18 +171,15 @@ cmp_run run_comparer_swar(const std::string& chunk, const std::vector<u32>& loci
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(n, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes =
-      query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = query.swar.size() * sizeof(util::u64);
   cfg.uses_barrier = true;
   comparer_swar_args a;
   a.locicnts = n;
   a.chr_packed2 = sref.packed2.data();
   a.chr_amb2 = sref.amb2.data();
-  a.chr = chunk.data();
   a.loci = loci.data();
   a.flag = flags.data();
   a.comp_swar = query.swar_data();
-  a.comp_mask = query.mask_data();
   a.plen = query.plen;
   a.swar_words = query.swar_words;
   a.threshold = threshold;
@@ -191,15 +188,11 @@ cmp_run run_comparer_swar(const std::string& chunk, const std::vector<u32>& loci
   a.mm_loci = mloci.data();
   a.entrycount = &count;
   dev().run(cfg, [&](xpu::xitem& it) {
-    char* base = it.local_mem_base();
-    const usize mask_off =
-        util::round_up<usize>(query.swar.size() * sizeof(util::u64), 8);
-    a.l_comp_swar = reinterpret_cast<util::u64*>(base);
-    a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
+    a.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
     if (counting) {
-      comparer_swar_kernel<counting_mem, xpu::xitem, true>(it, a);
+      comparer_swar_kernel<counting_mem>(it, a);
     } else {
-      comparer_swar_kernel<direct_mem, xpu::xitem, true>(it, a);
+      comparer_swar_kernel<direct_mem>(it, a);
     }
   });
   return canonicalise(mm, dir, mloci, count);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/kernels_swar.hpp"
+#include "genome/chunker.hpp"
 #include "genome/synth.hpp"
 #include "oclsim/cl_objects.hpp"
 
@@ -134,7 +136,12 @@ TEST(Pipelines, MetricsAccumulate) {
   auto r = run_search(cfg, g, opt);
   EXPECT_GT(r.metrics.chunks, 1u);
   EXPECT_EQ(r.metrics.pipeline.finder_launches, r.metrics.chunks);
-  EXPECT_GT(r.metrics.pipeline.h2d_bytes, g.total_bases());  // chunks + patterns
+  // opt6 uploads each chunk as its packed words: their payload + patterns.
+  const auto chunks = genome::make_chunks(g, opt.max_chunk, cfg.pattern.size() - 1);
+  ASSERT_EQ(chunks.size(), r.metrics.chunks);
+  usize words = 0;
+  for (const auto& c : chunks) words += swar_ref_bytes(c.length);
+  EXPECT_GT(r.metrics.pipeline.h2d_bytes, words);
   EXPECT_GT(r.metrics.pipeline.kernel_nanos, 0u);
   EXPECT_GT(r.metrics.elapsed_seconds, 0.0);
   // one comparer launch per non-empty chunk per query
@@ -281,6 +288,10 @@ TEST(Pipelines, FacadesAgreeOnAccounting) {
           EXPECT_EQ(ms[f].comparer_launches, ms[0].comparer_launches)
               << where << " " << f;
           EXPECT_EQ(ms[f].d2h_bytes, ms[0].d2h_bytes) << where << " " << f;
+          // Under opt6 every facade uploads the same words and constants.
+          if (po.variant == comparer_variant::opt6) {
+            EXPECT_EQ(ms[f].h2d_bytes, ms[0].h2d_bytes) << where << " " << f;
+          }
         }
       }
     }

@@ -289,6 +289,37 @@ TEST(ServeServer, WrongLengthGuideRejectedWithoutFailingNeighbours) {
   EXPECT_EQ(st.failed, 0u);
 }
 
+/// A non-IUPAC guide between two valid ones is rejected at submit() with a
+/// typed error, instead of aborting the dispatcher that would build its
+/// query; both neighbours are answered exactly as run_query answers them.
+TEST(ServeServer, NonIupacGuideRejectedWithoutFailingNeighbours) {
+  serve_fixture fx(508);
+  cof::serve::server_options sopt;
+  sopt.engine = fx.warm_options();
+  sopt.batch_window_us = 50000;
+  cof::serve::server srv(fx.idx, sopt);
+
+  std::string bad = fx.pool[1];
+  bad[bad.size() - 2] = 'Z';
+  auto first = srv.submit(fx.pool[0], 2);
+  try {
+    (void)srv.submit(bad, 2);
+    ADD_FAILURE() << "non-IUPAC guide admitted";
+  } catch (const cof::index_error& e) {
+    EXPECT_EQ(e.site(), "serve.admit");
+  }
+  auto last = srv.submit(fx.pool[2], 2);
+  EXPECT_EQ(first.get().records,
+            cof::run_query(fx.idx, {{fx.pool[0], 2}}, fx.warm_options()).records);
+  EXPECT_EQ(last.get().records,
+            cof::run_query(fx.idx, {{fx.pool[2], 2}}, fx.warm_options()).records);
+  srv.shutdown();
+  const auto st = srv.stats();
+  EXPECT_EQ(st.served, 2u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.failed, 0u);
+}
+
 /// Concurrent submitters (the bench's client shape): records identical per
 /// request, total served == total admitted, coalescing visible. tsan label.
 TEST(ServeServer, ConcurrentClientsAreServedIdentically) {

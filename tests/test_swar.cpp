@@ -2,10 +2,10 @@
 // packed-word finder against the char finder (every PAM character x every
 // reference byte class, every chunk length around the 32/64 word multiples,
 // every facade, counting and direct); the SWAR comparer's exhaustive
-// IUPAC x mismatch-count equivalence against opt5, ragged-tail fuzz across
-// pattern lengths, both dispatch paths (AVX2 lanes and the forced-scalar
-// fallback); and engine-level byte-identity of opt6 output across all four
-// backends and queue counts.
+// IUPAC x mismatch-count equivalence against opt5 on every reference byte
+// class, ragged-tail fuzz across pattern lengths, both dispatch paths (AVX2
+// lanes and the forced-scalar fallback); and engine-level byte-identity of
+// opt6 output across all four backends and queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,19 +130,16 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(n, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes =
-      query.swar.size() * sizeof(util::u64) + query.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = query.swar.size() * sizeof(util::u64);
   cfg.uses_barrier = true;
   cfg.single_leading_barrier = true;
   comparer_swar_args a;
   a.locicnts = n;
   a.chr_packed2 = sref.packed2.data();
   a.chr_amb2 = sref.amb2.data();
-  a.chr = chunk.data();
   a.loci = loci.data();
   a.flag = flags.data();
   a.comp_swar = query.swar_data();
-  a.comp_mask = query.mask_data();
   a.plen = query.plen;
   a.swar_words = query.swar_words;
   a.threshold = threshold;
@@ -151,12 +148,8 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
   a.mm_loci = mloci.data();
   a.entrycount = &count;
   auto item_body = [&](xpu::xitem& it) {
-    char* base = it.local_mem_base();
-    const usize mask_off =
-        util::round_up<usize>(query.swar.size() * sizeof(util::u64), 8);
-    a.l_comp_swar = reinterpret_cast<util::u64*>(base);
-    a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
-    comparer_swar_kernel<direct_mem, xpu::xitem, true>(it, a);
+    a.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
+    comparer_swar_kernel<direct_mem>(it, a);
   };
   xpu::launch_stats stats;
   if (via_lanes) {
@@ -164,9 +157,7 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
                             [&](const xpu::xitem& first, usize nlanes) {
                               comparer_swar_args la = a;
                               la.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
-                              la.l_comp_mask = const_cast<u16*>(a.comp_mask);
-                              comparer_swar_lanes<true>(la, first.get_global_id(0),
-                                                        nlanes);
+                              comparer_swar_lanes(la, first.get_global_id(0), nlanes);
                             });
   } else {
     stats = dev().run(cfg, item_body);
@@ -175,11 +166,23 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
   return canonicalise(mm, dir, mloci, count);
 }
 
-std::string random_chunk(util::rng& rng, usize len, bool with_n) {
-  const char* alpha = with_n ? "ACGTN" : "ACGT";
-  const util::u64 nalpha = with_n ? 5 : 4;
+/// opt6 on both dispatch paths, the per-item kernel and the lane rows,
+/// against the opt5 reference.
+void expect_opt6_matches_opt5(const std::string& chunk, const std::vector<u32>& loci,
+                              const std::vector<char>& flags,
+                              const device_pattern& query, u16 threshold,
+                              const std::string& where) {
+  const auto want = run_opt5(chunk, loci, flags, query, threshold);
+  ASSERT_EQ(run_opt6(chunk, loci, flags, query, threshold), want)
+      << where << " per-item";
+  ASSERT_EQ(run_opt6(chunk, loci, flags, query, threshold, 8, /*via_lanes=*/true), want)
+      << where << " lanes";
+}
+
+/// Concrete bases only.
+std::string random_chunk(util::rng& rng, usize len) {
   std::string s;
-  for (usize i = 0; i < len; ++i) s += alpha[rng.next_below(nalpha)];
+  for (usize i = 0; i < len; ++i) s += "ACGT"[rng.next_below(4)];
   return s;
 }
 
@@ -197,6 +200,21 @@ void random_loci(util::rng& rng, usize chunk_len, u32 plen, usize count,
 }
 
 constexpr const char* kIupac = "ACGTRYSWKMBDHVN";
+
+/// Every class of reference byte: the upper-case IUPAC codes, lower case and
+/// non-nucleotide bytes.
+const std::string kRefClasses = std::string(kIupac) + "acgtnrk?X-";
+
+/// A reference drawn from every byte class: a concrete base half the time,
+/// otherwise any of kRefClasses.
+std::string random_reference(util::rng& rng, usize len) {
+  std::string s;
+  for (usize i = 0; i < len; ++i) {
+    s += rng.next_bool(0.5) ? "ACGT"[rng.next_below(4)]
+                            : kRefClasses[rng.next_below(kRefClasses.size())];
+  }
+  return s;
+}
 
 // ---------------------------------------------------------------------------
 // swar_pack: bit for bit against the per-base packer it replaced.
@@ -256,7 +274,7 @@ TEST(SwarPack, MatchesPerBaseReference) {
     for (int rep = 0; rep < 4; ++rep) expect_same_pack(random_text(rng, len));
   }
   // One device-sized chunk: mostly ACGT with the same exceptions mixed in.
-  std::string big = random_chunk(rng, usize{4} << 20, /*with_n=*/false);
+  std::string big = random_chunk(rng, usize{4} << 20);
   const std::string noise = random_text(rng, 1 << 16);
   for (usize i = 0; i < noise.size(); ++i) big[rng.next_below(big.size())] = noise[i];
   expect_same_pack(big);
@@ -344,9 +362,8 @@ hit_set run_packed_finder(const std::string& chunk, const device_pattern& pat,
 // second PAM position per strand.
 TEST(SwarFinder, EveryPamCharAgainstEveryReferenceClass) {
   util::rng rng(612);
-  const std::string classes = std::string(kIupac) + "acgtnrk?X-";
   for (const char* c = kIupac; *c != '\0'; ++c) {
-    for (const char r : classes) {
+    for (const char r : kRefClasses) {
       const std::string pool = std::string("ACGT") + r + r + r;
       std::string chunk;
       for (int i = 0; i < 83; ++i) chunk += pool[rng.next_below(pool.size())];
@@ -414,7 +431,7 @@ hit_set facade_hits(backend_kind backend, comparer_variant variant, bool countin
 // Every facade's opt6 finder, counting and direct, equals the char finder.
 TEST(SwarFinder, AllFacadesCountingAndDirect) {
   util::rng rng(614);
-  std::string chunk = random_chunk(rng, 5000, /*with_n=*/false);
+  std::string chunk = random_chunk(rng, 5000);
   const std::string noise = random_text(rng, 400);
   for (usize i = 0; i < noise.size(); ++i) chunk[rng.next_below(chunk.size())] = noise[i];
   for (const char* p : {"NNNNNNNNNNNNNNNNNNNNNRG", "TTTVNNNNNNNNNNNNNNNNNNNNN",
@@ -442,12 +459,12 @@ TEST(SwarFinder, AllFacadesCountingAndDirect) {
 
 // For each of the 15 IUPAC codes placed at every position of a short query,
 // and for every threshold 0..plen, opt6 must report exactly the opt5 hits
-// (same loci, strands and mismatch counts). The reference chunk mixes all
-// four bases plus ambiguous 'N' so each deny mask row and the ambiguity
-// fallback are all exercised.
+// (same loci, strands and mismatch counts). The reference chunk draws from
+// every reference byte class, so each concrete-code deny mask and the 'N'
+// mask that scores every ambiguous byte are all exercised.
 TEST(SwarEquivalence, AllIupacBasesAllThresholds) {
   util::rng rng(601);
-  const std::string chunk = random_chunk(rng, 96, /*with_n=*/true);
+  const std::string chunk = random_reference(rng, 96);
   std::vector<u32> loci;
   std::vector<char> flags;
   constexpr u32 kPlen = 9;
@@ -459,30 +476,30 @@ TEST(SwarEquivalence, AllIupacBasesAllThresholds) {
       q[pos] = *c;
       const auto query = make_pattern(q);
       for (u16 threshold = 0; threshold <= kPlen; ++threshold) {
-        const auto want = run_opt5(chunk, loci, flags, query, threshold);
-        const auto got = run_opt6(chunk, loci, flags, query, threshold);
-        ASSERT_EQ(got, want) << "base=" << *c << " pos=" << pos
-                             << " threshold=" << threshold;
+        ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+            chunk, loci, flags, query, threshold,
+            std::string("base=") + *c + " pos=" + std::to_string(pos) +
+                " threshold=" + std::to_string(threshold)));
       }
     }
   }
 }
 
 // Dense all-ambiguous query: every position a different IUPAC code, so one
-// window evaluation mixes plain deny-mask tests with LUT fallbacks at many
-// offsets at once.
+// window evaluation mixes concrete and ambiguous reference bytes under many
+// different deny masks at once.
 TEST(SwarEquivalence, MixedIupacQuery) {
   util::rng rng(602);
-  const std::string chunk = random_chunk(rng, 128, /*with_n=*/true);
+  const std::string chunk = random_reference(rng, 128);
   const std::string q = "ACGTRYSWKMBDHVNRYN";  // plen 18
   const auto query = make_pattern(q);
   std::vector<u32> loci;
   std::vector<char> flags;
   random_loci(rng, chunk.size(), query.plen, 40, loci, flags);
   for (u16 threshold : {u16{0}, u16{3}, u16{9}, u16{18}}) {
-    const auto want = run_opt5(chunk, loci, flags, query, threshold);
-    const auto got = run_opt6(chunk, loci, flags, query, threshold);
-    ASSERT_EQ(got, want) << "threshold=" << threshold;
+    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+        chunk, loci, flags, query, threshold,
+        "threshold=" + std::to_string(threshold)));
   }
 }
 
@@ -495,7 +512,7 @@ TEST(SwarEquivalence, MixedIupacQuery) {
 TEST(SwarFuzz, RaggedTailLengths) {
   util::rng rng(603);
   for (u32 plen = 1; plen <= 40; ++plen) {
-    const std::string chunk = random_chunk(rng, plen + 160, /*with_n=*/true);
+    const std::string chunk = random_reference(rng, plen + 160);
     std::string q;
     for (u32 i = 0; i < plen; ++i) q += kIupac[rng.next_below(15)];
     const auto query = make_pattern(q);
@@ -503,9 +520,9 @@ TEST(SwarFuzz, RaggedTailLengths) {
     std::vector<char> flags;
     random_loci(rng, chunk.size(), plen, 32, loci, flags);
     const u16 threshold = static_cast<u16>(rng.next_below(plen + 1));
-    const auto want = run_opt5(chunk, loci, flags, query, threshold);
-    const auto got = run_opt6(chunk, loci, flags, query, threshold);
-    ASSERT_EQ(got, want) << "plen=" << plen << " threshold=" << threshold;
+    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+        chunk, loci, flags, query, threshold,
+        "plen=" + std::to_string(plen) + " threshold=" + std::to_string(threshold)));
   }
 }
 
@@ -513,7 +530,7 @@ TEST(SwarFuzz, RaggedTailLengths) {
 // window fetch is exercised at each shift amount, including shift 0.
 TEST(SwarFuzz, EveryWindowShift) {
   util::rng rng(604);
-  const std::string chunk = random_chunk(rng, 96, /*with_n=*/false);
+  const std::string chunk = random_chunk(rng, 96);
   const auto query = make_pattern("GGCCGACCTGTCGCTGACGCNRG");
   std::vector<u32> loci;
   std::vector<char> flags;
@@ -536,7 +553,7 @@ TEST(SwarFuzz, EveryWindowShift) {
 // whichever path the host actually selects.
 TEST(SwarDispatch, LanesMatchPerItem) {
   util::rng rng(605);
-  const std::string chunk = random_chunk(rng, 256, /*with_n=*/true);
+  const std::string chunk = random_reference(rng, 256);
   const auto query = make_pattern("GGCCGACCTGTCGCTGACGCNRG");
   std::vector<u32> loci;
   std::vector<char> flags;
@@ -555,7 +572,7 @@ TEST(SwarDispatch, LanesMatchPerItem) {
 // identical and the launch must report scalar dispatch.
 TEST(SwarDispatch, ForcedScalarMatchesSimd) {
   util::rng rng(606);
-  const std::string chunk = random_chunk(rng, 200, /*with_n=*/true);
+  const std::string chunk = random_reference(rng, 200);
   const auto query = make_pattern("ACGTRYSWKMBDHVNACGTNGG");
   std::vector<u32> loci;
   std::vector<char> flags;
@@ -589,8 +606,7 @@ class SwarBackendSweep
     : public ::testing::TestWithParam<std::pair<backend_kind, int>> {};
 
 // opt6 must produce byte-identical search output to the same backend's opt5
-// across every queue count. (Comparing within one backend keeps the twobit
-// facade's collapsed-'N' semantics out of the equation.)
+// across every queue count.
 TEST_P(SwarBackendSweep, Opt6MatchesOpt5) {
   const auto [backend, queues] = GetParam();
   auto g = swar_genome(71);
