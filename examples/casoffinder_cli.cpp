@@ -443,7 +443,12 @@ int main(int argc, char** argv) {
   }
 
   util::stopwatch load_sw;
-  const genome::genome_t g = cof::load_configured_genome(cfg);
+  genome::genome_t g;
+  try {
+    g = cof::load_configured_genome(cfg);
+  } catch (const std::exception& e) {
+    util::die(e.what());  // e.g. a malformed FASTA (genome::fasta_error)
+  }
   std::fprintf(stderr, "loaded %s: %zu sequences, %s (%.2fs)\n", g.assembly.c_str(),
                g.chroms.size(), util::human_bytes(g.total_bases()).c_str(),
                load_sw.seconds());

@@ -381,8 +381,13 @@ __kernel void comparer_opt6(unsigned int locicnts,
   }
 }
 
-/* Batched multi-query twin of comparer_opt6: per-query SWAR deny masks are
- * concatenated, loci[i]/flag[i] read once per candidate site. */
+/* Batched multi-query twin of comparer_opt6, with opt2 applied to the
+ * window every query shares: loci[i]/flag[i] are read once per candidate
+ * site, and each of the window's first 4 words is read and decoded once
+ * (its per-code equality masks and ambiguity mask, kept in private memory)
+ * by the first (query, strand) that reaches it; words past those 4 are
+ * decoded where they are used. Each (query, strand) scores the words with
+ * its five deny masks and a popcount per word. */
 __kernel void comparer_multi_opt6(unsigned int locicnts,
                                   __global ulong* __restrict chr_packed2,
                                   __global ulong* __restrict chr_amb2,
@@ -408,30 +413,42 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
   if (i >= locicnts) return;
   char f = flag[i];
   unsigned int locus = loci[i];
+  unsigned int shift = 2u * (locus & 31u);
+  unsigned int wi = locus >> 5;
+  ulong blk_eq[4][4], blk_amb[4];
+  unsigned int built = 0;
   for (unsigned int q = 0; q < nqueries; q++) {
     unsigned short threshold = thresholds[q];
     for (int half = 0; half < 2; half++) {
       if (!(f == 0 || f == (char)(half + 1))) continue;
       unsigned int sbase = (q * 2 + (unsigned int)half) * swar_words * 5;
-      unsigned int shift = 2u * (locus & 31u);
-      unsigned int wi = locus >> 5;
       unsigned short lmm = 0;
       int under = 1;
       for (unsigned int w = 0; w < swar_words && under; w++) {
-        ulong lo = chr_packed2[wi + w], hi = chr_packed2[wi + w + 1];
-        ulong ref = (lo >> shift) | ((hi << (63u - shift)) << 1);
-        ulong amb = (chr_amb2[wi + w] >> shift) |
-                    ((chr_amb2[wi + w + 1] << (63u - shift)) << 1);
-        unsigned int nb = plen - 32u * w;
-        ulong active = nb >= 32u ? ~0UL : (1UL << (2u * nb)) - 1;
-        amb &= active;
-        ulong mm = 0;
-        for (int c = 0; c < 4; c++) {
-          ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
-          ulong t = ~(ref ^ bc);
-          mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
+        ulong eq[4], amb;
+        if (w < built) {
+          for (int c = 0; c < 4; c++) eq[c] = blk_eq[w][c];
+          amb = blk_amb[w];
+        } else {
+          ulong ref = (chr_packed2[wi + w] >> shift) |
+                      ((chr_packed2[wi + w + 1] << (63u - shift)) << 1);
+          amb = (chr_amb2[wi + w] >> shift) |
+                ((chr_amb2[wi + w + 1] << (63u - shift)) << 1);
+          unsigned int nb = plen - 32u * w;
+          amb &= nb >= 32u ? ~0UL : (1UL << (2u * nb)) - 1;
+          for (int c = 0; c < 4; c++) {
+            ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
+            ulong t = ~(ref ^ bc);
+            eq[c] = t & (t >> 1) & even & ~amb;
+          }
+          if (w < 4u) {
+            for (int c = 0; c < 4; c++) blk_eq[w][c] = eq[c];
+            blk_amb[w] = amb;
+            built = w + 1;
+          }
         }
-        mm = (mm & ~amb) | (amb & l_comp_swar[sbase + w * 5 + 4]);
+        ulong mm = amb & l_comp_swar[sbase + w * 5 + 4];
+        for (int c = 0; c < 4; c++) mm |= eq[c] & l_comp_swar[sbase + w * 5 + c];
         lmm += (unsigned short)popcount(mm);
         if (lmm > threshold) under = 0;
       }
@@ -566,9 +583,9 @@ void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
   finder_kernel_mask<P>(it, fa);
 }
 
-template <class P>
-void finder_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  finder_swar_args fa;
+/// Shared unpack of finder_opt6's arguments (all global or scalar) for its
+/// per-item native body and its lane body.
+void finder_opt6_unpack(const oclsim::arg_view& a, finder_swar_args& fa) {
   fa.chr_packed2 = a.global<const u64>(0);
   fa.chr_amb2 = a.global<const u64>(1);
   fa.pat_mask = a.global<const u16>(2);
@@ -579,7 +596,21 @@ void finder_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   fa.flag = a.global<char>(7);
   fa.entrycount = a.global<u32>(8);
   fa.entry_capacity = a.scalar<u32>(9);
+}
+
+template <class P>
+void finder_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
+  finder_swar_args fa;
+  finder_opt6_unpack(a, fa);
   finder_swar_kernel<P>(it, fa);
+}
+
+/// Lane-batched row body (executor lane dispatch, profiling off only): the
+/// arguments are unpacked once per row, and hits append once per block.
+void finder_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
+  finder_swar_args fa;
+  finder_opt6_unpack(a, fa);
+  finder_swar_lanes(fa, first, nlanes);
 }
 
 template <class P>
@@ -724,9 +755,9 @@ void comparer_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
   comparer_swar_lanes(ca, first, nlanes);
 }
 
-template <class P>
-void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  comparer_multi_swar_args ca;
+/// Shared unpack of comparer_multi_opt6's global/scalar arguments (0..15),
+/// as comparer_opt6_unpack.
+void comparer_multi_opt6_unpack(const oclsim::arg_view& a, comparer_multi_swar_args& ca) {
   ca.locicnts = a.scalar<u32>(0);
   ca.chr_packed2 = a.global<const u64>(1);
   ca.chr_amb2 = a.global<const u64>(2);
@@ -743,8 +774,22 @@ void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   ca.mm_query = a.global<u16>(13);
   ca.entrycount = a.global<u32>(14);
   ca.entry_capacity = a.scalar<u32>(15);
+}
+
+template <class P>
+void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
+  comparer_multi_swar_args ca;
+  comparer_multi_opt6_unpack(a, ca);
   ca.l_comp_swar = a.local<u64>(16);
   comparer_multi_swar_kernel<P>(it, ca);
+}
+
+/// Lane-batched row body of the batched comparer, as comparer_opt6_lanes.
+void comparer_multi_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
+  comparer_multi_swar_args ca;
+  comparer_multi_opt6_unpack(a, ca);
+  ca.l_comp_swar = const_cast<u64*>(ca.comp_swar);
+  comparer_multi_swar_lanes(ca, first, nlanes);
 }
 
 const std::vector<oclsim::arg_kind> kComparerOpt6Sig = {
@@ -778,7 +823,8 @@ const bool kKernelsRegistered = [] {
                            &finder_mask_native<counting_mem>, true});
   oclsim::register_kernel({"finder_opt6", kFinderOpt6Sig, /*uses_barrier=*/false,
                            &finder_opt6_native<direct_mem>,
-                           &finder_opt6_native<counting_mem>, false});
+                           &finder_opt6_native<counting_mem>, false,
+                           &finder_opt6_lanes});
   oclsim::register_kernel({"comparer", kComparerSig, true,
                            &comparer_native<comparer_variant::base, direct_mem>,
                            &comparer_native<comparer_variant::base, counting_mem>,
@@ -811,7 +857,8 @@ const bool kKernelsRegistered = [] {
                            &comparer_opt6_lanes});
   oclsim::register_kernel({"comparer_multi_opt6", kComparerMultiOpt6Sig, true,
                            &comparer_multi_opt6_native<direct_mem>,
-                           &comparer_multi_opt6_native<counting_mem>, true});
+                           &comparer_multi_opt6_native<counting_mem>, true,
+                           &comparer_multi_opt6_lanes});
   return true;
 }();
 

@@ -165,7 +165,8 @@ class sycl_pipeline final : public device_pipeline {
   }
 
   /// opt6: the packed-word finder over the resident words, one work-item
-  /// per 32 start positions, no local memory and no barrier.
+  /// per 32 start positions, no local memory and no barrier. Non-counting
+  /// runs install its lane body too (finder_swar_lanes).
   template <class P>
   void submit_finder_swar(const device_pattern& pat, u32 chrsize, usize loci_cap) {
     const usize lws = opt_.wg_size;
@@ -185,21 +186,29 @@ class sycl_pipeline final : public device_pipeline {
        auto cnt = count_buf_->get_access<sycl::sycl_read_write>(cgh);
        const u32 plen = pat.plen;
        const u32 entry_cap = static_cast<u32>(loci_cap);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          finder_swar_args a;
-                          a.chr_packed2 = chr2.get_pointer();
-                          a.chr_amb2 = amb2.get_pointer();
-                          a.pat_mask = pmask.get_pointer();
-                          a.pat_index = pidx.get_pointer();
-                          a.chrsize = chrsize;
-                          a.plen = plen;
-                          a.loci = loci.get_pointer();
-                          a.flag = flag.get_pointer();
-                          a.entrycount = cnt.get_pointer();
-                          a.entry_capacity = entry_cap;
-                          finder_swar_kernel<P>(item, a);
-                        });
+       const auto args = [=] {
+         finder_swar_args a;
+         a.chr_packed2 = chr2.get_pointer();
+         a.chr_amb2 = amb2.get_pointer();
+         a.pat_mask = pmask.get_pointer();
+         a.pat_index = pidx.get_pointer();
+         a.chrsize = chrsize;
+         a.plen = plen;
+         a.loci = loci.get_pointer();
+         a.flag = flag.get_pointer();
+         a.entrycount = cnt.get_pointer();
+         a.entry_capacity = entry_cap;
+         return a;
+       };
+       const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
+       const auto kernel = [=](sycl::nd_item<1> item) { finder_swar_kernel<P>(item, args()); };
+       if (opt_.counting) {
+         cgh.parallel_for(ndr, kernel);
+       } else {
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           finder_swar_lanes(args(), first, nlanes);
+         });
+       }
      }).wait();
   }
 
@@ -450,7 +459,8 @@ class sycl_pipeline final : public device_pipeline {
   }
 
   /// Batched comparer under opt6: one SWAR kernel covers every query,
-  /// reading loci/flag once per locus (comparer_multi_swar_kernel).
+  /// building each locus's window once (comparer_multi_swar_kernel).
+  /// Non-counting runs install its lane body too.
   template <class P>
   void submit_batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
@@ -477,29 +487,43 @@ class sycl_pipeline final : public device_pipeline {
        auto mquery = batch_query_buf_->get_access<sycl::sycl_write>(cgh);
        auto cnt = batch_count_buf_->get_access<sycl::sycl_read_write>(cgh);
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
-       cgh.parallel_for(
-           sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-           [=](sycl::nd_item<1> item) {
-             comparer_multi_swar_args a;
-             a.locicnts = locicnt;
-             a.chr_packed2 = chr2.get_pointer();
-             a.chr_amb2 = amb2.get_pointer();
-             a.loci = loci.get_pointer();
-             a.flag = flag.get_pointer();
-             a.comp_swar = cswar.get_pointer();
-             a.thresholds = thr.get_pointer();
-             a.nqueries = nq;
-             a.plen = plen;
-             a.swar_words = swar_words;
-             a.mm_count = mm.get_pointer();
-             a.direction = dir.get_pointer();
-             a.mm_loci = mloci.get_pointer();
-             a.mm_query = mquery.get_pointer();
-             a.entrycount = cnt.get_pointer();
-             a.entry_capacity = static_cast<u32>(cap);
-             a.l_comp_swar = l_swar.get_pointer();
-             comparer_multi_swar_kernel<P>(item, a);
-           });
+       const auto fill_args = [=](comparer_multi_swar_args& a) {
+         a.locicnts = locicnt;
+         a.chr_packed2 = chr2.get_pointer();
+         a.chr_amb2 = amb2.get_pointer();
+         a.loci = loci.get_pointer();
+         a.flag = flag.get_pointer();
+         a.comp_swar = cswar.get_pointer();
+         a.thresholds = thr.get_pointer();
+         a.nqueries = nq;
+         a.plen = plen;
+         a.swar_words = swar_words;
+         a.mm_count = mm.get_pointer();
+         a.direction = dir.get_pointer();
+         a.mm_loci = mloci.get_pointer();
+         a.mm_query = mquery.get_pointer();
+         a.entrycount = cnt.get_pointer();
+         a.entry_capacity = static_cast<u32>(cap);
+       };
+       const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
+       const auto kernel = [=](sycl::nd_item<1> item) {
+         comparer_multi_swar_args a;
+         fill_args(a);
+         a.l_comp_swar = l_swar.get_pointer();
+         comparer_multi_swar_kernel<P>(item, a);
+       };
+       if (opt_.counting) {
+         cgh.parallel_for(ndr, kernel);
+       } else {
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           comparer_multi_swar_args a;
+           fill_args(a);
+           // Lane rows skip the cooperative fetch; masks come straight from
+           // the constant-memory array.
+           a.l_comp_swar = cswar.get_pointer();
+           comparer_multi_swar_lanes(a, first, nlanes);
+         });
+       }
      }).wait();
   }
 

@@ -3,7 +3,8 @@
 // and uploads ~3/8 of the char payload (2 bits/base + 1 ambiguity bit/base)
 // for the nibble kernels of base..opt5. opt6 already runs on packed words on
 // every facade, so under opt6 the factory hands out the buffer-SYCL host
-// program under this facade's name and launch names instead.
+// program, batched comparer included, under this facade's name and launch
+// names instead.
 #include <algorithm>
 #include <optional>
 
@@ -20,7 +21,8 @@ namespace {
 
 class sycl_twobit_pipeline final : public device_pipeline {
  public:
-  // No multi-query kernel: launch_comparer_batch stages per-query launches.
+  // No multi-query nibble kernel: launch_comparer_batch stages per-query
+  // launches.
   explicit sycl_twobit_pipeline(const pipeline_options& opt)
       : device_pipeline(opt, "sycl-2bit", {"finder/2bit", "comparer/2bit", ""}),
         q_(sycl::gpu_selector{}) {
@@ -237,8 +239,9 @@ class sycl_twobit_pipeline final : public device_pipeline {
 
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt) {
   if (comparer_variant_packs_words(opt.variant)) {
-    return make_sycl_pipeline(opt, "sycl-2bit",
-                              {"finder/2bit-opt6", "comparer/2bit-opt6", ""});
+    return make_sycl_pipeline(
+        opt, "sycl-2bit",
+        {"finder/2bit-opt6", "comparer/2bit-opt6", "comparer/2bit-batch-opt6"});
   }
   return std::make_unique<sycl_twobit_pipeline>(opt);
 }

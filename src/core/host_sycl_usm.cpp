@@ -142,22 +142,28 @@ class sycl_usm_pipeline final : public device_pipeline {
        cgh.cof_set_name("finder");
        if (packs_words()) {
          // No local memory, no barrier: reads the words and constants
-         // straight from device memory.
+         // straight from device memory. Non-counting runs install the lane
+         // body too (finder_swar_lanes).
          cgh.cof_hint_no_barrier();
-         cgh.parallel_for(ndr, [=](sycl::nd_item<1> item) {
-           finder_swar_args a;
-           a.chr_packed2 = chr2;
-           a.chr_amb2 = amb2;
-           a.pat_mask = maskd;
-           a.pat_index = idxd;
-           a.chrsize = chrsize;
-           a.plen = plen;
-           a.loci = loci;
-           a.flag = flag;
-           a.entrycount = count;
-           a.entry_capacity = entry_cap;
-           finder_swar_kernel<P>(item, a);
-         });
+         finder_swar_args a;
+         a.chr_packed2 = chr2;
+         a.chr_amb2 = amb2;
+         a.pat_mask = maskd;
+         a.pat_index = idxd;
+         a.chrsize = chrsize;
+         a.plen = plen;
+         a.loci = loci;
+         a.flag = flag;
+         a.entrycount = count;
+         a.entry_capacity = entry_cap;
+         const auto kernel = [=](sycl::nd_item<1> item) { finder_swar_kernel<P>(item, a); };
+         if (opt_.counting) {
+           cgh.parallel_for(ndr, kernel);
+         } else {
+           cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+             finder_swar_lanes(a, first, nlanes);
+           });
+         }
          return;
        }
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
@@ -446,7 +452,8 @@ class sycl_usm_pipeline final : public device_pipeline {
   }
 
   /// Batched comparer under opt6: one multi-query SWAR kernel
-  /// (comparer_multi_swar_kernel), loci/flag read once per locus.
+  /// (comparer_multi_swar_kernel), each locus's window built once.
+  /// Non-counting runs install its lane body too.
   template <class P>
   void batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
@@ -476,16 +483,27 @@ class sycl_usm_pipeline final : public device_pipeline {
     base.mm_query = batch_query_;
     base.entrycount = batch_count_;
     base.entry_capacity = static_cast<u32>(cap);
+    const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/batch");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          comparer_multi_swar_args a = base;
-                          a.l_comp_swar = l_swar.get_pointer();
-                          comparer_multi_swar_kernel<P>(item, a);
-                        });
+       const auto kernel = [=](sycl::nd_item<1> item) {
+         comparer_multi_swar_args a = base;
+         a.l_comp_swar = l_swar.get_pointer();
+         comparer_multi_swar_kernel<P>(item, a);
+       };
+       if (opt_.counting) {
+         cgh.parallel_for(ndr, kernel);
+       } else {
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           comparer_multi_swar_args a = base;
+           // Lane rows skip the cooperative fetch; masks come straight from
+           // the device-global array (read-only through this alias).
+           a.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
+           comparer_multi_swar_lanes(a, first, nlanes);
+         });
+       }
      }).wait();
     sycl::free(csward, q_);
     sycl::free(thrd, q_);

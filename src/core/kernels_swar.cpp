@@ -1,12 +1,14 @@
-// Host-side packing for the opt6 SWAR kernels and the comparer's AVX2
-// lane-batched body. The AVX2 code lives here (not in the header) so it can
-// carry a target("avx2") attribute and compile in a portable build; runtime
+// Host-side packing for the opt6 SWAR kernels and their lane-batched
+// bodies. The AVX2 code lives here (not in the header) so it can carry a
+// target("avx2") attribute and compile in a portable build; runtime
 // dispatch (util::simd_lanes_enabled) guarantees it only executes on hosts
 // with the instructions.
 #include "core/kernels_swar.hpp"
 
 #include <algorithm>
 #include <array>
+
+#include "util/cpufeat.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -43,6 +45,12 @@ inline void pack_word(const char* s, usize n, u64& code, u64& amb) {
   amb = a;
 }
 
+/// End of the live lanes of a row: lanes past `count` work-items are idle
+/// (the ND-range is rounded up to the group size).
+usize live_end(usize first, usize nlanes, usize count) {
+  return first >= count ? first : first + std::min<usize>(nlanes, count - first);
+}
+
 }  // namespace
 
 swar_ref swar_pack(std::string_view seq) {
@@ -61,89 +69,123 @@ swar_ref swar_pack(std::string_view seq) {
   return r;
 }
 
-namespace detail {
-
-namespace {
-
-/// Scalar lane loop — the portable body and the tail handler of the AVX2
-/// path. Identical arithmetic to comparer_swar_kernel's post-fetch phase.
-void lanes_scalar(const comparer_swar_args& a, usize first, usize nlanes) {
-  for (usize l = 0; l < nlanes; ++l) {
-    direct_mem::item p;
-    swar_item_body(p, a, first + l);
-  }
-}
-
-}  // namespace
-
 #if defined(__x86_64__)
 
 namespace {
 
-/// Four loci per instruction stream: gathered window fetch, SWAR mismatch
-/// masks (ambiguous lanes scored by the 'N' mask) and popcounts across
-/// lanes; the atomic appends peel out per lane. Only sound for the direct
-/// memory policy (no event counting) — the facades only install the lane
-/// path when profiling is off.
-__attribute__((target("avx2,popcnt"))) void avx2_quad(const comparer_swar_args& a,
-                                                      const usize gid[4]) {
-  const auto* packed = reinterpret_cast<const long long*>(a.chr_packed2);
-  const auto* ambp = reinterpret_cast<const long long*>(a.chr_amb2);
+#define COF_AVX2 __attribute__((target("avx2,popcnt")))
 
-  char f[4];
-  u32 locus[4];
-  for (int l = 0; l < 4; ++l) {
-    f[l] = a.flag[gid[l]];
-    locus[l] = a.loci[gid[l]];
+/// Where four loci's windows start: the packed word of each locus and the
+/// shift that aligns it.
+struct avx2_loci {
+  __m256i wi;
+  __m256i shift;
+  __m256i shift_hi;  // 63 - shift
+};
+
+/// Word w of four loci's windows, the AVX2 twin of swar_window_word.
+struct avx2_window_word {
+  __m256i eq[4];
+  __m256i amb;
+};
+
+/// (lo >> s) | (hi << (64-s)) per lane, well-defined at s == 0 too: the
+/// two-word shift-combine of the scalar kernels, per-lane shifts.
+COF_AVX2 inline __m256i avx2_combine(__m256i lo, __m256i hi, __m256i s, __m256i s_hi) {
+  return _mm256_or_si256(_mm256_srlv_epi64(lo, s),
+                         _mm256_slli_epi64(_mm256_sllv_epi64(hi, s_hi), 1));
+}
+
+/// The same with one shift for every lane.
+COF_AVX2 inline __m256i avx2_combine(__m256i lo, __m256i hi, __m128i s, __m128i s_hi) {
+  return _mm256_or_si256(_mm256_srl_epi64(lo, s),
+                         _mm256_slli_epi64(_mm256_sll_epi64(hi, s_hi), 1));
+}
+
+/// Four consecutive words from `p` on (unaligned).
+COF_AVX2 inline __m256i avx2_load(const u64* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+/// Even bit of every lane whose 2-bit code in `ref` equals c.
+COF_AVX2 inline __m256i avx2_code_eq(__m256i ref, u32 c) {
+  const __m256i t = _mm256_xor_si256(
+      _mm256_xor_si256(ref, _mm256_set1_epi64x(static_cast<long long>(kSwarBroadcast[c]))),
+      _mm256_set1_epi64x(-1));
+  return _mm256_and_si256(_mm256_and_si256(t, _mm256_srli_epi64(t, 1)),
+                          _mm256_set1_epi64x(static_cast<long long>(kSwarEvenBits)));
+}
+
+COF_AVX2 inline avx2_loci avx2_loci_of(const u32 locus[4]) {
+  const __m256i v = _mm256_set_epi64x(locus[3], locus[2], locus[1], locus[0]);
+  avx2_loci l = {};
+  l.wi = _mm256_srli_epi64(v, 5);
+  l.shift = _mm256_slli_epi64(_mm256_and_si256(v, _mm256_set1_epi64x(31)), 1);
+  l.shift_hi = _mm256_sub_epi64(_mm256_set1_epi64x(63), l.shift);
+  return l;
+}
+
+/// The one AVX2 window helper both comparers share: gathers word w (and the
+/// word after it) of both arrays at each locus, shift-combines them, limits
+/// the ambiguity mask to the pattern's live bases and derives the four
+/// equality masks, ambiguous lanes cleared (swar_window_at, four loci wide).
+COF_AVX2 inline void avx2_window_at(const u64* packed2, const u64* amb2,
+                                    const avx2_loci& l, u32 w, u32 plen,
+                                    avx2_window_word& out) {
+  const auto* packed = reinterpret_cast<const long long*>(packed2);
+  const auto* ambp = reinterpret_cast<const long long*>(amb2);
+  const __m256i idx = _mm256_add_epi64(l.wi, _mm256_set1_epi64x(w));
+  const __m256i idx1 = _mm256_add_epi64(idx, _mm256_set1_epi64x(1));
+  const __m256i ref = avx2_combine(_mm256_i64gather_epi64(packed, idx, 8),
+                                   _mm256_i64gather_epi64(packed, idx1, 8), l.shift,
+                                   l.shift_hi);
+  const __m256i amb = avx2_combine(_mm256_i64gather_epi64(ambp, idx, 8),
+                                   _mm256_i64gather_epi64(ambp, idx1, 8), l.shift,
+                                   l.shift_hi);
+  const u32 nb = plen - 32 * w;
+  const u64 active = nb >= 32 ? ~u64{0} : (u64{1} << (2 * nb)) - 1;
+  out.amb = _mm256_and_si256(amb, _mm256_set1_epi64x(static_cast<long long>(active)));
+  for (u32 c = 0; c < 4; ++c) {
+    out.eq[c] = _mm256_andnot_si256(out.amb, avx2_code_eq(ref, c));
   }
+}
 
-  const __m256i vloci = _mm256_set_epi64x(locus[3], locus[2], locus[1], locus[0]);
-  const __m256i vwi = _mm256_srli_epi64(vloci, 5);
-  const __m256i vshift =
-      _mm256_slli_epi64(_mm256_and_si256(vloci, _mm256_set1_epi64x(31)), 1);
-  const __m256i vshift_hi = _mm256_sub_epi64(_mm256_set1_epi64x(63), vshift);
-  const __m256i veven = _mm256_set1_epi64x(static_cast<long long>(kSwarEvenBits));
-  const __m256i vones = _mm256_set1_epi64x(-1);
+/// Add each lane's mismatch count under the five deny masks at `masks`
+/// (swar_score plus the popcount) into lmm.
+COF_AVX2 inline void avx2_score(const avx2_window_word& ww, const u64* masks,
+                                u32 lmm[4]) {
+  __m256i mm = _mm256_and_si256(
+      ww.amb, _mm256_set1_epi64x(static_cast<long long>(masks[4])));
+  for (int c = 0; c < 4; ++c) {
+    mm = _mm256_or_si256(
+        mm, _mm256_and_si256(ww.eq[c],
+                             _mm256_set1_epi64x(static_cast<long long>(masks[c]))));
+  }
+  alignas(32) u64 lanes[4] = {};
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mm);
+  for (int l = 0; l < 4; ++l) lmm[l] += static_cast<u32>(_mm_popcnt_u64(lanes[l]));
+}
 
+/// Four loci of the per-query comparer: the window words per strand,
+/// scored with that strand's masks; the atomic appends peel out per lane.
+/// Only sound for the direct memory policy (no event counting) — the
+/// facades only install the lane path when profiling is off.
+COF_AVX2 void avx2_quad(const comparer_swar_args& a, usize i) {
+  char f[4] = {};
+  u32 locus[4] = {};
+  for (int l = 0; l < 4; ++l) {
+    f[l] = a.flag[i + l];
+    locus[l] = a.loci[i + l];
+  }
+  const avx2_loci loci = avx2_loci_of(locus);
   for (int half = 0; half < 2; ++half) {
     const usize swar_base =
         static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord;
     u32 lmm[4] = {0, 0, 0, 0};
     for (u32 w = 0; w < a.swar_words; ++w) {
-      const __m256i vidx = _mm256_add_epi64(vwi, _mm256_set1_epi64x(w));
-      const __m256i vidx1 = _mm256_add_epi64(vidx, _mm256_set1_epi64x(1));
-      const __m256i lo = _mm256_i64gather_epi64(packed, vidx, 8);
-      const __m256i hi = _mm256_i64gather_epi64(packed, vidx1, 8);
-      const __m256i alo = _mm256_i64gather_epi64(ambp, vidx, 8);
-      const __m256i ahi = _mm256_i64gather_epi64(ambp, vidx1, 8);
-      const __m256i ref = _mm256_or_si256(
-          _mm256_srlv_epi64(lo, vshift),
-          _mm256_slli_epi64(_mm256_sllv_epi64(hi, vshift_hi), 1));
-      __m256i amb = _mm256_or_si256(
-          _mm256_srlv_epi64(alo, vshift),
-          _mm256_slli_epi64(_mm256_sllv_epi64(ahi, vshift_hi), 1));
-      const u32 nb = a.plen - 32 * w;
-      const u64 active = nb >= 32 ? ~u64{0} : (u64{1} << (2 * nb)) - 1;
-      amb = _mm256_and_si256(amb, _mm256_set1_epi64x(static_cast<long long>(active)));
-
-      __m256i mm = _mm256_setzero_si256();
-      for (int c = 0; c < 4; ++c) {
-        const __m256i x = _mm256_xor_si256(
-            ref, _mm256_set1_epi64x(static_cast<long long>(kSwarBroadcast[c])));
-        const __m256i t = _mm256_xor_si256(x, vones);
-        const __m256i eq =
-            _mm256_and_si256(_mm256_and_si256(t, _mm256_srli_epi64(t, 1)), veven);
-        const __m256i deny = _mm256_set1_epi64x(static_cast<long long>(
-            a.l_comp_swar[swar_base + w * kSwarMasksPerWord + c]));
-        mm = _mm256_or_si256(mm, _mm256_and_si256(eq, deny));
-      }
-      const __m256i deny_n = _mm256_set1_epi64x(
-          static_cast<long long>(a.l_comp_swar[swar_base + w * kSwarMasksPerWord + 4]));
-      mm = _mm256_or_si256(_mm256_andnot_si256(amb, mm), _mm256_and_si256(amb, deny_n));
-
-      alignas(32) u64 mm_l[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(mm_l), mm);
-      for (int l = 0; l < 4; ++l) lmm[l] += static_cast<u32>(_mm_popcnt_u64(mm_l[l]));
+      avx2_window_word ww = {};
+      avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
+      avx2_score(ww, a.l_comp_swar + swar_base + w * kSwarMasksPerWord, lmm);
     }
     for (int l = 0; l < 4; ++l) {
       if (!(f[l] == 0 || f[l] == half + 1)) continue;
@@ -158,29 +200,162 @@ __attribute__((target("avx2,popcnt"))) void avx2_quad(const comparer_swar_args& 
   }
 }
 
+/// Four loci of the batched comparer: the windows' first kSwarWindowBlock
+/// words are built once per quad, then every (query, strand) scores them
+/// with its own masks. A strand stops early once all its lanes are out.
+COF_AVX2 void avx2_multi_quad(const comparer_multi_swar_args& a, usize i) {
+  char f[4] = {};
+  u32 locus[4] = {};
+  for (int l = 0; l < 4; ++l) {
+    f[l] = a.flag[i + l];
+    locus[l] = a.loci[i + l];
+  }
+  const avx2_loci loci = avx2_loci_of(locus);
+  avx2_window_word block[kSwarWindowBlock] = {};
+  const u32 nblock = std::min(a.swar_words, kSwarWindowBlock);
+  for (u32 w = 0; w < nblock; ++w) {
+    avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, block[w]);
+  }
+  for (u32 q = 0; q < a.nqueries; ++q) {
+    const u16 threshold = a.thresholds[q];
+    for (int half = 0; half < 2; ++half) {
+      bool live[4] = {};
+      bool any = false;
+      for (int l = 0; l < 4; ++l) {
+        live[l] = f[l] == 0 || f[l] == half + 1;
+        any = any || live[l];
+      }
+      if (!any) continue;
+      const u64* masks = a.l_comp_swar + (static_cast<usize>(q) * 2 +
+                                          static_cast<usize>(half)) *
+                                             a.swar_words * kSwarMasksPerWord;
+      u32 lmm[4] = {0, 0, 0, 0};
+      for (u32 w = 0; w < a.swar_words; ++w) {
+        if (w < kSwarWindowBlock) {
+          avx2_score(block[w], masks + w * kSwarMasksPerWord, lmm);
+        } else {
+          avx2_window_word ww = {};
+          avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
+          avx2_score(ww, masks + w * kSwarMasksPerWord, lmm);
+        }
+        bool out = true;
+        for (int l = 0; l < 4; ++l) out = out && (!live[l] || lmm[l] > threshold);
+        if (out) break;
+      }
+      for (int l = 0; l < 4; ++l) {
+        if (!live[l] || lmm[l] > threshold) continue;
+        const u32 old = std::atomic_ref<u32>(*a.entrycount).fetch_add(1u);
+        if (old < a.entry_capacity) {
+          a.mm_count[old] = static_cast<u16>(lmm[l]);
+          a.direction[old] = half == 0 ? '+' : '-';
+          a.mm_loci[old] = locus[l];
+          a.mm_query[old] = static_cast<u16>(q);
+        }
+      }
+    }
+  }
+}
+
+/// One strand of four consecutive full finder work-items starting at item
+/// g: swar_find_strand four words wide. PAM position k sits at the same
+/// shift in each of the four windows, so the words come from contiguous
+/// loads.
+COF_AVX2 __m256i avx2_find_strand(const finder_swar_args& a, int half, usize g) {
+  const usize off = static_cast<usize>(half) * a.plen;
+  __m256i ok = _mm256_set1_epi64x(static_cast<long long>(kSwarEvenBits));
+  for (u32 j = 0; j < a.plen; ++j) {
+    const i32 k = a.pat_index[off + j];
+    if (k == -1) break;
+    const u16 lut = a.pat_mask[off + static_cast<usize>(k)];
+    const usize wi = g + (static_cast<usize>(k) >> 5);
+    const u32 shift = 2 * (static_cast<u32>(k) & 31u);
+    const __m128i s = _mm_cvtsi32_si128(static_cast<int>(shift));
+    const __m128i s_hi = _mm_cvtsi32_si128(static_cast<int>(63 - shift));
+    const __m256i ref = avx2_combine(avx2_load(a.chr_packed2 + wi),
+                                     avx2_load(a.chr_packed2 + wi + 1), s, s_hi);
+    const __m256i amb = avx2_combine(avx2_load(a.chr_amb2 + wi),
+                                     avx2_load(a.chr_amb2 + wi + 1), s, s_hi);
+    __m256i mm = _mm256_setzero_si256();
+    for (u32 c = 0; c < 4; ++c) {
+      if (((lut >> (1u << c)) & 1u) != 0) mm = _mm256_or_si256(mm, avx2_code_eq(ref, c));
+    }
+    mm = _mm256_andnot_si256(amb, mm);
+    if ((lut >> 15) & 1u) mm = _mm256_or_si256(mm, amb);
+    ok = _mm256_andnot_si256(mm, ok);
+    if (_mm256_testz_si256(ok, ok)) break;
+  }
+  return ok;
+}
+
+/// Both strands of the full work-items [g, g+n) four at a time, into
+/// fw/rc; returns how many it covered (a multiple of four).
+COF_AVX2 usize avx2_find_quads(const finder_swar_args& a, usize g, usize n, u64* fw,
+                               u64* rc) {
+  usize j = 0;
+  for (; j + 4 <= n && (g + j + 4) * kSwarFinderSpan <= a.chrsize; j += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(fw + j), avx2_find_strand(a, 0, g + j));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(rc + j), avx2_find_strand(a, 1, g + j));
+  }
+  return j;
+}
+
+#undef COF_AVX2
+
 }  // namespace
 
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes) {
-  // Lanes past locicnts are idle (the ND-range is rounded up to the group
-  // size); clip them so quads only cover live work-items.
-  const usize end = first >= a.locicnts
-                        ? first
-                        : first + std::min<usize>(nlanes, a.locicnts - first);
+#endif  // __x86_64__
+
+// The lane bodies: AVX2 quads when the host's SIMD lanes are enabled, then
+// the per-item body for the rest of the row (all of it otherwise).
+
+void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes) {
+  const usize end = live_end(first, nlanes, a.locicnts);
   usize i = first;
-  for (; i + 4 <= end; i += 4) {
-    const usize gid[4] = {i, i + 1, i + 2, i + 3};
-    avx2_quad(a, gid);
+#if defined(__x86_64__)
+  if (util::simd_lanes_enabled()) {
+    for (; i + 4 <= end; i += 4) avx2_quad(a, i);
   }
-  lanes_scalar(a, i, end - i);
-}
-
-#else  // !__x86_64__
-
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes) {
-  lanes_scalar(a, first, nlanes);
-}
-
 #endif
+  for (direct_mem::item p; i < end; ++i) detail::swar_item_body(p, a, i);
+}
 
-}  // namespace detail
+void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
+                               usize nlanes) {
+  const usize end = live_end(first, nlanes, a.locicnts);
+  usize i = first;
+#if defined(__x86_64__)
+  if (util::simd_lanes_enabled()) {
+    for (; i + 4 <= end; i += 4) avx2_multi_quad(a, i);
+  }
+#endif
+  for (direct_mem::item p; i < end; ++i) detail::swar_multi_item_body(p, a, i);
+}
+
+void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes) {
+  const usize end = live_end(first, nlanes, swar_finder_items(a.chrsize));
+  direct_mem::item p;
+  u64 fw[kSwarFinderAppendBlock] = {};
+  u64 rc[kSwarFinderAppendBlock] = {};
+  for (usize g = first; g < end; g += kSwarFinderAppendBlock) {
+    const usize n = std::min(kSwarFinderAppendBlock, end - g);
+    usize j = 0;
+#if defined(__x86_64__)
+    if (util::simd_lanes_enabled()) j = avx2_find_quads(a, g, n, fw, rc);
+#endif
+    for (; j < n; ++j) {
+      const usize start = (g + j) * kSwarFinderSpan;
+      const u64 live = detail::swar_finder_live(a, start);
+      fw[j] = detail::swar_find_strand(p, a, 0, start, live);
+      rc[j] = detail::swar_find_strand(p, a, 1, start, live);
+    }
+    u32 hits = 0;
+    for (j = 0; j < n; ++j) hits += static_cast<u32>(__builtin_popcountll(fw[j] | rc[j]));
+    if (hits == 0) continue;
+    u32 slot = p.atomic_add(a.entrycount, hits);
+    for (j = 0; j < n; ++j) {
+      slot = detail::swar_store_hits(p, a, slot, (g + j) * kSwarFinderSpan, fw[j], rc[j]);
+    }
+  }
+}
+
 }  // namespace cof

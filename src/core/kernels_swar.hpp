@@ -16,6 +16,9 @@
 // non-ACGT byte) mismatches exactly when the PAM character is a concrete
 // A/C/G/T, which is casoffinder_mismatch's rule for every non-ACGT
 // character, so the finder needs no raw-character fallback and no barrier.
+// Its lane body (finder_swar_lanes) tests four work-items' words per AVX2
+// step and appends a block of kSwarFinderAppendBlock work-items' hits
+// behind one atomic.
 //
 // Comparer (comparer_swar_kernel): the host precomputes, per query half and
 // per 32-base word, one 64-bit deny mask for each reference code plus a
@@ -30,12 +33,20 @@
 // to opt5 on every reference byte, asserted exhaustively by
 // tests/test_swar.cpp.
 //
+// The batched comparer (comparer_multi_swar_kernel) applies opt2 to the
+// window every query shares: it reads and decodes a locus's window words
+// once (the first kSwarWindowBlock of them kept in registers, later ones
+// built where a query reaches them) and scores each (query, strand) with
+// its five deny masks and a popcount per word.
+//
 // The comparers cooperate with the two-phase executor (single leading
-// barrier) like every other comparer, and additionally expose a
-// lane-batched post-fetch body (comparer_swar_lanes) the executor can
-// invoke over a whole work-group row; on AVX2 hosts that body processes four
-// work-items per instruction stream (kernels_swar.cpp), with a scalar
-// per-lane loop as the portable fallback.
+// barrier) like every other comparer. Every opt6 kernel also exposes a
+// lane-batched body (finder_swar_lanes, comparer_swar_lanes,
+// comparer_multi_swar_lanes) the executor can invoke over a whole
+// work-group row; on AVX2 hosts it processes four work-items per
+// instruction stream (kernels_swar.cpp), with the per-item body as the
+// portable fallback. The per-item kernels stay the definition: counting
+// launches never install a lane body.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +55,6 @@
 
 #include "core/kernels.hpp"
 #include "core/pattern.hpp"
-#include "util/cpufeat.hpp"
 
 namespace cof {
 
@@ -91,6 +101,15 @@ inline constexpr u32 kSwarFinderSpan = 32;
 inline constexpr usize swar_finder_items(usize chrsize) {
   return (chrsize + kSwarFinderSpan - 1) / kSwarFinderSpan;
 }
+
+/// Work-items of a finder lane row whose hits append behind one entrycount
+/// atomic. Rows of any length (any work-group size) split into blocks of
+/// this many, the last one shorter.
+inline constexpr usize kSwarFinderAppendBlock = 64;
+
+/// Window words of one locus the batched comparer keeps in registers
+/// (128 bases); words past the block are built where they are used.
+inline constexpr u32 kSwarWindowBlock = 4;
 
 // ---------------------------------------------------------------------------
 // packed-word finder
@@ -151,6 +170,31 @@ inline u64 swar_find_strand(PItem& p, const finder_swar_args& a, int half,
   return ok;
 }
 
+/// Live lanes of the work-item whose first start position is `first`: all
+/// 32, or the start positions left before chrsize.
+inline u64 swar_finder_live(const finder_swar_args& a, usize first) {
+  const usize live_n = std::min<usize>(kSwarFinderSpan, a.chrsize - first);
+  return live_n == kSwarFinderSpan ? kSwarEvenBits
+                                   : kSwarEvenBits & ((u64{1} << (2 * live_n)) - 1);
+}
+
+/// Store one work-item's hits (its strands' surviving lanes, ascending) from
+/// `slot` on; slots at or past the capacity are dropped. Returns the slot
+/// after its last hit.
+template <class PItem>
+inline u32 swar_store_hits(PItem& p, const finder_swar_args& a, u32 slot, usize first,
+                           u64 fw, u64 rc) {
+  for (u64 rest = fw | rc; rest != 0; rest &= rest - 1, ++slot) {
+    if (slot >= a.entry_capacity) continue;
+    const u64 bit = rest & (~rest + 1);
+    const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
+    p.gstore(a.loci, slot, static_cast<u32>(first + j));
+    const char f = (fw & bit) && (rc & bit) ? 0 : ((fw & bit) ? 1 : 2);
+    p.gstore(a.flag, slot, f);
+  }
+  return slot;
+}
+
 }  // namespace detail
 
 /// opt6 finder: one work-item per 32 start positions, no local memory and
@@ -162,25 +206,23 @@ inline void finder_swar_kernel(const Item& it, const finder_swar_args& a) {
   typename P::item p;
   const usize first = it.get_global_id(0) * kSwarFinderSpan;
   if (first >= a.chrsize) return;
-  const usize live_n = std::min<usize>(kSwarFinderSpan, a.chrsize - first);
-  const u64 live = live_n == kSwarFinderSpan
-                       ? kSwarEvenBits
-                       : kSwarEvenBits & ((u64{1} << (2 * live_n)) - 1);
+  const u64 live = detail::swar_finder_live(a, first);
   const u64 fw = detail::swar_find_strand(p, a, 0, first, live);
   const u64 rc = detail::swar_find_strand(p, a, 1, first, live);
-  u64 rest = fw | rc;
-  if (rest == 0) return;
-  u32 slot = p.atomic_add(a.entrycount,
-                          static_cast<u32>(__builtin_popcountll(rest)));
-  for (; rest != 0; rest &= rest - 1, ++slot) {
-    if (slot >= a.entry_capacity) continue;
-    const u64 bit = rest & (~rest + 1);
-    const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
-    p.gstore(a.loci, slot, static_cast<u32>(first + j));
-    const char f = (fw & bit) && (rc & bit) ? 0 : ((fw & bit) ? 1 : 2);
-    p.gstore(a.flag, slot, f);
-  }
+  const u64 hits = fw | rc;
+  if (hits == 0) return;
+  const u32 slot = p.atomic_add(a.entrycount, static_cast<u32>(__builtin_popcountll(hits)));
+  detail::swar_store_hits(p, a, slot, first, fw, rc);
 }
+
+/// Lane-batched finder row (direct memory only) over work-items
+/// [first, first+nlanes), the same hits as finder_swar_kernel: each block
+/// of kSwarFinderAppendBlock work-items appends behind one atomic, in
+/// ascending position order. On AVX2 hosts four full work-items share each
+/// step, with contiguous loads (the shift of PAM position k is the same in
+/// every work-item); a ragged last work-item, and every work-item on other
+/// hosts, runs the per-item strand test. Implemented in kernels_swar.cpp.
+void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes);
 
 // ---------------------------------------------------------------------------
 // kernel arguments
@@ -234,6 +276,54 @@ struct comparer_multi_swar_args {
 
 namespace detail {
 
+/// One 32-base word of a locus's reference window as the comparers score
+/// it: eq[c] has the even bit of every base whose code is c, ambiguous
+/// bases cleared; amb has the even bit of every ambiguous base. Both cover
+/// only the pattern's first plen bases.
+struct swar_window_word {
+  u64 eq[4];
+  u64 amb;
+};
+
+/// Word w of the window at `locus`: the two-word shift-combine of both
+/// arrays, the ragged-tail limit and the four equality masks.
+template <class PItem>
+inline swar_window_word swar_window_at(PItem& p, const u64* packed2, const u64* amb2,
+                                       u32 locus, u32 w, u32 plen) {
+  const u32 shift = 2 * (locus & 31u);
+  const usize wi = (locus >> 5) + w;
+  const u64 lo = p.gload(packed2, wi);
+  const u64 hi = p.gload(packed2, wi + 1);
+  const u64 alo = p.gload(amb2, wi);
+  const u64 ahi = p.gload(amb2, wi + 1);
+  // (hi << (63-s)) << 1 == hi << (64-s), well-defined at s == 0 too.
+  const u64 ref = (lo >> shift) | ((hi << (63 - shift)) << 1);
+  const u64 amb = (alo >> shift) | ((ahi << (63 - shift)) << 1);
+  // Ragged tail: only the first plen-32w bases of the last word are live.
+  const u32 nb = plen - 32 * w;
+  const u64 active = nb >= 32 ? ~u64{0} : (u64{1} << (2 * nb)) - 1;
+  swar_window_word ww = {};
+  ww.amb = amb & active;
+  for (u32 c = 0; c < 4; ++c) {
+    const u64 t = ~(ref ^ kSwarBroadcast[c]);
+    ww.eq[c] = t & (t >> 1) & kSwarEvenBits & ~ww.amb;
+  }
+  return ww;
+}
+
+/// Mismatch lanes of one window word under the five deny masks at
+/// masks[base..base+5). Packed codes are meaningless at ambiguous
+/// positions, so every ambiguous reference byte scores like 'N' instead.
+template <class PItem>
+inline u64 swar_score(PItem& p, const swar_window_word& ww, const u64* masks,
+                      usize base) {
+  p.count_swar();
+  u64 mm = 0;
+  for (u32 c = 0; c < 4; ++c) mm |= ww.eq[c] & p.lload(masks, base + c);
+  if (ww.amb != 0) mm |= ww.amb & p.lload(masks, base + 4);
+  return mm;
+}
+
 /// Mismatches of one strand at `locus`, SWAR word by word. `swar_base`
 /// addresses this (query, half)'s masks inside the local array. Sets
 /// `under` false (and stops) once the count exceeds the threshold; when
@@ -243,35 +333,12 @@ template <class PItem>
 inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
                              const u64* l_swar, usize swar_base, u32 locus,
                              u16 threshold, bool& under) {
-  const u32 shift = 2 * (locus & 31u);
-  const usize wi = locus >> 5;
   u16 lmm = 0;
   under = true;
   for (u32 w = 0; w < a.swar_words; ++w) {
-    const u64 lo = p.gload(a.chr_packed2, wi + w);
-    const u64 hi = p.gload(a.chr_packed2, wi + w + 1);
-    const u64 alo = p.gload(a.chr_amb2, wi + w);
-    const u64 ahi = p.gload(a.chr_amb2, wi + w + 1);
-    // (hi << (63-s)) << 1 == hi << (64-s), well-defined at s == 0 too.
-    const u64 ref = (lo >> shift) | ((hi << (63 - shift)) << 1);
-    u64 amb = (alo >> shift) | ((ahi << (63 - shift)) << 1);
-    // Ragged tail: only the first plen-32w bases of the last word are live.
-    const u32 nb = a.plen - 32 * w;
-    const u64 active = nb >= 32 ? ~u64{0} : (u64{1} << (2 * nb)) - 1;
-    amb &= active;
-
-    p.count_swar();
-    u64 mm = 0;
-    for (int c = 0; c < 4; ++c) {
-      const u64 x = ref ^ kSwarBroadcast[c];
-      const u64 t = ~x;
-      const u64 eq = t & (t >> 1) & kSwarEvenBits;
-      mm |= eq & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + c);
-    }
-    // Packed codes are meaningless at ambiguous positions; every ambiguous
-    // reference byte scores like 'N' instead.
-    mm &= ~amb;
-    if (amb != 0) mm |= amb & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + 4);
+    const swar_window_word ww =
+        swar_window_at(p, a.chr_packed2, a.chr_amb2, locus, w, a.plen);
+    const u64 mm = swar_score(p, ww, l_swar, swar_base + w * kSwarMasksPerWord);
     lmm = static_cast<u16>(lmm + __builtin_popcountll(mm));
     if (lmm > threshold) {
       p.count_branch();
@@ -309,11 +376,53 @@ inline void swar_item_body(PItem& p, const comparer_swar_args& a, usize i) {
   if (f == 0 || f == 2) swar_strand(p, a, 1, '-', locus);
 }
 
-/// AVX2 lane-batched post-fetch body: four work-items per instruction
-/// stream, direct (uncounted) accesses only. Implemented in
-/// kernels_swar.cpp behind a target("avx2") attribute; only called when
-/// util::cpu().avx2 holds.
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes);
+/// The batched comparer's post-fetch work for one locus (also the lane
+/// loop's body): loci[i]/flag[i] and the window's first kSwarWindowBlock
+/// words are read once for every (query, strand); each of those scores
+/// the shared words with its own deny masks, rebuilding only the words
+/// past the block.
+template <class PItem>
+inline void swar_multi_item_body(PItem& p, const comparer_multi_swar_args& a, usize i) {
+  if (i >= a.locicnts) return;
+  const char f = p.gload(a.flag, i);
+  const u32 locus = p.gload(a.loci, i);
+  swar_window_word block[kSwarWindowBlock] = {};
+  const u32 nblock = std::min(a.swar_words, kSwarWindowBlock);
+  for (u32 w = 0; w < nblock; ++w) {
+    block[w] = swar_window_at(p, a.chr_packed2, a.chr_amb2, locus, w, a.plen);
+  }
+  for (u32 q = 0; q < a.nqueries; ++q) {
+    const u16 threshold = p.gload(a.thresholds, q);
+    for (int half = 0; half < 2; ++half) {
+      if (!(f == 0 || f == static_cast<char>(half + 1))) continue;
+      const usize base = (static_cast<usize>(q) * 2 + static_cast<usize>(half)) *
+                         a.swar_words * kSwarMasksPerWord;
+      u16 lmm = 0;
+      bool under = true;
+      for (u32 w = 0; w < a.swar_words && under; ++w) {
+        const u64 mm = swar_score(
+            p,
+            w < kSwarWindowBlock
+                ? block[w]
+                : swar_window_at(p, a.chr_packed2, a.chr_amb2, locus, w, a.plen),
+            a.l_comp_swar, base + w * kSwarMasksPerWord);
+        lmm = static_cast<u16>(lmm + __builtin_popcountll(mm));
+        if (lmm > threshold) {
+          p.count_branch();
+          under = false;
+        }
+      }
+      if (!under) continue;
+      const u32 old = p.atomic_inc(a.entrycount);
+      if (old < a.entry_capacity) {
+        p.gstore(a.mm_count, old, lmm);
+        p.gstore(a.direction, old, half == 0 ? '+' : '-');
+        p.gstore(a.mm_loci, old, locus);
+        p.gstore(a.mm_query, old, static_cast<u16>(q));
+      }
+    }
+  }
+}
 
 }  // namespace detail
 
@@ -341,18 +450,10 @@ inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
 
 /// Lane-batched post-fetch entry (direct memory policy only): the facades
 /// hand this to the executor's lane dispatch for work-items
-/// [first, first+nlanes). AVX2 when available, scalar lane loop otherwise;
-/// both orders of arithmetic are identical, so the output bytes are too.
-inline void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes) {
-  if (util::simd_lanes_enabled()) {
-    detail::comparer_swar_post_avx2(a, first, nlanes);
-    return;
-  }
-  for (usize l = 0; l < nlanes; ++l) {
-    direct_mem::item p;
-    detail::swar_item_body(p, a, first + l);
-  }
-}
+/// [first, first+nlanes). Four loci per AVX2 step when the host's SIMD
+/// lanes are enabled, the per-item body otherwise (kernels_swar.cpp); both
+/// orders of arithmetic are identical, so the output bytes are too.
+void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes);
 
 // ---------------------------------------------------------------------------
 // batched multi-query kernel
@@ -376,41 +477,14 @@ inline void comparer_multi_swar_kernel(const Item& it,
     if (ph == xpu::exec_phase::fetch_only) return;
     it.barrier();
   }
-  if (i >= a.locicnts) return;
-
-  // loci[i]/flag[i]: ONE read each for all queries (as comparer_multi_impl).
-  const char f = p.gload(a.flag, i);
-  const u32 locus = p.gload(a.loci, i);
-
-  // View each (query, half) through the single-query strand counter: the
-  // per-strand argument block aliases the shared chunk/output arrays.
-  comparer_swar_args s;
-  s.locicnts = a.locicnts;
-  s.chr_packed2 = a.chr_packed2;
-  s.chr_amb2 = a.chr_amb2;
-  s.plen = a.plen;
-  s.swar_words = a.swar_words;
-  for (u32 q = 0; q < a.nqueries; ++q) {
-    const u16 threshold = p.gload(a.thresholds, q);
-    for (int half = 0; half < 2; ++half) {
-      if (!(f == 0 || f == static_cast<char>(half + 1))) continue;
-      bool under = false;
-      const u16 lmm = detail::swar_count_strand(
-          p, s, a.l_comp_swar,
-          (static_cast<usize>(q) * 2 + static_cast<usize>(half)) * a.swar_words *
-              kSwarMasksPerWord,
-          locus, threshold, under);
-      if (under) {
-        const u32 old = p.atomic_inc(a.entrycount);
-        if (old < a.entry_capacity) {
-          p.gstore(a.mm_count, old, lmm);
-          p.gstore(a.direction, old, half == 0 ? '+' : '-');
-          p.gstore(a.mm_loci, old, locus);
-          p.gstore(a.mm_query, old, static_cast<u16>(q));
-        }
-      }
-    }
-  }
+  detail::swar_multi_item_body(p, a, i);
 }
+
+/// Lane-batched post-fetch entry of the batched comparer (direct memory
+/// policy only), the counterpart of comparer_swar_lanes: four loci per
+/// AVX2 step, each quad's window built once for every (query, strand), or
+/// the per-item body; the entries are the same, each tagged with its query.
+void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
+                               usize nlanes);
 
 }  // namespace cof

@@ -46,8 +46,8 @@
 //   * launch_finder, launch_comparer: one launch each;
 //   * launch_batch, read_batch: the multi-query comparer, launched and read
 //     back later. A facade without one names no batch kernel in its
-//     kernel_tags (the 2-bit facade), and launch_comparer_batch then stages
-//     the per-query launches instead;
+//     kernel_tags (the 2-bit facade's nibble kernels, base..opt5), and
+//     launch_comparer_batch then stages the per-query launches instead;
 //   * chunk_bytes: the device bytes upload puts there for a chunk.
 //
 // Counting rule: a launch hook zeroes the kernel's append counter before it
@@ -412,7 +412,7 @@ std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& op
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt);
 /// The buffer-SYCL host program under another facade's name and launch
 /// names; an empty tags.batch leaves it without the multi-query kernel. The
-/// 2-bit facade's opt6 path.
+/// 2-bit facade's opt6 path, batched comparer included.
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
                                                     const char* name,
                                                     device_pipeline::kernel_tags tags);
@@ -420,9 +420,10 @@ std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
 /// SYCL host program over 2-bit packed chunks (the upstream memory
 /// optimisation, §V [21]). base..opt5 all run its optimised-style nibble
-/// kernels, which collapse every non-ACGT reference byte to 'N'. Under opt6
-/// the chunk is already packed, so it is the buffer-SYCL host program under
-/// the 2-bit facade's name and launch names, with per-query launches only.
+/// kernels, which collapse every non-ACGT reference byte to 'N', with
+/// per-query launches only. Under opt6 the chunk is already packed, so it
+/// is the buffer-SYCL host program under the 2-bit facade's name and launch
+/// names.
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt);
 
 /// The host programming steps each implementation performs (Table I).

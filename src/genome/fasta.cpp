@@ -1,7 +1,7 @@
 #include "genome/fasta.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -43,34 +43,70 @@ std::vector<std::string> list_fasta_dir(const std::string& path) {
   return files;
 }
 
+/// Per byte: its decoded base in the low byte, and bit 8 set unless it is
+/// one of the six isspace bytes, which a sequence line drops.
+constexpr std::array<util::u16, 256> kBaseDecode = [] {
+  std::array<util::u16, 256> t{};
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool space =
+        c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+    t[static_cast<usize>(b)] = static_cast<util::u16>(
+        static_cast<unsigned char>(upper_base(c)) | (space ? 0u : 0x100u));
+  }
+  return t;
+}();
+
+/// The name of a '>' header line: its first word; a header without one is
+/// malformed.
+std::string_view header_name(std::string_view line) {
+  const auto words = util::split(line.substr(1));
+  if (words.empty()) throw fasta_error("FASTA header with empty name");
+  return words[0];
+}
+
 /// Counting/hashing twin of parse_fasta: identical line and char rules,
 /// no sequence materialised. `open` tracks an unclosed chromosome frame
 /// across files (directory sources concatenate).
 void summarize_fasta_text(std::string_view text, source_summary& out,
                           fnv64& hash, bool& open) {
+  std::string bases;
   for (std::string_view line : util::split_lines(text)) {
     line = util::trim(line);
     if (line.empty() || line[0] == ';') continue;
     if (line[0] == '>') {
-      const auto words = util::split(line.substr(1));
-      COF_CHECK_MSG(!words.empty(), "FASTA header with empty name");
+      const std::string_view name = header_name(line);
       if (open) hash.feed('\0');  // close the previous chromosome's bases
-      out.names.emplace_back(words[0]);
-      hash.feed(words[0]);
+      out.names.emplace_back(name);
+      hash.feed(name);
       hash.feed('\0');
       open = true;
       continue;
     }
-    COF_CHECK_MSG(open, "FASTA sequence data before any '>' header");
-    for (const char c : line) {
-      if (std::isspace(static_cast<unsigned char>(c))) continue;
-      hash.feed(upper_base(c));
-      ++out.total_bases;
-    }
+    if (!open) throw fasta_error("FASTA sequence data before any '>' header");
+    bases.clear();
+    append_bases(line, bases);
+    hash.feed(bases);
+    out.total_bases += bases.size();
   }
 }
 
 }  // namespace
+
+usize append_bases(std::string_view line, std::string& out, usize max_bases) {
+  const usize old = out.size();
+  out.resize(old + std::min(line.size(), max_bases));
+  char* dst = out.data() + old;
+  usize n = 0;
+  usize i = 0;
+  for (; i < line.size() && n < max_bases; ++i) {
+    const util::u16 v = kBaseDecode[static_cast<unsigned char>(line[i])];
+    dst[n] = static_cast<char>(v & 0xff);
+    n += v >> 8;
+  }
+  out.resize(old + n);
+  return i;
+}
 
 usize genome_t::non_n_bases() const {
   usize n = 0;
@@ -89,21 +125,15 @@ std::vector<chromosome> parse_fasta(std::string_view text) {
     line = util::trim(line);
     if (line.empty() || line[0] == ';') continue;  // ';' comments (legacy)
     if (line[0] == '>') {
-      const auto words = util::split(line.substr(1));
-      COF_CHECK_MSG(!words.empty(), "FASTA header with empty name");
-      records.push_back(chromosome{std::string(words[0]), {}});
+      records.push_back(chromosome{std::string(header_name(line)), {}});
       cur = &records.back();
       continue;
     }
-    COF_CHECK_MSG(cur != nullptr, "FASTA sequence data before any '>' header");
+    if (cur == nullptr) throw fasta_error("FASTA sequence data before any '>' header");
     // Mid-parse fault site: one hit per sequence line, so hit:N lands inside
     // a record with part of its bases already appended.
     fault::inject_point(fault::site::fasta_parse);
-    cur->seq.reserve(cur->seq.size() + line.size());
-    for (char c : line) {
-      if (std::isspace(static_cast<unsigned char>(c))) continue;
-      cur->seq.push_back(upper_base(c));
-    }
+    append_bases(line, cur->seq);
   }
   return records;
 }

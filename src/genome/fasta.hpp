@@ -5,7 +5,9 @@
 // external parser library.
 #pragma once
 
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +17,22 @@
 namespace genome {
 
 using util::usize;
+
+/// Malformed FASTA input: sequence data before the first '>' header, or a
+/// header with an empty name. Thrown by parse_fasta, summarize_source and
+/// fasta_stream alike, so a hostile file fails with a clean error.
+class fasta_error : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Decode the bytes of one FASTA sequence line onto `out`, at most
+/// `max_bases` bases: every byte but the six isspace bytes, through
+/// upper_base (NUL and bytes >= 0x80 are kept as they are). One table
+/// lookup per byte and one resize per call. Returns the number of input
+/// bytes consumed, all of them unless max_bases stopped it first.
+usize append_bases(std::string_view line, std::string& out,
+                   usize max_bases = std::numeric_limits<usize>::max());
 
 struct chromosome {
   std::string name;  // first word of the header line
@@ -34,7 +52,7 @@ struct genome_t {
   usize non_n_bases() const;
 };
 
-/// Parse FASTA text (multi-record). Throws via COF_CHECK on malformed input.
+/// Parse FASTA text (multi-record). Throws fasta_error on malformed input.
 std::vector<chromosome> parse_fasta(std::string_view text);
 
 /// Read one FASTA file.

@@ -1,11 +1,10 @@
 #include "genome/fasta_stream.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 
 #include "fault/fault.hpp"
-#include "genome/iupac.hpp"
+#include "genome/fasta.hpp"
 #include "util/strings.hpp"
 
 namespace genome {
@@ -49,14 +48,15 @@ bool fasta_stream::next_record() {
         break;
       }
       // Sequence data before any header is malformed.
-      COF_CHECK_MSG(in_record_,
-                    "FASTA sequence data before any '>' header in " + path_);
+      if (!in_record_) {
+        throw fasta_error("FASTA sequence data before any '>' header in " + path_);
+      }
     }
   }
   if (!pending_header_) return false;
 
   const auto words = util::split(std::string_view(line_).substr(1));
-  COF_CHECK_MSG(!words.empty(), "FASTA header with empty name in " + path_);
+  if (words.empty()) throw fasta_error("FASTA header with empty name in " + path_);
   name_ = std::string(words[0]);
   pending_header_ = false;
   in_record_ = true;
@@ -67,8 +67,9 @@ bool fasta_stream::next_record() {
 
 usize fasta_stream::read_bases(std::string& out, usize max_bases) {
   COF_CHECK_MSG(in_record_, "read_bases before next_record");
-  usize appended = 0;
-  while (appended < max_bases) {
+  const usize start = out.size();
+  out.reserve(start + max_bases);
+  while (out.size() - start < max_bases) {
     // A parked '>' line belongs to the next record; never consume it here.
     if (pending_header_ || eof_) break;
     if (line_pos_ >= line_.size()) {
@@ -78,14 +79,10 @@ usize fasta_stream::read_bases(std::string& out, usize max_bases) {
         break;
       }
     }
-    while (line_pos_ < line_.size() && appended < max_bases) {
-      const char c = line_[line_pos_++];
-      if (std::isspace(static_cast<unsigned char>(c))) continue;
-      out.push_back(upper_base(c));
-      ++appended;
-    }
+    line_pos_ += append_bases(std::string_view(line_).substr(line_pos_), out,
+                              max_bases - (out.size() - start));
   }
-  return appended;
+  return out.size() - start;
 }
 
 std::string fasta_stream::read_all() {

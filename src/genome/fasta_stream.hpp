@@ -2,7 +2,8 @@
 // caller-sized blocks without materialising whole chromosomes — what lets
 // Cas-OFFinder feed multi-gigabyte assemblies through device-sized chunks
 // on a modest host. Handles arbitrary line wrapping, CRLF, '>' descriptions
-// and ';' comments like the in-memory parser.
+// and ';' comments like the in-memory parser, and throws the same
+// fasta_error on malformed input.
 #pragma once
 
 #include <fstream>
@@ -26,7 +27,9 @@ class fasta_stream {
   const std::string& record_name() const { return name_; }
 
   /// Append up to `max_bases` upper-cased bases of the current record to
-  /// `out`. Returns the number appended; 0 means the record is exhausted.
+  /// `out` (room for all of them reserved once, each line decoded by
+  /// append_bases). Returns the number appended; 0 means the record is
+  /// exhausted.
   usize read_bases(std::string& out, usize max_bases);
 
   /// Convenience: drain the rest of the current record.

@@ -1,10 +1,13 @@
 // Simulated device memory. A device_buffer is a distinct host allocation
 // standing in for device-resident global memory: host<->device traffic is a
 // real memcpy and is metered, so the GPU timing model can charge PCIe
-// transfer costs from observed byte counts.
+// transfer costs from observed byte counts. Its contents start
+// uninitialised, as clCreateBuffer without a host pointer, sycl::buffer(range)
+// and malloc_device specify: a kernel's worst-case output array costs host
+// memory only where the kernel writes.
 #pragma once
 
-#include <vector>
+#include <memory>
 
 #include "util/common.hpp"
 
@@ -38,9 +41,9 @@ class device_buffer {
   device_buffer(const device_buffer&) = delete;
   device_buffer& operator=(const device_buffer&) = delete;
 
-  char* data() { return storage_.data(); }
-  const char* data() const { return storage_.data(); }
-  usize size() const { return storage_.size(); }
+  char* data() { return storage_.get(); }
+  const char* data() const { return storage_.get(); }
+  usize size() const { return size_; }
   bool valid() const { return dev_ != nullptr; }
 
   /// Host-to-device copy of n bytes into [offset, offset+n). Metered.
@@ -52,7 +55,8 @@ class device_buffer {
   void release();
 
   device* dev_ = nullptr;
-  std::vector<char> storage_;
+  std::unique_ptr<char[]> storage_;
+  usize size_ = 0;
 };
 
 }  // namespace xpu

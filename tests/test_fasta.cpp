@@ -1,4 +1,5 @@
-// FASTA parser/writer tests, including directory loading.
+// FASTA parser/writer tests, including directory loading, the byte rule
+// shared by the three decoders and hostile input failing with fasta_error.
 #include <gtest/gtest.h>
 
 #include "gtest_compat.hpp"
@@ -7,7 +8,11 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/config.hpp"
+#include "core/engine_stream.hpp"
 #include "genome/fasta.hpp"
+#include "genome/fasta_stream.hpp"
+#include "genome/iupac.hpp"
 
 namespace {
 
@@ -46,9 +51,13 @@ TEST(Fasta, EmptySequenceRecordAllowed) {
   EXPECT_TRUE(recs[0].seq.empty());
 }
 
-TEST(FastaDeath, SequenceBeforeHeader) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)genome::parse_fasta("ACGT\n"), "before any");
+TEST(FastaHostile, SequenceBeforeHeader) {
+  EXPECT_THROW((void)genome::parse_fasta("ACGT\n"), genome::fasta_error);
+}
+
+TEST(FastaHostile, HeaderWithEmptyName) {
+  EXPECT_THROW((void)genome::parse_fasta(">\nACGT\n"), genome::fasta_error);
+  EXPECT_THROW((void)genome::parse_fasta(">x\nAC\n>  \t\nGT\n"), genome::fasta_error);
 }
 
 TEST(Fasta, WriteWrapsLines) {
@@ -105,6 +114,73 @@ TEST(Fasta, LoadGenomeFromDirectorySortedByFile) {
   ASSERT_EQ(g.chroms.size(), 2u);
   EXPECT_EQ(g.chroms[0].name, "chr1");  // file-name order
   EXPECT_EQ(g.chroms[1].name, "chr2");
+}
+
+/// Every byte value 0..255 inside one sequence line (between "AC" and
+/// "GT"), through all three decoders: the six isspace bytes are dropped
+/// and every other byte passes through upper_base, NUL and bytes >= 0x80
+/// included. The '\n' byte splits the line in two, which the rule drops
+/// all the same.
+TEST(FastaDecode, EveryByteValueThroughEveryDecoder) {
+  std::string line = "AC";
+  std::string want = "AC";
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    line += c;
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\v' && c != '\f' && c != '\r') {
+      want += genome::upper_base(c);
+    }
+  }
+  line += "GT";
+  want += "GT";
+  ASSERT_EQ(want.size(), 2u + 250u + 2u);
+  const std::string text = ">chr bytes\n" + line + "\n";
+
+  const auto recs = genome::parse_fasta(text);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].seq, want);
+
+  temp_dir dir;
+  const auto file = dir.path / "bytes.fa";
+  std::ofstream(file, std::ios::binary) << text;
+  genome::fasta_stream s(file.string());
+  ASSERT_TRUE(s.next_record());
+  std::string streamed;
+  while (s.read_bases(streamed, 7) != 0) {
+  }
+  EXPECT_EQ(streamed, want);
+
+  const auto sum = genome::summarize_source(file.string());
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->total_bases, want.size());
+  genome::genome_t g;
+  g.chroms = {{"chr", want}};
+  EXPECT_EQ(sum->hash, genome::content_hash(g));
+}
+
+/// The same hostile files through the file-level decoders and the
+/// streamed search, which rethrows the producer's error after joining.
+TEST(FastaHostile, EveryEntryPointThrows) {
+  temp_dir dir;
+  for (const char* text : {"ACGT\n>chr\nACGT\n", ">chr\nACGT\n>\nACGT\n"}) {
+    const auto file = dir.path / "hostile.fa";
+    std::ofstream(file, std::ios::binary) << text;
+    EXPECT_THROW((void)genome::read_fasta_file(file.string()), genome::fasta_error)
+        << text;
+    EXPECT_THROW((void)genome::summarize_source(file.string()), genome::fasta_error)
+        << text;
+    EXPECT_THROW(
+        {
+          genome::fasta_stream s(file.string());
+          while (s.next_record()) (void)s.read_all();
+        },
+        genome::fasta_error)
+        << text;
+    const auto cfg = cof::parse_input(cof::example_input(file.string()));
+    EXPECT_THROW((void)cof::run_search_streaming(cfg, file.string(), {}),
+                 genome::fasta_error)
+        << text;
+  }
 }
 
 TEST(FastaDeath, MissingFileDies) {

@@ -758,9 +758,12 @@ TEST(OverflowRecovery, TinyCapMatchesUncappedOnEveryBackendAndQueueCount) {
 /// silently degrade recovery to blind doubling.
 class TrueDemand : public ::testing::TestWithParam<cof::backend_kind> {
  protected:
-  std::unique_ptr<cof::device_pipeline> make(util::usize max_entries) const {
+  std::unique_ptr<cof::device_pipeline> make(
+      util::usize max_entries,
+      cof::comparer_variant variant = cof::pipeline_options{}.variant) const {
     cof::pipeline_options popt;
     popt.max_entries = max_entries;
+    popt.variant = variant;
     switch (GetParam()) {
       case cof::backend_kind::opencl: return cof::make_opencl_pipeline(popt);
       case cof::backend_kind::sycl_usm: return cof::make_sycl_usm_pipeline(popt);
@@ -796,8 +799,9 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
 /// all-N pattern and all-N queries make every position a hit on both
 /// strands and every hit two entries per query, so a cap of exactly the
 /// finder's hits lets the finder fit and overflows the comparers. The 2-bit
-/// facade has no multi-query kernel and stages per-query launches, so its
-/// batched overflow is a "comparer" one.
+/// facade's nibble kernels (base..opt5) have no multi-query kernel and
+/// stage per-query launches, so there its batched overflow is a "comparer"
+/// one; under opt6 it runs the batched kernel like every other facade.
 TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
   auto g = fault_genome(108);
   const std::string all_n(23, 'N');
@@ -806,27 +810,33 @@ TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
                                                     cof::make_query(all_n)};
   const std::vector<util::u16> thresholds = {0, 1};
   const std::string_view seq(g.chroms[0].seq.data(), 3000);
-  const bool stages = GetParam() == cof::backend_kind::sycl_twobit;
 
-  for (const bool batched : {false, true}) {
-    auto uncapped = make(0);
-    uncapped->load_chunk(seq);
-    const util::u32 hits = uncapped->run_finder(pat);
-    const util::usize first = uncapped->run_comparer(queries[0], thresholds[0]).size();
-    const util::usize all = uncapped->run_comparers(queries, thresholds, batched).size();
-    ASSERT_GT(first, hits);
-    const bool batch_kernel = batched && !stages;
+  for (const auto variant : {cof::comparer_variant::opt5, cof::comparer_variant::opt6}) {
+    const bool stages = GetParam() == cof::backend_kind::sycl_twobit &&
+                        variant != cof::comparer_variant::opt6;
+    for (const bool batched : {false, true}) {
+      const std::string where = std::string("variant=") +
+                                cof::comparer_variant_name(variant) +
+                                " batched=" + (batched ? "1" : "0");
+      auto uncapped = make(0, variant);
+      uncapped->load_chunk(seq);
+      const util::u32 hits = uncapped->run_finder(pat);
+      const util::usize first = uncapped->run_comparer(queries[0], thresholds[0]).size();
+      const util::usize all = uncapped->run_comparers(queries, thresholds, batched).size();
+      ASSERT_GT(first, hits) << where;
+      const bool batch_kernel = batched && !stages;
 
-    auto capped = make(hits);
-    capped->load_chunk(seq);
-    ASSERT_EQ(capped->run_finder(pat), hits);
-    try {
-      (void)capped->run_comparers(queries, thresholds, batched);
-      FAIL() << "expected entry_overflow_error, batched=" << batched;
-    } catch (const cof::entry_overflow_error& e) {
-      EXPECT_EQ(e.kernel(), batch_kernel ? "comparer/batch" : "comparer");
-      EXPECT_EQ(e.required(), batch_kernel ? all : first) << "batched=" << batched;
-      EXPECT_EQ(e.capacity(), hits);
+      auto capped = make(hits, variant);
+      capped->load_chunk(seq);
+      ASSERT_EQ(capped->run_finder(pat), hits) << where;
+      try {
+        (void)capped->run_comparers(queries, thresholds, batched);
+        FAIL() << "expected entry_overflow_error, " << where;
+      } catch (const cof::entry_overflow_error& e) {
+        EXPECT_EQ(e.kernel(), batch_kernel ? "comparer/batch" : "comparer") << where;
+        EXPECT_EQ(e.required(), batch_kernel ? all : first) << where;
+        EXPECT_EQ(e.capacity(), hits) << where;
+      }
     }
   }
 }

@@ -1,11 +1,14 @@
 // opt6 tests: swar_pack against the per-base reference packer; the
 // packed-word finder against the char finder (every PAM character x every
 // reference byte class, every chunk length around the 32/64 word multiples,
-// every facade, counting and direct); the SWAR comparer's exhaustive
-// IUPAC x mismatch-count equivalence against opt5 on every reference byte
-// class, ragged-tail fuzz across pattern lengths, both dispatch paths (AVX2
-// lanes and the forced-scalar fallback); and engine-level byte-identity of
-// opt6 output across all four backends and queue counts.
+// every facade, counting and direct), and its lane rows' block append
+// around the block size for every work-group shape; the SWAR comparer's
+// exhaustive IUPAC x mismatch-count equivalence against opt5 on every
+// reference byte class, ragged-tail fuzz across pattern lengths, both
+// dispatch paths (AVX2 lanes and the forced-scalar fallback); the batched
+// comparer's shared window on both paths against per-query opt5; and
+// engine-level byte-identity of opt6 output across all four backends and
+// queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -329,18 +332,35 @@ hit_set run_char_finder(const std::string& chunk, const device_pattern& pat,
   return sorted_hits(loci, flags, count);
 }
 
-/// The packed-word finder over swar_pack(chunk), barrier-free.
-hit_set run_packed_finder(const std::string& chunk, const device_pattern& pat,
-                          usize wg = 4) {
-  if (chunk.size() < pat.plen) return {};
+/// How run_packed_finder launches: the work-group size, the per-item
+/// kernel or the executor's lane rows (finder_swar_lanes), and the hit
+/// arrays' capacity (default: one slot per start position).
+struct finder_launch {
+  usize wg = 4;
+  bool via_lanes = false;
+  u32 capacity = ~u32{0};
+};
+
+/// One packed-word finder launch: the stored hits, the append counter and
+/// the executor's stats.
+struct finder_result {
+  hit_set hits;
+  u32 count = 0;
+  xpu::launch_stats stats;
+};
+
+finder_result launch_packed_finder(const std::string& chunk, const device_pattern& pat,
+                                   const finder_launch& how) {
+  finder_result r;
+  if (chunk.size() < pat.plen) return r;
   const swar_ref words = swar_pack(chunk);
   const u32 chrsize = static_cast<u32>(chunk.size() - pat.plen + 1);
-  std::vector<u32> loci(chrsize);
-  std::vector<char> flags(chrsize);
-  u32 count = 0;
+  const usize cap = std::min<usize>(chrsize, how.capacity);
+  std::vector<u32> loci(cap);
+  std::vector<char> flags(cap);
   xpu::launch_config cfg;
-  cfg.global[0] = util::round_up<usize>(swar_finder_items(chrsize), wg);
-  cfg.local[0] = wg;
+  cfg.global[0] = util::round_up<usize>(swar_finder_items(chrsize), how.wg);
+  cfg.local[0] = how.wg;
   finder_swar_args a;
   a.chr_packed2 = words.packed2.data();
   a.chr_amb2 = words.amb2.data();
@@ -350,9 +370,24 @@ hit_set run_packed_finder(const std::string& chunk, const device_pattern& pat,
   a.plen = pat.plen;
   a.loci = loci.data();
   a.flag = flags.data();
-  a.entrycount = &count;
-  dev().run(cfg, [&](xpu::xitem& it) { finder_swar_kernel<direct_mem>(it, a); });
-  return sorted_hits(loci, flags, count);
+  a.entrycount = &r.count;
+  a.entry_capacity = static_cast<u32>(cap);
+  auto item = [&](xpu::xitem& it) { finder_swar_kernel<direct_mem>(it, a); };
+  if (how.via_lanes) {
+    r.stats = dev().run_lanes(cfg, item, [&](const xpu::xitem& first, usize nlanes) {
+      finder_swar_lanes(a, first.get_global_id(0), nlanes);
+    });
+  } else {
+    r.stats = dev().run(cfg, item);
+  }
+  r.hits = sorted_hits(loci, flags, std::min<usize>(r.count, cap));
+  return r;
+}
+
+/// The packed-word finder's hits over swar_pack(chunk), barrier-free.
+hit_set run_packed_finder(const std::string& chunk, const device_pattern& pat,
+                          usize wg = 4) {
+  return launch_packed_finder(chunk, pat, {.wg = wg}).hits;
 }
 
 // Every PAM character against every class of reference byte — the four
@@ -451,6 +486,78 @@ TEST(SwarFinder, AllFacadesCountingAndDirect) {
       }
     }
   }
+}
+
+// Both finder dispatch paths against the char finder, for chunk lengths
+// around the multiples of 32 (a ragged last work-item) and of the lane
+// body's append block (kSwarFinderAppendBlock work-items), and for
+// work-group sizes that do not divide the block (7), equal or exceed it
+// (256, 1024) or fall below it (4). A PAM position past the first word
+// (k >= 32) is covered by the 40-base pattern.
+TEST(SwarFinderLanes, BlockAppendMatchesCharFinder) {
+  util::rng rng(615);
+  constexpr usize kBlockBases = kSwarFinderAppendBlock * kSwarFinderSpan;
+  const std::vector<std::string> pams = {"NNNNNNNNNNNNNNNNNNNNNRG",
+                                         "TTTVNNNNNNNNNNNNNNNNNNNNN",
+                                         "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNGRRT"};
+  for (const std::string& pam : pams) {
+    const auto pat = make_pattern(pam);
+    for (const usize base : {usize{32}, usize{64}, kBlockBases, 2 * kBlockBases + 32}) {
+      for (const usize len : {base - 1, base, base + 1}) {
+        const usize chunk_len = len + pat.plen - 1;  // `len` start positions
+        std::string chunk = random_text(rng, chunk_len);
+        for (usize i = 0; i < chunk.size(); i += 3) chunk[i] = "ACGT"[rng.next_below(4)];
+        const hit_set want = run_char_finder(chunk, pat);
+        for (const usize wg : {usize{4}, usize{7}, usize{256}, usize{1024}}) {
+          const std::string where =
+              "pam=" + pam + " len=" + std::to_string(len) + " wg=" + std::to_string(wg);
+          const auto per_item = launch_packed_finder(chunk, pat, {.wg = wg});
+          ASSERT_EQ(per_item.hits, want) << where << " per-item";
+          const auto lanes = launch_packed_finder(chunk, pat, {.wg = wg, .via_lanes = true});
+          ASSERT_EQ(lanes.hits, want) << where << " lanes";
+          ASSERT_EQ(lanes.count, want.size()) << where;
+        }
+      }
+    }
+  }
+}
+
+// A capacity below the demand: the block append still advances the counter
+// to the true demand and stores only hits of the full set, below the
+// capacity (the arrays are sized to it, so a store past it would be caught
+// by the sanitizer builds).
+TEST(SwarFinderLanes, CapacityClampKeepsTrueDemand) {
+  util::rng rng(616);
+  const std::string chunk = random_chunk(rng, 9000);
+  const auto pat = make_pattern("NNNNNNNNNNNNNNNNNNNNNGG");
+  const hit_set all = run_char_finder(chunk, pat);
+  ASSERT_GT(all.size(), 40u);
+  for (const bool via_lanes : {false, true}) {
+    const u32 cap = static_cast<u32>(all.size() / 3);
+    const auto r =
+        launch_packed_finder(chunk, pat, {.wg = 256, .via_lanes = via_lanes, .capacity = cap});
+    EXPECT_EQ(r.count, all.size()) << "lanes=" << via_lanes;
+    EXPECT_EQ(r.hits.size(), cap) << "lanes=" << via_lanes;
+    for (const auto& h : r.hits) {
+      EXPECT_TRUE(std::binary_search(all.begin(), all.end(), h)) << h.first;
+    }
+  }
+}
+
+// The lane rows are what the executor runs on an AVX2 host, and the
+// per-item kernel under force_scalar; both give the same hits.
+TEST(SwarFinderLanes, DispatchFollowsTheHost) {
+  util::rng rng(617);
+  const std::string chunk = random_reference(rng, 5000);
+  const auto pat = make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
+  const hit_set want = run_char_finder(chunk, pat);
+  const auto simd = launch_packed_finder(chunk, pat, {.wg = 64, .via_lanes = true});
+  EXPECT_EQ(simd.hits, want);
+  EXPECT_EQ(simd.stats.lanes_dispatch, util::simd_lanes_enabled());
+  scalar_guard guard(true);
+  const auto scalar = launch_packed_finder(chunk, pat, {.wg = 64, .via_lanes = true});
+  EXPECT_EQ(scalar.hits, want);
+  EXPECT_FALSE(scalar.stats.lanes_dispatch);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,6 +695,151 @@ TEST(SwarDispatch, ForcedScalarMatchesSimd) {
   }
   EXPECT_EQ(scalar, simd);
   EXPECT_FALSE(scalar_stats.lanes_dispatch);
+}
+
+// ---------------------------------------------------------------------------
+// Batched comparer: per-item kernel = lane rows = per-query opt5.
+// ---------------------------------------------------------------------------
+
+/// A batched launch's entries, each (query, locus, direction, mismatches),
+/// sorted.
+using multi_entries = std::vector<std::tuple<u16, u32, char, u16>>;
+
+/// The opt6 batched comparer over `queries` (one length) with per-query
+/// thresholds: the per-item kernel, or the executor's lane rows.
+multi_entries run_multi_opt6(const std::string& chunk, const std::vector<u32>& loci,
+                             const std::vector<char>& flags,
+                             const std::vector<device_pattern>& queries,
+                             const std::vector<u16>& thresholds, usize wg, bool via_lanes,
+                             xpu::launch_stats* stats_out = nullptr) {
+  const u32 n = static_cast<u32>(loci.size());
+  const usize cap = static_cast<usize>(n) * 2 * queries.size();
+  std::vector<u16> mm(cap);
+  std::vector<char> dir(cap);
+  std::vector<u32> mloci(cap);
+  std::vector<u16> mquery(cap);
+  u32 count = 0;
+  const auto sref = swar_pack(chunk);
+  std::vector<util::u64> swar;
+  for (const auto& q : queries) swar.insert(swar.end(), q.swar.begin(), q.swar.end());
+
+  xpu::launch_config cfg;
+  cfg.global[0] = util::round_up<usize>(n, wg);
+  cfg.local[0] = wg;
+  cfg.local_mem_bytes = swar.size() * sizeof(util::u64);
+  cfg.uses_barrier = true;
+  cfg.single_leading_barrier = true;
+  comparer_multi_swar_args a;
+  a.locicnts = n;
+  a.chr_packed2 = sref.packed2.data();
+  a.chr_amb2 = sref.amb2.data();
+  a.loci = loci.data();
+  a.flag = flags.data();
+  a.comp_swar = swar.data();
+  a.thresholds = thresholds.data();
+  a.nqueries = static_cast<u32>(queries.size());
+  a.plen = queries[0].plen;
+  a.swar_words = queries[0].swar_words;
+  a.mm_count = mm.data();
+  a.direction = dir.data();
+  a.mm_loci = mloci.data();
+  a.mm_query = mquery.data();
+  a.entrycount = &count;
+  a.entry_capacity = static_cast<u32>(cap);
+  auto item = [&](xpu::xitem& it) {
+    comparer_multi_swar_args b = a;
+    b.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
+    comparer_multi_swar_kernel<direct_mem>(it, b);
+  };
+  xpu::launch_stats stats;
+  if (via_lanes) {
+    stats = dev().run_lanes(cfg, item, [&](const xpu::xitem& first, usize nlanes) {
+      comparer_multi_swar_args b = a;
+      b.l_comp_swar = swar.data();
+      comparer_multi_swar_lanes(b, first.get_global_id(0), nlanes);
+    });
+  } else {
+    stats = dev().run(cfg, item);
+  }
+  if (stats_out != nullptr) *stats_out = stats;
+  multi_entries out;
+  for (u32 i = 0; i < count; ++i) out.emplace_back(mquery[i], mloci[i], dir[i], mm[i]);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The reference: one opt5 launch per query, tagged with its index.
+multi_entries run_multi_opt5(const std::string& chunk, const std::vector<u32>& loci,
+                             const std::vector<char>& flags,
+                             const std::vector<device_pattern>& queries,
+                             const std::vector<u16>& thresholds) {
+  multi_entries out;
+  for (usize q = 0; q < queries.size(); ++q) {
+    const cmp_run r = run_opt5(chunk, loci, flags, queries[q], thresholds[q]);
+    for (usize i = 0; i < r.loci.size(); ++i) {
+      out.emplace_back(static_cast<u16>(q), r.loci[i], r.dir[i], r.mm[i]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A random query: 'N' half the time, otherwise any IUPAC code, so low
+/// thresholds still find sites.
+std::string random_query(util::rng& rng, u32 plen) {
+  std::string q;
+  for (u32 i = 0; i < plen; ++i) q += rng.next_bool(0.5) ? 'N' : kIupac[rng.next_below(15)];
+  return q;
+}
+
+// 1, 3 and 8 queries; pattern lengths at the word (32) and register-block
+// (4 words = 128) boundaries; thresholds 0, plen and a mix across queries;
+// references drawn from every byte class.
+TEST(SwarMulti, PerItemAndLanesMatchPerQueryOpt5) {
+  util::rng rng(618);
+  for (const u32 plen : {3u, 23u, 32u, 33u, 64u, 65u, 129u}) {
+    const std::string chunk = random_reference(rng, plen + 300);
+    std::vector<u32> loci;
+    std::vector<char> flags;
+    random_loci(rng, chunk.size(), plen, 61, loci, flags);
+    for (const usize nq : {usize{1}, usize{3}, usize{8}}) {
+      std::vector<device_pattern> queries;
+      for (usize q = 0; q < nq; ++q) queries.push_back(make_pattern(random_query(rng, plen)));
+      std::vector<u16> mixed;
+      for (usize q = 0; q < nq; ++q) mixed.push_back(static_cast<u16>((plen * q) / (2 * nq)));
+      for (const auto& thresholds :
+           {std::vector<u16>(nq, 0), std::vector<u16>(nq, static_cast<u16>(plen)), mixed}) {
+        const std::string where = "plen=" + std::to_string(plen) +
+                                  " queries=" + std::to_string(nq) +
+                                  " threshold0=" + std::to_string(thresholds[0]);
+        const auto want = run_multi_opt5(chunk, loci, flags, queries, thresholds);
+        ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, false), want)
+            << where << " per-item";
+        ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, true), want)
+            << where << " lanes";
+      }
+    }
+  }
+}
+
+// The executor takes the batched comparer's lane rows on an AVX2 host and
+// the per-item kernel under force_scalar, with the same entries.
+TEST(SwarMulti, DispatchFollowsTheHost) {
+  util::rng rng(619);
+  const std::string chunk = random_reference(rng, 400);
+  std::vector<u32> loci;
+  std::vector<char> flags;
+  random_loci(rng, chunk.size(), 23, 90, loci, flags);
+  std::vector<device_pattern> queries;
+  for (int q = 0; q < 3; ++q) queries.push_back(make_pattern(random_query(rng, 23)));
+  const std::vector<u16> thresholds = {4, 8, 12};
+  const auto want = run_multi_opt5(chunk, loci, flags, queries, thresholds);
+  xpu::launch_stats stats;
+  EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
+  EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled());
+  scalar_guard guard(true);
+  EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
+  EXPECT_FALSE(stats.lanes_dispatch);
 }
 
 // ---------------------------------------------------------------------------
