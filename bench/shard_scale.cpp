@@ -1,11 +1,12 @@
 // Multi-device shard-scaling bench: the streamed engine fanning chunks over
-// N simulated devices (each with its own pool, queues and pipelines), the
-// per-device spill runs folded into the same k-way merge. Two result sets:
+// N simulated devices (each with its own pool, consumers and pipelines, all
+// taking from one chunk queue), the per-consumer spill runs folded into the
+// same k-way merge. Two result sets:
 //
 //   measured  — wall-clock bases/s of the CPU simulation at devices
 //               {1, 2, 4}, with byte-identity against the single-device
 //               reference checked on every row (exit 2 on divergence) and
-//               the per-device chunk/steal/stage metrics recorded. Wall
+//               the per-device chunk/stage metrics recorded. Wall
 //               scaling here is capped by the host core count (the devices
 //               are simulated on the same cores), so the wall numbers are a
 //               correctness-under-load soak, not the scaling claim.
@@ -26,7 +27,6 @@
 
 #include "bench_common.hpp"
 #include "core/engine_stream.hpp"
-#include "core/shard_policy.hpp"
 #include "genome/synth.hpp"
 #include "gpumodel/projector.hpp"
 #include "gpumodel/specs.hpp"
@@ -65,7 +65,6 @@ struct mode_result {
   u64 best_nanos = ~u64{0};
   u64 total_records = 0;
   u64 chunks = 0;
-  u64 steals = 0;
   u64 reassigns = 0;
   std::vector<ot_record> records;
   std::vector<streamed_outcome::shard_device_stats> devices;
@@ -82,7 +81,6 @@ mode_result run_mode(const search_config& cfg, const std::string& fasta,
     if (ns < r.best_nanos) r.best_nanos = ns;
     r.total_records = out.total_records;
     r.chunks = out.metrics.chunks;
-    r.steals = out.shard_steals;
     r.reassigns = out.shard_reassigns;
     r.records = std::move(out.records);
     r.devices = std::move(out.device_shards);
@@ -97,8 +95,8 @@ int main(int argc, char** argv) {
                 "multi-device shard scaling: byte-identity + per-device "
                 "metrics at devices {1,2,4}, gpumodel-projected elapsed");
   cli.opt("scale", "hg19 scale divisor for the synthetic genome", "1024");
-  cli.opt("chunk", "max_chunk fed to the shard scheduler (bytes)", "65536");
-  cli.opt("queues", "device queues per shard device", "2");
+  cli.opt("chunk", "max_chunk fed to the chunk queue (bytes)", "65536");
+  cli.opt("queues", "consumers per shard device", "2");
   cli.opt("reps", "timed repetitions per device count", "3");
   cli.opt("proj-scale", "scale divisor for the instrumented projection run",
           "512");
@@ -144,12 +142,6 @@ int main(int argc, char** argv) {
     opt.num_devices = nd;
     runs.push_back(run_mode(cfg, fasta, opt, reps));
   }
-
-  // Policy cross-check: least-loaded at the widest set must agree with the
-  // round-robin reference byte for byte.
-  opt.num_devices = device_counts.back();
-  opt.shard = shard_policy::least_loaded;
-  const mode_result ll = run_mode(cfg, fasta, opt, reps);
   std::filesystem::remove(fasta);
 
   const auto bps = [bases](u64 nanos) {
@@ -159,26 +151,18 @@ int main(int argc, char** argv) {
   for (usize i = 0; i < runs.size(); ++i) {
     identical = identical && runs[i].records == runs[0].records;
     std::printf(
-        "devices=%zu : %10llu ns  %12.0f bases/s  chunks %llu  steals %llu  "
+        "devices=%zu : %10llu ns  %12.0f bases/s  chunks %llu  "
         "reassigns %llu\n",
         device_counts[i], static_cast<unsigned long long>(runs[i].best_nanos),
         bps(runs[i].best_nanos),
         static_cast<unsigned long long>(runs[i].chunks),
-        static_cast<unsigned long long>(runs[i].steals),
         static_cast<unsigned long long>(runs[i].reassigns));
     for (const auto& ds : runs[i].devices) {
-      std::printf("    %-6s chunks %-4llu steals %-3llu device %.3fs  "
-                  "format %.3fs\n",
+      std::printf("    %-6s chunks %-4llu device %.3fs  format %.3fs\n",
                   ds.name.c_str(), static_cast<unsigned long long>(ds.chunks),
-                  static_cast<unsigned long long>(ds.steals),
                   ds.stages.device_s, ds.stages.format_s);
     }
   }
-  identical = identical && ll.records == runs[0].records;
-  std::printf("least-loaded devices=%zu: %10llu ns  results %s\n",
-              device_counts.back(),
-              static_cast<unsigned long long>(ll.best_nanos),
-              ll.records == runs[0].records ? "identical" : "DIVERGED");
   const unsigned host_cores =
       std::max(1u, std::thread::hardware_concurrency());
   std::printf("\nhost cores: %u  results %s\n", host_cores,
@@ -243,35 +227,26 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"mode\": \"devices=%zu\", \"num_devices\": %zu, "
                  "\"best_nanos\": %llu, \"bases_per_s\": %.0f, "
-                 "\"records\": %llu, \"chunks\": %llu, \"steals\": %llu, "
+                 "\"records\": %llu, \"chunks\": %llu, "
                  "\"reassigns\": %llu, \"devices\": [",
                  device_counts[i], device_counts[i],
                  static_cast<unsigned long long>(runs[i].best_nanos),
                  bps(runs[i].best_nanos),
                  static_cast<unsigned long long>(runs[i].total_records),
                  static_cast<unsigned long long>(runs[i].chunks),
-                 static_cast<unsigned long long>(runs[i].steals),
                  static_cast<unsigned long long>(runs[i].reassigns));
     for (usize d = 0; d < runs[i].devices.size(); ++d) {
       const auto& dv = runs[i].devices[d];
       std::fprintf(f,
-                   "%s{\"mode\": \"%s\", \"chunks\": %llu, \"steals\": %llu, "
+                   "%s{\"mode\": \"%s\", \"chunks\": %llu, "
                    "\"device_s\": %.6f, \"format_s\": %.6f}",
                    d == 0 ? "" : ", ", dv.name.c_str(),
                    static_cast<unsigned long long>(dv.chunks),
-                   static_cast<unsigned long long>(dv.steals),
                    dv.stages.device_s, dv.stages.format_s);
     }
     std::fprintf(f, "]}%s\n", i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"least_loaded\": {\"mode\": \"least-loaded\", "
-               "\"num_devices\": %zu, \"best_nanos\": %llu, "
-               "\"identical\": %s},\n",
-               device_counts.back(),
-               static_cast<unsigned long long>(ll.best_nanos),
-               ll.records == runs[0].records ? "true" : "false");
   std::fprintf(f,
                "  \"projected\": {\"device\": \"%s\", \"device_work_s\": "
                "%.3f, \"host_s\": %.3f, \"elapsed_s\": [%.3f, %.3f, %.3f], "

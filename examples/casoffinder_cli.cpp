@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <future>
@@ -23,6 +24,7 @@
 #include "core/index.hpp"
 #include "core/scoring.hpp"
 #include "fault/fault.hpp"
+#include "genome/fasta.hpp"
 #include "genome/synth.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -30,6 +32,23 @@
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
+
+namespace {
+
+/// End the run on an exception: a hostile input file, FASTA or .cofidx
+/// prints `error: <message>` and exits 2; anything else (injected faults,
+/// stalls) is a fatal error.
+[[noreturn]] void fail(const std::exception& e) {
+  if (dynamic_cast<const cof::config_error*>(&e) != nullptr ||
+      dynamic_cast<const genome::fasta_error*>(&e) != nullptr ||
+      dynamic_cast<const cof::index_error*>(&e) != nullptr) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+  util::die(e.what());
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::cli cli("casoffinder_cli", "Cas-OFFinder-compatible off-target search");
@@ -55,8 +74,6 @@ int main(int argc, char** argv) {
   cli.opt("devices", "shard streamed chunks across N simulated devices, "
                      "each with its own pool and pipelines (records stay "
                      "byte-identical for any N)", "1");
-  cli.opt("shard-policy", "chunk-to-device assignment when --devices > 1: "
-                          "round-robin | least-loaded", "round-robin");
   cli.opt("trace-out", "write a Chrome trace-event JSON (Perfetto-loadable) "
                        "of the run", "");
   cli.opt("metrics-json", "write the obs metrics snapshot (counters/gauges/"
@@ -64,16 +81,15 @@ int main(int argc, char** argv) {
   cli.opt("max-entries", "cap per-chunk device entry allocations (0 = "
                          "worst-case sizing); runs recover from an "
                          "undersized cap by retrying with a grown cap", "0");
-  cli.opt("fault", "fault-injection plan, e.g. "
-                   "'spill.write=hit:1,dev.launch=prob:0.01:7' "
-                   "(sites: dev.alloc dev.launch pipe.event queue.push "
-                   "queue.pop spill.write spill.merge entry.clamp "
-                   "index.persist index.load serve.admit serve.batch "
-                   "shard.assign exec.kernel fasta.parse; modes: always, "
-                   "hit:N, prob:P[:seed], off; "
-                   "a site@N suffix targets shard ordinal N, e.g. "
-                   "'dev.launch@1=always' kills device 1 of a --devices set)",
-          "");
+  std::string fault_help =
+      "fault-injection plan, e.g. 'spill.write=hit:1,dev.launch=prob:0.01:7' "
+      "(sites:";
+  for (const std::string& site : fault::known_sites()) fault_help += " " + site;
+  fault_help +=
+      "; modes: always, hit:N, prob:P[:seed], off; a site@N suffix targets "
+      "shard ordinal N, e.g. 'dev.launch@1=always' kills device 1 of a "
+      "--devices set)";
+  cli.opt("fault", fault_help, "");
   cli.opt("build-index", "build the genome/PAM index (decode + finder over "
                          "every chunk), persist it to this .cofidx path and "
                          "exit", "");
@@ -103,7 +119,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   util::set_log_level(util::log_level::warn);
-  auto cfg = cof::read_input_file(cli.get_positional("input"));
+  cof::search_config cfg;
+  try {
+    cfg = cof::read_input_file(cli.get_positional("input"));
+  } catch (const cof::config_error& e) {
+    fail(e);
+  }
 
   // Repeated --query GUIDE[:MM] replaces the input file's query list — the
   // serving shape the index exists for: one cached index, arbitrary guides.
@@ -143,7 +164,6 @@ int main(int argc, char** argv) {
   opt.batch_queries = !cli.get_flag("per-query");
   opt.num_queues = cli.get_u64("queues");
   opt.num_devices = cli.get_u64("devices");
-  opt.shard = cof::parse_shard_policy(cli.get("shard-policy"));
   opt.trace_out = cli.get("trace-out");
   opt.metrics_json = cli.get("metrics-json");
   opt.max_entries = cli.get_u64("max-entries");
@@ -187,7 +207,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(idx.source_bases),
                    bsw.seconds(), ipath.c_str());
     } catch (const std::exception& e) {
-      util::die(e.what());
+      fail(e);
     }
     return 0;
   }
@@ -364,7 +384,7 @@ int main(int argc, char** argv) {
                        srv.session().chunk_evictions()));
       run.finish();
     } catch (const std::exception& e) {
-      util::die(e.what());
+      fail(e);
     }
     return 0;
   }
@@ -381,7 +401,7 @@ int main(int argc, char** argv) {
     try {
       streamed = cof::run_search_streaming(cfg, cfg.genome_path, opt);
     } catch (const std::exception& e) {
-      util::die(e.what());
+      fail(e);
     }
     const auto& rec = streamed.metrics.recovery;
     if (rec.overflow_retries + rec.spill_retries != 0 ||
@@ -413,14 +433,12 @@ int main(int argc, char** argv) {
                  util::human_bytes(streamed.peak_chunk_bytes).c_str());
     if (streamed.device_shards.size() > 1) {
       for (const auto& ds : streamed.device_shards) {
-        std::fprintf(stderr, "  %s: %llu chunks, %llu steals%s\n",
-                     ds.name.c_str(),
+        std::fprintf(stderr, "  %s: %llu chunks%s\n", ds.name.c_str(),
                      static_cast<unsigned long long>(ds.chunks),
-                     static_cast<unsigned long long>(ds.steals),
                      ds.failed ? "  [FAILED — degraded to survivors]" : "");
       }
       if (streamed.shard_reassigns != 0) {
-        std::fprintf(stderr, "  %llu chunk reassignments off dead devices\n",
+        std::fprintf(stderr, "  %llu chunks pushed back off dead devices\n",
                      static_cast<unsigned long long>(streamed.shard_reassigns));
       }
     }
@@ -447,7 +465,7 @@ int main(int argc, char** argv) {
   try {
     g = cof::load_configured_genome(cfg);
   } catch (const std::exception& e) {
-    util::die(e.what());  // e.g. a malformed FASTA (genome::fasta_error)
+    fail(e);  // e.g. a malformed FASTA (genome::fasta_error)
   }
   std::fprintf(stderr, "loaded %s: %zu sequences, %s (%.2fs)\n", g.assembly.c_str(),
                g.chroms.size(), util::human_bytes(g.total_bases()).c_str(),

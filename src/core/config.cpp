@@ -8,6 +8,28 @@
 
 namespace cof {
 
+namespace {
+
+/// normalize_sequence's rule (upper case, U read as T), throwing
+/// config_error where it would die on a non-IUPAC character.
+std::string normalize_field(std::string_view seq, const char* what) {
+  std::string out(seq);
+  for (char& c : out) {
+    const char n = normalize_base(c);
+    if (n == '\0') {
+      throw config_error(std::string("non-IUPAC character in ") + what + ": " + c);
+    }
+    c = n;
+  }
+  return out;
+}
+
+void require(bool ok, const std::string& message) {
+  if (!ok) throw config_error(message);
+}
+
+}  // namespace
+
 search_config parse_input(std::string_view text) {
   search_config cfg;
   int field = 0;  // 0 = genome, 1 = pattern, 2+ = queries
@@ -20,35 +42,35 @@ search_config parse_input(std::string_view text) {
         ++field;
         break;
       case 1:
-        cfg.pattern = normalize_sequence(line);
+        cfg.pattern = normalize_field(line, "pattern");
         ++field;
         break;
       default: {
         const auto words = util::split(line);
-        COF_CHECK_MSG(words.size() == 2,
-                      "query line must be '<sequence> <max_mismatches>': " +
-                          std::string(line));
+        require(words.size() == 2,
+                "query line must be '<sequence> <max_mismatches>': " +
+                    std::string(line));
         query_spec q;
-        q.seq = normalize_sequence(words[0]);
+        q.seq = normalize_field(words[0], "guide");
         unsigned long long mm = 0;
-        COF_CHECK_MSG(util::parse_u64(words[1], mm) && mm <= 0xFFFF,
-                      "bad mismatch count: " + std::string(words[1]));
+        require(util::parse_u64(words[1], mm) && mm <= 0xFFFF,
+                "bad mismatch count (0..65535): " + std::string(words[1]));
         q.max_mismatches = static_cast<u16>(mm);
-        COF_CHECK_MSG(q.seq.size() == cfg.pattern.size(),
-                      "query length differs from pattern length: " + q.seq);
+        require(q.seq.size() == cfg.pattern.size(),
+                "query length differs from pattern length: " + q.seq);
         cfg.queries.push_back(std::move(q));
         break;
       }
     }
   }
-  COF_CHECK_MSG(field >= 2, "input needs a genome line and a pattern line");
-  COF_CHECK_MSG(!cfg.queries.empty(), "input has no queries");
+  require(field >= 2, "input needs a genome line and a pattern line");
+  require(!cfg.queries.empty(), "input has no queries");
   return cfg;
 }
 
 search_config read_input_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  COF_CHECK_MSG(in.good(), "cannot open input file: " + path);
+  require(in.good(), "cannot open input file: " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
   return parse_input(ss.str());

@@ -8,6 +8,7 @@
 // All queries must have the pattern's length. '#' and empty lines ignored.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,10 +30,22 @@ struct search_config {
   std::vector<query_spec> queries;
 };
 
-/// Parse the input-file text. Dies with a message on malformed input.
+/// A malformed or unreadable input file. The message names what is wrong
+/// and quotes the offending field.
+class config_error : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parse the input-file text. Throws config_error on malformed input: a
+/// missing genome or pattern line, no queries, a query line without exactly
+/// two fields, a mismatch count that is not a number in [0, 65535], a
+/// guide whose length differs from the pattern's, or a non-IUPAC character
+/// in the pattern or a guide.
 search_config parse_input(std::string_view text);
 
-/// Read and parse an input file from disk.
+/// Read and parse an input file from disk. Throws config_error when the
+/// file cannot be opened or does not parse.
 search_config read_input_file(const std::string& path);
 
 /// The example input of the upstream Cas-OFFinder README [17] (the paper

@@ -11,7 +11,6 @@
 #include "core/pipeline.hpp"
 #include "core/results.hpp"
 #include "core/serial_ref.hpp"
-#include "core/shard_policy.hpp"
 #include "fault/fault.hpp"
 #include "genome/chunker.hpp"
 #include "obs/trace.hpp"
@@ -50,11 +49,10 @@ struct engine_options {
   usize num_queues = 1;
   /// Shard chunks across this many simulated xpu devices (core/shard.hpp
   /// device_set), cold and warm, each with its own pipelines and spill
-  /// runs; the k-way merge keeps records byte-identical for any device
-  /// count. 0/1 = the single global simulator device.
+  /// runs; every consumer on every device takes from one chunk queue, and
+  /// the k-way merge keeps records byte-identical for any device count.
+  /// 0/1 = the single global simulator device.
   usize num_devices = 1;
-  /// Chunk-to-device assignment policy when num_devices > 1.
-  shard_policy shard = shard_policy::round_robin;
   /// Cap on per-chunk device entry allocations (see
   /// pipeline_options::max_entries). 0 = worst-case sizing (never
   /// overflows). A chunk that overflows a too-small cap is retried with a

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <latch>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -171,47 +172,50 @@ std::string spill_path(usize queue_index) {
 
 // ---------------------------------------------------------------------------
 // The chunk runner: the one cold engine behind run_search and
-// run_search_streaming. One producer feeds num_queues device consumers over
-// a bounded chunk queue.
+// run_search_streaming. One producer feeds num_devices × num_queues device
+// consumers over one bounded chunk queue.
 //
-//   chunk_source (producer) -> bounded_queue -> device queue 0..N-1 -> spill
+//   chunk_source (producer) -> bounded_queue -> consumer 0..N-1 -> spill
 //                                                |
 //                                                +-> format+spill job (pool)
 //
 // The producer (the calling thread) pulls chunks from the source (FASTA
 // decode or an in-memory genome) and pushes them to the queue; backpressure
-// (capacity num_queues + 2) bounds the produced-but-unprocessed text to a
-// fixed lookahead. Each consumer owns one pipeline: it uploads the chunk,
-// runs the finder, then the comparer — ONE batched launch per chunk, or one
-// launch per query when engine_options::batch_queries is off — and hands the
-// entry batch to a pool job that formats records and spills them to the
-// queue's own temp file as one sorted run. Format jobs are chained per
-// queue (the next is submitted only after the previous finished), which
-// (a) keeps the spill writer single-owner, (b) bounds live chunk texts to
-// two per queue, and (c) preserves the two-deep decode/device/format
-// overlap at num_queues == 1. After the consumers join, every queue's runs
-// are k-way merged (with key dedup) into canonical order — identical output
-// to sort_and_dedup over an in-memory record set, for any queue count.
+// (capacity num_devices × num_queues + 2) bounds the produced-but-
+// unprocessed text to a fixed lookahead. Each consumer owns one pipeline: it
+// uploads the chunk, runs the finder, then the comparer — ONE batched launch
+// per chunk, or one launch per query when engine_options::batch_queries is
+// off — and hands the entry batch to a pool job that formats records and
+// spills them to the consumer's own temp file as one sorted run. Format jobs
+// are chained per consumer (the next is submitted only after the previous
+// finished), which (a) keeps the spill writer single-owner, (b) bounds live
+// chunk texts to two per consumer, and (c) preserves the two-deep
+// decode/device/format overlap at one consumer. After the consumers join,
+// every consumer's runs are k-way merged (with key dedup) into canonical
+// order — identical output to sort_and_dedup over an in-memory record set,
+// for any consumer count.
 //
-// Failure model (core/recovery.hpp): a chunk whose max_entries-capped
-// allocation overflows is retried with a grown capacity; transient device
-// faults rebuild the queue's pipeline and retry; spill-write failures retry
-// with backoff. A queue hand-off that waits kQueueTimeout reports a stall.
-// Anything unrecoverable wins the first-failure race, closes the queue, and
-// is rethrown after the join — spill files are removed on unwind, so a
-// failed run never leaves partial output.
+// Failure model (core/recovery.hpp): each consumer runs its chunk through
+// recovery::run_chunk — an entry overflow retries with a grown capacity, a
+// transient device fault discards the consumer's pipeline and retries — and
+// spill-write failures retry with backoff. A queue hand-off that waits
+// kQueueTimeout reports a stall. Anything unrecoverable wins the
+// first-failure race, closes the queue, and is rethrown after the join —
+// spill files are removed on unwind, so a failed run never leaves partial
+// output.
 //
-// Sharding (num_devices > 1): each device of the shard::device_set gets its
-// own bounded queue and num_queues consumers; each consumer binds its
-// thread to its device (xpu::scoped_device), so every buffer and kernel it
-// touches lands on that device's pool/arena. The producer assigns chunks to
-// devices through a shard_scheduler (round-robin or least-loaded). A
-// consumer whose own queue runs dry steals from the deepest other device's
-// queue (locality first, work conservation second). A device that exhausts
-// its bounded retries is marked dead: its queue closes, the chunk in hand
-// plus anything still queued is handed to the survivors, and the run
-// completes degraded — the k-way merge keeps the output byte-identical.
-// When the last device dies, the original site-named error fails the run.
+// Sharding (num_devices > 1): each device of the shard::device_set gets
+// num_queues consumers; each consumer binds its thread to its device
+// (xpu::scoped_device), so every buffer and kernel it touches lands on that
+// device's pool/arena. Every consumer takes from the one queue: a consumer
+// uploads a chunk only after it takes it, so there is no locality to route
+// chunks for. Every consumer takes one chunk before any takes a second, so
+// every device runs even on a run with few chunks. A device whose chunk
+// spends its bounded retries is marked dead: the consumer pushes the chunk
+// back onto the queue for the survivors and stops, the device's other
+// consumers stop at their next take, and the run completes degraded — the
+// k-way merge keeps the output byte-identical. When the last device dies,
+// the original site-named error fails the run.
 // ---------------------------------------------------------------------------
 struct stream_chunk {
   std::string text;
@@ -277,21 +281,21 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   // The device set must outlive the pipelines (their buffers free against
   // their device) — declared before the queue states.
   shard::device_set devs(ndev);
-  shard::shard_scheduler sched(opt.shard, devs);
 
   struct queue_state {
+    /// Built under the consumer's device binding by the first attempt
+    /// after a discard (or the first chunk), at cur_max_entries.
     std::unique_ptr<device_pipeline> pipe;
     std::unique_ptr<record_spill_writer> writer;
     /// Device this consumer belongs to (consumer i -> i / queues).
     usize device = 0;
-    /// This queue's current entry cap. Grows when a chunk overflows and
+    /// This consumer's current entry cap. Grows when a chunk overflows and
     /// stays grown (sticky), so a dense region pays the rebuild once.
     usize cur_max_entries = 0;
-    /// Metrics accumulated by pipelines retired in recovery rebuilds.
+    /// Metrics accumulated by pipelines discarded in recovery.
     pipeline_metrics retired;
-    usize chunks = 0;
-    usize steals = 0;          // chunks taken from another device's queue
-    bool device_gone = false;  // this consumer's device died mid-run
+    recovery_metrics recovery;  // overflow retries and recoveries
+    usize chunks = 0;           // takes, a pushed-back chunk's included
     usize peak_chunk_bytes = 0;
     u64 wait_ns = 0;    // blocked on pop + on the previous format job
     u64 device_ns = 0;  // H2D + finder + comparer batch + fetch
@@ -303,34 +307,21 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     qs[i].device = i / queues;
     qs[i].cur_max_entries = opt.max_entries;
     qs[i].writer = std::make_unique<record_spill_writer>(spill_path(i));
-    // Pipelines are built inside the consumer thread, under its device
-    // binding, so every buffer lands on the consumer's own device.
   }
 
-  // One bounded queue per device; the shard scheduler routes chunks, and a
-  // dry consumer steals from the deepest other queue.
-  std::vector<std::unique_ptr<util::bounded_queue<stream_chunk>>> dev_queues;
-  dev_queues.reserve(ndev);
-  for (usize d = 0; d < ndev; ++d) {
-    dev_queues.push_back(
-        std::make_unique<util::bounded_queue<stream_chunk>>(queues + 2));
-  }
-  // Chunks taken but not yet finished, per device (least-loaded input).
-  std::vector<std::atomic<usize>> inflight(ndev);
-  auto close_all = [&] {
-    for (auto& q : dev_queues) q->close();
-  };
-  // Chunks pushed (by the producer, or reassigned off a dying device) but
-  // not yet finished. After the last chunk is produced the queues close
+  // The one chunk queue every consumer on every device takes from.
+  util::bounded_queue<stream_chunk> queue(qs.size() + 2);
+  // Chunks pushed (by the producer, or back by a dying device's consumer)
+  // but not yet finished. After the last chunk is produced the queue closes
   // when this drains, never earlier: a device dying on the last chunks must
-  // still be able to hand them to a survivor's open queue.
+  // still be able to push them back for a survivor.
   std::atomic<usize> pending{0};
   std::atomic<bool> produced{false};
   auto finish_chunk = [&] {
-    if (pending.fetch_sub(1) == 1 && produced.load()) close_all();
+    if (pending.fetch_sub(1) == 1 && produced.load()) queue.close();
   };
 
-  // First failure wins: it closes every chunk queue so all threads unwind,
+  // First failure wins: it closes the chunk queue so all threads unwind,
   // and is rethrown once the workers have joined. The rethrow unwinds this
   // frame, destroying the spill writers — which remove their files — so a
   // failed run never leaves partial output behind.
@@ -342,109 +333,17 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     if (failure == nullptr) {
       failure = std::move(ep);
       failed.store(true, std::memory_order_release);
-      close_all();
+      queue.close();
     }
   };
 
-  std::atomic<u64> overflow_retries{0};
-  std::atomic<u64> recovered_overflows{0};
   std::atomic<u64> spill_retries{0};
   std::atomic<u64> shard_reassigns{0};
-
-  // Replace a queue's pipeline (fresh device state, possibly a new entry
-  // cap), folding the old one's accounting into the retired bucket first.
-  auto rebuild = [&](queue_state& st) {
-    st.retired += st.pipe->metrics();
-    st.pipe = make_pipeline(opt, st.cur_max_entries);
-  };
-
-  // Per-device load snapshot for the least-loaded policy: queued + taken
-  // but unfinished.
-  auto load_snapshot = [&] {
-    std::vector<usize> loads(ndev);
-    for (usize d = 0; d < ndev; ++d) {
-      loads[d] =
-          dev_queues[d]->size() + inflight[d].load(std::memory_order_relaxed);
-    }
-    return loads;
-  };
-
-  // Hand a chunk to some surviving device's queue (degradation path).
-  // False when no survivor could take it — the caller fails the run.
-  auto reassign = [&](stream_chunk&& ch) {
-    while (!failed.load(std::memory_order_acquire)) {
-      fault::inject_point(fault::site::shard_assign);
-      const usize target = sched.assign(load_snapshot());
-      if (target >= ndev) return false;  // nobody left alive
-      pending.fetch_add(1);
-      const util::wait_status ws = dev_queues[target]->push_for(ch, kQueueTimeout);
-      if (ws == util::wait_status::ready) {
-        shard_reassigns.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      pending.fetch_sub(1);  // the caller still holds its own chunk
-      if (ws == util::wait_status::timeout) return false;
-      // closed: the target died inside the window — try the next survivor.
-    }
-    return false;
-  };
-
-  // Sharded chunk take: own queue first (locality), then steal from the
-  // deepest other device's queue. Closed queues still drain, so survivors
-  // pick up a dead device's backlog here. Returns ready (stolen set),
-  // closed (every queue drained+closed, this device is dead, or the run
-  // failed), or timeout (kQueueTimeout passed with open queues, no chunk).
-  auto take_sharded = [&](queue_state& st, stream_chunk& ch, bool& stolen) {
-    fault::inject_point(fault::site::queue_pop);
-    const auto slice = std::chrono::milliseconds(2);
-    std::chrono::nanoseconds waited{0};
-    for (;;) {
-      if (failed.load(std::memory_order_acquire)) {
-        return util::wait_status::closed;
-      }
-      if (!devs.alive(st.device)) return util::wait_status::closed;
-      const util::wait_status own = dev_queues[st.device]->pop_for(ch, slice);
-      if (own == util::wait_status::ready) {
-        stolen = false;
-        return own;
-      }
-      // Steal scan, deepest victim first (ties to the lower ordinal).
-      std::vector<std::pair<usize, usize>> order;  // (depth, device)
-      order.reserve(ndev - 1);
-      for (usize d = 0; d < ndev; ++d) {
-        if (d != st.device) order.emplace_back(dev_queues[d]->size(), d);
-      }
-      std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-        return a.first != b.first ? a.first > b.first : a.second < b.second;
-      });
-      bool all_closed = own == util::wait_status::closed;
-      for (const auto& [depth, d] : order) {
-        const util::wait_status got =
-            dev_queues[d]->pop_for(ch, std::chrono::nanoseconds{0});
-        if (got == util::wait_status::ready) {
-          stolen = true;
-          return got;
-        }
-        if (got == util::wait_status::timeout) all_closed = false;  // open
-      }
-      if (all_closed) return util::wait_status::closed;
-      if (own == util::wait_status::timeout) {
-        waited += slice;
-        if (waited >= kQueueTimeout) return util::wait_status::timeout;
-      }
-    }
-  };
-
-  // Mark st's device dead and hand the chunk in hand (if any) to the
-  // survivors. False when none survive or the hand-off failed — the caller
-  // rethrows the original error and the run fails cleanly.
-  auto degrade = [&](queue_state& st, stream_chunk* in_hand) {
-    if (ndev <= 1 || devs.mark_failed(st.device) == 0) return false;
-    dev_queues[st.device]->close();
-    if (in_hand != nullptr && !reassign(std::move(*in_hand))) return false;
-    st.device_gone = true;
-    return true;
-  };
+  // Every consumer takes one chunk before any consumer takes a second:
+  // nothing routes chunks to devices, so on a short run a consumer whose
+  // thread started late could otherwise find every chunk taken by its
+  // siblings, and its device would never run.
+  std::latch first_takes(static_cast<std::ptrdiff_t>(qs.size()));
 
   auto consume = [&](queue_state& st, usize queue_index) {
     if (tracing) {
@@ -454,36 +353,29 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     // device; the ordinal lets site@N fault specs target it.
     xpu::scoped_device bind(devs.at(st.device), static_cast<int>(st.device));
     util::thread_pool::job format_job;
+    bool took = false;  // counted in first_takes, exactly once
+    auto first_take = [&] {
+      if (!took) first_takes.count_down();
+      took = true;
+    };
     try {
-      try {
-        st.pipe = make_pipeline(opt, st.cur_max_entries);
-      } catch (const fault::injected_error&) {
-        // Dead on arrival. With survivors the run degrades (the producer
-        // routes around the closed queue); alone, the run fails.
-        if (!degrade(st, nullptr)) throw;
-      }
-      while (!st.device_gone) {
-        if (failed.load(std::memory_order_acquire)) break;
-        if (!devs.alive(st.device)) break;  // a sibling marked it dead
+      // A device marked dead stops its consumers at their next take.
+      while (!failed.load(std::memory_order_acquire) && devs.alive(st.device)) {
         stream_chunk ch;  // freed when this iteration ends
         u64 t0 = util::process_nanos();
         util::wait_status got;
-        bool stolen = false;
         {
           obs::span sp("queue.pop", "stream");
-          if (ndev == 1) {
-            fault::inject_point(fault::site::queue_pop);
-            got = dev_queues[0]->pop_for(ch, kQueueTimeout);
-          } else {
-            got = take_sharded(st, ch, stolen);
-          }
+          if (took) first_takes.wait();
+          fault::inject_point(fault::site::queue_pop);
+          got = queue.pop_for(ch, kQueueTimeout);
+          first_take();
         }
         const u64 pop_ns = util::process_nanos() - t0;
         st.wait_ns += pop_ns;
         if (m_pop != nullptr) m_pop->observe(pop_ns / 1000);
         if (m_depth != nullptr) {
-          const util::i64 depth =
-              static_cast<util::i64>(dev_queues[st.device]->size());
+          const util::i64 depth = static_cast<util::i64>(queue.size());
           m_depth->set(depth);
           obs::counter_track("queue.depth", static_cast<double>(depth));
         }
@@ -495,107 +387,91 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
                            "%lld ms", kQueueTimeoutMs));
         }
         ++st.chunks;
-        if (stolen) ++st.steals;
-        inflight[st.device].fetch_add(1, std::memory_order_relaxed);
         if (m_chunks != nullptr) m_chunks->add(1);
         st.peak_chunk_bytes = std::max(st.peak_chunk_bytes, ch.text.size());
         LOG_DEBUG("stream chunk@%llu: %zu bases",
                   static_cast<unsigned long long>(ch.start), ch.text.size());
 
-        // Device phase with overflow/fault recovery for the chunk in hand.
-        // `overflowed` marks a chunk that already hit an entry overflow, so
-        // its clean completion counts as a recovery.
-        bool overflowed = false;
-        for (usize attempt = 0;; ++attempt) {
-          t0 = util::process_nanos();
-          try {
-            st.pipe->load_chunk(packed_chunk{ch.text, ch.words ? &*ch.words : nullptr});
-            const u32 hits = st.pipe->run_finder(pat);
-            device_pipeline::entries entries;
-            if (hits != 0) {
-              entries =
-                  st.pipe->run_comparers(dev_queries, thresholds, opt.batch_queries);
-            }
-            const u64 device_ns = util::process_nanos() - t0;
-            st.device_ns += device_ns;
-            if (m_device != nullptr) m_device->observe(device_ns / 1000);
-            if (overflowed) recovered_overflows.fetch_add(1, std::memory_order_relaxed);
-            if (entries.size() != 0) {
-              // Record formatting + spilling runs on the pool, off the
-              // device critical path. Chained per queue: wait out the
-              // previous job so the spill writer stays single-owner and at
-              // most one batch (plus the chunk text it slices) is held per
-              // queue.
-              const u64 w0 = util::process_nanos();
-              {
-                obs::span sp("format.wait", "stream");
-                format_job.wait();
+        // Device phase under the recovery policy.
+        device_pipeline::entries entries;
+        t0 = util::process_nanos();
+        const bool done = recovery::run_chunk(
+            st.cur_max_entries, ch.text.size(), dev_queries.size(), st.recovery,
+            [&] {
+              if (st.pipe == nullptr) st.pipe = make_pipeline(opt, st.cur_max_entries);
+              st.pipe->load_chunk(packed_chunk{ch.text, ch.words ? &*ch.words : nullptr});
+              entries = st.pipe->run_finder(pat) != 0
+                            ? st.pipe->run_comparers(dev_queries, thresholds,
+                                                     opt.batch_queries)
+                            : device_pipeline::entries{};
+            },
+            [&] {
+              if (st.pipe != nullptr) st.retired += st.pipe->metrics();
+              st.pipe.reset();
+            },
+            [&] {
+              // The device is dead. With survivors, push the chunk back for
+              // them (it stays pending, so the queue cannot close under
+              // it); alone, the run fails.
+              if (ndev <= 1 || devs.mark_failed(st.device) == 0) {
+                return recovery::device_lost::rethrow;
               }
-              st.wait_ns += util::process_nanos() - w0;
-              format_job = pool.submit_job(
-                  [text = std::move(ch.text), ent = std::move(entries),
-                   chrom = ch.chrom_index, start = ch.start, writer = st.writer.get(),
-                   &dev_queries, stp = &st, m_format, &spill_retries,
-                   &record_failure] {
-                    // Pool jobs may not throw: a spill that keeps failing
-                    // past its retries fails the run via record_failure.
-                    try {
-                      const u64 f0 = util::process_nanos();
-                      obs::span sp("format", "stream");
-                      sp.arg("entries", static_cast<double>(ent.size()));
-                      std::vector<ot_record> batch;
-                      batch.reserve(ent.size());
-                      append_records(ent, text, chrom, start, dev_queries, batch);
-                      // spill() rolls back to the previous run boundary on
-                      // failure and leaves the batch intact — retry it.
-                      recovery::with_spill_retries([&] { writer->spill(batch); },
-                                                   spill_retries);
-                      const u64 format_ns = util::process_nanos() - f0;
-                      stp->format_ns += format_ns;
-                      if (m_format != nullptr) m_format->observe(format_ns / 1000);
-                    } catch (...) {
-                      record_failure(std::current_exception());
-                    }
-                  });
-            }
-            break;  // chunk done
-          } catch (const entry_overflow_error& e) {
-            st.device_ns += util::process_nanos() - t0;
-            const usize cap = recovery::retry_capacity(
-                attempt, st.cur_max_entries, e, ch.text.size(), dev_queries.size());
-            obs::span sp("recover.retry", "stream");
-            sp.arg("required", static_cast<double>(e.required()));
-            sp.arg("capacity", static_cast<double>(e.capacity()));
-            overflowed = true;
-            if (cap != st.cur_max_entries) {
-              st.cur_max_entries = cap;
-              rebuild(st);
-            }
-            overflow_retries.fetch_add(1, std::memory_order_relaxed);
-          } catch (const fault::injected_error&) {
-            // Transient device failure (dev.alloc / dev.launch /
-            // pipe.event): fresh device state, bounded retries. Past the
-            // bound — or when the replacement pipeline won't even build —
-            // the device is marked dead and the chunk handed to the
-            // survivors; with none left the run fails cleanly.
-            st.device_ns += util::process_nanos() - t0;
-            bool rebuilt = false;
-            if (attempt + 1 < recovery::kMaxDeviceAttempts) {
-              try {
-                rebuild(st);
-                rebuilt = true;
-              } catch (const fault::injected_error&) {
+              const util::wait_status ws = queue.push_for(ch, kQueueTimeout);
+              if (ws == util::wait_status::timeout) {
+                throw std::runtime_error(
+                    util::format("stream queue.push stalled: no consumer took "
+                                 "a chunk for %lld ms", kQueueTimeoutMs));
               }
-            }
-            if (!rebuilt) {
-              if (!degrade(st, &ch)) throw;
-              break;  // device_gone: the consumer loop unwinds
-            }
+              // closed: the run already failed, and its error is rethrown
+              // after the join.
+              if (ws == util::wait_status::ready) {
+                shard_reassigns.fetch_add(1, std::memory_order_relaxed);
+              }
+              return recovery::device_lost::handed_off;
+            });
+        const u64 device_ns = util::process_nanos() - t0;
+        st.device_ns += device_ns;
+        if (!done) break;
+        if (m_device != nullptr) m_device->observe(device_ns / 1000);
+        if (entries.size() != 0) {
+          // Record formatting + spilling runs on the pool, off the device
+          // critical path. Chained per consumer: wait out the previous job
+          // so the spill writer stays single-owner and at most one batch
+          // (plus the chunk text it slices) is held per consumer.
+          const u64 w0 = util::process_nanos();
+          {
+            obs::span sp("format.wait", "stream");
+            format_job.wait();
           }
+          st.wait_ns += util::process_nanos() - w0;
+          format_job = pool.submit_job(
+              [text = std::move(ch.text), ent = std::move(entries),
+               chrom = ch.chrom_index, start = ch.start, writer = st.writer.get(),
+               &dev_queries, stp = &st, m_format, &spill_retries, &record_failure] {
+                // Pool jobs may not throw: a spill that keeps failing past
+                // its retries fails the run via record_failure.
+                try {
+                  const u64 f0 = util::process_nanos();
+                  obs::span sp("format", "stream");
+                  sp.arg("entries", static_cast<double>(ent.size()));
+                  std::vector<ot_record> batch;
+                  batch.reserve(ent.size());
+                  append_records(ent, text, chrom, start, dev_queries, batch);
+                  // spill() rolls back to the previous run boundary on
+                  // failure and leaves the batch intact — retry it.
+                  recovery::with_spill_retries([&] { writer->spill(batch); },
+                                               spill_retries);
+                  const u64 format_ns = util::process_nanos() - f0;
+                  stp->format_ns += format_ns;
+                  if (m_format != nullptr) m_format->observe(format_ns / 1000);
+                } catch (...) {
+                  record_failure(std::current_exception());
+                }
+              });
         }
-        inflight[st.device].fetch_sub(1, std::memory_order_relaxed);
         finish_chunk();
       }
+      first_take();  // a consumer that left without taking still counts
       {
         obs::span sp("format.wait", "stream");
         const u64 t0 = util::process_nanos();
@@ -607,6 +483,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
       recovery::with_spill_retries([&] { st.writer->finish(); }, spill_retries);
     } catch (...) {
       record_failure(std::current_exception());
+      first_take();
       format_job.wait();  // the chained job must not outlive this frame
     }
   };
@@ -655,27 +532,11 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
       }
       t0 = util::process_nanos();
       util::wait_status ws;
-      usize target = 0;
       {
         obs::span sp("queue.push", "stream");
         fault::inject_point(fault::site::queue_push);
         pending.fetch_add(1);
-        if (ndev == 1) {
-          ws = dev_queues[0]->push_for(ch, kQueueTimeout);
-        } else {
-          // Assign through the shard scheduler; a push that lands on a
-          // queue closed by a mid-window device death retries against the
-          // survivors. At most ndev closes can happen, so the loop is
-          // bounded.
-          ws = util::wait_status::closed;
-          for (usize tries = 0; tries <= ndev; ++tries) {
-            fault::inject_point(fault::site::shard_assign);
-            target = sched.assign(load_snapshot());
-            if (target >= ndev) break;  // no device left: consumers failed
-            ws = dev_queues[target]->push_for(ch, kQueueTimeout);
-            if (ws != util::wait_status::closed) break;
-          }
-        }
+        ws = queue.push_for(ch, kQueueTimeout);
       }
       const u64 p_ns = util::process_nanos() - t0;
       push_ns += p_ns;
@@ -688,7 +549,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
             util::format("stream queue.push stalled: no consumer took a "
                          "chunk for %lld ms", kQueueTimeoutMs));
       }
-      const usize depth = dev_queues[target]->size();
+      const usize depth = queue.size();
       out.peak_queue_depth = std::max(out.peak_queue_depth, depth);
       if (m_depth != nullptr) {
         m_depth->set(static_cast<util::i64>(depth));
@@ -698,10 +559,10 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   } catch (...) {
     record_failure(std::current_exception());
   }
-  // End of input: the queues close here if nothing is pending, else when
-  // the last pending chunk finishes (a failure has closed them already).
+  // End of input: the queue closes here if nothing is pending, else when
+  // the last pending chunk finishes (a failure has closed it already).
   produced.store(true);
-  if (pending.load() == 0) close_all();
+  if (pending.load() == 0) queue.close();
   for (auto& t : workers) t.join();
 
   // Everything has joined; `failure` is stable. Rethrow before touching the
@@ -724,10 +585,13 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     out.spill_runs += st.writer->runs();
     spill_paths.push_back(st.writer->path());
     pipeline_metrics pm = st.retired;
-    // A device that died before its pipeline was built leaves pipe null.
+    // A consumer that never took a chunk, or whose last attempt was
+    // discarded, holds no pipeline.
     if (st.pipe != nullptr) pm += st.pipe->metrics();
     out.metrics.per_queue.push_back(pm);
     out.metrics.pipeline += pm;
+    out.metrics.recovery.overflow_retries += st.recovery.overflow_retries;
+    out.metrics.recovery.recovered_overflows += st.recovery.recovered_overflows;
     stream_stage_times qt;
     qt.queue_wait_s = static_cast<double>(st.wait_ns) / 1e9;
     qt.device_s = static_cast<double>(st.device_ns) / 1e9;
@@ -738,16 +602,11 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     out.stage_times.format_s += qt.format_s;
     auto& ds = out.device_shards[st.device];
     ds.chunks += st.chunks;
-    ds.steals += st.steals;
     ds.stages.queue_wait_s += qt.queue_wait_s;
     ds.stages.device_s += qt.device_s;
     ds.stages.format_s += qt.format_s;
-    out.shard_steals += st.steals;
   }
   out.shard_reassigns = shard_reassigns.load();
-
-  out.metrics.recovery.overflow_retries = overflow_retries.load();
-  out.metrics.recovery.recovered_overflows = recovered_overflows.load();
   out.metrics.recovery.spill_retries = spill_retries.load();
 
   // Canonical-order merge with key dedup — byte-identical to sorting and
@@ -781,9 +640,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     if (ndev > 1) {
       for (const auto& ds : out.device_shards) {
         reg.counter("shard.chunks." + ds.name).add(ds.chunks);
-        reg.counter("shard.steals." + ds.name).add(ds.steals);
       }
-      reg.counter("shard.steals").add(out.shard_steals);
       reg.counter("shard.reassigns").add(out.shard_reassigns);
     }
   }

@@ -57,22 +57,20 @@ struct streamed_outcome {
   /// Per-queue breakdown. decode/merge are producer-side and stay 0 here.
   std::vector<stream_stage_times> queue_stages;
   /// Most chunks ever resident in the bounded queue — the backpressure
-  /// high-water mark against capacity num_queues + 2.
+  /// high-water mark against capacity num_devices × num_queues + 2.
   util::usize peak_queue_depth = 0;
   /// Per-device accounting for sharded runs (engine_options::num_devices).
   /// One entry per device even when a device failed mid-run; size 1 for
   /// single-device runs.
   struct shard_device_stats {
     std::string name;            // device_set name ("xpu0"… or the simulator)
-    util::usize chunks = 0;      // chunks this device completed
-    util::usize steals = 0;      // chunks its consumers stole from other queues
+    util::usize chunks = 0;      // chunks this device's consumers took
     bool failed = false;         // device marked dead mid-run (degraded)
     stream_stage_times stages;   // summed over the device's consumers
   };
   std::vector<shard_device_stats> device_shards;
-  /// Cross-device totals: chunks taken from a non-home queue, and chunks
-  /// re-pushed to survivors after a device death.
-  util::usize shard_steals = 0;
+  /// Chunks a dead device's consumers pushed back onto the chunk queue for
+  /// the survivors.
   util::usize shard_reassigns = 0;
   /// Index/query split accounting (engine_options::index / index_path).
   bool used_index = false;       // run went through the index query path
@@ -89,8 +87,9 @@ using record_sink = std::function<void(ot_record&&)>;
 /// Run the search against the FASTA file/directory at `path` (the config's
 /// genome line is ignored). Results are identical to loading the genome and
 /// calling run_search: both drive the same chunk runner, which decodes once
-/// and fans the chunks out to opt.num_queues device pipelines (per device)
-/// over a bounded queue; results stay byte-identical for any queue count.
+/// and fans the chunks out to opt.num_queues device pipelines per device
+/// over one bounded queue; results stay byte-identical for any queue or
+/// device count.
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt = {});

@@ -181,13 +181,17 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
 
   // Finder-only sweep, worst-case entry sizing: the index must be complete,
   // so the build ignores opt.max_entries (a capped build could silently
-  // drop hits; warm queries re-apply the cap on upload).
+  // drop hits; warm queries re-apply the cap on upload). Each chunk runs
+  // under the engine's recovery policy; the build has one device, so a
+  // device that spends its attempts fails the build.
   std::atomic<usize> next{0};
   std::mutex err_mu;
   std::exception_ptr first_error;
   auto worker = [&] {
     try {
-      auto pipe = make_pipeline(opt, /*max_entries=*/0);
+      std::unique_ptr<device_pipeline> pipe;
+      usize cap = 0;
+      recovery_metrics counts;  // the build reports no recovery metrics
       for (;;) {
         const usize ci = next.fetch_add(1);
         if (ci >= chunks.size()) break;
@@ -200,12 +204,17 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
         // Packed once, here: the finder below and every warm upload of this
         // chunk use these words.
         out.words = swar_pack(out.text);
-        pipe->load_chunk(packed_chunk{out.text, &out.words});
-        const u32 hits = pipe->run_finder(pat);
-        if (hits != 0) {
-          out.loci = pipe->read_loci();
-          out.flags = pipe->read_flags();
-        }
+        recovery::run_chunk(
+            cap, out.text.size(), 1, counts,
+            [&] {
+              if (pipe == nullptr) pipe = make_pipeline(opt, cap);
+              pipe->load_chunk(packed_chunk{out.text, &out.words});
+              const bool hit = pipe->run_finder(pat) != 0;
+              out.loci = hit ? pipe->read_loci() : std::vector<u32>{};
+              out.flags = hit ? pipe->read_flags() : std::vector<char>{};
+            },
+            [&] { pipe.reset(); },
+            [] { return recovery::device_lost::rethrow; });
       }
     } catch (...) {
       std::lock_guard lock(err_mu);
@@ -629,90 +638,68 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
       u64 hits = 0;
       u64 misses = 0;
       u64 evictions = 0;
-      u64 overflow_retries = 0;
-      u64 recovered = 0;
+      recovery_metrics counts;
       for (const usize ci : sl.chunk_ids) {
         const index_chunk& ch = idx_.chunks[ci];
         if (ch.loci.empty()) continue;
-        bool overflowed = false;
-        usize attempt = 0;
-        for (;;) {
-          try {
-            // One span per chunk sweep attempt (residency admission +
-            // comparer launch + entry fetch), tagged with the serving batch
-            // id so a coalesced launch's device work is attributable.
-            obs::span csp("index.chunk.compare", "engine");
-            csp.arg("chunk", static_cast<double>(ci));
-            csp.arg("batch", static_cast<double>(trace.batch_id));
-            slot::resident_chunk* rc = sl.find_resident(ci);
-            if (rc == nullptr) {
-              slot::resident_chunk fresh;
-              fresh.chunk = ci;
-              fresh.pipe = make_pipeline(opt_, sl.cur_max_entries);
-              // The budget charges what this pipeline uploads and keeps:
-              // text and/or packed words per facade and variant, plus loci.
-              fresh.bytes =
-                  fresh.pipe->indexed_chunk_bytes(ch.text.size(), ch.loci.size());
-              evictions += sl.make_room(slot_budget_, fresh.bytes);
-              fresh.pipe->load_indexed_chunk(packed_chunk{ch.text, &ch.words}, plen,
-                                             ch.loci, ch.flags);
-              sl.resident_bytes += fresh.bytes;
-              sl.resident.push_back(std::move(fresh));
-              rc = &sl.resident.back();
-              ++misses;
-            } else {
-              ++hits;
-            }
-            rc->last_used = ++sl.tick;
-            // Batched: N guides coalesce into a single comparer_multi (or
-            // opt6 SWAR) dispatch over the device-resident loci.
-            const auto entries = rc->pipe->run_comparers(dev_queries, thresholds,
-                                                         opt_.batch_queries);
-            if (overflowed) ++recovered;
-            append_records(entries, ch.text, ch.chrom_index, ch.start, dev_queries, local);
-            break;  // chunk done
-          } catch (const entry_overflow_error& e) {
-            // The engine's overflow rule (core/recovery.hpp), with the cap
-            // sticky per slot. The overflowing chunk's pipeline is retired;
-            // the next attempt re-admits at the retry cap.
-            sl.cur_max_entries = recovery::retry_capacity(
-                attempt, sl.cur_max_entries, e, ch.text.size(), dev_queries.size());
-            obs::span rsp("recover.retry", "engine");
-            rsp.arg("required", static_cast<double>(e.required()));
-            rsp.arg("capacity", static_cast<double>(e.capacity()));
-            overflowed = true;
-            sl.evict(ci);
-            ++overflow_retries;
-            ++attempt;
-          } catch (const fault::injected_error&) {
-            // Transient device failure (dev.alloc / dev.launch /
-            // pipe.event): retire this chunk's pipeline for fresh device
-            // state, bounded retries — the chunk runner's policy.
-            if (attempt + 1 < recovery::kMaxDeviceAttempts) {
-              sl.evict(ci);
-              ++attempt;
-              continue;
-            }
-            // Attempts exhausted: the device is gone, not transient. With
-            // survivors, drop the slot's residency (its buffers live on the
-            // dead device), migrate to one and restart the attempt budget
-            // there; with none the original error propagates.
-            if (devs_->size() <= 1 || devs_->mark_failed(sl.device) == 0) {
-              throw;
-            }
-            obs::span msp("index.shard.migrate", "engine");
-            msp.arg("from", static_cast<double>(sl.device));
-            sl.evict_all();
-            sl.device = devs_->pick_alive(sl.device + 1);
-            msp.arg("to", static_cast<double>(sl.device));
-            bind.emplace(devs_->at(sl.device), static_cast<int>(sl.device));
-            migrations_.fetch_add(1);
-            obs::metrics_registry::global()
-                .counter("index.shard.migrate")
-                .add(1);
-            attempt = 0;
-          }
-        }
+        recovery::run_chunk(
+            sl.cur_max_entries, ch.text.size(), dev_queries.size(), counts,
+            [&] {
+              // One span per chunk sweep attempt (residency admission +
+              // comparer launch + entry fetch), tagged with the serving
+              // batch id so a coalesced launch's device work is
+              // attributable.
+              obs::span csp("index.chunk.compare", "engine");
+              csp.arg("chunk", static_cast<double>(ci));
+              csp.arg("batch", static_cast<double>(trace.batch_id));
+              slot::resident_chunk* rc = sl.find_resident(ci);
+              if (rc == nullptr) {
+                slot::resident_chunk fresh;
+                fresh.chunk = ci;
+                fresh.pipe = make_pipeline(opt_, sl.cur_max_entries);
+                // The budget charges what this pipeline uploads and keeps:
+                // text and/or packed words per facade and variant, plus
+                // loci.
+                fresh.bytes =
+                    fresh.pipe->indexed_chunk_bytes(ch.text.size(), ch.loci.size());
+                evictions += sl.make_room(slot_budget_, fresh.bytes);
+                fresh.pipe->load_indexed_chunk(packed_chunk{ch.text, &ch.words}, plen,
+                                               ch.loci, ch.flags);
+                sl.resident_bytes += fresh.bytes;
+                sl.resident.push_back(std::move(fresh));
+                rc = &sl.resident.back();
+                ++misses;
+              } else {
+                ++hits;
+              }
+              rc->last_used = ++sl.tick;
+              // Batched: N guides coalesce into a single comparer_multi (or
+              // opt6 SWAR) dispatch over the device-resident loci.
+              const auto entries = rc->pipe->run_comparers(dev_queries, thresholds,
+                                                           opt_.batch_queries);
+              append_records(entries, ch.text, ch.chrom_index, ch.start, dev_queries,
+                             local);
+            },
+            // Discard: retire this chunk's pipeline; the next attempt
+            // re-admits it at the current cap.
+            [&] { sl.evict(ci); },
+            [&] {
+              // The device is gone. With survivors, drop the slot's
+              // residency (its buffers live on the dead device) and migrate
+              // to one; with none the device error propagates.
+              if (devs_->size() <= 1 || devs_->mark_failed(sl.device) == 0) {
+                return recovery::device_lost::rethrow;
+              }
+              obs::span msp("index.shard.migrate", "engine");
+              msp.arg("from", static_cast<double>(sl.device));
+              sl.evict_all();
+              sl.device = devs_->pick_alive(sl.device + 1);
+              msp.arg("to", static_cast<double>(sl.device));
+              bind.emplace(devs_->at(sl.device), static_cast<int>(sl.device));
+              migrations_.fetch_add(1);
+              obs::metrics_registry::global().counter("index.shard.migrate").add(1);
+              return recovery::device_lost::moved;
+            });
         dev_chunks_[sl.device].fetch_add(1);
       }
       chunk_hits_.fetch_add(hits);
@@ -733,8 +720,8 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
       out.metrics.per_queue.push_back(now - sl.reported);
       out.metrics.pipeline += out.metrics.per_queue.back();
       sl.reported = now;
-      out.metrics.recovery.overflow_retries += overflow_retries;
-      out.metrics.recovery.recovered_overflows += recovered;
+      out.metrics.recovery.overflow_retries += counts.overflow_retries;
+      out.metrics.recovery.recovered_overflows += counts.recovered_overflows;
     } catch (...) {
       std::lock_guard lock(merge_mu);
       if (!first_error) first_error = std::current_exception();

@@ -84,6 +84,9 @@ class index_error : public std::runtime_error {
 /// Cold phase: decode + finder over every chunk of `g` (worst-case entry
 /// sizing — the index must be complete), one device pipeline per
 /// opt.num_queues. Only opt.backend/variant/wg_size/num_queues matter here.
+/// Every chunk runs under the engine's recovery loop (core/recovery.hpp):
+/// an injected overflow or a transient device fault retries the chunk on a
+/// fresh pipeline, and a fault that outlasts the attempt bound propagates.
 genome_index build_index(const genome::genome_t& g, const std::string& pattern,
                          const engine_options& opt = {});
 
@@ -134,12 +137,13 @@ void check_index_matches_source(const genome_index& idx,
 /// query() is safe to call from multiple threads concurrently: slots are
 /// locked individually for the duration of their chunk sweep, so concurrent
 /// calls interleave across slots but never race on residency state or on a
-/// pipeline's staged entries. Entry-buffer overflows recover with the
-/// engine's bounded grow-retry policy (core/recovery.hpp; sticky per-slot
-/// capacity, seeded by the true demand the error round-trips); transient
-/// device faults retire the chunk's pipeline and retry, both within the
-/// same attempt bounds. The caller is responsible for obs/fault scoping
-/// (run_query below, the engine, or serve::server).
+/// pipeline's staged entries. Each chunk of a sweep runs under the engine's
+/// recovery loop (core/recovery.hpp): entry-buffer overflows grow the
+/// sticky per-slot capacity (seeded by the true demand the error
+/// round-trips), and transient device faults retire the chunk's pipeline
+/// and retry, both within the same attempt bounds. The caller is
+/// responsible for obs/fault scoping (run_query below, the engine, or
+/// serve::server).
 /// Trace context a caller threads through query(): when the serving layer
 /// coalesces N requests into one launch it passes the batch id here so the
 /// per-chunk comparer spans ("index.chunk.compare") carry it — Perfetto can

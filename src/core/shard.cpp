@@ -1,25 +1,7 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
-
-namespace cof {
-
-const char* shard_policy_name(shard_policy p) {
-  return p == shard_policy::round_robin ? "round-robin" : "least-loaded";
-}
-
-shard_policy parse_shard_policy(std::string_view name) {
-  if (name == "round-robin" || name == "rr") return shard_policy::round_robin;
-  if (name == "least-loaded" || name == "ll") {
-    return shard_policy::least_loaded;
-  }
-  util::die("unknown shard policy (round-robin|least-loaded): " +
-            std::string(name));
-}
-
-}  // namespace cof
 
 namespace cof::shard {
 
@@ -63,34 +45,6 @@ usize device_set::pick_alive(usize hint) const {
     if (alive(d)) return d;
   }
   util::die("no alive device in device_set");
-}
-
-usize shard_scheduler::assign(const std::vector<usize>& loads) {
-  std::lock_guard lock(mu_);
-  const usize n = devs_.size();
-  usize chosen = n;
-  if (policy_ == shard_policy::least_loaded) {
-    COF_CHECK_MSG(loads.size() == n,
-                  "least-loaded scheduler needs one load entry per device");
-    usize best = std::numeric_limits<usize>::max();
-    for (usize d = 0; d < n; ++d) {
-      if (devs_.alive(d) && loads[d] < best) {
-        best = loads[d];
-        chosen = d;
-      }
-    }
-  } else {
-    for (usize step = 0; step < n; ++step) {
-      const usize d = (cursor_ + step) % n;
-      if (devs_.alive(d)) {
-        chosen = d;
-        cursor_ = d + 1;
-        break;
-      }
-    }
-  }
-  if (chosen < n) counts_[chosen].fetch_add(1, std::memory_order_relaxed);
-  return chosen;
 }
 
 }  // namespace cof::shard

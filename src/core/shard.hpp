@@ -1,23 +1,22 @@
 // Multi-device sharding: a device_set owns N simulated xpu devices
-// (distinct pools/arenas standing in for multi-GPU or multi-socket), and a
-// shard_scheduler assigns chunks to them — static round-robin or dynamic
-// least-loaded. The engine gives each device its own consumers, pipelines,
-// and spill runs; the existing k-way merge folds per-device runs back into
-// one byte-identical record stream for any device count.
+// (distinct pools/arenas standing in for multi-GPU or multi-socket) with
+// per-device liveness. The engine gives each device its own consumers,
+// pipelines and spill runs, all taking from one chunk queue; the k-way
+// merge folds the per-consumer runs back into one byte-identical record
+// stream for any device count.
 //
 // Failure model: a device that exhausts its bounded retries is marked
-// failed; its queue closes, unprocessed chunks are reassigned to the
-// survivors, and the run completes degraded. When the last device dies the
-// run fails with the original site-named error.
+// failed; the consumer holding the chunk pushes it back onto the shared
+// queue for the survivors, the device's other consumers stop at their next
+// take, and the run completes degraded. When the last device dies the run
+// fails with the original site-named error.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/shard_policy.hpp"
 #include "util/common.hpp"
 #include "xpu/device.hpp"
 
@@ -58,33 +57,6 @@ class device_set {
   // deque<atomic> is non-movable; unique_ptr keeps the set movable-free
   // but simple. Sized once in the ctor, never resized.
   std::unique_ptr<std::atomic<bool>[]> failed_;
-};
-
-/// Assigns chunks to alive devices. round_robin keeps a rotating cursor;
-/// least_loaded takes a per-device load snapshot (queue depth + in-flight)
-/// from the caller and picks the minimum, ties to the lower ordinal.
-class shard_scheduler {
- public:
-  shard_scheduler(shard_policy p, const device_set& devs)
-      : policy_(p), devs_(devs) {}
-
-  /// Next device for a chunk. `loads` must have one entry per device when
-  /// the policy is least_loaded (ignored for round_robin). Returns size()
-  /// (an invalid ordinal) when no device is alive — the caller is racing a
-  /// total-device failure and must fail the run, not abort the process.
-  usize assign(const std::vector<usize>& loads);
-
-  usize assigned(usize d) const {
-    return counts_[d].load(std::memory_order_relaxed);
-  }
-
- private:
-  shard_policy policy_;
-  const device_set& devs_;
-  std::mutex mu_;
-  usize cursor_ = 0;
-  std::vector<std::atomic<usize>> counts_ =
-      std::vector<std::atomic<usize>>(devs_.size());
 };
 
 }  // namespace cof::shard

@@ -122,8 +122,7 @@ const std::vector<std::string>& known_sites() {
       site::dev_alloc,  site::dev_launch,  site::pipe_event,  site::queue_push,
       site::queue_pop,  site::spill_write, site::spill_merge, site::entry_clamp,
       site::exec_kernel, site::fasta_parse, site::index_persist,
-      site::index_load,  site::serve_admit, site::serve_batch,
-      site::shard_assign};
+      site::index_load,  site::serve_admit, site::serve_batch};
   return sites;
 }
 

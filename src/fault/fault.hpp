@@ -69,7 +69,6 @@ inline constexpr const char* index_persist = "index.persist";  // .cofidx write,
 inline constexpr const char* index_load = "index.load";        // .cofidx read, per chunk
 inline constexpr const char* serve_admit = "serve.admit";      // request admission, per submit
 inline constexpr const char* serve_batch = "serve.batch";      // coalesced batch dispatch
-inline constexpr const char* shard_assign = "shard.assign";    // chunk-to-device assignment
 }  // namespace site
 
 /// Every site the engine wires an injection point through.

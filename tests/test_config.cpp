@@ -1,8 +1,6 @@
 // Input-file format tests.
 #include <gtest/gtest.h>
 
-#include "gtest_compat.hpp"
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -35,21 +33,24 @@ TEST(Config, NormalisesCase) {
   EXPECT_EQ(cfg.queries[0].seq, "ACGG");
 }
 
-TEST(ConfigDeath, QueryLengthMismatch) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)cof::parse_input("/g\nNNGG\nACGGT 1\n"), "length differs");
+TEST(ConfigErrors, QueryLengthMismatch) {
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\nACGGT 1\n"), cof::config_error);
 }
 
-TEST(ConfigDeath, MalformedQueryLine) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)cof::parse_input("/g\nNNGG\nACGG\n"), "query line");
-  EXPECT_DEATH((void)cof::parse_input("/g\nNNGG\nACGG x\n"), "bad mismatch");
+TEST(ConfigErrors, MalformedQueryLine) {
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\nACGG\n"), cof::config_error);
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\nACGG x\n"), cof::config_error);
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\nACGG 70000\n"), cof::config_error);
 }
 
-TEST(ConfigDeath, MissingSections) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)cof::parse_input(""), "genome line");
-  EXPECT_DEATH((void)cof::parse_input("/g\nNNGG\n"), "no queries");
+TEST(ConfigErrors, NonIupacCharacters) {
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\nACZG 1\n"), cof::config_error);
+  EXPECT_THROW((void)cof::parse_input("/g\nNN#G\nACGG 1\n"), cof::config_error);
+}
+
+TEST(ConfigErrors, MissingSections) {
+  EXPECT_THROW((void)cof::parse_input(""), cof::config_error);
+  EXPECT_THROW((void)cof::parse_input("/g\nNNGG\n"), cof::config_error);
 }
 
 TEST(Config, ReadFromFile) {
@@ -66,9 +67,8 @@ TEST(Config, ReadFromFile) {
   fs::remove(path);
 }
 
-TEST(ConfigDeath, MissingFile) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)cof::read_input_file("/no/such/input.txt"), "cannot open");
+TEST(ConfigErrors, MissingFile) {
+  EXPECT_THROW((void)cof::read_input_file("/no/such/input.txt"), cof::config_error);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/engine_stream.hpp"
 #include "core/index.hpp"
 #include "core/pipeline.hpp"
+#include "core/recovery.hpp"
 #include "fault/fault.hpp"
 #include "serve/server.hpp"
 #include "genome/chunker.hpp"
@@ -441,11 +442,10 @@ TEST(FaultSites, DeterministicAcrossRuns) {
 // --- shard-degradation sites -------------------------------------------------
 //
 // Multi-device runs add per-device fault targeting (`site@N` kills only the
-// consumers bound to shard ordinal N) and one new site of their own:
-// shard.assign, the producer/reassignment chunk-to-device decision. The
-// contract mirrors the single-device matrix — a partial failure degrades to
-// the survivors byte-identically, a total failure surfaces the injected
-// site cleanly with no spill leftovers.
+// consumers bound to shard ordinal N). The contract mirrors the
+// single-device matrix — a partial failure degrades to the survivors
+// byte-identically, a total failure surfaces the injected site cleanly with
+// no spill leftovers.
 
 struct shard_fault_case {
   const char* site;  // per-device site to kill ordinal 1 with (@1=always)
@@ -527,8 +527,8 @@ TEST(ShardFaults, MidRunLaunchDeathReassignsPendingWork) {
 }
 
 /// When every device of the set dies the run must fail with the injected
-/// site's clean error — not a hang, not a shard.assign artifact — and the
-/// unwound spill writers must leave nothing in the temp dir.
+/// site's clean error — not a hang — and the unwound spill writers must
+/// leave nothing in the temp dir.
 TEST(ShardFaults, EveryDeviceDeadFailsCleanWithNoSpillLeftovers) {
   temp_dir dir;
   const auto c = make_case(dir, 116, 6);
@@ -545,31 +545,56 @@ TEST(ShardFaults, EveryDeviceDeadFailsCleanWithNoSpillLeftovers) {
   EXPECT_EQ(spill_files_for_this_pid(), spills_before);
 }
 
-/// shard.assign faults the chunk-to-device decision itself (producer side):
-/// there is no retry around it, so the run fails cleanly naming the site,
-/// on the very first assignment.
-TEST(ShardFaults, AssignFaultFailsCleanNamingTheSite) {
+/// Shared-queue deaths: a dead device's consumers push their chunks back
+/// onto the one chunk queue. Whether the device had two consumers or was one
+/// of three, the survivors return the clean records, only the dead device is
+/// marked failed, every take is accounted for (each push-back costs one more
+/// take), and no spill file is left behind.
+struct queue_death_case {
+  util::usize devices;
+  util::usize queues;
+  util::usize dead;  // ordinal killed with dev.launch@dead=always
+};
+
+class SharedQueueDeaths : public ::testing::TestWithParam<queue_death_case> {};
+
+TEST_P(SharedQueueDeaths, SurvivorsFinishByteIdentically) {
+  const auto& tc = GetParam();
   temp_dir dir;
-  const auto c = make_case(dir, 117, 6);
+  const auto c = make_case(dir, 119, 6);
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
-  opt.num_devices = 2;
-  opt.faults = "shard.assign=hit:1";
+  opt.num_devices = tc.devices;
+  opt.num_queues = tc.queues;
+  const auto clean = cof::run_search_streaming(c.cfg, c.file, opt);
+  ASSERT_FALSE(clean.records.empty());
+  EXPECT_EQ(clean.shard_reassigns, 0u);
+
   const util::usize spills_before = spill_files_for_this_pid();
-  try {
-    (void)cof::run_search_streaming(c.cfg, c.file, opt);
-    FAIL() << "expected injected_error at shard.assign";
-  } catch (const fault::injected_error& e) {
-    EXPECT_EQ(e.site(), std::string("shard.assign"));
+  const std::string site = "dev.launch@" + std::to_string(tc.dead);
+  opt.faults = site + "=always";
+  const auto degraded = cof::run_search_streaming(c.cfg, c.file, opt);
+  EXPECT_EQ(degraded.records, clean.records);
+  ASSERT_EQ(degraded.device_shards.size(), tc.devices);
+  util::usize taken = 0;
+  for (util::usize d = 0; d < tc.devices; ++d) {
+    EXPECT_EQ(degraded.device_shards[d].failed, d == tc.dead) << "device " << d;
+    taken += degraded.device_shards[d].chunks;
   }
-  EXPECT_EQ(fault::stats("shard.assign").injected, 1u);
+  EXPECT_EQ(taken, degraded.metrics.chunks);
+  EXPECT_GE(degraded.shard_reassigns, 1u);
+  EXPECT_EQ(degraded.metrics.chunks, clean.metrics.chunks + degraded.shard_reassigns);
+  EXPECT_GE(fault::stats(site).injected, 1u);
   EXPECT_EQ(spill_files_for_this_pid(), spills_before);
-  // shard.assign only exists on the sharded path: a single-device run never
-  // evaluates it, so the same plan runs clean.
-  opt.num_devices = 1;
-  const auto single = cof::run_search_streaming(c.cfg, c.file, opt);
-  ASSERT_FALSE(single.records.empty());
-  EXPECT_EQ(fault::stats("shard.assign").injected, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, SharedQueueDeaths,
+    ::testing::Values(queue_death_case{2, 2, 1}, queue_death_case{3, 1, 1}),
+    [](const ::testing::TestParamInfo<queue_death_case>& info) {
+      return "devices" + std::to_string(info.param.devices) + "_queues" +
+             std::to_string(info.param.queues) + "_dead" +
+             std::to_string(info.param.dead);
+    });
 
 /// The warm path degrades too: an index-backed query session with a device
 /// dying mid-query migrates its slots to the survivors and still returns
@@ -599,6 +624,108 @@ TEST(ShardFaults, IndexSessionMigratesOffADeadDevice) {
       EXPECT_EQ(d.resident_bytes, 0u);
     }
   }
+}
+
+// --- build_index recovery ----------------------------------------------------
+//
+// build_index runs every chunk through the engine's recovery loop, so one
+// injected overflow or device fault, wherever it lands, still builds the
+// index a clean run builds; a fault that outlasts the attempt bound fails
+// the build naming its site.
+
+void expect_same_index(const cof::genome_index& got, const cof::genome_index& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.chunks.size(), want.chunks.size()) << where;
+  for (util::usize i = 0; i < want.chunks.size(); ++i) {
+    const auto& a = got.chunks[i];
+    const auto& b = want.chunks[i];
+    EXPECT_EQ(a.text, b.text) << where << " chunk " << i;
+    EXPECT_EQ(a.words.packed2, b.words.packed2) << where << " chunk " << i;
+    EXPECT_EQ(a.words.amb2, b.words.amb2) << where << " chunk " << i;
+    EXPECT_EQ(a.words.bases, b.words.bases) << where << " chunk " << i;
+    EXPECT_EQ(a.loci, b.loci) << where << " chunk " << i;
+    EXPECT_EQ(a.flags, b.flags) << where << " chunk " << i;
+  }
+}
+
+class BuildIndexFaults : public ::testing::TestWithParam<const char*> {};
+
+/// One fault at the first hit and at a mid hit (learnt with a never-firing
+/// plan) builds the clean index.
+TEST_P(BuildIndexFaults, OneFaultBuildsTheCleanIndex) {
+  const std::string site = GetParam();
+  temp_dir dir;
+  const auto c = make_case(dir, 120, 6);
+  const genome::genome_t g = genome::load_genome(c.file);
+  const cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
+  const auto clean = cof::build_index(g, c.cfg.pattern, opt);
+  ASSERT_GT(clean.total_hits(), 0u);
+
+  util::u64 total = 0;
+  {
+    fault::scope guard(site + "=hit:1000000000");
+    (void)cof::build_index(g, c.cfg.pattern, opt);
+    total = fault::stats(site).hits;
+  }
+  ASSERT_GE(total, 3u) << site;
+  for (const util::u64 n : {util::u64{1}, total / 2}) {
+    const std::string where = site + "=hit:" + std::to_string(n);
+    fault::scope guard(where);
+    const auto built = cof::build_index(g, c.cfg.pattern, opt);
+    expect_same_index(built, clean, where);
+    EXPECT_EQ(fault::stats(site).injected, 1u) << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sites, BuildIndexFaults,
+                         ::testing::Values("dev.alloc", "dev.launch", "entry.clamp"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           for (auto& ch : name) {
+                             if (ch == '.') ch = '_';
+                           }
+                           return name;
+                         });
+
+/// A launch that always fails spends the bounded attempts and fails the
+/// build with the site's error.
+TEST(BuildIndexFaults, LaunchAlwaysFailsNamingTheSite) {
+  temp_dir dir;
+  const auto c = make_case(dir, 121, 6);
+  const genome::genome_t g = genome::load_genome(c.file);
+  const cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
+  fault::scope guard("dev.launch=always");
+  try {
+    (void)cof::build_index(g, c.cfg.pattern, opt);
+    FAIL() << "expected injected_error at dev.launch";
+  } catch (const fault::injected_error& e) {
+    EXPECT_EQ(e.site(), std::string("dev.launch"));
+  }
+  EXPECT_EQ(fault::stats("dev.launch").injected, cof::recovery::kMaxDeviceAttempts);
+}
+
+/// A warm run on a cache miss builds its index through build_index, so it
+/// recovers from a device fault like a cold run: its records match, and the
+/// .cofidx it leaves answers a clean warm run identically.
+TEST(BuildIndexFaults, CacheMissRecoversAndPersistsACleanIndex) {
+  temp_dir dir;
+  const auto c = make_case(dir, 122, 6);
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  const auto clean = cof::run_search_streaming(c.cfg, c.file, opt);
+  ASSERT_FALSE(clean.records.empty());
+
+  opt.index_path = (dir.path / "g.cofidx").string();
+  opt.faults = "dev.launch=hit:1";
+  const auto miss = cof::run_search_streaming(c.cfg, c.file, opt);
+  EXPECT_FALSE(miss.index_cache_hit);
+  EXPECT_EQ(miss.records, clean.records);
+  EXPECT_EQ(fault::stats("dev.launch").injected, 1u);
+  ASSERT_TRUE(fs::exists(opt.index_path));
+
+  opt.faults.clear();
+  const auto hit = cof::run_search_streaming(c.cfg, c.file, opt);
+  EXPECT_TRUE(hit.index_cache_hit);
+  EXPECT_EQ(hit.records, clean.records);
 }
 
 // --- serving-mode sites ------------------------------------------------------
