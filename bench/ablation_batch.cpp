@@ -1,6 +1,5 @@
-// Ablation: per-query comparer launches (the paper's / upstream's design)
-// vs the batched multi-query comparer extension, and single- vs multi-queue
-// chunk distribution (the paper's stated single-device limitation).
+// Ablation: single- vs multi-queue chunk distribution (the paper's stated
+// single-device limitation).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -26,24 +25,6 @@ const cof::search_config& bench_config() {
   return cfg;
 }
 
-void bm_per_query_vs_batched(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  cof::engine_options opt;
-  opt.backend = cof::backend_kind::sycl;
-  opt.max_chunk = 64 << 10;
-  opt.batch_queries = batched;
-  util::u64 launches = 0;
-  for (auto _ : state) {
-    auto out = cof::run_search(bench_config(), bench_genome(), opt);
-    launches = out.metrics.pipeline.comparer_launches;
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bench_genome().total_bases()));
-  state.counters["comparer_launches"] = static_cast<double>(launches);
-  state.SetLabel(batched ? "batched (1 launch/chunk)" : "per-query (3 launches/chunk)");
-}
-
 void bm_num_queues(benchmark::State& state) {
   cof::engine_options opt;
   opt.backend = cof::backend_kind::sycl;
@@ -57,41 +38,8 @@ void bm_num_queues(benchmark::State& state) {
                           static_cast<int64_t>(bench_genome().total_bases()));
 }
 
-void bm_batched_modelled_gain(benchmark::State& state) {
-  // Modelled device seconds for the comparer, per-query vs batched: the
-  // event difference (amortised loci/flag loads) flows through the model.
-  util::set_log_level(util::log_level::warn);
-  static auto ds = bench::make_dataset("hg19", 16384);
-  const bool batched = state.range(0) != 0;
-  bench::measured_run m;
-  {
-    cof::engine_options opt;
-    opt.backend = cof::backend_kind::sycl;
-    opt.max_chunk = bench::kSimChunkBytes;
-    opt.counting = true;
-    opt.profiler = m.profile.get();
-    opt.batch_queries = batched;
-    auto outcome = cof::run_search(ds.cfg, ds.g, opt);
-    m.metrics = outcome.metrics;
-  }
-  const char* key = batched ? "comparer/batch" : "comparer/base";
-  const auto ev = m.profile->get(key).events;
-  double secs = 0;
-  for (auto _ : state) {
-    auto proj = gpumodel::project_comparer(gpumodel::gpu_by_name("RVII"), ev,
-                                           ds.scale, 256,
-                                           cof::comparer_variant::opt3);
-    secs = proj.time.total_s;
-    benchmark::DoNotOptimize(proj);
-  }
-  state.counters["modelled_comparer_s"] = secs;
-  state.SetLabel(batched ? "batched" : "per-query");
-}
-
 }  // namespace
 
-BENCHMARK(bm_per_query_vs_batched)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_num_queues)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_batched_modelled_gain)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

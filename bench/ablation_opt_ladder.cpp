@@ -3,7 +3,9 @@
 // compares, mask-LUT tests, SWAR word evaluations) and repeated direct
 // passes measure simulated wall time — on both dispatch paths (the AVX2
 // lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
-// at opt6, where the lane body exists). A second section isolates the
+// at opt6, where the lane body exists). Every rung compares one guide, as a
+// one-guide batch: base..opt5 launch their per-query kernel, opt6 its
+// batched comparer. A second section isolates the
 // executor ablation: the same comparer launch on the fiber scheduler vs the
 // two-phase single-leading-barrier fast path. Emits BENCH_opt_ladder.json.
 #include <algorithm>
@@ -51,11 +53,11 @@ u64 timed_pass(comparer_variant v, const std::string& chunk,
   auto pipe = make_sycl_pipeline(opt);
   pipe->load_chunk(chunk);
   pipe->run_finder(pat);
-  pipe->run_comparer(query, 5);  // warm-up
+  pipe->run_comparers({query}, {5});  // warm-up
   u64 best = ~u64{0};
   for (u64 r = 0; r < reps; ++r) {
     util::stopwatch sw;
-    auto e = pipe->run_comparer(query, 5);
+    auto e = pipe->run_comparers({query}, {5});
     best = std::min(best, sw.nanos());
     entries_out = e.size();
   }
@@ -79,7 +81,7 @@ variant_row measure_variant(comparer_variant v, const std::string& chunk,
     auto pipe = make_sycl_pipeline(opt);
     pipe->load_chunk(chunk);
     pipe->run_finder(pat);
-    pipe->run_comparer(query, 5);
+    pipe->run_comparers({query}, {5});
     const auto prof = profile.get(std::string("comparer/") + row.name);
     row.global_loads = prof.events[prof::ev::global_load];
     row.global_load_repeats = prof.events[prof::ev::global_load_repeat];

@@ -119,7 +119,6 @@ void bm_pipeline_char_vs_packed(benchmark::State& state) {
   // The upstream format against plain chars; opt6 would upload words on both.
   opt.variant = cof::comparer_variant::base;
   opt.max_chunk = 64 << 10;
-  opt.batch_queries = false;  // the paper's per-query comparer launches
   util::u64 h2d = 0;
   size_t records = 0;
   for (auto _ : state) {
@@ -151,7 +150,6 @@ void bm_pipeline_buffers_vs_usm(benchmark::State& state) {
   cof::engine_options opt;
   opt.backend = usm ? cof::backend_kind::sycl_usm : cof::backend_kind::sycl;
   opt.max_chunk = 64 << 10;
-  opt.batch_queries = false;  // the paper's per-query comparer launches
   for (auto _ : state) {
     auto out = cof::run_search(cfg, g, opt);
     benchmark::DoNotOptimize(out);

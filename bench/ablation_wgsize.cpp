@@ -17,7 +17,6 @@ void bm_wgsize_pipeline(benchmark::State& state) {
   opt.backend = cof::backend_kind::sycl;
   opt.wg_size = wg;
   opt.max_chunk = 256 << 10;
-  opt.batch_queries = false;  // the paper's per-query comparer launches
   size_t records = 0;
   for (auto _ : state) {
     auto out = cof::run_search(ds.cfg, ds.g, opt);

@@ -29,8 +29,6 @@ measured_run run_counting(const dataset& ds, cof::backend_kind backend,
   opt.max_chunk = kSimChunkBytes;
   opt.counting = true;
   opt.profiler = m.profile.get();
-  // The paper's per-query launches: profiles land under comparer/<variant>.
-  opt.batch_queries = false;
   auto outcome = cof::run_search(ds.cfg, ds.g, opt);
   m.metrics = outcome.metrics;
   m.records = std::move(outcome.records);

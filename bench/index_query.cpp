@@ -10,10 +10,10 @@
 //                  across all four facades.
 //   load cost    — one-off .cofidx load (read + checksum + unpack) that a
 //                  warm process pays before its first query.
-//   coalescing   — warm query latency at 1/4/16 guides, batched (one
-//                  comparer_multi launch per chunk covering every guide)
-//                  vs one query() call per guide: N guides for ~1 guide's
-//                  launch cost.
+//   coalescing   — warm opt6 query latency at 1/4/16 guides, batched (one
+//                  comparer launch per chunk covering every guide) vs one
+//                  query() call per guide: N guides for ~1 guide's launch
+//                  cost.
 //
 // Emits BENCH_index.json.
 #include <cstdio>
@@ -197,11 +197,11 @@ int main(int argc, char** argv) {
               cfg.queries.size(), min_speedup,
               identical ? "identical" : "DIVERGED");
 
-  // Coalescing sweep (SYCL facade): one batched query() call — a single
-  // comparer_multi launch per chunk covering every guide — vs one query()
-  // call per guide.
+  // Coalescing sweep (SYCL facade, opt6, whose comparer covers every guide
+  // of a query() call in one launch per chunk): one batched query() call vs
+  // one query() call per guide.
   opt.backend = backend_kind::sycl;
-  opt.variant = comparer_variant::base;
+  opt.variant = comparer_variant::opt6;
   struct sweep_point {
     usize guides;
     u64 coalesced_ns;

@@ -1,6 +1,7 @@
 // Microbenchmark: comparer kernel variants on the simulated accelerator
-// (CPU wall time per locus; google-benchmark). Complements fig2_kernel_time,
-// which reports modelled device time.
+// (CPU wall time per locus; google-benchmark), one guide per launch (opt6's
+// batched comparer with a batch of one). Complements fig2_kernel_time, which
+// reports modelled device time.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
@@ -37,7 +38,7 @@ void bm_comparer_variant(benchmark::State& state) {
   const auto loci = pipe->run_finder(f.pat);
   util::usize entries = 0;
   for (auto _ : state) {
-    auto e = pipe->run_comparer(f.query, 5);
+    auto e = pipe->run_comparers({f.query}, {5});
     entries += e.size();
     benchmark::DoNotOptimize(e);
   }
@@ -60,7 +61,7 @@ void bm_comparer_threshold(benchmark::State& state) {
   const auto loci = pipe->run_finder(f.pat);
   const auto threshold = static_cast<util::u16>(state.range(0));
   for (auto _ : state) {
-    auto e = pipe->run_comparer(f.query, threshold);
+    auto e = pipe->run_comparers({f.query}, {threshold});
     benchmark::DoNotOptimize(e);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * loci);

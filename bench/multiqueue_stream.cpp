@@ -3,9 +3,9 @@
 // record runs that are k-way merged at the end. Two result sets:
 //
 //   measured  — wall-clock bases/s of the CPU simulation at num_queues
-//               {1, 2, 4} with batched comparer launches, against one
-//               queue of per-query launches (batch_queries = false), plus
-//               the bounded-memory contrast: each run's peak record bytes
+//               {1, 2, 4} with batched comparer launches (records checked
+//               identical across queue counts), plus the bounded-memory
+//               contrast: each run's peak record bytes
 //               (per-chunk spill batches) against the bytes of the whole
 //               record set. Queue scaling here is capped by the host core
 //               count (recorded as host_cores): extra queues overlap
@@ -149,19 +149,16 @@ int main(int argc, char** argv) {
   opt.backend = backend_kind::sycl;
   opt.max_chunk = static_cast<usize>(chunk);
 
-  opt.batch_queries = false;
-  const mode_result per_query = run_mode(cfg, fasta, opt, reps);
-  util::usize total_record_bytes = 0;
-  for (const auto& r : per_query.records) {
-    total_record_bytes += sizeof(ot_record) + r.site.size();
-  }
-
-  opt.batch_queries = true;
   const std::vector<usize> queue_counts = {1, 2, 4};
   std::vector<mode_result> mq;
   for (const usize nq : queue_counts) {
     opt.num_queues = nq;
     mq.push_back(run_mode(cfg, fasta, opt, reps));
+  }
+  const mode_result& single = mq.front();
+  util::usize total_record_bytes = 0;
+  for (const auto& r : single.records) {
+    total_record_bytes += sizeof(ot_record) + r.site.size();
   }
 
   // Fault-degradation run: same workload with an injection plan armed, at
@@ -207,14 +204,11 @@ int main(int argc, char** argv) {
     return 1e9 * static_cast<double>(bases) / static_cast<double>(nanos);
   };
   std::printf("record set: %llu records, %zu bytes if held at once\n",
-              static_cast<unsigned long long>(per_query.total_records),
+              static_cast<unsigned long long>(single.total_records),
               total_record_bytes);
-  std::printf("per-query : %10llu ns  %12.0f bases/s  peak record bytes %zu\n",
-              static_cast<unsigned long long>(per_query.best_nanos),
-              bps(per_query.best_nanos), per_query.peak_record_bytes);
   bool identical = true;
   for (usize i = 0; i < mq.size(); ++i) {
-    identical = identical && mq[i].records == per_query.records;
+    identical = identical && mq[i].records == single.records;
     std::printf(
         "queues=%zu  : %10llu ns  %12.0f bases/s  %5.2fx vs q1  "
         "peak record bytes %zu  spill runs %zu\n",
@@ -239,7 +233,7 @@ int main(int argc, char** argv) {
     if (fault_failed) {
       std::printf("  run failed cleanly: %s\n", fault_error.c_str());
     } else {
-      fault_identical = faulted.records == per_query.records;
+      fault_identical = faulted.records == single.records;
       const u64 clean_ns = mq.back().best_nanos;
       fault_overhead_pct =
           100.0 * (static_cast<double>(faulted.best_nanos) /
@@ -319,12 +313,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(chunk), cfg.queries.size(),
                static_cast<unsigned long long>(reps));
   std::fprintf(f, "  \"total_record_bytes\": %zu,\n", total_record_bytes);
-  std::fprintf(f,
-               "  \"per_query\": {\"best_nanos\": %llu, \"bases_per_s\": %.0f, "
-               "\"peak_record_bytes\": %zu, \"records\": %llu},\n",
-               static_cast<unsigned long long>(per_query.best_nanos),
-               bps(per_query.best_nanos), per_query.peak_record_bytes,
-               static_cast<unsigned long long>(per_query.total_records));
   std::fprintf(f, "  \"batched\": [\n");
   for (usize i = 0; i < mq.size(); ++i) {
     std::fprintf(f,

@@ -48,6 +48,29 @@ namespace {
   util::die(e.what());
 }
 
+/// The backend a device letter picks. Throws config_error for an unknown
+/// letter.
+cof::backend_kind parse_device(const std::string& dev) {
+  switch (dev.empty() ? 'G' : dev[0]) {
+    case 'C': case 'c': return cof::backend_kind::serial;
+    case 'O': case 'o': return cof::backend_kind::opencl;
+    case 'G': case 'g': case 'S': case 's': return cof::backend_kind::sycl;
+    case 'U': case 'u': return cof::backend_kind::sycl_usm;
+    case 'P': case 'p': return cof::backend_kind::sycl_twobit;
+    default: throw cof::config_error("unknown device (use C, O, G, S, U or P): " + dev);
+  }
+}
+
+/// The comparer variant a --variant name picks. Throws config_error for an
+/// unknown name.
+cof::comparer_variant parse_variant(const std::string& name) {
+  for (int v = 0; v < cof::kNumComparerVariants; ++v) {
+    const auto variant = static_cast<cof::comparer_variant>(v);
+    if (name == cof::comparer_variant_name(variant)) return variant;
+  }
+  throw cof::config_error("unknown variant (use base, opt1..opt6): " + name);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,13 +85,11 @@ int main(int argc, char** argv) {
   cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt5|opt6",
           cof::comparer_variant_name(cof::engine_options{}.variant));
   cli.opt("chunk", "max device chunk bytes", "4194304");
-  cli.flag("profile", "print the kernel hotspot profile (implies --per-query: "
-                      "the paper's comparer/<variant> kernel)");
+  cli.flag("profile", "print the kernel hotspot profile (the variant's "
+                      "comparer/<variant> kernel)");
   cli.flag("score", "print MIT specificity scores per guide");
   cli.flag("stream", "stream chunks from the FASTA file(s) instead of "
                      "loading the genome (O(chunk) host memory)");
-  cli.flag("per-query", "one comparer launch per query per chunk, as in the "
-                        "paper (default: one batched launch per chunk)");
   cli.opt("queues", "host threads each driving a device pipeline (per "
                     "device when --devices > 1)", "1");
   cli.opt("devices", "shard streamed chunks across N simulated devices, "
@@ -120,69 +141,35 @@ int main(int argc, char** argv) {
 
   util::set_log_level(util::log_level::warn);
   cof::search_config cfg;
+  cof::engine_options opt;
   try {
     cfg = cof::read_input_file(cli.get_positional("input"));
+    // Repeated --query GUIDE[:MM] replaces the input file's query list — the
+    // serving shape the index exists for: one cached index, arbitrary guides.
+    if (!cli.get_multi("query").empty()) {
+      cfg.queries.clear();
+      for (const std::string& spec : cli.get_multi("query")) {
+        cfg.queries.push_back(cof::parse_guide(spec));
+      }
+    }
+    opt.backend = parse_device(cli.get_positional("device"));
+    opt.variant = parse_variant(cli.get("variant"));
   } catch (const cof::config_error& e) {
     fail(e);
   }
-
-  // Repeated --query GUIDE[:MM] replaces the input file's query list — the
-  // serving shape the index exists for: one cached index, arbitrary guides.
-  if (!cli.get_multi("query").empty()) {
-    cfg.queries.clear();
-    for (const std::string& spec : cli.get_multi("query")) {
-      std::string seq = spec;
-      unsigned long long mm = 5;
-      if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
-        seq = spec.substr(0, colon);
-        COF_CHECK_MSG(util::parse_u64(spec.substr(colon + 1), mm),
-                      "--query wants GUIDE[:MM]: " + spec);
-        COF_CHECK_MSG(mm <= 0xFFFF, "--query mismatch count " +
-                                        std::to_string(mm) +
-                                        " out of range (max 65535): " + spec);
-      }
-      cfg.queries.push_back({seq, static_cast<util::u16>(mm)});
-    }
-  }
-
-  cof::engine_options opt;
-  const std::string dev = cli.get_positional("device").empty()
-                              ? "G"
-                              : cli.get_positional("device");
-  switch (dev[0]) {
-    case 'C': case 'c': opt.backend = cof::backend_kind::serial; break;
-    case 'O': case 'o': opt.backend = cof::backend_kind::opencl; break;
-    case 'G': case 'g': case 'S': case 's':
-      opt.backend = cof::backend_kind::sycl;
-      break;
-    case 'U': case 'u': opt.backend = cof::backend_kind::sycl_usm; break;
-    case 'P': case 'p': opt.backend = cof::backend_kind::sycl_twobit; break;
-    default: util::die("unknown device (use C, O, G, S, U or P): " + dev);
-  }
   opt.wg_size = cli.get_u64("wg");
   opt.max_chunk = cli.get_u64("chunk");
-  opt.batch_queries = !cli.get_flag("per-query");
   opt.num_queues = cli.get_u64("queues");
   opt.num_devices = cli.get_u64("devices");
   opt.trace_out = cli.get("trace-out");
   opt.metrics_json = cli.get("metrics-json");
   opt.max_entries = cli.get_u64("max-entries");
   opt.faults = cli.get("fault");
-  const std::string vname = cli.get("variant");
-  bool found_variant = false;
-  for (int v = 0; v < cof::kNumComparerVariants; ++v) {
-    if (vname == cof::comparer_variant_name(static_cast<cof::comparer_variant>(v))) {
-      opt.variant = static_cast<cof::comparer_variant>(v);
-      found_variant = true;
-    }
-  }
-  COF_CHECK_MSG(found_variant, "unknown variant: " + vname);
 
   prof::profiler profiler;
   if (cli.get_flag("profile")) {
     opt.counting = true;
     opt.profiler = &profiler;
-    opt.batch_queries = false;
   }
 
   // --build-index: the cold phase alone — decode + finder over every chunk,
@@ -341,21 +328,18 @@ int main(int argc, char** argv) {
           out.flush();
           continue;
         }
-        std::string seq = spec;
-        unsigned long long mm = 5;
-        if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
-          seq = spec.substr(0, colon);
-          if (!util::parse_u64(spec.substr(colon + 1), mm) || mm > 0xFFFF) {
-            out << "# " << spec << " error=wants GUIDE[:MM]\n";
-            out.flush();
-            continue;
-          }
+        cof::query_spec q;
+        try {
+          q = cof::parse_guide(spec);
+        } catch (const cof::config_error& e) {
+          out << "# " << spec << " error=" << e.what() << "\n";
+          out.flush();
+          continue;
         }
         try {
-          pending.push_back(
-              {seq, srv.submit(seq, static_cast<util::u16>(mm))});
+          pending.push_back({q.seq, srv.submit(q.seq, q.max_mismatches)});
         } catch (const std::exception& e) {
-          out << "# " << seq << " error=" << e.what() << "\n";
+          out << "# " << q.seq << " error=" << e.what() << "\n";
           out.flush();
         }
         drain(/*all=*/false);  // stream completed requests while reading
@@ -471,7 +455,12 @@ int main(int argc, char** argv) {
                g.chroms.size(), util::human_bytes(g.total_bases()).c_str(),
                load_sw.seconds());
 
-  const auto result = cof::run_search(cfg, g, opt);
+  cof::search_outcome result;
+  try {
+    result = cof::run_search(cfg, g, opt);
+  } catch (const std::exception& e) {
+    fail(e);  // e.g. a guide of the wrong length (cof::config_error)
+  }
   std::fprintf(stderr,
                "%s/%s: %zu records, %.3fs elapsed (%zu chunks, %llu loci, "
                "%s h2d, %s d2h)\n",

@@ -56,8 +56,6 @@ search_config parse_input(std::string_view text) {
         require(util::parse_u64(words[1], mm) && mm <= 0xFFFF,
                 "bad mismatch count (0..65535): " + std::string(words[1]));
         q.max_mismatches = static_cast<u16>(mm);
-        require(q.seq.size() == cfg.pattern.size(),
-                "query length differs from pattern length: " + q.seq);
         cfg.queries.push_back(std::move(q));
         break;
       }
@@ -65,7 +63,36 @@ search_config parse_input(std::string_view text) {
   }
   require(field >= 2, "input needs a genome line and a pattern line");
   require(!cfg.queries.empty(), "input has no queries");
+  check_guide_lengths(cfg);
   return cfg;
+}
+
+query_spec parse_guide(std::string_view spec) {
+  query_spec q;
+  q.seq = std::string(spec);
+  q.max_mismatches = 5;
+  if (const auto colon = spec.rfind(':'); colon != std::string_view::npos) {
+    q.seq = std::string(spec.substr(0, colon));
+    unsigned long long mm = 0;
+    require(util::parse_u64(spec.substr(colon + 1), mm) && mm <= 0xFFFF,
+            "guide wants GUIDE[:MM] with MM in 0..65535: " + std::string(spec));
+    q.max_mismatches = static_cast<u16>(mm);
+  }
+  require(!q.seq.empty(), "empty guide: " + std::string(spec));
+  return q;
+}
+
+void check_alphabet(const search_config& cfg) {
+  require(!cfg.pattern.empty(), "empty pattern");
+  (void)normalize_field(cfg.pattern, "pattern");
+  for (const auto& q : cfg.queries) (void)normalize_field(q.seq, "guide");
+}
+
+void check_guide_lengths(const search_config& cfg) {
+  for (const auto& q : cfg.queries) {
+    require(q.seq.size() == cfg.pattern.size(),
+            "query length differs from pattern length: " + q.seq);
+  }
 }
 
 search_config read_input_file(const std::string& path) {

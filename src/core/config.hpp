@@ -48,6 +48,21 @@ search_config parse_input(std::string_view text);
 /// file cannot be opened or does not parse.
 search_config read_input_file(const std::string& path);
 
+/// Parse one `GUIDE[:MM]` guide spec (the CLI's --query, a serve line): the
+/// guide as written and its mismatch count, 5 when `:MM` is absent. Throws
+/// config_error for an empty guide or an MM that is not a number in
+/// [0, 65535]; the guide's alphabet and length are the search's to check.
+query_spec parse_guide(std::string_view spec);
+
+/// parse_input's alphabet rule for a config built in code: throws
+/// config_error when the pattern is empty or it or a guide holds a
+/// non-IUPAC character.
+void check_alphabet(const search_config& cfg);
+
+/// parse_input's length rule for a config built in code: throws
+/// config_error when a guide's length differs from the pattern's.
+void check_guide_lengths(const search_config& cfg);
+
 /// The example input of the upstream Cas-OFFinder README [17] (the paper
 /// evaluates with it), with the genome line retargeted to a synth URI.
 std::string example_input(const std::string& genome_line = "synth:hg19");

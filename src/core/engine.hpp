@@ -26,7 +26,11 @@ const char* backend_name(backend_kind k);
 struct engine_options {
   backend_kind backend = backend_kind::sycl;
   /// opt6 (the packed-word finder and comparer) is the production default;
-  /// the paper's benches and the gpumodel projections pin base..opt4.
+  /// the paper's benches and the gpumodel projections pin base..opt4. The
+  /// variant also picks the comparer's launch shape: base..opt5 launch the
+  /// per-query `comparer/<variant>` kernel once per guide, as in the paper
+  /// / upstream; opt6 launches its batched packed-word comparer once per
+  /// chunk for every guide. Records are identical for every variant.
   comparer_variant variant = comparer_variant::opt6;
   /// 0 = backend default (OpenCL: runtime-chosen; SYCL: 256, as in the paper).
   usize wg_size = 0;
@@ -35,12 +39,6 @@ struct engine_options {
   /// Instrumented kernels; event counts recorded into `profiler`.
   bool counting = false;
   prof::profiler* profiler = nullptr;
-  /// The runner's launch mode. true: every query of a chunk goes through
-  /// ONE batched multi-query comparer launch with a deferred entry download
-  /// (the production path). false: one comparer launch per query, as in the
-  /// paper / upstream — set it to read the per-query `comparer/<variant>`
-  /// kernel profiles. Records are identical either way.
-  bool batch_queries = true;
   /// Host threads, each driving its own pipeline over a shared chunk queue
   /// — the multi-device extension the paper marks as future work ("the SYCL
   /// application currently executes on a single GPU device"). Results are

@@ -183,9 +183,9 @@ std::string spill_path(usize queue_index) {
 // decode or an in-memory genome) and pushes them to the queue; backpressure
 // (capacity num_devices × num_queues + 2) bounds the produced-but-
 // unprocessed text to a fixed lookahead. Each consumer owns one pipeline: it
-// uploads the chunk, runs the finder, then the comparer — ONE batched launch
-// per chunk, or one launch per query when engine_options::batch_queries is
-// off — and hands the entry batch to a pool job that formats records and
+// uploads the chunk, runs the finder, then the variant's comparer — ONE
+// batched launch per chunk under opt6, one launch per query under base..opt5
+// — and hands the entry batch to a pool job that formats records and
 // spills them to the consumer's own temp file as one sorted run. Format jobs
 // are chained per consumer (the next is submitted only after the previous
 // finished), which (a) keeps the spill writer single-owner, (b) bounds live
@@ -401,8 +401,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
               if (st.pipe == nullptr) st.pipe = make_pipeline(opt, st.cur_max_entries);
               st.pipe->load_chunk(packed_chunk{ch.text, ch.words ? &*ch.words : nullptr});
               entries = st.pipe->run_finder(pat) != 0
-                            ? st.pipe->run_comparers(dev_queries, thresholds,
-                                                     opt.batch_queries)
+                            ? st.pipe->run_comparers(dev_queries, thresholds)
                             : device_pipeline::entries{};
             },
             [&] {
@@ -736,10 +735,17 @@ streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
   util::stopwatch sw;
   streamed_outcome out;
   const bool warm = opt.index != nullptr || !opt.index_path.empty();
+  // Hostile guides and chunk sizes fail here, before a source is opened. The
+  // warm branch checks guide lengths against its index (index_error).
+  check_alphabet(cfg);
+  if (!warm) check_guide_lengths(cfg);
   if (!warm && opt.backend != backend_kind::serial) {
-    const usize plen = make_pattern(cfg.pattern).plen;
-    const usize overlap = plen > 0 ? plen - 1 : 0;
-    COF_CHECK_MSG(opt.max_chunk > overlap, "max_chunk must exceed pattern length");
+    const usize overlap = cfg.pattern.size() - 1;
+    if (opt.max_chunk <= overlap) {
+      throw config_error(util::format("chunk size %zu must exceed the pattern length "
+                                      "minus one (%zu)",
+                                      opt.max_chunk, overlap));
+    }
     std::unique_ptr<chunk_source> source;
     if (g != nullptr) {
       source = std::make_unique<genome_source>(*g, opt.max_chunk, overlap);

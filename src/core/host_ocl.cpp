@@ -259,135 +259,19 @@ __kernel void comparer_opt5(unsigned int locicnts, __global char* __restrict chr
   }
 }
 
-/* Batched multi-query comparer: one launch covers every query in the input
- * set; each candidate site reads its flag/locus once and reuses them across
- * queries, and the cooperative local fetch covers all queries' patterns.
- * The opt5 (bitmask-LUT) configuration falls back to this char-chain body on
- * the OpenCL path: chain and LUT mismatch tests are bit-identical, only the
- * per-character cost differs. */
-__kernel void comparer_multi(unsigned int locicnts, __global char* chr,
-                             __global unsigned int* loci, __global char* flag,
-                             __constant char* comp, __constant int* comp_index,
-                             __constant unsigned short* thresholds,
-                             unsigned int nqueries, unsigned int plen,
-                             __global unsigned short* mm_count,
-                             __global char* direction,
-                             __global unsigned int* mm_loci,
-                             __global unsigned short* mm_query,
-                             __global unsigned int* entrycount,
-                             unsigned int entry_capacity,
-                             __local char* l_comp, __local int* l_comp_index) {
-  unsigned int i = get_global_id(0);
-  unsigned int li = i - get_group_id(0) * get_local_size(0);
-  unsigned int total = nqueries * plen * 2;
-  for (unsigned int k = li; k < total; k += get_local_size(0)) {
-    l_comp[k] = comp[k];
-    l_comp_index[k] = comp_index[k];
-  }
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (i >= locicnts) return;
-  char f = flag[i];
-  unsigned int locus = loci[i];
-  for (unsigned int q = 0; q < nqueries; q++) {
-    for (int half = 0; half < 2; half++) {
-      if (half == 0 ? (f == 0 || f == 1) : (f == 0 || f == 2)) {
-        unsigned int base = (q * 2 + half) * plen;
-        unsigned short threshold = thresholds[q];
-        unsigned short lmm_count = 0;
-        for (unsigned int j = 0; j < plen; j++) {
-          int k = l_comp_index[base + j];
-          if (k == -1) break;
-          if (mismatch(l_comp[base + k], chr[locus + k])) {
-            lmm_count++;
-            if (lmm_count > threshold) break;
-          }
-        }
-        if (lmm_count <= threshold) {
-          unsigned int old = atomic_inc(entrycount);
-          if (old < entry_capacity) {
-            mm_count[old] = lmm_count;
-            direction[old] = half == 0 ? '+' : '-';
-            mm_loci[old] = locus;
-            mm_query[old] = (unsigned short)q;
-          }
-        }
-      }
-    }
-  }
-}
-
-/* opt6: two-bit SWAR comparer. The chunk travels only as 2-bit packed
- * codes (32 bases per ulong) plus ambiguity flags in the same geometry; the
- * host precomputes, per query half and per 32-base word, one 64-bit deny
- * mask for each reference code plus a fifth 'N' mask. One word evaluation
- * replaces up to 32 opt5 iterations; every ambiguous reference base scores
- * through the 'N' mask, exactly as mismatch() treats any non-ACGT byte. */
-__kernel void comparer_opt6(unsigned int locicnts,
-                            __global ulong* __restrict chr_packed2,
-                            __global ulong* __restrict chr_amb2,
-                            __global unsigned int* __restrict loci,
-                            __global char* __restrict flag,
-                            __constant ulong* comp_swar,
-                            unsigned int plen, unsigned int swar_words,
-                            unsigned short threshold,
-                            __global unsigned short* __restrict mm_count,
-                            __global char* __restrict direction,
-                            __global unsigned int* __restrict mm_loci,
-                            __global unsigned int* __restrict entrycount,
-                            unsigned int entry_capacity,
-                            __local ulong* l_comp_swar) {
-  unsigned int i = get_global_id(0);
-  unsigned int li = i - get_group_id(0) * get_local_size(0);
-  const ulong even = 0x5555555555555555UL;
-  for (unsigned int k = li; k < 2 * swar_words * 5; k += get_local_size(0))
-    l_comp_swar[k] = comp_swar[k];
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (i >= locicnts) return;
-  char f = flag[i];
-  unsigned int locus = loci[i];
-  for (int half = 0; half < 2; half++) {
-    if (!(f == 0 || f == (char)(half + 1))) continue;
-    unsigned int sbase = (unsigned int)half * swar_words * 5;
-    unsigned int shift = 2u * (locus & 31u);
-    unsigned int wi = locus >> 5;
-    unsigned short lmm = 0;
-    int under = 1;
-    for (unsigned int w = 0; w < swar_words && under; w++) {
-      ulong lo = chr_packed2[wi + w], hi = chr_packed2[wi + w + 1];
-      ulong ref = (lo >> shift) | ((hi << (63u - shift)) << 1);
-      ulong amb = (chr_amb2[wi + w] >> shift) |
-                  ((chr_amb2[wi + w + 1] << (63u - shift)) << 1);
-      unsigned int nb = plen - 32u * w;
-      ulong active = nb >= 32u ? ~0UL : (1UL << (2u * nb)) - 1;
-      amb &= active;
-      ulong mm = 0;
-      for (int c = 0; c < 4; c++) {
-        ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
-        ulong t = ~(ref ^ bc);
-        mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
-      }
-      mm = (mm & ~amb) | (amb & l_comp_swar[sbase + w * 5 + 4]);
-      lmm += (unsigned short)popcount(mm);
-      if (lmm > threshold) under = 0;
-    }
-    if (under) {
-      unsigned int old = atomic_inc(entrycount);
-      if (old < entry_capacity) {
-        mm_count[old] = lmm;
-        direction[old] = half == 0 ? '+' : '-';
-        mm_loci[old] = locus;
-      }
-    }
-  }
-}
-
-/* Batched multi-query twin of comparer_opt6, with opt2 applied to the
- * window every query shares: loci[i]/flag[i] are read once per candidate
- * site, and each of the window's first 4 words is read and decoded once
- * (its per-code equality masks and ambiguity mask, kept in private memory)
- * by the first (query, strand) that reaches it; words past those 4 are
- * decoded where they are used. Each (query, strand) scores the words with
- * its five deny masks and a popcount per word. */
+/* opt6: the two-bit SWAR comparer, one launch for every query of the
+ * chunk. The chunk travels only as 2-bit packed codes (32 bases per ulong)
+ * plus ambiguity flags in the same geometry; the host precomputes, per query
+ * half and per 32-base word, one 64-bit deny mask for each reference code
+ * plus a fifth 'N' mask. One word evaluation replaces up to 32 opt5
+ * iterations; every ambiguous reference base scores through the 'N' mask,
+ * exactly as mismatch() treats any non-ACGT byte. opt2 applies to the window
+ * every query shares: loci[i]/flag[i] are read once per candidate site, and
+ * each of the window's first 4 words is read and decoded once (its per-code
+ * equality masks and ambiguity mask, kept in private memory) by the first
+ * (query, strand) that reaches it; words past those 4 are decoded where they
+ * are used. Each (query, strand) scores the words with its five deny masks
+ * and a popcount per word. */
 __kernel void comparer_multi_opt6(unsigned int locicnts,
                                   __global ulong* __restrict chr_packed2,
                                   __global ulong* __restrict chr_amb2,
@@ -680,83 +564,14 @@ const std::vector<oclsim::arg_kind> kComparerSig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::local,  oclsim::arg_kind::local,
 };
 
-/// comparer_multi's unpack order follows the batched OpenCL signature above.
-template <class P>
-void comparer_multi_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  comparer_multi_args ca;
-  ca.locicnts = a.scalar<u32>(0);
-  ca.chr = a.global<const char>(1);
-  ca.loci = a.global<const u32>(2);
-  ca.flag = a.global<const char>(3);
-  ca.comp = a.global<const char>(4);
-  ca.comp_index = a.global<const i32>(5);
-  ca.thresholds = a.global<const u16>(6);
-  ca.nqueries = a.scalar<u32>(7);
-  ca.plen = a.scalar<u32>(8);
-  ca.mm_count = a.global<u16>(9);
-  ca.direction = a.global<char>(10);
-  ca.mm_loci = a.global<u32>(11);
-  ca.mm_query = a.global<u16>(12);
-  ca.entrycount = a.global<u32>(13);
-  ca.entry_capacity = a.scalar<u32>(14);
-  ca.l_comp = a.local<char>(15);
-  ca.l_comp_index = a.local<i32>(16);
-  comparer_multi_kernel<P>(it, ca);
-}
-
-const std::vector<oclsim::arg_kind> kComparerMultiSig = {
-    oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar,
-    oclsim::arg_kind::local,  oclsim::arg_kind::local,
-};
-
 template <comparer_variant V, class P>
 void comparer_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_native_dispatch<P>(V, a, it);
 }
 
-/// Shared unpack of comparer_opt6's global/scalar arguments (0..13); the
-/// local arg (14) resolves only inside a kernel item context, so the lane
-/// entry points it at the global masks instead.
-void comparer_opt6_unpack(const oclsim::arg_view& a, comparer_swar_args& ca) {
-  ca.locicnts = a.scalar<u32>(0);
-  ca.chr_packed2 = a.global<const u64>(1);
-  ca.chr_amb2 = a.global<const u64>(2);
-  ca.loci = a.global<const u32>(3);
-  ca.flag = a.global<const char>(4);
-  ca.comp_swar = a.global<const u64>(5);
-  ca.plen = a.scalar<u32>(6);
-  ca.swar_words = a.scalar<u32>(7);
-  ca.threshold = a.scalar<u16>(8);
-  ca.mm_count = a.global<u16>(9);
-  ca.direction = a.global<char>(10);
-  ca.mm_loci = a.global<u32>(11);
-  ca.entrycount = a.global<u32>(12);
-  ca.entry_capacity = a.scalar<u32>(13);
-}
-
-template <class P>
-void comparer_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  comparer_swar_args ca;
-  comparer_opt6_unpack(a, ca);
-  ca.l_comp_swar = a.local<u64>(14);
-  comparer_swar_kernel<P>(it, ca);
-}
-
-/// Lane-batched row body (executor lane dispatch, profiling off only): no
-/// cooperative fetch, masks read straight from the global argument.
-void comparer_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
-  comparer_swar_args ca;
-  comparer_opt6_unpack(a, ca);
-  ca.l_comp_swar = const_cast<u64*>(ca.comp_swar);
-  comparer_swar_lanes(ca, first, nlanes);
-}
-
-/// Shared unpack of comparer_multi_opt6's global/scalar arguments (0..15),
-/// as comparer_opt6_unpack.
+/// Shared unpack of comparer_multi_opt6's global/scalar arguments (0..15);
+/// the local arg (16) resolves only inside a kernel item context, so the
+/// lane entry points it at the global masks instead.
 void comparer_multi_opt6_unpack(const oclsim::arg_view& a, comparer_multi_swar_args& ca) {
   ca.locicnts = a.scalar<u32>(0);
   ca.chr_packed2 = a.global<const u64>(1);
@@ -784,21 +599,14 @@ void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_multi_swar_kernel<P>(it, ca);
 }
 
-/// Lane-batched row body of the batched comparer, as comparer_opt6_lanes.
+/// Lane-batched row body (executor lane dispatch, profiling off only): no
+/// cooperative fetch, masks read straight from the global argument.
 void comparer_multi_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
   comparer_multi_swar_args ca;
   comparer_multi_opt6_unpack(a, ca);
   ca.l_comp_swar = const_cast<u64*>(ca.comp_swar);
   comparer_multi_swar_lanes(ca, first, nlanes);
 }
-
-const std::vector<oclsim::arg_kind> kComparerOpt6Sig = {
-    oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::scalar, oclsim::arg_kind::scalar, oclsim::arg_kind::scalar,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
-    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar, oclsim::arg_kind::local,
-};
 
 const std::vector<oclsim::arg_kind> kComparerMultiOpt6Sig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
@@ -848,13 +656,6 @@ const bool kKernelsRegistered = [] {
   oclsim::register_kernel({"comparer_opt5", kComparerSig, true,
                            &comparer_opt5_native<direct_mem>,
                            &comparer_opt5_native<counting_mem>, true});
-  oclsim::register_kernel({"comparer_multi", kComparerMultiSig, true,
-                           &comparer_multi_native<direct_mem>,
-                           &comparer_multi_native<counting_mem>, true});
-  oclsim::register_kernel({"comparer_opt6", kComparerOpt6Sig, true,
-                           &comparer_opt6_native<direct_mem>,
-                           &comparer_opt6_native<counting_mem>, true,
-                           &comparer_opt6_lanes});
   oclsim::register_kernel({"comparer_multi_opt6", kComparerMultiOpt6Sig, true,
                            &comparer_multi_opt6_native<direct_mem>,
                            &comparer_multi_opt6_native<counting_mem>, true,
@@ -879,10 +680,7 @@ constexpr cl_mem_flags kConstIn = CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR;
 class opencl_pipeline final : public device_pipeline {
  public:
   explicit opencl_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt, "opencl",
-                        {"finder", comparer_tag(opt.variant),
-                         comparer_variant_packs_words(opt.variant) ? "comparer/batch-opt6"
-                                                                   : "comparer/batch"}) {
+      : device_pipeline(opt, "opencl", {"finder", comparer_tag(opt.variant)}) {
     COF_CHECK(kKernelsRegistered);
     // Steps 1-3 of Table I: platform query, device query, context creation.
     cl_uint n = 0;
@@ -899,18 +697,12 @@ class opencl_pipeline final : public device_pipeline {
     program_ = clCreateProgramWithSource(ctx_, 1, &src, nullptr, &err);
     COF_CL_CHECK(err);
     COF_CL_CHECK(clBuildProgram(program_, 1, &device_, "-O3", nullptr, nullptr));
-    // Step 8: kernel objects. opt5 pairs the comparer with the bitmask-LUT
-    // finder (the pattern chars never reach the device at all); opt6 with
-    // the packed-word finder.
+    // Step 8: kernel objects, one finder and one comparer. opt5 pairs the
+    // comparer with the bitmask-LUT finder (the pattern chars never reach
+    // the device at all); opt6 with the packed-word finder.
     finder_k_ = clCreateKernel(program_, finder_kernel_name(), &err);
     COF_CL_CHECK(err);
     comparer_k_ = clCreateKernel(program_, comparer_kernel_name(), &err);
-    COF_CL_CHECK(err);
-    comparer_multi_k_ = clCreateKernel(program_,
-                                       opt_.variant == comparer_variant::opt6
-                                           ? "comparer_multi_opt6"
-                                           : "comparer_multi",
-                                       &err);
     COF_CL_CHECK(err);
   }
 
@@ -919,7 +711,6 @@ class opencl_pipeline final : public device_pipeline {
     release_launch();
     release_batch();
     release_chunk();
-    if (comparer_multi_k_ != nullptr) clReleaseKernel(comparer_multi_k_);
     if (comparer_k_ != nullptr) clReleaseKernel(comparer_k_);
     if (finder_k_ != nullptr) clReleaseKernel(finder_k_);
     if (program_ != nullptr) clReleaseProgram(program_);
@@ -1041,19 +832,15 @@ class opencl_pipeline final : public device_pipeline {
     return {n, nanos};
   }
 
-  /// Steps 5 + 9: one query's comparer buffers and arguments, then the
-  /// launch, the downloads that fit, and the release of every buffer the
-  /// launch created.
+  /// Steps 5 + 9: one query's per-query comparer buffers and arguments
+  /// (base..opt5), then the launch, the downloads that fit, and the release
+  /// of every buffer the launch created.
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
     cl_mem mmm = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u16), nullptr);
     cl_mem dirm = launch_buffer(CL_MEM_WRITE_ONLY, cap, nullptr);
     cl_mem mlocim = launch_buffer(CL_MEM_WRITE_ONLY, cap * sizeof(u32), nullptr);
-    if (packs_words()) {
-      set_comparer_swar_args(query, threshold, locicnt, cap, mmm, dirm, mlocim);
-    } else {
-      set_comparer_args(query, threshold, locicnt, cap, mmm, dirm, mlocim);
-    }
+    set_comparer_args(query, threshold, locicnt, cap, mmm, dirm, mlocim);
     zero_counter(count_);
 
     const util::u64 nanos = enqueue(comparer_k_, locicnt);
@@ -1102,40 +889,12 @@ class opencl_pipeline final : public device_pipeline {
         clSetKernelArg(comparer_k_, 14, query.index.size() * sizeof(i32), nullptr));
   }
 
-  /// opt6: SWAR comparer. clSetKernelArg marshals the per-word deny masks
-  /// against comparer_opt6's registered signature; the enqueue picks the
-  /// lane-batched native body up automatically when profiling is off.
-  void set_comparer_swar_args(const device_pattern& query, u16 threshold, u32 locicnt,
-                              usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
-    cl_mem cswarm = launch_buffer(kConstIn, query.swar.size() * sizeof(u64),
-                                  query.swar_data());
-    count_h2d(query.swar.size() * sizeof(u64));
-
-    const u32 plen = query.plen;
-    const u32 swar_words = query.swar_words;
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &amb2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 4, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 5, sizeof(cl_mem), &cswarm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 6, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 7, sizeof(u32), &swar_words));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 8, sizeof(u16), &threshold));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 9, sizeof(cl_mem), &mmm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 10, sizeof(cl_mem), &dirm));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 11, sizeof(cl_mem), &mlocim));
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 12, sizeof(cl_mem), &count_));
-    const u32 entry_cap = static_cast<u32>(cap);
-    COF_CL_CHECK(clSetKernelArg(comparer_k_, 13, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(
-        clSetKernelArg(comparer_k_, 14, query.swar.size() * sizeof(u64), nullptr));
-  }
-
-  /// Batched comparer, launch half: one comparer_multi enqueue consumes the
-  /// finder's device-resident loci/flag buffers for every query. Output
-  /// buffers (incl. a dedicated entry counter, so the shared counter stays
-  /// free for the next finder) stay staged until read_batch.
+  /// opt6's comparer, launch half: one comparer_multi_opt6 enqueue consumes
+  /// the finder's device-resident loci/flag buffers for every query; the
+  /// enqueue picks the lane-batched native body up automatically when
+  /// profiling is off. Output buffers (incl. a dedicated entry counter, so
+  /// the shared counter stays free for the next finder) stay staged until
+  /// read_batch.
   util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
     release_batch();
     cl_int err;
@@ -1152,50 +911,17 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(err);
     batch_count_ = clCreateBuffer(ctx_, CL_MEM_READ_WRITE, sizeof(u32), nullptr, &err);
     COF_CL_CHECK(err);
-    if (packs_words()) {
-      set_batch_swar_args(b, locicnt, cap);
-    } else {
-      set_batch_args(b, locicnt, cap);
-    }
+    set_batch_args(b, locicnt, cap);
     zero_counter(batch_count_);
 
-    const util::u64 nanos = enqueue(comparer_multi_k_, locicnt);
+    const util::u64 nanos = enqueue(comparer_k_, locicnt);
     release_launch();
     return nanos;
   }
 
+  /// comparer_multi_opt6's arguments: the concatenated per-query SWAR deny
+  /// masks and thresholds, marshalled against its registered signature.
   void set_batch_args(const query_batch& b, u32 locicnt, usize cap) {
-    const u32 nq = b.queries;
-    const u32 plen = b.plen;
-    cl_mem compm = launch_buffer(kConstIn, b.chars.size(), b.chars.data());
-    cl_mem cidxm = launch_buffer(kConstIn, b.index.size() * sizeof(i32), b.index.data());
-    cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), b.thresholds);
-    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + nq * sizeof(u16));
-
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 4, sizeof(cl_mem), &compm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 5, sizeof(cl_mem), &cidxm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 6, sizeof(cl_mem), &thrm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 7, sizeof(u32), &nq));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 8, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 9, sizeof(cl_mem), &batch_mm_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 10, sizeof(cl_mem), &batch_dir_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 11, sizeof(cl_mem), &batch_loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 12, sizeof(cl_mem), &batch_query_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 13, sizeof(cl_mem), &batch_count_));
-    const u32 entry_cap = static_cast<u32>(cap);
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 14, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, b.chars.size(), nullptr));
-    COF_CL_CHECK(
-        clSetKernelArg(comparer_multi_k_, 16, b.index.size() * sizeof(i32), nullptr));
-  }
-
-  /// Batched comparer, opt6: comparer_multi_opt6 over the concatenated
-  /// per-query SWAR deny masks.
-  void set_batch_swar_args(const query_batch& b, u32 locicnt, usize cap) {
     const u32 nq = b.queries;
     const u32 plen = b.plen;
     const u32 swar_words = b.swar_words;
@@ -1203,28 +929,28 @@ class opencl_pipeline final : public device_pipeline {
     cl_mem thrm = launch_buffer(kConstIn, nq * sizeof(u16), b.thresholds);
     count_h2d(b.swar.size() * sizeof(u64) + nq * sizeof(u16));
 
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 0, sizeof(u32), &locicnt));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 1, sizeof(cl_mem), &chr2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 2, sizeof(cl_mem), &amb2_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 3, sizeof(cl_mem), &loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 4, sizeof(cl_mem), &flag_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 5, sizeof(cl_mem), &cswarm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 6, sizeof(cl_mem), &thrm));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 7, sizeof(u32), &nq));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 8, sizeof(u32), &plen));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 9, sizeof(u32), &swar_words));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 10, sizeof(cl_mem), &batch_mm_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 11, sizeof(cl_mem), &batch_dir_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 12, sizeof(cl_mem), &batch_loci_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 13, sizeof(cl_mem), &batch_query_));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 14, sizeof(cl_mem), &batch_count_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 0, sizeof(u32), &locicnt));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 1, sizeof(cl_mem), &chr2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 2, sizeof(cl_mem), &amb2_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 3, sizeof(cl_mem), &loci_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 4, sizeof(cl_mem), &flag_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 5, sizeof(cl_mem), &cswarm));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 6, sizeof(cl_mem), &thrm));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 7, sizeof(u32), &nq));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 8, sizeof(u32), &plen));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 9, sizeof(u32), &swar_words));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 10, sizeof(cl_mem), &batch_mm_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 11, sizeof(cl_mem), &batch_dir_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 12, sizeof(cl_mem), &batch_loci_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 13, sizeof(cl_mem), &batch_query_));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 14, sizeof(cl_mem), &batch_count_));
     const u32 entry_cap = static_cast<u32>(cap);
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 15, sizeof(u32), &entry_cap));
-    COF_CL_CHECK(clSetKernelArg(comparer_multi_k_, 16, b.swar.size() * sizeof(u64),
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 15, sizeof(u32), &entry_cap));
+    COF_CL_CHECK(clSetKernelArg(comparer_k_, 16, b.swar.size() * sizeof(u64),
                                 nullptr));
   }
 
-  /// Batched comparer, read half: deferred download of the staged entry
+  /// opt6's comparer, read half: deferred download of the staged entry
   /// buffers that fit, then release of the device objects.
   u32 read_batch(usize cap, entries& out) override {
     const u32 n = read_counter(batch_count_);
@@ -1252,7 +978,7 @@ class opencl_pipeline final : public device_pipeline {
       case comparer_variant::opt3: return "comparer_opt3";
       case comparer_variant::opt4: return "comparer_opt4";
       case comparer_variant::opt5: return "comparer_opt5";
-      case comparer_variant::opt6: return "comparer_opt6";
+      case comparer_variant::opt6: return "comparer_multi_opt6";
     }
     return "comparer";
   }
@@ -1351,7 +1077,6 @@ class opencl_pipeline final : public device_pipeline {
   cl_program program_ = nullptr;
   cl_kernel finder_k_ = nullptr;
   cl_kernel comparer_k_ = nullptr;
-  cl_kernel comparer_multi_k_ = nullptr;
   cl_mem chr_ = nullptr;  // base..opt5: the chunk's chars
   cl_mem loci_ = nullptr;
   cl_mem flag_ = nullptr;

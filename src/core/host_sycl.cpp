@@ -22,8 +22,7 @@ class sycl_pipeline final : public device_pipeline {
     if (opt_.wg_size == 0) opt_.wg_size = 256;  // the SYCL application pins 256
   }
   explicit sycl_pipeline(const pipeline_options& opt)
-      : sycl_pipeline(opt, "sycl",
-                      {"finder", comparer_tag(opt.variant), "comparer/batch"}) {}
+      : sycl_pipeline(opt, "sycl", {"finder", comparer_tag(opt.variant)}) {}
 
  private:
   /// Bytes upload puts on the device for a chunk of `bases`: the two word
@@ -220,8 +219,8 @@ class sycl_pipeline final : public device_pipeline {
     sycl::buffer<u32, 1>& count;
   };
 
-  /// One query's comparer: device-local outputs for `cap` entries, released
-  /// with this frame.
+  /// One query's per-query comparer (base..opt5): device-local outputs for
+  /// `cap` entries, released with this frame.
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
     sycl::buffer<u16, 1> mm_buf{sycl::range<1>(cap)};
@@ -230,13 +229,8 @@ class sycl_pipeline final : public device_pipeline {
     sycl::buffer<u32, 1> ccount_buf{sycl::range<1>(1)};
     zero_count(ccount_buf);
     const comparer_out o{mm_buf, dir_buf, mm_loci_buf, ccount_buf};
-    if (packs_words()) {
-      opt_.counting ? submit_comparer_swar<counting_mem>(query, threshold, locicnt, cap, o)
-                    : submit_comparer_swar<direct_mem>(query, threshold, locicnt, cap, o);
-    } else {
-      opt_.counting ? submit_comparer<counting_mem>(query, threshold, locicnt, cap, o)
-                    : submit_comparer<direct_mem>(query, threshold, locicnt, cap, o);
-    }
+    opt_.counting ? submit_comparer<counting_mem>(query, threshold, locicnt, cap, o)
+                  : submit_comparer<direct_mem>(query, threshold, locicnt, cap, o);
     const util::u64 nanos = q_.cof_last_launch().wall_nanos;
     const u32 n = read_count(ccount_buf);
     if (n != 0 && n <= cap) {
@@ -308,77 +302,10 @@ class sycl_pipeline final : public device_pipeline {
      }).wait();
   }
 
-  /// opt6: SWAR comparer over the chunk's 2-bit words. Non-counting runs
-  /// additionally install the lane-batched row body, which the executor
-  /// substitutes for per-item execution when the host's SIMD lanes are
-  /// enabled.
-  template <class P>
-  void submit_comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt,
-                            usize cap, const comparer_out& o) {
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt, lws);
-    sycl::buffer<util::u64, 1> cswar_buf(query.swar_data(),
-                                         sycl::range<1>(query.swar.size()));
-    count_h2d(query.swar.size() * sizeof(util::u64));
-
-    const u32 plen = query.plen;
-    const u32 swar_words = query.swar_words;
-    const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
-    q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tags().comparer.c_str());
-       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
-       auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
-       auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
-       auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
-       auto cswar = cswar_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto mm = o.mm.get_access<sycl::sycl_write>(cgh);
-       auto dir = o.dir.get_access<sycl::sycl_write>(cgh);
-       auto mloci = o.loci.get_access<sycl::sycl_write>(cgh);
-       auto cnt = o.count.get_access<sycl::sycl_read_write>(cgh);
-       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(query.swar.size()),
-                                                 cgh);
-       const auto fill_args = [=](comparer_swar_args& a) {
-         a.locicnts = locicnt;
-         a.chr_packed2 = chr2.get_pointer();
-         a.chr_amb2 = amb2.get_pointer();
-         a.loci = loci.get_pointer();
-         a.flag = flag.get_pointer();
-         a.comp_swar = cswar.get_pointer();
-         a.plen = plen;
-         a.swar_words = swar_words;
-         a.threshold = threshold;
-         a.mm_count = mm.get_pointer();
-         a.direction = dir.get_pointer();
-         a.mm_loci = mloci.get_pointer();
-         a.entrycount = cnt.get_pointer();
-         a.entry_capacity = static_cast<u32>(cap);
-       };
-       const auto kernel = [=](sycl::nd_item<1> item) {
-         comparer_swar_args a;
-         fill_args(a);
-         a.l_comp_swar = l_swar.get_pointer();
-         comparer_swar_kernel<P>(item, a);
-       };
-       if (opt_.counting) {
-         cgh.parallel_for(ndr, kernel);
-       } else {
-         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
-           comparer_swar_args a;
-           fill_args(a);
-           // Lane rows skip the cooperative fetch; masks come straight from
-           // the constant-memory array.
-           a.l_comp_swar = cswar.get_pointer();
-           comparer_swar_lanes(a, first, nlanes);
-         });
-       }
-     }).wait();
-  }
-
-  /// Batched comparer, launch half: one kernel covers every query (see
-  /// kernels.hpp/comparer_multi_kernel), consuming the finder's loci/flag
-  /// buffers device-side. Output buffers stay device-resident as staged
-  /// members until read_batch downloads them.
+  /// opt6's comparer, launch half: one kernel covers every query (see
+  /// kernels_swar.hpp/comparer_multi_swar_kernel), consuming the finder's
+  /// loci/flag buffers device-side. Output buffers stay device-resident as
+  /// staged members until read_batch downloads them.
   util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
     batch_mm_buf_.emplace(sycl::range<1>(cap));
     batch_dir_buf_.emplace(sycl::range<1>(cap));
@@ -386,83 +313,17 @@ class sycl_pipeline final : public device_pipeline {
     batch_query_buf_.emplace(sycl::range<1>(cap));
     batch_count_buf_.emplace(sycl::range<1>(1));
     zero_count(*batch_count_buf_);
-    if (packs_words()) {
-      opt_.counting ? submit_batch_swar<counting_mem>(b, locicnt, cap)
-                    : submit_batch_swar<direct_mem>(b, locicnt, cap);
-    } else {
-      opt_.counting ? submit_batch<counting_mem>(b, locicnt, cap)
-                    : submit_batch<direct_mem>(b, locicnt, cap);
-    }
+    opt_.counting ? submit_batch<counting_mem>(b, locicnt, cap)
+                  : submit_batch<direct_mem>(b, locicnt, cap);
     return q_.cof_last_launch().wall_nanos;
   }
 
+  /// The SWAR kernel over every query, building each locus's window once.
+  /// Non-counting runs additionally install its lane-batched row body, which
+  /// the executor substitutes for per-item execution when the host's SIMD
+  /// lanes are enabled.
   template <class P>
   void submit_batch(const query_batch& b, u32 locicnt, usize cap) {
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt, lws);
-    sycl::buffer<char, 1> comp_buf(b.chars.data(), sycl::range<1>(b.chars.size()));
-    sycl::buffer<i32, 1> cidx_buf(b.index.data(), sycl::range<1>(b.index.size()));
-    sycl::buffer<u16, 1> cmask_buf(b.mask.data(), sycl::range<1>(b.mask.size()));
-    sycl::buffer<u16, 1> thr_buf(b.thresholds, sycl::range<1>(b.queries));
-    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + b.queries * sizeof(u16));
-
-    const bool use_mask = opt_.variant == comparer_variant::opt5;
-    const u32 nq = b.queries;
-    const u32 plen = b.plen;
-    q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tags().batch.c_str());
-       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
-       auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
-       auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
-       auto comp = comp_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto cidx = cidx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto thr = thr_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto mm = batch_mm_buf_->get_access<sycl::sycl_write>(cgh);
-       auto dir = batch_dir_buf_->get_access<sycl::sycl_write>(cgh);
-       auto mloci = batch_loci_buf_->get_access<sycl::sycl_write>(cgh);
-       auto mquery = batch_query_buf_->get_access<sycl::sycl_write>(cgh);
-       auto cnt = batch_count_buf_->get_access<sycl::sycl_read_write>(cgh);
-       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(b.chars.size()), cgh);
-       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(b.index.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          comparer_multi_args a;
-                          a.locicnts = locicnt;
-                          a.chr = chr.get_pointer();
-                          a.loci = loci.get_pointer();
-                          a.flag = flag.get_pointer();
-                          a.comp = comp.get_pointer();
-                          a.comp_index = cidx.get_pointer();
-                          a.comp_mask = cmask.get_pointer();
-                          a.thresholds = thr.get_pointer();
-                          a.nqueries = nq;
-                          a.plen = plen;
-                          a.mm_count = mm.get_pointer();
-                          a.direction = dir.get_pointer();
-                          a.mm_loci = mloci.get_pointer();
-                          a.mm_query = mquery.get_pointer();
-                          a.entrycount = cnt.get_pointer();
-                          a.entry_capacity = static_cast<u32>(cap);
-                          a.l_comp = l_comp.get_pointer();
-                          a.l_comp_index = l_cidx.get_pointer();
-                          a.l_comp_mask = l_cmask.get_pointer();
-                          if (use_mask) {
-                            comparer_multi_kernel_mask<P>(item, a);
-                          } else {
-                            comparer_multi_kernel<P>(item, a);
-                          }
-                        });
-     }).wait();
-  }
-
-  /// Batched comparer under opt6: one SWAR kernel covers every query,
-  /// building each locus's window once (comparer_multi_swar_kernel).
-  /// Non-counting runs install its lane body too.
-  template <class P>
-  void submit_batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(locicnt, lws);
     sycl::buffer<util::u64, 1> cswar_buf(b.swar.data(), sycl::range<1>(b.swar.size()));
@@ -473,7 +334,7 @@ class sycl_pipeline final : public device_pipeline {
     const u32 plen = b.plen;
     const u32 swar_words = b.swar_words;
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tags().batch.c_str());
+       cgh.cof_set_name(tags().comparer.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
@@ -527,7 +388,7 @@ class sycl_pipeline final : public device_pipeline {
      }).wait();
   }
 
-  /// Batched comparer, read half: deferred download of the staged entry
+  /// opt6's comparer, read half: deferred download of the staged entry
   /// buffers (count + four arrays), then release of the device storage.
   u32 read_batch(usize cap, entries& out) override {
     const u32 n = read_count(*batch_count_buf_);

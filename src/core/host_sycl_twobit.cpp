@@ -1,10 +1,10 @@
 // SYCL host program over 2-bit packed chunks (the upstream memory
 // optimisation, §V [21]): the host packs each chunk with genome::twobit_seq
 // and uploads ~3/8 of the char payload (2 bits/base + 1 ambiguity bit/base)
-// for the nibble kernels of base..opt5. opt6 already runs on packed words on
-// every facade, so under opt6 the factory hands out the buffer-SYCL host
-// program, batched comparer included, under this facade's name and launch
-// names instead.
+// for the nibble kernels of base..opt5, one comparer launch per guide. opt6
+// already runs on packed words on every facade, so under opt6 the factory
+// hands out the buffer-SYCL host program, batched comparer included, under
+// this facade's name and launch names instead.
 #include <algorithm>
 #include <optional>
 
@@ -21,10 +21,8 @@ namespace {
 
 class sycl_twobit_pipeline final : public device_pipeline {
  public:
-  // No multi-query nibble kernel: launch_comparer_batch stages per-query
-  // launches.
   explicit sycl_twobit_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt, "sycl-2bit", {"finder/2bit", "comparer/2bit", ""}),
+      : device_pipeline(opt, "sycl-2bit", {"finder/2bit", "comparer/2bit"}),
         q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;
   }
@@ -115,6 +113,7 @@ class sycl_twobit_pipeline final : public device_pipeline {
     count_h2d(pat.device_chars() + pat.index.size() * sizeof(i32));
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder/2bit");
+       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto packed = packed_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb = amb_buf_->get_access<sycl::sycl_read>(cgh);
        auto patc = pat_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
@@ -188,6 +187,7 @@ class sycl_twobit_pipeline final : public device_pipeline {
     count_h2d(query.device_chars() + query.index.size() * sizeof(i32));
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("comparer/2bit");
+       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto packed = packed_buf_->get_access<sycl::sycl_read>(cgh);
        auto amb = amb_buf_->get_access<sycl::sycl_read>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_read>(cgh);
@@ -239,9 +239,7 @@ class sycl_twobit_pipeline final : public device_pipeline {
 
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt) {
   if (comparer_variant_packs_words(opt.variant)) {
-    return make_sycl_pipeline(
-        opt, "sycl-2bit",
-        {"finder/2bit-opt6", "comparer/2bit-opt6", "comparer/2bit-batch-opt6"});
+    return make_sycl_pipeline(opt, "sycl-2bit", {"finder/2bit-opt6", "comparer/2bit-opt6"});
   }
   return std::make_unique<sycl_twobit_pipeline>(opt);
 }

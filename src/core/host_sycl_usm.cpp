@@ -19,8 +19,7 @@ namespace {
 class sycl_usm_pipeline final : public device_pipeline {
  public:
   explicit sycl_usm_pipeline(const pipeline_options& opt)
-      : device_pipeline(opt, "sycl-usm",
-                        {"finder", comparer_tag(opt.variant), "comparer/batch"}),
+      : device_pipeline(opt, "sycl-usm", {"finder", comparer_tag(opt.variant)}),
         q_(sycl::gpu_selector{}) {
     if (opt_.wg_size == 0) opt_.wg_size = 256;
   }
@@ -232,16 +231,12 @@ class sycl_usm_pipeline final : public device_pipeline {
     return n;
   }
 
+  /// One query's per-query comparer (base..opt5).
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
     const comparer_out o = alloc_out(cap);
-    if (packs_words()) {
-      opt_.counting ? comparer_swar<counting_mem>(query, threshold, locicnt, cap, o)
-                    : comparer_swar<direct_mem>(query, threshold, locicnt, cap, o);
-    } else {
-      opt_.counting ? comparer<counting_mem>(query, threshold, locicnt, cap, o)
-                    : comparer<direct_mem>(query, threshold, locicnt, cap, o);
-    }
+    opt_.counting ? comparer<counting_mem>(query, threshold, locicnt, cap, o)
+                  : comparer<direct_mem>(query, threshold, locicnt, cap, o);
     const util::u64 nanos = q_.cof_last_launch().wall_nanos;
     return {read_out(o, cap, out), nanos};
   }
@@ -263,7 +258,6 @@ class sycl_usm_pipeline final : public device_pipeline {
       count_h2d(query.mask.size() * sizeof(u16));
     }
 
-    const std::string tag = comparer_tag(opt_.variant);
     const comparer_variant variant = opt_.variant;
     const char* chr = chr_;
     const u32* loci = loci_;
@@ -271,7 +265,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     const u32 plen = query.plen;
     const u32 entry_cap = static_cast<u32>(cap);
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tag.c_str());
+       cgh.cof_set_name(tags().comparer.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<char, 1> l_comp(sycl::range<1>(query.device_chars()), cgh);
        sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(query.index.size()), cgh);
@@ -304,62 +298,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     sycl::free(cmaskd, q_);
   }
 
-  /// opt6: SWAR comparer over the chunk's device-resident words.
-  /// Non-counting runs install the lane-batched row body (AVX2 when the host
-  /// has it, scalar otherwise).
-  template <class P>
-  void comparer_swar(const device_pattern& query, u16 threshold, u32 locicnt, usize cap,
-                     const comparer_out& o) {
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt, lws);
-
-    util::u64* csward = sycl::malloc_device<util::u64>(query.swar.size(), q_);
-    q_.memcpy(csward, query.swar_data(), query.swar.size() * sizeof(util::u64));
-    count_h2d(query.swar.size() * sizeof(util::u64));
-
-    const std::string tag = comparer_tag(opt_.variant);
-    comparer_swar_args base;
-    base.locicnts = locicnt;
-    base.chr_packed2 = chr2_;
-    base.chr_amb2 = amb2_;
-    base.loci = loci_;
-    base.flag = flag_;
-    base.comp_swar = csward;
-    base.plen = query.plen;
-    base.swar_words = query.swar_words;
-    base.threshold = threshold;
-    base.mm_count = o.mm;
-    base.direction = o.dir;
-    base.mm_loci = o.loci;
-    base.entrycount = o.count;
-    base.entry_capacity = static_cast<u32>(cap);
-    const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
-    q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name(tag.c_str());
-       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(query.swar.size()),
-                                                 cgh);
-       const auto kernel = [=](sycl::nd_item<1> item) {
-         comparer_swar_args a = base;
-         a.l_comp_swar = l_swar.get_pointer();
-         comparer_swar_kernel<P>(item, a);
-       };
-       if (opt_.counting) {
-         cgh.parallel_for(ndr, kernel);
-       } else {
-         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
-           comparer_swar_args a = base;
-           // Lane rows skip the cooperative fetch; masks come straight from
-           // the device-global array (read-only through this alias).
-           a.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
-           comparer_swar_lanes(a, first, nlanes);
-         });
-       }
-     }).wait();
-    sycl::free(csward, q_);
-  }
-
-  /// Batched comparer, launch half: one multi-query kernel over the
+  /// opt6's comparer, launch half: one multi-query kernel over the
   /// device-resident loci/flag arrays; output allocations stay on device
   /// (staged members) until read_batch downloads and frees them.
   util::u64 launch_batch(const query_batch& b, u32 locicnt, usize cap) override {
@@ -370,92 +309,16 @@ class sycl_usm_pipeline final : public device_pipeline {
     batch_query_ = sycl::malloc_device<u16>(cap, q_);
     batch_count_ = sycl::malloc_device<u32>(1, q_);
     zero_count(batch_count_);
-    if (packs_words()) {
-      opt_.counting ? batch_swar<counting_mem>(b, locicnt, cap)
-                    : batch_swar<direct_mem>(b, locicnt, cap);
-    } else {
-      opt_.counting ? batch<counting_mem>(b, locicnt, cap)
-                    : batch<direct_mem>(b, locicnt, cap);
-    }
+    opt_.counting ? batch<counting_mem>(b, locicnt, cap)
+                  : batch<direct_mem>(b, locicnt, cap);
     return q_.cof_last_launch().wall_nanos;
   }
 
+  /// The multi-query SWAR kernel (comparer_multi_swar_kernel), each
+  /// locus's window built once. Non-counting runs install the lane-batched
+  /// row body too (AVX2 when the host has it, scalar otherwise).
   template <class P>
   void batch(const query_batch& b, u32 locicnt, usize cap) {
-    const usize lws = opt_.wg_size;
-    const usize gws = util::round_up<usize>(locicnt, lws);
-    const u32 nq = b.queries;
-
-    char* compd = sycl::malloc_device<char>(b.chars.size(), q_);
-    i32* cidxd = sycl::malloc_device<i32>(b.index.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(b.mask.size(), q_);
-    u16* thrd = sycl::malloc_device<u16>(nq, q_);
-    q_.memcpy(compd, b.chars.data(), b.chars.size());
-    q_.memcpy(cidxd, b.index.data(), b.index.size() * sizeof(i32));
-    q_.memcpy(thrd, b.thresholds, nq * sizeof(u16));
-    count_h2d(b.chars.size() + b.index.size() * sizeof(i32) + nq * sizeof(u16));
-    if (opt_.variant == comparer_variant::opt5) {
-      q_.memcpy(cmaskd, b.mask.data(), b.mask.size() * sizeof(u16));
-      count_h2d(b.mask.size() * sizeof(u16));
-    }
-
-    const bool use_mask = opt_.variant == comparer_variant::opt5;
-    const u32 plen = b.plen;
-    const char* chr = chr_;
-    const u32* loci = loci_;
-    const char* flag = flag_;
-    u16* mmd = batch_mm_;
-    char* dird = batch_dir_;
-    u32* mlocid = batch_loci_;
-    u16* mqueryd = batch_query_;
-    u32* ccountd = batch_count_;
-    const u32 entry_cap = static_cast<u32>(cap);
-    q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("comparer/batch");
-       if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
-       sycl::local_accessor<char, 1> l_comp(sycl::range<1>(b.chars.size()), cgh);
-       sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(b.index.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(b.mask.size()), cgh);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          comparer_multi_args a;
-                          a.locicnts = locicnt;
-                          a.chr = chr;
-                          a.loci = loci;
-                          a.flag = flag;
-                          a.comp = compd;
-                          a.comp_index = cidxd;
-                          a.comp_mask = cmaskd;
-                          a.thresholds = thrd;
-                          a.nqueries = nq;
-                          a.plen = plen;
-                          a.mm_count = mmd;
-                          a.direction = dird;
-                          a.mm_loci = mlocid;
-                          a.mm_query = mqueryd;
-                          a.entrycount = ccountd;
-                          a.entry_capacity = entry_cap;
-                          a.l_comp = l_comp.get_pointer();
-                          a.l_comp_index = l_cidx.get_pointer();
-                          a.l_comp_mask = l_cmask.get_pointer();
-                          if (use_mask) {
-                            comparer_multi_kernel_mask<P>(item, a);
-                          } else {
-                            comparer_multi_kernel<P>(item, a);
-                          }
-                        });
-     }).wait();
-    sycl::free(compd, q_);
-    sycl::free(cidxd, q_);
-    sycl::free(cmaskd, q_);
-    sycl::free(thrd, q_);
-  }
-
-  /// Batched comparer under opt6: one multi-query SWAR kernel
-  /// (comparer_multi_swar_kernel), each locus's window built once.
-  /// Non-counting runs install its lane body too.
-  template <class P>
-  void batch_swar(const query_batch& b, u32 locicnt, usize cap) {
     const usize lws = opt_.wg_size;
     const usize gws = util::round_up<usize>(locicnt, lws);
     const u32 nq = b.queries;
@@ -485,7 +348,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     base.entry_capacity = static_cast<u32>(cap);
     const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
     q_.submit([&](sycl::handler& cgh) {
-       cgh.cof_set_name("comparer/batch");
+       cgh.cof_set_name(tags().comparer.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<util::u64, 1> l_swar(sycl::range<1>(b.swar.size()), cgh);
        const auto kernel = [=](sycl::nd_item<1> item) {
@@ -509,7 +372,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     sycl::free(thrd, q_);
   }
 
-  /// Batched comparer, read half: deferred download + free of the staged
+  /// opt6's comparer, read half: deferred download + free of the staged
   /// device allocations.
   u32 read_batch(usize cap, entries& out) override {
     const u32 n = read_count(batch_count_);

@@ -673,10 +673,9 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
                 ++hits;
               }
               rc->last_used = ++sl.tick;
-              // Batched: N guides coalesce into a single comparer_multi (or
-              // opt6 SWAR) dispatch over the device-resident loci.
-              const auto entries = rc->pipe->run_comparers(dev_queries, thresholds,
-                                                           opt_.batch_queries);
+              // Under opt6, N guides coalesce into a single batched
+              // dispatch over the device-resident loci.
+              const auto entries = rc->pipe->run_comparers(dev_queries, thresholds);
               append_records(entries, ch.text, ch.chrom_index, ch.start, dev_queries,
                              local);
             },

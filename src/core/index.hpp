@@ -4,8 +4,8 @@
 // chunk), kept device-resident across query batches, and persisted to a
 // versioned `.cofidx` file. Warm queries then answer any set of guide RNAs
 // with comparer-only launches: zero FASTA decode, zero finder launches, and
-// N concurrent guides coalesce into one multi-query comparer launch per
-// chunk (the comparer_multi / opt6 batched path).
+// under opt6 N concurrent guides coalesce into one multi-query comparer
+// launch per chunk.
 //
 //   genome_index idx = build_index(g, cfg.pattern, opt);   // cold, once
 //   save_index("hg19.cofidx", idx);                        // persist
@@ -121,8 +121,9 @@ void check_index_matches_source(const genome_index& idx,
 /// (engine_options::resident_bytes, split evenly across slots), so repeated
 /// query() calls re-upload nothing while the working set fits (chunk_hits
 /// counts device-resident reuses, chunk_misses the uploads, chunk_evictions
-/// the budget-forced drops). Every query() runs ONE batched multi-query
-/// comparer launch per chunk (one per query when opt.batch_queries is off).
+/// the budget-forced drops). Every query() runs the variant's comparer per
+/// chunk: ONE batched launch under opt6, one launch per query under
+/// base..opt5.
 ///
 /// With engine_options::num_devices > 1 the session shards its slots across
 /// a device_set (opt.num_queues slots PER device, slot s pinned to device

@@ -553,129 +553,10 @@ inline void comparer_opt5(const Item& it, const comparer_args& a) {
   detail::comparer_mask_impl<P, Item>(it, a);
 }
 
-// ---------------------------------------------------------------------------
-// batched multi-query comparer (extension)
-// ---------------------------------------------------------------------------
-
-/// One launch compares every query against the finder's loci: loci[i] and
-/// flag[i] are read once per locus instead of once per (locus, query), and
-/// the reference characters stay cache-hot across queries. A natural next
-/// optimisation beyond the paper's opt3 (which still launches the comparer
-/// per query, as upstream Cas-OFFinder does).
-struct comparer_multi_args {
-  u32 locicnts = 0;
-  const char* chr = nullptr;
-  const u32* loci = nullptr;
-  const char* flag = nullptr;
-  const char* comp = nullptr;        // nqueries x (query | rc(query))
-  const i32* comp_index = nullptr;   // nqueries x 2*plen
-  const u16* comp_mask = nullptr;    // nqueries x 2*plen deny LUTs (opt5)
-  const u16* thresholds = nullptr;   // per query
-  u32 nqueries = 0;
-  u32 plen = 0;
-  u16* mm_count = nullptr;           // out per entry
-  char* direction = nullptr;
-  u32* mm_loci = nullptr;
-  u16* mm_query = nullptr;           // out: query index per entry
-  u32* entrycount = nullptr;
-  /// Output-array capacity; appends at or past it are dropped (counter
-  /// still advances so the host can report the overflow).
-  u32 entry_capacity = ~u32{0};
-  char* l_comp = nullptr;            // local, nqueries * 2*plen
-  i32* l_comp_index = nullptr;       // local, nqueries * 2*plen
-  u16* l_comp_mask = nullptr;        // local, nqueries * 2*plen (opt5)
-};
-
-namespace detail {
-
-template <class PItem, bool Mask>
-inline void compare_strand_multi(PItem& p, const comparer_multi_args& a, u32 q,
-                                 int half, char dir, u32 locus) {
-  const u32 base = (q * 2 + static_cast<u32>(half)) * a.plen;
-  const u16 threshold = p.gload(a.thresholds, q);
-  u16 lmm_count = 0;
-  for (u32 j = 0; j < a.plen; ++j) {
-    p.count_loop();
-    const i32 k = p.lload(a.l_comp_index, base + j);
-    if (k == -1) break;
-    const auto ku = static_cast<usize>(k);
-    const char rv = p.gload(a.chr, locus + ku);
-    bool mismatch;
-    if constexpr (Mask) {
-      auto mask = [&] { return p.lload(a.l_comp_mask, base + ku); };
-      mismatch = mask_mismatch(p, mask, rv);
-    } else {
-      const char pv = p.lload(a.l_comp, base + ku);
-      mismatch = chain_mismatch(p, [&] { return pv; }, [&] { return rv; });
-    }
-    if (mismatch) {
-      ++lmm_count;
-      if (lmm_count > threshold) {
-        p.count_branch();
-        break;
-      }
-    }
-  }
-  if (lmm_count <= threshold) {
-    const u32 old = p.atomic_inc(a.entrycount);
-    if (old < a.entry_capacity) {
-      p.gstore(a.mm_count, old, lmm_count);
-      p.gstore(a.direction, old, dir);
-      p.gstore(a.mm_loci, old, locus);
-      p.gstore(a.mm_query, old, static_cast<u16>(q));
-    }
-  }
-}
-
-template <class P, class Item, bool Mask>
-inline void comparer_multi_impl(const Item& it, const comparer_multi_args& a) {
-  typename P::item p;
-  const usize i = it.get_global_id(0);
-  const usize li = i - it.get_group(0) * it.get_local_range(0);
-
-  const xpu::exec_phase ph = it.cof_phase();
-  if (ph != xpu::exec_phase::post_fetch) {
-    // Cooperative fetch of every query's pattern arrays.
-    const u32 total = a.nqueries * a.plen * 2;
-    for (u32 k = static_cast<u32>(li); k < total;
-         k += static_cast<u32>(it.get_local_range(0))) {
-      if constexpr (Mask) {
-        p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
-      } else {
-        p.lstore(a.l_comp, k, p.gload(a.comp, k));
-      }
-      p.lstore(a.l_comp_index, k, p.gload(a.comp_index, k));
-    }
-    if (ph == xpu::exec_phase::fetch_only) return;
-    it.barrier();
-  }
-  if (i >= a.locicnts) return;
-
-  // loci[i]/flag[i]: ONE read each for all queries.
-  const char f = p.gload(a.flag, i);
-  const u32 locus = p.gload(a.loci, i);
-  for (u32 q = 0; q < a.nqueries; ++q) {
-    if (f == 0 || f == 1) compare_strand_multi<typename P::item, Mask>(p, a, q, 0, '+', locus);
-    if (f == 0 || f == 2) compare_strand_multi<typename P::item, Mask>(p, a, q, 1, '-', locus);
-  }
-}
-
-}  // namespace detail
-
-template <class P, class Item>
-inline void comparer_multi_kernel(const Item& it, const comparer_multi_args& a) {
-  detail::comparer_multi_impl<P, Item, false>(it, a);
-}
-
-/// Batched comparer with the opt5 bitmask-LUT mismatch test.
-template <class P, class Item>
-inline void comparer_multi_kernel_mask(const Item& it, const comparer_multi_args& a) {
-  detail::comparer_multi_impl<P, Item, true>(it, a);
-}
-
-/// Uniform dispatch: run the selected comparer variant. opt6 consumes the
-/// two-bit SWAR argument block instead (kernels_swar.hpp); callers route it
-/// before reaching this switch.
+/// Uniform dispatch: run the selected per-query comparer variant. opt6 has
+/// no per-query kernel: its batched comparer consumes the two-bit SWAR
+/// argument block instead (kernels_swar.hpp); callers route it before
+/// reaching this switch.
 template <class P, class Item>
 inline void comparer_dispatch(comparer_variant v, const Item& it,
                               const comparer_args& a) {
@@ -687,7 +568,7 @@ inline void comparer_dispatch(comparer_variant v, const Item& it,
     case comparer_variant::opt4: comparer_opt4<P>(it, a); return;
     case comparer_variant::opt5: comparer_opt5<P>(it, a); return;
     case comparer_variant::opt6:
-      COF_CHECK_MSG(false, "opt6 dispatches through comparer_swar_args");
+      COF_CHECK_MSG(false, "opt6 dispatches through comparer_multi_swar_args");
       return;
   }
 }

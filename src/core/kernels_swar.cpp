@@ -125,10 +125,10 @@ COF_AVX2 inline avx2_loci avx2_loci_of(const u32 locus[4]) {
   return l;
 }
 
-/// The one AVX2 window helper both comparers share: gathers word w (and the
-/// word after it) of both arrays at each locus, shift-combines them, limits
-/// the ambiguity mask to the pattern's live bases and derives the four
-/// equality masks, ambiguous lanes cleared (swar_window_at, four loci wide).
+/// The comparer's AVX2 window helper: gathers word w (and the word after
+/// it) of both arrays at each locus, shift-combines them, limits the
+/// ambiguity mask to the pattern's live bases and derives the four equality
+/// masks, ambiguous lanes cleared (swar_window_at, four loci wide).
 COF_AVX2 inline void avx2_window_at(const u64* packed2, const u64* amb2,
                                     const avx2_loci& l, u32 w, u32 plen,
                                     avx2_window_word& out) {
@@ -166,43 +166,11 @@ COF_AVX2 inline void avx2_score(const avx2_window_word& ww, const u64* masks,
   for (int l = 0; l < 4; ++l) lmm[l] += static_cast<u32>(_mm_popcnt_u64(lanes[l]));
 }
 
-/// Four loci of the per-query comparer: the window words per strand,
-/// scored with that strand's masks; the atomic appends peel out per lane.
-/// Only sound for the direct memory policy (no event counting) — the
-/// facades only install the lane path when profiling is off.
-COF_AVX2 void avx2_quad(const comparer_swar_args& a, usize i) {
-  char f[4] = {};
-  u32 locus[4] = {};
-  for (int l = 0; l < 4; ++l) {
-    f[l] = a.flag[i + l];
-    locus[l] = a.loci[i + l];
-  }
-  const avx2_loci loci = avx2_loci_of(locus);
-  for (int half = 0; half < 2; ++half) {
-    const usize swar_base =
-        static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord;
-    u32 lmm[4] = {0, 0, 0, 0};
-    for (u32 w = 0; w < a.swar_words; ++w) {
-      avx2_window_word ww = {};
-      avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
-      avx2_score(ww, a.l_comp_swar + swar_base + w * kSwarMasksPerWord, lmm);
-    }
-    for (int l = 0; l < 4; ++l) {
-      if (!(f[l] == 0 || f[l] == half + 1)) continue;
-      if (lmm[l] > a.threshold) continue;
-      const u32 old = std::atomic_ref<u32>(*a.entrycount).fetch_add(1u);
-      if (old < a.entry_capacity) {
-        a.mm_count[old] = static_cast<u16>(lmm[l]);
-        a.direction[old] = half == 0 ? '+' : '-';
-        a.mm_loci[old] = locus[l];
-      }
-    }
-  }
-}
-
-/// Four loci of the batched comparer: the windows' first kSwarWindowBlock
-/// words are built once per quad, then every (query, strand) scores them
-/// with its own masks. A strand stops early once all its lanes are out.
+/// Four loci of the comparer: the windows' first kSwarWindowBlock words are
+/// built once per quad, then every (query, strand) scores them with its own
+/// masks. A strand stops early once all its lanes are out. Only sound for
+/// the direct memory policy (no event counting) — the facades only install
+/// the lane path when profiling is off.
 COF_AVX2 void avx2_multi_quad(const comparer_multi_swar_args& a, usize i) {
   char f[4] = {};
   u32 locus[4] = {};
@@ -307,17 +275,6 @@ COF_AVX2 usize avx2_find_quads(const finder_swar_args& a, usize g, usize n, u64*
 
 // The lane bodies: AVX2 quads when the host's SIMD lanes are enabled, then
 // the per-item body for the rest of the row (all of it otherwise).
-
-void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes) {
-  const usize end = live_end(first, nlanes, a.locicnts);
-  usize i = first;
-#if defined(__x86_64__)
-  if (util::simd_lanes_enabled()) {
-    for (; i + 4 <= end; i += 4) avx2_quad(a, i);
-  }
-#endif
-  for (direct_mem::item p; i < end; ++i) detail::swar_item_body(p, a, i);
-}
 
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes) {

@@ -20,33 +20,32 @@
 // step and appends a block of kSwarFinderAppendBlock work-items' hits
 // behind one atomic.
 //
-// Comparer (comparer_swar_kernel): the host precomputes, per query half and
-// per 32-base word, one 64-bit deny mask for each reference code plus a
-// fifth for 'N' (device_pattern::swar, derived bit-for-bit from the opt5
-// deny LUT). One word evaluation replaces up to 32 opt5 loop iterations:
+// Comparer (comparer_multi_swar_kernel): one launch covers every query of
+// the chunk; a single guide is a batch of one. The host precomputes, per
+// query half and per 32-base word, one 64-bit deny mask for each reference
+// code plus a fifth for 'N' (device_pattern::swar, derived bit-for-bit from
+// the opt5 deny LUT). One word evaluation replaces up to 32 opt5 loop
+// iterations:
 //
 //   count = popcount(mm & ~ambiguous) + popcount(ambiguous & deny_N)
 //
 // The second term is the finder's ambiguity rule again: every non-ACGT
 // reference byte mismatches exactly where 'N' does, so the words alone are
-// exact and no chunk chars reach the device. The kernels are byte-identical
-// to opt5 on every reference byte, asserted exhaustively by
+// exact and no chunk chars reach the device. The comparer applies opt2 to
+// the window every query shares: it reads and decodes a locus's window
+// words once (the first kSwarWindowBlock of them kept in registers, later
+// ones built where a query reaches them) and scores each (query, strand)
+// with its five deny masks and a popcount per word. The kernels are
+// byte-identical to opt5 on every reference byte, asserted exhaustively by
 // tests/test_swar.cpp.
 //
-// The batched comparer (comparer_multi_swar_kernel) applies opt2 to the
-// window every query shares: it reads and decodes a locus's window words
-// once (the first kSwarWindowBlock of them kept in registers, later ones
-// built where a query reaches them) and scores each (query, strand) with
-// its five deny masks and a popcount per word.
-//
-// The comparers cooperate with the two-phase executor (single leading
-// barrier) like every other comparer. Every opt6 kernel also exposes a
-// lane-batched body (finder_swar_lanes, comparer_swar_lanes,
-// comparer_multi_swar_lanes) the executor can invoke over a whole
-// work-group row; on AVX2 hosts it processes four work-items per
-// instruction stream (kernels_swar.cpp), with the per-item body as the
-// portable fallback. The per-item kernels stay the definition: counting
-// launches never install a lane body.
+// The comparer cooperates with the two-phase executor (single leading
+// barrier) like every other comparer. Both opt6 kernels also expose a
+// lane-batched body (finder_swar_lanes, comparer_multi_swar_lanes) the
+// executor can invoke over a whole work-group row; on AVX2 hosts it
+// processes four work-items per instruction stream (kernels_swar.cpp), with
+// the per-item body as the portable fallback. The per-item kernels stay the
+// definition: counting launches never install a lane body.
 #pragma once
 
 #include <algorithm>
@@ -228,28 +227,8 @@ void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes);
 // kernel arguments
 // ---------------------------------------------------------------------------
 
-struct comparer_swar_args {
-  u32 locicnts = 0;
-  const u64* chr_packed2 = nullptr;  // 2-bit codes, padded (global)
-  const u64* chr_amb2 = nullptr;     // ambiguity flags, same geometry (global)
-  const u32* loci = nullptr;         // finder output (global)
-  const char* flag = nullptr;        // finder output (global)
-  const u64* comp_swar = nullptr;    // 2*swar_words*kSwarMasksPerWord (constant)
-  u32 plen = 0;
-  u32 swar_words = 0;                // ceil(plen/32)
-  u16 threshold = 0;
-  u16* mm_count = nullptr;           // out per entry (global)
-  char* direction = nullptr;         // out: '+' or '-' (global)
-  u32* mm_loci = nullptr;            // out (global)
-  u32* entrycount = nullptr;         // atomic append counter (global)
-  /// Output-array capacity; appends at or past it are dropped (counter
-  /// still advances so the host can report the overflow).
-  u32 entry_capacity = ~u32{0};
-  u64* l_comp_swar = nullptr;        // local, 2*swar_words*kSwarMasksPerWord
-};
-
-/// Batched multi-query twin (the comparer_multi path under opt6): per-query
-/// SWAR masks are concatenated, loci/flag read once per locus.
+/// opt6's comparer: every query's SWAR masks concatenated, loci/flag read
+/// once per locus.
 struct comparer_multi_swar_args {
   u32 locicnts = 0;
   const u64* chr_packed2 = nullptr;
@@ -324,58 +303,6 @@ inline u64 swar_score(PItem& p, const swar_window_word& ww, const u64* masks,
   return mm;
 }
 
-/// Mismatches of one strand at `locus`, SWAR word by word. `swar_base`
-/// addresses this (query, half)'s masks inside the local array. Sets
-/// `under` false (and stops) once the count exceeds the threshold; when
-/// `under` survives, the return value is the exact mismatch count the
-/// sequential opt5 scan would produce.
-template <class PItem>
-inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
-                             const u64* l_swar, usize swar_base, u32 locus,
-                             u16 threshold, bool& under) {
-  u16 lmm = 0;
-  under = true;
-  for (u32 w = 0; w < a.swar_words; ++w) {
-    const swar_window_word ww =
-        swar_window_at(p, a.chr_packed2, a.chr_amb2, locus, w, a.plen);
-    const u64 mm = swar_score(p, ww, l_swar, swar_base + w * kSwarMasksPerWord);
-    lmm = static_cast<u16>(lmm + __builtin_popcountll(mm));
-    if (lmm > threshold) {
-      p.count_branch();
-      under = false;
-      return lmm;
-    }
-  }
-  return lmm;
-}
-
-template <class PItem>
-inline void swar_strand(PItem& p, const comparer_swar_args& a, int half, char dir,
-                        u32 locus) {
-  bool under = false;
-  const u16 lmm = swar_count_strand(
-      p, a, a.l_comp_swar, static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord,
-      locus, a.threshold, under);
-  if (under) {
-    const u32 old = p.atomic_inc(a.entrycount);
-    if (old < a.entry_capacity) {
-      p.gstore(a.mm_count, old, lmm);
-      p.gstore(a.direction, old, dir);
-      p.gstore(a.mm_loci, old, locus);
-    }
-  }
-}
-
-/// Post-fetch work of one work-item (also the lane-loop body).
-template <class PItem>
-inline void swar_item_body(PItem& p, const comparer_swar_args& a, usize i) {
-  if (i >= a.locicnts) return;
-  const char f = p.gload(a.flag, i);
-  const u32 locus = p.gload(a.loci, i);
-  if (f == 0 || f == 1) swar_strand(p, a, 0, '+', locus);
-  if (f == 0 || f == 2) swar_strand(p, a, 1, '-', locus);
-}
-
 /// The batched comparer's post-fetch work for one locus (also the lane
 /// loop's body): loci[i]/flag[i] and the window's first kSwarWindowBlock
 /// words are read once for every (query, strand); each of those scores
@@ -427,38 +354,8 @@ inline void swar_multi_item_body(PItem& p, const comparer_multi_swar_args& a, us
 }  // namespace detail
 
 /// opt6 comparer. Structure mirrors opt5 (cooperative fetch, single leading
-/// barrier, two-phase cooperation); the fetch brings in the per-word SWAR
-/// masks.
-template <class P, class Item>
-inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
-  typename P::item p;
-  const usize i = it.get_global_id(0);
-  const usize li = i - it.get_group(0) * it.get_local_range(0);
-
-  const xpu::exec_phase ph = it.cof_phase();
-  if (ph != xpu::exec_phase::post_fetch) {
-    const u32 nswar = 2 * a.swar_words * static_cast<u32>(kSwarMasksPerWord);
-    for (u32 k = static_cast<u32>(li); k < nswar;
-         k += static_cast<u32>(it.get_local_range(0))) {
-      p.lstore(a.l_comp_swar, k, p.gload(a.comp_swar, k));
-    }
-    if (ph == xpu::exec_phase::fetch_only) return;
-    it.barrier();
-  }
-  detail::swar_item_body(p, a, i);
-}
-
-/// Lane-batched post-fetch entry (direct memory policy only): the facades
-/// hand this to the executor's lane dispatch for work-items
-/// [first, first+nlanes). Four loci per AVX2 step when the host's SIMD
-/// lanes are enabled, the per-item body otherwise (kernels_swar.cpp); both
-/// orders of arithmetic are identical, so the output bytes are too.
-void comparer_swar_lanes(const comparer_swar_args& a, usize first, usize nlanes);
-
-// ---------------------------------------------------------------------------
-// batched multi-query kernel
-// ---------------------------------------------------------------------------
-
+/// barrier, two-phase cooperation); the fetch brings in every query's
+/// per-word SWAR masks.
 template <class P, class Item>
 inline void comparer_multi_swar_kernel(const Item& it,
                                        const comparer_multi_swar_args& a) {
@@ -480,10 +377,12 @@ inline void comparer_multi_swar_kernel(const Item& it,
   detail::swar_multi_item_body(p, a, i);
 }
 
-/// Lane-batched post-fetch entry of the batched comparer (direct memory
-/// policy only), the counterpart of comparer_swar_lanes: four loci per
-/// AVX2 step, each quad's window built once for every (query, strand), or
-/// the per-item body; the entries are the same, each tagged with its query.
+/// Lane-batched post-fetch entry (direct memory policy only): the facades
+/// hand this to the executor's lane dispatch for work-items
+/// [first, first+nlanes). Four loci per AVX2 step when the host's SIMD
+/// lanes are enabled, each quad's window built once for every (query,
+/// strand), the per-item body otherwise (kernels_swar.cpp); both orders of
+/// arithmetic are identical, so the output bytes are too.
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes);
 

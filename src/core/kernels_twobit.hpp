@@ -68,13 +68,18 @@ inline void finder_twobit_kernel(const Item& it, const finder_twobit_args& a) {
   const usize i = it.get_global_id(0);
   const usize li = i - it.get_group(0) * it.get_local_range(0);
 
-  // Cooperative fetch (the optimised style — this kernel postdates opt3).
-  for (u32 k = static_cast<u32>(li); k < a.plen * 2;
-       k += static_cast<u32>(it.get_local_range(0))) {
-    p.lstore(a.l_pat, k, p.gload(a.pat, k));
-    p.lstore(a.l_pat_index, k, p.gload(a.pat_index, k));
+  // Cooperative fetch (the optimised style — this kernel postdates opt3),
+  // cooperating with the two-phase executor like the char kernels.
+  const xpu::exec_phase ph = it.cof_phase();
+  if (ph != xpu::exec_phase::post_fetch) {
+    for (u32 k = static_cast<u32>(li); k < a.plen * 2;
+         k += static_cast<u32>(it.get_local_range(0))) {
+      p.lstore(a.l_pat, k, p.gload(a.pat, k));
+      p.lstore(a.l_pat_index, k, p.gload(a.pat_index, k));
+    }
+    if (ph == xpu::exec_phase::fetch_only) return;
+    it.barrier();
   }
-  it.barrier();
   if (i >= a.chrsize) return;
 
   bool strand_match[2];
@@ -164,12 +169,16 @@ inline void comparer_twobit_kernel(const Item& it, const comparer_twobit_args& a
   const usize i = it.get_global_id(0);
   const usize li = i - it.get_group(0) * it.get_local_range(0);
 
-  for (u32 k = static_cast<u32>(li); k < a.plen * 2;
-       k += static_cast<u32>(it.get_local_range(0))) {
-    p.lstore(a.l_comp, k, p.gload(a.comp, k));
-    p.lstore(a.l_comp_index, k, p.gload(a.comp_index, k));
+  const xpu::exec_phase ph = it.cof_phase();
+  if (ph != xpu::exec_phase::post_fetch) {
+    for (u32 k = static_cast<u32>(li); k < a.plen * 2;
+         k += static_cast<u32>(it.get_local_range(0))) {
+      p.lstore(a.l_comp, k, p.gload(a.comp, k));
+      p.lstore(a.l_comp_index, k, p.gload(a.comp_index, k));
+    }
+    if (ph == xpu::exec_phase::fetch_only) return;
+    it.barrier();
   }
-  it.barrier();
   if (i >= a.locicnts) return;
 
   const char f = p.gload(a.flag, i);

@@ -141,45 +141,33 @@ void device_pipeline::load_indexed_chunk(const packed_chunk& ch, u32 plen,
   metrics_.total_loci += n;
 }
 
-device_pipeline::entries device_pipeline::run_comparer(const device_pattern& query,
-                                                       u16 threshold) {
+void device_pipeline::stage_query(const device_pattern& query, u16 threshold, u16 qidx) {
   obs::span sp("comparer", "device");
-  entries out;
-  if (locicnt_ == 0) return out;
   COF_CHECK_MSG(query.plen == plen_, "query length != pattern length");
   // fw + rc per locus worst case, shrunk by the max_entries cap.
   const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2);
+  entries e;
   const launch_stats s = launch(tags_.comparer, metrics_.comparer_launches, [&] {
-    return launch_comparer(query, threshold, locicnt_, cap, out);
+    return launch_comparer(query, threshold, locicnt_, cap, e);
   });
   metrics_.d2h_bytes += sizeof(u32);
   check_entry_capacity("comparer", s.count, cap);
   metrics_.d2h_bytes += s.count * kEntryBytes;
   metrics_.total_entries += s.count;
-  return out;
+  staged_.mm.insert(staged_.mm.end(), e.mm.begin(), e.mm.end());
+  staged_.dir.insert(staged_.dir.end(), e.dir.begin(), e.dir.end());
+  staged_.loci.insert(staged_.loci.end(), e.loci.begin(), e.loci.end());
+  staged_.qidx.insert(staged_.qidx.end(), e.size(), qidx);
 }
 
 device_pipeline::entries device_pipeline::run_comparers(
-    const std::vector<device_pattern>& queries, const std::vector<u16>& thresholds,
-    bool batched) {
-  if (batched) {
-    launch_comparer_batch(queries, thresholds).wait();
-    return fetch_entries();
-  }
-  entries all;
-  for (usize q = 0; q < queries.size(); ++q) {
-    entries e = run_comparer(queries[q], thresholds[q]);
-    all.mm.insert(all.mm.end(), e.mm.begin(), e.mm.end());
-    all.dir.insert(all.dir.end(), e.dir.begin(), e.dir.end());
-    all.loci.insert(all.loci.end(), e.loci.begin(), e.loci.end());
-    all.qidx.insert(all.qidx.end(), e.size(), static_cast<u16>(q));
-  }
-  return all;
+    const std::vector<device_pattern>& queries, const std::vector<u16>& thresholds) {
+  launch_comparer_batch(queries, thresholds).wait();
+  return fetch_entries();
 }
 
 device_pipeline::query_batch device_pipeline::pack(
     const std::vector<device_pattern>& queries, const std::vector<u16>& thresholds) const {
-  COF_CHECK(queries.size() == thresholds.size());
   query_batch b;
   b.queries = static_cast<u32>(queries.size());
   b.plen = queries.front().plen;
@@ -188,13 +176,7 @@ device_pipeline::query_batch device_pipeline::pack(
   COF_CHECK_MSG(b.plen == plen_, "query length != pattern length");
   for (const auto& q : queries) {
     COF_CHECK_MSG(q.plen == b.plen, "batched queries must share one length");
-    if (packs_words_) {
-      b.swar.insert(b.swar.end(), q.swar.begin(), q.swar.end());
-    } else {
-      b.chars += q.fwrc;
-      b.index.insert(b.index.end(), q.index.begin(), q.index.end());
-      b.mask.insert(b.mask.end(), q.mask.begin(), q.mask.end());
-    }
+    b.swar.insert(b.swar.end(), q.swar.begin(), q.swar.end());
   }
   return b;
 }
@@ -204,18 +186,21 @@ pipe_event device_pipeline::launch_comparer_batch(const std::vector<device_patte
   obs::span sp("comparer.batch", "device");
   sp.arg("queries", static_cast<double>(queries.size()));
   fault::inject_point(fault::site::dev_launch);
+  COF_CHECK(queries.size() == thresholds.size());
   batch_pending_ = true;
   batch_cap_ = 0;
-  if (tags_.batch.empty()) {
-    // No multi-query kernel: stage the per-query launches.
-    staged_ = run_comparers(queries, thresholds, /*batched=*/false);
-    return {};
-  }
   staged_ = {};
   if (locicnt_ == 0 || queries.empty()) return {};  // fetch yields empty
+  if (!packs_words_) {
+    // base..opt5: the paper's loop, one launch per guide.
+    for (usize q = 0; q < queries.size(); ++q) {
+      stage_query(queries[q], thresholds[q], static_cast<u16>(q));
+    }
+    return {};
+  }
   const query_batch b = pack(queries, thresholds);
   const usize cap = cap_entries(static_cast<usize>(locicnt_) * 2 * b.queries);
-  launch(tags_.batch, metrics_.comparer_launches,
+  launch(tags_.comparer, metrics_.comparer_launches,
          [&] { return launch_stats{0, launch_batch(b, locicnt_, cap)}; });
   batch_cap_ = cap;
   return {};
@@ -241,11 +226,11 @@ device_pipeline::entries device_pipeline::fetch_entries() {
 }
 
 util::u64 device_pipeline::launch_batch(const query_batch&, u32, usize) {
-  util::die("launch_batch without a multi-query comparer kernel");
+  util::die("launch_batch on a pipeline without opt6's comparer");
 }
 
 u32 device_pipeline::read_batch(usize, entries&) {
-  util::die("read_batch without a multi-query comparer kernel");
+  util::die("read_batch on a pipeline without opt6's comparer");
 }
 
 }  // namespace cof

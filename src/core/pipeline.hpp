@@ -22,6 +22,9 @@
 // The base owns:
 //   * the chunk and candidate state: chunk length, hit capacity, hit count
 //     and pattern length;
+//   * the choice of comparer, which follows the variant: base..opt5 run the
+//     paper's loop, one per-query launch per guide; opt6 runs ONE batched
+//     packed-word launch for every guide (a single guide is a batch of one);
 //   * entry sizing (cap_entries): the finder's worst case is one hit per
 //     position, a per-query comparer's two entries per hit, a batched one's
 //     two per hit and query, each shrunk to pipeline_options::max_entries
@@ -33,7 +36,7 @@
 //   * the profiler scope around every launch;
 //   * the `h2d.chunk`, `h2d.index_chunk`, `finder`, `comparer`,
 //     `comparer.batch` and `fetch` spans, and the `dev.alloc` (upload) and
-//     `dev.launch` (finder, batched comparer) fault points;
+//     `dev.launch` (finder, comparer batch) fault points;
 //   * every pipeline_metrics field except the h2d bytes of the pattern and
 //     query constants a facade chooses to upload, which it reports through
 //     count_h2d.
@@ -43,11 +46,11 @@
 //     hit arrays for the capacity given, and write the prebuilt candidates
 //     into them when there are any;
 //   * alloc_hits: (re)allocate the hit arrays; read_hits: copy hits back;
-//   * launch_finder, launch_comparer: one launch each;
-//   * launch_batch, read_batch: the multi-query comparer, launched and read
-//     back later. A facade without one names no batch kernel in its
-//     kernel_tags (the 2-bit facade's nibble kernels, base..opt5), and
-//     launch_comparer_batch then stages the per-query launches instead;
+//   * launch_finder: one launch;
+//   * launch_comparer: one guide's per-query comparer (base..opt5);
+//   * launch_batch, read_batch: opt6's multi-query comparer, launched and
+//     read back later. The 2-bit facade's nibble pipeline (base..opt5 only)
+//     has none;
 //   * chunk_bytes: the device bytes upload puts there for a chunk.
 //
 // Counting rule: a launch hook zeroes the kernel's append counter before it
@@ -185,7 +188,7 @@ class device_pipeline {
     std::vector<u16> mm;
     std::vector<char> dir;
     std::vector<u32> loci;
-    std::vector<u16> qidx;  // query index per entry (batched path)
+    std::vector<u16> qidx;  // query index per entry
     usize size() const { return mm.size(); }
     /// Size mm, dir and loci for `n` downloaded entries.
     void resize(usize n) {
@@ -202,8 +205,7 @@ class device_pipeline {
   /// Profiler names of a facade's launches.
   struct kernel_tags {
     std::string finder{};
-    std::string comparer{};  // one per-query launch
-    std::string batch{};     // the multi-query launch; empty: none
+    std::string comparer{};  // the variant's one comparer
   };
 
   const char* name() const { return name_; }
@@ -258,22 +260,18 @@ class device_pipeline {
     return chunk_bytes(bases) + hit_bytes(hits);
   }
 
-  /// Run the comparer for one query against the finder's hits.
-  entries run_comparer(const device_pattern& query, u16 threshold);
-
   /// Every query's entries for the loaded chunk, each tagged with its query
-  /// index. Batched: ONE multi-query launch (launch_comparer_batch, then
-  /// fetch_entries). Otherwise one run_comparer launch per query, as in the
-  /// paper / upstream — what the per-query `comparer/<variant>` kernel
-  /// profiles measure.
+  /// index: launch_comparer_batch, then fetch_entries.
   entries run_comparers(const std::vector<device_pattern>& queries,
-                        const std::vector<u16>& thresholds, bool batched);
+                        const std::vector<u16>& thresholds);
 
-  /// Split batched comparer: launch_comparer_batch starts the single
-  /// multi-query launch (finder loci/flags are consumed device-side, no
-  /// host round trip); fetch_entries later downloads the entry list. A
-  /// facade without a multi-query kernel runs the per-query launches here
-  /// and fetch_entries returns their staged entries.
+  /// Split comparer: launch_comparer_batch starts the variant's comparer
+  /// over every query (finder loci/flags are consumed device-side, no host
+  /// round trip); fetch_entries later downloads the entry list. Under opt6
+  /// that is ONE multi-query launch whose outputs stay on the device until
+  /// the fetch; under base..opt5 the per-query launches run here, one per
+  /// guide as in the paper / upstream, and fetch_entries returns their
+  /// staged entries.
   pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
                                    const std::vector<u16>& thresholds);
 
@@ -290,23 +288,19 @@ class device_pipeline {
     util::u64 nanos = 0;
   };
 
-  /// A batch's queries, concatenated for one multi-query launch: under opt6
-  /// their SWAR deny masks, otherwise their fwrc chars, indices and deny
-  /// LUTs.
+  /// A batch's queries, concatenated for one multi-query launch: their
+  /// SWAR deny masks.
   struct query_batch {
     u32 queries = 0;
     u32 plen = 0;
     u32 swar_words = 0;
     const u16* thresholds = nullptr;
-    std::string chars{};
-    std::vector<i32> index{};
-    std::vector<u16> mask{};
     std::vector<util::u64> swar{};
   };
 
   device_pipeline(const pipeline_options& opt, const char* name, kernel_tags tags);
 
-  /// "comparer/<variant>": the per-query comparer's profiler name.
+  /// "comparer/<variant>": the variant's comparer's profiler name.
   static std::string comparer_tag(comparer_variant v) {
     return std::string("comparer/") + comparer_variant_name(v);
   }
@@ -335,15 +329,16 @@ class device_pipeline {
   /// `cap` hits.
   virtual launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) = 0;
 
-  /// Launch one query's comparer over the first `loci` hits with outputs for
-  /// `cap` entries; download them into `out` when the count fits.
+  /// Launch one query's per-query comparer (base..opt5) over the first
+  /// `loci` hits with outputs for `cap` entries; download them into `out`
+  /// when the count fits.
   virtual launch_stats launch_comparer(const device_pattern& query, u16 threshold,
                                        u32 loci, usize cap, entries& out) = 0;
 
-  /// Launch the multi-query comparer over the first `loci` hits with
+  /// Launch opt6's multi-query comparer over the first `loci` hits with
   /// outputs for `cap` entries, left on the device for read_batch; returns
-  /// the kernel's wall nanos. Only a facade whose kernel_tags name a batch
-  /// kernel overrides this pair; the defaults are never called.
+  /// the kernel's wall nanos. The 2-bit facade's nibble pipeline, which
+  /// never runs opt6, keeps the defaults; they are never called.
   virtual util::u64 launch_batch(const query_batch& b, u32 loci, usize cap);
 
   /// Read back the last launch_batch: its append count, downloading the
@@ -387,6 +382,9 @@ class device_pipeline {
 
   void upload_chunk(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
                     std::span<const char> flags);
+  /// One guide's per-query launch (base..opt5), appended to staged_ with its
+  /// query index.
+  void stage_query(const device_pattern& query, u16 threshold, u16 qidx);
   /// One launch under its profiler scope, with the launch's accounting.
   template <class Launch>
   launch_stats launch(const std::string& tag, util::u64& launches, Launch&& go);
@@ -411,8 +409,7 @@ class device_pipeline {
 std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& opt);
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt);
 /// The buffer-SYCL host program under another facade's name and launch
-/// names; an empty tags.batch leaves it without the multi-query kernel. The
-/// 2-bit facade's opt6 path, batched comparer included.
+/// names: the 2-bit facade's opt6 path.
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
                                                     const char* name,
                                                     device_pipeline::kernel_tags tags);
@@ -420,10 +417,10 @@ std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
 /// SYCL host program over 2-bit packed chunks (the upstream memory
 /// optimisation, §V [21]). base..opt5 all run its optimised-style nibble
-/// kernels, which collapse every non-ACGT reference byte to 'N', with
-/// per-query launches only. Under opt6 the chunk is already packed, so it
-/// is the buffer-SYCL host program under the 2-bit facade's name and launch
-/// names.
+/// kernels, which collapse every non-ACGT reference byte to 'N', one
+/// per-query launch per guide. Under opt6 the chunk is already packed, so
+/// it is the buffer-SYCL host program under the 2-bit facade's name and
+/// launch names.
 std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt);
 
 /// The host programming steps each implementation performs (Table I).

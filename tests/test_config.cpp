@@ -53,6 +53,43 @@ TEST(ConfigErrors, MissingSections) {
   EXPECT_THROW((void)cof::parse_input("/g\nNNGG\n"), cof::config_error);
 }
 
+TEST(GuideSpec, ParsesGuideAndMismatchCount) {
+  const auto q = cof::parse_guide("GGCCGACCTGTCGCTGACGCNNN:3");
+  EXPECT_EQ(q.seq, "GGCCGACCTGTCGCTGACGCNNN");
+  EXPECT_EQ(q.max_mismatches, 3);
+  EXPECT_EQ(cof::parse_guide("ACGG").max_mismatches, 5);  // the default
+  EXPECT_EQ(cof::parse_guide("ACGG:0").max_mismatches, 0);
+  EXPECT_EQ(cof::parse_guide("ACGG:65535").max_mismatches, 65535);
+  // The guide is taken as written; the search checks its alphabet.
+  EXPECT_EQ(cof::parse_guide("acgz:1").seq, "acgz");
+}
+
+TEST(GuideSpecErrors, MalformedMismatchCount) {
+  for (const char* spec : {"ACGG:x", "ACGG:70000", "ACGG:", "ACGG:-1", "ACGG:1.5"}) {
+    EXPECT_THROW((void)cof::parse_guide(spec), cof::config_error) << spec;
+  }
+}
+
+TEST(GuideSpecErrors, EmptyGuide) {
+  EXPECT_THROW((void)cof::parse_guide(""), cof::config_error);
+  EXPECT_THROW((void)cof::parse_guide(":3"), cof::config_error);
+}
+
+TEST(ConfigErrors, CheckedConfigBuiltInCode) {
+  cof::search_config cfg;
+  cfg.pattern = "NNGG";
+  cfg.queries = {{"acgg", 1}};
+  EXPECT_NO_THROW(cof::check_alphabet(cfg));
+  EXPECT_NO_THROW(cof::check_guide_lengths(cfg));
+  cfg.queries.push_back({"ACGZ", 1});
+  EXPECT_THROW(cof::check_alphabet(cfg), cof::config_error);
+  cfg.queries.back() = {"ACGGT", 1};
+  EXPECT_NO_THROW(cof::check_alphabet(cfg));
+  EXPECT_THROW(cof::check_guide_lengths(cfg), cof::config_error);
+  cfg.pattern.clear();
+  EXPECT_THROW(cof::check_alphabet(cfg), cof::config_error);
+}
+
 TEST(Config, ReadFromFile) {
   namespace fs = std::filesystem;
   const auto path =

@@ -1,8 +1,10 @@
 // End-to-end engine tests: configured-genome loading, serial reference
-// behaviour, record content, and full-text output.
+// behaviour, record content, full-text output, and the argument errors
+// every entry point reports.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/engine_stream.hpp"
 #include "genome/synth.hpp"
 
 namespace {
@@ -143,6 +145,31 @@ TEST(Engine, EmptyGenomeChromosome) {
     auto r = run_search(cfg, g, {.backend = backend});
     EXPECT_TRUE(r.records.empty());
   }
+}
+
+// A guide of the wrong length or with a non-IUPAC character, and a chunk no
+// longer than the pattern's overlap, throw config_error before any source
+// is opened: on the in-memory device and serial paths, and on the streamed
+// path, whose FASTA is never read.
+TEST(EngineErrors, HostileArgumentsThrowConfigError) {
+  genome::genome_t g;
+  g.chroms.push_back({"chr1", std::string(500, 'T')});
+  const search_config cfg = parse_input(example_input("<mem>"));
+  search_config short_guide = cfg;
+  short_guide.queries = {{"ACGT", 2}};
+  search_config bad_char = cfg;
+  bad_char.queries = {{"GGCCGACCTGTCGCTGACGCNNZ", 3}};
+  for (const search_config& bad : {short_guide, bad_char}) {
+    for (const auto backend : {backend_kind::serial, backend_kind::sycl}) {
+      EXPECT_THROW((void)run_search(bad, g, {.backend = backend}), config_error)
+          << bad.queries[0].seq << " " << backend_name(backend);
+    }
+    EXPECT_THROW((void)run_search_streaming(bad, "missing.fa", {}), config_error)
+        << bad.queries[0].seq;
+  }
+  const engine_options tiny_chunk{.backend = backend_kind::sycl, .max_chunk = 10};
+  EXPECT_THROW((void)run_search(cfg, g, tiny_chunk), config_error);
+  EXPECT_THROW((void)run_search_streaming(cfg, "missing.fa", tiny_chunk), config_error);
 }
 
 }  // namespace

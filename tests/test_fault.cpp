@@ -922,13 +922,11 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
   }
 }
 
-/// The same round trip for the per-query and the batched comparer. An
-/// all-N pattern and all-N queries make every position a hit on both
-/// strands and every hit two entries per query, so a cap of exactly the
-/// finder's hits lets the finder fit and overflows the comparers. The 2-bit
-/// facade's nibble kernels (base..opt5) have no multi-query kernel and
-/// stage per-query launches, so there its batched overflow is a "comparer"
-/// one; under opt6 it runs the batched kernel like every other facade.
+/// The same round trip for the per-query comparer (opt5) and the batched
+/// one (opt6). An all-N pattern and all-N queries make every position a hit
+/// on both strands and every hit two entries per query, so a cap of exactly
+/// the finder's hits lets the finder fit and overflows the comparers: opt5
+/// at its first per-query launch, opt6 at the batch's fetch.
 TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
   auto g = fault_genome(108);
   const std::string all_n(23, 'N');
@@ -939,31 +937,25 @@ TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
   const std::string_view seq(g.chroms[0].seq.data(), 3000);
 
   for (const auto variant : {cof::comparer_variant::opt5, cof::comparer_variant::opt6}) {
-    const bool stages = GetParam() == cof::backend_kind::sycl_twobit &&
-                        variant != cof::comparer_variant::opt6;
-    for (const bool batched : {false, true}) {
-      const std::string where = std::string("variant=") +
-                                cof::comparer_variant_name(variant) +
-                                " batched=" + (batched ? "1" : "0");
-      auto uncapped = make(0, variant);
-      uncapped->load_chunk(seq);
-      const util::u32 hits = uncapped->run_finder(pat);
-      const util::usize first = uncapped->run_comparer(queries[0], thresholds[0]).size();
-      const util::usize all = uncapped->run_comparers(queries, thresholds, batched).size();
-      ASSERT_GT(first, hits) << where;
-      const bool batch_kernel = batched && !stages;
+    const std::string where = std::string("variant=") + cof::comparer_variant_name(variant);
+    const bool batched = variant == cof::comparer_variant::opt6;
+    auto uncapped = make(0, variant);
+    uncapped->load_chunk(seq);
+    const util::u32 hits = uncapped->run_finder(pat);
+    const util::usize first = uncapped->run_comparers({queries[0]}, {thresholds[0]}).size();
+    const util::usize all = uncapped->run_comparers(queries, thresholds).size();
+    ASSERT_GT(first, hits) << where;
 
-      auto capped = make(hits, variant);
-      capped->load_chunk(seq);
-      ASSERT_EQ(capped->run_finder(pat), hits) << where;
-      try {
-        (void)capped->run_comparers(queries, thresholds, batched);
-        FAIL() << "expected entry_overflow_error, " << where;
-      } catch (const cof::entry_overflow_error& e) {
-        EXPECT_EQ(e.kernel(), batch_kernel ? "comparer/batch" : "comparer") << where;
-        EXPECT_EQ(e.required(), batch_kernel ? all : first) << where;
-        EXPECT_EQ(e.capacity(), hits) << where;
-      }
+    auto capped = make(hits, variant);
+    capped->load_chunk(seq);
+    ASSERT_EQ(capped->run_finder(pat), hits) << where;
+    try {
+      (void)capped->run_comparers(queries, thresholds);
+      FAIL() << "expected entry_overflow_error, " << where;
+    } catch (const cof::entry_overflow_error& e) {
+      EXPECT_EQ(e.kernel(), batched ? "comparer/batch" : "comparer") << where;
+      EXPECT_EQ(e.required(), batched ? all : first) << where;
+      EXPECT_EQ(e.capacity(), hits) << where;
     }
   }
 }

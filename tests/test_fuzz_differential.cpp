@@ -2,8 +2,9 @@
 // an empty record and a record ending exactly on a chunk boundary), random
 // IUPAC PAM patterns, random degenerate queries and thresholds — every entry
 // point (in-memory, streamed from FASTA, warm index) on every device backend,
-// in both launch modes, must agree with the serial reference bit-for-bit,
-// across chunkings and work-group sizes. This is the repository's broadest
+// with both comparer shapes (opt6's batched launch, base's per-query
+// launches), must agree with the serial reference bit-for-bit, across
+// chunkings and work-group sizes. This is the repository's broadest
 // invariant.
 #include <gtest/gtest.h>
 
@@ -137,11 +138,11 @@ TEST_P(Differential, EveryEntryPointMatchesSerial) {
                        .wg_size = fc.wg,
                        .max_chunk = fc.max_chunk};
     const genome_index idx = build_index(fc.g, fc.cfg.pattern, opt);
-    for (const bool batched : {true, false}) {
-      opt.batch_queries = batched;
+    for (const auto variant : {comparer_variant::opt6, comparer_variant::base}) {
+      opt.variant = variant;
       const auto where = [&](const char* entry) {
-        return std::string(entry) + " " + backend_name(backend) +
-               (batched ? " batched" : " per-query") +
+        return std::string(entry) + " " + backend_name(backend) + " " +
+               comparer_variant_name(variant) +
                " seed=" + std::to_string(GetParam()) + " pattern=" +
                fc.cfg.pattern + " chunk=" + std::to_string(fc.max_chunk) +
                " wg=" + std::to_string(fc.wg);
@@ -159,24 +160,19 @@ TEST_P(Differential, EveryEntryPointMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range(1, 17));
 
-// Both launch modes, so the per-query kernels of opt1..opt4 (which have no
-// batched twin) stay fuzzed now that batched launches are the default.
+// Every variant, so the per-query kernels of opt1..opt4 stay fuzzed beside
+// opt6's batched comparer.
 class DifferentialVariants : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialVariants, VariantsMatchSerial) {
   const auto fc = make_case(static_cast<util::u64>(GetParam()) + 1000);
   const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
   for (int v = 0; v < kNumComparerVariants; ++v) {
-    for (const bool batched : {true, false}) {
-      engine_options opt{.backend = backend_kind::sycl,
-                         .variant = static_cast<comparer_variant>(v),
-                         .max_chunk = fc.max_chunk,
-                         .batch_queries = batched};
-      const auto r = run_search(fc.cfg, fc.g, opt);
-      ASSERT_EQ(r.records, serial.records)
-          << "variant " << v << (batched ? " batched" : " per-query")
-          << " seed=" << GetParam();
-    }
+    engine_options opt{.backend = backend_kind::sycl,
+                       .variant = static_cast<comparer_variant>(v),
+                       .max_chunk = fc.max_chunk};
+    const auto r = run_search(fc.cfg, fc.g, opt);
+    ASSERT_EQ(r.records, serial.records) << "variant " << v << " seed=" << GetParam();
   }
 }
 

@@ -155,17 +155,15 @@ cmp_run canonicalise(const std::vector<u16>& mm, const std::vector<char>& dir,
   return r;
 }
 
-/// opt6 runs through its own argument block: the chunk is 2-bit packed on
-/// the fly and the query's per-word SWAR deny masks land in local memory.
+/// opt6 runs its batched comparer with a batch of one guide: the chunk is
+/// 2-bit packed on the fly and the query's per-word SWAR deny masks land in
+/// local memory. Direct runs also take the executor's lane rows, which must
+/// store the same entries.
 cmp_run run_comparer_swar(const std::string& chunk, const std::vector<u32>& loci,
                           const std::vector<char>& flags, const device_pattern& query,
                           u16 threshold, usize wg, bool counting) {
   const u32 n = static_cast<u32>(loci.size());
   const usize cap = static_cast<usize>(n) * 2;
-  std::vector<u16> mm(cap, 0);
-  std::vector<char> dir(cap, 0);
-  std::vector<u32> mloci(cap, 0);
-  u32 count = 0;
   const auto sref = swar_pack(chunk);
 
   xpu::launch_config cfg;
@@ -173,29 +171,58 @@ cmp_run run_comparer_swar(const std::string& chunk, const std::vector<u32>& loci
   cfg.local[0] = wg;
   cfg.local_mem_bytes = query.swar.size() * sizeof(util::u64);
   cfg.uses_barrier = true;
-  comparer_swar_args a;
-  a.locicnts = n;
-  a.chr_packed2 = sref.packed2.data();
-  a.chr_amb2 = sref.amb2.data();
-  a.loci = loci.data();
-  a.flag = flags.data();
-  a.comp_swar = query.swar_data();
-  a.plen = query.plen;
-  a.swar_words = query.swar_words;
-  a.threshold = threshold;
-  a.mm_count = mm.data();
-  a.direction = dir.data();
-  a.mm_loci = mloci.data();
-  a.entrycount = &count;
-  dev().run(cfg, [&](xpu::xitem& it) {
-    a.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
-    if (counting) {
-      comparer_swar_kernel<counting_mem>(it, a);
+  const auto launch = [&](bool via_lanes) {
+    std::vector<u16> mm(cap, 0);
+    std::vector<char> dir(cap, 0);
+    std::vector<u32> mloci(cap, 0);
+    std::vector<u16> mquery(cap, 0);
+    u32 count = 0;
+    comparer_multi_swar_args a;
+    a.locicnts = n;
+    a.chr_packed2 = sref.packed2.data();
+    a.chr_amb2 = sref.amb2.data();
+    a.loci = loci.data();
+    a.flag = flags.data();
+    a.comp_swar = query.swar_data();
+    a.thresholds = &threshold;
+    a.nqueries = 1;
+    a.plen = query.plen;
+    a.swar_words = query.swar_words;
+    a.mm_count = mm.data();
+    a.direction = dir.data();
+    a.mm_loci = mloci.data();
+    a.mm_query = mquery.data();
+    a.entrycount = &count;
+    auto item = [&](xpu::xitem& it) {
+      comparer_multi_swar_args b = a;
+      b.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
+      if (counting) {
+        comparer_multi_swar_kernel<counting_mem>(it, b);
+      } else {
+        comparer_multi_swar_kernel<direct_mem>(it, b);
+      }
+    };
+    if (via_lanes) {
+      xpu::launch_config lanes_cfg = cfg;
+      lanes_cfg.single_leading_barrier = true;
+      dev().run_lanes(lanes_cfg, item, [&](const xpu::xitem& first, usize nlanes) {
+        comparer_multi_swar_args la = a;
+        la.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
+        comparer_multi_swar_lanes(la, first.get_global_id(0), nlanes);
+      });
     } else {
-      comparer_swar_kernel<direct_mem>(it, a);
+      dev().run(cfg, item);
     }
-  });
-  return canonicalise(mm, dir, mloci, count);
+    return canonicalise(mm, dir, mloci, count);
+  };
+  const cmp_run per_item = launch(false);
+  if (!counting) {
+    const cmp_run lanes = launch(true);
+    EXPECT_EQ(lanes.mm, per_item.mm) << "lane rows";
+    EXPECT_EQ(lanes.dir, per_item.dir) << "lane rows";
+    EXPECT_EQ(lanes.loci, per_item.loci) << "lane rows";
+  }
+  return per_item;
 }
 
 cmp_run run_comparer(comparer_variant v, const std::string& chunk,

@@ -160,8 +160,7 @@ TEST(Pipelines, CountingModeMatchesDirectResults) {
                           .variant = comparer_variant::base,
                           .max_chunk = 8192,
                           .counting = true,
-                          .profiler = &prof,
-                          .batch_queries = false};
+                          .profiler = &prof};
   auto rd = run_search(cfg, g, direct);
   auto rc = run_search(cfg, g, counting);
   EXPECT_EQ(rd.records, rc.records);
@@ -177,8 +176,7 @@ TEST(Pipelines, OclCountingAlsoRecords) {
                      .variant = comparer_variant::base,
                      .max_chunk = 8192,
                      .counting = true,
-                     .profiler = &prof,
-                     .batch_queries = false};
+                     .profiler = &prof};
   auto r = run_search(cfg, g, opt);
   EXPECT_GT(prof.get("comparer/base").events[prof::ev::work_item], 0u);
   EXPECT_GT(prof.get("comparer/base").launches, 0u);
@@ -187,8 +185,8 @@ TEST(Pipelines, OclCountingAlsoRecords) {
 /// An overflowing launch must not leak its own buffers: once the pipeline
 /// is destroyed, the OpenCL object census is back where it started. The
 /// entry.clamp fault forces the overflow at the finder (its first capacity
-/// check), or at the first per-query comparer or the batched comparer's
-/// fetch (the second).
+/// check), or at the comparer (the second): base's first per-query launch,
+/// opt6's batched fetch.
 TEST(Pipelines, OclOverflowLeaksNoLaunchBuffers) {
   auto g = small_genome(11, 20000);
   auto cfg = small_config();
@@ -200,42 +198,33 @@ TEST(Pipelines, OclOverflowLeaksNoLaunchBuffers) {
     thresholds.push_back(q.max_mismatches);
   }
   const std::string_view chunk(g.chroms[0].seq);
-  struct overflow_case {
-    const char* kernel;
-    const char* plan;
-    bool batched;
-  };
   (void)make_opencl_pipeline({});  // any lazily built runtime state
   for (const auto variant : {comparer_variant::base, comparer_variant::opt6}) {
-    for (const auto& c :
-         {overflow_case{"finder", "entry.clamp=hit:1", false},
-          overflow_case{"comparer", "entry.clamp=hit:2", false},
-          overflow_case{"comparer/batch", "entry.clamp=hit:2", true}}) {
+    for (const char* plan : {"entry.clamp=hit:1", "entry.clamp=hit:2"}) {
       const long before = oclsim::census::live().load();
       {
-        fault::scope faults(c.plan);
+        fault::scope faults(plan);
         auto pipe = make_opencl_pipeline({.variant = variant});
         pipe->load_chunk(chunk);
         EXPECT_THROW(
             {
               (void)pipe->run_finder(pat);
-              (void)pipe->run_comparers(queries, thresholds, c.batched);
+              (void)pipe->run_comparers(queries, thresholds);
             },
             entry_overflow_error)
-            << c.kernel;
+            << plan;
       }
       EXPECT_EQ(oclsim::census::live().load(), before)
-          << c.kernel << " overflow on " << comparer_variant_name(variant);
+          << plan << " overflow on " << comparer_variant_name(variant);
     }
   }
 }
 
 /// The accounting device_pipeline owns is the same on every facade: one
-/// chunk and one query set, per-query, batched and warm, on all four
-/// facades and every variant. The finder and entry counts always agree;
-/// launches and downloads agree wherever every facade runs the same launches
-/// (under base..opt5 the 2-bit facade stages a batch as per-query launches;
-/// under opt6 it runs the batched kernel too).
+/// chunk and one query set, cold and warm, on all four facades and every
+/// variant. The finder and entry counts, the launches and the downloads
+/// always agree: every facade runs the variant's one comparer (per-query
+/// launches under base..opt5, the batched kernel under opt6).
 TEST(Pipelines, FacadesAgreeOnAccounting) {
   auto g = small_genome(21, 20000);
   auto cfg = small_config();
@@ -263,7 +252,7 @@ TEST(Pipelines, FacadesAgreeOnAccounting) {
       loci = pipe->read_loci();
       flags = pipe->read_flags();
     }
-    for (const char* mode : {"per-query", "batched", "warm"}) {
+    for (const char* mode : {"cold", "warm"}) {
       std::vector<pipeline_metrics> ms;
       for (const maker make : facades) {
         auto pipe = make(po);
@@ -273,27 +262,25 @@ TEST(Pipelines, FacadesAgreeOnAccounting) {
           pipe->load_chunk(chunk);
           (void)pipe->run_finder(pat);
         }
-        const auto e = pipe->run_comparers(queries, thresholds,
-                                           std::string_view(mode) == "batched");
+        const auto e = pipe->run_comparers(queries, thresholds);
         EXPECT_EQ(e.size(), pipe->metrics().total_entries);
         ms.push_back(pipe->metrics());
       }
       const std::string where =
           std::string(mode) + " " + comparer_variant_name(po.variant);
       EXPECT_GT(ms[0].total_entries, 0u) << where;
+      EXPECT_EQ(ms[0].comparer_launches,
+                po.variant == comparer_variant::opt6 ? 1u : queries.size())
+          << where;
       for (usize f = 1; f < ms.size(); ++f) {
         EXPECT_EQ(ms[f].finder_launches, ms[0].finder_launches) << where << " " << f;
         EXPECT_EQ(ms[f].total_loci, ms[0].total_loci) << where << " " << f;
         EXPECT_EQ(ms[f].total_entries, ms[0].total_entries) << where << " " << f;
-        if (std::string_view(mode) != "batched" ||
-            po.variant == comparer_variant::opt6) {
-          EXPECT_EQ(ms[f].comparer_launches, ms[0].comparer_launches)
-              << where << " " << f;
-          EXPECT_EQ(ms[f].d2h_bytes, ms[0].d2h_bytes) << where << " " << f;
-          // Under opt6 every facade uploads the same words and constants.
-          if (po.variant == comparer_variant::opt6) {
-            EXPECT_EQ(ms[f].h2d_bytes, ms[0].h2d_bytes) << where << " " << f;
-          }
+        EXPECT_EQ(ms[f].comparer_launches, ms[0].comparer_launches) << where << " " << f;
+        EXPECT_EQ(ms[f].d2h_bytes, ms[0].d2h_bytes) << where << " " << f;
+        // Under opt6 every facade uploads the same words and constants.
+        if (po.variant == comparer_variant::opt6) {
+          EXPECT_EQ(ms[f].h2d_bytes, ms[0].h2d_bytes) << where << " " << f;
         }
       }
     }

@@ -249,8 +249,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Range(1, 9));
 
 namespace {
 
-/// The runner's two launch modes (one batched comparer launch per chunk
-/// with a deferred download, or the paper's per-query launches) must be
+/// The runner's two comparer shapes (opt6's one batched launch per chunk
+/// with a deferred download, or base's per-query launches) must be
 /// bit-identical, including chrom bookkeeping and chunk-boundary overlap
 /// sites, and both must match the in-memory search.
 TEST(StreamingAsync, BatchedMatchesPerQueryLaunches) {
@@ -265,7 +265,7 @@ TEST(StreamingAsync, BatchedMatchesPerQueryLaunches) {
   cof::engine_options batched_opt{.backend = cof::backend_kind::sycl,
                                   .max_chunk = 7000};
   cof::engine_options per_query_opt = batched_opt;
-  per_query_opt.batch_queries = false;
+  per_query_opt.variant = cof::comparer_variant::base;
 
   const auto a = cof::run_search_streaming(cfg, file.string(), batched_opt);
   const auto s = cof::run_search_streaming(cfg, file.string(), per_query_opt);
@@ -277,9 +277,9 @@ TEST(StreamingAsync, BatchedMatchesPerQueryLaunches) {
   EXPECT_EQ(a.peak_chunk_bytes, s.peak_chunk_bytes);
 }
 
-/// Per-chunk comparer launches drop from num_queries to exactly 1 in the
-/// batched mode: for every chunk with finder hits, per-query mode launches
-/// once per query, batched mode once total.
+/// Per-chunk comparer launches drop from num_queries to exactly 1 under
+/// opt6: for every chunk with finder hits, base launches once per query,
+/// opt6 once total.
 TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
   temp_dir dir;
   auto g = stream_genome(65);
@@ -290,11 +290,11 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
 
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
   const auto a = cof::run_search_streaming(cfg, file.string(), opt);
-  opt.batch_queries = false;
+  opt.variant = cof::comparer_variant::base;
   const auto s = cof::run_search_streaming(cfg, file.string(), opt);
 
-  // Both modes chunk identically, so chunks-with-hits agree; the batched
-  // count is one launch per such chunk, the per-query count num_queries.
+  // Both variants chunk identically, so chunks-with-hits agree; opt6's
+  // count is one launch per such chunk, base's num_queries.
   EXPECT_EQ(a.metrics.pipeline.comparer_launches * cfg.queries.size(),
             s.metrics.pipeline.comparer_launches);
   EXPECT_LE(a.metrics.pipeline.comparer_launches, a.metrics.chunks);
@@ -304,7 +304,7 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
 
 /// Every device backend must produce the serial reference's records through
 /// the streamed path (exercises the batched launch/fetch protocol of each
-/// facade: buffer SYCL, USM, OpenCL comparer_multi, twobit fallback).
+/// facade: buffer SYCL, USM, OpenCL, and the 2-bit facade's opt6 path).
 class StreamBackends : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
@@ -389,13 +389,14 @@ TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
 
   const auto mem =
       cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
-  for (const bool batched : {false, true}) {
-    cof::engine_options opt{.backend = GetParam(), .max_chunk = chunk_size};
-    opt.batch_queries = batched;
+  for (const auto variant : {cof::comparer_variant::base, cof::comparer_variant::opt6}) {
+    const cof::engine_options opt{
+        .backend = GetParam(), .variant = variant, .max_chunk = chunk_size};
     const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
-    EXPECT_EQ(streamed.metrics.chunks, chunks.size()) << "batched=" << batched;
-    EXPECT_EQ(streamed.streamed_bases, len) << "batched=" << batched;
-    EXPECT_EQ(streamed.records, mem.records) << "batched=" << batched;
+    const char* v = cof::comparer_variant_name(variant);
+    EXPECT_EQ(streamed.metrics.chunks, chunks.size()) << v;
+    EXPECT_EQ(streamed.streamed_bases, len) << v;
+    EXPECT_EQ(streamed.records, mem.records) << v;
   }
 }
 
@@ -435,18 +436,16 @@ INSTANTIATE_TEST_SUITE_P(Backends, StreamOverflow,
                                            cof::backend_kind::sycl_twobit));
 
 /// The in-memory entry point runs the same runner, so it recovers the same
-/// way: identical records to worst-case sizing, in both launch modes.
+/// way: identical records to worst-case sizing, with both comparer shapes.
 TEST_P(StreamOverflow, RunSearchUndersizedEntryBufferRecovers) {
   auto g = stream_genome(69);
   auto cfg = cof::parse_input(cof::example_input("<synth>"));
-  for (const bool batched : {false, true}) {
-    cof::engine_options opt{.backend = GetParam(),
-                            .max_chunk = 9000,
-                            .batch_queries = batched};
+  for (const auto variant : {cof::comparer_variant::base, cof::comparer_variant::opt6}) {
+    cof::engine_options opt{.backend = GetParam(), .variant = variant, .max_chunk = 9000};
     const auto worst = cof::run_search(cfg, g, opt);
     opt.max_entries = 2;
     const auto capped = cof::run_search(cfg, g, opt);
-    EXPECT_EQ(capped.records, worst.records) << "batched=" << batched;
+    EXPECT_EQ(capped.records, worst.records) << cof::comparer_variant_name(variant);
     EXPECT_GE(capped.metrics.recovery.overflow_retries, 1u);
     EXPECT_GE(capped.metrics.recovery.recovered_overflows, 1u);
   }
@@ -534,7 +533,7 @@ TEST(StreamingSearch, RecordSinkReceivesCanonicalRecords) {
   EXPECT_EQ(streamed.total_records, sunk.size());
   EXPECT_EQ(sunk, mem.records);
 
-  opt.batch_queries = false;
+  opt.variant = cof::comparer_variant::base;
   opt.num_queues = 1;
   std::vector<cof::ot_record> sunk_per_query;
   const auto s = cof::run_search_streaming(

@@ -4,9 +4,10 @@
 // every facade, counting and direct), and its lane rows' block append
 // around the block size for every work-group shape; the SWAR comparer's
 // exhaustive IUPAC x mismatch-count equivalence against opt5 on every
-// reference byte class, ragged-tail fuzz across pattern lengths, both
-// dispatch paths (AVX2 lanes and the forced-scalar fallback); the batched
-// comparer's shared window on both paths against per-query opt5; and
+// reference byte class, ragged-tail fuzz across pattern lengths and both
+// dispatch paths (AVX2 lanes and the forced-scalar fallback), each on a
+// one-guide batch; the comparer's shared window across several guides on
+// both paths against per-query opt5; and
 // engine-level byte-identity of opt6 output across all four backends and
 // queue counts.
 #include <gtest/gtest.h>
@@ -116,57 +117,89 @@ cmp_run run_opt5(const std::string& chunk, const std::vector<u32>& loci,
   return canonicalise(mm, dir, mloci, count);
 }
 
-/// opt6 path. `via_lanes` launches through the executor's lane-batched row
-/// body (the production dispatch); otherwise the per-item kernel runs.
-cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
-                 const std::vector<char>& flags, const device_pattern& query,
-                 u16 threshold, usize wg = 8, bool via_lanes = false,
-                 xpu::launch_stats* stats_out = nullptr) {
+/// A batched launch's entries, each (query, locus, direction, mismatches),
+/// sorted.
+using multi_entries = std::vector<std::tuple<u16, u32, char, u16>>;
+
+/// The opt6 batched comparer over `queries` (one length) with per-query
+/// thresholds: the per-item kernel, or the executor's lane rows.
+multi_entries run_multi_opt6(const std::string& chunk, const std::vector<u32>& loci,
+                             const std::vector<char>& flags,
+                             const std::vector<device_pattern>& queries,
+                             const std::vector<u16>& thresholds, usize wg, bool via_lanes,
+                             xpu::launch_stats* stats_out = nullptr) {
   const u32 n = static_cast<u32>(loci.size());
-  const usize cap = static_cast<usize>(n) * 2;
-  std::vector<u16> mm(cap, 0);
-  std::vector<char> dir(cap, 0);
-  std::vector<u32> mloci(cap, 0);
+  const usize cap = static_cast<usize>(n) * 2 * queries.size();
+  std::vector<u16> mm(cap);
+  std::vector<char> dir(cap);
+  std::vector<u32> mloci(cap);
+  std::vector<u16> mquery(cap);
   u32 count = 0;
   const auto sref = swar_pack(chunk);
+  std::vector<util::u64> swar;
+  for (const auto& q : queries) swar.insert(swar.end(), q.swar.begin(), q.swar.end());
 
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(n, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes = query.swar.size() * sizeof(util::u64);
+  cfg.local_mem_bytes = swar.size() * sizeof(util::u64);
   cfg.uses_barrier = true;
   cfg.single_leading_barrier = true;
-  comparer_swar_args a;
+  comparer_multi_swar_args a;
   a.locicnts = n;
   a.chr_packed2 = sref.packed2.data();
   a.chr_amb2 = sref.amb2.data();
   a.loci = loci.data();
   a.flag = flags.data();
-  a.comp_swar = query.swar_data();
-  a.plen = query.plen;
-  a.swar_words = query.swar_words;
-  a.threshold = threshold;
+  a.comp_swar = swar.data();
+  a.thresholds = thresholds.data();
+  a.nqueries = static_cast<u32>(queries.size());
+  a.plen = queries[0].plen;
+  a.swar_words = queries[0].swar_words;
   a.mm_count = mm.data();
   a.direction = dir.data();
   a.mm_loci = mloci.data();
+  a.mm_query = mquery.data();
   a.entrycount = &count;
-  auto item_body = [&](xpu::xitem& it) {
-    a.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
-    comparer_swar_kernel<direct_mem>(it, a);
+  a.entry_capacity = static_cast<u32>(cap);
+  auto item = [&](xpu::xitem& it) {
+    comparer_multi_swar_args b = a;
+    b.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
+    comparer_multi_swar_kernel<direct_mem>(it, b);
   };
   xpu::launch_stats stats;
   if (via_lanes) {
-    stats = dev().run_lanes(cfg, item_body,
-                            [&](const xpu::xitem& first, usize nlanes) {
-                              comparer_swar_args la = a;
-                              la.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
-                              comparer_swar_lanes(la, first.get_global_id(0), nlanes);
-                            });
+    stats = dev().run_lanes(cfg, item, [&](const xpu::xitem& first, usize nlanes) {
+      comparer_multi_swar_args b = a;
+      b.l_comp_swar = swar.data();
+      comparer_multi_swar_lanes(b, first.get_global_id(0), nlanes);
+    });
   } else {
-    stats = dev().run(cfg, item_body);
+    stats = dev().run(cfg, item);
   }
   if (stats_out != nullptr) *stats_out = stats;
-  return canonicalise(mm, dir, mloci, count);
+  multi_entries out;
+  for (u32 i = 0; i < count; ++i) out.emplace_back(mquery[i], mloci[i], dir[i], mm[i]);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// opt6 over one guide: the batched comparer with a batch of one, its
+/// entries as cmp_run. `via_lanes` launches through the executor's
+/// lane-batched row body (the production dispatch); otherwise the per-item
+/// kernel runs.
+cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
+                 const std::vector<char>& flags, const device_pattern& query,
+                 u16 threshold, usize wg = 8, bool via_lanes = false,
+                 xpu::launch_stats* stats_out = nullptr) {
+  cmp_run r;
+  for (const auto& [q, l, d, m] :
+       run_multi_opt6(chunk, loci, flags, {query}, {threshold}, wg, via_lanes, stats_out)) {
+    r.loci.push_back(l);
+    r.dir.push_back(d);
+    r.mm.push_back(m);
+  }
+  return r;
 }
 
 /// opt6 on both dispatch paths, the per-item kernel and the lane rows,
@@ -701,73 +734,6 @@ TEST(SwarDispatch, ForcedScalarMatchesSimd) {
 // Batched comparer: per-item kernel = lane rows = per-query opt5.
 // ---------------------------------------------------------------------------
 
-/// A batched launch's entries, each (query, locus, direction, mismatches),
-/// sorted.
-using multi_entries = std::vector<std::tuple<u16, u32, char, u16>>;
-
-/// The opt6 batched comparer over `queries` (one length) with per-query
-/// thresholds: the per-item kernel, or the executor's lane rows.
-multi_entries run_multi_opt6(const std::string& chunk, const std::vector<u32>& loci,
-                             const std::vector<char>& flags,
-                             const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds, usize wg, bool via_lanes,
-                             xpu::launch_stats* stats_out = nullptr) {
-  const u32 n = static_cast<u32>(loci.size());
-  const usize cap = static_cast<usize>(n) * 2 * queries.size();
-  std::vector<u16> mm(cap);
-  std::vector<char> dir(cap);
-  std::vector<u32> mloci(cap);
-  std::vector<u16> mquery(cap);
-  u32 count = 0;
-  const auto sref = swar_pack(chunk);
-  std::vector<util::u64> swar;
-  for (const auto& q : queries) swar.insert(swar.end(), q.swar.begin(), q.swar.end());
-
-  xpu::launch_config cfg;
-  cfg.global[0] = util::round_up<usize>(n, wg);
-  cfg.local[0] = wg;
-  cfg.local_mem_bytes = swar.size() * sizeof(util::u64);
-  cfg.uses_barrier = true;
-  cfg.single_leading_barrier = true;
-  comparer_multi_swar_args a;
-  a.locicnts = n;
-  a.chr_packed2 = sref.packed2.data();
-  a.chr_amb2 = sref.amb2.data();
-  a.loci = loci.data();
-  a.flag = flags.data();
-  a.comp_swar = swar.data();
-  a.thresholds = thresholds.data();
-  a.nqueries = static_cast<u32>(queries.size());
-  a.plen = queries[0].plen;
-  a.swar_words = queries[0].swar_words;
-  a.mm_count = mm.data();
-  a.direction = dir.data();
-  a.mm_loci = mloci.data();
-  a.mm_query = mquery.data();
-  a.entrycount = &count;
-  a.entry_capacity = static_cast<u32>(cap);
-  auto item = [&](xpu::xitem& it) {
-    comparer_multi_swar_args b = a;
-    b.l_comp_swar = reinterpret_cast<util::u64*>(it.local_mem_base());
-    comparer_multi_swar_kernel<direct_mem>(it, b);
-  };
-  xpu::launch_stats stats;
-  if (via_lanes) {
-    stats = dev().run_lanes(cfg, item, [&](const xpu::xitem& first, usize nlanes) {
-      comparer_multi_swar_args b = a;
-      b.l_comp_swar = swar.data();
-      comparer_multi_swar_lanes(b, first.get_global_id(0), nlanes);
-    });
-  } else {
-    stats = dev().run(cfg, item);
-  }
-  if (stats_out != nullptr) *stats_out = stats;
-  multi_entries out;
-  for (u32 i = 0; i < count; ++i) out.emplace_back(mquery[i], mloci[i], dir[i], mm[i]);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 /// The reference: one opt5 launch per query, tagged with its index.
 multi_entries run_multi_opt5(const std::string& chunk, const std::vector<u32>& loci,
                              const std::vector<char>& flags,
@@ -889,27 +855,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{backend_kind::sycl_twobit, 2},
                       std::pair{backend_kind::sycl_twobit, 4}));
 
-// The batched multi-query comparer (comparer_multi_opt6) runs unless
-// batch_queries is cleared; it must agree with the per-query path.
-TEST(SwarEngine, BatchedQueriesMatchUnbatched) {
-  auto g = swar_genome(72);
-  auto cfg = parse_input(example_input("<mem>"));
-  for (backend_kind backend :
-       {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm,
-        backend_kind::sycl_twobit}) {
-    engine_options plain{.backend = backend,
-                         .variant = comparer_variant::opt6,
-                         .max_chunk = 8192,
-                         .batch_queries = false};
-    engine_options batched = plain;
-    batched.batch_queries = true;
-    const auto want = run_search(cfg, g, plain);
-    const auto got = run_search(cfg, g, batched);
-    EXPECT_EQ(got.records, want.records)
-        << "backend=" << static_cast<int>(backend);
-  }
-}
-
 // Streamed (disk-chunked) output with opt6 must equal the in-memory opt5
 // result for every backend, on both dispatch paths.
 TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
@@ -967,7 +912,6 @@ TEST(SwarEngine, CountingRunMatchesAndCountsSwarOps) {
   engine_options counting = plain;
   counting.counting = true;
   counting.profiler = &p;
-  counting.batch_queries = false;  // per-query launches: comparer/opt6
   const auto want = run_search(cfg, g, plain);
   const auto got = run_search(cfg, g, counting);
   EXPECT_EQ(got.records, want.records);
