@@ -95,6 +95,13 @@ void check_guide_lengths(const search_config& cfg) {
   }
 }
 
+void check_chunk_size(const std::string& pattern, util::usize max_chunk) {
+  const util::usize overlap = pattern.size() - 1;
+  require(max_chunk > overlap,
+          util::format("chunk size %zu must exceed the pattern length minus one (%zu)",
+                       max_chunk, overlap));
+}
+
 search_config read_input_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   require(in.good(), "cannot open input file: " + path);

@@ -63,6 +63,11 @@ void check_alphabet(const search_config& cfg);
 /// config_error when a guide's length differs from the pattern's.
 void check_guide_lengths(const search_config& cfg);
 
+/// The chunker's rule for a device search: throws config_error unless
+/// `max_chunk` exceeds the overlap of consecutive chunks, the pattern's
+/// length minus one. Call after check_alphabet (a non-empty pattern).
+void check_chunk_size(const std::string& pattern, util::usize max_chunk);
+
 /// The example input of the upstream Cas-OFFinder README [17] (the paper
 /// evaluates with it), with the genome line retargeted to a synth URI.
 std::string example_input(const std::string& genome_line = "synth:hg19");

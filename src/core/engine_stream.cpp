@@ -268,6 +268,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   obs::histogram_metric* m_pop = nullptr;
   obs::histogram_metric* m_device = nullptr;
   obs::histogram_metric* m_format = nullptr;
+  obs::histogram_metric* m_merge = nullptr;
   if (tracing) {
     const auto& bounds = obs::default_latency_bounds_us();
     m_decode = &reg.histogram("stream.decode_us", bounds);
@@ -275,6 +276,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     m_pop = &reg.histogram("stream.pop_wait_us", bounds);
     m_device = &reg.histogram("stream.device_us", bounds);
     m_format = &reg.histogram("stream.format_us", bounds);
+    m_merge = &reg.histogram("stream.merge_us", bounds);
   }
   const util::thread_pool::sched_stats pool0 = pool.stats();
 
@@ -577,11 +579,14 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     out.device_shards[d].failed = !devs.alive(d);
   }
   std::vector<std::string> spill_paths;
+  u64 spilled_records = 0, spill_bytes = 0;
   for (auto& st : qs) {
     out.metrics.chunks += st.chunks;
     out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, st.peak_chunk_bytes);
     out.peak_record_bytes += st.writer->peak_run_bytes();
     out.spill_runs += st.writer->runs();
+    spilled_records += st.writer->records();
+    spill_bytes += st.writer->bytes();
     spill_paths.push_back(st.writer->path());
     pipeline_metrics pm = st.retired;
     // A consumer that never took a chunk, or whose last attempt was
@@ -610,17 +615,21 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
 
   // Canonical-order merge with key dedup — byte-identical to sorting and
   // deduplicating the whole record set in memory, regardless of how the
-  // chunks were interleaved across queues.
+  // chunks were interleaved across queues. A spill_error here unwinds this
+  // frame like a worker's failure, removing the spill files.
   const u64 merge0 = util::process_nanos();
   if (sink) {
     out.total_records = merge_spill_runs(spill_paths, sink);
   } else {
+    // Every spilled record, duplicates included: an upper bound.
+    out.records.reserve(spilled_records);
     out.total_records = merge_spill_runs(spill_paths, [&out](ot_record&& r) {
       out.records.push_back(std::move(r));
     });
   }
-  out.stage_times.merge_s =
-      static_cast<double>(util::process_nanos() - merge0) / 1e9;
+  const u64 merge_ns = util::process_nanos() - merge0;
+  out.stage_times.merge_s = static_cast<double>(merge_ns) / 1e9;
+  if (m_merge != nullptr) m_merge->observe(merge_ns / 1000);
 
   if (tracing) {
     const util::thread_pool::sched_stats pool1 = pool.stats();
@@ -629,6 +638,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
     reg.counter("pool.sleeps").add(pool1.sleeps - pool0.sleeps);
     reg.counter("pool.executed").add(pool1.executed - pool0.executed);
     reg.counter("stream.spill_runs").add(out.spill_runs);
+    reg.counter("stream.spill_bytes").add(spill_bytes);
     reg.counter("stream.records").add(out.total_records);
     reg.counter("recover.overflow_retries")
         .add(out.metrics.recovery.overflow_retries);
@@ -740,12 +750,8 @@ streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
   check_alphabet(cfg);
   if (!warm) check_guide_lengths(cfg);
   if (!warm && opt.backend != backend_kind::serial) {
+    check_chunk_size(cfg.pattern, opt.max_chunk);
     const usize overlap = cfg.pattern.size() - 1;
-    if (opt.max_chunk <= overlap) {
-      throw config_error(util::format("chunk size %zu must exceed the pattern length "
-                                      "minus one (%zu)",
-                                      opt.max_chunk, overlap));
-    }
     std::unique_ptr<chunk_source> source;
     if (g != nullptr) {
       source = std::make_unique<genome_source>(*g, opt.max_chunk, overlap);

@@ -163,8 +163,13 @@ std::string describe_genome(const std::vector<std::string>& names, u64 bases) {
 
 genome_index build_index(const genome::genome_t& g, const std::string& pattern,
                          const engine_options& opt) {
-  COF_CHECK_MSG(opt.backend != backend_kind::serial,
-                "build_index drives a device pipeline (pick O, G, S, U or P)");
+  if (opt.backend == backend_kind::serial) {
+    throw config_error("build_index drives a device pipeline (pick O, G, S, U or P)");
+  }
+  search_config pam;
+  pam.pattern = pattern;
+  check_alphabet(pam);
+  check_chunk_size(pattern, opt.max_chunk);
   obs::span sp("index.build", "engine");
   genome_index idx;
   idx.pattern = pattern;
@@ -174,8 +179,7 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
   for (const auto& c : g.chroms) idx.chrom_names.push_back(c.name);
 
   const device_pattern pat = make_pattern(pattern);
-  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
-  const auto chunks = genome::make_chunks(g, opt.max_chunk, overlap);
+  const auto chunks = genome::make_chunks(g, opt.max_chunk, pat.plen - 1);
   idx.chunks.resize(chunks.size());
   sp.arg("chunks", static_cast<double>(chunks.size()));
 

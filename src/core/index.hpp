@@ -87,6 +87,8 @@ class index_error : public std::runtime_error {
 /// Every chunk runs under the engine's recovery loop (core/recovery.hpp):
 /// an injected overflow or a transient device fault retries the chunk on a
 /// fresh pipeline, and a fault that outlasts the attempt bound propagates.
+/// Throws config_error, before any work, for the serial backend, an empty or
+/// non-IUPAC pattern, or an opt.max_chunk within the pattern's length.
 genome_index build_index(const genome::genome_t& g, const std::string& pattern,
                          const engine_options& opt = {});
 

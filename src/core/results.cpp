@@ -85,22 +85,105 @@ void serialize_record(std::string& buf, const ot_record& r) {
   buf.append(r.site);
 }
 
+/// A serialised record's fixed fields, before its site bytes.
+constexpr usize kRecordHead = 2 * sizeof(u32) + sizeof(u64) + sizeof(char) +
+                              sizeof(u16) + sizeof(u32);
+constexpr usize kRunHead = 2 * sizeof(u64);
+/// Read window of one run under merge: its bytes are read this many at a
+/// time (fewer at the run's end), never a record at a time.
+constexpr usize kMergeWindow = usize{8} << 10;
+
 template <class T>
-bool get_raw(std::istream& in, T& v) {
-  return static_cast<bool>(in.read(reinterpret_cast<char*>(&v), sizeof(T)));
+T take_raw(const char*& p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(T));
+  p += sizeof(T);
+  return v;
 }
 
-bool read_record(std::istream& in, ot_record& r) {
-  u32 site_len = 0;
-  if (!get_raw(in, r.query_index) || !get_raw(in, r.chrom_index) ||
-      !get_raw(in, r.position) || !get_raw(in, r.direction) ||
-      !get_raw(in, r.mismatches) || !get_raw(in, site_len)) {
-    return false;
+/// One positioned read of exactly `n` bytes at `offset`.
+void read_at(std::ifstream& in, const std::string& path, u64 offset, char* dst,
+             usize n) {
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(dst, static_cast<std::streamsize>(n));
+  if (static_cast<usize>(in.gcount()) != n) {
+    throw spill_error("spill read failed: " + path);
   }
-  r.site.resize(site_len);
-  return site_len == 0 ||
-         static_cast<bool>(in.read(r.site.data(), site_len));
 }
+
+/// One sorted run under merge. `head` is its next record, parsed from a
+/// window over the run's payload; the window is refilled with one
+/// positioned read on the file the run shares with its neighbours when the
+/// next record runs past it.
+class run_cursor {
+ public:
+  run_cursor(std::ifstream& in, const std::string& path, u64 offset, u64 bytes,
+             u64 count)
+      : in_(&in),
+        path_(&path),
+        file_pos_(offset),
+        file_end_(offset + bytes),
+        remaining_(count),
+        window_(static_cast<usize>(std::min<u64>(kMergeWindow, bytes))) {}
+
+  /// Parse the run's next record into `head`; false once the run is spent,
+  /// which frees its window.
+  bool advance() {
+    if (remaining_ == 0) {
+      window_ = {};
+      return false;
+    }
+    fill(kRecordHead);
+    u32 site_len = 0;
+    std::memcpy(&site_len, window_.data() + lo_ + kRecordHead - sizeof(u32),
+                sizeof(u32));
+    const usize len = kRecordHead + site_len;
+    fill(len);
+    const char* p = window_.data() + lo_;
+    head.query_index = take_raw<u32>(p);
+    head.chrom_index = take_raw<u32>(p);
+    head.position = take_raw<u64>(p);
+    head.direction = take_raw<char>(p);
+    head.mismatches = take_raw<u16>(p);
+    p += sizeof(u32);  // site_len, read above
+    head.site.assign(p, site_len);
+    lo_ += len;
+    --remaining_;
+    return true;
+  }
+
+  ot_record head;
+
+ private:
+  /// Make the window hold at least `n` unparsed bytes: slide the unparsed
+  /// tail to the front, then top the window up from the file.
+  void fill(usize n) {
+    const usize have = hi_ - lo_;
+    if (have >= n) return;
+    if (n - have > file_end_ - file_pos_) {
+      throw spill_error("truncated spill run: " + *path_);
+    }
+    std::memmove(window_.data(), window_.data() + lo_, have);
+    lo_ = 0;
+    hi_ = have;
+    if (window_.size() < n) window_.resize(n);  // a record wider than a window
+    const usize want = static_cast<usize>(
+        std::min<u64>(window_.size() - hi_, file_end_ - file_pos_));
+    read_at(*in_, *path_, file_pos_, window_.data() + hi_, want);
+    file_pos_ += want;
+    hi_ += want;
+  }
+
+  std::ifstream* in_;
+  const std::string* path_;
+  u64 file_pos_;   // first run byte not yet read into the window
+  u64 file_end_;   // end of the run's payload
+  u64 remaining_;  // records not yet parsed
+  std::vector<char> window_;
+  usize lo_ = 0;  // the unparsed bytes are window_[lo_, hi_)
+  usize hi_ = 0;
+};
 
 }  // namespace
 
@@ -141,6 +224,7 @@ void record_spill_writer::spill(std::vector<ot_record>& batch) {
   }
   ++runs_;
   records_ += count;
+  bytes_ += sizeof(count) + sizeof(bytes) + bytes;
   peak_run_bytes_ = std::max(peak_run_bytes_, payload.size());
   batch.clear();
 }
@@ -159,68 +243,57 @@ u64 merge_spill_runs(const std::vector<std::string>& paths,
   obs::span sp("merge", "io");
   sp.arg("files", static_cast<double>(paths.size()));
   fault::inject_point(fault::site::spill_merge);
-  // One cursor per run; runs within a file share the ifstream and seek to
-  // their own offset per read (records are variable-length, so the offset
-  // is re-sampled after every read).
-  struct run_cursor {
-    std::ifstream* in = nullptr;
-    u64 offset = 0;
-    u64 remaining = 0;
-    ot_record next;
-  };
+  // One cursor per run; the runs of a file share its stream and each reads
+  // through its own window.
   std::vector<std::unique_ptr<std::ifstream>> files;
   std::vector<run_cursor> cursors;
   for (const auto& path : paths) {
-    auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-    COF_CHECK_MSG(in->good(), "cannot open spill file " + path);
-    // Index the run headers: (count, bytes) then a payload to skip over.
-    u64 offset = 0;
-    for (;;) {
-      u64 count = 0, bytes = 0;
-      in->seekg(static_cast<std::streamoff>(offset));
-      if (!get_raw(*in, count)) break;  // clean EOF between runs
-      COF_CHECK_MSG(get_raw(*in, bytes), "truncated spill run header: " + path);
-      if (count != 0) cursors.push_back({in.get(), offset + 16, count, {}});
-      offset += 16 + bytes;
+    auto in = std::make_unique<std::ifstream>(path, std::ios::binary | std::ios::ate);
+    if (!in->good()) throw spill_error("cannot open spill file " + path);
+    const u64 size = static_cast<u64>(in->tellg());
+    // Index the run headers: (count, bytes) then a payload to skip over. A
+    // file cut short fails here, before any record reaches the sink.
+    for (u64 offset = 0; offset < size;) {
+      if (size - offset < kRunHead) {
+        throw spill_error("truncated spill run header: " + path);
+      }
+      char head[kRunHead] = {};
+      read_at(*in, path, offset, head, kRunHead);
+      const char* p = head;
+      const u64 count = take_raw<u64>(p);
+      const u64 bytes = take_raw<u64>(p);
+      if (bytes > size - offset - kRunHead) {
+        throw spill_error("truncated spill run: " + path);
+      }
+      if (count != 0) cursors.emplace_back(*in, path, offset + kRunHead, bytes, count);
+      offset += kRunHead + bytes;
     }
-    in->clear();  // the header scan ran the stream into EOF
     files.push_back(std::move(in));
   }
 
   // Prime every cursor with its first record.
-  auto advance = [](run_cursor& c) {
-    c.in->seekg(static_cast<std::streamoff>(c.offset));
-    COF_CHECK_MSG(read_record(*c.in, c.next), "truncated spill run");
-    c.offset = static_cast<u64>(c.in->tellg());
-    --c.remaining;
-  };
-  for (auto& c : cursors) advance(c);
+  for (auto& c : cursors) c.advance();
 
   // Min-heap on the canonical key; ties broken arbitrarily (duplicate keys
   // carry byte-identical payloads, so dedup keeps an equivalent record).
   auto greater = [&cursors](usize a, usize b) {
-    return key(cursors[b].next) < key(cursors[a].next);
+    return key(cursors[b].head) < key(cursors[a].head);
   };
   std::priority_queue<usize, std::vector<usize>, decltype(greater)> heap(greater);
   for (usize i = 0; i < cursors.size(); ++i) heap.push(i);
 
   u64 emitted = 0;
-  ot_record last;
-  bool have_last = false;
+  std::tuple<u32, u32, u64, char> last;
   while (!heap.empty()) {
     const usize i = heap.top();
     heap.pop();
     run_cursor& c = cursors[i];
-    if (!have_last || key(last) != key(c.next)) {
-      last = c.next;
-      have_last = true;
+    if (emitted == 0 || key(c.head) != last) {
+      last = key(c.head);
       ++emitted;
-      sink(std::move(c.next));
+      sink(std::move(c.head));
     }
-    if (c.remaining != 0) {
-      advance(c);
-      heap.push(i);
-    }
+    if (c.advance()) heap.push(i);
   }
   return emitted;
 }

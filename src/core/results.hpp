@@ -47,10 +47,12 @@ std::string format_records(const std::vector<ot_record>& records,
                            const std::vector<std::string>& query_seqs,
                            const genome::genome_t& g);
 
-/// Recoverable spill-file I/O failure: a run append or flush did not reach
-/// the disk. spill() rolls the file back to the previous run boundary
+/// Spill-file I/O failure. On the write side a run append or flush did not
+/// reach the disk: spill() rolls the file back to the previous run boundary
 /// before throwing, so the caller may retry the same batch (the streaming
-/// engine does, with backoff) or abandon the run cleanly.
+/// engine does, with backoff) or abandon the run cleanly. On the read side
+/// merge_spill_runs could not open a file, or found a run header or run
+/// cut short.
 class spill_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -87,6 +89,8 @@ class record_spill_writer {
   const std::string& path() const { return path_; }
   usize runs() const { return runs_; }
   u64 records() const { return records_; }
+  /// Bytes of every run written so far, headers included.
+  u64 bytes() const { return bytes_; }
   /// Serialised bytes of the largest single run — the writer's bound on
   /// in-memory record storage (one batch at a time).
   usize peak_run_bytes() const { return peak_run_bytes_; }
@@ -96,6 +100,7 @@ class record_spill_writer {
   std::ofstream out_;
   usize runs_ = 0;
   u64 records_ = 0;
+  u64 bytes_ = 0;
   usize peak_run_bytes_ = 0;
 };
 
@@ -103,8 +108,11 @@ class record_spill_writer {
 /// record_spill_writer) into canonical order, dropping duplicate keys the
 /// way sort_and_dedup does (chunk-overlap re-scans and multi-queue overlap
 /// produce byte-identical duplicates), and hand each surviving record to
-/// `sink`. Returns the number of records emitted. Host memory is O(#runs):
-/// one in-flight record per run.
+/// `sink`. Returns the number of records emitted. Each run streams through
+/// its own read window of at most 8 KiB, refilled by one positioned read,
+/// so host memory is O(#runs × window). Throws spill_error when a file
+/// cannot be opened or holds a truncated run header or run. The header scan
+/// catches a file cut short before the sink sees any record.
 u64 merge_spill_runs(const std::vector<std::string>& paths,
                      const std::function<void(ot_record&&)>& sink);
 

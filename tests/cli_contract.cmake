@@ -5,8 +5,9 @@
 #         -P cli_contract.cmake
 #
 # 1. Every device backend (O, S, U, P) x variant (opt6, base, opt5) x entry
-#    point (in-memory, --stream, warm --stream --index) writes a non-empty
-#    output byte-identical to the serial oracle (device C).
+#    point (in-memory, --stream, --stream --queues 3, warm --stream --index)
+#    writes a non-empty output byte-identical to the serial oracle (device
+#    C). Three queues spill three files into one merge.
 # 2. Every hostile command line, and a malformed input file, exits 2 with
 #    exactly one `error: <message>` line on stderr and no FATAL abort.
 
@@ -56,10 +57,12 @@ endif()
 set(chunk --chunk 4096)
 foreach(device O S U P)
   foreach(variant opt6 base opt5)
-    foreach(entry memory stream warm)
+    foreach(entry memory stream queues3 warm)
       set(args ${chunk} --variant ${variant})
       if(entry STREQUAL "stream")
         list(APPEND args --stream)
+      elseif(entry STREQUAL "queues3")
+        list(APPEND args --stream --queues 3)
       elseif(entry STREQUAL "warm")
         # The first warm run builds the index (a cache miss), the rest hit.
         list(APPEND args --stream --index genome.cofidx)
@@ -99,6 +102,7 @@ set(cases
     "unknown device|input.txt|X"
     "chunk within the pattern, in-memory|--chunk|10|input.txt|S"
     "chunk within the pattern, streamed|--stream|--chunk|10|input.txt|S"
+    "chunk within the pattern, index build|--build-index|tiny.cofidx|--chunk|10|input.txt|S"
     "malformed input file|bad_input.txt|S")
 foreach(c IN LISTS cases)
   string(REPLACE "|" ";" parts "${c}")

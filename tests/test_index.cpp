@@ -239,6 +239,31 @@ TEST(IndexQuery, WarmPathDoesZeroDecodeAndZeroFinderLaunches) {
 /// run_query must reject guides whose length differs from the indexed
 /// pattern with the same clean index_error the engine paths give — never a
 /// wrong-plen slice.
+/// Called directly, build_index checks its arguments as the engine does:
+/// each hostile one throws config_error instead of aborting in make_chunks
+/// or make_pattern.
+TEST(IndexBuild, HostileArgumentsThrowConfigError) {
+  genome::genome_t g;
+  g.chroms.push_back({"chr1", std::string(60, 'T')});
+  const std::string pam = "NNNNNNNNNNNNNNNNNNNNNRG";
+  const cof::engine_options device{.backend = cof::backend_kind::sycl};
+  for (const util::usize chunk : {util::usize{10}, pam.size() - 1}) {
+    EXPECT_THROW((void)cof::build_index(g, pam, {.backend = cof::backend_kind::sycl,
+                                                 .max_chunk = chunk}),
+                 cof::config_error)
+        << "chunk " << chunk;
+  }
+  EXPECT_THROW((void)cof::build_index(g, "", device), cof::config_error);
+  EXPECT_THROW((void)cof::build_index(g, "NNNNNNNNNNNNNNNNNNNNNZG", device),
+               cof::config_error);
+  EXPECT_THROW((void)cof::build_index(g, pam, {.backend = cof::backend_kind::serial}),
+               cof::config_error);
+  // The smallest legal chunk still builds.
+  const cof::engine_options smallest{.backend = cof::backend_kind::sycl,
+                                     .max_chunk = pam.size()};
+  EXPECT_EQ(cof::build_index(g, pam, smallest).max_chunk, pam.size());
+}
+
 TEST(IndexQuery, RunQueryRejectsWrongGuideLength) {
   temp_dir dir;
   const auto c = make_case(dir, 210, 4);

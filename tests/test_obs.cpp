@@ -630,6 +630,28 @@ TEST(ObsEngine, BackToBackTracedRunsExportIndependentFiles) {
   ASSERT_FALSE(t2.at("traceEvents").arr.empty());
 }
 
+/// The merge shows in --metrics-json alone: one stream.merge_us sample per
+/// streamed run and the bytes its spill runs took, beside stream.spill_runs.
+TEST(ObsEngine, MetricsJsonCarriesTheMerge) {
+  temp_dir dir;
+  const auto g = obs_genome();
+  const auto fasta = (dir.path / "g.fa").string();
+  genome::write_fasta_file(fasta, g.chroms);
+  auto cfg = parse_input(example_input("<mem>"));
+  engine_options opt;
+  opt.backend = backend_kind::sycl;
+  opt.max_chunk = 8192;
+  opt.num_queues = 2;
+  opt.metrics_json = (dir.path / "metrics.json").string();
+  const auto out = run_search_streaming(cfg, fasta, opt);
+  ASSERT_FALSE(out.records.empty());
+  const jvalue m = parse_json(slurp(opt.metrics_json));
+  EXPECT_EQ(m.at("histograms").at("stream.merge_us").at("count").num, 1.0);
+  EXPECT_GT(m.at("counters").at("stream.spill_bytes").num, 0.0);
+  EXPECT_EQ(m.at("counters").at("stream.spill_runs").num,
+            static_cast<double>(out.spill_runs));
+}
+
 TEST(ObsLog, ThreadOrdinalsAreStableAndDistinct) {
   const unsigned self = util::thread_ordinal();
   EXPECT_EQ(util::thread_ordinal(), self);  // stable within a thread
