@@ -1,10 +1,10 @@
 // Optimisation-ladder ablation (base..opt6): for every comparer variant, one
 // counting pass collects the device-event profile (global loads, chain
-// compares, mask-LUT tests, SWAR word evaluations) and repeated direct
+// compares, SWAR word evaluations) and repeated direct
 // passes measure simulated wall time — on both dispatch paths (the AVX2
 // lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
 // at opt6, where the lane body exists). Every rung compares one guide, as a
-// one-guide batch: base..opt5 launch their per-query kernel, opt6 its
+// one-guide batch: base..opt4 launch their per-query kernel, opt6 its
 // batched comparer. A second section isolates the
 // executor ablation: the same comparer launch on the fiber scheduler vs the
 // two-phase single-leading-barrier fast path. Emits BENCH_opt_ladder.json.
@@ -38,7 +38,6 @@ struct variant_row {
   u64 global_loads = 0;
   u64 global_load_repeats = 0;
   u64 compares = 0;   // 14-way chain evaluations
-  u64 mask_ops = 0;   // deny-LUT shift/AND tests (opt5)
   u64 swar_ops = 0;   // 64-bit SWAR word evaluations (opt6)
   u64 entries = 0;
 };
@@ -86,7 +85,6 @@ variant_row measure_variant(comparer_variant v, const std::string& chunk,
     row.global_loads = prof.events[prof::ev::global_load];
     row.global_load_repeats = prof.events[prof::ev::global_load_repeat];
     row.compares = prof.events[prof::ev::compare];
-    row.mask_ops = prof.events[prof::ev::mask_op];
     row.swar_ops = prof.events[prof::ev::swar_op];
   }
 
@@ -131,14 +129,12 @@ site_list find_sites(xpu::device& dev, const std::string& chunk,
   cfg.name = "finder";
   cfg.global[0] = util::round_up<usize>(chrsize, 256);
   cfg.local[0] = 256;
-  cfg.local_mem_bytes =
-      pat.device_chars() * (1 + sizeof(i32)) + pat.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = pat.device_chars() * (1 + sizeof(i32)) + 128;
   cfg.uses_barrier = true;
   finder_args a;
   a.chr = chunk.data();
   a.pat = pat.data();
   a.pat_index = pat.index_data();
-  a.pat_mask = pat.mask_data();
   a.chrsize = chrsize;
   a.plen = pat.plen;
   a.loci = loci.data();
@@ -180,9 +176,7 @@ exec_result measure_executor(const std::string& chunk, const device_pattern& pat
     cfg.name = two_phase ? "comparer_opt3/two_phase" : "comparer_opt3/fiber";
     cfg.global[0] = util::round_up<usize>(n, 256);
     cfg.local[0] = 256;
-    cfg.local_mem_bytes =
-        query.device_chars() * (1 + sizeof(i32)) + query.mask.size() * sizeof(u16) +
-        128;
+    cfg.local_mem_bytes = query.device_chars() * (1 + sizeof(i32)) + 128;
     cfg.uses_barrier = true;
     cfg.single_leading_barrier = two_phase;
     comparer_args a;
@@ -192,7 +186,6 @@ exec_result measure_executor(const std::string& chunk, const device_pattern& pat
     a.flag = sites.flags.data();
     a.comp = query.data();
     a.comp_index = query.index_data();
-    a.comp_mask = query.mask_data();
     a.plen = query.plen;
     a.threshold = 5;
     a.mm_count = mm.data();
@@ -258,13 +251,12 @@ int main(int argc, char** argv) {
                                    query, reps));
     const auto& r = rows.back();
     std::printf("%-8s wall %10llu ns (scalar %10llu)  gload %8llu (+%llu rep)  "
-                "compare %8llu  mask_op %8llu  swar_op %6llu  entries %llu\n",
+                "compare %8llu  swar_op %6llu  entries %llu\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.wall_nanos),
                 static_cast<unsigned long long>(r.wall_scalar_nanos),
                 static_cast<unsigned long long>(r.global_loads),
                 static_cast<unsigned long long>(r.global_load_repeats),
                 static_cast<unsigned long long>(r.compares),
-                static_cast<unsigned long long>(r.mask_ops),
                 static_cast<unsigned long long>(r.swar_ops),
                 static_cast<unsigned long long>(r.entries));
   }
@@ -298,14 +290,13 @@ int main(int argc, char** argv) {
                  "    {\"variant\": \"%s\", \"wall_nanos\": %llu, "
                  "\"wall_scalar_nanos\": %llu, "
                  "\"global_loads\": %llu, \"global_load_repeats\": %llu, "
-                 "\"compares\": %llu, \"mask_ops\": %llu, \"swar_ops\": %llu, "
+                 "\"compares\": %llu, \"swar_ops\": %llu, "
                  "\"entries\": %llu}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.wall_nanos),
                  static_cast<unsigned long long>(r.wall_scalar_nanos),
                  static_cast<unsigned long long>(r.global_loads),
                  static_cast<unsigned long long>(r.global_load_repeats),
                  static_cast<unsigned long long>(r.compares),
-                 static_cast<unsigned long long>(r.mask_ops),
                  static_cast<unsigned long long>(r.swar_ops),
                  static_cast<unsigned long long>(r.entries),
                  i + 1 < rows.size() ? "," : "");

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   util::cli cli("table10_resource_usage",
                 "Reproduce Table X (resource usage and occupancy)");
   cli.flag("mix", "also print the per-variant instruction mix");
-  cli.opt("asm", "print the pseudo-ISA listing of a variant (base..opt5, or none)",
+  cli.opt("asm", "print the pseudo-ISA listing of a variant (base..opt4, opt6, or none)",
           "none");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -45,15 +45,6 @@ int main(int argc, char** argv) {
       "\nNote: the camera-ready table's register-row labels are swapped\n"
       "relative to the prose; we follow the table (SGPR 82 -> occupancy 9 via\n"
       "the 800-SGPR/SIMD file, which the prose's numbers cannot produce).\n");
-
-  // opt5 is this repository's extension beyond the paper's ladder: the
-  // deny-LUT pass deletes the chain instead of promoting it, so code length
-  // keeps shrinking while occupancy recovers to 10 (no scalar-pressure cliff).
-  const auto r5 = gpumodel::resource_usage(cv::opt5);
-  std::printf(
-      "\nopt5 (model only, no paper row): code %u B, SGPR %u, VGPR %u, "
-      "occupancy %u\n",
-      r5.code_bytes, r5.sgprs, r5.vgprs, r5.occupancy);
 
   const std::string asm_variant = cli.get("asm");
   if (asm_variant != "none") {

@@ -68,7 +68,19 @@ cof::comparer_variant parse_variant(const std::string& name) {
     const auto variant = static_cast<cof::comparer_variant>(v);
     if (name == cof::comparer_variant_name(variant)) return variant;
   }
-  throw cof::config_error("unknown variant (use base, opt1..opt6): " + name);
+  throw cof::config_error("unknown variant (use base, opt1..opt4 or opt6): " + name);
+}
+
+/// Write the records to `path` ('-' or empty = stdout). A path that cannot
+/// be opened ends the run like any other hostile argument.
+void write_output(const std::string& path, const std::string& text) {
+  if (path.empty() || path == "-") {
+    std::fputs(text.c_str(), stdout);
+    return;
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out.good()) fail(cof::config_error("cannot open output file: " + path));
+  out << text;
 }
 
 }  // namespace
@@ -82,7 +94,7 @@ int main(int argc, char** argv) {
                  false);
   cli.positional("output", "output file ('-' or empty = stdout)", false);
   cli.opt("wg", "work-group size (0 = backend default)", "0");
-  cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt5|opt6",
+  cli.opt("variant", "comparer variant: base|opt1|opt2|opt3|opt4|opt6",
           cof::comparer_variant_name(cof::engine_options{}.variant));
   cli.opt("chunk", "max device chunk bytes", "4194304");
   cli.flag("profile", "print the kernel hotspot profile (the variant's "
@@ -154,6 +166,19 @@ int main(int argc, char** argv) {
     }
     opt.backend = parse_device(cli.get_positional("device"));
     opt.variant = parse_variant(cli.get("variant"));
+    // The index build, the server and the streamed engine all drive device
+    // pipelines; the serial reference has none.
+    if (opt.backend == cof::backend_kind::serial) {
+      const char* mode = !cli.get("build-index").empty() ? "--build-index"
+                         : cli.get_flag("serve")          ? "--serve"
+                         : !cli.get("index").empty()      ? "--index"
+                         : cli.get_flag("stream")         ? "--stream"
+                                                          : nullptr;
+      if (mode != nullptr) {
+        throw cof::config_error(std::string(mode) +
+                                " needs a device backend (O, G, S, U or P)");
+      }
+    }
   } catch (const cof::config_error& e) {
     fail(e);
   }
@@ -176,8 +201,6 @@ int main(int argc, char** argv) {
   // persist the result, exit. Later runs pass the file via --index.
   if (!cli.get("build-index").empty()) {
     const std::string ipath = cli.get("build-index");
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--build-index needs a device backend (O, G, S, U or P)");
     util::stopwatch bsw;
     try {
       // Standalone build runs outside the engines, so arm the fault
@@ -206,8 +229,6 @@ int main(int argc, char** argv) {
   // requests from stdin: one `GUIDE[:MM]` per line, records for each
   // request written as soon as its future resolves, in submission order.
   if (cli.get_flag("serve")) {
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--serve needs a device backend (O, G, S, U or P)");
     cof::run_scope run(opt);
     try {
       cof::genome_index idx;
@@ -274,7 +295,7 @@ int main(int argc, char** argv) {
       std::ofstream out_file;
       if (!outp.empty() && outp != "-") {
         out_file.open(outp, std::ios::binary);
-        COF_CHECK_MSG(out_file.good(), "cannot open output file: " + outp);
+        if (!out_file.good()) throw cof::config_error("cannot open output file: " + outp);
       }
       std::ostream& out = out_file.is_open()
                               ? static_cast<std::ostream&>(out_file)
@@ -376,8 +397,6 @@ int main(int argc, char** argv) {
   // --index routes through the streaming engine's index/query split even
   // without --stream: warm runs never decode FASTA or launch the finder.
   if (cli.get_flag("stream") || !opt.index_path.empty()) {
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--stream needs a device backend (O, G, S, U or P)");
     // Unrecoverable failures (exhausted fault retries, stalled queues)
     // surface as exceptions with the failing site in the message; report
     // them as a clean fatal error instead of std::terminate.
@@ -432,15 +451,8 @@ int main(int argc, char** argv) {
     }
     std::vector<std::string> qs;
     for (const auto& q : cfg.queries) qs.push_back(q.seq);
-    const std::string text = cof::format_records(streamed.records, qs, names_only);
-    const std::string outp = cli.get_positional("output");
-    if (outp.empty() || outp == "-") {
-      std::fputs(text.c_str(), stdout);
-    } else {
-      std::ofstream out(outp, std::ios::binary);
-      COF_CHECK_MSG(out.good(), "cannot open output file: " + outp);
-      out << text;
-    }
+    write_output(cli.get_positional("output"),
+                 cof::format_records(streamed.records, qs, names_only));
     return 0;
   }
 
@@ -473,15 +485,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> qseqs;
   for (const auto& q : cfg.queries) qseqs.push_back(q.seq);
-  const std::string text = cof::format_records(result.records, qseqs, g);
-  const std::string out_path = cli.get_positional("output");
-  if (out_path.empty() || out_path == "-") {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream out(out_path, std::ios::binary);
-    COF_CHECK_MSG(out.good(), "cannot open output file: " + out_path);
-    out << text;
-  }
+  write_output(cli.get_positional("output"), cof::format_records(result.records, qseqs, g));
 
   if (cli.get_flag("score")) {
     const auto reports = cof::scoring::score_search(cfg, result.records);

@@ -27,7 +27,7 @@ struct engine_options {
   backend_kind backend = backend_kind::sycl;
   /// opt6 (the packed-word finder and comparer) is the production default;
   /// the paper's benches and the gpumodel projections pin base..opt4. The
-  /// variant also picks the comparer's launch shape: base..opt5 launch the
+  /// variant also picks the comparer's launch shape: base..opt4 launch the
   /// per-query `comparer/<variant>` kernel once per guide, as in the paper
   /// / upstream; opt6 launches its batched packed-word comparer once per
   /// chunk for every guide. Records are identical for every variant.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <latch>
@@ -56,11 +57,13 @@ class chunk_source {
 /// Pull-based FASTA decode of a file or directory. A record whose length
 /// lands exactly on a chunk boundary ends at that boundary: the carried
 /// overlap alone never forms a trailing chunk (its bases were already
-/// scanned as the tail of the previous chunk).
+/// scanned as the tail of the previous chunk). A source with no records
+/// throws fasta_error, as genome::load_genome does.
 class fasta_source final : public chunk_source {
  public:
   fasta_source(const std::string& path, usize max_chunk, usize overlap)
-      : files_(genome::fasta_files_at(path)),
+      : path_(path),
+        files_(genome::fasta_files_at(path)),
         max_chunk_(max_chunk),
         overlap_(overlap) {}
 
@@ -69,7 +72,10 @@ class fasta_source final : public chunk_source {
   event next() override {
     for (;;) {
       if (!stream_) {
-        if (file_idx_ >= files_.size()) return {};
+        if (file_idx_ >= files_.size()) {
+          if (records_ == 0) throw genome::fasta_error("genome has no sequences: " + path_);
+          return {};
+        }
         stream_.emplace(files_[file_idx_++]);
       }
       if (!in_record_) {
@@ -77,6 +83,7 @@ class fasta_source final : public chunk_source {
           stream_.reset();
           continue;
         }
+        ++records_;
         in_record_ = true;
         carry_.clear();
         next_start_ = 0;
@@ -116,8 +123,10 @@ class fasta_source final : public chunk_source {
   }
 
  private:
+  std::string path_;
   std::vector<std::string> files_;
   usize file_idx_ = 0;
+  usize records_ = 0;
   std::optional<genome::fasta_stream> stream_;
   bool in_record_ = false;
   std::string carry_;
@@ -162,11 +171,25 @@ class genome_source final : public chunk_source {
   util::u64 streamed_bases_ = 0;
 };
 
-std::string spill_path(usize queue_index) {
+/// The directory spill runs go to, resolved once per run. A temp directory
+/// that does not exist (TMPDIR naming a missing path) is a configuration
+/// error, reported before any file or thread is made.
+std::filesystem::path spill_directory() {
+  std::error_code ec;
+  std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
+  if (ec) {
+    const char* tmpdir = std::getenv("TMPDIR");
+    throw config_error(util::format("no temp directory for spill runs (TMPDIR=%s): %s",
+                                    tmpdir != nullptr ? tmpdir : "unset",
+                                    ec.message().c_str()));
+  }
+  return dir;
+}
+
+std::string spill_path(const std::filesystem::path& dir, usize queue_index) {
   static std::atomic<unsigned> serial{0};
-  return (std::filesystem::temp_directory_path() /
-          util::format("cof_spill_%ld_%u_q%zu.run", static_cast<long>(::getpid()),
-                       serial.fetch_add(1), queue_index))
+  return (dir / util::format("cof_spill_%ld_%u_q%zu.run", static_cast<long>(::getpid()),
+                             serial.fetch_add(1), queue_index))
       .string();
 }
 
@@ -184,7 +207,7 @@ std::string spill_path(usize queue_index) {
 // (capacity num_devices × num_queues + 2) bounds the produced-but-
 // unprocessed text to a fixed lookahead. Each consumer owns one pipeline: it
 // uploads the chunk, runs the finder, then the variant's comparer — ONE
-// batched launch per chunk under opt6, one launch per query under base..opt5
+// batched launch per chunk under opt6, one launch per query under base..opt4
 // — and hands the entry batch to a pool job that formats records and
 // spills them to the consumer's own temp file as one sorted run. Format jobs
 // are chained per consumer (the next is submitted only after the previous
@@ -234,6 +257,7 @@ constexpr std::chrono::milliseconds kQueueTimeout{kQueueTimeoutMs};
 streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
                             const engine_options& opt, const record_sink& sink) {
   streamed_outcome out;
+  const std::filesystem::path spill_dir = spill_directory();
   util::thread_pool& pool = util::thread_pool::global();
 
   const device_pattern pat = make_pattern(cfg.pattern);
@@ -308,7 +332,7 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   for (usize i = 0; i < qs.size(); ++i) {
     qs[i].device = i / queues;
     qs[i].cur_max_entries = opt.max_entries;
-    qs[i].writer = std::make_unique<record_spill_writer>(spill_path(i));
+    qs[i].writer = std::make_unique<record_spill_writer>(spill_path(spill_dir, i));
   }
 
   // The one chunk queue every consumer on every device takes from.

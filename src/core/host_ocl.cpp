@@ -139,139 +139,19 @@ __kernel void comparer(unsigned int locicnts, __global char* chr,
   }
 }
 
-/* opt5 (beyond the paper's ladder): the host precomputes one 16-bit deny
- * LUT per pattern character (bit r set iff mismatch(pat, rep[r])); the
- * kernel indexes it by the reference character's IUPAC nibble -- one local
- * load + shift + AND instead of the 14-compare Boolean chain. */
-unsigned int nibble(char r) {
-  switch (r) {
-    case 'A': return 1u;  case 'C': return 2u;  case 'G': return 4u;
-    case 'T': return 8u;  case 'M': return 3u;  case 'R': return 5u;
-    case 'W': return 9u;  case 'S': return 6u;  case 'Y': return 10u;
-    case 'K': return 12u; case 'V': return 7u;  case 'H': return 11u;
-    case 'D': return 13u; case 'B': return 14u; case 'N': return 15u;
-    default: return 0u;
-  }
-}
-
-__kernel void finder_mask(__global char* __restrict chr,
-                          __constant unsigned short* pat_mask,
-                          __constant int* pat_index, unsigned int chrsize,
-                          unsigned int plen, __global unsigned int* __restrict loci,
-                          __global char* __restrict flag,
-                          __global unsigned int* __restrict entrycount,
-                          unsigned int entry_capacity,
-                          __local unsigned short* l_pat_mask,
-                          __local int* l_pat_index) {
-  unsigned int i = get_global_id(0);
-  unsigned int li = i - get_group_id(0) * get_local_size(0);
-  if (li == 0) {
-    for (unsigned int k = 0; k < plen * 2; k++) {
-      l_pat_mask[k] = pat_mask[k];
-      l_pat_index[k] = pat_index[k];
-    }
-  }
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (i >= chrsize) return;
-  int fw = 1, rc = 1;
-  for (unsigned int j = 0; j < plen; j++) {
-    int k = l_pat_index[j];
-    if (k == -1) break;
-    if ((l_pat_mask[k] >> nibble(chr[i + k])) & 1u) { fw = 0; break; }
-  }
-  for (unsigned int j = 0; j < plen; j++) {
-    int k = l_pat_index[plen + j];
-    if (k == -1) break;
-    if ((l_pat_mask[plen + k] >> nibble(chr[i + k])) & 1u) { rc = 0; break; }
-  }
-  if (fw || rc) {
-    unsigned int old = atomic_inc(entrycount);
-    if (old < entry_capacity) {
-      loci[old] = i;
-      flag[old] = (fw && rc) ? 0 : (fw ? 1 : 2);
-    }
-  }
-}
-
-__kernel void comparer_opt5(unsigned int locicnts, __global char* __restrict chr,
-                            __global unsigned int* __restrict loci,
-                            __constant unsigned short* comp_mask,
-                            __constant int* comp_index, unsigned int plen,
-                            unsigned short threshold, __global char* __restrict flag,
-                            __global unsigned short* __restrict mm_count,
-                            __global char* __restrict direction,
-                            __global unsigned int* __restrict mm_loci,
-                            __global unsigned int* __restrict entrycount,
-                            unsigned int entry_capacity,
-                            __local unsigned short* l_comp_mask,
-                            __local int* l_comp_index) {
-  unsigned int i = get_global_id(0);
-  unsigned int li = i - get_group_id(0) * get_local_size(0);
-  if (li == 0) {
-    for (unsigned int k = 0; k < plen * 2; k++) {
-      l_comp_mask[k] = comp_mask[k];
-      l_comp_index[k] = comp_index[k];
-    }
-  }
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (i >= locicnts) return;
-  char f = flag[i];
-  unsigned int locus = loci[i];
-  unsigned short lmm_count;
-  unsigned int old;
-  if (f == 0 || f == 1) {
-    lmm_count = 0;
-    for (unsigned int j = 0; j < plen; j++) {
-      int k = l_comp_index[j];
-      if (k == -1) break;
-      if ((l_comp_mask[k] >> nibble(chr[locus + k])) & 1u) {
-        lmm_count++;
-        if (lmm_count > threshold) break;
-      }
-    }
-    if (lmm_count <= threshold) {
-      old = atomic_inc(entrycount);
-      if (old < entry_capacity) {
-        mm_count[old] = lmm_count;
-        direction[old] = '+';
-        mm_loci[old] = locus;
-      }
-    }
-  }
-  if (f == 0 || f == 2) {
-    lmm_count = 0;
-    for (unsigned int j = 0; j < plen; j++) {
-      int k = l_comp_index[plen + j];
-      if (k == -1) break;
-      if ((l_comp_mask[k + plen] >> nibble(chr[locus + k])) & 1u) {
-        lmm_count++;
-        if (lmm_count > threshold) break;
-      }
-    }
-    if (lmm_count <= threshold) {
-      old = atomic_inc(entrycount);
-      if (old < entry_capacity) {
-        mm_count[old] = lmm_count;
-        direction[old] = '-';
-        mm_loci[old] = locus;
-      }
-    }
-  }
-}
-
 /* opt6: the two-bit SWAR comparer, one launch for every query of the
  * chunk. The chunk travels only as 2-bit packed codes (32 bases per ulong)
  * plus ambiguity flags in the same geometry; the host precomputes, per query
  * half and per 32-base word, one 64-bit deny mask for each reference code
- * plus a fifth 'N' mask. One word evaluation replaces up to 32 opt5
- * iterations; every ambiguous reference base scores through the 'N' mask,
- * exactly as mismatch() treats any non-ACGT byte. opt2 applies to the window
- * every query shares: loci[i]/flag[i] are read once per candidate site, and
- * each of the window's first 4 words is read and decoded once (its per-code
- * equality masks and ambiguity mask, kept in private memory) by the first
- * (query, strand) that reaches it; words past those 4 are decoded where they
- * are used. Each (query, strand) scores the words with its five deny masks
- * and a popcount per word. */
+ * plus a fifth 'N' mask. One word evaluation replaces up to 32 iterations
+ * of the per-character loop; every ambiguous reference base scores through
+ * the 'N' mask, exactly as mismatch() treats any non-ACGT byte. opt2 applies
+ * to the window every query shares: loci[i]/flag[i] are read once per
+ * candidate site, and each of the window's first 4 words is read and decoded
+ * once (its per-code equality masks and ambiguity mask, kept in private
+ * memory) by the first (query, strand) that reaches it; words past those 4
+ * are decoded where they are used. Each (query, strand) scores the words with
+ * its five deny masks and a popcount per word. */
 __kernel void comparer_multi_opt6(unsigned int locicnts,
                                   __global ulong* __restrict chr_packed2,
                                   __global ulong* __restrict chr_amb2,
@@ -419,9 +299,7 @@ __kernel void finder_opt6(__global ulong* __restrict chr_packed2,
  * registers loci[i]/flag[i], opt3 fetches the pattern cooperatively, opt4
  * additionally registers the pattern char read from local memory. Bodies
  * elided here for brevity -- the native implementations are authoritative
- * and shared with the SYCL program. (comparer_opt5 above is spelled out in
- * full: its signature differs -- deny-LUT ushorts replace the pattern
- * chars.) */
+ * and shared with the SYCL program. */
 __kernel void comparer_opt1() {}
 __kernel void comparer_opt2() {}
 __kernel void comparer_opt3() {}
@@ -448,23 +326,6 @@ void finder_native(const oclsim::arg_view& a, xpu::xitem& it) {
   fa.l_pat = a.local<char>(9);
   fa.l_pat_index = a.local<i32>(10);
   finder_kernel<P>(it, fa);
-}
-
-template <class P>
-void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  finder_args fa;
-  fa.chr = a.global<const char>(0);
-  fa.pat_mask = a.global<const u16>(1);
-  fa.pat_index = a.global<const i32>(2);
-  fa.chrsize = a.scalar<u32>(3);
-  fa.plen = a.scalar<u32>(4);
-  fa.loci = a.global<u32>(5);
-  fa.flag = a.global<char>(6);
-  fa.entrycount = a.global<u32>(7);
-  fa.entry_capacity = a.scalar<u32>(8);
-  fa.l_pat_mask = a.local<u16>(9);
-  fa.l_pat_index = a.local<i32>(10);
-  finder_kernel_mask<P>(it, fa);
 }
 
 /// Shared unpack of finder_opt6's arguments (all global or scalar) for its
@@ -517,29 +378,6 @@ void comparer_native_dispatch(comparer_variant v, const oclsim::arg_view& a,
   ca.l_comp = a.local<char>(13);
   ca.l_comp_index = a.local<i32>(14);
   comparer_dispatch<P>(v, it, ca);
-}
-
-/// opt5's signature swaps the pattern chars (args 3/13) for the u16 deny
-/// LUTs, so it cannot share comparer_native_dispatch's unpack order.
-template <class P>
-void comparer_opt5_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  comparer_args ca;
-  ca.locicnts = a.scalar<u32>(0);
-  ca.chr = a.global<const char>(1);
-  ca.loci = a.global<const u32>(2);
-  ca.comp_mask = a.global<const u16>(3);
-  ca.comp_index = a.global<const i32>(4);
-  ca.plen = a.scalar<u32>(5);
-  ca.threshold = a.scalar<u16>(6);
-  ca.flag = a.global<const char>(7);
-  ca.mm_count = a.global<u16>(8);
-  ca.direction = a.global<char>(9);
-  ca.mm_loci = a.global<u32>(10);
-  ca.entrycount = a.global<u32>(11);
-  ca.entry_capacity = a.scalar<u32>(12);
-  ca.l_comp_mask = a.local<u16>(13);
-  ca.l_comp_index = a.local<i32>(14);
-  comparer_dispatch<P>(comparer_variant::opt5, it, ca);
 }
 
 const std::vector<oclsim::arg_kind> kFinderSig = {
@@ -626,9 +464,6 @@ const bool kKernelsRegistered = [] {
                            &finder_native<direct_mem>,
                            &finder_native<counting_mem>,
                            /*single_leading_barrier=*/true});
-  oclsim::register_kernel({"finder_mask", kFinderSig, true,
-                           &finder_mask_native<direct_mem>,
-                           &finder_mask_native<counting_mem>, true});
   oclsim::register_kernel({"finder_opt6", kFinderOpt6Sig, /*uses_barrier=*/false,
                            &finder_opt6_native<direct_mem>,
                            &finder_opt6_native<counting_mem>, false,
@@ -653,9 +488,6 @@ const bool kKernelsRegistered = [] {
                            &comparer_native<comparer_variant::opt4, direct_mem>,
                            &comparer_native<comparer_variant::opt4, counting_mem>,
                            true});
-  oclsim::register_kernel({"comparer_opt5", kComparerSig, true,
-                           &comparer_opt5_native<direct_mem>,
-                           &comparer_opt5_native<counting_mem>, true});
   oclsim::register_kernel({"comparer_multi_opt6", kComparerMultiOpt6Sig, true,
                            &comparer_multi_opt6_native<direct_mem>,
                            &comparer_multi_opt6_native<counting_mem>, true,
@@ -697,9 +529,8 @@ class opencl_pipeline final : public device_pipeline {
     program_ = clCreateProgramWithSource(ctx_, 1, &src, nullptr, &err);
     COF_CL_CHECK(err);
     COF_CL_CHECK(clBuildProgram(program_, 1, &device_, "-O3", nullptr, nullptr));
-    // Step 8: kernel objects, one finder and one comparer. opt5 pairs the
-    // comparer with the bitmask-LUT finder (the pattern chars never reach
-    // the device at all); opt6 with the packed-word finder.
+    // Step 8: kernel objects, one finder and one comparer. opt6 pairs its
+    // comparer with the packed-word finder.
     finder_k_ = clCreateKernel(program_, finder_kernel_name(), &err);
     COF_CL_CHECK(err);
     comparer_k_ = clCreateKernel(program_, comparer_kernel_name(), &err);
@@ -783,12 +614,12 @@ class opencl_pipeline final : public device_pipeline {
   }
 
   launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) override {
-    // Under opt5/opt6 the device sees the u16 deny LUTs instead of the chars.
+    // Under opt6 the device sees the u16 deny LUTs instead of the chars.
     const usize pat_bytes =
-        use_mask() ? pat.mask.size() * sizeof(u16) : pat.device_chars();
+        packs_words() ? pat.mask.size() * sizeof(u16) : pat.device_chars();
     cl_mem patm = launch_buffer(
         kConstIn, pat_bytes,
-        use_mask() ? static_cast<const void*>(pat.mask_data()) : pat.data());
+        packs_words() ? static_cast<const void*>(pat.mask_data()) : pat.data());
     cl_mem idxm =
         launch_buffer(kConstIn, pat.index.size() * sizeof(i32), pat.index_data());
     count_h2d(pat_bytes + pat.index.size() * sizeof(i32));
@@ -833,7 +664,7 @@ class opencl_pipeline final : public device_pipeline {
   }
 
   /// Steps 5 + 9: one query's per-query comparer buffers and arguments
-  /// (base..opt5), then the launch, the downloads that fit, and the release
+  /// (base..opt4), then the launch, the downloads that fit, and the release
   /// of every buffer the launch created.
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
@@ -860,11 +691,8 @@ class opencl_pipeline final : public device_pipeline {
 
   void set_comparer_args(const device_pattern& query, u16 threshold, u32 locicnt,
                          usize cap, cl_mem mmm, cl_mem dirm, cl_mem mlocim) {
-    const usize comp_bytes =
-        use_mask() ? query.mask.size() * sizeof(u16) : query.device_chars();
-    cl_mem compm = launch_buffer(
-        kConstIn, comp_bytes,
-        use_mask() ? static_cast<const void*>(query.mask_data()) : query.data());
+    const usize comp_bytes = query.device_chars();
+    cl_mem compm = launch_buffer(kConstIn, comp_bytes, query.data());
     cl_mem cidxm = launch_buffer(kConstIn, query.index.size() * sizeof(i32),
                                  query.index_data());
     count_h2d(comp_bytes + query.index.size() * sizeof(i32));
@@ -977,20 +805,13 @@ class opencl_pipeline final : public device_pipeline {
       case comparer_variant::opt2: return "comparer_opt2";
       case comparer_variant::opt3: return "comparer_opt3";
       case comparer_variant::opt4: return "comparer_opt4";
-      case comparer_variant::opt5: return "comparer_opt5";
       case comparer_variant::opt6: return "comparer_multi_opt6";
     }
     return "comparer";
   }
 
-  // opt5 and opt6 both read the pattern as deny LUTs (the pattern chars
-  // never reach the device): opt5's bitmask-LUT finder, opt6's packed-word
-  // finder.
-  bool use_mask() const { return comparer_variant_uses_mask(opt_.variant); }
-
   const char* finder_kernel_name() const {
-    if (packs_words()) return "finder_opt6";
-    return use_mask() ? "finder_mask" : "finder";
+    return packs_words() ? "finder_opt6" : "finder";
   }
 
   void zero_counter(cl_mem counter) {
@@ -1077,7 +898,7 @@ class opencl_pipeline final : public device_pipeline {
   cl_program program_ = nullptr;
   cl_kernel finder_k_ = nullptr;
   cl_kernel comparer_k_ = nullptr;
-  cl_mem chr_ = nullptr;  // base..opt5: the chunk's chars
+  cl_mem chr_ = nullptr;  // base..opt4: the chunk's chars
   cl_mem loci_ = nullptr;
   cl_mem flag_ = nullptr;
   cl_mem count_ = nullptr;

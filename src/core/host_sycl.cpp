@@ -109,7 +109,7 @@ class sycl_pipeline final : public device_pipeline {
     return {read_count(*count_buf_), nanos};
   }
 
-  /// The per-position finder (base..opt5): one work-item per start
+  /// The per-position finder (base..opt4): one work-item per start
   /// position, pattern fetched into local memory behind one barrier.
   template <class P>
   void submit_finder(const device_pattern& pat, u32 chrsize, usize loci_cap) {
@@ -117,17 +117,13 @@ class sycl_pipeline final : public device_pipeline {
     const usize gws = util::round_up<usize>(chrsize, lws);
     sycl::buffer<char, 1> pat_buf(pat.data(), sycl::range<1>(pat.device_chars()));
     sycl::buffer<i32, 1> idx_buf(pat.index_data(), sycl::range<1>(pat.index.size()));
-    sycl::buffer<u16, 1> mask_buf(pat.mask_data(), sycl::range<1>(pat.mask.size()));
     count_h2d(pat.device_chars() + pat.index.size() * sizeof(i32));
-    const bool use_mask = comparer_variant_uses_mask(opt_.variant);
-    if (use_mask) count_h2d(pat.mask.size() * sizeof(u16));
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name(tags().finder.c_str());
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        auto chr = chr_buf_->get_access<sycl::sycl_read>(cgh);
        auto patc = pat_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto pidx = idx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto pmask = mask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto loci = loci_buf_->get_access<sycl::sycl_write>(cgh);
        auto flag = flag_buf_->get_access<sycl::sycl_write>(cgh);
        auto cnt = count_buf_->get_access<sycl::sycl_read_write>(cgh);
@@ -135,8 +131,6 @@ class sycl_pipeline final : public device_pipeline {
            sycl::range<1>(pat.device_chars()), cgh);
        sycl::accessor<i32, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_idx(
            sycl::range<1>(pat.index.size()), cgh);
-       sycl::accessor<u16, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_mask(
-           sycl::range<1>(pat.mask.size()), cgh);
        const u32 plen = pat.plen;
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
@@ -144,7 +138,6 @@ class sycl_pipeline final : public device_pipeline {
                           a.chr = chr.get_pointer();
                           a.pat = patc.get_pointer();
                           a.pat_index = pidx.get_pointer();
-                          a.pat_mask = pmask.get_pointer();
                           a.chrsize = chrsize;
                           a.plen = plen;
                           a.loci = loci.get_pointer();
@@ -153,12 +146,7 @@ class sycl_pipeline final : public device_pipeline {
                           a.entry_capacity = static_cast<u32>(loci_cap);
                           a.l_pat = l_pat.get_pointer();
                           a.l_pat_index = l_idx.get_pointer();
-                          a.l_pat_mask = l_mask.get_pointer();
-                          if (use_mask) {
-                            finder_kernel_mask<P>(item, a);
-                          } else {
-                            finder_kernel<P>(item, a);
-                          }
+                          finder_kernel<P>(item, a);
                         });
      }).wait();
   }
@@ -219,7 +207,7 @@ class sycl_pipeline final : public device_pipeline {
     sycl::buffer<u32, 1>& count;
   };
 
-  /// One query's per-query comparer (base..opt5): device-local outputs for
+  /// One query's per-query comparer (base..opt4): device-local outputs for
   /// `cap` entries, released with this frame.
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
@@ -250,11 +238,7 @@ class sycl_pipeline final : public device_pipeline {
     sycl::buffer<char, 1> comp_buf(query.data(), sycl::range<1>(query.device_chars()));
     sycl::buffer<i32, 1> cidx_buf(query.index_data(),
                                   sycl::range<1>(query.index.size()));
-    sycl::buffer<u16, 1> cmask_buf(query.mask_data(), sycl::range<1>(query.mask.size()));
     count_h2d(query.device_chars() + query.index.size() * sizeof(i32));
-    if (opt_.variant == comparer_variant::opt5) {
-      count_h2d(query.mask.size() * sizeof(u16));
-    }
 
     const comparer_variant variant = opt_.variant;
     q_.submit([&](sycl::handler& cgh) {
@@ -265,7 +249,6 @@ class sycl_pipeline final : public device_pipeline {
        auto flag = flag_buf_->get_access<sycl::sycl_read>(cgh);
        auto comp = comp_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto cidx = cidx_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
-       auto cmask = cmask_buf.get_access<sycl::sycl_read, sycl::sycl_cmem>(cgh);
        auto mm = o.mm.get_access<sycl::sycl_write>(cgh);
        auto dir = o.dir.get_access<sycl::sycl_write>(cgh);
        auto mloci = o.loci.get_access<sycl::sycl_write>(cgh);
@@ -274,8 +257,6 @@ class sycl_pipeline final : public device_pipeline {
            sycl::range<1>(query.device_chars()), cgh);
        sycl::accessor<i32, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_cidx(
            sycl::range<1>(query.index.size()), cgh);
-       sycl::accessor<u16, 1, sycl::sycl_read_write, sycl::sycl_lmem> l_cmask(
-           sycl::range<1>(query.mask.size()), cgh);
        const u32 plen = query.plen;
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
@@ -286,7 +267,6 @@ class sycl_pipeline final : public device_pipeline {
                           a.flag = flag.get_pointer();
                           a.comp = comp.get_pointer();
                           a.comp_index = cidx.get_pointer();
-                          a.comp_mask = cmask.get_pointer();
                           a.plen = plen;
                           a.threshold = threshold;
                           a.mm_count = mm.get_pointer();
@@ -296,7 +276,6 @@ class sycl_pipeline final : public device_pipeline {
                           a.entry_capacity = static_cast<u32>(cap);
                           a.l_comp = l_comp.get_pointer();
                           a.l_comp_index = l_cidx.get_pointer();
-                          a.l_comp_mask = l_cmask.get_pointer();
                           comparer_dispatch<P>(variant, item, a);
                         });
      }).wait();
@@ -409,7 +388,7 @@ class sycl_pipeline final : public device_pipeline {
   }
 
   sycl::queue q_;
-  std::optional<sycl::buffer<char, 1>> chr_buf_;  // base..opt5: the chunk's chars
+  std::optional<sycl::buffer<char, 1>> chr_buf_;  // base..opt4: the chunk's chars
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   std::optional<sycl::buffer<util::u64, 1>> chr2_buf_;
   std::optional<sycl::buffer<util::u64, 1>> amb2_buf_;

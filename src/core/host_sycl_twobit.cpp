@@ -1,7 +1,7 @@
 // SYCL host program over 2-bit packed chunks (the upstream memory
 // optimisation, §V [21]): the host packs each chunk with genome::twobit_seq
 // and uploads ~3/8 of the char payload (2 bits/base + 1 ambiguity bit/base)
-// for the nibble kernels of base..opt5, one comparer launch per guide. opt6
+// for the nibble kernels of base..opt4, one comparer launch per guide. opt6
 // already runs on packed words on every facade, so under opt6 the factory
 // hands out the buffer-SYCL host program, batched comparer included, under
 // this facade's name and launch names instead.
@@ -102,7 +102,7 @@ class sycl_twobit_pipeline final : public device_pipeline {
     return {read_count(*count_buf_), nanos};
   }
 
-  /// The nibble-packed finder (base..opt5): one work-item per start
+  /// The nibble-packed finder (base..opt4): one work-item per start
   /// position, pattern chars in local memory behind a barrier.
   template <class P>
   void submit_finder(const device_pattern& pat, u32 chrsize, usize loci_cap) {

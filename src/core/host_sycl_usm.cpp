@@ -112,19 +112,21 @@ class sycl_usm_pipeline final : public device_pipeline {
     const usize gws = util::round_up<usize>(
         packs_words() ? swar_finder_items(chrsize) : chrsize, lws);
 
-    char* patd = sycl::malloc_device<char>(pat.device_chars(), q_);
+    // The per-position finder reads the pattern chars, opt6's packed-word
+    // finder the deny LUTs; each launch uploads only the one it reads.
     i32* idxd = sycl::malloc_device<i32>(pat.index.size(), q_);
-    u16* maskd = sycl::malloc_device<u16>(pat.mask.size(), q_);
     q_.memcpy(idxd, pat.index_data(), pat.index.size() * sizeof(i32));
     count_h2d(pat.index.size() * sizeof(i32));
-    if (!packs_words()) {
-      q_.memcpy(patd, pat.data(), pat.device_chars());
-      count_h2d(pat.device_chars());
-    }
-    const bool use_mask = comparer_variant_uses_mask(opt_.variant);
-    if (use_mask) {
+    char* patd = nullptr;
+    u16* maskd = nullptr;
+    if (packs_words()) {
+      maskd = sycl::malloc_device<u16>(pat.mask.size(), q_);
       q_.memcpy(maskd, pat.mask_data(), pat.mask.size() * sizeof(u16));
       count_h2d(pat.mask.size() * sizeof(u16));
+    } else {
+      patd = sycl::malloc_device<char>(pat.device_chars(), q_);
+      q_.memcpy(patd, pat.data(), pat.device_chars());
+      count_h2d(pat.device_chars());
     }
     zero_count(count_);
 
@@ -168,13 +170,11 @@ class sycl_usm_pipeline final : public device_pipeline {
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<char, 1> l_pat(sycl::range<1>(pat.device_chars()), cgh);
        sycl::local_accessor<i32, 1> l_idx(sycl::range<1>(pat.index.size()), cgh);
-       sycl::local_accessor<u16, 1> l_mask(sycl::range<1>(pat.mask.size()), cgh);
        cgh.parallel_for(ndr, [=](sycl::nd_item<1> item) {
          finder_args a;
          a.chr = chr;
          a.pat = patd;
          a.pat_index = idxd;
-         a.pat_mask = maskd;
          a.chrsize = chrsize;
          a.plen = plen;
          a.loci = loci;
@@ -183,12 +183,7 @@ class sycl_usm_pipeline final : public device_pipeline {
          a.entry_capacity = entry_cap;
          a.l_pat = l_pat.get_pointer();
          a.l_pat_index = l_idx.get_pointer();
-         a.l_pat_mask = l_mask.get_pointer();
-         if (use_mask) {
-           finder_kernel_mask<P>(item, a);
-         } else {
-           finder_kernel<P>(item, a);
-         }
+         finder_kernel<P>(item, a);
        });
      }).wait();
     const util::u64 nanos = q_.cof_last_launch().wall_nanos;
@@ -231,7 +226,7 @@ class sycl_usm_pipeline final : public device_pipeline {
     return n;
   }
 
-  /// One query's per-query comparer (base..opt5).
+  /// One query's per-query comparer (base..opt4).
   launch_stats launch_comparer(const device_pattern& query, u16 threshold, u32 locicnt,
                                usize cap, entries& out) override {
     const comparer_out o = alloc_out(cap);
@@ -249,14 +244,9 @@ class sycl_usm_pipeline final : public device_pipeline {
 
     char* compd = sycl::malloc_device<char>(query.device_chars(), q_);
     i32* cidxd = sycl::malloc_device<i32>(query.index.size(), q_);
-    u16* cmaskd = sycl::malloc_device<u16>(query.mask.size(), q_);
     q_.memcpy(compd, query.data(), query.device_chars());
     q_.memcpy(cidxd, query.index_data(), query.index.size() * sizeof(i32));
     count_h2d(query.device_chars() + query.index.size() * sizeof(i32));
-    if (opt_.variant == comparer_variant::opt5) {
-      q_.memcpy(cmaskd, query.mask_data(), query.mask.size() * sizeof(u16));
-      count_h2d(query.mask.size() * sizeof(u16));
-    }
 
     const comparer_variant variant = opt_.variant;
     const char* chr = chr_;
@@ -269,7 +259,6 @@ class sycl_usm_pipeline final : public device_pipeline {
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<char, 1> l_comp(sycl::range<1>(query.device_chars()), cgh);
        sycl::local_accessor<i32, 1> l_cidx(sycl::range<1>(query.index.size()), cgh);
-       sycl::local_accessor<u16, 1> l_cmask(sycl::range<1>(query.mask.size()), cgh);
        cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
                         [=](sycl::nd_item<1> item) {
                           comparer_args a;
@@ -279,7 +268,6 @@ class sycl_usm_pipeline final : public device_pipeline {
                           a.flag = flag;
                           a.comp = compd;
                           a.comp_index = cidxd;
-                          a.comp_mask = cmaskd;
                           a.plen = plen;
                           a.threshold = threshold;
                           a.mm_count = o.mm;
@@ -289,13 +277,11 @@ class sycl_usm_pipeline final : public device_pipeline {
                           a.entry_capacity = entry_cap;
                           a.l_comp = l_comp.get_pointer();
                           a.l_comp_index = l_cidx.get_pointer();
-                          a.l_comp_mask = l_cmask.get_pointer();
                           comparer_dispatch<P>(variant, item, a);
                         });
      }).wait();
     sycl::free(compd, q_);
     sycl::free(cidxd, q_);
-    sycl::free(cmaskd, q_);
   }
 
   /// opt6's comparer, launch half: one multi-query kernel over the
@@ -402,7 +388,7 @@ class sycl_usm_pipeline final : public device_pipeline {
   }
 
   sycl::queue q_;
-  char* chr_ = nullptr;  // base..opt5: the chunk's chars
+  char* chr_ = nullptr;  // base..opt4: the chunk's chars
   // opt6: the chunk's 2-bit words + ambiguity flags (see kernels_swar.hpp).
   util::u64* chr2_ = nullptr;
   util::u64* amb2_ = nullptr;

@@ -125,7 +125,7 @@ void check_index_matches_source(const genome_index& idx,
 /// counts device-resident reuses, chunk_misses the uploads, chunk_evictions
 /// the budget-forced drops). Every query() runs the variant's comparer per
 /// chunk: ONE batched launch under opt6, one launch per query under
-/// base..opt5.
+/// base..opt4.
 ///
 /// With engine_options::num_devices > 1 the session shards its slots across
 /// a device_set (opt.num_queues slots PER device, slot s pinned to device

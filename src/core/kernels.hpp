@@ -18,10 +18,8 @@
 //          registers once per loop iteration; the Boolean chain then runs
 //          register-only. (On the paper's GPUs this raises VGPR pressure,
 //          drops occupancy 10 -> 9, and nearly doubles kernel time.)
-//   opt5 — (beyond the paper) the host precomputes a 16-bit deny LUT per
-//          pattern character (genome::casoffinder_mismatch_mask); the
-//          mismatch test collapses to one local load + shift/AND, dodging
-//          opt4's register-pressure cliff entirely. Counted as ev::mask_op.
+//
+// The production variant, opt6, lives in kernels_swar.hpp.
 //
 // Every kernel is a template over a memory policy: `direct_mem` compiles to
 // raw accesses (wall-clock benchmarks); `counting_mem` counts every global/
@@ -79,7 +77,6 @@ struct direct_mem {
       return std::atomic_ref<u32>(*ptr).fetch_add(v);
     }
     void count_compare() const {}
-    void count_mask() const {}
     void count_swar() const {}
     void count_loop() const {}
     void count_branch() const {}
@@ -131,7 +128,6 @@ struct counting_mem {
       return std::atomic_ref<u32>(*ptr).fetch_add(v);
     }
     void count_compare() { ++c[prof::ev::compare]; }
-    void count_mask() { ++c[prof::ev::mask_op]; }
     void count_swar() { ++c[prof::ev::swar_op]; }
     void count_loop() { ++c[prof::ev::loop_iter]; }
     void count_branch() { ++c[prof::ev::branch]; }
@@ -170,17 +166,6 @@ inline bool chain_mismatch(PItem& p, PatLd&& pat, RefLd&& ref) {
          (pv == 'T' && (rv != 'T'));
 }
 
-/// opt5's mismatch test: the pattern character's precomputed 16-bit deny LUT
-/// (see genome::casoffinder_mismatch_mask), indexed by the reference
-/// character's nibble — one shift + AND instead of the 14-compare chain.
-/// `mask()` is the (usually local-memory) load thunk, invoked exactly once.
-/// Bit-identical to chain_mismatch for every character pair.
-template <class PItem, class MaskLd>
-inline bool mask_mismatch(PItem& p, MaskLd&& mask, char rv) {
-  p.count_mask();
-  return ((mask() >> genome::iupac_nibble(rv)) & 1u) != 0;
-}
-
 // ---------------------------------------------------------------------------
 // finder
 // ---------------------------------------------------------------------------
@@ -189,7 +174,6 @@ struct finder_args {
   const char* chr = nullptr;       // chunk sequence (global)
   const char* pat = nullptr;       // pattern | rc(pattern) (constant)
   const i32* pat_index = nullptr;  // non-N positions, -1 terminated (constant)
-  const u16* pat_mask = nullptr;   // per-char deny LUTs (opt5 only, constant)
   u32 chrsize = 0;                 // valid start positions in the chunk
   u32 plen = 0;
   u32* loci = nullptr;             // out: matching positions (global)
@@ -202,16 +186,12 @@ struct finder_args {
   u32 entry_capacity = ~u32{0};
   char* l_pat = nullptr;           // local, 2*plen
   i32* l_pat_index = nullptr;      // local, 2*plen
-  u16* l_pat_mask = nullptr;       // local, 2*plen (opt5 only)
 };
 
-namespace detail {
-
-/// Shared body of the finder: Mask selects the mismatch test (the chain, or
-/// the opt5 bitmask LUT — which also swaps the fetched pattern array). Both
-/// cooperate with the two-phase executor via Item::cof_phase().
-template <class P, class Item, bool Mask>
-inline void finder_impl(const Item& it, const finder_args& a) {
+/// The finder (PAM scan). Cooperates with the two-phase executor via
+/// Item::cof_phase().
+template <class P, class Item>
+inline void finder_kernel(const Item& it, const finder_args& a) {
   typename P::item p;
   const usize i = it.get_global_id(0);
   const usize li = i - it.get_group(0) * it.get_local_range(0);
@@ -220,11 +200,7 @@ inline void finder_impl(const Item& it, const finder_args& a) {
   if (ph != xpu::exec_phase::post_fetch) {
     if (li == 0) {
       for (u32 k = 0; k < a.plen * 2; ++k) {
-        if constexpr (Mask) {
-          p.lstore(a.l_pat_mask, k, p.gload(a.pat_mask, k));
-        } else {
-          p.lstore(a.l_pat, k, p.gload(a.pat, k));
-        }
+        p.lstore(a.l_pat, k, p.gload(a.pat, k));
         p.lstore(a.l_pat_index, k, p.gload(a.pat_index, k));
       }
     }
@@ -241,16 +217,9 @@ inline void finder_impl(const Item& it, const finder_args& a) {
       const i32 k = p.lload(a.l_pat_index, half * a.plen + j);
       if (k == -1) break;
       const auto ku = static_cast<usize>(k);
-      bool mismatch;
-      if constexpr (Mask) {
-        auto mask = [&] { return p.lload(a.l_pat_mask, half * a.plen + ku); };
-        mismatch = mask_mismatch(p, mask, p.gload(a.chr, i + ku));
-      } else {
-        auto pat = [&] { return p.lload(a.l_pat, half * a.plen + ku); };
-        auto ref = [&] { return p.gload(a.chr, i + ku); };
-        mismatch = chain_mismatch(p, pat, ref);
-      }
-      if (mismatch) {
+      auto pat = [&] { return p.lload(a.l_pat, half * a.plen + ku); };
+      auto ref = [&] { return p.gload(a.chr, i + ku); };
+      if (chain_mismatch(p, pat, ref)) {
         match = false;
         p.count_branch();
         break;
@@ -269,20 +238,6 @@ inline void finder_impl(const Item& it, const finder_args& a) {
   }
 }
 
-}  // namespace detail
-
-template <class P, class Item>
-inline void finder_kernel(const Item& it, const finder_args& a) {
-  detail::finder_impl<P, Item, false>(it, a);
-}
-
-/// Bitmask-LUT finder (paired with comparer opt5): same scan, but the
-/// mismatch test is one local load + shift/AND.
-template <class P, class Item>
-inline void finder_kernel_mask(const Item& it, const finder_args& a) {
-  detail::finder_impl<P, Item, true>(it, a);
-}
-
 // ---------------------------------------------------------------------------
 // comparer (5 variants)
 // ---------------------------------------------------------------------------
@@ -294,7 +249,6 @@ struct comparer_args {
   const char* flag = nullptr;       // finder output (global)
   const char* comp = nullptr;       // query | rc(query) (constant)
   const i32* comp_index = nullptr;  // non-N positions, -1 terminated
-  const u16* comp_mask = nullptr;   // per-char deny LUTs (opt5 only)
   u32 plen = 0;
   u16 threshold = 0;
   u16* mm_count = nullptr;          // out per entry (global)
@@ -306,11 +260,10 @@ struct comparer_args {
   u32 entry_capacity = ~u32{0};
   char* l_comp = nullptr;           // local, 2*plen
   i32* l_comp_index = nullptr;      // local, 2*plen
-  u16* l_comp_mask = nullptr;       // local, 2*plen (opt5 only)
 };
 
-enum class comparer_variant : int { base = 0, opt1, opt2, opt3, opt4, opt5, opt6 };
-inline constexpr int kNumComparerVariants = 7;
+enum class comparer_variant : int { base = 0, opt1, opt2, opt3, opt4, opt6 };
+inline constexpr int kNumComparerVariants = 6;
 
 inline const char* comparer_variant_name(comparer_variant v) {
   switch (v) {
@@ -319,17 +272,9 @@ inline const char* comparer_variant_name(comparer_variant v) {
     case comparer_variant::opt2: return "opt2";
     case comparer_variant::opt3: return "opt3";
     case comparer_variant::opt4: return "opt4";
-    case comparer_variant::opt5: return "opt5";
     case comparer_variant::opt6: return "opt6";
   }
   return "?";
-}
-
-/// Variants whose mismatch test consumes the precomputed deny-LUT masks
-/// (opt5's per-character LUT; opt6 derives its per-word SWAR masks from the
-/// same table). These pair with the bitmask-LUT finder.
-inline constexpr bool comparer_variant_uses_mask(comparer_variant v) {
-  return v >= comparer_variant::opt5;
 }
 
 /// Variants whose kernels read the chunk as 2-bit packed words (opt6: the
@@ -463,71 +408,10 @@ inline void comparer_impl(const Item& it, const comparer_args& args) {
   }
 }
 
-/// opt5's strand compare: identical flow to compare_strand<.., true, ..>
-/// (restrict, hoisted locus) but the mismatch test is the bitmask LUT — no
-/// pattern characters are read at all, on-device or in local memory.
-template <class PItem>
-inline void compare_strand_mask(PItem& p, const comparer_args& a, usize i, int half,
-                                char dir) {
-  u16 lmm_count = 0;
-  const u32 locus = p.gload(a.loci, i);
-  for (u32 j = 0; j < a.plen; ++j) {
-    p.count_loop();
-    const i32 k = p.lload(a.l_comp_index, half * a.plen + j);
-    if (k == -1) break;
-    const auto ku = static_cast<usize>(k);
-    const char rv = p.gload(a.chr, locus + ku);
-    auto mask = [&] { return p.lload(a.l_comp_mask, half * a.plen + ku); };
-    if (mask_mismatch(p, mask, rv)) {
-      ++lmm_count;
-      if (lmm_count > a.threshold) {
-        p.count_branch();
-        break;
-      }
-    }
-  }
-  if (lmm_count <= a.threshold) {
-    const u32 old = p.atomic_inc(a.entrycount);
-    if (old < a.entry_capacity) {
-      p.gstore(a.mm_count, old, lmm_count);
-      p.gstore(a.direction, old, dir);
-      p.gstore(a.mm_loci, old, locus);
-    }
-  }
-}
-
-/// opt5: opt3's structure (restrict, hoisted loci/flag, cooperative fetch)
-/// with the Boolean chain replaced by the deny-LUT test. The fetch brings in
-/// the u16 masks + index; the pattern chars never leave the host.
-template <class P, class Item>
-inline void comparer_mask_impl(const Item& it, const comparer_args& args) {
-  const char* __restrict__ chr = args.chr;
-  (void)chr;
-  typename P::item p;
-  const usize i = it.get_global_id(0);
-  const usize li = i - it.get_group(0) * it.get_local_range(0);
-
-  const xpu::exec_phase ph = it.cof_phase();
-  if (ph != xpu::exec_phase::post_fetch) {
-    for (u32 k = static_cast<u32>(li); k < args.plen * 2;
-         k += static_cast<u32>(it.get_local_range(0))) {
-      p.lstore(args.l_comp_mask, k, p.gload(args.comp_mask, k));
-      p.lstore(args.l_comp_index, k, p.gload(args.comp_index, k));
-    }
-    if (ph == xpu::exec_phase::fetch_only) return;
-    it.barrier();
-  }
-  if (i >= args.locicnts) return;
-
-  const char f = p.gload(args.flag, i);
-  if (f == 0 || f == 1) compare_strand_mask(p, args, i, 0, '+');
-  if (f == 0 || f == 2) compare_strand_mask(p, args, i, 1, '-');
-}
-
 }  // namespace detail
 
-// The six instantiations (the paper's four cumulative optimisations plus
-// the bitmask-LUT variant).
+// The five instantiations (the paper's baseline and its four cumulative
+// optimisations).
 template <class P, class Item>
 inline void comparer_base(const Item& it, const comparer_args& a) {
   detail::comparer_impl<P, Item, false, false, false, false>(it, a);
@@ -548,10 +432,6 @@ template <class P, class Item>
 inline void comparer_opt4(const Item& it, const comparer_args& a) {
   detail::comparer_impl<P, Item, true, true, true, true>(it, a);
 }
-template <class P, class Item>
-inline void comparer_opt5(const Item& it, const comparer_args& a) {
-  detail::comparer_mask_impl<P, Item>(it, a);
-}
 
 /// Uniform dispatch: run the selected per-query comparer variant. opt6 has
 /// no per-query kernel: its batched comparer consumes the two-bit SWAR
@@ -566,7 +446,6 @@ inline void comparer_dispatch(comparer_variant v, const Item& it,
     case comparer_variant::opt2: comparer_opt2<P>(it, a); return;
     case comparer_variant::opt3: comparer_opt3<P>(it, a); return;
     case comparer_variant::opt4: comparer_opt4<P>(it, a); return;
-    case comparer_variant::opt5: comparer_opt5<P>(it, a); return;
     case comparer_variant::opt6:
       COF_CHECK_MSG(false, "opt6 dispatches through comparer_multi_swar_args");
       return;

@@ -1,5 +1,5 @@
-// opt6 — the two-bit SWAR variant (the rung past opt5 on the optimisation
-// ladder): a packed-word PAM finder and comparer. The reference chunk
+// opt6 — the two-bit SWAR variant (the production rung past the paper's
+// opt4): a packed-word PAM finder and comparer. The reference chunk
 // travels only as 2-bit packed codes (32 bases per 64-bit word) plus an
 // ambiguity flag in the same 2-bit geometry, packed once by whoever produces
 // the chunk (swar_pack). Both kernels test 32 bases per word operation:
@@ -24,8 +24,8 @@
 // the chunk; a single guide is a batch of one. The host precomputes, per
 // query half and per 32-base word, one 64-bit deny mask for each reference
 // code plus a fifth for 'N' (device_pattern::swar, derived bit-for-bit from
-// the opt5 deny LUT). One word evaluation replaces up to 32 opt5 loop
-// iterations:
+// the per-character deny LUTs, genome::casoffinder_mismatch_mask). One word
+// evaluation replaces up to 32 iterations of the per-character loop:
 //
 //   count = popcount(mm & ~ambiguous) + popcount(ambiguous & deny_N)
 //
@@ -36,8 +36,8 @@
 // words once (the first kSwarWindowBlock of them kept in registers, later
 // ones built where a query reaches them) and scores each (query, strand)
 // with its five deny masks and a popcount per word. The kernels are
-// byte-identical to opt5 on every reference byte, asserted exhaustively by
-// tests/test_swar.cpp.
+// byte-identical to the paper's IUPAC chain on every reference byte,
+// asserted exhaustively by tests/test_swar.cpp.
 //
 // The comparer cooperates with the two-phase executor (single leading
 // barrier) like every other comparer. Both opt6 kernels also expose a
@@ -353,7 +353,7 @@ inline void swar_multi_item_body(PItem& p, const comparer_multi_swar_args& a, us
 
 }  // namespace detail
 
-/// opt6 comparer. Structure mirrors opt5 (cooperative fetch, single leading
+/// opt6 comparer. Structure mirrors opt3 (cooperative fetch, single leading
 /// barrier, two-phase cooperation); the fetch brings in every query's
 /// per-word SWAR masks.
 template <class P, class Item>

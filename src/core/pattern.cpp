@@ -47,7 +47,7 @@ device_pattern build(std::string_view raw) {
 
   // opt6 SWAR masks: for every 32-base word of each half, one deny mask per
   // reference code (and one for ambiguous/'N' references), each read straight
-  // out of the opt5 deny LUT so the two variants are bit-identical by
+  // out of the deny LUT, so opt6 scores every pair as the IUPAC chain does by
   // construction. Bits sit at even positions to align with the 2-bit packed
   // reference words; bases past plen (the ragged tail) stay 0 = never
   // mismatch, like a pattern 'N'.

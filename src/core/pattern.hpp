@@ -36,7 +36,7 @@ struct device_pattern {
   std::string seq;             // normalised input (upper case, U->T)
   std::string fwrc;            // seq + reverse_complement(seq), 2*plen chars
   std::vector<i32> index;      // 2*plen entries, -1-terminated per half
-  std::vector<util::u16> mask; // 2*plen deny LUTs (opt5; see iupac.hpp)
+  std::vector<util::u16> mask; // 2*plen deny LUTs (opt6; see iupac.hpp)
   std::vector<util::u64> swar; // 2*swar_words*kSwarMasksPerWord per-word deny
                                // masks (opt6; derived from `mask`)
   u32 plen = 0;

@@ -192,7 +192,7 @@ pipe_event device_pipeline::launch_comparer_batch(const std::vector<device_patte
   staged_ = {};
   if (locicnt_ == 0 || queries.empty()) return {};  // fetch yields empty
   if (!packs_words_) {
-    // base..opt5: the paper's loop, one launch per guide.
+    // base..opt4: the paper's loop, one launch per guide.
     for (usize q = 0; q < queries.size(); ++q) {
       stage_query(queries[q], thresholds[q], static_cast<u16>(q));
     }

@@ -13,7 +13,7 @@
 //                          cleanup)
 //   host_sycl_usm.cpp    — the same with USM pointers (malloc_device, memcpy)
 //   host_sycl_twobit.cpp — SYCL over 2-bit packed chunks: nibble kernels for
-//                          base..opt5; under opt6 the buffer-SYCL program
+//                          base..opt4; under opt6 the buffer-SYCL program
 //                          under this facade's name
 //
 // Under opt6 every facade uploads the same bytes: the chunk's 2-bit words
@@ -22,7 +22,7 @@
 // The base owns:
 //   * the chunk and candidate state: chunk length, hit capacity, hit count
 //     and pattern length;
-//   * the choice of comparer, which follows the variant: base..opt5 run the
+//   * the choice of comparer, which follows the variant: base..opt4 run the
 //     paper's loop, one per-query launch per guide; opt6 runs ONE batched
 //     packed-word launch for every guide (a single guide is a batch of one);
 //   * entry sizing (cap_entries): the finder's worst case is one hit per
@@ -47,9 +47,9 @@
 //     into them when there are any;
 //   * alloc_hits: (re)allocate the hit arrays; read_hits: copy hits back;
 //   * launch_finder: one launch;
-//   * launch_comparer: one guide's per-query comparer (base..opt5);
+//   * launch_comparer: one guide's per-query comparer (base..opt4);
 //   * launch_batch, read_batch: opt6's multi-query comparer, launched and
-//     read back later. The 2-bit facade's nibble pipeline (base..opt5 only)
+//     read back later. The 2-bit facade's nibble pipeline (base..opt4 only)
 //     has none;
 //   * chunk_bytes: the device bytes upload puts there for a chunk.
 //
@@ -269,7 +269,7 @@ class device_pipeline {
   /// over every query (finder loci/flags are consumed device-side, no host
   /// round trip); fetch_entries later downloads the entry list. Under opt6
   /// that is ONE multi-query launch whose outputs stay on the device until
-  /// the fetch; under base..opt5 the per-query launches run here, one per
+  /// the fetch; under base..opt4 the per-query launches run here, one per
   /// guide as in the paper / upstream, and fetch_entries returns their
   /// staged entries.
   pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
@@ -329,7 +329,7 @@ class device_pipeline {
   /// `cap` hits.
   virtual launch_stats launch_finder(const device_pattern& pat, u32 chrsize, usize cap) = 0;
 
-  /// Launch one query's per-query comparer (base..opt5) over the first
+  /// Launch one query's per-query comparer (base..opt4) over the first
   /// `loci` hits with outputs for `cap` entries; download them into `out`
   /// when the count fits.
   virtual launch_stats launch_comparer(const device_pattern& query, u16 threshold,
@@ -382,7 +382,7 @@ class device_pipeline {
 
   void upload_chunk(const packed_chunk& ch, usize hit_cap, std::span<const u32> loci,
                     std::span<const char> flags);
-  /// One guide's per-query launch (base..opt5), appended to staged_ with its
+  /// One guide's per-query launch (base..opt4), appended to staged_ with its
   /// query index.
   void stage_query(const device_pattern& query, u16 threshold, u16 qidx);
   /// One launch under its profiler scope, with the launch's accounting.
@@ -416,7 +416,7 @@ std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt,
 /// The USM flavour of the SYCL host program (paper §III.A's alternative).
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
 /// SYCL host program over 2-bit packed chunks (the upstream memory
-/// optimisation, §V [21]). base..opt5 all run its optimised-style nibble
+/// optimisation, §V [21]). base..opt4 all run its optimised-style nibble
 /// kernels, which collapse every non-ACGT reference byte to 'N', one
 /// per-query launch per guide. Under opt6 the chunk is already packed, so
 /// it is the buffer-SYCL host program under the 2-bit facade's name and

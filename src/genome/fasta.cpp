@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "fault/fault.hpp"
+#include "genome/fasta_stream.hpp"
 #include "genome/iupac.hpp"
 #include "genome/twobit_file.hpp"
 #include "util/strings.hpp"
@@ -28,19 +29,13 @@ struct fnv64 {
   }
 };
 
-std::vector<std::string> list_fasta_dir(const std::string& path) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(path)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".fa" || ext == ".fasta" || ext == ".fna") {
-      files.push_back(entry.path().string());
-    }
-  }
-  COF_CHECK_MSG(!files.empty(), "no FASTA files in directory: " + path);
-  std::sort(files.begin(), files.end());
-  return files;
+/// The whole text of one FASTA file.
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) throw fasta_error("cannot open FASTA file: " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 /// Per byte: its decoded base in the low byte, and bit 8 set unless it is
@@ -139,11 +134,7 @@ std::vector<chromosome> parse_fasta(std::string_view text) {
 }
 
 std::vector<chromosome> read_fasta_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  COF_CHECK_MSG(in.good(), "cannot open FASTA file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_fasta(ss.str());
+  return parse_fasta(read_text(path));
 }
 
 genome_t load_genome(const std::string& path) {
@@ -151,15 +142,10 @@ genome_t load_genome(const std::string& path) {
   if (is_twobit_path(path)) return read_twobit_file(path);
   genome_t g;
   g.assembly = fs::path(path).filename().string();
-  if (fs::is_directory(path)) {
-    for (const auto& f : list_fasta_dir(path)) {
-      auto records = read_fasta_file(f);
-      for (auto& r : records) g.chroms.push_back(std::move(r));
-    }
-  } else {
-    g.chroms = read_fasta_file(path);
+  for (const auto& f : fasta_files_at(path)) {
+    for (auto& r : read_fasta_file(f)) g.chroms.push_back(std::move(r));
   }
-  COF_CHECK_MSG(!g.chroms.empty(), "genome has no sequences: " + path);
+  if (g.chroms.empty()) throw fasta_error("genome has no sequences: " + path);
   return g;
 }
 
@@ -182,17 +168,8 @@ std::optional<source_summary> summarize_source(const std::string& path) {
   source_summary out;
   fnv64 hash;
   bool open = false;
-  const auto scan_file = [&](const std::string& f) {
-    std::ifstream in(f, std::ios::binary);
-    COF_CHECK_MSG(in.good(), "cannot open FASTA file: " + f);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    summarize_fasta_text(ss.str(), out, hash, open);
-  };
-  if (fs::is_directory(path)) {
-    for (const auto& f : list_fasta_dir(path)) scan_file(f);
-  } else {
-    scan_file(path);
+  for (const auto& f : fasta_files_at(path)) {
+    summarize_fasta_text(read_text(f), out, hash, open);
   }
   if (open) hash.feed('\0');  // close the last chromosome's frame
   out.hash = hash.h;

@@ -18,9 +18,11 @@ namespace genome {
 
 using util::usize;
 
-/// Malformed FASTA input: sequence data before the first '>' header, or a
-/// header with an empty name. Thrown by parse_fasta, summarize_source and
-/// fasta_stream alike, so a hostile file fails with a clean error.
+/// Malformed or unreadable FASTA input: sequence data before the first '>'
+/// header, a header with an empty name, a file that cannot be opened, a
+/// directory without FASTA files, or a genome source with no records.
+/// Thrown by parse_fasta, load_genome, summarize_source, fasta_files_at and
+/// the streamed reader alike, so a hostile source fails with a clean error.
 class fasta_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -55,11 +57,13 @@ struct genome_t {
 /// Parse FASTA text (multi-record). Throws fasta_error on malformed input.
 std::vector<chromosome> parse_fasta(std::string_view text);
 
-/// Read one FASTA file.
+/// Read one FASTA file. Throws fasta_error when it cannot be opened.
 std::vector<chromosome> read_fasta_file(const std::string& path);
 
 /// Load a genome from a path: a FASTA file, or a directory of *.fa/*.fasta
 /// files (UCSC layout). Chromosomes are ordered by file name then record.
+/// A source with no records throws fasta_error, as the streamed reader
+/// does.
 genome_t load_genome(const std::string& path);
 
 /// Order-sensitive FNV-1a over every chromosome's name and bases — the

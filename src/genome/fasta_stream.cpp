@@ -11,7 +11,7 @@ namespace genome {
 
 fasta_stream::fasta_stream(const std::string& path)
     : in_(path, std::ios::binary), path_(path) {
-  COF_CHECK_MSG(in_.good(), "cannot open FASTA file: " + path);
+  if (!in_.good()) throw fasta_error("cannot open FASTA file: " + path);
 }
 
 bool fasta_stream::fill_line() {
@@ -21,10 +21,14 @@ bool fasta_stream::fill_line() {
   line_.clear();
   line_pos_ = 0;
   while (std::getline(in_, line_)) {
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    // Skip blanks and legacy ';' comments.
+    // Classify the trimmed line, as parse_fasta does: skip blanks and legacy
+    // ';' comments, and keep only the trimmed text (line_pos_ past the
+    // indent, trailing space and CR cut), so an indented '>' is a header
+    // here too.
     const auto trimmed = util::trim(line_);
     if (trimmed.empty() || trimmed[0] == ';') continue;
+    line_pos_ = static_cast<usize>(trimmed.data() - line_.data());
+    line_.resize(line_pos_ + trimmed.size());
     return true;
   }
   eof_ = true;
@@ -35,7 +39,7 @@ bool fasta_stream::next_record() {
   // Skip the remainder of the current record.
   if (in_record_ && !pending_header_) {
     while (fill_line()) {
-      if (line_[0] == '>') {
+      if (at_header()) {
         pending_header_ = true;
         break;
       }
@@ -43,7 +47,7 @@ bool fasta_stream::next_record() {
   }
   if (!pending_header_) {
     while (fill_line()) {
-      if (line_[0] == '>') {
+      if (at_header()) {
         pending_header_ = true;
         break;
       }
@@ -55,7 +59,7 @@ bool fasta_stream::next_record() {
   }
   if (!pending_header_) return false;
 
-  const auto words = util::split(std::string_view(line_).substr(1));
+  const auto words = util::split(std::string_view(line_).substr(line_pos_ + 1));
   if (words.empty()) throw fasta_error("FASTA header with empty name in " + path_);
   name_ = std::string(words[0]);
   pending_header_ = false;
@@ -74,7 +78,7 @@ usize fasta_stream::read_bases(std::string& out, usize max_bases) {
     if (pending_header_ || eof_) break;
     if (line_pos_ >= line_.size()) {
       if (!fill_line()) break;
-      if (line_[0] == '>') {
+      if (at_header()) {
         pending_header_ = true;
         break;
       }
@@ -103,7 +107,7 @@ std::vector<std::string> fasta_files_at(const std::string& path) {
         files.push_back(entry.path().string());
       }
     }
-    COF_CHECK_MSG(!files.empty(), "no FASTA files in directory: " + path);
+    if (files.empty()) throw fasta_error("no FASTA files in directory: " + path);
     std::sort(files.begin(), files.end());
   } else {
     files.push_back(path);

@@ -36,8 +36,12 @@ class fasta_stream {
   std::string read_all();
 
  private:
-  /// Refill the line buffer; returns false at EOF.
+  /// Refill the line buffer with the next line that is neither blank nor a
+  /// comment, trimmed: line_pos_ at its first non-space byte, trailing
+  /// space cut. Returns false at EOF.
   bool fill_line();
+  /// The line fill_line just read is a '>' header.
+  bool at_header() const { return line_[line_pos_] == '>'; }
 
   std::ifstream in_;
   std::string path_;
@@ -49,8 +53,10 @@ class fasta_stream {
   bool eof_ = false;
 };
 
-/// Enumerate the FASTA files a genome path denotes (one file, or a sorted
-/// directory of *.fa/*.fasta/*.fna — the same rule as load_genome).
+/// Enumerate the FASTA files a genome path denotes: one file, or a sorted
+/// directory of *.fa/*.fasta/*.fna. The one lister behind load_genome,
+/// summarize_source and the streamed reader; a directory without FASTA
+/// files throws fasta_error.
 std::vector<std::string> fasta_files_at(const std::string& path);
 
 }  // namespace genome

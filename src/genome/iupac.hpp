@@ -70,7 +70,7 @@ constexpr char upper_base(char c) {
 }
 
 // ---------------------------------------------------------------------------
-// bitmask-LUT form of casoffinder_mismatch (the opt5 kernels)
+// bitmask-LUT form of casoffinder_mismatch (the source of opt6's deny masks)
 // ---------------------------------------------------------------------------
 
 /// Case-sensitive 4-bit nibble of a reference character: upper-case IUPAC

@@ -245,13 +245,15 @@ kir_kernel build_comparer_variant(cof::comparer_variant v, const build_params& p
   if (level >= static_cast<int>(cv::opt1)) pass_restrict_cse(k);
   if (level >= static_cast<int>(cv::opt2)) pass_register_hoist(k);
   if (level >= static_cast<int>(cv::opt3)) pass_cooperative_fetch(k, p);
-  // opt4 promotes the chain's LDS pattern reads into scalar registers;
-  // opt5 instead deletes the chain entirely (deny-LUT test), so there is
-  // nothing left to promote and scalar pressure stays at opt3 levels.
+  // opt4 promotes the chain's LDS pattern reads into scalar registers.
+  // opt6 instead deletes the chain entirely (deny-LUT test), so there is
+  // nothing left to promote, then collapses the deny-LUT iterations into
+  // 64-bit SWAR word tests.
   if (v == cv::opt4) pass_promote_lds_to_reg(k, p);
-  if (v == cv::opt5 || v == cv::opt6) pass_mask_lut(k, p);
-  // opt6 collapses the deny-LUT iterations into 64-bit SWAR word tests.
-  if (v == cv::opt6) pass_swar(k, p);
+  if (v == cv::opt6) {
+    pass_mask_lut(k, p);
+    pass_swar(k, p);
+  }
   k.name = std::string("comparer/") + cof::comparer_variant_name(v);
   return k;
 }

@@ -222,7 +222,7 @@ void pass_mask_lut(kir_kernel& k, const build_params& p) {
   // passes reorder or split them (restrict/hoist only touch vmem loads,
   // cooperative fetch only the comp[...] region). The first group of an
   // iteration becomes
-  //   lds_read l_comp_mask/<iu>   (the u16 deny LUT)
+  //   lds_read l_comp_lut/<iu>    (the u16 deny LUT)
   //   valu nibble(ref)            (reference char -> 4-bit LUT index)
   //   valu mask >> nib & 1        (shift + and)
   //   vcmp                        (the mismatch branch condition)
@@ -253,7 +253,7 @@ void pass_mask_lut(kir_kernel& k, const build_params& p) {
       const int ref = k.ops[i + 2].uses[0];
       kir_op rd;
       rd.kind = op_kind::lds_read;
-      rd.addr_key = "l_comp_mask/" + iu;
+      rd.addr_key = "l_comp_lut/" + iu;
       rd.def = k.new_value();
       out.push_back(rd);
       kir_op nib;
@@ -281,7 +281,7 @@ void pass_mask_lut(kir_kernel& k, const build_params& p) {
 }
 
 void pass_swar(kir_kernel& k, const build_params& p) {
-  // Applied on top of opt5: each strand's unrolled per-character loop
+  // Applied on top of mask_lut: each strand's unrolled per-character loop
   // (lds_read l_comp_index, byte-wide chr load, deny-LUT test — repeated
   // main_unroll times) collapses into ceil(plen/32) word evaluations of the
   // 2-bit packed chunk: an unaligned two-word window fetch of packed codes

@@ -1,6 +1,6 @@
-// The four optimisation passes that turn the baseline comparer IR into the
-// paper's opt1..opt4 variants. Each mirrors what the source-level change
-// lets the real compiler do:
+// The optimisation passes that turn the baseline comparer IR into the
+// paper's opt1..opt4 variants and the production opt6. Each mirrors what the
+// source-level change lets the real compiler do:
 //
 //   pass_restrict_cse       (opt1) — with `__restrict` on the pointer
 //     arguments, loads of the same address with no intervening may-alias
@@ -17,13 +17,12 @@
 //     promoted values are work-group-uniform, so they occupy *scalar*
 //     registers — across the unrolled iterations this is what pushes SGPR
 //     pressure past the occupancy cliff (Table X).
-//   pass_mask_lut           (opt5) — the whole 14-condition IUPAC chain of
-//     each unrolled iteration collapses into one LDS read of the pattern
-//     character's precomputed 16-bit deny LUT plus a nibble/shift/AND test.
-//     Applied on top of opt3 *instead of* promote_lds_to_reg: no pattern
-//     values need promoting (the chain is gone), so scalar pressure stays at
-//     opt3 levels and occupancy holds at 10 waves while the code shrinks
-//     well below opt4's.
+//   pass_mask_lut           (opt6, first step) — the whole 14-condition
+//     IUPAC chain of each unrolled iteration collapses into one LDS read of
+//     the pattern character's precomputed 16-bit deny LUT plus a
+//     nibble/shift/AND test. Applied on top of opt3 *instead of*
+//     promote_lds_to_reg: no pattern values need promoting (the chain is
+//     gone), so scalar pressure stays at opt3 levels.
 //   pass_swar               (opt6) — applied on top of mask_lut: each
 //     strand's unrolled per-character loop collapses into ceil(plen/32)
 //     two-bit SWAR word evaluations (two-word window fetch, shift-combine,

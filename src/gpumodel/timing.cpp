@@ -16,7 +16,6 @@ namespace {
 
 // Dynamic VALU instructions charged per counted event (per active lane).
 constexpr double kInstPerCompare = 14.0;  // the IUPAC chain, short-circuit avg
-constexpr double kInstPerMaskOp = 3.0;    // opt5 deny-LUT test: nibble + shift + and
 // opt6 64-bit word evaluation: window shift-combine, four XOR/AND deny-mask
 // tests, ambiguity masking, popcount — ~30 VALU ops covering up to 32 bases
 // (vs 32 x 3 for the per-character LUT path).
@@ -96,7 +95,6 @@ kernel_time_breakdown kernel_time(const gpu_spec& gpu, const kernel_time_input& 
           : 1.0;
   const double inst =
       kInstPerCompare * static_cast<double>(e[ev::compare]) +
-      kInstPerMaskOp * static_cast<double>(e[ev::mask_op]) +
       kInstPerSwarOp * static_cast<double>(e[ev::swar_op]) +
       code_ratio * kInstPerLoopIter * static_cast<double>(e[ev::loop_iter]) +
       kInstPerGlobalLoad *

@@ -15,7 +15,6 @@ const char* ev_name(ev e) {
     case ev::local_store: return "local_store";
     case ev::atomic_op: return "atomic_op";
     case ev::compare: return "compare";
-    case ev::mask_op: return "mask_op";
     case ev::swar_op: return "swar_op";
     case ev::branch: return "branch";
     case ev::loop_iter: return "loop_iter";

@@ -25,7 +25,6 @@ enum class ev : int {
   local_store,
   atomic_op,           // device-scope atomics
   compare,             // base-vs-pattern character comparisons
-  mask_op,             // bitmask-LUT mismatch tests (opt5: shift + AND)
   swar_op,             // 64-bit SWAR word evaluations (opt6: XOR/AND/popcount
                        // over 32 packed bases at once)
   branch,              // divergent-branch events (early exits etc.)

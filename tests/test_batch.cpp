@@ -1,5 +1,5 @@
 // Batched multi-query comparer tests (opt6): identical results to the
-// per-query launches of base..opt5, fewer launches, amortised loci/flag
+// per-query launches of base..opt4, fewer launches, amortised loci/flag
 // traffic.
 #include <gtest/gtest.h>
 

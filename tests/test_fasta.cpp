@@ -2,8 +2,6 @@
 // shared by the three decoders and hostile input failing with fasta_error.
 #include <gtest/gtest.h>
 
-#include "gtest_compat.hpp"
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -158,6 +156,40 @@ TEST(FastaDecode, EveryByteValueThroughEveryDecoder) {
   EXPECT_EQ(sum->hash, genome::content_hash(g));
 }
 
+/// One line rule for every reader: each classifies the trimmed line, so an
+/// indented '>' starts a record and an indented ';' is a comment in
+/// parse_fasta, fasta_stream and summarize_source alike.
+TEST(FastaDecode, IndentedHeadersAndCommentsAgreeAcrossReaders) {
+  const std::string text =
+      ">chr1 first\nACGTACGT\n  ; indented comment\nacgtNN\n"
+      "  >chr2 indented\r\nGGCCRY\n\t>chr3\n \t;tabbed comment\nTTTT  \n";
+  const auto recs = genome::parse_fasta(text);
+  ASSERT_EQ(recs.size(), 3u);
+  genome::genome_t want;
+  want.chroms = recs;
+  EXPECT_EQ(recs[1].name, "chr2");
+  EXPECT_EQ(recs[1].seq, "GGCCRY");
+
+  temp_dir dir;
+  const auto file = dir.path / "indented.fa";
+  std::ofstream(file, std::ios::binary) << text;
+  genome::fasta_stream s(file.string());
+  genome::genome_t streamed;
+  while (s.next_record()) streamed.chroms.push_back({s.record_name(), s.read_all()});
+  ASSERT_EQ(streamed.chroms.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(streamed.chroms[i].name, recs[i].name) << i;
+    EXPECT_EQ(streamed.chroms[i].seq, recs[i].seq) << i;
+  }
+  EXPECT_EQ(genome::content_hash(streamed), genome::content_hash(want));
+
+  const auto sum = genome::summarize_source(file.string());
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(sum->names, (std::vector<std::string>{"chr1", "chr2", "chr3"}));
+  EXPECT_EQ(sum->total_bases, want.total_bases());
+  EXPECT_EQ(sum->hash, genome::content_hash(want));
+}
+
 /// The same hostile files through the file-level decoders and the
 /// streamed search, which rethrows the producer's error after joining.
 TEST(FastaHostile, EveryEntryPointThrows) {
@@ -183,15 +215,25 @@ TEST(FastaHostile, EveryEntryPointThrows) {
   }
 }
 
-TEST(FastaDeath, MissingFileDies) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)genome::read_fasta_file("/nonexistent/p.fa"), "cannot open");
-}
-
-TEST(FastaDeath, EmptyDirectoryDies) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+/// An unreadable or empty source fails with fasta_error on both entry
+/// points: a missing file, a directory without FASTA files, and a FASTA
+/// with no records, loaded in memory or streamed.
+TEST(FastaHostile, UnreadableOrEmptySourceThrows) {
   temp_dir dir;
-  EXPECT_DEATH((void)genome::load_genome(dir.path.string()), "no FASTA files");
+  const auto empty_dir = dir.path / "no_fasta";
+  fs::create_directories(empty_dir);
+  std::ofstream(empty_dir / "notes.txt") << "not fasta";
+  const auto empty_file = dir.path / "empty.fa";
+  std::ofstream(empty_file) << "; only a comment\n\n";
+  for (const std::string& path :
+       {std::string("/nonexistent/p.fa"), empty_dir.string(), empty_file.string()}) {
+    EXPECT_THROW((void)genome::load_genome(path), genome::fasta_error) << path;
+    const auto cfg = cof::parse_input(cof::example_input(path));
+    EXPECT_THROW((void)cof::run_search_streaming(cfg, path, {}), genome::fasta_error)
+        << path;
+  }
+  EXPECT_THROW((void)genome::read_fasta_file("/nonexistent/p.fa"), genome::fasta_error);
+  EXPECT_THROW((void)genome::fasta_files_at(empty_dir.string()), genome::fasta_error);
 }
 
 }  // namespace

@@ -922,10 +922,10 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
   }
 }
 
-/// The same round trip for the per-query comparer (opt5) and the batched
+/// The same round trip for the per-query comparer (opt4) and the batched
 /// one (opt6). An all-N pattern and all-N queries make every position a hit
 /// on both strands and every hit two entries per query, so a cap of exactly
-/// the finder's hits lets the finder fit and overflows the comparers: opt5
+/// the finder's hits lets the finder fit and overflows the comparers: opt4
 /// at its first per-query launch, opt6 at the batch's fetch.
 TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
   auto g = fault_genome(108);
@@ -936,7 +936,7 @@ TEST_P(TrueDemand, ComparerOverflowsRoundTripTheirCounters) {
   const std::vector<util::u16> thresholds = {0, 1};
   const std::string_view seq(g.chroms[0].seq.data(), 3000);
 
-  for (const auto variant : {cof::comparer_variant::opt5, cof::comparer_variant::opt6}) {
+  for (const auto variant : {cof::comparer_variant::opt4, cof::comparer_variant::opt6}) {
     const std::string where = std::string("variant=") + cof::comparer_variant_name(variant);
     const bool batched = variant == cof::comparer_variant::opt6;
     auto uncapped = make(0, variant);

@@ -178,30 +178,6 @@ TEST_P(DifferentialVariants, VariantsMatchSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialVariants, ::testing::Range(1, 7));
 
-// opt5 exercises a distinct device data path (u16 deny LUTs instead of
-// pattern chars, plus the mask finder twin) — fuzz it across every device
-// backend, not just the variant sweep's SYCL run.
-class DifferentialOpt5 : public ::testing::TestWithParam<int> {};
-
-TEST_P(DifferentialOpt5, MaskLutMatchesSerialOnAllBackends) {
-  const auto fc = make_case(static_cast<util::u64>(GetParam()) + 3000);
-  const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
-  for (auto backend : {backend_kind::opencl, backend_kind::sycl,
-                       backend_kind::sycl_usm}) {
-    engine_options opt{.backend = backend,
-                       .variant = comparer_variant::opt5,
-                       .wg_size = fc.wg,
-                       .max_chunk = fc.max_chunk};
-    const auto r = run_search(fc.cfg, fc.g, opt);
-    ASSERT_EQ(r.records, serial.records)
-        << backend_name(backend) << " seed=" << GetParam()
-        << " pattern=" << fc.cfg.pattern << " chunk=" << fc.max_chunk
-        << " wg=" << fc.wg;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialOpt5, ::testing::Range(1, 9));
-
 // The 2-bit pipeline collapses every non-ACGT reference byte to 'N', which
 // is exact: the kernels' mismatch relation treats every such byte like 'N'.
 class DifferentialTwobit : public ::testing::TestWithParam<int> {};

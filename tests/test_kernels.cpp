@@ -28,7 +28,7 @@ struct finder_run {
 };
 
 finder_run run_finder(const std::string& chunk, const device_pattern& pat,
-                      usize wg = 16, bool use_mask = false) {
+                      usize wg = 16) {
   const u32 chrsize = static_cast<u32>(chunk.size() - pat.plen + 1);
   std::vector<u32> loci(chunk.size(), 0);
   std::vector<char> flags(chunk.size(), -1);
@@ -37,14 +37,12 @@ finder_run run_finder(const std::string& chunk, const device_pattern& pat,
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(chrsize, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes =
-      pat.device_chars() * (1 + sizeof(i32)) + pat.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = pat.device_chars() * (1 + sizeof(i32)) + 128;
   cfg.uses_barrier = true;
   finder_args a;
   a.chr = chunk.data();
   a.pat = pat.data();
   a.pat_index = pat.index_data();
-  a.pat_mask = pat.mask_data();
   a.chrsize = chrsize;
   a.plen = pat.plen;
   a.loci = loci.data();
@@ -53,16 +51,9 @@ finder_run run_finder(const std::string& chunk, const device_pattern& pat,
   dev().run(cfg, [&](xpu::xitem& it) {
     char* base = it.local_mem_base();
     const usize idx_off = util::round_up<usize>(pat.device_chars(), 8);
-    const usize mask_off =
-        util::round_up<usize>(idx_off + pat.index.size() * sizeof(i32), 8);
     a.l_pat = base;
     a.l_pat_index = reinterpret_cast<i32*>(base + idx_off);
-    a.l_pat_mask = reinterpret_cast<u16*>(base + mask_off);
-    if (use_mask) {
-      finder_kernel_mask<direct_mem>(it, a);
-    } else {
-      finder_kernel<direct_mem>(it, a);
-    }
+    finder_kernel<direct_mem>(it, a);
   });
 
   finder_run r;
@@ -242,8 +233,7 @@ cmp_run run_comparer(comparer_variant v, const std::string& chunk,
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(n, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes =
-      query.device_chars() * (1 + sizeof(i32)) + query.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = query.device_chars() * (1 + sizeof(i32)) + 128;
   cfg.uses_barrier = true;
   comparer_args a;
   a.locicnts = n;
@@ -252,7 +242,6 @@ cmp_run run_comparer(comparer_variant v, const std::string& chunk,
   a.flag = flags.data();
   a.comp = query.data();
   a.comp_index = query.index_data();
-  a.comp_mask = query.mask_data();
   a.plen = query.plen;
   a.threshold = threshold;
   a.mm_count = mm.data();
@@ -262,11 +251,8 @@ cmp_run run_comparer(comparer_variant v, const std::string& chunk,
   auto body = [&](xpu::xitem& it) {
     char* base = it.local_mem_base();
     const usize idx_off = util::round_up<usize>(query.device_chars(), 8);
-    const usize mask_off =
-        util::round_up<usize>(idx_off + query.index.size() * sizeof(i32), 8);
     a.l_comp = base;
     a.l_comp_index = reinterpret_cast<i32*>(base + idx_off);
-    a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
     if (counting) {
       comparer_dispatch<counting_mem>(v, it, a);
     } else {
@@ -338,7 +324,8 @@ TEST(ComparerKernel, SkipsStrandExcludedByFlag) {
   EXPECT_EQ(rc.dir[0], '-');
 }
 
-// Property: all variants (base..opt5) agree bit-for-bit on randomised inputs.
+// Property: all variants (base..opt4, opt6) agree bit-for-bit on randomised
+// inputs.
 class VariantEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(VariantEquivalence, AgreesWithBase) {
@@ -424,23 +411,8 @@ TEST(ComparerCounting, WorkItemsCounted) {
   EXPECT_GT(base[prof::ev::local_store], 0u);
 }
 
-TEST(ComparerCounting, Opt5SwapsChainEvalsForMaskOps) {
-  // opt5 keeps opt3's memory behaviour (same fetch volume, same reference
-  // loads, one local load per mismatch test) but replaces every Boolean
-  // chain evaluation with exactly one deny-LUT mask op.
-  const auto opt3 = count_events(comparer_variant::opt3);
-  const auto opt5 = count_events(comparer_variant::opt5);
-  EXPECT_EQ(opt3[prof::ev::mask_op], 0u);
-  EXPECT_EQ(opt5[prof::ev::compare], 0u);
-  EXPECT_EQ(opt5[prof::ev::mask_op], opt3[prof::ev::compare]);
-  EXPECT_EQ(opt5[prof::ev::global_load], opt3[prof::ev::global_load]);
-  EXPECT_EQ(opt5[prof::ev::global_load_repeat], opt3[prof::ev::global_load_repeat]);
-  EXPECT_EQ(opt5[prof::ev::local_load], opt3[prof::ev::local_load]);
-  EXPECT_EQ(opt5[prof::ev::local_store], opt3[prof::ev::local_store]);
-}
-
 // ---------------------------------------------------------------------------
-// opt5 deny-LUT correctness
+// deny-LUT correctness (opt6 derives its finder and comparer masks from it)
 // ---------------------------------------------------------------------------
 
 TEST(MaskLut, EquivalentToChainForAllCharPairs) {
@@ -458,17 +430,6 @@ TEST(MaskLut, EquivalentToChainForAllCharPairs) {
       ASSERT_EQ(lut, chain) << "pat=" << p << " ref=" << r;
     }
   }
-}
-
-TEST(FinderKernel, MaskVariantMatchesChainFinder) {
-  util::rng rng(1234);
-  std::string chunk;
-  for (int i = 0; i < 800; ++i) chunk += "ACGTN"[rng.next_below(5)];
-  const auto pat = make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
-  const auto chain = run_finder(chunk, pat, 16, /*use_mask=*/false);
-  const auto mask = run_finder(chunk, pat, 16, /*use_mask=*/true);
-  EXPECT_EQ(mask.loci, chain.loci);
-  EXPECT_EQ(mask.flags, chain.flags);
 }
 
 }  // namespace

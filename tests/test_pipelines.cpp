@@ -224,7 +224,7 @@ TEST(Pipelines, OclOverflowLeaksNoLaunchBuffers) {
 /// chunk and one query set, cold and warm, on all four facades and every
 /// variant. The finder and entry counts, the launches and the downloads
 /// always agree: every facade runs the variant's one comparer (per-query
-/// launches under base..opt5, the batched kernel under opt6).
+/// launches under base..opt4, the batched kernel under opt6).
 TEST(Pipelines, FacadesAgreeOnAccounting) {
   auto g = small_genome(21, 20000);
   auto cfg = small_config();

@@ -9,6 +9,7 @@
 
 #include "core/engine_stream.hpp"
 #include "genome/chunker.hpp"
+#include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
 #include "genome/synth.hpp"
 #include "util/rng.hpp"
@@ -77,7 +78,8 @@ TEST(FastaStream, AgreesWithInMemoryParserOnRandomFiles) {
     const auto nrecs = 1 + rng.next_below(4);
     for (util::u64 r = 0; r < nrecs; ++r) {
       genome::chromosome c;
-      c.name = "r" + std::to_string(r);
+      c.name = "r";
+      c.name += std::to_string(r);
       const auto len = rng.next_below(5000);
       for (util::u64 i = 0; i < len; ++i) c.seq += "ACGTN"[rng.next_below(5)];
       recs.push_back(std::move(c));
@@ -99,9 +101,8 @@ TEST(FastaStream, AgreesWithInMemoryParserOnRandomFiles) {
   }
 }
 
-TEST(FastaStreamDeath, MissingFile) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(genome::fasta_stream("/no/such.fa"), "cannot open");
+TEST(FastaStream, MissingFileThrows) {
+  EXPECT_THROW(genome::fasta_stream("/no/such.fa"), genome::fasta_error);
 }
 
 TEST(FastaFilesAt, SingleFileAndDirectory) {
@@ -143,6 +144,33 @@ TEST(StreamingSearch, MatchesInMemorySearch) {
   EXPECT_EQ(streamed.chrom_names[0], "chrA");
   EXPECT_EQ(streamed.streamed_bases, g.total_bases());
   EXPECT_LE(streamed.peak_chunk_bytes, 7000u);
+}
+
+// An indented '>' starts a new record on the streamed path as it does in
+// memory, so every streamed record names the chromosome it lies on.
+TEST(StreamingSearch, IndentedHeadersMatchInMemorySearch) {
+  temp_dir dir;
+  auto g = stream_genome(63);
+  auto cfg = cof::parse_input(cof::example_input("<file>"));
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 12, 1, 64);
+  const std::string plain = genome::write_fasta(g.chroms);
+  // Indent the second header, behind an indented comment line.
+  const auto second = plain.find("\n>") + 1;
+  const std::string text =
+      plain.substr(0, second) + "  ; indented comment\n \t" + plain.substr(second);
+  const auto file = dir.path / "indented.fa";
+  std::ofstream(file, std::ios::binary) << text;
+
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 7000};
+  const auto mem = cof::run_search(cfg, genome::load_genome(file.string()), opt);
+  const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
+  bool on_second = false;  // a record after the indented header
+  for (const auto& r : mem.records) on_second |= r.chrom_index == 1;
+  ASSERT_TRUE(on_second);
+  EXPECT_EQ(streamed.records, mem.records);
+  EXPECT_EQ(streamed.chrom_names, (std::vector<std::string>{"chrA", "chrB"}));
+  EXPECT_EQ(streamed.streamed_bases, g.total_bases());
 }
 
 TEST(StreamingSearch, DirectoryInput) {

@@ -3,13 +3,13 @@
 // reference byte class, every chunk length around the 32/64 word multiples,
 // every facade, counting and direct), and its lane rows' block append
 // around the block size for every work-group shape; the SWAR comparer's
-// exhaustive IUPAC x mismatch-count equivalence against opt5 on every
-// reference byte class, ragged-tail fuzz across pattern lengths and both
-// dispatch paths (AVX2 lanes and the forced-scalar fallback), each on a
-// one-guide batch; the comparer's shared window across several guides on
-// both paths against per-query opt5; and
-// engine-level byte-identity of opt6 output across all four backends and
-// queue counts.
+// exhaustive IUPAC x mismatch-count equivalence against the paper's base
+// comparer (the IUPAC Boolean chain) on every reference byte class,
+// ragged-tail fuzz across pattern lengths and both dispatch paths (AVX2
+// lanes and the forced-scalar fallback), each on a one-guide batch; the
+// comparer's shared window across several guides on both paths against
+// per-query base; and engine-level byte-identity of opt6 output with base
+// across all four backends and queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,9 +72,9 @@ cmp_run canonicalise(const std::vector<u16>& mm, const std::vector<char>& dir,
   return r;
 }
 
-/// Reference path: the opt5 deny-LUT comparer through the ordinary argument
-/// block.
-cmp_run run_opt5(const std::string& chunk, const std::vector<u32>& loci,
+/// Reference path: the paper's base comparer (the IUPAC Boolean chain)
+/// through the ordinary argument block.
+cmp_run run_base(const std::string& chunk, const std::vector<u32>& loci,
                  const std::vector<char>& flags, const device_pattern& query,
                  u16 threshold, usize wg = 8) {
   const u32 n = static_cast<u32>(loci.size());
@@ -87,8 +87,7 @@ cmp_run run_opt5(const std::string& chunk, const std::vector<u32>& loci,
   xpu::launch_config cfg;
   cfg.global[0] = util::round_up<usize>(n, wg);
   cfg.local[0] = wg;
-  cfg.local_mem_bytes =
-      query.device_chars() * (1 + sizeof(i32)) + query.mask.size() * sizeof(u16) + 128;
+  cfg.local_mem_bytes = query.device_chars() * (1 + sizeof(i32)) + 128;
   cfg.uses_barrier = true;
   comparer_args a;
   a.locicnts = n;
@@ -97,7 +96,6 @@ cmp_run run_opt5(const std::string& chunk, const std::vector<u32>& loci,
   a.flag = flags.data();
   a.comp = query.data();
   a.comp_index = query.index_data();
-  a.comp_mask = query.mask_data();
   a.plen = query.plen;
   a.threshold = threshold;
   a.mm_count = mm.data();
@@ -107,12 +105,9 @@ cmp_run run_opt5(const std::string& chunk, const std::vector<u32>& loci,
   dev().run(cfg, [&](xpu::xitem& it) {
     char* base = it.local_mem_base();
     const usize idx_off = util::round_up<usize>(query.device_chars(), 8);
-    const usize mask_off =
-        util::round_up<usize>(idx_off + query.index.size() * sizeof(i32), 8);
     a.l_comp = base;
     a.l_comp_index = reinterpret_cast<i32*>(base + idx_off);
-    a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
-    comparer_dispatch<direct_mem>(comparer_variant::opt5, it, a);
+    comparer_dispatch<direct_mem>(comparer_variant::base, it, a);
   });
   return canonicalise(mm, dir, mloci, count);
 }
@@ -203,12 +198,12 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
 }
 
 /// opt6 on both dispatch paths, the per-item kernel and the lane rows,
-/// against the opt5 reference.
-void expect_opt6_matches_opt5(const std::string& chunk, const std::vector<u32>& loci,
+/// against the base reference.
+void expect_opt6_matches_base(const std::string& chunk, const std::vector<u32>& loci,
                               const std::vector<char>& flags,
                               const device_pattern& query, u16 threshold,
                               const std::string& where) {
-  const auto want = run_opt5(chunk, loci, flags, query, threshold);
+  const auto want = run_base(chunk, loci, flags, query, threshold);
   ASSERT_EQ(run_opt6(chunk, loci, flags, query, threshold), want)
       << where << " per-item";
   ASSERT_EQ(run_opt6(chunk, loci, flags, query, threshold, 8, /*via_lanes=*/true), want)
@@ -598,7 +593,7 @@ TEST(SwarFinderLanes, DispatchFollowsTheHost) {
 // ---------------------------------------------------------------------------
 
 // For each of the 15 IUPAC codes placed at every position of a short query,
-// and for every threshold 0..plen, opt6 must report exactly the opt5 hits
+// and for every threshold 0..plen, opt6 must report exactly the base hits
 // (same loci, strands and mismatch counts). The reference chunk draws from
 // every reference byte class, so each concrete-code deny mask and the 'N'
 // mask that scores every ambiguous byte are all exercised.
@@ -616,7 +611,7 @@ TEST(SwarEquivalence, AllIupacBasesAllThresholds) {
       q[pos] = *c;
       const auto query = make_pattern(q);
       for (u16 threshold = 0; threshold <= kPlen; ++threshold) {
-        ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+        ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_base(
             chunk, loci, flags, query, threshold,
             std::string("base=") + *c + " pos=" + std::to_string(pos) +
                 " threshold=" + std::to_string(threshold)));
@@ -637,7 +632,7 @@ TEST(SwarEquivalence, MixedIupacQuery) {
   std::vector<char> flags;
   random_loci(rng, chunk.size(), query.plen, 40, loci, flags);
   for (u16 threshold : {u16{0}, u16{3}, u16{9}, u16{18}}) {
-    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_base(
         chunk, loci, flags, query, threshold,
         "threshold=" + std::to_string(threshold)));
   }
@@ -660,7 +655,7 @@ TEST(SwarFuzz, RaggedTailLengths) {
     std::vector<char> flags;
     random_loci(rng, chunk.size(), plen, 32, loci, flags);
     const u16 threshold = static_cast<u16>(rng.next_below(plen + 1));
-    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_opt5(
+    ASSERT_NO_FATAL_FAILURE(expect_opt6_matches_base(
         chunk, loci, flags, query, threshold,
         "plen=" + std::to_string(plen) + " threshold=" + std::to_string(threshold)));
   }
@@ -679,7 +674,7 @@ TEST(SwarFuzz, EveryWindowShift) {
     flags.push_back(static_cast<char>(l % 3));
   }
   for (u16 threshold : {u16{5}, u16{12}, u16{23}}) {
-    const auto want = run_opt5(chunk, loci, flags, query, threshold);
+    const auto want = run_base(chunk, loci, flags, query, threshold);
     const auto got = run_opt6(chunk, loci, flags, query, threshold);
     ASSERT_EQ(got, want) << "threshold=" << threshold;
   }
@@ -731,17 +726,17 @@ TEST(SwarDispatch, ForcedScalarMatchesSimd) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched comparer: per-item kernel = lane rows = per-query opt5.
+// Batched comparer: per-item kernel = lane rows = per-query base.
 // ---------------------------------------------------------------------------
 
-/// The reference: one opt5 launch per query, tagged with its index.
-multi_entries run_multi_opt5(const std::string& chunk, const std::vector<u32>& loci,
+/// The reference: one base launch per query, tagged with its index.
+multi_entries run_multi_base(const std::string& chunk, const std::vector<u32>& loci,
                              const std::vector<char>& flags,
                              const std::vector<device_pattern>& queries,
                              const std::vector<u16>& thresholds) {
   multi_entries out;
   for (usize q = 0; q < queries.size(); ++q) {
-    const cmp_run r = run_opt5(chunk, loci, flags, queries[q], thresholds[q]);
+    const cmp_run r = run_base(chunk, loci, flags, queries[q], thresholds[q]);
     for (usize i = 0; i < r.loci.size(); ++i) {
       out.emplace_back(static_cast<u16>(q), r.loci[i], r.dir[i], r.mm[i]);
     }
@@ -761,7 +756,7 @@ std::string random_query(util::rng& rng, u32 plen) {
 // 1, 3 and 8 queries; pattern lengths at the word (32) and register-block
 // (4 words = 128) boundaries; thresholds 0, plen and a mix across queries;
 // references drawn from every byte class.
-TEST(SwarMulti, PerItemAndLanesMatchPerQueryOpt5) {
+TEST(SwarMulti, PerItemAndLanesMatchPerQueryBase) {
   util::rng rng(618);
   for (const u32 plen : {3u, 23u, 32u, 33u, 64u, 65u, 129u}) {
     const std::string chunk = random_reference(rng, plen + 300);
@@ -778,7 +773,7 @@ TEST(SwarMulti, PerItemAndLanesMatchPerQueryOpt5) {
         const std::string where = "plen=" + std::to_string(plen) +
                                   " queries=" + std::to_string(nq) +
                                   " threshold0=" + std::to_string(thresholds[0]);
-        const auto want = run_multi_opt5(chunk, loci, flags, queries, thresholds);
+        const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
         ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, false), want)
             << where << " per-item";
         ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, true), want)
@@ -799,7 +794,7 @@ TEST(SwarMulti, DispatchFollowsTheHost) {
   std::vector<device_pattern> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(make_pattern(random_query(rng, 23)));
   const std::vector<u16> thresholds = {4, 8, 12};
-  const auto want = run_multi_opt5(chunk, loci, flags, queries, thresholds);
+  const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
   xpu::launch_stats stats;
   EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
   EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled());
@@ -823,19 +818,19 @@ genome::genome_t swar_genome(util::u64 seed) {
 class SwarBackendSweep
     : public ::testing::TestWithParam<std::pair<backend_kind, int>> {};
 
-// opt6 must produce byte-identical search output to the same backend's opt5
+// opt6 must produce byte-identical search output to the same backend's base
 // across every queue count.
-TEST_P(SwarBackendSweep, Opt6MatchesOpt5) {
+TEST_P(SwarBackendSweep, Opt6MatchesBase) {
   const auto [backend, queues] = GetParam();
   auto g = swar_genome(71);
   auto cfg = parse_input(example_input("<mem>"));
-  engine_options opt5{.backend = backend,
-                      .variant = comparer_variant::opt5,
+  engine_options base{.backend = backend,
+                      .variant = comparer_variant::base,
                       .max_chunk = 8192,
                       .num_queues = static_cast<usize>(queues)};
-  engine_options opt6 = opt5;
+  engine_options opt6 = base;
   opt6.variant = comparer_variant::opt6;
-  const auto want = run_search(cfg, g, opt5);
+  const auto want = run_search(cfg, g, base);
   const auto got = run_search(cfg, g, opt6);
   EXPECT_EQ(got.records, want.records);
 }
@@ -855,7 +850,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{backend_kind::sycl_twobit, 2},
                       std::pair{backend_kind::sycl_twobit, 4}));
 
-// Streamed (disk-chunked) output with opt6 must equal the in-memory opt5
+// Streamed (disk-chunked) output with opt6 must equal the in-memory base
 // result for every backend, on both dispatch paths.
 TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
   struct temp_dir {
@@ -879,7 +874,7 @@ TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
        {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm,
         backend_kind::sycl_twobit}) {
     engine_options base{.backend = backend,
-                        .variant = comparer_variant::opt5,
+                        .variant = comparer_variant::base,
                         .max_chunk = 7000,
                         .num_queues = 2};
     engine_options opt6 = base;
