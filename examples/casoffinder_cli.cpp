@@ -25,7 +25,6 @@
 #include "core/scoring.hpp"
 #include "fault/fault.hpp"
 #include "genome/fasta.hpp"
-#include "genome/synth.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
@@ -83,6 +82,20 @@ void write_output(const std::string& path, const std::string& text) {
   out << text;
 }
 
+/// A names-only genome: what format_records reads to name the chromosomes
+/// of records that come from an index or a stream.
+genome::genome_t names_only(const std::vector<std::string>& names) {
+  genome::genome_t g;
+  for (const auto& n : names) g.chroms.push_back({n, ""});
+  return g;
+}
+
+std::vector<std::string> query_seqs(const cof::search_config& cfg) {
+  std::vector<std::string> qs;
+  for (const auto& q : cfg.queries) qs.push_back(q.seq);
+  return qs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,8 +113,9 @@ int main(int argc, char** argv) {
   cli.flag("profile", "print the kernel hotspot profile (the variant's "
                       "comparer/<variant> kernel)");
   cli.flag("score", "print MIT specificity scores per guide");
-  cli.flag("stream", "stream chunks from the FASTA file(s) instead of "
-                     "loading the genome (O(chunk) host memory)");
+  cli.flag("stream", "feed the genome through the chunk runner as it is "
+                     "read: a FASTA line streams in O(chunk) host memory, "
+                     "a synth: or .2bit line loads whole first");
   cli.opt("queues", "host threads each driving a device pipeline (per "
                     "device when --devices > 1)", "1");
   cli.opt("devices", "shard streamed chunks across N simulated devices, "
@@ -206,8 +220,8 @@ int main(int argc, char** argv) {
       // Standalone build runs outside the engines, so arm the fault
       // registry here — injected persist failures die cleanly below.
       fault::scope fault_guard(opt.faults);
-      const genome::genome_t g = cof::load_configured_genome(cfg);
-      const auto idx = cof::build_index(g, cfg.pattern, opt);
+      const auto idx =
+          cof::build_index(genome::load_genome(cfg.genome_path), cfg.pattern, opt);
       cof::save_index(ipath, idx);
       std::fprintf(stderr,
                    "index: built %zu chunks, %llu candidate sites over %llu "
@@ -221,31 +235,23 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  opt.index_path = cli.get("index");
+  const std::string index_path = cli.get("index");
 
-  // --serve: the resident daemon mode. Resolve the index once (load the
-  // .cofidx cache when present, build and optionally persist otherwise),
-  // hold it device-resident in a serve::server, then answer line-protocol
+  // --serve: the resident daemon mode. Resolve the index once (resolve_index
+  // loads the .cofidx cache, or builds it and persists it at --index), hold
+  // it device-resident in a serve::server, then answer line-protocol
   // requests from stdin: one `GUIDE[:MM]` per line, records for each
   // request written as soon as its future resolves, in submission order.
   if (cli.get_flag("serve")) {
     cof::run_scope run(opt);
     try {
-      cof::genome_index idx;
-      if (!opt.index_path.empty() &&
-          std::ifstream(opt.index_path, std::ios::binary).good()) {
-        idx = cof::load_index(opt.index_path);
-        cof::check_index_compatible(idx, cfg);
-        std::fprintf(stderr, "serve: index cache hit (%s)\n",
-                     opt.index_path.c_str());
-      } else {
-        const genome::genome_t g = cof::load_configured_genome(cfg);
-        idx = cof::build_index(g, cfg.pattern, opt);
-        if (!opt.index_path.empty()) {
-          cof::save_index(opt.index_path, idx);
-          std::fprintf(stderr, "serve: index built and persisted to %s\n",
-                       opt.index_path.c_str());
-        }
+      const cof::resolved_index resolved = cof::resolve_index(index_path, cfg, opt);
+      const cof::genome_index& idx = resolved.index;
+      if (resolved.cache_hit) {
+        std::fprintf(stderr, "serve: index cache hit (%s)\n", index_path.c_str());
+      } else if (!index_path.empty()) {
+        std::fprintf(stderr, "serve: index built and persisted to %s\n",
+                     index_path.c_str());
       }
       cof::serve::server_options sopt;
       sopt.engine = opt;
@@ -289,8 +295,7 @@ int main(int argc, char** argv) {
         });
       }
 
-      genome::genome_t names_only;
-      for (const auto& n : idx.chrom_names) names_only.chroms.push_back({n, ""});
+      const genome::genome_t names = names_only(idx.chrom_names);
       const std::string outp = cli.get_positional("output");
       std::ofstream out_file;
       if (!outp.empty() && outp != "-") {
@@ -320,7 +325,7 @@ int main(int argc, char** argv) {
                 << " batch_wait_us=" << r.timing.batch_wait_us
                 << " device_us=" << r.timing.device_us
                 << " demux_us=" << r.timing.demux_us << "\n"
-                << cof::format_records(r.records, {req.guide}, names_only);
+                << cof::format_records(r.records, {req.guide}, names);
             out.flush();
           } catch (const std::exception& e) {
             out << "# " << req.guide << " error=" << e.what() << "\n";
@@ -394,9 +399,44 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --index routes through the streaming engine's index/query split even
-  // without --stream: warm runs never decode FASTA or launch the finder.
-  if (cli.get_flag("stream") || !opt.index_path.empty()) {
+  // --index (with or without --stream): a warm run. resolve_index loads the
+  // .cofidx (or builds and persists it on a miss); the session answers the
+  // queries with comparer-only launches — no FASTA decode, no finder.
+  if (!index_path.empty()) {
+    cof::resolved_index resolved;
+    cof::search_outcome result;
+    util::u64 uploads = 0, reuses = 0;
+    try {
+      cof::run_scope run(opt);
+      resolved = cof::resolve_index(index_path, cfg, opt);
+      cof::index_query_session session(resolved.index, opt);
+      result = session.query(cfg.queries);
+      uploads = session.chunk_misses();
+      reuses = session.chunk_hits();
+      run.finish();
+    } catch (const std::exception& e) {
+      fail(e);
+    }
+    const auto& rec = result.metrics.recovery;
+    std::fprintf(stderr,
+                 "index cache %s (%llu chunk uploads, %llu device-resident "
+                 "reuses), resolved in %.3fs; %llu overflow retries, %llu "
+                 "recovered overflows\n",
+                 resolved.cache_hit ? "hit" : "miss",
+                 static_cast<unsigned long long>(uploads),
+                 static_cast<unsigned long long>(reuses), resolved.seconds,
+                 static_cast<unsigned long long>(rec.overflow_retries),
+                 static_cast<unsigned long long>(rec.recovered_overflows));
+    std::fprintf(stderr, "%s (warm): %zu records, %.3fs over %zu chunks\n",
+                 cof::backend_name(opt.backend), result.records.size(),
+                 result.metrics.elapsed_seconds, result.metrics.chunks);
+    write_output(cli.get_positional("output"),
+                 cof::format_records(result.records, query_seqs(cfg),
+                                     names_only(resolved.index.chrom_names)));
+    return 0;
+  }
+
+  if (cli.get_flag("stream")) {
     // Unrecoverable failures (exhausted fault retries, stalled queues)
     // surface as exceptions with the failing site in the message; report
     // them as a clean fatal error instead of std::terminate.
@@ -407,24 +447,13 @@ int main(int argc, char** argv) {
       fail(e);
     }
     const auto& rec = streamed.metrics.recovery;
-    if (rec.overflow_retries + rec.spill_retries != 0 ||
-        streamed.used_index) {
-      std::string index_part;
-      if (streamed.used_index) {
-        index_part = util::format(
-            ", index cache %s (%llu chunk uploads, %llu device-resident "
-            "reuses)",
-            streamed.index_cache_hit ? "hit" : "miss",
-            static_cast<unsigned long long>(streamed.index_chunk_misses),
-            static_cast<unsigned long long>(streamed.index_chunk_hits));
-      }
+    if (rec.overflow_retries + rec.spill_retries != 0) {
       std::fprintf(stderr,
                    "recovery: %llu overflow retries, %llu recovered "
-                   "overflows, %llu spill retries%s\n",
+                   "overflows, %llu spill retries\n",
                    static_cast<unsigned long long>(rec.overflow_retries),
                    static_cast<unsigned long long>(rec.recovered_overflows),
-                   static_cast<unsigned long long>(rec.spill_retries),
-                   index_part.c_str());
+                   static_cast<unsigned long long>(rec.spill_retries));
     }
     std::fprintf(stderr,
                  "%s (streamed): %zu records, %.3fs, %llu bases through "
@@ -445,21 +474,16 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(streamed.shard_reassigns));
       }
     }
-    genome::genome_t names_only;
-    for (const auto& n : streamed.chrom_names) {
-      names_only.chroms.push_back({n, ""});
-    }
-    std::vector<std::string> qs;
-    for (const auto& q : cfg.queries) qs.push_back(q.seq);
     write_output(cli.get_positional("output"),
-                 cof::format_records(streamed.records, qs, names_only));
+                 cof::format_records(streamed.records, query_seqs(cfg),
+                                     names_only(streamed.chrom_names)));
     return 0;
   }
 
   util::stopwatch load_sw;
   genome::genome_t g;
   try {
-    g = cof::load_configured_genome(cfg);
+    g = genome::load_genome(cfg.genome_path);
   } catch (const std::exception& e) {
     fail(e);  // e.g. a malformed FASTA (genome::fasta_error)
   }
@@ -483,9 +507,8 @@ int main(int argc, char** argv) {
                util::human_bytes(result.metrics.pipeline.h2d_bytes).c_str(),
                util::human_bytes(result.metrics.pipeline.d2h_bytes).c_str());
 
-  std::vector<std::string> qseqs;
-  for (const auto& q : cfg.queries) qseqs.push_back(q.seq);
-  write_output(cli.get_positional("output"), cof::format_records(result.records, qseqs, g));
+  write_output(cli.get_positional("output"),
+               cof::format_records(result.records, query_seqs(cfg), g));
 
   if (cli.get_flag("score")) {
     const auto reports = cof::scoring::score_search(cfg, result.records);

@@ -25,7 +25,7 @@ int main() {
 
   // 2. Load the genome (here: generate it) and plant a couple of known
   //    off-target sites so the demo has guaranteed hits.
-  genome::genome_t g = cof::load_configured_genome(cfg);
+  genome::genome_t g = genome::load_genome(cfg.genome_path);
   const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
   genome::plant_sites(g, guide, cfg.pattern, 3, 2, /*seed=*/1234);
   std::printf("genome: %s, %zu chromosomes, %s\n", g.assembly.c_str(),

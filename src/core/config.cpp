@@ -10,20 +10,6 @@ namespace cof {
 
 namespace {
 
-/// normalize_sequence's rule (upper case, U read as T), throwing
-/// config_error where it would die on a non-IUPAC character.
-std::string normalize_field(std::string_view seq, const char* what) {
-  std::string out(seq);
-  for (char& c : out) {
-    const char n = normalize_base(c);
-    if (n == '\0') {
-      throw config_error(std::string("non-IUPAC character in ") + what + ": " + c);
-    }
-    c = n;
-  }
-  return out;
-}
-
 void require(bool ok, const std::string& message) {
   if (!ok) throw config_error(message);
 }
@@ -42,7 +28,7 @@ search_config parse_input(std::string_view text) {
         ++field;
         break;
       case 1:
-        cfg.pattern = normalize_field(line, "pattern");
+        cfg.pattern = normalize_sequence(line, "pattern");
         ++field;
         break;
       default: {
@@ -51,7 +37,7 @@ search_config parse_input(std::string_view text) {
                 "query line must be '<sequence> <max_mismatches>': " +
                     std::string(line));
         query_spec q;
-        q.seq = normalize_field(words[0], "guide");
+        q.seq = normalize_sequence(words[0], "guide");
         unsigned long long mm = 0;
         require(util::parse_u64(words[1], mm) && mm <= 0xFFFF,
                 "bad mismatch count (0..65535): " + std::string(words[1]));
@@ -83,9 +69,8 @@ query_spec parse_guide(std::string_view spec) {
 }
 
 void check_alphabet(const search_config& cfg) {
-  require(!cfg.pattern.empty(), "empty pattern");
-  (void)normalize_field(cfg.pattern, "pattern");
-  for (const auto& q : cfg.queries) (void)normalize_field(q.seq, "guide");
+  (void)normalize_sequence(cfg.pattern, "pattern");
+  for (const auto& q : cfg.queries) (void)normalize_sequence(q.seq, "guide");
 }
 
 void check_guide_lengths(const search_config& cfg) {

@@ -55,8 +55,8 @@ search_config read_input_file(const std::string& path);
 query_spec parse_guide(std::string_view spec);
 
 /// parse_input's alphabet rule for a config built in code: throws
-/// config_error when the pattern is empty or it or a guide holds a
-/// non-IUPAC character.
+/// config_error when the pattern or a guide is empty or holds a non-IUPAC
+/// character.
 void check_alphabet(const search_config& cfg);
 
 /// parse_input's length rule for a config built in code: throws

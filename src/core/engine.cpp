@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include "core/engine_stream.hpp"
-#include "genome/synth.hpp"
 #include "obs/metrics.hpp"
 
 namespace cof {
@@ -15,11 +14,6 @@ const char* backend_name(backend_kind k) {
     case backend_kind::sycl_twobit: return "sycl-2bit";
   }
   return "?";
-}
-
-genome::genome_t load_configured_genome(const search_config& cfg) {
-  if (auto synth = genome::load_synth_uri(cfg.genome_path)) return std::move(*synth);
-  return genome::load_genome(cfg.genome_path);
 }
 
 search_outcome run_search(const search_config& cfg, const genome::genome_t& g,

@@ -17,8 +17,6 @@
 
 namespace cof {
 
-struct genome_index;  // core/index.hpp
-
 enum class backend_kind { serial, opencl, sycl, sycl_usm, sycl_twobit };
 
 const char* backend_name(backend_kind k);
@@ -76,15 +74,6 @@ struct engine_options {
   /// served is always admitted, so an undersized budget degrades to
   /// re-uploads, never to a failure. 0 = unbounded.
   usize resident_bytes = usize{256} << 20;
-  /// Warm query path: answer the queries against this prebuilt genome index
-  /// (comparer-only launches — no FASTA decode, no finder). The index must
-  /// outlive the run. Takes precedence over index_path.
-  const genome_index* index = nullptr;
-  /// Warm/cold index cache: when non-empty and `index` is null, load the
-  /// .cofidx file at this path if it exists (cache hit), otherwise build the
-  /// index from the input genome and persist it here (cache miss), then
-  /// answer the queries against it.
-  std::string index_path{};
 };
 
 /// Overflow/fault recovery accounting for one run.
@@ -110,9 +99,6 @@ struct search_outcome {
   std::vector<ot_record> records;
   run_metrics metrics;
 };
-
-/// Resolve cfg.genome_path: "synth:..." URI or filesystem path.
-genome::genome_t load_configured_genome(const search_config& cfg);
 
 /// Run the full search with the chosen backend. Device backends run the
 /// in-memory genome through the same chunk runner as run_search_streaming

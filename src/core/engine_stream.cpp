@@ -13,7 +13,6 @@
 
 #include <unistd.h>
 
-#include "core/index.hpp"
 #include "core/recovery.hpp"
 #include "core/shard.hpp"
 #include "fault/fault.hpp"
@@ -54,48 +53,33 @@ class chunk_source {
   virtual util::u64 streamed_bases() const = 0;
 };
 
-/// Pull-based FASTA decode of a file or directory. A record whose length
-/// lands exactly on a chunk boundary ends at that boundary: the carried
-/// overlap alone never forms a trailing chunk (its bases were already
-/// scanned as the tail of the previous chunk). A source with no records
-/// throws fasta_error, as genome::load_genome does.
+/// Pull-based FASTA decode of a file or directory (genome::fasta_stream). A
+/// record whose length lands exactly on a chunk boundary ends at that
+/// boundary: the carried overlap alone never forms a trailing chunk (its
+/// bases were already scanned as the tail of the previous chunk).
 class fasta_source final : public chunk_source {
  public:
   fasta_source(const std::string& path, usize max_chunk, usize overlap)
-      : path_(path),
-        files_(genome::fasta_files_at(path)),
-        max_chunk_(max_chunk),
-        overlap_(overlap) {}
+      : stream_(path), max_chunk_(max_chunk), overlap_(overlap) {}
 
   util::u64 streamed_bases() const override { return streamed_bases_; }
 
   event next() override {
     for (;;) {
-      if (!stream_) {
-        if (file_idx_ >= files_.size()) {
-          if (records_ == 0) throw genome::fasta_error("genome has no sequences: " + path_);
-          return {};
-        }
-        stream_.emplace(files_[file_idx_++]);
-      }
       if (!in_record_) {
-        if (!stream_->next_record()) {
-          stream_.reset();
-          continue;
-        }
-        ++records_;
+        if (!stream_.next_record()) return {};
         in_record_ = true;
         carry_.clear();
         next_start_ = 0;
         event ev;
         ev.kind = event::chrom;
-        ev.name = stream_->record_name();
+        ev.name = stream_.record_name();
         return ev;
       }
       std::string buf = std::move(carry_);
       carry_.clear();
       const usize carried = buf.size();
-      const usize got = stream_->read_bases(buf, max_chunk_ - buf.size());
+      const usize got = stream_.read_bases(buf, max_chunk_ - buf.size());
       streamed_bases_ += got;
       if (got == 0) {
         // EOF with nothing new: either an empty record, or the record ended
@@ -123,11 +107,7 @@ class fasta_source final : public chunk_source {
   }
 
  private:
-  std::string path_;
-  std::vector<std::string> files_;
-  usize file_idx_ = 0;
-  usize records_ = 0;
-  std::optional<genome::fasta_stream> stream_;
+  genome::fasta_stream stream_;
   bool in_record_ = false;
   std::string carry_;
   util::u64 next_start_ = 0;
@@ -682,82 +662,6 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Warm branch: answer the queries against a genome index with comparer-only
-// launches through an index_query_session — no decode, no finder launch. The
-// index is opt.index, else the .cofidx cache at opt.index_path (a hit), else
-// built from the genome (`g`, or the FASTA at `path`) and persisted there (a
-// miss). Results are byte-identical to the chunk runner's for any backend
-// and queue count (same chunk geometry, same kernels, same canonical
-// sort+dedup).
-// ---------------------------------------------------------------------------
-streamed_outcome run_indexed(const search_config& cfg, const genome::genome_t* g,
-                             const std::string& path, const engine_options& opt) {
-  streamed_outcome out;
-  out.used_index = true;
-  genome_index owned;
-  const genome_index* idx = opt.index;
-  out.index_cache_hit = idx != nullptr;  // prebuilt in memory counts as warm
-  if (idx == nullptr) {
-    util::stopwatch isw;
-    if (std::filesystem::exists(opt.index_path)) {
-      owned = load_index(opt.index_path);
-      out.stage_times.index_load_s = isw.seconds();
-      out.index_cache_hit = true;
-    } else {
-      // The one place a warm run decodes and launches the finder: once, to
-      // populate the cache.
-      if (g != nullptr) {
-        owned = build_index(*g, cfg.pattern, opt);
-      } else {
-        search_config src = cfg;
-        src.genome_path = path;
-        owned = build_index(load_configured_genome(src), cfg.pattern, opt);
-      }
-      out.stage_times.index_build_s = isw.seconds();
-      out.streamed_bases = owned.source_bases;
-      save_index(opt.index_path, owned);
-    }
-    idx = &owned;
-  }
-  if (obs::enabled()) {
-    obs::metrics_registry::global()
-        .counter(out.index_cache_hit ? "index.cache.hit" : "index.cache.miss")
-        .add(1);
-  }
-  check_index_compatible(*idx, cfg);
-  // A stale or foreign index must never answer for the wrong genome. An
-  // in-memory genome is checked in full. A streamed run never decodes the
-  // FASTA, so a prebuilt index is checked against a decode-free summary of
-  // the source (names, base count, content hash); sources that cannot be
-  // summarised cheaply (synth: URIs, .2bit) skip the check, and an index
-  // built from the source this run is consistent by construction.
-  if (g != nullptr) {
-    check_index_matches_genome(*idx, *g);
-  } else if (out.index_cache_hit) {
-    if (const auto sum = genome::summarize_source(path)) {
-      check_index_matches_source(*idx, sum->names, sum->total_bases, sum->hash);
-    }
-  }
-
-  index_query_session session(*idx, opt);
-  util::stopwatch qsw;
-  search_outcome q = session.query(cfg.queries);
-  out.stage_times.query_s = qsw.seconds();
-  out.records = std::move(q.records);
-  out.metrics = std::move(q.metrics);
-  out.chrom_names = idx->chrom_names;
-  out.index_chunk_hits = session.chunk_hits();
-  out.index_chunk_misses = session.chunk_misses();
-  for (const auto& ch : idx->chunks) {
-    out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, ch.text.size());
-  }
-  for (const auto& r : out.records) {
-    out.peak_record_bytes += sizeof(ot_record) + r.site.size();
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace detail {
@@ -768,14 +672,22 @@ streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
   run_scope run(opt);
   util::stopwatch sw;
   streamed_outcome out;
-  const bool warm = opt.index != nullptr || !opt.index_path.empty();
-  // Hostile guides and chunk sizes fail here, before a source is opened. The
-  // warm branch checks guide lengths against its index (index_error).
+  // Hostile guides and chunk sizes fail here, before a source is opened.
   check_alphabet(cfg);
-  if (!warm) check_guide_lengths(cfg);
-  if (!warm && opt.backend != backend_kind::serial) {
+  check_guide_lengths(cfg);
+  if (opt.backend != backend_kind::serial) {
     check_chunk_size(cfg.pattern, opt.max_chunk);
     const usize overlap = cfg.pattern.size() - 1;
+    // Only a FASTA line streams; a synth: or .2bit line loads whole, and its
+    // load counts as the run's decode.
+    std::optional<genome::genome_t> loaded;
+    double load_s = 0;
+    if (g == nullptr && !genome::is_fasta_line(path)) {
+      const util::stopwatch lsw;
+      loaded = genome::load_genome(path);
+      load_s = lsw.seconds();
+      g = &*loaded;
+    }
     std::unique_ptr<chunk_source> source;
     if (g != nullptr) {
       source = std::make_unique<genome_source>(*g, opt.max_chunk, overlap);
@@ -783,17 +695,14 @@ streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
       source = std::make_unique<fasta_source>(path, opt.max_chunk, overlap);
     }
     out = run_chunks(cfg, *source, opt, sink);
+    out.stage_times.decode_s += load_s;
   } else {
-    if (warm) {
-      out = run_indexed(cfg, g, path, opt);
-    } else {
-      COF_CHECK_MSG(g != nullptr,
-                    "streaming mode drives a device pipeline; use run_search "
-                    "for the serial reference");
-      out.records = serial_search(cfg.pattern, cfg.queries, *g);
-    }
-    // Unlike the runner's merge, these branches hold their records in
-    // memory: hand them to the sink from there.
+    COF_CHECK_MSG(g != nullptr,
+                  "streaming mode drives a device pipeline; use run_search "
+                  "for the serial reference");
+    out.records = serial_search(cfg.pattern, cfg.queries, *g);
+    // Unlike the runner's merge, the oracle holds its records in memory:
+    // hand them to the sink from there.
     out.total_records = out.records.size();
     if (sink) {
       for (auto& r : out.records) sink(std::move(r));

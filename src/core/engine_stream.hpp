@@ -5,7 +5,8 @@
 // decoded chunks fan out over a bounded queue to num_queues device
 // pipelines, and each queue's formatted records spill to disk per chunk
 // (sorted runs, k-way merged into canonical order at the end) instead of
-// accumulating until end of run.
+// accumulating until end of run. synth: and .2bit genome lines load whole
+// and then chunk through the same runner.
 #pragma once
 
 #include <functional>
@@ -27,10 +28,6 @@ struct stream_stage_times {
   double device_s = 0;      // H2D + finder + comparer batch + entry fetch
   double format_s = 0;      // record formatting + spill-run writes (pool)
   double merge_s = 0;       // final k-way merge of the spill runs
-  // Index/query split (zero on classic cold runs without an index):
-  double index_build_s = 0;  // cold: decode + finder over every chunk
-  double index_load_s = 0;   // warm: .cofidx read + validation
-  double query_s = 0;        // comparer-only query phase over the index
 };
 
 struct streamed_outcome {
@@ -43,8 +40,7 @@ struct streamed_outcome {
   util::usize peak_chunk_bytes = 0;
   /// Bounded-memory accounting: the most record bytes the engine held in
   /// host memory at once — the sum over queues of the largest single-chunk
-  /// batch (records spill to disk between chunks). The warm index path
-  /// holds its whole record set.
+  /// batch (records spill to disk between chunks).
   util::usize peak_record_bytes = 0;
   /// Sorted runs spilled across all queues.
   util::usize spill_runs = 0;
@@ -72,24 +68,20 @@ struct streamed_outcome {
   /// Chunks a dead device's consumers pushed back onto the chunk queue for
   /// the survivors.
   util::usize shard_reassigns = 0;
-  /// Index/query split accounting (engine_options::index / index_path).
-  bool used_index = false;       // run went through the index query path
-  bool index_cache_hit = false;  // index came prebuilt (in memory or .cofidx)
-                                 // rather than being built this run
-  util::u64 index_chunk_hits = 0;    // chunk uploads skipped (device-resident)
-  util::u64 index_chunk_misses = 0;  // chunk uploads performed
 };
 
 /// Per-record output hook for the streaming search: receives each final
 /// record in canonical order, exactly once (after dedup).
 using record_sink = std::function<void(ot_record&&)>;
 
-/// Run the search against the FASTA file/directory at `path` (the config's
-/// genome line is ignored). Results are identical to loading the genome and
-/// calling run_search: both drive the same chunk runner, which decodes once
-/// and fans the chunks out to opt.num_queues device pipelines per device
-/// over one bounded queue; results stay byte-identical for any queue or
-/// device count.
+/// Run the search against the genome line `path` (the config's genome line
+/// is ignored). A FASTA file or directory streams in O(chunk) memory; a
+/// synth: URI or .2bit file loads whole (genome::load_genome) and then
+/// chunks. Results are identical to loading the genome and calling
+/// run_search: both drive the same chunk runner, which decodes once and
+/// fans the chunks out to opt.num_queues device pipelines per device over
+/// one bounded queue; results stay byte-identical for any queue or device
+/// count.
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt = {});
@@ -105,9 +97,9 @@ streamed_outcome run_search_streaming(const search_config& cfg,
 namespace detail {
 
 /// The engine behind run_search (`g` set) and run_search_streaming (`g`
-/// null: the FASTA at `path`): per-run obs/fault scoping, then the warm
-/// index branch, the serial reference, or the chunk runner over the
-/// in-memory genome or the decoded FASTA, then the run epilogue.
+/// null: the genome line `path`): per-run obs/fault scoping, then the
+/// serial reference or the chunk runner over the in-memory genome or the
+/// decoded FASTA, then the run epilogue.
 streamed_outcome run_engine(const search_config& cfg, const genome::genome_t* g,
                             const std::string& path, const engine_options& opt,
                             const record_sink& sink);

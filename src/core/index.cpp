@@ -1,6 +1,7 @@
 #include "core/index.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -157,6 +158,25 @@ void check_query_lengths(const genome_index& idx,
 std::string describe_genome(const std::vector<std::string>& names, u64 bases) {
   return std::to_string(names.size()) + " sequences / " +
          std::to_string(bases) + " bases";
+}
+
+/// Throws index_error when the index was built from a different genome
+/// than `sum` describes: chromosome names, base count or content hash
+/// disagree.
+void check_index_matches(const genome_index& idx, const genome::source_summary& sum) {
+  if (idx.chrom_names == sum.names && idx.source_bases == sum.total_bases &&
+      idx.content_hash == sum.hash) {
+    return;
+  }
+  throw index_error(
+      fault::site::index_load,
+      "index genome mismatch: built from " +
+          describe_genome(idx.chrom_names, idx.source_bases) +
+          ", configured genome is " + describe_genome(sum.names, sum.total_bases) +
+          (idx.chrom_names == sum.names && idx.source_bases == sum.total_bases
+               ? " with different sequence content"
+               : "") +
+          " (rebuild with --build-index)");
 }
 
 }  // namespace
@@ -419,31 +439,37 @@ void check_index_compatible(const genome_index& idx, const search_config& cfg) {
   check_query_lengths(idx, cfg.queries);
 }
 
-void check_index_matches_source(const genome_index& idx,
-                                const std::vector<std::string>& chrom_names,
-                                u64 total_bases, u64 content_hash) {
-  if (idx.chrom_names != chrom_names || idx.source_bases != total_bases ||
-      idx.content_hash != content_hash) {
-    throw index_error(
-        fault::site::index_load,
-        "index genome mismatch: built from " +
-            describe_genome(idx.chrom_names, idx.source_bases) +
-            ", configured genome is " +
-            describe_genome(chrom_names, total_bases) +
-            (idx.chrom_names == chrom_names && idx.source_bases == total_bases
-                 ? " with different sequence content"
-                 : "") +
-            " (rebuild with --build-index)");
+resolved_index resolve_index(const std::string& path, const search_config& cfg,
+                             const engine_options& opt, const genome::genome_t* g) {
+  check_alphabet(cfg);  // a hostile guide fails before any build
+  util::stopwatch sw;
+  resolved_index out;
+  out.cache_hit = !path.empty() && std::filesystem::exists(path);
+  if (out.cache_hit) {
+    out.index = load_index(path);
+  } else {
+    // The one place a warm run decodes and launches the finder: once, to
+    // populate the cache.
+    out.index = g != nullptr ? build_index(*g, cfg.pattern, opt)
+                             : build_index(genome::load_genome(cfg.genome_path),
+                                           cfg.pattern, opt);
+    if (!path.empty()) save_index(path, out.index);
   }
-}
-
-void check_index_matches_genome(const genome_index& idx,
-                                const genome::genome_t& g) {
-  std::vector<std::string> names;
-  names.reserve(g.chroms.size());
-  for (const auto& c : g.chroms) names.push_back(c.name);
-  check_index_matches_source(idx, names, g.total_bases(),
-                             genome::content_hash(g));
+  out.seconds = sw.seconds();
+  if (obs::enabled()) {
+    obs::metrics_registry::global()
+        .counter(out.cache_hit ? "index.cache.hit" : "index.cache.miss")
+        .add(1);
+  }
+  check_index_compatible(out.index, cfg);
+  // A stale or foreign index must never answer for the wrong genome. An
+  // index built this run is consistent by construction.
+  if (out.cache_hit) {
+    const auto sum = g != nullptr ? std::optional(genome::source_summary::of(*g))
+                                  : genome::summarize_source(cfg.genome_path);
+    if (sum) check_index_matches(out.index, *sum);
+  }
+  return out;
 }
 
 /// One serving queue: the chunks pinned to it and the device-resident
@@ -536,8 +562,9 @@ struct index_query_session::slot {
 index_query_session::index_query_session(const genome_index& idx,
                                          const engine_options& opt)
     : idx_(idx), opt_(opt) {
-  COF_CHECK_MSG(opt_.backend != backend_kind::serial,
-                "index queries drive a device pipeline (pick O, G, S, U or P)");
+  if (opt_.backend == backend_kind::serial) {
+    throw config_error("index queries drive a device pipeline (pick O, G, S, U or P)");
+  }
   usize ndev = std::max<usize>(1, opt_.num_devices);
   if (opt_.counting) ndev = 1;  // profiling serialises everything
   usize nslots = std::max<usize>(

@@ -7,12 +7,10 @@
 // under opt6 N concurrent guides coalesce into one multi-query comparer
 // launch per chunk.
 //
-//   genome_index idx = build_index(g, cfg.pattern, opt);   // cold, once
-//   save_index("hg19.cofidx", idx);                        // persist
-//   ...
-//   genome_index idx = load_index("hg19.cofidx");          // warm
-//   index_query_session s(idx, opt);
-//   auto hits = s.query(cfg.queries);                      // comparer only
+//   resolved_index r = resolve_index("hg19.cofidx", cfg, opt);  // load or
+//                                                               // build+save
+//   index_query_session s(r.index, opt);
+//   auto hits = s.query(cfg.queries);                           // comparer only
 //
 // File format (.cofidx, little-endian; see DESIGN.md §12):
 //   magic u32 'COFX' | version u32 | pattern (u32 len + bytes)
@@ -102,17 +100,24 @@ genome_index load_index(const std::string& path);
 /// the finder ran with a different PAM, or query length != pattern length).
 void check_index_compatible(const genome_index& idx, const search_config& cfg);
 
-/// Throws index_error when the index was built from a different genome than
-/// the one configured (chromosome names, base count or content hash
-/// disagree) — a cached .cofidx for assembly X must never silently answer
-/// queries as if it covered assembly Y. The genome_t overload verifies the
-/// full content hash; the summary overload is the decode-free streaming
-/// variant fed by genome::summarize_source.
-void check_index_matches_genome(const genome_index& idx,
-                                const genome::genome_t& g);
-void check_index_matches_source(const genome_index& idx,
-                                const std::vector<std::string>& chrom_names,
-                                util::u64 total_bases, util::u64 content_hash);
+/// What resolve_index produced, and how.
+struct resolved_index {
+  genome_index index;
+  bool cache_hit = false;  // loaded from the .cofidx, not built this run
+  double seconds = 0;      // the load, or the build and persist
+};
+
+/// The one resolver of an index path: loads the .cofidx at `path` if it
+/// exists (a hit), else builds the index from `g`, or from
+/// genome::load_genome(cfg.genome_path) when `g` is null, and persists it
+/// there (a miss; an empty path persists nothing). Then checks it can answer
+/// cfg and, on a hit, that `g` or genome::summarize_source(cfg.genome_path)
+/// has its chromosome names, base count and content hash; only a genome
+/// line naming nothing on disk skips that. Throws index_error ("index
+/// genome mismatch" for a foreign index), config_error or fasta_error.
+resolved_index resolve_index(const std::string& path, const search_config& cfg,
+                             const engine_options& opt,
+                             const genome::genome_t* g = nullptr);
 
 /// Warm phase: device-resident index for a long-lived serving process. The
 /// session owns opt.num_queues slots; each chunk is pinned to one slot
@@ -125,7 +130,8 @@ void check_index_matches_source(const genome_index& idx,
 /// counts device-resident reuses, chunk_misses the uploads, chunk_evictions
 /// the budget-forced drops). Every query() runs the variant's comparer per
 /// chunk: ONE batched launch under opt6, one launch per query under
-/// base..opt4.
+/// base..opt4. The constructor throws config_error for the serial backend,
+/// and query() throws config_error for a non-IUPAC guide.
 ///
 /// With engine_options::num_devices > 1 the session shards its slots across
 /// a device_set (opt.num_queues slots PER device, slot s pinned to device
@@ -145,8 +151,8 @@ void check_index_matches_source(const genome_index& idx,
 /// sticky per-slot capacity (seeded by the true demand the error
 /// round-trips), and transient device faults retire the chunk's pipeline
 /// and retry, both within the same attempt bounds. The caller is
-/// responsible for obs/fault scoping (run_query below, the engine, or
-/// serve::server).
+/// responsible for obs/fault scoping (run_query below, the CLI's run_scope,
+/// or serve::server).
 /// Trace context a caller threads through query(): when the serving layer
 /// coalesces N requests into one launch it passes the batch id here so the
 /// per-chunk comparer spans ("index.chunk.compare") carry it — Perfetto can

@@ -1,5 +1,6 @@
 #include "core/pattern.hpp"
 
+#include "core/config.hpp"
 #include "genome/iupac.hpp"
 
 namespace cof {
@@ -10,12 +11,14 @@ char normalize_base(char c) {
   return genome::is_iupac(c) ? c : '\0';
 }
 
-std::string normalize_sequence(std::string_view seq) {
-  COF_CHECK_MSG(!seq.empty(), "empty sequence");
+std::string normalize_sequence(std::string_view seq, std::string_view what) {
+  if (seq.empty()) throw config_error("empty " + std::string(what));
   std::string out(seq);
   for (char& c : out) {
     const char n = normalize_base(c);
-    COF_CHECK_MSG(n != '\0', std::string("non-IUPAC character in sequence: ") + c);
+    if (n == '\0') {
+      throw config_error("non-IUPAC character in " + std::string(what) + ": " + c);
+    }
     c = n;
   }
   return out;

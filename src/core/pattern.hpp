@@ -59,7 +59,10 @@ device_pattern make_query(std::string_view query);
 /// '\0' when it is not an IUPAC code.
 char normalize_base(char c);
 
-/// Normalise a sequence: upper-case, U->T; dies on non-IUPAC characters.
-std::string normalize_sequence(std::string_view seq);
+/// Normalise a sequence: upper-case, U->T. Throws config_error, naming the
+/// sequence `what`, when it is empty or holds a non-IUPAC character, so
+/// make_pattern / make_query reject a hostile pattern or guide from any
+/// entry point.
+std::string normalize_sequence(std::string_view seq, std::string_view what = "sequence");
 
 }  // namespace cof

@@ -4,11 +4,10 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "fault/fault.hpp"
 #include "genome/fasta_stream.hpp"
 #include "genome/iupac.hpp"
+#include "genome/synth.hpp"
 #include "genome/twobit_file.hpp"
 #include "util/strings.hpp"
 
@@ -29,15 +28,6 @@ struct fnv64 {
   }
 };
 
-/// The whole text of one FASTA file.
-std::string read_text(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw fasta_error("cannot open FASTA file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 /// Per byte: its decoded base in the low byte, and bit 8 set unless it is
 /// one of the six isspace bytes, which a sequence line drops.
 constexpr std::array<util::u16, 256> kBaseDecode = [] {
@@ -52,38 +42,14 @@ constexpr std::array<util::u16, 256> kBaseDecode = [] {
   return t;
 }();
 
-/// The name of a '>' header line: its first word; a header without one is
-/// malformed.
-std::string_view header_name(std::string_view line) {
-  const auto words = util::split(line.substr(1));
-  if (words.empty()) throw fasta_error("FASTA header with empty name");
-  return words[0];
-}
+/// A synth: URI: a genome line that names a generated genome, not a file.
+bool is_synth_uri(const std::string& line) { return util::starts_with(line, "synth:"); }
 
-/// Counting/hashing twin of parse_fasta: identical line and char rules,
-/// no sequence materialised. `open` tracks an unclosed chromosome frame
-/// across files (directory sources concatenate).
-void summarize_fasta_text(std::string_view text, source_summary& out,
-                          fnv64& hash, bool& open) {
-  std::string bases;
-  for (std::string_view line : util::split_lines(text)) {
-    line = util::trim(line);
-    if (line.empty() || line[0] == ';') continue;
-    if (line[0] == '>') {
-      const std::string_view name = header_name(line);
-      if (open) hash.feed('\0');  // close the previous chromosome's bases
-      out.names.emplace_back(name);
-      hash.feed(name);
-      hash.feed('\0');
-      open = true;
-      continue;
-    }
-    if (!open) throw fasta_error("FASTA sequence data before any '>' header");
-    bases.clear();
-    append_bases(line, bases);
-    hash.feed(bases);
-    out.total_bases += bases.size();
-  }
+/// Every record of a FASTA stream, in order.
+std::vector<chromosome> read_records(fasta_stream s) {
+  std::vector<chromosome> records;
+  while (s.next_record()) records.push_back(chromosome{s.record_name(), s.read_all()});
+  return records;
 }
 
 }  // namespace
@@ -114,38 +80,23 @@ usize genome_t::non_n_bases() const {
 }
 
 std::vector<chromosome> parse_fasta(std::string_view text) {
-  std::vector<chromosome> records;
-  chromosome* cur = nullptr;
-  for (std::string_view line : util::split_lines(text)) {
-    line = util::trim(line);
-    if (line.empty() || line[0] == ';') continue;  // ';' comments (legacy)
-    if (line[0] == '>') {
-      records.push_back(chromosome{std::string(header_name(line)), {}});
-      cur = &records.back();
-      continue;
-    }
-    if (cur == nullptr) throw fasta_error("FASTA sequence data before any '>' header");
-    // Mid-parse fault site: one hit per sequence line, so hit:N lands inside
-    // a record with part of its bases already appended.
-    fault::inject_point(fault::site::fasta_parse);
-    append_bases(line, cur->seq);
-  }
-  return records;
+  return read_records(fasta_stream::from_text(text));
 }
 
 std::vector<chromosome> read_fasta_file(const std::string& path) {
-  return parse_fasta(read_text(path));
+  return read_records(fasta_stream(path));
 }
 
-genome_t load_genome(const std::string& path) {
-  namespace fs = std::filesystem;
-  if (is_twobit_path(path)) return read_twobit_file(path);
+bool is_fasta_line(const std::string& line) {
+  return !is_synth_uri(line) && !is_twobit_path(line);
+}
+
+genome_t load_genome(const std::string& line) {
+  if (auto synth = load_synth_uri(line)) return std::move(*synth);
+  if (is_twobit_path(line)) return read_twobit_file(line);
   genome_t g;
-  g.assembly = fs::path(path).filename().string();
-  for (const auto& f : fasta_files_at(path)) {
-    for (auto& r : read_fasta_file(f)) g.chroms.push_back(std::move(r));
-  }
-  if (g.chroms.empty()) throw fasta_error("genome has no sequences: " + path);
+  g.assembly = std::filesystem::path(line).filename().string();
+  g.chroms = read_fasta_file(line);
   return g;
 }
 
@@ -160,18 +111,35 @@ util::u64 content_hash(const genome_t& g) {
   return hash.h;
 }
 
-std::optional<source_summary> summarize_source(const std::string& path) {
-  namespace fs = std::filesystem;
-  if (path.empty() || is_twobit_path(path) || !fs::exists(path)) {
+source_summary source_summary::of(const genome_t& g) {
+  source_summary sum;
+  for (const auto& c : g.chroms) sum.names.push_back(c.name);
+  sum.total_bases = g.total_bases();
+  sum.hash = content_hash(g);
+  return sum;
+}
+
+std::optional<source_summary> summarize_source(const std::string& line) {
+  // Any line but a synth: URI must name a file or directory.
+  if (!is_synth_uri(line) && !std::filesystem::exists(line)) {
     return std::nullopt;
   }
+  if (!is_fasta_line(line)) return source_summary::of(load_genome(line));
+  // content_hash's framing, fed from the stream one block at a time.
   source_summary out;
   fnv64 hash;
-  bool open = false;
-  for (const auto& f : fasta_files_at(path)) {
-    summarize_fasta_text(read_text(f), out, hash, open);
+  fasta_stream s(line);
+  std::string bases;
+  while (s.next_record()) {
+    out.names.push_back(s.record_name());
+    hash.feed(s.record_name());
+    hash.feed('\0');
+    for (bases.clear(); s.read_bases(bases, 1 << 16) != 0; bases.clear()) {
+      hash.feed(bases);
+      out.total_bases += bases.size();
+    }
+    hash.feed('\0');
   }
-  if (open) hash.feed('\0');  // close the last chromosome's frame
   out.hash = hash.h;
   return out;
 }

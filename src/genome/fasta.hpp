@@ -18,11 +18,14 @@ namespace genome {
 
 using util::usize;
 
-/// Malformed or unreadable FASTA input: sequence data before the first '>'
-/// header, a header with an empty name, a file that cannot be opened, a
-/// directory without FASTA files, or a genome source with no records.
-/// Thrown by parse_fasta, load_genome, summarize_source, fasta_files_at and
-/// the streamed reader alike, so a hostile source fails with a clean error.
+/// The genome layer's one input error: a genome line that cannot be read.
+/// Malformed FASTA (sequence data before the first '>' header, a header
+/// with an empty name), a file that cannot be opened, a directory without
+/// FASTA files, a source with no records, a truncated or inconsistent .2bit
+/// file, or a malformed synth: URI. Thrown by every reader (load_genome,
+/// parse_fasta, read_fasta_file, summarize_source, fasta_stream,
+/// read_twobit_file, load_synth_uri), so hostile input fails with a clean
+/// error; the CLI reports it and exits 2.
 class fasta_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -60,28 +63,38 @@ std::vector<chromosome> parse_fasta(std::string_view text);
 /// Read one FASTA file. Throws fasta_error when it cannot be opened.
 std::vector<chromosome> read_fasta_file(const std::string& path);
 
-/// Load a genome from a path: a FASTA file, or a directory of *.fa/*.fasta
-/// files (UCSC layout). Chromosomes are ordered by file name then record.
-/// A source with no records throws fasta_error, as the streamed reader
-/// does.
-genome_t load_genome(const std::string& path);
+/// Load a genome line, the one loader every entry point calls: a
+/// "synth:hg19|hg38[:scale[:seed]]" URI (synth.hpp), a .2bit file, or a
+/// FASTA file or directory of *.fa/*.fasta/*.fna files (UCSC layout,
+/// chromosomes ordered by file name then record). Throws fasta_error when
+/// the line cannot be read.
+genome_t load_genome(const std::string& line);
+
+/// True for a genome line load_genome reads as FASTA: neither a synth: URI
+/// nor a .2bit file. Only these stream record by record (fasta_stream);
+/// the others load whole.
+bool is_fasta_line(const std::string& line);
 
 /// Order-sensitive FNV-1a over every chromosome's name and bases — the
 /// genome identity an index is keyed on. Two genomes with equal names and
 /// sizes but different sequence hash differently.
 util::u64 content_hash(const genome_t& g);
 
-/// Decode-free summary of a genome source: chromosome names, total base
-/// count and the same content_hash() a full load would produce, computed in
-/// one pass with parse_fasta's exact char rules but without materialising
-/// any sequence. Returns nullopt for sources that cannot be summarised
-/// cheaply (missing paths, .2bit containers, synth: URIs).
+/// Summary of a genome line: chromosome names, total base count and the
+/// content_hash() of the genome load_genome would return. A FASTA line is
+/// summarised in one streamed pass without materialising any sequence;
+/// synth: and .2bit lines are summarised from the loaded genome. Returns
+/// nullopt for a line that names nothing on disk; throws fasta_error as
+/// load_genome does.
 struct source_summary {
   std::vector<std::string> names;
   usize total_bases = 0;
   util::u64 hash = 0;
+
+  /// The summary of a genome in memory.
+  static source_summary of(const genome_t& g);
 };
-std::optional<source_summary> summarize_source(const std::string& path);
+std::optional<source_summary> summarize_source(const std::string& line);
 
 /// Serialise records as FASTA with the given line width.
 std::string write_fasta(const std::vector<chromosome>& records, usize width = 60);

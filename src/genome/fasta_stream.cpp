@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "fault/fault.hpp"
 #include "genome/fasta.hpp"
@@ -10,21 +12,38 @@
 namespace genome {
 
 fasta_stream::fasta_stream(const std::string& path)
-    : in_(path, std::ios::binary), path_(path) {
-  if (!in_.good()) throw fasta_error("cannot open FASTA file: " + path);
+    : source_(path), files_(fasta_files_at(path)) {
+  open_next_file();
+}
+
+fasta_stream::fasta_stream(std::unique_ptr<std::istream> in, std::string source)
+    : in_(std::move(in)), source_(std::move(source)), file_(source_) {}
+
+fasta_stream fasta_stream::from_text(std::string_view text) {
+  return fasta_stream(std::make_unique<std::istringstream>(std::string(text)),
+                      "FASTA text");
+}
+
+bool fasta_stream::open_next_file() {
+  if (next_file_ >= files_.size()) return false;
+  file_ = files_[next_file_++];
+  auto in = std::make_unique<std::ifstream>(file_, std::ios::binary);
+  if (!in->good()) throw fasta_error("cannot open FASTA file: " + file_);
+  in_ = std::move(in);
+  eof_ = false;
+  return true;
 }
 
 bool fasta_stream::fill_line() {
-  // Same mid-parse site as the buffered parser: one hit per line pulled off
-  // the file, firing inside next_record/read_bases of a live stream.
+  // The mid-parse fault site: one hit per line pulled off the source, firing
+  // inside next_record/read_bases of a live stream.
   fault::inject_point(fault::site::fasta_parse);
   line_.clear();
   line_pos_ = 0;
-  while (std::getline(in_, line_)) {
-    // Classify the trimmed line, as parse_fasta does: skip blanks and legacy
-    // ';' comments, and keep only the trimmed text (line_pos_ past the
-    // indent, trailing space and CR cut), so an indented '>' is a header
-    // here too.
+  while (std::getline(*in_, line_)) {
+    // Classify the trimmed line: skip blanks and legacy ';' comments, and
+    // keep only the trimmed text (line_pos_ past the indent, trailing space
+    // and CR cut), so an indented '>' is a header.
     const auto trimmed = util::trim(line_);
     if (trimmed.empty() || trimmed[0] == ';') continue;
     line_pos_ = static_cast<usize>(trimmed.data() - line_.data());
@@ -36,32 +55,28 @@ bool fasta_stream::fill_line() {
 }
 
 bool fasta_stream::next_record() {
-  // Skip the remainder of the current record.
-  if (in_record_ && !pending_header_) {
-    while (fill_line()) {
+  // Skip the rest of the current record up to the next header; at a file's
+  // end, go on with the next file, which must start with a header.
+  while (!pending_header_) {
+    if (fill_line()) {
       if (at_header()) {
         pending_header_ = true;
-        break;
+      } else if (!in_record_) {
+        throw fasta_error("FASTA sequence data before any '>' header in " + file_);
       }
+      continue;
+    }
+    in_record_ = false;
+    if (!open_next_file()) {
+      if (records_ == 0) throw fasta_error("genome has no sequences: " + source_);
+      return false;
     }
   }
-  if (!pending_header_) {
-    while (fill_line()) {
-      if (at_header()) {
-        pending_header_ = true;
-        break;
-      }
-      // Sequence data before any header is malformed.
-      if (!in_record_) {
-        throw fasta_error("FASTA sequence data before any '>' header in " + path_);
-      }
-    }
-  }
-  if (!pending_header_) return false;
 
   const auto words = util::split(std::string_view(line_).substr(line_pos_ + 1));
-  if (words.empty()) throw fasta_error("FASTA header with empty name in " + path_);
+  if (words.empty()) throw fasta_error("FASTA header with empty name in " + file_);
   name_ = std::string(words[0]);
+  ++records_;
   pending_header_ = false;
   in_record_ = true;
   line_.clear();

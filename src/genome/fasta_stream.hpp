@@ -1,13 +1,17 @@
-// Streaming FASTA reader: iterates records and yields their sequence in
-// caller-sized blocks without materialising whole chromosomes — what lets
-// Cas-OFFinder feed multi-gigabyte assemblies through device-sized chunks
-// on a modest host. Handles arbitrary line wrapping, CRLF, '>' descriptions
-// and ';' comments like the in-memory parser, and throws the same
-// fasta_error on malformed input.
+// Streaming FASTA reader, the one FASTA line parser: iterates records and
+// yields their sequence in caller-sized blocks without materialising whole
+// chromosomes — what lets Cas-OFFinder feed multi-gigabyte assemblies
+// through device-sized chunks on a modest host. Reads one file, a directory
+// of FASTA files or FASTA text held in memory; handles arbitrary line
+// wrapping, CRLF, '>' descriptions and ';' comments, and throws fasta_error
+// on malformed input. parse_fasta, read_fasta_file, load_genome and
+// summarize_source all read through it.
 #pragma once
 
-#include <fstream>
+#include <istream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/common.hpp"
@@ -18,9 +22,17 @@ using util::usize;
 
 class fasta_stream {
  public:
+  /// Open a FASTA file, or each FASTA file of a directory in turn
+  /// (fasta_files_at order). A record never spans files: every file must
+  /// start with a '>' header. Throws fasta_error when a file cannot be
+  /// opened or a directory holds no FASTA file.
   explicit fasta_stream(const std::string& path);
 
-  /// Advance to the next record header. Returns false at end of file.
+  /// Read FASTA text held in memory.
+  static fasta_stream from_text(std::string_view text);
+
+  /// Advance to the next record header. Returns false at the end of the
+  /// source; a source that ends without any record throws fasta_error.
   bool next_record();
 
   /// Name of the current record (first word of its header line).
@@ -36,27 +48,33 @@ class fasta_stream {
   std::string read_all();
 
  private:
-  /// Refill the line buffer with the next line that is neither blank nor a
-  /// comment, trimmed: line_pos_ at its first non-space byte, trailing
-  /// space cut. Returns false at EOF.
+  fasta_stream(std::unique_ptr<std::istream> in, std::string source);
+  /// Open the next file of files_. Returns false when none is left.
+  bool open_next_file();
+  /// Refill the line buffer with the next line of the current file that is
+  /// neither blank nor a comment, trimmed: line_pos_ at its first non-space
+  /// byte, trailing space cut. Returns false at the file's end.
   bool fill_line();
   /// The line fill_line just read is a '>' header.
   bool at_header() const { return line_[line_pos_] == '>'; }
 
-  std::ifstream in_;
-  std::string path_;
+  std::unique_ptr<std::istream> in_;
+  std::string source_;              // the path or "FASTA text", for messages
+  std::vector<std::string> files_;  // a path's FASTA files
+  usize next_file_ = 0;
+  std::string file_;                // the file in_ reads
   std::string name_;
   std::string line_;        // current (partial) sequence line
   usize line_pos_ = 0;      // consumed prefix of line_
+  usize records_ = 0;
   bool pending_header_ = false;  // line_ holds the next '>' header
   bool in_record_ = false;
-  bool eof_ = false;
+  bool eof_ = false;        // the current file is exhausted
 };
 
 /// Enumerate the FASTA files a genome path denotes: one file, or a sorted
-/// directory of *.fa/*.fasta/*.fna. The one lister behind load_genome,
-/// summarize_source and the streamed reader; a directory without FASTA
-/// files throws fasta_error.
+/// directory of *.fa/*.fasta/*.fna. A directory without FASTA files throws
+/// fasta_error.
 std::vector<std::string> fasta_files_at(const std::string& path);
 
 }  // namespace genome

@@ -218,19 +218,27 @@ std::vector<planted_site> plant_sites(genome_t& g, const std::string& guide,
 
 std::optional<genome_t> load_synth_uri(const std::string& uri) {
   if (!util::starts_with(uri, "synth:")) return std::nullopt;
+  auto bad = [&](const std::string& what) { return fasta_error(what + ": " + uri); };
   const auto parts = util::split(uri, ":");
-  COF_CHECK_MSG(parts.size() >= 2, "synth URI needs an assembly: synth:hg19[:scale]");
+  if (parts.size() < 2 || parts.size() > 4) {
+    throw bad("synth URI wants synth:hg19|hg38[:scale[:seed]]");
+  }
   unsigned long long scale = 256, seed = 0;
-  if (parts.size() >= 3) COF_CHECK_MSG(util::parse_u64(parts[2], scale), "bad scale");
-  if (parts.size() >= 4) COF_CHECK_MSG(util::parse_u64(parts[3], seed), "bad seed");
+  if (parts.size() >= 3 && (!util::parse_u64(parts[2], scale) || scale == 0)) {
+    throw bad("bad synth scale (a whole number >= 1)");
+  }
+  if (parts.size() >= 4 && !util::parse_u64(parts[3], seed)) throw bad("bad synth seed");
   const std::string which = util::to_upper(parts[1]);
+  synth_params p;
   if (which == "HG19") {
-    return generate(hg19_like(scale, seed != 0 ? seed : 19));
+    p = hg19_like(scale, seed != 0 ? seed : 19);
+  } else if (which == "HG38") {
+    p = hg38_like(scale, seed != 0 ? seed : 38);
+  } else {
+    throw bad("unknown synth assembly (use hg19 or hg38)");
   }
-  if (which == "HG38") {
-    return generate(hg38_like(scale, seed != 0 ? seed : 38));
-  }
-  util::die("unknown synth assembly (use hg19 or hg38): " + uri);
+  if (p.chromosomes.empty()) throw bad("synth scale leaves no chromosome");
+  return generate(p);
 }
 
 }  // namespace genome

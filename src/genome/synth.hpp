@@ -63,7 +63,9 @@ std::vector<planted_site> plant_sites(genome_t& g, const std::string& guide,
                                       unsigned mismatches, util::u64 seed);
 
 /// Parse a "synth:" genome URI: synth:hg19[:scale[:seed]] or
-/// synth:hg38[:scale[:seed]]. Returns nullopt if `uri` lacks the prefix.
+/// synth:hg38[:scale[:seed]]. Returns nullopt if `uri` lacks the prefix;
+/// throws fasta_error for an unknown assembly, a scale that is not a whole
+/// number >= 1 or leaves no chromosome, or a seed that is not a number.
 std::optional<genome_t> load_synth_uri(const std::string& uri);
 
 }  // namespace genome

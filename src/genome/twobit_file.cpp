@@ -1,5 +1,6 @@
 #include "genome/twobit_file.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 #include "util/strings.hpp"
@@ -18,23 +19,34 @@ void put_u32(std::string& out, u32 v) {
   out.push_back(static_cast<char>((v >> 24) & 0xFF));
 }
 
+/// Bounds-checked little-endian cursor over a .2bit image: sizes and counts
+/// are checked against the bytes left, in 64-bit arithmetic, before
+/// anything is allocated or written; a hostile file throws fasta_error.
 struct reader {
+  const std::string& path;
   std::string data;
   usize pos = 0;
 
+  [[noreturn]] void fail(const std::string& what) const {
+    throw fasta_error(what + ": " + path);
+  }
+  /// Throws unless `n` more bytes are left.
+  void need(util::u64 n) const {
+    if (pos > data.size() || n > data.size() - pos) fail("truncated .2bit file");
+  }
   u32 get_u32() {
-    COF_CHECK_MSG(pos + 4 <= data.size(), "truncated .2bit file");
+    need(4);
     const auto* p = reinterpret_cast<const unsigned char*>(data.data() + pos);
     pos += 4;
     return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
            (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
   }
   u8 get_u8() {
-    COF_CHECK_MSG(pos < data.size(), "truncated .2bit file");
+    need(1);
     return static_cast<u8>(data[pos++]);
   }
   std::string get_bytes(usize n) {
-    COF_CHECK_MSG(pos + n <= data.size(), "truncated .2bit file");
+    need(n);
     std::string s = data.substr(pos, n);
     pos += n;
     return s;
@@ -138,57 +150,53 @@ void write_twobit_file(const std::string& path, const genome_t& g) {
 
 genome_t read_twobit_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  COF_CHECK_MSG(f.good(), "cannot open .2bit file: " + path);
-  reader r;
+  if (!f.good()) throw fasta_error("cannot open .2bit file: " + path);
+  reader r{path, {}};
   r.data.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
 
-  COF_CHECK_MSG(r.get_u32() == kTwoBitSignature,
-                "not a .2bit file (bad signature): " + path);
-  COF_CHECK_MSG(r.get_u32() == 0, "unsupported .2bit version: " + path);
+  if (r.get_u32() != kTwoBitSignature) r.fail("not a .2bit file (bad signature)");
+  if (r.get_u32() != 0) r.fail("unsupported .2bit version");
   const u32 count = r.get_u32();
   r.get_u32();  // reserved
 
-  struct index_entry {
-    std::string name;
-    u32 offset;
-  };
-  std::vector<index_entry> index;
-  index.reserve(count);
-  for (u32 i = 0; i < count; ++i) {
-    const u8 name_size = r.get_u8();
-    index_entry e;
-    e.name = r.get_bytes(name_size);
-    e.offset = r.get_u32();
-    index.push_back(std::move(e));
-  }
-
   genome_t g;
   g.assembly = path;
-  for (const auto& e : index) {
-    r.pos = e.offset;
+  for (u32 i = 0; i < count; ++i) {
+    // Index entry i (name, record offset), then the record it points at.
+    chromosome c;
+    c.name = r.get_bytes(r.get_u8());
+    const u32 offset = r.get_u32();
+    const usize next_entry = r.pos;
+    r.pos = offset;
     const u32 dna_size = r.get_u32();
     const u32 nblocks = r.get_u32();
+    r.need(util::u64{nblocks} * 8);
     std::vector<u32> nstarts(nblocks), nsizes(nblocks);
     for (auto& v : nstarts) v = r.get_u32();
     for (auto& v : nsizes) v = r.get_u32();
     const u32 maskblocks = r.get_u32();
-    for (u32 i = 0; i < 2 * maskblocks; ++i) r.get_u32();  // skip mask tables
+    r.need(util::u64{maskblocks} * 8);
+    r.pos += usize{maskblocks} * 8;  // mask tables: the search ignores case
     r.get_u32();  // reserved
+    const util::u64 packed_bytes = (util::u64{dna_size} + 3) / 4;
+    r.need(packed_bytes);
+    for (u32 b = 0; b < nblocks; ++b) {
+      if (util::u64{nstarts[b]} + nsizes[b] > dna_size) r.fail("N block out of range");
+    }
 
-    chromosome c;
-    c.name = e.name;
     c.seq.resize(dna_size);
-    const std::string packed = r.get_bytes((dna_size + 3) / 4);
+    const char* packed = r.data.data() + r.pos;
+    r.pos += packed_bytes;
     for (u32 i = 0; i < dna_size; ++i) {
       const u8 byte = static_cast<u8>(packed[i >> 2]);
       const int shift = 2 * (3 - static_cast<int>(i & 3));
       c.seq[i] = kDecode[(byte >> shift) & 3];
     }
     for (u32 b = 0; b < nblocks; ++b) {
-      COF_CHECK_MSG(nstarts[b] + nsizes[b] <= dna_size, "N block out of range");
-      for (u32 i = 0; i < nsizes[b]; ++i) c.seq[nstarts[b] + i] = 'N';
+      std::fill_n(c.seq.begin() + nstarts[b], nsizes[b], 'N');
     }
     g.chroms.push_back(std::move(c));
+    r.pos = next_entry;
   }
   return g;
 }

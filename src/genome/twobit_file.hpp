@@ -20,7 +20,8 @@ inline constexpr util::u32 kTwoBitSignature = 0x1A412743;
 void write_twobit_file(const std::string& path, const genome_t& g);
 
 /// Load a .2bit file (N blocks restored as 'N'; mask blocks ignored, as the
-/// search is case-insensitive).
+/// search is case-insensitive). Throws fasta_error for a file that cannot
+/// be opened, is truncated, or holds a field past its bounds.
 genome_t read_twobit_file(const std::string& path);
 
 /// True if the path has a .2bit extension (load_genome dispatches on this).

@@ -29,10 +29,6 @@ u64 to_us(u64 from_ns, u64 to_ns) {
   return to_ns > from_ns ? (to_ns - from_ns) / 1000 : 0;
 }
 
-/// Health quorum: below this many windowed samples a rate/percentile says
-/// more about noise than about the daemon — report ok until there is data.
-constexpr u64 kHealthMinSamples = 16;
-
 /// Name the site a terminal batch failure came from, for the postmortem
 /// header ("serve.batch" for exhausted retries / injected faults, the
 /// index_error's own site otherwise).
@@ -80,8 +76,7 @@ server::server(const genome_index& idx, const server_options& opt)
   }
   t_start_ns_ = obs::now_ns();
   session_ = std::make_unique<index_query_session>(idx, opt_.engine);
-  queue_ = std::make_unique<util::bounded_queue<pending>>(
-      std::max<usize>(1, opt_.queue_capacity));
+  queue_ = std::make_unique<util::bounded_queue<pending>>(kQueueCapacity);
   // Materialise the latency instruments up front so stats_json()/health()
   // never race a first-use insertion.
   auto& reg = obs::metrics_registry::global();
@@ -235,7 +230,7 @@ void server::run_batch(std::vector<pending>& batch) {
       // engine's device-retry policy applied at batch granularity. The
       // session's own recovery already handled per-chunk faults below us —
       // this covers the batch envelope itself.
-      if (attempt + 1 >= std::max<usize>(1, opt_.max_batch_attempts)) {
+      if (attempt + 1 >= kMaxBatchAttempts) {
         error = std::current_exception();
         exhausted_retries = true;
         break;
@@ -266,7 +261,7 @@ void server::run_batch(std::vector<pending>& batch) {
           exhausted_retries
               ? util::format("serve batch %llu exhausted %zu dispatch attempts",
                              static_cast<unsigned long long>(batch_id),
-                             std::max<usize>(1, opt_.max_batch_attempts))
+                             kMaxBatchAttempts)
               : util::format("serve batch %llu failed terminally",
                              static_cast<unsigned long long>(batch_id));
       obs::flight::dump(reason, site);
@@ -343,7 +338,7 @@ health_state server::health() const {
   if (admits >= kHealthMinSamples) {
     const double rate = static_cast<double>(admit_window_.sum()) /
                         static_cast<double>(admits);
-    if (rate > opt_.degraded_reject_rate) return health_state::degraded;
+    if (rate > kDegradedRejectRate) return health_state::degraded;
   }
   if (opt_.slo_us != 0) {
     auto& w = obs::metrics_registry::global().windowed(

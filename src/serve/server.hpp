@@ -73,6 +73,16 @@
 
 namespace cof::serve {
 
+/// Admission queue capacity; submit() blocks (backpressure) when full.
+inline constexpr usize kQueueCapacity = 256;
+/// Dispatch attempts for a batch hitting transient device faults before its
+/// requests are failed.
+inline constexpr usize kMaxBatchAttempts = 4;
+/// Health: degraded while the windowed rejection rate exceeds this.
+inline constexpr double kDegradedRejectRate = 0.05;
+/// Health quorum: below this many windowed samples report ok (noise).
+inline constexpr util::u64 kHealthMinSamples = 16;
+
 struct server_options {
   /// Backend/variant/num_queues/max_entries/resident_bytes etc. for the
   /// underlying index_query_session, whose overflow recovery applies
@@ -85,17 +95,9 @@ struct server_options {
   usize batch_window_us = 200;
   /// Hard cap on requests coalesced into one launch.
   usize max_batch = 64;
-  /// Admission queue capacity; submit() blocks (backpressure) when full.
-  usize queue_capacity = 256;
-  /// Bounded retries for a batch whose dispatch hits a transient device
-  /// fault before the requests in it are failed.
-  usize max_batch_attempts = 4;
   /// Health SLO: health() reports degraded while the windowed latency p99
   /// exceeds this many microseconds. 0 = no latency SLO.
   util::u64 slo_us = 0;
-  /// Health: degraded while the windowed rejection rate (rejected submits /
-  /// all submits over the sliding window) exceeds this fraction.
-  double degraded_reject_rate = 0.05;
   /// Arm the postmortem flight recorder (obs/flight.hpp) for the server's
   /// lifetime. Costs one extra relaxed atomic load per trace probe.
   bool flight_recorder = true;

@@ -7,11 +7,14 @@
 # 1. Every device backend (O, S, U, P) x variant (opt6, base, opt4) x entry
 #    point (in-memory, --stream, --stream --queues 3, warm --stream --index)
 #    writes a non-empty output byte-identical to the serial oracle (device
-#    C). Three queues spill three files into one merge.
-# 2. Every hostile command line, malformed input file, unreadable or empty
-#    genome, missing spill directory and unwritable output path exits 2
-#    with exactly one `error: <message>` line on stderr, no FATAL abort and
-#    no spill run left in the temp directory.
+#    C). Three queues spill three files into one merge. The other genome
+#    lines, a synth: URI and a .2bit file, run every entry point on device
+#    S (warm: a cache miss, then a hit) against their own oracle.
+# 2. Every hostile command line, malformed input file, unreadable, empty or
+#    corrupt genome (FASTA, .2bit, synth: URI), foreign index, missing
+#    spill directory and unwritable output path exits 2 with exactly one
+#    `error: <message>` line on stderr, no FATAL abort and no spill run left
+#    in the temp directory.
 
 foreach(var CLI SIM WORK)
   if(NOT DEFINED ${var})
@@ -33,17 +36,49 @@ endif()
 file(WRITE "${WORK}/input.txt"
      "${WORK}/genome.fa\nNNNNNNNNNNNNNNNNNNNNNRG\n${guide} 4\nCGCCAGCGTCAGCGACAGGTNNN 5\n")
 
+# The same genome as .2bit, a second FASTA and .2bit, and the synth: lines.
+foreach(out genome.2bit other.fa other.2bit)
+  set(seed 3)
+  if(out MATCHES "^other")
+    set(seed 4)
+  endif()
+  execute_process(
+    COMMAND "${SIM}" --assembly hg19 --scale 16384 --seed ${seed} --out "${WORK}/${out}"
+            --plant-guide GGCCGACCTGTCGCTGACGCTGG --plant-count 12 --plant-mm 3
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "genome_simulator failed on ${out}: ${rc}")
+  endif()
+endforeach()
+set(queries "${guide} 4\nCGCCAGCGTCAGCGACAGGTNNN 5\n")
+file(WRITE "${WORK}/twobit_input.txt"
+     "${WORK}/genome.2bit\nNNNNNNNNNNNNNNNNNNNNNRG\n${queries}")
+file(WRITE "${WORK}/other_input.txt"
+     "${WORK}/other.fa\nNNNNNNNNNNNNNNNNNNNNNRG\n${queries}")
+file(WRITE "${WORK}/other_twobit_input.txt"
+     "${WORK}/other.2bit\nNNNNNNNNNNNNNNNNNNNNNRG\n${queries}")
+# The synth genome has no planted sites: looser thresholds give it records.
+foreach(seed 3 4)
+  file(WRITE "${WORK}/synth${seed}_input.txt"
+       "synth:hg19:16384:${seed}\nNNNNNNNNNNNNNNNNNNNNNRG\n${guide} 8\nCGCCAGCGTCAGCGACAGGTNNN 8\n")
+endforeach()
+
 set(failures 0)
 
 # Run the CLI with `args`, under the environment `cli_env` (VAR=value) when
-# it is set; sets run_rc and run_err in the caller.
+# it is set and reading `cli_stdin` when that is set; sets run_rc and
+# run_err in the caller.
 function(run_cli)
   set(launcher "")
   if(cli_env)
     set(launcher "${CMAKE_COMMAND}" -E env "${cli_env}")
   endif()
+  set(input "")
+  if(cli_stdin)
+    set(input INPUT_FILE "${cli_stdin}")
+  endif()
   execute_process(COMMAND ${launcher} "${CLI}" ${ARGN}
-                  WORKING_DIRECTORY "${WORK}"
+                  WORKING_DIRECTORY "${WORK}" ${input}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   set(run_rc "${rc}" PARENT_SCOPE)
   set(run_err "${err}" PARENT_SCOPE)
@@ -91,6 +126,46 @@ foreach(device O S U P)
   endforeach()
 endforeach()
 
+# Every entry point on the synth: and .2bit lines, device S, against the
+# line's own oracle. The warm row runs twice: a cache miss builds the index,
+# the rerun hits it.
+foreach(line synth3 twobit)
+  run_cli(${line}_input.txt C ${line}_oracle.txt)
+  file(SIZE "${WORK}/${line}_oracle.txt" oracle_bytes)
+  if(NOT run_rc EQUAL 0 OR oracle_bytes EQUAL 0)
+    message(FATAL_ERROR "${line} oracle failed (exit ${run_rc}, ${oracle_bytes} bytes): ${run_err}")
+  endif()
+  foreach(entry memory stream queues3 warm_miss warm_hit)
+    set(args ${chunk})
+    if(entry STREQUAL "stream")
+      list(APPEND args --stream)
+    elseif(entry STREQUAL "queues3")
+      list(APPEND args --stream --queues 3)
+    elseif(entry MATCHES "^warm")
+      list(APPEND args --index ${line}.cofidx)
+    endif()
+    set(out "out_${line}_${entry}.txt")
+    run_cli(${args} ${line}_input.txt S ${out})
+    set(where "${line} S (${entry})")
+    if(NOT run_rc EQUAL 0)
+      fail("${where}: exit ${run_rc}: ${run_err}")
+      continue()
+    endif()
+    if(entry MATCHES "^warm_(miss|hit)$")
+      set(want "index cache ${CMAKE_MATCH_1}")
+      if(NOT run_err MATCHES "${want}")
+        fail("${where}: no '${want}' on stderr: ${run_err}")
+      endif()
+    endif()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                            "${WORK}/${out}" "${WORK}/${line}_oracle.txt"
+                    RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+      fail("${where}: output differs from the serial oracle")
+    endif()
+  endforeach()
+endforeach()
+
 # --- 2. hostile input fails clean -------------------------------------------
 file(WRITE "${WORK}/bad_input.txt"
      "${WORK}/genome.fa\nNNNNNNNNNNNNNNNNNNNNNRG\n${guide} 70000\n")
@@ -99,10 +174,33 @@ file(WRITE "${WORK}/bad_input.txt"
 file(MAKE_DIRECTORY "${WORK}/no_fasta")
 file(WRITE "${WORK}/no_fasta/notes.txt" "not fasta\n")
 file(WRITE "${WORK}/empty.fa" "")
-foreach(src missing no_fasta empty)
+# A .2bit whose one N block starts at 0xFFFFFFF8 with size 0x10 (the u32
+# sum wraps to 8), and one cut inside its sequence index.
+find_program(PRINTF printf REQUIRED)
+set(twobit_header "\\103\\047\\101\\032\\000\\000\\000\\000\\001\\000\\000\\000\\000\\000\\000\\000")
+execute_process(
+  COMMAND "${PRINTF}" "${twobit_header}\\004chr1\\031\\000\\000\\000\\020\\000\\000\\000\\001\\000\\000\\000\\370\\377\\377\\377\\020\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\033\\033\\033\\033"
+  OUTPUT_FILE "${WORK}/crafted.2bit" RESULT_VARIABLE rc)
+execute_process(COMMAND "${PRINTF}" "${twobit_header}\\004chr"
+                OUTPUT_FILE "${WORK}/truncated.2bit" RESULT_VARIABLE rc2)
+if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0)
+  message(FATAL_ERROR "printf failed writing the hostile .2bit files")
+endif()
+foreach(src missing no_fasta empty crafted truncated bad_synth bad_scale unknown_synth
+            zero_scale)
   set(genome_path "${WORK}/${src}.fa")
   if(src STREQUAL "no_fasta")
     set(genome_path "${WORK}/no_fasta")
+  elseif(src MATCHES "^(crafted|truncated)$")
+    set(genome_path "${WORK}/${src}.2bit")
+  elseif(src STREQUAL "bad_synth")
+    set(genome_path "synth:")
+  elseif(src STREQUAL "bad_scale")
+    set(genome_path "synth:hg19:abc")
+  elseif(src STREQUAL "unknown_synth")
+    set(genome_path "synth:hg99")
+  elseif(src STREQUAL "zero_scale")
+    set(genome_path "synth:hg19:0")
   endif()
   file(WRITE "${WORK}/${src}_genome.txt"
        "${genome_path}\nNNNNNNNNNNNNNNNNNNNNNRG\n${guide} 4\n")
@@ -138,7 +236,19 @@ set(cases
     "serial device, streamed|--stream|input.txt|C"
     "serial device, warm|--index|serial.cofidx|input.txt|C"
     "serial device, index build|--build-index|serial.cofidx|input.txt|C"
-    "serial device, serve|--serve|input.txt|C")
+    "serial device, serve|--serve|input.txt|C"
+    "wrapping N block .2bit, in-memory|crafted_genome.txt|S"
+    "wrapping N block .2bit, streamed|--stream|crafted_genome.txt|S"
+    "truncated .2bit, in-memory|truncated_genome.txt|S"
+    "truncated .2bit, streamed|--stream|truncated_genome.txt|S"
+    "synth: without assembly, in-memory|bad_synth_genome.txt|S"
+    "synth: without assembly, streamed|--stream|bad_synth_genome.txt|S"
+    "synth: non-numeric scale, in-memory|bad_scale_genome.txt|S"
+    "synth: non-numeric scale, streamed|--stream|bad_scale_genome.txt|S"
+    "synth: unknown assembly, in-memory|unknown_synth_genome.txt|S"
+    "synth: unknown assembly, streamed|--stream|unknown_synth_genome.txt|S"
+    "synth: zero scale, in-memory|zero_scale_genome.txt|S"
+    "synth: zero scale, streamed|--stream|zero_scale_genome.txt|S")
 
 # Exit 2, one `error:` line, no FATAL abort, no spill run left behind.
 macro(expect_clean_error name)
@@ -164,6 +274,24 @@ foreach(c IN LISTS cases)
   run_cli(${parts} hostile_out.txt)
   expect_clean_error("${name}")
 endforeach()
+
+# A foreign index never answers: genome.fa's index for other.fa through the
+# server, the synth:hg19:16384:3 index for the :4 line, one .2bit's index for
+# another.
+file(WRITE "${WORK}/serve_stdin.txt" "${guide}:3\n")
+set(cli_stdin "${WORK}/serve_stdin.txt")
+foreach(c "serve|--serve|--index|genome.cofidx|other_input.txt|S"
+          "synth: line|--index|synth3.cofidx|synth4_input.txt|S"
+          ".2bit line|--index|twobit.cofidx|other_twobit_input.txt|S")
+  string(REPLACE "|" ";" parts "${c}")
+  list(POP_FRONT parts name)
+  run_cli(${parts} hostile_out.txt)
+  expect_clean_error("foreign index, ${name}")
+  if(NOT run_err MATCHES "index genome mismatch")
+    fail("foreign index, ${name}: want 'index genome mismatch': ${run_err}")
+  endif()
+endforeach()
+unset(cli_stdin)
 
 # An output path that cannot be opened, on both entry points.
 run_cli(input.txt S no/such/dir/out.txt)

@@ -11,10 +11,8 @@ namespace {
 
 using namespace cof;
 
-TEST(Engine, LoadConfiguredGenomeSynthUri) {
-  search_config cfg;
-  cfg.genome_path = "synth:hg19:32768";
-  auto g = load_configured_genome(cfg);
+TEST(Engine, LoadGenomeSynthUri) {
+  auto g = genome::load_genome("synth:hg19:32768");
   EXPECT_EQ(g.assembly, "hg19-synth");
   EXPECT_GT(g.total_bases(), 0u);
 }

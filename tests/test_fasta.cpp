@@ -1,16 +1,19 @@
-// FASTA parser/writer tests, including directory loading, the byte rule
-// shared by the three decoders and hostile input failing with fasta_error.
+// FASTA parser/writer tests, including directory loading, the byte and line
+// rules every reader shares through fasta_stream, and hostile input failing
+// with fasta_error.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "core/config.hpp"
 #include "core/engine_stream.hpp"
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
 #include "genome/iupac.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -234,6 +237,97 @@ TEST(FastaHostile, UnreadableOrEmptySourceThrows) {
   }
   EXPECT_THROW((void)genome::read_fasta_file("/nonexistent/p.fa"), genome::fasta_error);
   EXPECT_THROW((void)genome::fasta_files_at(empty_dir.string()), genome::fasta_error);
+}
+
+/// Hostile-byte loop: seeded mutations of a small multi-record FASTA — byte
+/// substitutions; an inserted '>', ';', NUL, CR, tab or pair of spaces, at
+/// a random byte or a line start; a cut before and inside every line. Each
+/// case either throws fasta_error from load_genome, summarize_source and
+/// run_search_streaming alike, or all three agree: the summary carries the
+/// loaded genome's names, base count and content_hash, and the streamed
+/// records equal run_search on the loaded genome.
+TEST(FastaHostile, MutatedFastaThrowsEverywhereOrAgreesEverywhere) {
+  temp_dir dir;
+  util::rng rng(2024);
+  const std::string site = "GGCCGACCTGTCGCTGACGCTGG";
+  std::vector<genome::chromosome> recs;
+  for (const char* name : {"chr1 first record", "chr2", "chrM"}) {
+    const util::usize len = 150 + rng.next_below(200);
+    std::string seq;
+    for (util::usize i = 0; i < len; ++i) seq += "ACGT"[rng.next_below(4)];
+    seq.replace(rng.next_below(len - site.size()), site.size(), site);
+    recs.push_back({name, seq});
+  }
+  const std::string base = genome::write_fasta(recs, 50);
+  std::vector<util::usize> line_starts = {0};
+  for (util::usize i = 0; i < base.size(); ++i) {
+    if (base[i] == '\n') line_starts.push_back(i + 1);
+  }
+
+  std::vector<std::string> cases;
+  for (util::usize k = 0; k + 1 < line_starts.size(); ++k) {
+    cases.push_back(base.substr(0, line_starts[k]));
+    cases.push_back(base.substr(0, (line_starts[k] + line_starts[k + 1]) / 2));
+  }
+  const std::string inserts[] = {">", ";", std::string(1, '\0'), "\r", "\t", "  "};
+  for (int i = 0; i < 300; ++i) {
+    std::string text = base;
+    for (util::u64 e = 1 + rng.next_below(3); e > 0; --e) {
+      if (rng.next_below(2) == 0) {
+        text[rng.next_below(text.size())] = static_cast<char>(rng.next_below(256));
+      } else {
+        const util::usize at = rng.next_below(2) == 0
+                                   ? rng.next_below(text.size() + 1)
+                                   : line_starts[rng.next_below(line_starts.size())];
+        text.insert(at, inserts[rng.next_below(std::size(inserts))]);
+      }
+    }
+    cases.push_back(std::move(text));
+  }
+
+  const auto cfg = cof::parse_input(cof::example_input("<file>"));
+  const cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 64};
+  const std::string file = (dir.path / "mutated.fa").string();
+  util::usize threw = 0;
+  for (util::usize i = 0; i < cases.size(); ++i) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << cases[i];
+    int throws = 0;
+    std::optional<genome::genome_t> g;
+    std::optional<genome::source_summary> sum;
+    std::optional<cof::streamed_outcome> streamed;
+    try {
+      g = genome::load_genome(file);
+    } catch (const genome::fasta_error&) {
+      ++throws;
+    }
+    try {
+      sum = genome::summarize_source(file);
+    } catch (const genome::fasta_error&) {
+      ++throws;
+    }
+    try {
+      streamed = cof::run_search_streaming(cfg, file, opt);
+    } catch (const genome::fasta_error&) {
+      ++throws;
+    }
+    ASSERT_TRUE(throws == 0 || throws == 3) << "case " << i << ": " << throws
+                                            << " of 3 readers threw";
+    if (throws == 3) {
+      ++threw;
+      continue;
+    }
+    ASSERT_TRUE(sum.has_value()) << "case " << i;
+    std::vector<std::string> names;
+    for (const auto& c : g->chroms) names.push_back(c.name);
+    EXPECT_EQ(sum->names, names) << "case " << i;
+    EXPECT_EQ(sum->total_bases, g->total_bases()) << "case " << i;
+    EXPECT_EQ(sum->hash, genome::content_hash(*g)) << "case " << i;
+    EXPECT_EQ(streamed->chrom_names, names) << "case " << i;
+    EXPECT_EQ(streamed->records, cof::run_search(cfg, *g, opt).records) << "case " << i;
+  }
+  // The loop reaches both outcomes.
+  EXPECT_GT(threw, 0u);
+  EXPECT_LT(threw, cases.size());
 }
 
 }  // namespace

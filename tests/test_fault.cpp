@@ -59,8 +59,27 @@ stream_case make_case(const temp_dir& dir, util::u64 seed, util::usize planted) 
   const std::string guide = c.cfg.queries[0].seq.substr(0, 20) + "NGG";
   genome::plant_sites(g, guide, c.cfg.pattern, planted, 2, seed + 1);
   c.file = (dir.path / "g.fa").string();
+  c.cfg.genome_path = c.file;
   genome::write_fasta_file(c.file, g.chroms);
   return c;
+}
+
+/// A warm run as the CLI's --index makes one: resolve_index, then the
+/// queries through an index_query_session, inside one run_scope that arms
+/// opt.faults and opt's obs files across both.
+struct warm_run {
+  cof::resolved_index resolved;
+  cof::search_outcome outcome;
+};
+warm_run run_warm(const cof::search_config& cfg, const std::string& path,
+                  const cof::engine_options& opt) {
+  cof::run_scope run(opt);
+  warm_run w;
+  w.resolved = cof::resolve_index(path, cfg, opt);
+  cof::index_query_session session(w.resolved.index, opt);
+  w.outcome = session.query(cfg.queries);
+  run.finish();
+  return w;
 }
 
 /// Spill files live in the system temp dir as cof_spill_<pid>_...; a failed
@@ -210,26 +229,27 @@ TEST_P(FaultSites, SingleFaultRecoversOrFailsClean) {
   const auto clean = cof::run_search_streaming(c.cfg, c.file, opt);
   ASSERT_FALSE(clean.records.empty());
 
-  // The index sites only fire on the index/query split: route the faulted
-  // run through it (index.persist lands on the cold build-and-persist path;
+  // The index sites only fire on a warm run: route the faulted run through
+  // resolve_index (index.persist lands on the cold build-and-persist path;
   // index.load needs a cache built by a clean warm run first).
-  if (std::string_view(tc.site).rfind("index.", 0) == 0) {
-    opt.index_path = (dir.path / "g.cofidx").string();
-    if (std::string_view(tc.site) == "index.load") {
-      const auto warm = cof::run_search_streaming(c.cfg, c.file, opt);
-      EXPECT_EQ(warm.records, clean.records) << tc.site;
-    }
+  const bool warm = std::string_view(tc.site).rfind("index.", 0) == 0;
+  const std::string index_path = (dir.path / "g.cofidx").string();
+  auto run = [&] {
+    return warm ? run_warm(c.cfg, index_path, opt).outcome.records
+                : cof::run_search_streaming(c.cfg, c.file, opt).records;
+  };
+  if (std::string_view(tc.site) == "index.load") {
+    EXPECT_EQ(run(), clean.records) << tc.site;
   }
 
   opt.faults = std::string(tc.site) + "=hit:1";
   const util::usize spills_before = spill_files_for_this_pid();
   if (tc.recovers) {
-    const auto faulted = cof::run_search_streaming(c.cfg, c.file, opt);
-    EXPECT_EQ(faulted.records, clean.records) << tc.site;
+    EXPECT_EQ(run(), clean.records) << tc.site;
     EXPECT_GE(fault::stats(tc.site).injected, 1u) << tc.site;
   } else {
     try {
-      (void)cof::run_search_streaming(c.cfg, c.file, opt);
+      (void)run();
       FAIL() << tc.site << ": expected a clean failure";
     } catch (const fault::injected_error& e) {
       EXPECT_EQ(e.site(), tc.site);
@@ -344,38 +364,38 @@ TEST(FaultSites, IndexPersistAndLoadFailCleanAtEveryHit) {
   temp_dir dir;
   const auto c = make_case(dir, 110, 6);
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
-  opt.index_path = (dir.path / "g.cofidx").string();
+  const std::string index_path = (dir.path / "g.cofidx").string();
 
   // Learn each site's hit count with a never-firing plan: one cold run
   // (build + persist) and one warm run (load).
   opt.faults = "index.persist=hit:1000000000";
-  const auto cold = cof::run_search_streaming(c.cfg, c.file, opt);
+  const auto cold = run_warm(c.cfg, index_path, opt);
   const util::u64 persist_hits = fault::stats("index.persist").hits;
   opt.faults = "index.load=hit:1000000000";
-  const auto warm = cof::run_search_streaming(c.cfg, c.file, opt);
+  const auto warm = run_warm(c.cfg, index_path, opt);
   const util::u64 load_hits = fault::stats("index.load").hits;
-  EXPECT_EQ(warm.records, cold.records);
+  EXPECT_EQ(warm.outcome.records, cold.outcome.records);
   ASSERT_GE(persist_hits, 3u);
   ASSERT_GE(load_hits, 3u);
 
   for (const util::u64 n : {util::u64{1}, persist_hits / 2, persist_hits}) {
-    fs::remove(opt.index_path);  // force the cold build-and-persist path
+    fs::remove(index_path);  // force the cold build-and-persist path
     opt.faults = "index.persist=hit:" + std::to_string(n);
     try {
-      (void)cof::run_search_streaming(c.cfg, c.file, opt);
+      (void)run_warm(c.cfg, index_path, opt);
       FAIL() << "index.persist hit:" << n << ": expected a clean failure";
     } catch (const fault::injected_error& e) {
       EXPECT_EQ(e.site(), std::string("index.persist")) << "hit:" << n;
     }
-    EXPECT_FALSE(fs::exists(opt.index_path)) << "hit:" << n;
+    EXPECT_FALSE(fs::exists(index_path)) << "hit:" << n;
   }
 
   opt.faults.clear();
-  (void)cof::run_search_streaming(c.cfg, c.file, opt);  // rebuild the cache
+  (void)run_warm(c.cfg, index_path, opt);  // rebuild the cache
   for (const util::u64 n : {util::u64{1}, load_hits / 2, load_hits}) {
     opt.faults = "index.load=hit:" + std::to_string(n);
     try {
-      (void)cof::run_search_streaming(c.cfg, c.file, opt);
+      (void)run_warm(c.cfg, index_path, opt);
       FAIL() << "index.load hit:" << n << ": expected a clean failure";
     } catch (const fault::injected_error& e) {
       EXPECT_EQ(e.site(), std::string("index.load")) << "hit:" << n;
@@ -714,18 +734,18 @@ TEST(BuildIndexFaults, CacheMissRecoversAndPersistsACleanIndex) {
   const auto clean = cof::run_search_streaming(c.cfg, c.file, opt);
   ASSERT_FALSE(clean.records.empty());
 
-  opt.index_path = (dir.path / "g.cofidx").string();
+  const std::string index_path = (dir.path / "g.cofidx").string();
   opt.faults = "dev.launch=hit:1";
-  const auto miss = cof::run_search_streaming(c.cfg, c.file, opt);
-  EXPECT_FALSE(miss.index_cache_hit);
-  EXPECT_EQ(miss.records, clean.records);
+  const auto miss = run_warm(c.cfg, index_path, opt);
+  EXPECT_FALSE(miss.resolved.cache_hit);
+  EXPECT_EQ(miss.outcome.records, clean.records);
   EXPECT_EQ(fault::stats("dev.launch").injected, 1u);
-  ASSERT_TRUE(fs::exists(opt.index_path));
+  ASSERT_TRUE(fs::exists(index_path));
 
   opt.faults.clear();
-  const auto hit = cof::run_search_streaming(c.cfg, c.file, opt);
-  EXPECT_TRUE(hit.index_cache_hit);
-  EXPECT_EQ(hit.records, clean.records);
+  const auto hit = run_warm(c.cfg, index_path, opt);
+  EXPECT_TRUE(hit.resolved.cache_hit);
+  EXPECT_EQ(hit.outcome.records, clean.records);
 }
 
 // --- serving-mode sites ------------------------------------------------------
@@ -843,7 +863,7 @@ TEST(ServeFaults, ExhaustedBatchRetriesFailTheBatchNotTheServer) {
   srv.shutdown();
   const auto st = srv.stats();
   EXPECT_EQ(st.failed, 1u);
-  EXPECT_GE(st.batch_retries, sopt.max_batch_attempts - 1);
+  EXPECT_GE(st.batch_retries, cof::serve::kMaxBatchAttempts - 1);
   EXPECT_EQ(st.served, 2u);
 }
 

@@ -8,6 +8,7 @@
 
 #include "gtest_compat.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "core/index.hpp"
 #include "genome/fasta.hpp"
 #include "genome/synth.hpp"
+#include "genome/twobit_file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/common.hpp"
@@ -59,8 +61,27 @@ stream_case make_case(const temp_dir& dir, util::u64 seed, util::usize planted) 
   const std::string guide = c.cfg.queries[0].seq.substr(0, 20) + "NGG";
   genome::plant_sites(g, guide, c.cfg.pattern, planted, 2, seed + 1);
   c.file = (dir.path / "g.fa").string();
+  c.cfg.genome_path = c.file;
   genome::write_fasta_file(c.file, g.chroms);
   return c;
+}
+
+/// A warm run as the CLI's --index makes one: resolve_index, then the
+/// queries through an index_query_session, inside one run_scope that arms
+/// opt.faults and opt's obs files across both.
+struct warm_run {
+  cof::resolved_index resolved;
+  cof::search_outcome outcome;
+};
+warm_run run_warm(const cof::search_config& cfg, const std::string& path,
+                  const cof::engine_options& opt) {
+  cof::run_scope run(opt);
+  warm_run w;
+  w.resolved = cof::resolve_index(path, cfg, opt);
+  cof::index_query_session session(w.resolved.index, opt);
+  w.outcome = session.query(cfg.queries);
+  run.finish();
+  return w;
 }
 
 bool index_equal(const cof::genome_index& a, const cof::genome_index& b) {
@@ -105,7 +126,9 @@ TEST(IndexRoundTrip, PersistLoadIsLossless) {
 
     const std::string path = (dir.path / "rt.cofidx").string();
     cof::save_index(path, built);
-    const auto loaded = cof::load_index(path);
+    const auto resolved = cof::resolve_index(path, c.cfg, opt);
+    ASSERT_TRUE(resolved.cache_hit) << "seed " << seed;
+    const auto& loaded = resolved.index;
     EXPECT_TRUE(index_equal(built, loaded)) << "seed " << seed;
     // The words come straight from the payload, yet equal a fresh pack.
     for (const auto& ch : loaded.chunks) {
@@ -129,7 +152,7 @@ TEST(IndexRoundTrip, LoadedIndexAnswersIdenticallyToColdRun) {
   const auto built = cof::build_index(g, c.cfg.pattern, opt);
   const std::string path = (dir.path / "rt.cofidx").string();
   cof::save_index(path, built);
-  const auto loaded = cof::load_index(path);
+  const auto loaded = cof::resolve_index(path, c.cfg, opt).index;
 
   const auto from_built = cof::run_query(built, c.cfg.queries, opt);
   const auto from_loaded = cof::run_query(loaded, c.cfg.queries, opt);
@@ -163,13 +186,12 @@ TEST(IndexQuery, WarmMatchesColdOnEveryBackendAndQueueCount) {
     ASSERT_FALSE(cold.records.empty()) << cof::backend_name(backend);
     for (const util::usize queues : {1u, 2u, 4u}) {
       opt.num_queues = queues;
-      opt.index_path = path;
-      const auto warm = cof::run_search_streaming(c.cfg, c.file, opt);
-      EXPECT_EQ(warm.records, cold.records)
+      const auto warm = run_warm(c.cfg, path, opt);
+      EXPECT_EQ(warm.outcome.records, cold.records)
           << cof::backend_name(backend) << " queues=" << queues;
-      EXPECT_TRUE(warm.used_index);
-      EXPECT_TRUE(warm.index_cache_hit);
-      opt.index_path.clear();
+      // Answered from the index: comparer launches only.
+      EXPECT_EQ(warm.outcome.metrics.pipeline.finder_launches, 0u);
+      EXPECT_TRUE(warm.resolved.cache_hit);
     }
   }
 }
@@ -208,32 +230,35 @@ TEST(IndexQuery, WarmPathDoesZeroDecodeAndZeroFinderLaunches) {
   const std::string path = (dir.path / "g.cofidx").string();
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
 
-  // Cold run with the cache path set: builds + persists (cache miss).
-  opt.index_path = path;
+  // First warm run on an empty cache path: builds + persists (cache miss).
   opt.metrics_json = (dir.path / "cold.json").string();  // enables obs
-  const auto cold = cof::run_search_streaming(c.cfg, c.file, opt);
-  ASSERT_FALSE(cold.records.empty());
-  EXPECT_TRUE(cold.used_index);
-  EXPECT_FALSE(cold.index_cache_hit);
-  EXPECT_GT(cold.streamed_bases, 0u);  // the build decoded the genome once
+  const auto cold = run_warm(c.cfg, path, opt);
+  ASSERT_FALSE(cold.outcome.records.empty());
+  EXPECT_EQ(cold.outcome.metrics.pipeline.finder_launches, 0u);  // from the index
+  EXPECT_FALSE(cold.resolved.cache_hit);
+  // The build decoded the genome once.
+  EXPECT_EQ(cold.resolved.index.source_bases, genome::load_genome(c.file).total_bases());
   EXPECT_EQ(obs::metrics_registry::global().counter("index.cache.miss").value(),
             1u);
 
   // Warm run: loads the cache — no decode, no finder.
   opt.metrics_json = (dir.path / "warm.json").string();
-  const auto warm = cof::run_search_streaming(c.cfg, c.file, opt);
-  EXPECT_EQ(warm.records, cold.records);
-  EXPECT_TRUE(warm.index_cache_hit);
-  EXPECT_EQ(warm.streamed_bases, 0u);                       // zero FASTA decode
-  EXPECT_EQ(warm.metrics.pipeline.finder_launches, 0u);     // zero finder
-  EXPECT_GT(warm.metrics.pipeline.comparer_launches, 0u);   // comparer only
-  EXPECT_GT(warm.stage_times.query_s, 0.0);
-  EXPECT_GT(warm.stage_times.index_load_s, 0.0);
-  EXPECT_EQ(warm.stage_times.index_build_s, 0.0);
+  const auto warm = run_warm(c.cfg, path, opt);
   auto& reg = obs::metrics_registry::global();
+  EXPECT_EQ(warm.outcome.records, cold.outcome.records);
+  EXPECT_TRUE(warm.resolved.cache_hit);                    // a hit builds nothing
+  EXPECT_EQ(reg.counter("stream.chunks").value(), 0u);     // zero chunk decode
+  EXPECT_EQ(warm.outcome.metrics.pipeline.finder_launches, 0u);    // zero finder
+  EXPECT_GT(warm.outcome.metrics.pipeline.comparer_launches, 0u);  // comparer only
+  EXPECT_GT(warm.outcome.metrics.elapsed_seconds, 0.0);   // the query phase
+  EXPECT_GT(warm.resolved.seconds, 0.0);                  // the .cofidx load
   EXPECT_EQ(reg.counter("index.cache.hit").value(), 1u);
   EXPECT_GT(reg.counter("index.chunk.miss").value(), 0u);
-  EXPECT_EQ(warm.index_chunk_misses, reg.counter("index.chunk.miss").value());
+  // A fresh session uploads each chunk with candidate sites exactly once.
+  const auto& chunks = warm.resolved.index.chunks;
+  EXPECT_EQ(static_cast<util::u64>(std::count_if(
+                chunks.begin(), chunks.end(), [](const auto& ch) { return !ch.loci.empty(); })),
+            reg.counter("index.chunk.miss").value());
 }
 
 /// run_query must reject guides whose length differs from the indexed
@@ -264,6 +289,26 @@ TEST(IndexBuild, HostileArgumentsThrowConfigError) {
   EXPECT_EQ(cof::build_index(g, pam, smallest).max_chunk, pam.size());
 }
 
+/// A non-IUPAC guide and the serial backend are argument errors on the
+/// standalone warm entry points too: config_error, never an abort.
+TEST(IndexQuery, RunQueryRejectsNonIupacGuide) {
+  temp_dir dir;
+  const auto c = make_case(dir, 216, 4);
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  const auto idx = cof::build_index(genome::load_genome(c.file), c.cfg.pattern, opt);
+  EXPECT_THROW((void)cof::run_query(idx, {{"GGCCGACCTGTCGCTGACGCNNZ", 3}}, opt),
+               cof::config_error);
+}
+
+TEST(IndexQuery, SessionRejectsSerialBackend) {
+  temp_dir dir;
+  const auto c = make_case(dir, 217, 4);
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  const auto idx = cof::build_index(genome::load_genome(c.file), c.cfg.pattern, opt);
+  EXPECT_THROW(cof::index_query_session(idx, {.backend = cof::backend_kind::serial}),
+               cof::config_error);
+}
+
 TEST(IndexQuery, RunQueryRejectsWrongGuideLength) {
   temp_dir dir;
   const auto c = make_case(dir, 210, 4);
@@ -276,8 +321,9 @@ TEST(IndexQuery, RunQueryRejectsWrongGuideLength) {
 }
 
 /// An index built from genome X must never silently answer for genome Y —
-/// even one with identical chromosome names and sizes (content hash). Both
-/// the in-memory run_search path and the streaming warm path reject it.
+/// even one with identical chromosome names and sizes (content hash).
+/// resolve_index rejects it against a caller's genome and against a genome
+/// line alike.
 TEST(IndexQuery, MismatchedGenomeIsRejected) {
   temp_dir dir;
   const auto c = make_case(dir, 211, 4);
@@ -290,20 +336,49 @@ TEST(IndexQuery, MismatchedGenomeIsRejected) {
   // Same names, same lengths, different seed: only the content differs.
   const genome::genome_t other = index_genome(212);
   ASSERT_EQ(other.total_bases(), g.total_bases());
-  cof::engine_options wopt = opt;
-  wopt.index = &idx;
-  EXPECT_THROW((void)cof::run_search(c.cfg, other, wopt), cof::index_error);
+  EXPECT_THROW((void)cof::resolve_index(path, c.cfg, opt, &other), cof::index_error);
 
   const std::string other_file = (dir.path / "other.fa").string();
   genome::write_fasta_file(other_file, other.chroms);
-  cof::engine_options sopt = opt;
-  sopt.index_path = path;
-  EXPECT_THROW((void)cof::run_search_streaming(c.cfg, other_file, sopt),
-               cof::index_error);
+  cof::search_config other_cfg = c.cfg;
+  other_cfg.genome_path = other_file;
+  EXPECT_THROW((void)cof::resolve_index(path, other_cfg, opt), cof::index_error);
 
-  // The matching genome still passes both paths.
-  EXPECT_FALSE(cof::run_search(c.cfg, g, wopt).records.empty());
-  EXPECT_FALSE(cof::run_search_streaming(c.cfg, c.file, sopt).records.empty());
+  // The matching genome still passes both ways.
+  EXPECT_FALSE(cof::run_query(cof::resolve_index(path, c.cfg, opt, &g).index,
+                              c.cfg.queries, opt)
+                   .records.empty());
+  EXPECT_FALSE(
+      cof::run_query(cof::resolve_index(path, c.cfg, opt).index, c.cfg.queries, opt)
+          .records.empty());
+}
+
+/// Identity holds for every genome line load_genome reads: a synth: URI
+/// and a .2bit file are summarised from the loaded genome, so an index of
+/// one never answers for another. Only a line naming nothing on disk skips
+/// the check.
+TEST(IndexQuery, ForeignIndexOnSynthAndTwoBitLinesIsRejected) {
+  temp_dir dir;
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  cof::search_config cfg = cof::parse_input(cof::example_input("synth:hg19:16384:1"));
+  const std::string synth_idx = (dir.path / "synth.cofidx").string();
+  EXPECT_FALSE(cof::resolve_index(synth_idx, cfg, opt).cache_hit);
+  EXPECT_TRUE(cof::resolve_index(synth_idx, cfg, opt).cache_hit);
+  cfg.genome_path = "synth:hg19:16384:2";
+  EXPECT_THROW((void)cof::resolve_index(synth_idx, cfg, opt), cof::index_error);
+
+  const std::string a = (dir.path / "a.2bit").string();
+  const std::string b = (dir.path / "b.2bit").string();
+  genome::write_twobit_file(a, index_genome(218));
+  genome::write_twobit_file(b, index_genome(219));
+  const std::string twobit_idx = (dir.path / "a.cofidx").string();
+  cfg.genome_path = a;
+  EXPECT_FALSE(cof::resolve_index(twobit_idx, cfg, opt).cache_hit);
+  EXPECT_TRUE(cof::resolve_index(twobit_idx, cfg, opt).cache_hit);
+  cfg.genome_path = b;
+  EXPECT_THROW((void)cof::resolve_index(twobit_idx, cfg, opt), cof::index_error);
+  cfg.genome_path = (dir.path / "gone.2bit").string();
+  EXPECT_TRUE(cof::resolve_index(twobit_idx, cfg, opt).cache_hit);
 }
 
 /// Outcome metrics are per-query() deltas, not the pipeline's cumulative
@@ -481,9 +556,16 @@ class CorruptIndex : public ::testing::Test {
     std::ofstream f(path_, std::ios::binary | std::ios::trunc);
     f << data;
   }
-  void expect_load_fails(const std::string& needle) const {
+  /// Loads path_ as a warm run does (resolve_index), or with the .cofidx
+  /// reader alone.
+  void expect_load_fails(const std::string& needle, bool reader_only = false) const {
     try {
-      (void)cof::load_index(path_);
+      if (reader_only) {
+        (void)cof::load_index(path_);
+      } else {
+        (void)cof::resolve_index(path_, cfg_, {.backend = cof::backend_kind::sycl,
+                                               .max_chunk = 9000});
+      }
       FAIL() << "expected index_error (" << needle << ")";
     } catch (const cof::index_error& e) {
       EXPECT_EQ(e.site(), std::string("index.load"));
@@ -590,7 +672,8 @@ TEST_F(CorruptIndex, LocusWithoutFullPatternWindowFailsClean) {
 
 TEST_F(CorruptIndex, MissingFileFailsClean) {
   fs::remove(path_);
-  expect_load_fails("cannot open");
+  // resolve_index builds on a missing path; the reader itself refuses it.
+  expect_load_fails("cannot open", /*reader_only=*/true);
 }
 
 TEST_F(CorruptIndex, PatternMismatchIsRejected) {
@@ -610,10 +693,11 @@ TEST_F(CorruptIndex, CliStyleHandlingDiesWithSiteNamedReport) {
   data[0] = 'X';
   write_file(data);
   const std::string p = path_;
+  const cof::search_config cfg = cfg_;
   EXPECT_DEATH(
       {
         try {
-          (void)cof::load_index(p);
+          (void)cof::resolve_index(p, cfg, {.backend = cof::backend_kind::sycl});
         } catch (const std::exception& e) {
           util::die(e.what());
         }

@@ -600,7 +600,6 @@ TEST(ServeTelemetry, HealthDegradesOnRejectionPressure) {
   serve_fixture fx(511);
   cof::serve::server_options sopt;
   sopt.engine = fx.warm_options();
-  sopt.degraded_reject_rate = 0.5;
   cof::serve::server srv(fx.idx, sopt);
   EXPECT_EQ(srv.health(), cof::serve::health_state::ok) << "no data yet";
   for (usize i = 0; i < 32; ++i) {

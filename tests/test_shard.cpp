@@ -160,7 +160,7 @@ TEST(ShardWarm, IndexQueryByteIdenticalAcrossDeviceCounts) {
   ASSERT_GT(idx.total_hits(), 0u);
   const std::string path = (dir.path / "g.cofidx").string();
   cof::save_index(path, idx);
-  const auto loaded = cof::load_index(path);
+  const auto loaded = cof::resolve_index(path, c.cfg, opt).index;
 
   opt.num_queues = 2;
   const auto reference = cof::run_query(idx, c.cfg.queries, opt);

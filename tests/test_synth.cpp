@@ -163,8 +163,19 @@ TEST(SynthUri, ParsesScaleAndSeed) {
 }
 
 TEST(SynthUriDeath, UnknownAssembly) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH((void)genome::load_synth_uri("synth:mouse"), "unknown synth assembly");
+  EXPECT_THROW((void)genome::load_synth_uri("synth:mouse"), genome::fasta_error);
+}
+
+/// Every malformed synth: line throws the genome layer's input error
+/// instead of aborting: no assembly, an unknown one, a scale that is not a
+/// whole number >= 1 or leaves no chromosome, a bad seed, extra fields.
+TEST(SynthUri, MalformedUrisThrowFastaError) {
+  for (const char* uri : {"synth:", "synth:hg99", "synth:hg19:abc", "synth:hg19:0",
+                          "synth:hg38:99999999999", "synth:hg19:8192:x",
+                          "synth:hg19:8192:1:2"}) {
+    EXPECT_THROW((void)genome::load_synth_uri(uri), genome::fasta_error) << uri;
+    EXPECT_THROW((void)genome::load_genome(uri), genome::fasta_error) << uri;
+  }
 }
 
 TEST(SynthUri, DeterministicForSameUri) {

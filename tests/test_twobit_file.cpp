@@ -101,13 +101,82 @@ TEST(TwoBitFile, PackedSizeRoughlyQuarter) {
 }
 
 TEST(TwoBitFileDeath, BadSignature) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
   temp_file f("bad.2bit");
   {
     std::ofstream out(f.path);
     out << "this is not a 2bit file at all";
   }
-  EXPECT_DEATH((void)genome::read_twobit_file(f.path.string()), "signature");
+  EXPECT_THROW((void)genome::read_twobit_file(f.path.string()), genome::fasta_error);
+}
+
+std::string read_bytes(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const fs::path& p, const std::string& bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Every proper prefix of a valid .2bit file (header, index, N-block
+/// tables, packed bases) and a missing file throw fasta_error from the
+/// reader and from load_genome: each field is checked against the bytes
+/// left before it is read, allocated or written.
+TEST(TwoBitFileHostile, EveryTruncationThrows) {
+  temp_file full("full.2bit");
+  genome::genome_t g;
+  g.chroms = {{"chr1", "ACGTNNNNACGTACGTRYAC"}, {"chrM", "GGGGTTTTNACGTAC"}};
+  genome::write_twobit_file(full.path.string(), g);
+  const std::string bytes = read_bytes(full.path);
+  ASSERT_EQ(genome::read_twobit_file(full.path.string()).chroms[0].seq,
+            "ACGTNNNNACGTACGTNNAC");
+  temp_file cut("cut.2bit");
+  for (util::usize keep = 0; keep < bytes.size(); ++keep) {
+    write_bytes(cut.path, bytes.substr(0, keep));
+    EXPECT_THROW((void)genome::read_twobit_file(cut.path.string()), genome::fasta_error)
+        << "kept " << keep << " of " << bytes.size() << " bytes";
+    EXPECT_THROW((void)genome::load_genome(cut.path.string()), genome::fasta_error)
+        << "kept " << keep << " of " << bytes.size() << " bytes";
+  }
+  EXPECT_THROW((void)genome::load_genome("/nonexistent/g.2bit"), genome::fasta_error);
+}
+
+/// An N block whose start + size wraps a u32 (0xFFFFFFF8 + 0x10 == 8) must
+/// not pass the range check and write past the sequence; nor may a block
+/// or mask count claim more table bytes than the file holds.
+TEST(TwoBitFileHostile, OutOfRangeBlocksThrow) {
+  auto put = [](std::string& out, util::u32 v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  // One sequence "chr1" of 16 bases at offset 16 + 1 + 4 + 4 = 25.
+  auto image = [&](util::u32 nblocks, util::u32 nstart, util::u32 nsize,
+                   util::u32 maskblocks) {
+    std::string out;
+    put(out, genome::kTwoBitSignature);
+    put(out, 0);
+    put(out, 1);
+    put(out, 0);
+    out.push_back(4);
+    out += "chr1";
+    put(out, 25);
+    put(out, 16);  // dna size
+    put(out, nblocks);
+    for (util::u32 b = 0; b < std::min<util::u32>(nblocks, 1); ++b) put(out, nstart);
+    for (util::u32 b = 0; b < std::min<util::u32>(nblocks, 1); ++b) put(out, nsize);
+    put(out, maskblocks);
+    put(out, 0);
+    out += std::string(4, '\x1B');
+    return out;
+  };
+  temp_file f("crafted.2bit");
+  write_bytes(f.path, image(1, 4, 4, 0));
+  EXPECT_EQ(genome::load_genome(f.path.string()).chroms[0].seq, "TCAGNNNNTCAGTCAG");
+  for (const std::string& hostile :
+       {image(1, 0xFFFFFFF8u, 0x10, 0), image(1, 12, 5, 0), image(1u << 20, 0, 0, 0),
+        image(1, 0, 1, 1u << 20)}) {
+    write_bytes(f.path, hostile);
+    EXPECT_THROW((void)genome::load_genome(f.path.string()), genome::fasta_error);
+  }
 }
 
 TEST(TwoBitFile, LoadGenomeDispatchesOnExtension) {
@@ -131,7 +200,7 @@ TEST(TwoBitFile, EndToEndSearchFrom2bit) {
   }());
   genome::write_twobit_file(f.path.string(), g);
   auto cfg = cof::parse_input(cof::example_input(f.path.string()));
-  auto from_2bit = cof::load_configured_genome(cfg);
+  auto from_2bit = genome::load_genome(cfg.genome_path);
   auto r1 = cof::run_search(cfg, from_2bit, {.backend = cof::backend_kind::sycl});
   auto r2 = cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
   EXPECT_EQ(r1.records, r2.records);
