@@ -150,10 +150,21 @@ COF_AVX2 inline void avx2_window_at(const u64* packed2, const u64* amb2,
   }
 }
 
-/// Add each lane's mismatch count under the five deny masks at `masks`
-/// (swar_score plus the popcount) into lmm.
-COF_AVX2 inline void avx2_score(const avx2_window_word& ww, const u64* masks,
-                                u32 lmm[4]) {
+/// Each 64-bit lane's popcount: a nibble table per byte (vpshufb), then
+/// vpsadbw sums each lane's eight byte counts.
+COF_AVX2 inline __m256i avx2_popcount(__m256i v) {
+  const __m256i table = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+                                         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i lo = _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble));
+  const __m256i hi =
+      _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+  return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+/// Each lane's mismatch count under the five deny masks at `masks`
+/// (swar_score plus the popcount), one locus per 64-bit lane.
+COF_AVX2 inline __m256i avx2_score(const avx2_window_word& ww, const u64* masks) {
   __m256i mm = _mm256_and_si256(
       ww.amb, _mm256_set1_epi64x(static_cast<long long>(masks[4])));
   for (int c = 0; c < 4; ++c) {
@@ -161,22 +172,25 @@ COF_AVX2 inline void avx2_score(const avx2_window_word& ww, const u64* masks,
         mm, _mm256_and_si256(ww.eq[c],
                              _mm256_set1_epi64x(static_cast<long long>(masks[c]))));
   }
-  alignas(32) u64 lanes[4] = {};
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mm);
-  for (int l = 0; l < 4; ++l) lmm[l] += static_cast<u32>(_mm_popcnt_u64(lanes[l]));
+  return avx2_popcount(mm);
 }
 
 /// Four loci of the comparer: the windows' first kSwarWindowBlock words are
 /// built once per quad, then every (query, strand) scores them with its own
-/// masks. A strand stops early once all its lanes are out. Only sound for
-/// the direct memory policy (no event counting) — the facades only install
-/// the lane path when profiling is off.
+/// masks, the four lanes' counts in one register. One compare and movemask
+/// give the lanes over the threshold; a strand stops once every live lane
+/// is over, and only a strand with a live lane at or under its threshold
+/// leaves the registers to append. Only sound for the direct memory policy
+/// (no event counting) — the facades only install the lane path when
+/// profiling is off.
 COF_AVX2 void avx2_multi_quad(const comparer_multi_swar_args& a, usize i) {
-  char f[4] = {};
   u32 locus[4] = {};
+  int live[2] = {0, 0};  // per strand: bit l set when locus l is a candidate
   for (int l = 0; l < 4; ++l) {
-    f[l] = a.flag[i + l];
+    const char f = a.flag[i + l];
     locus[l] = a.loci[i + l];
+    live[0] |= static_cast<int>(f == 0 || f == 1) << l;
+    live[1] |= static_cast<int>(f == 0 || f == 2) << l;
   }
   const avx2_loci loci = avx2_loci_of(locus);
   avx2_window_word block[kSwarWindowBlock] = {};
@@ -185,36 +199,35 @@ COF_AVX2 void avx2_multi_quad(const comparer_multi_swar_args& a, usize i) {
     avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, block[w]);
   }
   for (u32 q = 0; q < a.nqueries; ++q) {
-    const u16 threshold = a.thresholds[q];
+    const __m256i threshold = _mm256_set1_epi64x(a.thresholds[q]);
     for (int half = 0; half < 2; ++half) {
-      bool live[4] = {};
-      bool any = false;
-      for (int l = 0; l < 4; ++l) {
-        live[l] = f[l] == 0 || f[l] == half + 1;
-        any = any || live[l];
-      }
-      if (!any) continue;
+      if (live[half] == 0) continue;
+      const int dead = ~live[half] & 0xF;
       const u64* masks = a.l_comp_swar + (static_cast<usize>(q) * 2 +
                                           static_cast<usize>(half)) *
                                              a.swar_words * kSwarMasksPerWord;
-      u32 lmm[4] = {0, 0, 0, 0};
+      __m256i lmm = _mm256_setzero_si256();
+      int over = 0;
       for (u32 w = 0; w < a.swar_words; ++w) {
         if (w < kSwarWindowBlock) {
-          avx2_score(block[w], masks + w * kSwarMasksPerWord, lmm);
+          lmm = _mm256_add_epi64(lmm, avx2_score(block[w], masks + w * kSwarMasksPerWord));
         } else {
           avx2_window_word ww = {};
           avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
-          avx2_score(ww, masks + w * kSwarMasksPerWord, lmm);
+          lmm = _mm256_add_epi64(lmm, avx2_score(ww, masks + w * kSwarMasksPerWord));
         }
-        bool out = true;
-        for (int l = 0; l < 4; ++l) out = out && (!live[l] || lmm[l] > threshold);
-        if (out) break;
+        over = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(lmm, threshold)));
+        if ((over | dead) == 0xF) break;
       }
-      for (int l = 0; l < 4; ++l) {
-        if (!live[l] || lmm[l] > threshold) continue;
+      int under = live[half] & ~over;
+      if (under == 0) continue;
+      alignas(32) u64 count[4] = {};
+      _mm256_store_si256(reinterpret_cast<__m256i*>(count), lmm);
+      for (; under != 0; under &= under - 1) {
+        const int l = __builtin_ctz(static_cast<unsigned>(under));
         const u32 old = std::atomic_ref<u32>(*a.entrycount).fetch_add(1u);
         if (old < a.entry_capacity) {
-          a.mm_count[old] = static_cast<u16>(lmm[l]);
+          a.mm_count[old] = static_cast<u16>(count[l]);
           a.direction[old] = half == 0 ? '+' : '-';
           a.mm_loci[old] = locus[l];
           a.mm_query[old] = static_cast<u16>(q);

@@ -29,6 +29,7 @@ struct registry_t {
   std::mutex mu;
   std::map<std::string, site_state, std::less<>> sites;
   std::atomic<usize> armed{0};
+  usize scope_depth = 0;  // open fault::scopes
 };
 
 registry_t& reg() {
@@ -210,15 +211,24 @@ site_stats stats(std::string_view site) {
 }
 
 scope::scope(std::string_view specs) {
-  reset();
-  if (const char* env = std::getenv("COF_FAULT")) configure(env);
+  bool outermost = false;
+  {
+    auto& r = reg();
+    std::lock_guard lock(r.mu);
+    outermost = r.scope_depth++ == 0;
+  }
+  if (outermost) {
+    reset();
+    if (const char* env = std::getenv("COF_FAULT")) configure(env);
+  }
   if (!specs.empty()) configure(specs);
 }
 
 scope::~scope() {
-  // Disarm (no leakage into the next run) but keep the counters readable.
   auto& r = reg();
   std::lock_guard lock(r.mu);
+  if (--r.scope_depth != 0) return;
+  // Disarm (no leakage into the next run) but keep the counters readable.
   for (auto& [name, st] : r.sites) st.mode = mode_t::off;
   r.armed.store(0, std::memory_order_release);
 }

@@ -110,9 +110,13 @@ struct site_stats {
 /// can assert on them after a run.
 site_stats stats(std::string_view site);
 
-/// Per-run lifetime: resets the registry, applies COF_FAULT from the
-/// environment, then `specs` (engine_options::faults / --fault) on top.
-/// Exit disarms every site but keeps the counters readable.
+/// Per-run lifetime. Scopes nest: the outermost one resets the registry,
+/// applies COF_FAULT from the environment, then `specs`
+/// (engine_options::faults / --fault) on top, and its exit disarms every
+/// site but keeps the counters readable. A nested scope (an engine entry
+/// point called inside a caller's scope) only adds its own non-empty
+/// `specs` to the live plan, restarting the counters of the sites it names,
+/// and its exit leaves the plan armed.
 class scope {
  public:
   explicit scope(std::string_view specs);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "util/strings.hpp"
 
@@ -51,6 +53,16 @@ struct reader {
     pos += n;
     return s;
   }
+};
+
+/// One index entry and its record's tables, read and bounds-checked before
+/// any base is decoded.
+struct twobit_record {
+  std::string name;
+  usize begin = 0;   // the record's first byte
+  usize packed = 0;  // its first packed-base byte
+  u32 dna_size = 0;
+  std::vector<u32> nstarts, nsizes;
 };
 
 // UCSC base order: T=0, C=1, A=2, G=3.
@@ -159,44 +171,64 @@ genome_t read_twobit_file(const std::string& path) {
   const u32 count = r.get_u32();
   r.get_u32();  // reserved
 
-  genome_t g;
-  g.assembly = path;
+  // The index (name, record offset per entry), then each entry's record
+  // tables, all before any base is decoded.
+  std::vector<twobit_record> recs;
   for (u32 i = 0; i < count; ++i) {
-    // Index entry i (name, record offset), then the record it points at.
-    chromosome c;
-    c.name = r.get_bytes(r.get_u8());
-    const u32 offset = r.get_u32();
-    const usize next_entry = r.pos;
-    r.pos = offset;
-    const u32 dna_size = r.get_u32();
+    twobit_record rec;
+    rec.name = r.get_bytes(r.get_u8());
+    rec.begin = r.get_u32();
+    recs.push_back(std::move(rec));
+  }
+  const usize index_end = r.pos;
+  std::vector<std::pair<usize, usize>> ranges;  // each record's bytes, [begin, end)
+  for (auto& rec : recs) {
+    if (rec.begin < index_end) r.fail("record starts inside the .2bit header or index");
+    r.pos = rec.begin;
+    rec.dna_size = r.get_u32();
     const u32 nblocks = r.get_u32();
     r.need(util::u64{nblocks} * 8);
-    std::vector<u32> nstarts(nblocks), nsizes(nblocks);
-    for (auto& v : nstarts) v = r.get_u32();
-    for (auto& v : nsizes) v = r.get_u32();
+    rec.nstarts.resize(nblocks);
+    rec.nsizes.resize(nblocks);
+    for (auto& v : rec.nstarts) v = r.get_u32();
+    for (auto& v : rec.nsizes) v = r.get_u32();
     const u32 maskblocks = r.get_u32();
     r.need(util::u64{maskblocks} * 8);
     r.pos += usize{maskblocks} * 8;  // mask tables: the search ignores case
     r.get_u32();  // reserved
-    const util::u64 packed_bytes = (util::u64{dna_size} + 3) / 4;
+    const util::u64 packed_bytes = (util::u64{rec.dna_size} + 3) / 4;
     r.need(packed_bytes);
     for (u32 b = 0; b < nblocks; ++b) {
-      if (util::u64{nstarts[b]} + nsizes[b] > dna_size) r.fail("N block out of range");
+      if (util::u64{rec.nstarts[b]} + rec.nsizes[b] > rec.dna_size) {
+        r.fail("N block out of range");
+      }
     }
+    rec.packed = r.pos;
+    ranges.emplace_back(rec.begin, r.pos + packed_bytes);
+  }
+  // Records own disjoint bytes, so the decoded bases never exceed four per
+  // byte of the file.
+  std::sort(ranges.begin(), ranges.end());
+  for (usize k = 1; k < ranges.size(); ++k) {
+    if (ranges[k].first < ranges[k - 1].second) r.fail("overlapping .2bit records");
+  }
 
-    c.seq.resize(dna_size);
-    const char* packed = r.data.data() + r.pos;
-    r.pos += packed_bytes;
-    for (u32 i = 0; i < dna_size; ++i) {
+  genome_t g;
+  g.assembly = path;
+  for (auto& rec : recs) {
+    chromosome c;
+    c.name = std::move(rec.name);
+    c.seq.resize(rec.dna_size);
+    const char* packed = r.data.data() + rec.packed;
+    for (u32 i = 0; i < rec.dna_size; ++i) {
       const u8 byte = static_cast<u8>(packed[i >> 2]);
       const int shift = 2 * (3 - static_cast<int>(i & 3));
       c.seq[i] = kDecode[(byte >> shift) & 3];
     }
-    for (u32 b = 0; b < nblocks; ++b) {
-      std::fill_n(c.seq.begin() + nstarts[b], nsizes[b], 'N');
+    for (usize b = 0; b < rec.nstarts.size(); ++b) {
+      std::fill_n(c.seq.begin() + rec.nstarts[b], rec.nsizes[b], 'N');
     }
     g.chroms.push_back(std::move(c));
-    r.pos = next_entry;
   }
   return g;
 }

@@ -21,7 +21,9 @@ void write_twobit_file(const std::string& path, const genome_t& g);
 
 /// Load a .2bit file (N blocks restored as 'N'; mask blocks ignored, as the
 /// search is case-insensitive). Throws fasta_error for a file that cannot
-/// be opened, is truncated, or holds a field past its bounds.
+/// be opened, is truncated, holds a field past its bounds, or whose records
+/// overlap or start inside the header or index (checked before any base is
+/// decoded, so the bases never exceed four per byte of the file).
 genome_t read_twobit_file(const std::string& path);
 
 /// True if the path has a .2bit extension (load_genome dispatches on this).

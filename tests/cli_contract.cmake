@@ -175,7 +175,9 @@ file(MAKE_DIRECTORY "${WORK}/no_fasta")
 file(WRITE "${WORK}/no_fasta/notes.txt" "not fasta\n")
 file(WRITE "${WORK}/empty.fa" "")
 # A .2bit whose one N block starts at 0xFFFFFFF8 with size 0x10 (the u32
-# sum wraps to 8), and one cut inside its sequence index.
+# sum wraps to 8), one cut inside its sequence index, and one whose three
+# index entries all point at the same 16-base record (offset 37, just past
+# the index).
 find_program(PRINTF printf REQUIRED)
 set(twobit_header "\\103\\047\\101\\032\\000\\000\\000\\000\\001\\000\\000\\000\\000\\000\\000\\000")
 execute_process(
@@ -183,15 +185,23 @@ execute_process(
   OUTPUT_FILE "${WORK}/crafted.2bit" RESULT_VARIABLE rc)
 execute_process(COMMAND "${PRINTF}" "${twobit_header}\\004chr"
                 OUTPUT_FILE "${WORK}/truncated.2bit" RESULT_VARIABLE rc2)
-if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0)
+set(shared_entries "")
+foreach(name s0 s1 s2)
+  string(APPEND shared_entries "\\002${name}\\045\\000\\000\\000")
+endforeach()
+set(shared_header "\\103\\047\\101\\032\\000\\000\\000\\000\\003\\000\\000\\000\\000\\000\\000\\000")
+execute_process(
+  COMMAND "${PRINTF}" "${shared_header}${shared_entries}\\020\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\033\\033\\033\\033"
+  OUTPUT_FILE "${WORK}/shared.2bit" RESULT_VARIABLE rc3)
+if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0 OR NOT rc3 EQUAL 0)
   message(FATAL_ERROR "printf failed writing the hostile .2bit files")
 endif()
-foreach(src missing no_fasta empty crafted truncated bad_synth bad_scale unknown_synth
-            zero_scale)
+foreach(src missing no_fasta empty crafted truncated shared bad_synth bad_scale
+            unknown_synth zero_scale)
   set(genome_path "${WORK}/${src}.fa")
   if(src STREQUAL "no_fasta")
     set(genome_path "${WORK}/no_fasta")
-  elseif(src MATCHES "^(crafted|truncated)$")
+  elseif(src MATCHES "^(crafted|truncated|shared)$")
     set(genome_path "${WORK}/${src}.2bit")
   elseif(src STREQUAL "bad_synth")
     set(genome_path "synth:")
@@ -241,6 +251,8 @@ set(cases
     "wrapping N block .2bit, streamed|--stream|crafted_genome.txt|S"
     "truncated .2bit, in-memory|truncated_genome.txt|S"
     "truncated .2bit, streamed|--stream|truncated_genome.txt|S"
+    "three entries on one .2bit record, in-memory|shared_genome.txt|S"
+    "three entries on one .2bit record, streamed|--stream|shared_genome.txt|S"
     "synth: without assembly, in-memory|bad_synth_genome.txt|S"
     "synth: without assembly, streamed|--stream|bad_synth_genome.txt|S"
     "synth: non-numeric scale, in-memory|bad_scale_genome.txt|S"

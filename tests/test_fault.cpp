@@ -171,6 +171,44 @@ TEST(FaultRegistry, ScopeAppliesEnvThenSpecsAndDisarmsOnExit) {
   fault::reset();
 }
 
+/// Scopes nest: a one-shot entry point (run_query opens its own run_scope)
+/// called inside a caller's armed scope runs under the caller's plan and
+/// leaves it armed; a nested scope's specs add to the live plan; only the
+/// outermost scope's exit disarms.
+TEST(FaultRegistry, NestedScopeKeepsTheOuterPlan) {
+  temp_dir dir;
+  const auto c = make_case(dir, 123, 6);
+  const cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  const auto idx = cof::build_index(genome::load_genome(c.file), c.cfg.pattern, opt);
+  const auto clean = cof::run_query(idx, c.cfg.queries, opt);
+  ASSERT_FALSE(clean.records.empty());
+  {
+    fault::scope outer("dev.launch=always");
+    try {
+      const auto out = cof::run_query(idx, c.cfg.queries, opt);
+      ADD_FAILURE() << "run_query returned " << out.records.size()
+                    << " records under the caller's plan, injected="
+                    << fault::stats("dev.launch").injected;
+    } catch (const fault::injected_error& e) {
+      EXPECT_EQ(e.site(), std::string("dev.launch"));
+    }
+    EXPECT_TRUE(fault::armed()) << "the nested scope disarmed the caller's plan";
+    EXPECT_GT(fault::stats("dev.launch").injected, 0u);
+    {
+      fault::scope inner("queue.pop=hit:1");
+      EXPECT_TRUE(fault::should_fail(fault::site::queue_pop));
+      EXPECT_FALSE(fault::should_fail(fault::site::queue_pop));
+      EXPECT_TRUE(fault::should_fail(fault::site::dev_launch));
+    }
+    EXPECT_TRUE(fault::armed());
+    EXPECT_TRUE(fault::should_fail(fault::site::dev_launch));
+  }
+  EXPECT_FALSE(fault::armed());
+  EXPECT_FALSE(fault::should_fail(fault::site::dev_launch));
+  EXPECT_EQ(cof::run_query(idx, c.cfg.queries, opt).records, clean.records);
+  fault::reset();
+}
+
 /// An `@N` qualifier restricts a spec to threads bound to shard ordinal N
 /// (xpu::scoped_device publishes the binding). Unbound threads and other
 /// ordinals never fire it; the qualified entry keeps its own counters.

@@ -8,8 +8,10 @@
 // ragged-tail fuzz across pattern lengths and both dispatch paths (AVX2
 // lanes and the forced-scalar fallback), each on a one-guide batch; the
 // comparer's shared window across several guides on both paths against
-// per-query base; and engine-level byte-identity of opt6 output with base
-// across all four backends and queue counts.
+// per-query base; its lane body called directly (every flag pattern of a
+// quad, ragged row ends, the capacity clamp) against the per-item body and
+// base; and engine-level byte-identity of opt6 output with base across all
+// four backends and queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -801,6 +803,160 @@ TEST(SwarMulti, DispatchFollowsTheHost) {
   scalar_guard guard(true);
   EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
   EXPECT_FALSE(stats.lanes_dispatch);
+}
+
+// ---------------------------------------------------------------------------
+// The batched comparer's lane body, called directly.
+// ---------------------------------------------------------------------------
+
+/// What one call of comparer_multi_swar_lanes over every locus returned.
+struct lane_run {
+  multi_entries entries;  // the stored entries, sorted
+  u32 count = 0;          // the entry counter after the call (the demand)
+  bool tail_untouched = true;
+};
+
+/// comparer_multi_swar_lanes on this thread over every locus: AVX2 quads on
+/// an AVX2 host, the per-item body under force_scalar. Its output arrays
+/// hold `capacity` entries, then `guard` sentinel slots it must not write.
+lane_run run_lane_body(const swar_ref& ref, const std::vector<u32>& loci,
+                       const std::vector<char>& flags,
+                       const std::vector<device_pattern>& queries,
+                       const std::vector<u16>& thresholds, u32 capacity, usize guard = 0) {
+  const usize n = capacity + guard;
+  std::vector<u16> mm(n, 0xBEEF);
+  std::vector<char> dir(n, '#');
+  std::vector<u32> mloci(n, 0xDEADBEEF);
+  std::vector<u16> mquery(n, 0xBEEF);
+  std::vector<util::u64> swar;
+  for (const auto& q : queries) swar.insert(swar.end(), q.swar.begin(), q.swar.end());
+  lane_run r;
+  comparer_multi_swar_args a;
+  a.locicnts = static_cast<u32>(loci.size());
+  a.chr_packed2 = ref.packed2.data();
+  a.chr_amb2 = ref.amb2.data();
+  a.loci = loci.data();
+  a.flag = flags.data();
+  a.comp_swar = swar.data();
+  a.l_comp_swar = swar.data();
+  a.thresholds = thresholds.data();
+  a.nqueries = static_cast<u32>(queries.size());
+  a.plen = queries[0].plen;
+  a.swar_words = queries[0].swar_words;
+  a.mm_count = mm.data();
+  a.direction = dir.data();
+  a.mm_loci = mloci.data();
+  a.mm_query = mquery.data();
+  a.entrycount = &r.count;
+  a.entry_capacity = capacity;
+  comparer_multi_swar_lanes(a, 0, loci.size());
+  for (u32 i = 0; i < std::min(r.count, capacity); ++i) {
+    r.entries.emplace_back(mquery[i], mloci[i], dir[i], mm[i]);
+  }
+  std::sort(r.entries.begin(), r.entries.end());
+  for (usize i = capacity; i < n; ++i) {
+    r.tail_untouched = r.tail_untouched && mm[i] == 0xBEEF && dir[i] == '#' &&
+                       mloci[i] == 0xDEADBEEF && mquery[i] == 0xBEEF;
+  }
+  return r;
+}
+
+/// `n` guides that sit near the reference: each is the window at a random
+/// locus (its non-ACGT bytes as 'N') with up to three bases changed to any
+/// IUPAC code, so low thresholds still leave entries.
+std::vector<device_pattern> guides_near(util::rng& rng, const std::string& chunk,
+                                        const std::vector<u32>& loci, u32 plen, usize n) {
+  std::vector<device_pattern> out;
+  for (usize q = 0; q < n; ++q) {
+    std::string g = chunk.substr(loci[rng.next_below(loci.size())], plen);
+    for (char& c : g) {
+      if (std::string_view("ACGT").find(c) == std::string_view::npos) c = 'N';
+    }
+    for (u64 k = rng.next_below(4); k > 0; --k) {
+      g[rng.next_below(plen)] = kIupac[rng.next_below(15)];
+    }
+    out.push_back(make_pattern(g));
+  }
+  return out;
+}
+
+// A capacity below the demand: the lane body still returns the true demand
+// (the per-item body's count), stores only entries of the full set, and
+// writes nothing past the capacity, with the arrays sized to it (a store
+// past them fails the sanitizer builds) and with sentinel slots after it.
+TEST(SwarMultiLanes, CapacityClampKeepsTrueDemand) {
+  util::rng rng(620);
+  const std::string chunk = random_reference(rng, 600);
+  const auto ref = swar_pack(chunk);
+  std::vector<u32> loci;
+  std::vector<char> flags;
+  random_loci(rng, chunk.size(), 23, 97, loci, flags);
+  const auto queries = guides_near(rng, chunk, loci, 23, 8);
+  const std::vector<u16> thresholds(8, 23);  // every live strand is an entry
+  const u32 most = static_cast<u32>(loci.size() * 2 * queries.size());
+  const lane_run full = run_lane_body(ref, loci, flags, queries, thresholds, most);
+  ASSERT_GT(full.count, 100u);
+  ASSERT_EQ(full.entries.size(), full.count);
+  ASSERT_EQ(full.entries, run_multi_base(chunk, loci, flags, queries, thresholds));
+  for (const u32 cap : {0u, 1u, 3u, full.count / 2, full.count - 1}) {
+    for (const bool scalar : {false, true}) {
+      scalar_guard pin(scalar);
+      const std::string where = "cap=" + std::to_string(cap) + (scalar ? " per-item" : " lanes");
+      const lane_run exact = run_lane_body(ref, loci, flags, queries, thresholds, cap);
+      EXPECT_EQ(exact.count, full.count) << where;
+      ASSERT_EQ(exact.entries.size(), cap) << where;
+      for (const auto& e : exact.entries) {
+        EXPECT_TRUE(std::binary_search(full.entries.begin(), full.entries.end(), e)) << where;
+      }
+      const lane_run guarded = run_lane_body(ref, loci, flags, queries, thresholds, cap, 16);
+      EXPECT_EQ(guarded.count, full.count) << where;
+      EXPECT_TRUE(guarded.tail_untouched) << where;
+    }
+  }
+}
+
+// Every flag pattern of one quad (0, 1 or 2 on each of four consecutive
+// loci: 81 quads), with 0-3 loci after the last full quad; pattern lengths
+// 23 (one word) and 65 (three words: the multi-word early exit), 1 and 8
+// guides, thresholds 0, plen, 65535 and one in between. The lane body, the
+// per-item body under force_scalar and the per-query base comparer give
+// the same entries.
+TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
+  util::rng rng(621);
+  for (const u32 plen : {23u, 65u}) {
+    const std::string chunk = random_reference(rng, plen + 700);
+    const auto ref = swar_pack(chunk);
+    std::vector<u32> all_loci;
+    std::vector<char> all_flags;
+    random_loci(rng, chunk.size(), plen, 81 * 4 + 3, all_loci, all_flags);
+    for (u32 quad = 0; quad < 81; ++quad) {
+      for (u32 l = 0, code = quad; l < 4; ++l, code /= 3) {
+        all_flags[4 * quad + l] = static_cast<char>(code % 3);
+      }
+    }
+    for (const usize nq : {usize{1}, usize{8}}) {
+      const auto queries = guides_near(rng, chunk, all_loci, plen, nq);
+      for (const u16 t : {u16{0}, static_cast<u16>(plen / 4), static_cast<u16>(plen),
+                          u16{65535}}) {
+        const std::vector<u16> thresholds(nq, t);
+        for (const usize tail : {usize{0}, usize{1}, usize{2}, usize{3}}) {
+          const std::vector<u32> loci(all_loci.begin(), all_loci.begin() + 81 * 4 + tail);
+          const std::vector<char> flags(all_flags.begin(), all_flags.begin() + loci.size());
+          const std::string where = "plen=" + std::to_string(plen) +
+                                    " queries=" + std::to_string(nq) +
+                                    " threshold=" + std::to_string(t) +
+                                    " locicnt=" + std::to_string(loci.size());
+          const u32 most = static_cast<u32>(loci.size() * 2 * nq);
+          const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
+          ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
+              << where << " lanes";
+          scalar_guard pin(true);
+          ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
+              << where << " per-item";
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

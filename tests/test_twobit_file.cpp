@@ -179,6 +179,67 @@ TEST(TwoBitFileHostile, OutOfRangeBlocksThrow) {
   }
 }
 
+/// Index entries sharing a record, a record inside another and a record
+/// starting inside the header or index throw before any base is decoded,
+/// so a small file cannot claim more than four bases per byte.
+TEST(TwoBitFileHostile, SharedOrOverlappingRecordsThrow) {
+  auto put = [](std::string& out, util::u32 v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  // A record of `bases` bases, no N or mask blocks, whose packed bytes
+  // start with `packed` and are 0x1B ("TCAG") after it.
+  auto record = [&](util::u32 bases, const std::string& packed = "") {
+    std::string rec;
+    for (util::u32 v : {bases, 0u, 0u, 0u}) put(rec, v);
+    return rec + packed + std::string((bases + 3) / 4 - packed.size(), '\x1B');
+  };
+  // The header and one index entry per (name, offset), then `body`.
+  auto image = [&](const std::vector<std::pair<std::string, util::u32>>& index,
+                   const std::string& body) {
+    std::string out;
+    for (util::u32 v : {genome::kTwoBitSignature, 0u, util::u32(index.size()), 0u}) {
+      put(out, v);
+    }
+    for (const auto& [name, offset] : index) {
+      out.push_back(static_cast<char>(name.size()));
+      out += name;
+      put(out, offset);
+    }
+    return out + body;
+  };
+  temp_file f("overlap.2bit");
+  auto expect_rejected = [&](const std::string& bytes, const std::string& why,
+                             const std::string& why_not) {
+    write_bytes(f.path, bytes);
+    try {
+      (void)genome::read_twobit_file(f.path.string());
+      ADD_FAILURE() << why_not << ": decoded";
+    } catch (const genome::fasta_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << why_not << ": " << e.what();
+    }
+    EXPECT_THROW((void)genome::load_genome(f.path.string()), genome::fasta_error)
+        << why_not;
+  };
+
+  // Two records side by side decode (the index ends at 16 + 2 * 7 = 30).
+  write_bytes(f.path, image({{"s0", 30}, {"s1", 50}}, record(16) + record(16)));
+  const auto two = genome::load_genome(f.path.string());
+  ASSERT_EQ(two.chroms.size(), 2u);
+  EXPECT_EQ(two.chroms[1].seq, "TCAGTCAGTCAGTCAG");
+
+  expect_rejected(image({{"s0", 37}, {"s1", 37}, {"s2", 37}}, record(16)),
+                  "overlapping", "three entries on one record");
+  // A 4-base record as the 68-base record's 17 packed bytes, at 30 + 16.
+  expect_rejected(image({{"s0", 30}, {"s1", 46}}, record(68, record(4))), "overlapping",
+                  "a record inside another");
+  expect_rejected(image({{"s0", 0}}, record(16)), "header or index",
+                  "a record at offset 0");
+  // A whole 4-base record as an index entry's name, the entry pointing at it.
+  expect_rejected(image({{record(4) + "pad", 17}}, ""), "header or index",
+                  "a record inside the index");
+}
+
 TEST(TwoBitFile, LoadGenomeDispatchesOnExtension) {
   temp_file f("auto.2bit");
   genome::genome_t g;
