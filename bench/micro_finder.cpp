@@ -1,16 +1,31 @@
 // Microbenchmark: finder kernel throughput (positions/s on the simulated
 // accelerator) across PAM patterns of different selectivity, for the
 // per-position char finder (base) and opt6's packed-word finder side by
-// side, plus chunk-size sensitivity of the full finder step.
+// side, plus chunk-size sensitivity of the full finder step. The cold
+// streamed search's producer and finder on hg19/256 (about 12 Mbp, 24
+// chunks) on one thread: bm_producer_decode reads its FASTA through
+// fasta_stream with the streaming engine's chunking, bm_producer_pack
+// packs each chunk (swar_pack), and bm_finder_lanes calls the packed-word
+// finder's lane body (finder_swar_lanes) over the first chromosome with
+// no executor dispatch. Items are bases (positions for the finder).
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <string>
+#include <unistd.h>
 
+#include "core/engine.hpp"
+#include "core/kernels_swar.hpp"
 #include "core/pipeline.hpp"
+#include "genome/fasta.hpp"
+#include "genome/fasta_stream.hpp"
 #include "genome/synth.hpp"
 #include "util/log.hpp"
 
 namespace {
+
+using util::u32;
+using util::usize;
 
 genome::genome_t& test_genome() {
   static genome::genome_t g = [] {
@@ -79,8 +94,117 @@ void bm_finder_chunk_size(benchmark::State& state) {
                           static_cast<int64_t>(seq.size()));
 }
 
+/// hg19/256 written once as FASTA (60-base lines) under the temp
+/// directory (TMPDIR), removed at exit, and its chunks as the streaming
+/// engine cuts them for a 23-base pattern.
+struct producer_fixture {
+  static constexpr usize kOverlap = 23 - 1;
+  std::filesystem::path fasta;
+  std::vector<std::string> chunks;
+  usize bases = 0;
+
+  producer_fixture()
+      : fasta(std::filesystem::temp_directory_path() /
+              ("cof_micro_finder_" + std::to_string(::getpid()) + ".fa")) {
+    util::set_log_level(util::log_level::warn);
+    const auto g = genome::generate(genome::hg19_like(256, 7));
+    genome::write_fasta_file(fasta.string(), g.chroms);
+    bases = g.total_bases();
+    decode([this](std::string& text) { chunks.push_back(std::move(text)); });
+  }
+  ~producer_fixture() { std::filesystem::remove(fasta); }
+  producer_fixture(const producer_fixture&) = delete;
+  producer_fixture& operator=(const producer_fixture&) = delete;
+
+  /// The streaming engine's FASTA chunking: chunks of up to max_chunk bases
+  /// per record, kOverlap bases carried across each chunk boundary.
+  template <class Sink>
+  void decode(Sink&& sink) const {
+    const usize max_chunk = cof::engine_options{}.max_chunk;
+    genome::fasta_stream s(fasta.string());
+    while (s.next_record()) {
+      std::string carry;
+      for (;;) {
+        std::string buf = std::move(carry);
+        carry.clear();
+        if (s.read_bases(buf, max_chunk - buf.size()) == 0) break;
+        const bool done = buf.size() < max_chunk;
+        if (!done) carry.assign(buf, buf.size() - kOverlap, kOverlap);
+        sink(buf);
+        if (done) break;
+      }
+    }
+  }
+
+  static producer_fixture& get() {
+    static producer_fixture f;
+    return f;
+  }
+};
+
+void bm_producer_decode(benchmark::State& state) {
+  const auto& f = producer_fixture::get();
+  for (auto _ : state) {
+    usize decoded = 0;
+    f.decode([&decoded](std::string& text) {
+      decoded += text.size();
+      benchmark::DoNotOptimize(text.data());
+    });
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.bases));
+  state.counters["chunks"] = static_cast<double>(f.chunks.size());
+}
+
+void bm_producer_pack(benchmark::State& state) {
+  const auto& f = producer_fixture::get();
+  usize packed = 0;
+  for (auto _ : state) {
+    for (const auto& text : f.chunks) {
+      const cof::swar_ref ref = cof::swar_pack(text);
+      benchmark::DoNotOptimize(ref.packed2.data());
+      benchmark::DoNotOptimize(ref.amb2.data());
+      packed += text.size();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(packed));
+}
+
+void bm_finder_lanes(benchmark::State& state) {
+  const auto& seq = producer_fixture::get().chunks.front();
+  const cof::swar_ref ref = cof::swar_pack(seq);
+  const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
+  const u32 chrsize = static_cast<u32>(seq.size() - pat.plen + 1);
+  std::vector<u32> loci(chrsize);
+  std::vector<char> flag(chrsize);
+  u32 count = 0;
+  cof::finder_swar_args a;
+  a.chr_packed2 = ref.packed2.data();
+  a.chr_amb2 = ref.amb2.data();
+  a.pat_mask = pat.mask_data();
+  a.pat_index = pat.index_data();
+  a.chrsize = chrsize;
+  a.plen = pat.plen;
+  a.loci = loci.data();
+  a.flag = flag.data();
+  a.entrycount = &count;
+  a.entry_capacity = chrsize;
+  for (auto _ : state) {
+    count = 0;
+    cof::finder_swar_lanes(a, 0, cof::swar_finder_items(chrsize));
+    benchmark::DoNotOptimize(loci.data());
+    benchmark::DoNotOptimize(count);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * chrsize));
+  state.counters["loci"] = static_cast<double>(count);
+}
+
 }  // namespace
 
+BENCHMARK(bm_producer_decode)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_producer_pack)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_finder_lanes)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_finder_pam)
     ->ArgsProduct({benchmark::CreateDenseRange(0, 3, 1), {0, 1}})
     ->Unit(benchmark::kMillisecond);

@@ -53,27 +53,48 @@ usize live_end(usize first, usize nlanes, usize count) {
 
 }  // namespace
 
-swar_ref swar_pack(std::string_view seq) {
-  swar_ref r;
-  r.bases = seq.size();
-  const usize full = seq.size() / 32;
-  const usize nwords = swar_words_for(seq.size());
-  r.packed2.resize(nwords);
-  r.amb2.resize(nwords);
-  for (usize w = 0; w < full; ++w) {
-    pack_word(seq.data() + 32 * w, 32, r.packed2[w], r.amb2[w]);
-  }
-  if (const usize tail = seq.size() - 32 * full; tail != 0) {
-    pack_word(seq.data() + 32 * full, tail, r.packed2[full], r.amb2[full]);
-  }
-  return r;
-}
-
 #if defined(__x86_64__)
 
 namespace {
 
 #define COF_AVX2 __attribute__((target("avx2,popcnt")))
+
+/// 32 bytes of 2-bit values as one packed word, byte j's value at bits
+/// 2j..2j+1: maddubs joins byte pairs (v0 + 4 v1), madd joins pair pairs
+/// (+ 16 * (v2 + 4 v3)), so byte 0 of each 32-bit lane holds four bases;
+/// one shuffle gathers those bytes into the low half of each 128-bit lane.
+COF_AVX2 inline u64 avx2_pack_codes(__m256i v) {
+  const __m256i pairs = _mm256_maddubs_epi16(v, _mm256_set1_epi16(0x0401));
+  const __m256i quads = _mm256_madd_epi16(pairs, _mm256_set1_epi32(0x00100001));
+  const __m256i bytes = _mm256_shuffle_epi8(
+      quads, _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                              0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1));
+  const auto lo = static_cast<u32>(_mm_cvtsi128_si32(_mm256_castsi256_si128(bytes)));
+  const auto hi = static_cast<u32>(_mm_cvtsi128_si32(_mm256_extracti128_si256(bytes, 1)));
+  return u64{lo} | (u64{hi} << 32);
+}
+
+/// pack_word of 32 bases per step over the first `words` full words of s:
+/// A/C/G/T take codes 0..3 from their low nibble (1, 3, 7, 4), every other
+/// byte code 0 and its ambiguity bit.
+COF_AVX2 void avx2_pack_words(const char* s, usize words, u64* code, u64* amb) {
+  const __m256i nibble_code = _mm256_setr_epi8(0, 0, 0, 1, 3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
+                                               0, 0, 0, 1, 3, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0);
+  const __m256i low_nibble = _mm256_set1_epi8(0x0f);
+  const __m256i one = _mm256_set1_epi8(1);
+  for (usize w = 0; w < words; ++w) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 32 * w));
+    const __m256i acgt = _mm256_or_si256(
+        _mm256_or_si256(_mm256_cmpeq_epi8(v, _mm256_set1_epi8('A')),
+                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8('C'))),
+        _mm256_or_si256(_mm256_cmpeq_epi8(v, _mm256_set1_epi8('G')),
+                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8('T'))));
+    const __m256i codes = _mm256_and_si256(
+        acgt, _mm256_shuffle_epi8(nibble_code, _mm256_and_si256(v, low_nibble)));
+    code[w] = avx2_pack_codes(codes);
+    amb[w] = avx2_pack_codes(_mm256_andnot_si256(acgt, one));
+  }
+}
 
 /// Where four loci's windows start: the packed word of each locus and the
 /// shift that aligns it.
@@ -175,65 +196,107 @@ COF_AVX2 inline __m256i avx2_score(const avx2_window_word& ww, const u64* masks)
   return avx2_popcount(mm);
 }
 
-/// Four loci of the comparer: the windows' first kSwarWindowBlock words are
-/// built once per quad, then every (query, strand) scores them with its own
-/// masks, the four lanes' counts in one register. One compare and movemask
-/// give the lanes over the threshold; a strand stops once every live lane
-/// is over, and only a strand with a live lane at or under its threshold
-/// leaves the registers to append. Only sound for the direct memory policy
-/// (no event counting) — the facades only install the lane path when
-/// profiling is off.
-COF_AVX2 void avx2_multi_quad(const comparer_multi_swar_args& a, usize i) {
-  u32 locus[4] = {};
-  int live[2] = {0, 0};  // per strand: bit l set when locus l is a candidate
-  for (int l = 0; l < 4; ++l) {
-    const char f = a.flag[i + l];
-    locus[l] = a.loci[i + l];
-    live[0] |= static_cast<int>(f == 0 || f == 1) << l;
-    live[1] |= static_cast<int>(f == 0 || f == 2) << l;
-  }
+/// Four loci of the comparer on one strand (half 0 forward, 1 reverse):
+/// every query scores the windows with that strand's masks, the four
+/// lanes' counts in one register. The windows' first kSwarWindowBlock
+/// words are built when a query first reads them and kept for the next
+/// query; later words are built where they are read. One compare and
+/// movemask give the lanes over the threshold; a query stops once every
+/// live lane is over, and only a query with a live lane at or under its
+/// threshold leaves the registers to append. Lanes outside `live` are
+/// padding. Only sound for the direct memory policy (no event counting) —
+/// the facades only install the lane path when profiling is off.
+COF_AVX2 void avx2_strand_quad(const comparer_multi_swar_args& a, const u32 locus[4],
+                               int live, int half) {
   const avx2_loci loci = avx2_loci_of(locus);
-  avx2_window_word block[kSwarWindowBlock] = {};
-  const u32 nblock = std::min(a.swar_words, kSwarWindowBlock);
-  for (u32 w = 0; w < nblock; ++w) {
-    avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, block[w]);
-  }
+  const int dead = ~live & 0xF;
+  avx2_window_word block[kSwarWindowBlock];
+  u32 built = 0;
   for (u32 q = 0; q < a.nqueries; ++q) {
     const __m256i threshold = _mm256_set1_epi64x(a.thresholds[q]);
-    for (int half = 0; half < 2; ++half) {
-      if (live[half] == 0) continue;
-      const int dead = ~live[half] & 0xF;
-      const u64* masks = a.l_comp_swar + (static_cast<usize>(q) * 2 +
-                                          static_cast<usize>(half)) *
-                                             a.swar_words * kSwarMasksPerWord;
-      __m256i lmm = _mm256_setzero_si256();
-      int over = 0;
-      for (u32 w = 0; w < a.swar_words; ++w) {
-        if (w < kSwarWindowBlock) {
-          lmm = _mm256_add_epi64(lmm, avx2_score(block[w], masks + w * kSwarMasksPerWord));
-        } else {
-          avx2_window_word ww = {};
-          avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
-          lmm = _mm256_add_epi64(lmm, avx2_score(ww, masks + w * kSwarMasksPerWord));
+    const u64* masks = a.l_comp_swar + (static_cast<usize>(q) * 2 +
+                                        static_cast<usize>(half)) *
+                                           a.swar_words * kSwarMasksPerWord;
+    __m256i lmm = _mm256_setzero_si256();
+    int over = 0;
+    for (u32 w = 0; w < a.swar_words; ++w) {
+      if (w < kSwarWindowBlock) {
+        // Words are read in order, so word w is built here or was before.
+        if (w == built) {
+          avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, block[w]);
+          ++built;
         }
-        over = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(lmm, threshold)));
-        if ((over | dead) == 0xF) break;
+        lmm = _mm256_add_epi64(lmm, avx2_score(block[w], masks + w * kSwarMasksPerWord));
+      } else {
+        avx2_window_word ww;
+        avx2_window_at(a.chr_packed2, a.chr_amb2, loci, w, a.plen, ww);
+        lmm = _mm256_add_epi64(lmm, avx2_score(ww, masks + w * kSwarMasksPerWord));
       }
-      int under = live[half] & ~over;
-      if (under == 0) continue;
-      alignas(32) u64 count[4] = {};
-      _mm256_store_si256(reinterpret_cast<__m256i*>(count), lmm);
-      for (; under != 0; under &= under - 1) {
-        const int l = __builtin_ctz(static_cast<unsigned>(under));
-        const u32 old = std::atomic_ref<u32>(*a.entrycount).fetch_add(1u);
-        if (old < a.entry_capacity) {
-          a.mm_count[old] = static_cast<u16>(count[l]);
-          a.direction[old] = half == 0 ? '+' : '-';
-          a.mm_loci[old] = locus[l];
-          a.mm_query[old] = static_cast<u16>(q);
-        }
+      over = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(lmm, threshold)));
+      if ((over | dead) == 0xF) break;
+    }
+    int under = live & ~over;
+    if (under == 0) continue;
+    alignas(32) u64 count[4] = {};
+    _mm256_store_si256(reinterpret_cast<__m256i*>(count), lmm);
+    for (; under != 0; under &= under - 1) {
+      const int l = __builtin_ctz(static_cast<unsigned>(under));
+      const u32 old = std::atomic_ref<u32>(*a.entrycount).fetch_add(1u);
+      if (old < a.entry_capacity) {
+        a.mm_count[old] = static_cast<u16>(count[l]);
+        a.direction[old] = half == 0 ? '+' : '-';
+        a.mm_loci[old] = locus[l];
+        a.mm_query[old] = static_cast<u16>(q);
       }
     }
+  }
+}
+
+/// Loci of a row gathered for one strand before its quads score them.
+inline constexpr usize kStrandBlock = 64;
+
+/// Score list[0, n) of one strand four loci at a time. Returns how many
+/// loci are left (fewer than four, moved to the front for the next fill),
+/// or 0 when `flush` scores them too as a quad padded with its first locus.
+COF_AVX2 usize avx2_strand_quads(const comparer_multi_swar_args& a, u32* list, usize n,
+                                 int half, bool flush) {
+  usize k = 0;
+  for (; k + 4 <= n; k += 4) avx2_strand_quad(a, list + k, 0xF, half);
+  const usize rest = n - k;
+  if (rest == 0) return 0;
+  if (!flush) {
+    std::copy(list + k, list + n, list);
+    return rest;
+  }
+  u32 quad[4] = {list[k], list[k], list[k], list[k]};
+  std::copy(list + k, list + n, quad);
+  avx2_strand_quad(a, quad, (1 << rest) - 1, half);
+  return 0;
+}
+
+/// The comparer's lane row [i, end) split by strand: a forward list (flag 0
+/// or 1) and a reverse list (flag 0 or 2), each filled up to kStrandBlock
+/// loci and scored in one-strand quads, so no lane scores a strand its
+/// locus cannot hit on. Each list's last 0-3 loci carry into the next fill;
+/// the row's end scores them padded.
+COF_AVX2 void avx2_strand_row(const comparer_multi_swar_args& a, usize i, usize end) {
+  u32 fw[kStrandBlock];
+  u32 rc[kStrandBlock];
+  usize nfw = 0;
+  usize nrc = 0;
+  for (;;) {
+    for (; i < end && nfw < kStrandBlock && nrc < kStrandBlock; ++i) {
+      const char f = a.flag[i];
+      const u32 locus = a.loci[i];
+      fw[nfw] = locus;
+      rc[nrc] = locus;
+      nfw += static_cast<usize>(f == 0 || f == 1);
+      nrc += static_cast<usize>(f == 0 || f == 2);
+    }
+    const bool last = i == end;
+    nfw = avx2_strand_quads(a, fw, nfw, 0, last);
+    nrc = avx2_strand_quads(a, rc, nrc, 1, last);
+    if (last) return;
   }
 }
 
@@ -286,19 +349,43 @@ COF_AVX2 usize avx2_find_quads(const finder_swar_args& a, usize g, usize n, u64*
 
 #endif  // __x86_64__
 
-// The lane bodies: AVX2 quads when the host's SIMD lanes are enabled, then
-// the per-item body for the rest of the row (all of it otherwise).
+swar_ref swar_pack(std::string_view seq) {
+  swar_ref r;
+  r.bases = seq.size();
+  const usize full = seq.size() / 32;
+  const usize nwords = swar_words_for(seq.size());
+  r.packed2.resize(nwords);
+  r.amb2.resize(nwords);
+  usize w = 0;
+#if defined(__x86_64__)
+  if (util::simd_lanes_enabled()) {
+    avx2_pack_words(seq.data(), full, r.packed2.data(), r.amb2.data());
+    w = full;
+  }
+#endif
+  for (; w < full; ++w) {
+    pack_word(seq.data() + 32 * w, 32, r.packed2[w], r.amb2[w]);
+  }
+  if (const usize tail = seq.size() - 32 * full; tail != 0) {
+    pack_word(seq.data() + 32 * full, tail, r.packed2[full], r.amb2[full]);
+  }
+  return r;
+}
+
+// The lane bodies: AVX2 quads when the host's SIMD lanes are enabled (the
+// finder's ragged rest runs the per-item strand test), the per-item body
+// otherwise.
 
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes) {
   const usize end = live_end(first, nlanes, a.locicnts);
-  usize i = first;
 #if defined(__x86_64__)
   if (util::simd_lanes_enabled()) {
-    for (; i + 4 <= end; i += 4) avx2_multi_quad(a, i);
+    avx2_strand_row(a, first, end);
+    return;
   }
 #endif
-  for (direct_mem::item p; i < end; ++i) detail::swar_multi_item_body(p, a, i);
+  for (direct_mem::item p; first < end; ++first) detail::swar_multi_item_body(p, a, first);
 }
 
 void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes) {

@@ -44,8 +44,9 @@
 // lane-batched body (finder_swar_lanes, comparer_multi_swar_lanes) the
 // executor can invoke over a whole work-group row; on AVX2 hosts it
 // processes four work-items per instruction stream (kernels_swar.cpp), with
-// the per-item body as the portable fallback. The per-item kernels stay the
-// definition: counting launches never install a lane body.
+// the per-item body as the portable fallback (the comparer's row scores
+// each strand's loci apart, four of one strand per step). The per-item
+// kernels stay the definition: counting launches never install a lane body.
 #pragma once
 
 #include <algorithm>
@@ -179,17 +180,19 @@ inline u64 swar_finder_live(const finder_swar_args& a, usize first) {
 
 /// Store one work-item's hits (its strands' surviving lanes, ascending) from
 /// `slot` on; slots at or past the capacity are dropped. Returns the slot
-/// after its last hit.
+/// after its last hit. The flag comes from the two strand bits by
+/// arithmetic (both 0, forward only 1, reverse only 2): which strands hit
+/// is close to a coin toss, so a branch on it would mispredict.
 template <class PItem>
 inline u32 swar_store_hits(PItem& p, const finder_swar_args& a, u32 slot, usize first,
                            u64 fw, u64 rc) {
   for (u64 rest = fw | rc; rest != 0; rest &= rest - 1, ++slot) {
     if (slot >= a.entry_capacity) continue;
-    const u64 bit = rest & (~rest + 1);
-    const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
-    p.gstore(a.loci, slot, static_cast<u32>(first + j));
-    const char f = (fw & bit) && (rc & bit) ? 0 : ((fw & bit) ? 1 : 2);
-    p.gstore(a.flag, slot, f);
+    const u32 lane = static_cast<u32>(__builtin_ctzll(rest));
+    p.gstore(a.loci, slot, static_cast<u32>(first + (lane >> 1)));
+    const u32 fw_bit = static_cast<u32>(fw >> lane) & 1u;
+    const u32 rc_bit = static_cast<u32>(rc >> lane) & 1u;
+    p.gstore(a.flag, slot, static_cast<char>((fw_bit ^ 1u) * 2 + (rc_bit ^ 1u)));
   }
   return slot;
 }
@@ -379,10 +382,12 @@ inline void comparer_multi_swar_kernel(const Item& it,
 
 /// Lane-batched post-fetch entry (direct memory policy only): the facades
 /// hand this to the executor's lane dispatch for work-items
-/// [first, first+nlanes). Four loci per AVX2 step when the host's SIMD
-/// lanes are enabled, each quad's window built once for every (query,
-/// strand), the per-item body otherwise (kernels_swar.cpp); both orders of
-/// arithmetic are identical, so the output bytes are too.
+/// [first, first+nlanes). When the host's SIMD lanes are enabled it splits
+/// the row's loci by strand (a flag-0 locus on both) in blocks of bounded
+/// size and scores four loci of one strand per AVX2 step, each quad's
+/// window words built once for every query; the per-item body otherwise
+/// (kernels_swar.cpp). Both give the same entries (their order aside), so
+/// the output bytes are the same too.
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes);
 

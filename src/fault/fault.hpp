@@ -64,7 +64,7 @@ inline constexpr const char* spill_write = "spill.write";  // spill-run append
 inline constexpr const char* spill_merge = "spill.merge";  // k-way run merge
 inline constexpr const char* entry_clamp = "entry.clamp";  // entry-capacity check
 inline constexpr const char* exec_kernel = "exec.kernel";  // mid-kernel, per work-group
-inline constexpr const char* fasta_parse = "fasta.parse";  // mid-parse, per FASTA line block
+inline constexpr const char* fasta_parse = "fasta.parse";  // mid-parse, per line, not per read
 inline constexpr const char* index_persist = "index.persist";  // .cofidx write, per chunk
 inline constexpr const char* index_load = "index.load";        // .cofidx read, per chunk
 inline constexpr const char* serve_admit = "serve.admit";      // request admission, per submit

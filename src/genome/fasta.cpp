@@ -9,7 +9,12 @@
 #include "genome/iupac.hpp"
 #include "genome/synth.hpp"
 #include "genome/twobit_file.hpp"
+#include "util/cpufeat.hpp"
 #include "util/strings.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace genome {
 
@@ -42,6 +47,41 @@ constexpr std::array<util::u16, 256> kBaseDecode = [] {
   return t;
 }();
 
+#if defined(__x86_64__)
+
+/// upper_base over the whitespace-free prefix of src[0, n), n >= 32, into
+/// dst: 32 bytes per AVX2 step, the last step overlapping the one before
+/// (it rewrites the same bytes). Returns the prefix's length, a multiple of
+/// 32 that stops at the first step holding one of the six isspace bytes, or
+/// n when there is none. Runs only where util::simd_lanes_enabled() holds.
+__attribute__((target("avx2"))) usize avx2_upper_prefix(const char* src, usize n,
+                                                         char* dst) {
+  // Signed byte compares: NUL and bytes >= 0x80 are neither space nor
+  // lower case, as in kBaseDecode.
+  const __m256i after_z = _mm256_set1_epi8('z' + 1);
+  const __m256i before_a = _mm256_set1_epi8('a' - 1);
+  const __m256i after_cr = _mm256_set1_epi8('\r' + 1);
+  const __m256i before_tab = _mm256_set1_epi8('\t' - 1);
+  const __m256i space = _mm256_set1_epi8(' ');
+  const __m256i case_bit = _mm256_set1_epi8(0x20);
+  for (usize i = 0;;) {
+    const usize at = std::min(i, n - 32);
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + at));
+    const __m256i ws = _mm256_or_si256(
+        _mm256_cmpeq_epi8(v, space),
+        _mm256_and_si256(_mm256_cmpgt_epi8(v, before_tab), _mm256_cmpgt_epi8(after_cr, v)));
+    if (!_mm256_testz_si256(ws, ws)) return i;
+    const __m256i lower =
+        _mm256_and_si256(_mm256_cmpgt_epi8(v, before_a), _mm256_cmpgt_epi8(after_z, v));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + at),
+                        _mm256_sub_epi8(v, _mm256_and_si256(lower, case_bit)));
+    if (at + 32 == n) return n;
+    i = at + 32;
+  }
+}
+
+#endif  // __x86_64__
+
 /// A synth: URI: a genome line that names a generated genome, not a file.
 bool is_synth_uri(const std::string& line) { return util::starts_with(line, "synth:"); }
 
@@ -56,10 +96,16 @@ std::vector<chromosome> read_records(fasta_stream s) {
 
 usize append_bases(std::string_view line, std::string& out, usize max_bases) {
   const usize old = out.size();
-  out.resize(old + std::min(line.size(), max_bases));
+  const usize len = std::min(line.size(), max_bases);
+  out.resize(old + len);
   char* dst = out.data() + old;
-  usize n = 0;
   usize i = 0;
+#if defined(__x86_64__)
+  if (len >= 32 && util::simd_lanes_enabled()) i = avx2_upper_prefix(line.data(), len, dst);
+#endif
+  // The rest of the line (all of it when the prefix stopped at once, or on
+  // a scalar host), one table lookup per byte.
+  usize n = i;
   for (; i < line.size() && n < max_bases; ++i) {
     const util::u16 v = kBaseDecode[static_cast<unsigned char>(line[i])];
     dst[n] = static_cast<char>(v & 0xff);

@@ -33,9 +33,12 @@ class fasta_error : public std::runtime_error {
 
 /// Decode the bytes of one FASTA sequence line onto `out`, at most
 /// `max_bases` bases: every byte but the six isspace bytes, through
-/// upper_base (NUL and bytes >= 0x80 are kept as they are). One table
-/// lookup per byte and one resize per call. Returns the number of input
-/// bytes consumed, all of them unless max_bases stopped it first.
+/// upper_base (NUL and bytes >= 0x80 are kept as they are). Where the
+/// host's SIMD lanes are enabled (util::simd_lanes_enabled), a line of 32
+/// bytes or more is upper-cased 32 bytes per AVX2 step up to the first step
+/// that holds an isspace byte; every other byte takes one table lookup.
+/// Returns the number of input bytes consumed, all of them unless max_bases
+/// stopped it first.
 usize append_bases(std::string_view line, std::string& out,
                    usize max_bases = std::numeric_limits<usize>::max());
 

@@ -1,6 +1,7 @@
 #include "genome/fasta_stream.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -30,26 +31,55 @@ bool fasta_stream::open_next_file() {
   auto in = std::make_unique<std::ifstream>(file_, std::ios::binary);
   if (!in->good()) throw fasta_error("cannot open FASTA file: " + file_);
   in_ = std::move(in);
+  block_pos_ = block_end_ = 0;
   eof_ = false;
   return true;
 }
 
+bool fasta_stream::next_line(std::string_view& line) {
+  carry_.clear();
+  for (;;) {
+    const char* at = block_.data() + block_pos_;
+    const usize avail = block_end_ - block_pos_;
+    if (const void* nl = std::memchr(at, '\n', avail)) {
+      const auto len = static_cast<usize>(static_cast<const char*>(nl) - at);
+      block_pos_ += len + 1;
+      if (carry_.empty()) {
+        line = std::string_view(at, len);
+        return true;
+      }
+      carry_.insert(carry_.end(), at, at + len);
+      line = std::string_view(carry_.data(), carry_.size());
+      return true;
+    }
+    carry_.insert(carry_.end(), at, at + avail);
+    in_->read(block_.data(), static_cast<std::streamsize>(block_.size()));
+    block_pos_ = 0;
+    block_end_ = static_cast<usize>(in_->gcount());
+    if (block_end_ == 0) {
+      // The source's end: a last line without a newline is still a line.
+      line = std::string_view(carry_.data(), carry_.size());
+      return !carry_.empty();
+    }
+  }
+}
+
 bool fasta_stream::fill_line() {
-  // The mid-parse fault site: one hit per line pulled off the source, firing
-  // inside next_record/read_bases of a live stream.
+  // The mid-parse fault site: one hit per call, that is per line handed to
+  // next_record/read_bases of a live stream (the blank and comment lines
+  // skipped on the way count with it).
   fault::inject_point(fault::site::fasta_parse);
-  line_.clear();
-  line_pos_ = 0;
-  while (std::getline(*in_, line_)) {
+  std::string_view raw;
+  while (next_line(raw)) {
     // Classify the trimmed line: skip blanks and legacy ';' comments, and
-    // keep only the trimmed text (line_pos_ past the indent, trailing space
-    // and CR cut), so an indented '>' is a header.
-    const auto trimmed = util::trim(line_);
+    // keep only the trimmed text (indent, trailing space and CR cut), so an
+    // indented '>' is a header.
+    const auto trimmed = util::trim(raw);
     if (trimmed.empty() || trimmed[0] == ';') continue;
-    line_pos_ = static_cast<usize>(trimmed.data() - line_.data());
-    line_.resize(line_pos_ + trimmed.size());
+    line_ = trimmed;
     return true;
   }
+  line_ = {};
   eof_ = true;
   return false;
 }
@@ -73,14 +103,13 @@ bool fasta_stream::next_record() {
     }
   }
 
-  const auto words = util::split(std::string_view(line_).substr(line_pos_ + 1));
+  const auto words = util::split(line_.substr(1));
   if (words.empty()) throw fasta_error("FASTA header with empty name in " + file_);
   name_ = std::string(words[0]);
   ++records_;
   pending_header_ = false;
   in_record_ = true;
-  line_.clear();
-  line_pos_ = 0;
+  line_ = {};
   return true;
 }
 
@@ -91,15 +120,14 @@ usize fasta_stream::read_bases(std::string& out, usize max_bases) {
   while (out.size() - start < max_bases) {
     // A parked '>' line belongs to the next record; never consume it here.
     if (pending_header_ || eof_) break;
-    if (line_pos_ >= line_.size()) {
+    if (line_.empty()) {
       if (!fill_line()) break;
       if (at_header()) {
         pending_header_ = true;
         break;
       }
     }
-    line_pos_ += append_bases(std::string_view(line_).substr(line_pos_), out,
-                              max_bases - (out.size() - start));
+    line_.remove_prefix(append_bases(line_, out, max_bases - (out.size() - start)));
   }
   return out.size() - start;
 }

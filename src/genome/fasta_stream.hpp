@@ -2,10 +2,11 @@
 // yields their sequence in caller-sized blocks without materialising whole
 // chromosomes — what lets Cas-OFFinder feed multi-gigabyte assemblies
 // through device-sized chunks on a modest host. Reads one file, a directory
-// of FASTA files or FASTA text held in memory; handles arbitrary line
-// wrapping, CRLF, '>' descriptions and ';' comments, and throws fasta_error
-// on malformed input. parse_fasta, read_fasta_file, load_genome and
-// summarize_source all read through it.
+// of FASTA files or FASTA text held in memory, in blocks of kBlockBytes
+// split at '\n' with memchr; handles arbitrary line wrapping, CRLF, '>'
+// descriptions and ';' comments, and throws fasta_error on malformed input.
+// parse_fasta, read_fasta_file, load_genome and summarize_source all read
+// through it.
 #pragma once
 
 #include <istream>
@@ -22,6 +23,10 @@ using util::usize;
 
 class fasta_stream {
  public:
+  /// Bytes of the source read at once; a line longer than this is gathered
+  /// across reads.
+  static constexpr usize kBlockBytes = usize{1} << 16;
+
   /// Open a FASTA file, or each FASTA file of a directory in turn
   /// (fasta_files_at order). A record never spans files: every file must
   /// start with a '>' header. Throws fasta_error when a file cannot be
@@ -51,12 +56,16 @@ class fasta_stream {
   fasta_stream(std::unique_ptr<std::istream> in, std::string source);
   /// Open the next file of files_. Returns false when none is left.
   bool open_next_file();
-  /// Refill the line buffer with the next line of the current file that is
-  /// neither blank nor a comment, trimmed: line_pos_ at its first non-space
-  /// byte, trailing space cut. Returns false at the file's end.
+  /// The next raw line of the current file, its '\n' cut: a view of block_,
+  /// or of carry_ for a line that straddles two reads (or ends the file
+  /// without a newline). Valid until the next call. False at the file's end.
+  bool next_line(std::string_view& line);
+  /// Point line_ at the next line of the current file that is neither blank
+  /// nor a comment, trimmed (indent and trailing space, CR included, cut).
+  /// Returns false at the file's end.
   bool fill_line();
   /// The line fill_line just read is a '>' header.
-  bool at_header() const { return line_[line_pos_] == '>'; }
+  bool at_header() const { return line_.front() == '>'; }
 
   std::unique_ptr<std::istream> in_;
   std::string source_;              // the path or "FASTA text", for messages
@@ -64,8 +73,11 @@ class fasta_stream {
   usize next_file_ = 0;
   std::string file_;                // the file in_ reads
   std::string name_;
-  std::string line_;        // current (partial) sequence line
-  usize line_pos_ = 0;      // consumed prefix of line_
+  std::vector<char> block_ = std::vector<char>(kBlockBytes);  // the last read
+  usize block_pos_ = 0;     // next unsplit byte of block_
+  usize block_end_ = 0;     // bytes the last read filled
+  std::vector<char> carry_; // a line gathered across reads
+  std::string_view line_;   // unconsumed rest of the current trimmed line
   usize records_ = 0;
   bool pending_header_ = false;  // line_ holds the next '>' header
   bool in_record_ = false;

@@ -1,5 +1,7 @@
 // FASTA parser/writer tests, including directory loading, the byte and line
-// rules every reader shares through fasta_stream, and hostile input failing
+// rules every reader shares through fasta_stream (checked against a
+// getline reference decoder that shares none of its code, on both dispatch
+// paths and across the stream's block reads), and hostile input failing
 // with fasta_error.
 #include <gtest/gtest.h>
 
@@ -7,12 +9,15 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
+#include <utility>
 
 #include "core/config.hpp"
 #include "core/engine_stream.hpp"
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
 #include "genome/iupac.hpp"
+#include "util/cpufeat.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -87,6 +92,19 @@ TEST(Fasta, NonNBaseCount) {
   EXPECT_EQ(g.non_n_bases(), 5u);  // R/Y are not concrete
 }
 
+/// The six isspace bytes, which a sequence line drops.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// RAII force_scalar toggle so a failing assertion cannot leak the override
+/// into later tests.
+struct scalar_guard {
+  bool prev;
+  explicit scalar_guard(bool on) : prev(util::force_scalar()) { util::force_scalar(on); }
+  ~scalar_guard() { util::force_scalar(prev); }
+};
+
 struct temp_dir {
   fs::path path;
   temp_dir() {
@@ -95,6 +113,99 @@ struct temp_dir {
   }
   ~temp_dir() { fs::remove_all(path); }
 };
+
+// ---------------------------------------------------------------------------
+// fasta_stream against a reference decoder that shares none of its code.
+// ---------------------------------------------------------------------------
+
+/// (name, bases) of each record, in order.
+using named_seqs = std::vector<std::pair<std::string, std::string>>;
+
+/// The FASTA rule, applied line by line with std::getline: trim the six
+/// isspace bytes off both ends; skip blank lines and ';' comments; a '>'
+/// line starts a record named by its first space- or tab-delimited word;
+/// any other line adds its bytes, the six isspace bytes dropped and the rest
+/// through upper_base. nullopt where the rule rejects the text: sequence
+/// before the first header, a header without a name, or no record.
+std::optional<named_seqs> reference_records(const std::string& text) {
+  std::istringstream in(text);
+  named_seqs out;
+  for (std::string line; std::getline(in, line);) {
+    util::usize b = 0;
+    util::usize e = line.size();
+    while (b < e && is_space(line[b])) ++b;
+    while (e > b && is_space(line[e - 1])) --e;
+    const std::string t = line.substr(b, e - b);
+    if (t.empty() || t[0] == ';') continue;
+    if (t[0] == '>') {
+      const auto start = t.find_first_not_of(" \t", 1);
+      if (start == std::string::npos) return std::nullopt;
+      out.emplace_back(t.substr(start, t.find_first_of(" \t", start) - start), "");
+      continue;
+    }
+    if (out.empty()) return std::nullopt;
+    for (const char c : t) {
+      if (!is_space(c)) out.back().second += genome::upper_base(c);
+    }
+  }
+  if (out.empty()) return std::nullopt;
+  return out;
+}
+
+/// Every record of `s`, each drained by read_bases calls of at most `step`
+/// bases; nullopt when the stream throws fasta_error.
+std::optional<named_seqs> stream_records(genome::fasta_stream s, util::usize step) {
+  named_seqs out;
+  try {
+    while (s.next_record()) {
+      out.emplace_back(s.record_name(), "");
+      while (s.read_bases(out.back().second, step) != 0) {
+      }
+    }
+  } catch (const genome::fasta_error&) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// fasta_stream reading `text` from memory (and from `file` when one is
+/// named, after writing the text there) on both dispatch paths, drained 7
+/// bases at a time (below the SIMD decode's 32), 33 at a time and a whole
+/// record at a time, against reference_records.
+void expect_matches_reference(const std::string& text, const std::string& where,
+                              const std::string& file = "") {
+  const auto want = reference_records(text);
+  if (!file.empty()) std::ofstream(file, std::ios::binary | std::ios::trunc) << text;
+  for (const bool scalar : {false, true}) {
+    scalar_guard pin(scalar);
+    for (const util::usize step : {util::usize{7}, util::usize{33}, util::usize{1} << 20}) {
+      const std::string how = where + (scalar ? " force_scalar" : " simd") +
+                              " step=" + std::to_string(step);
+      const auto got = stream_records(genome::fasta_stream::from_text(text), step);
+      ASSERT_EQ(got.has_value(), want.has_value()) << how;
+      if (want.has_value()) {
+        ASSERT_EQ(*got, *want) << how;
+      }
+      if (file.empty()) continue;
+      const auto read = stream_records(genome::fasta_stream(file), step);
+      ASSERT_EQ(read.has_value(), want.has_value()) << how << " file";
+      if (want.has_value()) {
+        ASSERT_EQ(*read, *want) << how << " file";
+      }
+    }
+  }
+}
+
+/// `len` random bytes: upper- and lower-case IUPAC codes and a few other
+/// bytes, plus the six isspace bytes when `spaces` is set.
+std::string random_line(util::rng& rng, util::usize len, bool spaces) {
+  static const std::string solid = "ACGTNRYSWKMBDHVacgtnryswkmbdhvX-*.\x01\x7f\x80\xff";
+  static const std::string spaced = solid + " \t\v\f\r";
+  const std::string& alpha = spaces ? spaced : solid;
+  std::string s;
+  for (util::usize i = 0; i < len; ++i) s += alpha[rng.next_below(alpha.size())];
+  return s;
+}
 
 TEST(Fasta, LoadGenomeFromFile) {
   temp_dir dir;
@@ -125,17 +236,22 @@ TEST(Fasta, LoadGenomeFromDirectorySortedByFile) {
 TEST(FastaDecode, EveryByteValueThroughEveryDecoder) {
   std::string line = "AC";
   std::string want = "AC";
+  std::string solid;  // every non-space byte: one whitespace-free line
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
     line += c;
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\v' && c != '\f' && c != '\r') {
+    if (!is_space(c)) {
       want += genome::upper_base(c);
+      solid += c;
     }
   }
   line += "GT";
   want += "GT";
   ASSERT_EQ(want.size(), 2u + 250u + 2u);
-  const std::string text = ">chr bytes\n" + line + "\n";
+  // A whitespace-free line of 32 bytes or more takes the SIMD decode where
+  // the host has it: every non-space byte value goes through it too.
+  for (const char c : solid) want += genome::upper_base(c);
+  const std::string text = ">chr bytes\n" + line + "\n" + solid + "\n";
 
   const auto recs = genome::parse_fasta(text);
   ASSERT_EQ(recs.size(), 1u);
@@ -242,10 +358,11 @@ TEST(FastaHostile, UnreadableOrEmptySourceThrows) {
 /// Hostile-byte loop: seeded mutations of a small multi-record FASTA — byte
 /// substitutions; an inserted '>', ';', NUL, CR, tab or pair of spaces, at
 /// a random byte or a line start; a cut before and inside every line. Each
-/// case either throws fasta_error from load_genome, summarize_source and
-/// run_search_streaming alike, or all three agree: the summary carries the
-/// loaded genome's names, base count and content_hash, and the streamed
-/// records equal run_search on the loaded genome.
+/// case decodes through fasta_stream as the getline reference does (both
+/// dispatch paths), and either throws fasta_error from load_genome,
+/// summarize_source and run_search_streaming alike, or all three agree: the
+/// summary carries the loaded genome's names, base count and content_hash,
+/// and the streamed records equal run_search on the loaded genome.
 TEST(FastaHostile, MutatedFastaThrowsEverywhereOrAgreesEverywhere) {
   temp_dir dir;
   util::rng rng(2024);
@@ -290,6 +407,7 @@ TEST(FastaHostile, MutatedFastaThrowsEverywhereOrAgreesEverywhere) {
   const std::string file = (dir.path / "mutated.fa").string();
   util::usize threw = 0;
   for (util::usize i = 0; i < cases.size(); ++i) {
+    expect_matches_reference(cases[i], "case " + std::to_string(i));
     std::ofstream(file, std::ios::binary | std::ios::trunc) << cases[i];
     int throws = 0;
     std::optional<genome::genome_t> g;
@@ -328,6 +446,94 @@ TEST(FastaHostile, MutatedFastaThrowsEverywhereOrAgreesEverywhere) {
   // The loop reaches both outcomes.
   EXPECT_GT(threw, 0u);
   EXPECT_LT(threw, cases.size());
+}
+
+/// Lines of every length 0-100, whitespace-free and with isspace bytes
+/// inside; then each of the six isspace bytes, NUL, a-z and 0x80-0xFF at
+/// every offset of a whitespace-free 64-byte line.
+TEST(FastaDecode, LineLengthsAndBytesMatchGetlineReference) {
+  util::rng rng(2025);
+  for (util::usize len = 0; len <= 100; ++len) {
+    for (const bool spaces : {false, true}) {
+      const std::string text = ">chr len\n" + random_line(rng, len, spaces) + "\n" +
+                               random_line(rng, len, spaces) + "\n>chr2\n" +
+                               random_line(rng, len, spaces) + "\n";
+      expect_matches_reference(text, "len=" + std::to_string(len) +
+                                         (spaces ? " with spaces" : " solid"));
+    }
+  }
+  std::string bytes = " \t\n\v\f\r";
+  bytes += '\0';
+  for (char c = 'a'; c <= 'z'; ++c) bytes += c;
+  for (int b = 0x80; b <= 0xff; ++b) bytes += static_cast<char>(b);
+  const std::string line = random_line(rng, 64, false);
+  for (const char b : bytes) {
+    for (util::usize at = 0; at < line.size(); ++at) {
+      std::string mutated = line;
+      mutated[at] = b;
+      expect_matches_reference(">chr\n" + mutated + "\nacgt\n",
+                               "byte=" + std::to_string(static_cast<unsigned char>(b)) +
+                                   " at=" + std::to_string(at));
+    }
+  }
+}
+
+/// CRLF line ends, a file with no final newline (after a sequence line, a
+/// header or a space-only line), and lone CRs.
+TEST(FastaDecode, LineEndsMatchGetlineReference) {
+  util::rng rng(2026);
+  const std::string a = random_line(rng, 100, false);
+  const std::string b = random_line(rng, 40, false);
+  const std::string crlf = ">a one\r\n" + a + "\r\n" + b + "\r\n\r\n>b\r\n" + a + "\r\n";
+  temp_dir dir;
+  const std::string file = (dir.path / "ends.fa").string();
+  for (const std::string& text :
+       {crlf, crlf.substr(0, crlf.size() - 2), crlf.substr(0, crlf.size() - 1),
+        ">a\n" + a, ">a\n" + a + "\n>b", ">a\n" + a + "\n \t", ">a\r" + a + "\r\r\n" + b,
+        std::string("\r\n>x\r\nACGT\r\n;c\r\n  \r\nac\r\n")}) {
+    expect_matches_reference(text, "text of " + std::to_string(text.size()) + " bytes",
+                             file);
+  }
+}
+
+/// Lines that straddle a read of the source, from memory and from a file:
+/// a sequence line, a header, a comment and a CRLF pair around the block
+/// edge at several offsets; lines of exactly the block, one byte less and
+/// one more; and lines of several blocks, the last without a newline.
+TEST(FastaDecode, BlockEdgeLinesMatchGetlineReference) {
+  constexpr util::usize kBlock = genome::fasta_stream::kBlockBytes;
+  util::rng rng(2027);
+  // `text` then a filler sequence line, so the next line starts at `at`.
+  const auto pad_to = [&rng](std::string text, util::usize at) {
+    text += random_line(rng, at - text.size() - 1, false) + "\n";
+    return text;
+  };
+  temp_dir dir;
+  const std::string file = (dir.path / "edge.fa").string();
+  for (const util::usize k : {1, 2, 3, 31, 32, 33, 64, 65}) {
+    const std::string where = "k=" + std::to_string(k);
+    expect_matches_reference(
+        pad_to(">a x\n", kBlock - k) + random_line(rng, 100, false) + "\nACGT\n",
+        where + " sequence", file);
+    expect_matches_reference(
+        pad_to(">a x\n", kBlock - k) + random_line(rng, 100, true) + "\nACGT\n",
+        where + " spaced sequence", file);
+    expect_matches_reference(pad_to(">a\n", kBlock - k) + ">b desc\nacgt\n",
+                             where + " header", file);
+    expect_matches_reference(pad_to(">a\n", kBlock - k) + ";" +
+                                 random_line(rng, 80, true) + "\nTT\n",
+                             where + " comment", file);
+    expect_matches_reference(pad_to(">a\n", kBlock - k) + random_line(rng, k - 1, false) +
+                                 "\r\nGG\r\n",
+                             where + " crlf", file);
+  }
+  expect_matches_reference(">a\n" + random_line(rng, kBlock - 1, false) + "\n" +
+                               random_line(rng, kBlock, false) + "\n" +
+                               random_line(rng, kBlock + 1, false) + "\n",
+                           "block-sized lines", file);
+  expect_matches_reference(">a\n" + random_line(rng, 2 * kBlock + kBlock / 2, false) +
+                               "\n>b\n" + random_line(rng, 3 * kBlock + 7, true),
+                           "multi-block lines", file);
 }
 
 }  // namespace

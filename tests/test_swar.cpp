@@ -284,6 +284,11 @@ void expect_same_pack(std::string_view seq) {
   ASSERT_EQ(got.bases, want.bases);
   ASSERT_EQ(got.packed2, want.packed2) << "len=" << seq.size();
   ASSERT_EQ(got.amb2, want.amb2) << "len=" << seq.size();
+  // The two padding words the window fetch may read stay zero.
+  const usize n = got.packed2.size();
+  ASSERT_EQ(n, swar_words_for(seq.size()));
+  ASSERT_EQ(got.packed2[n - 1] | got.packed2[n - 2] | got.amb2[n - 1] | got.amb2[n - 2], 0u)
+      << "len=" << seq.size();
 }
 
 /// Random bytes drawn from upper- and lower-case IUPAC codes and a few
@@ -301,16 +306,45 @@ std::string random_text(util::rng& rng, usize len) {
   return s;
 }
 
+// On both dispatch paths: the AVX2 pack (32 bases per step, the scalar
+// pack_word for the tail) and the scalar pack under force_scalar.
 TEST(SwarPack, MatchesPerBaseReference) {
-  util::rng rng(611);
-  for (usize len = 0; len <= 97; ++len) {
-    for (int rep = 0; rep < 4; ++rep) expect_same_pack(random_text(rng, len));
+  for (const bool scalar : {false, true}) {
+    scalar_guard pin(scalar);
+    SCOPED_TRACE(scalar ? "force_scalar" : "simd");
+    util::rng rng(611);
+    for (usize len = 0; len <= 97; ++len) {
+      for (int rep = 0; rep < 4; ++rep) expect_same_pack(random_text(rng, len));
+    }
+    // One device-sized chunk: mostly ACGT with the same exceptions mixed in.
+    std::string big = random_chunk(rng, usize{4} << 20);
+    const std::string noise = random_text(rng, 1 << 16);
+    for (usize i = 0; i < noise.size(); ++i) big[rng.next_below(big.size())] = noise[i];
+    expect_same_pack(big);
+    // Every byte value at each of the 32 lanes of a full word: 8192 words
+    // in one chunk.
+    const std::string word = random_chunk(rng, 32);
+    std::string lanes;
+    for (usize lane = 0; lane < 32; ++lane) {
+      for (int b = 0; b < 256; ++b) {
+        lanes += word;
+        lanes[lanes.size() - 32 + lane] = static_cast<char>(b);
+      }
+    }
+    expect_same_pack(lanes);
+    // ... and at each position of a tail of 1-31 bases after a full word.
+    for (usize tail = 1; tail < 32; ++tail) {
+      std::string seq = random_chunk(rng, 32 + tail);
+      for (usize at = 32; at < seq.size(); ++at) {
+        const char keep = seq[at];
+        for (int b = 0; b < 256; ++b) {
+          seq[at] = static_cast<char>(b);
+          expect_same_pack(seq);
+        }
+        seq[at] = keep;
+      }
+    }
   }
-  // One device-sized chunk: mostly ACGT with the same exceptions mixed in.
-  std::string big = random_chunk(rng, usize{4} << 20);
-  const std::string noise = random_text(rng, 1 << 16);
-  for (usize i = 0; i < noise.size(); ++i) big[rng.next_below(big.size())] = noise[i];
-  expect_same_pack(big);
 }
 
 // ---------------------------------------------------------------------------
@@ -816,13 +850,15 @@ struct lane_run {
   bool tail_untouched = true;
 };
 
-/// comparer_multi_swar_lanes on this thread over every locus: AVX2 quads on
-/// an AVX2 host, the per-item body under force_scalar. Its output arrays
-/// hold `capacity` entries, then `guard` sentinel slots it must not write.
+/// comparer_multi_swar_lanes on this thread over every locus, in rows of
+/// `nlanes` loci (0: one row): AVX2 quads on an AVX2 host, the per-item
+/// body under force_scalar. Its output arrays hold `capacity` entries, then
+/// `guard` sentinel slots it must not write.
 lane_run run_lane_body(const swar_ref& ref, const std::vector<u32>& loci,
                        const std::vector<char>& flags,
                        const std::vector<device_pattern>& queries,
-                       const std::vector<u16>& thresholds, u32 capacity, usize guard = 0) {
+                       const std::vector<u16>& thresholds, u32 capacity, usize guard = 0,
+                       usize nlanes = 0) {
   const usize n = capacity + guard;
   std::vector<u16> mm(n, 0xBEEF);
   std::vector<char> dir(n, '#');
@@ -849,7 +885,10 @@ lane_run run_lane_body(const swar_ref& ref, const std::vector<u32>& loci,
   a.mm_query = mquery.data();
   a.entrycount = &r.count;
   a.entry_capacity = capacity;
-  comparer_multi_swar_lanes(a, 0, loci.size());
+  const usize row = nlanes == 0 ? loci.size() : nlanes;
+  for (usize first = 0; first < loci.size(); first += row) {
+    comparer_multi_swar_lanes(a, first, row);
+  }
   for (u32 i = 0; i < std::min(r.count, capacity); ++i) {
     r.entries.emplace_back(mquery[i], mloci[i], dir[i], mm[i]);
   }
@@ -918,9 +957,13 @@ TEST(SwarMultiLanes, CapacityClampKeepsTrueDemand) {
 // Every flag pattern of one quad (0, 1 or 2 on each of four consecutive
 // loci: 81 quads), with 0-3 loci after the last full quad; pattern lengths
 // 23 (one word) and 65 (three words: the multi-word early exit), 1 and 8
-// guides, thresholds 0, plen, 65535 and one in between. The lane body, the
-// per-item body under force_scalar and the per-query base comparer give
-// the same entries.
+// guides, thresholds 0, plen, 65535 and one in between. Then rows whose
+// loci are all forward, all reverse, all both, alternately forward and
+// reverse, or random, in rows of 1, 4, 63, 64, 65, 256 and 257 loci (the
+// executor's row follows the work-group size) and a last row of 3, so each
+// strand's last quad holds 0-3 loci and a long row refills the lane body's
+// strand lists. The lane body, the per-item body under force_scalar and the
+// per-query base comparer give the same entries.
 TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
   util::rng rng(621);
   for (const u32 plen : {23u, 65u}) {
@@ -953,6 +996,51 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
           scalar_guard pin(true);
           ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
               << where << " per-item";
+        }
+      }
+    }
+  }
+
+  const char* const kShapes[] = {"forward", "reverse", "both", "alternating", "random"};
+  for (const u32 plen : {23u, 65u}) {
+    const std::string chunk = random_reference(rng, plen + 700);
+    const auto ref = swar_pack(chunk);
+    for (const usize nlanes : {1, 4, 63, 64, 65, 256, 257}) {
+      std::vector<u32> loci;
+      std::vector<char> flags;
+      random_loci(rng, chunk.size(), plen, nlanes + 3, loci, flags);
+      for (usize shape = 0; shape < std::size(kShapes); ++shape) {
+        for (usize i = 0; i < flags.size(); ++i) {
+          const char fixed[] = {1, 2, 0, static_cast<char>(1 + i % 2)};
+          flags[i] = shape < 4 ? fixed[shape] : static_cast<char>(rng.next_below(3));
+        }
+        for (const usize nq : {usize{1}, usize{8}}) {
+          const auto queries = guides_near(rng, chunk, loci, plen, nq);
+          // One base run at the loosest threshold; a tighter threshold's
+          // entries are those with at most that many mismatches.
+          const auto every = run_multi_base(chunk, loci, flags, queries,
+                                            std::vector<u16>(nq, u16{65535}));
+          for (const u16 t : {static_cast<u16>(plen / 4), u16{65535}}) {
+            const std::vector<u16> thresholds(nq, t);
+            const std::string where = "plen=" + std::to_string(plen) + " rows of " +
+                                      std::to_string(nlanes) + " " + kShapes[shape] +
+                                      " queries=" + std::to_string(nq) +
+                                      " threshold=" + std::to_string(t);
+            const u32 most = static_cast<u32>(loci.size() * 2 * nq);
+            multi_entries want;
+            for (const auto& e : every) {
+              if (std::get<3>(e) <= t) want.push_back(e);
+            }
+            ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
+                          .entries,
+                      want)
+                << where << " lanes";
+            scalar_guard pin(true);
+            ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
+                          .entries,
+                      want)
+                << where << " per-item";
+          }
         }
       }
     }
