@@ -1,5 +1,8 @@
 #include "core/index.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +14,7 @@
 #include "genome/chunker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -24,123 +28,255 @@ using util::u64;
 using util::u8;
 
 constexpr u32 kIndexMagic = 0x58464F43;  // "COFX" read little-endian
-constexpr u32 kIndexVersion = 1;
+constexpr u32 kIndexVersion = 2;
 
-u64 fnv1a64(const std::string& s) {
-  u64 h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<u8>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+// The payload holds packed words, loci and flags as the host lays them out,
+// so save_index and load_index copy them with memcpy.
+static_assert(std::endian::native == std::endian::little,
+              ".cofidx is little-endian: a big-endian host must byte-swap its fields");
+
+/// Bytes of a chunk record's fixed head: chrom_index, text_len, start,
+/// n_runs and n_loci.
+constexpr usize kChunkHeadBytes = 24;
+
+[[noreturn]] void reject(const std::string& what) {
+  throw index_error(fault::site::index_load, what);
 }
 
-void put_u32(std::string& out, u32 v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+u64 payload_checksum(std::string_view payload) {
+  util::word_hash h;
+  h.feed(payload);
+  return h.digest();
 }
 
-void put_u64(std::string& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
+/// A .cofidx image under construction: sized appends of fields and arrays,
+/// and zero padding to the next 8-byte boundary.
+struct writer {
+  std::string out;
 
-/// Bounds-checked little-endian reader over an in-memory byte range. Every
-/// overrun throws index_error — a truncated or hostile file can never cause
-/// an out-of-bounds read.
-struct reader {
-  const std::string& d;
-  usize pos = 0;
-
-  void need(usize n) const {
-    if (pos > d.size() || n > d.size() - pos) {
-      throw index_error(fault::site::index_load, "truncated index file");
-    }
+  void put(const void* p, usize n) { out.append(static_cast<const char*>(p), n); }
+  void put_u32(u32 v) { put(&v, sizeof v); }
+  void put_u64(u64 v) { put(&v, sizeof v); }
+  void put_string(const std::string& s) {
+    put_u32(static_cast<u32>(s.size()));
+    put(s.data(), s.size());
   }
-  u8 get_u8() {
-    need(1);
-    return static_cast<u8>(d[pos++]);
-  }
-  u32 get_u32() {
-    need(4);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(static_cast<u8>(d[pos + i])) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  u64 get_u64() {
-    need(8);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(static_cast<u8>(d[pos + i])) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::string get_bytes(usize n) {
-    need(n);
-    std::string s = d.substr(pos, n);
-    pos += n;
-    return s;
-  }
+  void pad8() { out.append((8 - out.size() % 8) % 8, '\0'); }
 };
 
-/// The payload's 2-bit codes (A=0 C=1 G=2 T=3, LSB-first within each byte)
-/// are the little-endian bytes of swar_pack's code words, so a chunk's words
-/// serialise as they are. Non-ACGT bases pack as 0 and are recorded as
-/// (position, raw char) exceptions — exactly the bases swar_pack flags as
-/// ambiguous — so the decode is byte-exact for any input.
-std::string payload_codes(const index_chunk& ch,
-                          std::vector<std::pair<u32, char>>& exceptions) {
-  COF_CHECK_MSG(ch.words.bases == ch.text.size(),
-                "index chunk without its packed words");
-  std::string packed((ch.text.size() + 3) / 4, '\0');
-  for (usize b = 0; b < packed.size(); ++b) {
-    packed[b] = static_cast<char>((ch.words.packed2[b >> 3] >> (8 * (b & 7))) & 0xFF);
+/// Bounds-checked reader over an in-memory byte range. Every overrun throws
+/// index_error — a truncated or hostile file can never cause an
+/// out-of-bounds read.
+struct reader {
+  std::string_view d;
+  usize pos = 0;
+
+  const char* take(usize n) {
+    if (n > d.size() - pos) reject("truncated index file");
+    const char* p = d.data() + pos;
+    pos += n;
+    return p;
   }
-  for (usize w = 0; w < ch.words.amb2.size(); ++w) {
-    for (u64 rest = ch.words.amb2[w]; rest != 0; rest &= rest - 1) {
-      const usize pos = 32 * w + (static_cast<usize>(__builtin_ctzll(rest)) >> 1);
-      exceptions.emplace_back(static_cast<u32>(pos), ch.text[pos]);
+  template <class T>
+  T get() {
+    T v;
+    std::memcpy(&v, take(sizeof v), sizeof v);
+    return v;
+  }
+  std::string get_string() {
+    const u32 n = get<u32>();
+    return std::string(take(n), n);
+  }
+  /// n values of T into out[0, n) of `out` sized to `size` >= n, which is
+  /// allocated only once the range is known to hold them.
+  template <class T>
+  void get_array(std::vector<T>& out, usize n, usize size) {
+    if (n > (d.size() - pos) / sizeof(T)) reject("truncated index file");
+    out.assign(size, T{});
+    if (n != 0) std::memcpy(out.data(), take(n * sizeof(T)), n * sizeof(T));
+  }
+  void skip_pad8() { take((8 - pos % 8) % 8); }
+};
+
+/// A run of one non-ACGT byte in a chunk: how the .cofidx stores the bases
+/// swar_pack flags as ambiguous.
+struct amb_run {
+  u32 start = 0;
+  u32 len = 0;
+  char byte = 0;
+};
+
+/// The chunk's non-ACGT bytes as maximal runs of one byte. The ambiguity
+/// words find each run's start (a zero word skips 32 bases); the text gives
+/// its byte and end.
+std::vector<amb_run> ambiguous_runs(const index_chunk& ch) {
+  COF_CHECK_MSG(ch.words.bases == ch.text.size(), "index chunk without its packed words");
+  std::vector<amb_run> runs;
+  const std::vector<u64>& amb = ch.words.amb2;
+  for (usize pos = 0, w = 0; w < amb.size(); w = pos / 32) {
+    const u64 bits = amb[w] & (~u64{0} << (2 * (pos % 32)));
+    if (bits == 0) {
+      pos = 32 * (w + 1);
+      continue;
     }
+    const usize start = 32 * w + static_cast<usize>(std::countr_zero(bits)) / 2;
+    usize end = start + 1;
+    while (end < ch.text.size() && ch.text[end] == ch.text[start]) ++end;
+    runs.push_back({static_cast<u32>(start), static_cast<u32>(end - start), ch.text[start]});
+    pos = end;
   }
-  return packed;
+  return runs;
 }
 
-/// swar_pack(text) rebuilt from the payload without re-packing: the packed
-/// bytes become the code words, and each exception (never a plain A/C/G/T,
-/// load_index rejects those) sets its ambiguity flag and clears its code.
-/// Pad bits past `len` are cleared too, so the words equal swar_pack of
-/// the decoded text whatever the file holds there.
-swar_ref words_from_payload(const std::string& packed, usize len,
-                            const std::vector<std::pair<u32, char>>& exceptions) {
-  swar_ref w;
-  w.bases = len;
-  w.packed2.assign(swar_words_for(len), 0);
-  w.amb2.assign(swar_words_for(len), 0);
-  for (usize b = 0; b < packed.size(); ++b) {
-    w.packed2[b >> 3] |= static_cast<u64>(static_cast<u8>(packed[b])) << (8 * (b & 7));
+/// Sorts a chunk's finder hits by locus, each keeping its strand flag. The
+/// finder appends them in atomic order, which changes between runs; sorted,
+/// one genome and pattern always build the same index and the same file.
+void sort_hits(std::vector<u32>& loci, std::vector<char>& flags) {
+  if (std::is_sorted(loci.begin(), loci.end())) return;
+  std::vector<u64> keyed(loci.size());
+  for (usize i = 0; i < loci.size(); ++i) {
+    keyed[i] = u64{loci[i]} << 8 | static_cast<u8>(flags[i]);
   }
-  if (len % 32 != 0) w.packed2[len / 32] &= (u64{1} << (2 * (len % 32))) - 1;
-  for (const auto& exc : exceptions) {
-    const u32 shift = 2 * (exc.first & 31u);
-    w.packed2[exc.first >> 5] &= ~(u64{3} << shift);
-    w.amb2[exc.first >> 5] |= u64{1} << shift;
+  std::sort(keyed.begin(), keyed.end());
+  for (usize i = 0; i < keyed.size(); ++i) {
+    loci[i] = static_cast<u32>(keyed[i] >> 8);
+    flags[i] = static_cast<char>(keyed[i] & 0xff);
   }
-  return w;
 }
 
-std::string unpack_text(const std::string& packed, usize len,
-                        const std::vector<std::pair<u32, char>>& exceptions) {
-  static constexpr char kBases[4] = {'A', 'C', 'G', 'T'};
-  std::string text(len, 'A');
-  for (usize i = 0; i < len; ++i) {
-    text[i] = kBases[(static_cast<u8>(packed[i >> 2]) >> ((i & 3) * 2)) & 3];
-  }
-  for (const auto& [pos, ch] : exceptions) {
-    if (pos >= len) {
-      throw index_error(fault::site::index_load,
-                        "exception position past chunk end");
+/// Four bases per packed byte (A=0 C=1 G=2 T=3, LSB first): the four chars
+/// of each byte value as one little-endian u32.
+constexpr std::array<u32, 256> kByteBases = [] {
+  std::array<u32, 256> t{};
+  for (u32 b = 0; b < 256; ++b) {
+    for (u32 k = 0; k < 4; ++k) {
+      t[b] |= u32{static_cast<u8>("ACGT"[(b >> (2 * k)) & 3])} << (8 * k);
     }
-    text[pos] = ch;
   }
+  return t;
+}();
+
+/// The bases the first `len` codes of `packed2` name, four per table lookup.
+std::string decode_words(const std::vector<u64>& packed2, usize len) {
+  std::string text(util::round_up<usize>(len, 32), '\0');
+  for (usize w = 0; w < util::ceil_div<usize>(len, 32); ++w) {
+    for (usize k = 0; k < 8; ++k) {
+      std::memcpy(&text[32 * w + 4 * k], &kByteBases[(packed2[w] >> (8 * k)) & 0xff], 4);
+    }
+  }
+  text.resize(len);
   return text;
+}
+
+/// Flags bases [begin, end) ambiguous and clears their codes, as swar_pack
+/// packs a non-ACGT byte.
+void mark_ambiguous(swar_ref& w, usize begin, usize end) {
+  for (usize i = begin; i < end;) {
+    const usize word = i / 32;
+    const usize lo = i % 32;
+    const usize hi = std::min<usize>(32, end - 32 * word);
+    const u64 lanes =
+        (hi == 32 ? ~u64{0} : (u64{1} << (2 * hi)) - 1) & (~u64{0} << (2 * lo));
+    w.amb2[word] |= lanes & kSwarEvenBits;
+    w.packed2[word] &= ~lanes;
+    i = 32 * word + hi;
+  }
+}
+
+/// Appends one chunk record to the payload (layout in index.hpp).
+void write_chunk(writer& out, const index_chunk& ch) {
+  const std::vector<amb_run> runs = ambiguous_runs(ch);
+  out.put_u32(ch.chrom_index);
+  out.put_u32(static_cast<u32>(ch.text.size()));
+  out.put_u64(ch.start);
+  out.put_u32(static_cast<u32>(runs.size()));
+  out.put_u32(static_cast<u32>(ch.loci.size()));
+  out.put(ch.words.packed2.data(), util::ceil_div<usize>(ch.text.size(), 32) * sizeof(u64));
+  for (const amb_run& r : runs) {
+    out.put_u32(r.start);
+    out.put_u32(r.len);
+  }
+  for (const amb_run& r : runs) out.put(&r.byte, 1);
+  out.pad8();
+  out.put(ch.loci.data(), ch.loci.size() * sizeof(u32));
+  out.pad8();
+  out.put(ch.flags.data(), ch.flags.size());
+  out.pad8();
+}
+
+/// Reads one chunk record, checking every count, run, locus and flag
+/// against the chunk. The words come from the file, the ambiguity words and
+/// the text are rebuilt from the words and the runs, so words ==
+/// swar_pack(text) holds whatever the record holds.
+index_chunk read_chunk(reader& r, const genome_index& idx) {
+  index_chunk ch;
+  ch.chrom_index = r.get<u32>();
+  if (ch.chrom_index >= idx.chrom_names.size()) reject("chunk chromosome out of range");
+  const u32 len = r.get<u32>();
+  ch.start = r.get<u64>();
+  const u32 nruns = r.get<u32>();
+  const u32 nloci = r.get<u32>();
+  if (nruns > len) reject("run count past chunk size");
+  if (nloci > len) reject("hit count past chunk size");
+
+  swar_ref& w = ch.words;
+  w.bases = len;
+  r.get_array(w.packed2, util::ceil_div<usize>(len, 32), swar_words_for(len));
+  if (len % 32 != 0) w.packed2[len / 32] &= (u64{1} << (2 * (len % 32))) - 1;
+  w.amb2.assign(swar_words_for(len), 0);
+  ch.text = decode_words(w.packed2, len);
+
+  std::vector<u32> spans;  // (start, len) per run
+  r.get_array(spans, 2 * usize{nruns}, 2 * usize{nruns});
+  const char* bytes = r.take(nruns);
+  r.skip_pad8();
+  u64 prev_end = 0;
+  for (usize k = 0; k < nruns; ++k) {
+    const u64 start = spans[2 * k];
+    const u64 n = spans[2 * k + 1];
+    const char b = bytes[k];
+    if (n == 0) reject("zero-length run");
+    if (start < prev_end) reject("runs overlap or are out of order");
+    if (start + n > len) reject("run past chunk end");
+    if (b == 'A' || b == 'C' || b == 'G' || b == 'T') {
+      reject("run byte is a plain base (A/C/G/T)");
+    }
+    std::memset(ch.text.data() + start, b, n);
+    mark_ambiguous(w, start, start + n);
+    prev_end = start + n;
+  }
+
+  // Warm queries read a full pattern window at every locus — host-side for
+  // the site string and in the comparer kernels — so a hostile locus is any
+  // that leaves fewer than plen bytes before the chunk end, not just one
+  // past it.
+  const usize plen = idx.pattern.size();
+  r.get_array(ch.loci, nloci, nloci);
+  r.skip_pad8();
+  for (const u32 locus : ch.loci) {
+    if (locus >= len || len - locus < plen) {
+      reject("hit locus leaves no pattern window before chunk end");
+    }
+  }
+  r.get_array(ch.flags, nloci, nloci);
+  r.skip_pad8();
+  for (const char f : ch.flags) {
+    if (static_cast<u8>(f) > 2) reject("hit flag outside {0, 1, 2}");
+  }
+  return ch;
+}
+
+/// The whole file, with one sized read.
+std::string read_index_file(const std::string& path) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  std::ifstream f(path, std::ios::binary);
+  if (ec || !f.good()) reject("cannot open: " + path);
+  std::string data(static_cast<usize>(size), '\0');
+  if (!f.read(data.data(), static_cast<std::streamsize>(data.size()))) {
+    reject("read failed: " + path);
+  }
+  return data;
 }
 
 void check_query_lengths(const genome_index& idx,
@@ -239,6 +375,7 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
             },
             [&] { pipe.reset(); },
             [] { return recovery::device_lost::rethrow; });
+        sort_hits(out.loci, out.flags);
       }
     } catch (...) {
       std::lock_guard lock(err_mu);
@@ -264,168 +401,89 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
 
 void save_index(const std::string& path, const genome_index& idx) {
   obs::span sp("index.persist", "engine");
-  // Payload first: per-chunk records with their offsets, so the header can
-  // carry the offset table and the payload checksum.
-  std::string payload;
-  std::vector<u64> offsets;
-  offsets.reserve(idx.chunks.size());
+  // Payload first, so the header can carry its size and checksum.
+  writer payload;
+  usize estimate = 0;
+  for (const auto& ch : idx.chunks) {
+    estimate += 4 * kChunkHeadBytes + ch.text.size() / 4 + 5 * ch.loci.size();
+  }
+  payload.out.reserve(estimate);
   for (const auto& ch : idx.chunks) {
     fault::inject_point(fault::site::index_persist);
-    offsets.push_back(payload.size());
-    put_u32(payload, ch.chrom_index);
-    put_u64(payload, ch.start);
-    put_u32(payload, static_cast<u32>(ch.text.size()));
-    std::vector<std::pair<u32, char>> exceptions;
-    payload += payload_codes(ch, exceptions);
-    put_u32(payload, static_cast<u32>(exceptions.size()));
-    for (const auto& [pos, c] : exceptions) {
-      put_u32(payload, pos);
-      payload.push_back(c);
-    }
-    put_u32(payload, static_cast<u32>(ch.loci.size()));
-    for (const u32 l : ch.loci) put_u32(payload, l);
-    payload.append(ch.flags.data(), ch.flags.size());
+    write_chunk(payload, ch);
   }
   fault::inject_point(fault::site::index_persist);  // header write
 
-  std::string header;
-  put_u32(header, kIndexMagic);
-  put_u32(header, kIndexVersion);
-  put_u32(header, static_cast<u32>(idx.pattern.size()));
-  header += idx.pattern;
-  put_u64(header, idx.max_chunk);
-  put_u64(header, idx.source_bases);
-  put_u64(header, idx.content_hash);
-  put_u32(header, static_cast<u32>(idx.chrom_names.size()));
-  for (const auto& n : idx.chrom_names) {
-    put_u32(header, static_cast<u32>(n.size()));
-    header += n;
-  }
-  put_u32(header, static_cast<u32>(idx.chunks.size()));
-  put_u64(header, payload.size());
-  put_u64(header, fnv1a64(payload));
-  for (const u64 off : offsets) put_u64(header, off);
+  writer header;
+  header.put_u32(kIndexMagic);
+  header.put_u32(kIndexVersion);
+  header.put_string(idx.pattern);
+  header.put_u64(idx.max_chunk);
+  header.put_u64(idx.source_bases);
+  header.put_u64(idx.content_hash);
+  header.put_u32(static_cast<u32>(idx.chrom_names.size()));
+  for (const auto& n : idx.chrom_names) header.put_string(n);
+  header.put_u32(static_cast<u32>(idx.chunks.size()));
+  header.put_u64(payload.out.size());
+  header.put_u64(payload_checksum(payload.out));
+  header.pad8();
 
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f.good()) {
     throw index_error(fault::site::index_persist,
                       "cannot open for write: " + path);
   }
-  f.write(header.data(), static_cast<std::streamsize>(header.size()));
-  f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  f.write(header.out.data(), static_cast<std::streamsize>(header.out.size()));
+  f.write(payload.out.data(), static_cast<std::streamsize>(payload.out.size()));
   f.flush();
   if (!f.good()) {
     throw index_error(fault::site::index_persist, "write failed: " + path);
   }
-  sp.arg("bytes", static_cast<double>(header.size() + payload.size()));
+  sp.arg("bytes", static_cast<double>(header.out.size() + payload.out.size()));
 }
 
 genome_index load_index(const std::string& path) {
   obs::span sp("index.load", "engine");
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) {
-    throw index_error(fault::site::index_load, "cannot open: " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(f)),
-                   std::istreambuf_iterator<char>());
-  if (f.bad()) {
-    throw index_error(fault::site::index_load, "read failed: " + path);
-  }
+  const std::string data = read_index_file(path);
   sp.arg("bytes", static_cast<double>(data.size()));
 
   fault::inject_point(fault::site::index_load);  // header parse
   reader r{data};
-  if (r.get_u32() != kIndexMagic) {
-    throw index_error(fault::site::index_load,
-                      "bad magic (not a .cofidx file): " + path);
-  }
-  const u32 version = r.get_u32();
+  if (r.get<u32>() != kIndexMagic) reject("bad magic (not a .cofidx file): " + path);
+  const u32 version = r.get<u32>();
   if (version != kIndexVersion) {
-    throw index_error(fault::site::index_load,
-                      "unsupported index version " + std::to_string(version) +
-                          " (this build reads version " +
-                          std::to_string(kIndexVersion) + "): " + path);
+    reject("unsupported index version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kIndexVersion) + "): " + path);
   }
   genome_index idx;
-  idx.pattern = r.get_bytes(r.get_u32());
-  idx.max_chunk = r.get_u64();
-  idx.source_bases = r.get_u64();
-  idx.content_hash = r.get_u64();
-  const u32 nchroms = r.get_u32();
-  for (u32 i = 0; i < nchroms; ++i) {
-    idx.chrom_names.push_back(r.get_bytes(r.get_u32()));
-  }
-  const u32 nchunks = r.get_u32();
-  const u64 payload_bytes = r.get_u64();
-  const u64 checksum = r.get_u64();
-  std::vector<u64> offsets;
-  offsets.reserve(nchunks);
-  for (u32 i = 0; i < nchunks; ++i) offsets.push_back(r.get_u64());
+  idx.pattern = r.get_string();
+  idx.max_chunk = r.get<u64>();
+  idx.source_bases = r.get<u64>();
+  idx.content_hash = r.get<u64>();
+  const u32 nchroms = r.get<u32>();
+  for (u32 i = 0; i < nchroms; ++i) idx.chrom_names.push_back(r.get_string());
+  const u32 nchunks = r.get<u32>();
+  const u64 payload_bytes = r.get<u64>();
+  const u64 checksum = r.get<u64>();
+  r.skip_pad8();
 
   if (data.size() - r.pos != payload_bytes) {
-    throw index_error(fault::site::index_load,
-                      "truncated index file (payload size mismatch): " + path);
+    reject("truncated index file (payload size mismatch): " + path);
   }
-  const std::string payload = data.substr(r.pos);
-  if (fnv1a64(payload) != checksum) {
-    throw index_error(fault::site::index_load,
-                      "payload checksum mismatch (corrupt index): " + path);
+  if (payload_bytes % 8 != 0) reject("payload size is not a multiple of 8: " + path);
+  const std::string_view payload = std::string_view(data).substr(r.pos);
+  if (payload_checksum(payload) != checksum) {
+    reject("payload checksum mismatch (corrupt index): " + path);
   }
+  if (nchunks > payload.size() / kChunkHeadBytes) reject("chunk count past payload size");
 
-  // Warm queries read a full pattern window at every locus — host-side for
-  // the site string and in the comparer kernels — so a hostile locus is any
-  // that leaves fewer than plen bytes before the chunk end, not just one
-  // past it.
-  const usize plen = idx.pattern.size();
+  reader cr{payload};
   idx.chunks.reserve(nchunks);
   for (u32 i = 0; i < nchunks; ++i) {
     fault::inject_point(fault::site::index_load);
-    if (offsets[i] > payload.size()) {
-      throw index_error(fault::site::index_load, "chunk offset past payload end");
-    }
-    reader cr{payload, static_cast<usize>(offsets[i])};
-    index_chunk ch;
-    ch.chrom_index = cr.get_u32();
-    if (ch.chrom_index >= idx.chrom_names.size()) {
-      throw index_error(fault::site::index_load, "chunk chromosome out of range");
-    }
-    ch.start = cr.get_u64();
-    const u32 text_len = cr.get_u32();
-    const std::string packed = cr.get_bytes((static_cast<usize>(text_len) + 3) / 4);
-    const u32 nexc = cr.get_u32();
-    if (nexc > text_len) {
-      throw index_error(fault::site::index_load, "exception count past chunk size");
-    }
-    std::vector<std::pair<u32, char>> exceptions;
-    exceptions.reserve(nexc);
-    for (u32 e = 0; e < nexc; ++e) {
-      const u32 pos = cr.get_u32();
-      const char c = static_cast<char>(cr.get_u8());
-      if (c == 'A' || c == 'C' || c == 'G' || c == 'T') {
-        throw index_error(fault::site::index_load,
-                          "exception byte is a plain base (A/C/G/T)");
-      }
-      exceptions.emplace_back(pos, c);
-    }
-    ch.text = unpack_text(packed, text_len, exceptions);
-    ch.words = words_from_payload(packed, text_len, exceptions);
-    const u32 nloci = cr.get_u32();
-    if (nloci > text_len) {
-      throw index_error(fault::site::index_load, "hit count past chunk size");
-    }
-    ch.loci.reserve(nloci);
-    for (u32 l = 0; l < nloci; ++l) {
-      const u32 locus = cr.get_u32();
-      if (locus >= text_len || text_len - locus < plen) {
-        throw index_error(fault::site::index_load,
-                          "hit locus leaves no pattern window before chunk end");
-      }
-      ch.loci.push_back(locus);
-    }
-    const std::string flags = cr.get_bytes(nloci);
-    ch.flags.assign(flags.begin(), flags.end());
-    idx.chunks.push_back(std::move(ch));
+    idx.chunks.push_back(read_chunk(cr, idx));
   }
+  if (cr.pos != payload.size()) reject("bytes past the last chunk: " + path);
   return idx;
 }
 

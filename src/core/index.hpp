@@ -12,15 +12,19 @@
 //   index_query_session s(r.index, opt);
 //   auto hits = s.query(cfg.queries);                           // comparer only
 //
-// File format (.cofidx, little-endian; see DESIGN.md §12):
+// File format (.cofidx version 2, little-endian; see DESIGN.md §12):
 //   magic u32 'COFX' | version u32 | pattern (u32 len + bytes)
 //   max_chunk u64 | source_bases u64 | genome content hash u64
 //   nchroms u32, per chrom: u32 len + bytes
-//   nchunks u32 | payload_bytes u64 | payload FNV-1a64 checksum
-//   per-chunk payload offset table (nchunks × u64)
-//   payload, per chunk: chrom_index u32 | start u64 | text_len u32 |
-//     2-bit packed text | exception list (pos u32, raw char u8)* for
-//     non-ACGT bases | n_loci u32 | loci u32[] | flags char[]
+//   nchunks u32 | payload_bytes u64 | payload checksum u64 (util::word_hash)
+//   zero padding to an 8-byte boundary
+//   payload (a multiple of 8 bytes), per chunk, each array starting on an
+//   8-byte boundary and zero-padded to the next:
+//     chrom_index u32 | text_len u32 | start u64 | n_runs u32 | n_loci u32
+//     packed2 words u64[ceil(text_len / 32)]  (swar_ref::packed2 as is)
+//     runs (start u32, len u32)[n_runs] | run bytes u8[n_runs]
+//       — maximal runs of one non-ACGT byte, sorted, non-overlapping
+//     loci u32[n_loci]  (sorted) | flags u8[n_loci]  (0 both, 1 fw, 2 rc)
 #pragma once
 
 #include <atomic>
@@ -40,12 +44,14 @@ namespace cof {
 struct index_chunk {
   u32 chrom_index = 0;
   util::u64 start = 0;         // offset of text[0] within the chromosome
-  std::string text;            // decoded bases, length == chunk length
+  /// Decoded bases, length == chunk length. load_index rebuilds it from the
+  /// words and the file's runs of non-ACGT bytes.
+  std::string text;
   /// swar_pack(text), packed once where the chunk is produced (build_index)
-  /// or read from the .cofidx 2-bit payload (load_index), which has the
-  /// same bit order; packed-word pipelines upload it as is.
+  /// or read from the .cofidx words (load_index), ambiguity flags rebuilt
+  /// from the runs; packed-word pipelines upload it as is.
   swar_ref words;
-  std::vector<u32> loci;       // finder hits, text-relative
+  std::vector<u32> loci;       // finder hits, text-relative, ascending
   std::vector<char> flags;     // per hit: 0 = both strands, 1 = fw, 2 = rc
 };
 
@@ -82,6 +88,8 @@ class index_error : public std::runtime_error {
 /// Cold phase: decode + finder over every chunk of `g` (worst-case entry
 /// sizing — the index must be complete), one device pipeline per
 /// opt.num_queues. Only opt.backend/variant/wg_size/num_queues matter here.
+/// Each chunk's hits are sorted by locus, so one genome and pattern build
+/// the same index, and save the same file, at any queue count.
 /// Every chunk runs under the engine's recovery loop (core/recovery.hpp):
 /// an injected overflow or a transient device fault retries the chunk on a
 /// fresh pipeline, and a fault that outlasts the attempt bound propagates.
@@ -92,7 +100,9 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
 
 /// Persist to / restore from the versioned .cofidx format. Both throw
 /// index_error (site "index.persist" / "index.load") on I/O failure,
-/// truncation, bad magic, version skew, or checksum mismatch.
+/// truncation, bad magic, version skew (a version-1 file included),
+/// checksum mismatch, or a chunk record whose counts, runs, loci or flags
+/// do not fit its chunk.
 void save_index(const std::string& path, const genome_index& idx);
 genome_index load_index(const std::string& path);
 

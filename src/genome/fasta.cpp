@@ -10,6 +10,7 @@
 #include "genome/synth.hpp"
 #include "genome/twobit_file.hpp"
 #include "util/cpufeat.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 #if defined(__x86_64__)
@@ -19,19 +20,6 @@
 namespace genome {
 
 namespace {
-
-/// Incremental FNV-1a64. Chromosomes are framed as name NUL bases NUL so
-/// the hash is order- and boundary-sensitive.
-struct fnv64 {
-  util::u64 h = 1469598103934665603ULL;
-  void feed(char c) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  void feed(std::string_view s) {
-    for (const char c : s) feed(c);
-  }
-};
 
 /// Per byte: its decoded base in the low byte, and bit 8 set unless it is
 /// one of the six isspace bytes, which a sequence line drops.
@@ -147,14 +135,14 @@ genome_t load_genome(const std::string& line) {
 }
 
 util::u64 content_hash(const genome_t& g) {
-  fnv64 hash;
+  util::word_hash hash;
   for (const auto& c : g.chroms) {
     hash.feed(c.name);
     hash.feed('\0');
     hash.feed(c.seq);
     hash.feed('\0');
   }
-  return hash.h;
+  return hash.digest();
 }
 
 source_summary source_summary::of(const genome_t& g) {
@@ -173,7 +161,7 @@ std::optional<source_summary> summarize_source(const std::string& line) {
   if (!is_fasta_line(line)) return source_summary::of(load_genome(line));
   // content_hash's framing, fed from the stream one block at a time.
   source_summary out;
-  fnv64 hash;
+  util::word_hash hash;
   fasta_stream s(line);
   std::string bases;
   while (s.next_record()) {
@@ -186,7 +174,7 @@ std::optional<source_summary> summarize_source(const std::string& line) {
     }
     hash.feed('\0');
   }
-  out.hash = hash.h;
+  out.hash = hash.digest();
   return out;
 }
 

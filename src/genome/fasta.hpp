@@ -78,9 +78,10 @@ genome_t load_genome(const std::string& line);
 /// the others load whole.
 bool is_fasta_line(const std::string& line);
 
-/// Order-sensitive FNV-1a over every chromosome's name and bases — the
-/// genome identity an index is keyed on. Two genomes with equal names and
-/// sizes but different sequence hash differently.
+/// Order-sensitive word-wise hash (util::word_hash) over every chromosome's
+/// name and bases, framed as name NUL bases NUL — the genome identity an
+/// index is keyed on. Two genomes with equal names and sizes but different
+/// sequence hash differently.
 util::u64 content_hash(const genome_t& g);
 
 /// Summary of a genome line: chromosome names, total base count and the

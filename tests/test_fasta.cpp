@@ -309,6 +309,47 @@ TEST(FastaDecode, IndentedHeadersAndCommentsAgreeAcrossReaders) {
   EXPECT_EQ(sum->hash, genome::content_hash(want));
 }
 
+/// content_hash feeds name NUL bases NUL eight bytes per step, carrying a
+/// partial word from one feed to the next; summarize_source feeds the same
+/// bytes in other pieces (the name, then each 64 KiB block of bases).
+/// Records of 0-17 bases under names of 1-9 bytes start and end their bases
+/// at every offset within a word, and a record of two blocks and 13 bases
+/// splits its bases off word boundaries: both hashes agree on every file.
+/// A one-base change at any offset of a 1 kb record changes the hash.
+TEST(FastaHash, PartialWordsCarryAcrossFeeds) {
+  temp_dir dir;
+  const std::string file = (dir.path / "hash.fa").string();
+  util::rng rng(1717);
+  const auto bases = [&](std::size_t n) {
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i) s += "ACGTN"[rng.next_below(5)];
+    return s;
+  };
+  const auto expect_agree = [&](const std::vector<genome::chromosome>& recs,
+                                const std::string& where) {
+    genome::write_fasta_file(file, recs, 5);
+    const auto sum = genome::summarize_source(file);
+    ASSERT_TRUE(sum.has_value()) << where;
+    EXPECT_EQ(sum->hash, genome::content_hash(genome::load_genome(file))) << where;
+  };
+  for (std::size_t name_len = 1; name_len <= 9; ++name_len) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      expect_agree({{std::string(name_len, 'c'), bases(len)}, {"r2", bases(17 - len)}},
+                   "name " + std::to_string(name_len) + " bases " + std::to_string(len));
+    }
+  }
+  expect_agree({{"chr5", bases(2 * 65536 + 13)}, {"chrM", bases(9)}}, "two blocks");
+
+  genome::genome_t g;
+  g.chroms = {{"chr1", bases(1000)}};
+  const auto h = genome::content_hash(g);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    genome::genome_t m = g;
+    m.chroms[0].seq[i] = m.chroms[0].seq[i] == 'A' ? 'C' : 'A';
+    EXPECT_NE(genome::content_hash(m), h) << "offset " << i;
+  }
+}
+
 /// The same hostile files through the file-level decoders and the
 /// streamed search, which rethrows the producer's error after joining.
 TEST(FastaHostile, EveryEntryPointThrows) {

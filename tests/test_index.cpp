@@ -1,9 +1,10 @@
 // Index/query split suite: .cofidx round-trip (build → persist → load →
-// query) property tests on synth genomes, warm-vs-cold byte-identity across
-// every backend and queue count, zero-decode/zero-finder warm-path
-// assertions via the obs counters, device upload-once semantics, and
-// corrupt-index hardening (truncation, bad magic, checksum mismatch,
-// version skew — clean site-named errors, never UB reads).
+// query) property tests on synth genomes, byte-equal files from repeated
+// builds, warm-vs-cold byte-identity across every backend and queue count,
+// zero-decode/zero-finder warm-path assertions via the obs counters, device
+// upload-once semantics, and corrupt-index hardening (truncation, bad magic,
+// checksum mismatch, version skew, hostile run tables, counts and flags, a
+// seeded byte-flip loop — clean site-named errors, never UB reads).
 #include <gtest/gtest.h>
 
 #include "gtest_compat.hpp"
@@ -22,6 +23,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/common.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -52,7 +55,7 @@ struct stream_case {
   std::string file;
 };
 
-/// Synth genome (leading telomere N runs exercise the exception list) with
+/// Synth genome (leading telomere N runs exercise the run table) with
 /// planted off-target sites, written to FASTA — every run has records.
 stream_case make_case(const temp_dir& dir, util::u64 seed, util::usize planted) {
   stream_case c;
@@ -106,7 +109,7 @@ bool index_equal(const cof::genome_index& a, const cof::genome_index& b) {
 // --- round-trip property -----------------------------------------------------
 
 /// build → persist → load must be lossless for every field — including the
-/// byte-exact chunk text, whose non-ACGT bases ride the exception list.
+/// byte-exact chunk text, whose non-ACGT bases ride the run table.
 TEST(IndexRoundTrip, PersistLoadIsLossless) {
   temp_dir dir;
   for (const util::u64 seed : {201u, 202u, 203u}) {
@@ -116,7 +119,7 @@ TEST(IndexRoundTrip, PersistLoadIsLossless) {
                             .max_chunk = 9000};
     const auto built = cof::build_index(g, c.cfg.pattern, opt);
     ASSERT_GT(built.total_hits(), 0u) << "seed " << seed;
-    // The synth telomeres guarantee non-ACGT text, so the exception path is
+    // The synth telomeres guarantee non-ACGT text, so the run table is
     // actually exercised.
     bool has_n = false;
     for (const auto& ch : built.chunks) {
@@ -131,11 +134,45 @@ TEST(IndexRoundTrip, PersistLoadIsLossless) {
     const auto& loaded = resolved.index;
     EXPECT_TRUE(index_equal(built, loaded)) << "seed " << seed;
     // The words come straight from the payload, yet equal a fresh pack.
+    // build_index sorts each chunk's hits.
     for (const auto& ch : loaded.chunks) {
       const cof::swar_ref packed = cof::swar_pack(ch.text);
       EXPECT_EQ(ch.words.packed2, packed.packed2) << "seed " << seed;
       EXPECT_EQ(ch.words.amb2, packed.amb2) << "seed " << seed;
+      EXPECT_TRUE(std::is_sorted(ch.loci.begin(), ch.loci.end())) << "seed " << seed;
     }
+  }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+}
+
+/// One genome and pattern always write the same file. The finder appends
+/// hits in atomic order, which changes between runs and queue counts (on
+/// this genome about half the builds hold a chunk whose hits come back out
+/// of order), and build_index sorts each chunk's hits with their flags:
+/// builds at one and three queues, three times each, hold sorted hits and
+/// save byte-equal files. Each chunk's finder launch spans many work-groups.
+TEST(IndexBuild, RepeatedBuildsWriteEqualFiles) {
+  temp_dir dir;
+  const genome::genome_t g = genome::generate(genome::hg19_like(1024, 3));
+  const std::string pattern = "NNNNNNNNNNNNNNNNNNNNNRG";
+  std::vector<std::string> files;
+  for (const util::usize queues : {1u, 3u, 1u, 3u, 1u, 3u}) {
+    const cof::engine_options opt{.backend = cof::backend_kind::sycl, .num_queues = queues};
+    const cof::genome_index idx = cof::build_index(g, pattern, opt);
+    for (const auto& ch : idx.chunks) {
+      EXPECT_TRUE(std::is_sorted(ch.loci.begin(), ch.loci.end())) << "queues " << queues;
+    }
+    const std::string path = (dir.path / (std::to_string(files.size()) + ".cofidx")).string();
+    cof::save_index(path, idx);
+    files.push_back(read_bytes(path));
+  }
+  ASSERT_GT(files[0].size(), 0u);
+  for (util::usize i = 1; i < files.size(); ++i) {
+    EXPECT_TRUE(files[i] == files[0]) << "build " << i << " wrote another file";
   }
 }
 
@@ -534,24 +571,89 @@ TEST(IndexQuery, ResidencyCountersRecordWithoutTracing) {
 
 // --- corrupt-index hardening -------------------------------------------------
 
+util::u32 u32_at(const std::string& data, util::usize at) {
+  util::u32 v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<util::u32>(static_cast<unsigned char>(data[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::string& data, util::usize at, util::u64 v, int bytes) {
+  for (int i = 0; i < bytes; ++i) data[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+util::usize round8(util::usize n) { return (n + 7) / 8 * 8; }
+
+/// Where the fields of a version-2 .cofidx sit (layout in core/index.hpp).
+struct v2_layout {
+  struct chunk {
+    util::usize at = 0;  // the record: chrom_index, text_len, start, n_runs, n_loci
+    util::u32 len = 0, nruns = 0, nloci = 0;
+    util::usize spans = 0;  // (start u32, len u32) per run
+    util::usize bytes = 0;  // one byte per run
+    util::usize loci = 0;
+    util::usize flags = 0;
+  };
+  util::usize nchunks_at = 0;
+  util::usize payload_bytes_at = 0;
+  util::usize checksum_at = 0;
+  util::usize payload_at = 0;
+  std::vector<chunk> chunks;
+};
+
+v2_layout parse_v2(const std::string& data, const cof::genome_index& idx) {
+  v2_layout l;
+  util::usize at = 4 + 4 + 4 + idx.pattern.size() + 8 + 8 + 8 + 4;
+  for (const auto& name : idx.chrom_names) at += 4 + name.size();
+  l.nchunks_at = at;
+  l.payload_bytes_at = at + 4;
+  l.checksum_at = at + 4 + 8;
+  l.payload_at = round8(l.checksum_at + 8);
+  at = l.payload_at;
+  for (util::usize i = 0; i < idx.chunks.size(); ++i) {
+    v2_layout::chunk c;
+    c.at = at;
+    c.len = u32_at(data, at + 4);
+    c.nruns = u32_at(data, at + 16);
+    c.nloci = u32_at(data, at + 20);
+    c.spans = at + 24 + 8 * ((util::usize{c.len} + 31) / 32);
+    c.bytes = c.spans + 8 * util::usize{c.nruns};
+    c.loci = round8(c.bytes + c.nruns);
+    c.flags = round8(c.loci + 4 * util::usize{c.nloci});
+    at = round8(c.flags + c.nloci);
+    l.chunks.push_back(c);
+  }
+  return l;
+}
+
+/// Writes the checksum of data's payload into its header, as save_index
+/// computes it, so a crafted field meets the reader's own checks.
+void restamp(std::string& data, const v2_layout& l) {
+  util::word_hash h;
+  h.feed(std::string_view(data).substr(l.payload_at));
+  put_le(data, l.checksum_at, h.digest(), 8);
+}
+
 class CorruptIndex : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto c = make_case(dir_, 209, 4);
-    const genome::genome_t g = genome::load_genome(c.file);
+    genome::genome_t g = genome::load_genome(c.file);
+    // Short IUPAC runs after chrA's telomere N run, so chunk 0 holds
+    // several runs of different bytes.
+    g.chroms[0].seq.replace(700, 9, "RRRNNYYYS");
+    genome::write_fasta_file(c.file, g.chroms);
     cof::engine_options opt{.backend = cof::backend_kind::sycl,
                             .max_chunk = 9000};
-    idx_ = cof::build_index(g, c.cfg.pattern, opt);
+    idx_ = cof::build_index(genome::load_genome(c.file), c.cfg.pattern, opt);
     path_ = (dir_.path / "g.cofidx").string();
     cof::save_index(path_, idx_);
+    saved_ = read_file();
     cfg_ = c.cfg;
   }
 
-  std::string read_file() const {
-    std::ifstream f(path_, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(f)),
-                       std::istreambuf_iterator<char>());
-  }
+  std::string read_file() const { return read_bytes(path_); }
   void write_file(const std::string& data) const {
     std::ofstream f(path_, std::ios::binary | std::ios::trunc);
     f << data;
@@ -575,15 +677,28 @@ class CorruptIndex : public ::testing::Test {
     }
   }
 
+  /// Rewrites the file as saved with `edit` applied to its bytes and the
+  /// checksum re-stamped, then expects the load to fail naming `needle`.
+  template <class Edit>
+  void expect_crafted_fails(const std::string& needle, Edit edit) const {
+    std::string data = saved_;
+    const v2_layout l = parse_v2(data, idx_);
+    edit(data, l);
+    restamp(data, l);
+    write_file(data);
+    expect_load_fails(needle);
+  }
+
   temp_dir dir_;
   cof::genome_index idx_;
   std::string path_;
+  std::string saved_;  // the file save_index wrote
   cof::search_config cfg_;
 };
 
 TEST_F(CorruptIndex, TruncatedFileFailsClean) {
   const std::string data = read_file();
-  // Every truncation point must fail clean — header, offset table, payload.
+  // Every truncation point must fail clean — header, payload.
   for (const util::usize keep :
        {util::usize{3}, util::usize{17}, data.size() / 2, data.size() - 1}) {
     write_file(data.substr(0, keep));
@@ -591,41 +706,187 @@ TEST_F(CorruptIndex, TruncatedFileFailsClean) {
   }
 }
 
-/// save_index lists only non-ACGT bytes as exceptions; an exception naming a
-/// plain base would decode text that disagrees with the packed codes the
-/// warm path uploads, so load_index rejects it.
-TEST_F(CorruptIndex, PlainBaseExceptionFailsClean) {
-  std::string data = read_file();
-  auto u32_at = [&](util::usize at) {
-    util::u32 v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<util::u32>(static_cast<unsigned char>(data[at + i])) << (8 * i);
-    }
-    return v;
+/// save_index stores only non-ACGT bytes as runs; a run of a plain base
+/// would decode text that disagrees with the packed codes the warm path
+/// uploads, so load_index rejects it.
+TEST_F(CorruptIndex, PlainBaseRunFailsClean) {
+  ASSERT_GE(parse_v2(saved_, idx_).chunks[0].nruns, 3u);
+  for (const char b : {'A', 'C', 'G', 'T'}) {
+    expect_crafted_fails("plain base", [&](std::string& data, const v2_layout& l) {
+      data[l.chunks[0].bytes + 1] = b;
+    });
+  }
+}
+
+/// Runs must lie inside the chunk, hold at least one base, and come in
+/// order without overlapping.
+TEST_F(CorruptIndex, HostileRunTableFailsClean) {
+  const v2_layout lay = parse_v2(saved_, idx_);
+  const auto& c0 = lay.chunks[0];
+  ASSERT_GE(c0.nruns, 3u);
+  const util::u32 start0 = u32_at(saved_, c0.spans);
+  const util::u32 len0 = u32_at(saved_, c0.spans + 4);
+  const util::u32 start1 = u32_at(saved_, c0.spans + 8);
+  // The last run ends one base past the chunk, or starts past it.
+  const util::usize last = c0.spans + 8 * (c0.nruns - 1);
+  expect_crafted_fails("run past chunk end", [&](std::string& data, const v2_layout&) {
+    put_le(data, last + 4, c0.len - u32_at(data, last) + 1, 4);
+  });
+  expect_crafted_fails("run past chunk end", [&](std::string& data, const v2_layout&) {
+    put_le(data, last, c0.len, 4);
+  });
+  expect_crafted_fails("run past chunk end", [&](std::string& data, const v2_layout&) {
+    put_le(data, last + 4, 0xFFFFFFFFu, 4);
+  });
+  expect_crafted_fails("zero-length run", [&](std::string& data, const v2_layout&) {
+    put_le(data, c0.spans + 4, 0, 4);
+  });
+  // Run 1 starts inside run 0; then runs 0 and 1 swap places.
+  expect_crafted_fails("overlap", [&](std::string& data, const v2_layout&) {
+    put_le(data, c0.spans + 8, start0 + len0 - 1, 4);
+  });
+  expect_crafted_fails("out of order", [&](std::string& data, const v2_layout&) {
+    put_le(data, c0.spans, start1, 4);
+    put_le(data, c0.spans + 8, start0, 4);
+  });
+}
+
+/// A run or hit count larger than the chunk, a chromosome index past the
+/// names, or a chunk count past what the payload can hold fails before any
+/// array is read.
+TEST_F(CorruptIndex, CountsPastTheChunkFailClean) {
+  expect_crafted_fails("run count past chunk size", [](std::string& data, const v2_layout& l) {
+    put_le(data, l.chunks[0].at + 16, l.chunks[0].len + 1, 4);
+  });
+  expect_crafted_fails("hit count past chunk size", [](std::string& data, const v2_layout& l) {
+    put_le(data, l.chunks[1].at + 20, l.chunks[1].len + 1, 4);
+  });
+  expect_crafted_fails("hit count past chunk size", [](std::string& data, const v2_layout& l) {
+    put_le(data, l.chunks[1].at + 20, 0xFFFFFFFFu, 4);
+  });
+  expect_crafted_fails("chunk chromosome out of range",
+                       [&](std::string& data, const v2_layout& l) {
+                         put_le(data, l.chunks[2].at, idx_.chrom_names.size(), 4);
+                       });
+  expect_crafted_fails("chunk count past payload size",
+                       [](std::string& data, const v2_layout& l) {
+                         put_le(data, l.nchunks_at, 0xFFFFFFFFu, 4);
+                       });
+}
+
+/// Each hit's strand flag is 0 (both), 1 (forward) or 2 (reverse).
+TEST_F(CorruptIndex, FlagOutsideItsRangeFailsClean) {
+  util::usize ci = 0;
+  while (ci < idx_.chunks.size() && idx_.chunks[ci].loci.empty()) ++ci;
+  ASSERT_LT(ci, idx_.chunks.size()) << "need a chunk with finder hits";
+  for (const int f : {3, 0x80, 0xFF}) {
+    expect_crafted_fails("hit flag", [&](std::string& data, const v2_layout& l) {
+      data[l.chunks[ci].flags + l.chunks[ci].nloci - 1] = static_cast<char>(f);
+    });
+  }
+}
+
+/// The payload is whole 8-byte words and holds the chunks and nothing more.
+TEST_F(CorruptIndex, PayloadSizeFailsClean) {
+  const auto grow = [](util::usize extra) {
+    return [extra](std::string& data, const v2_layout& l) {
+      data.append(extra, '\0');
+      put_le(data, l.payload_bytes_at, data.size() - l.payload_at, 8);
+    };
   };
-  // Header: magic, version, pattern, max_chunk, source_bases, content hash,
-  // chromosome names, nchunks, payload_bytes, checksum, offset table.
-  util::usize at = 4 + 4 + 4 + idx_.pattern.size() + 8 + 8 + 8 + 4;
-  for (const auto& name : idx_.chrom_names) at += 4 + name.size();
-  at += 4 + 8;
-  const util::usize checksum_at = at;
-  const util::usize payload_at = at + 8 + 8 * idx_.chunks.size();
-  // Chunk 0 (the leading telomere N run): chrom, start, text_len, codes,
-  // then the exception count and (pos u32, byte) pairs.
-  const util::usize nexc_at =
-      payload_at + 4 + 8 + 4 + (idx_.chunks[0].text.size() + 3) / 4;
-  ASSERT_GT(u32_at(nexc_at), 0u);
-  data[nexc_at + 4 + 4] = 'C';
-  util::u64 h = 1469598103934665603ULL;  // FNV-1a64 of the payload
-  for (util::usize i = payload_at; i < data.size(); ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  for (int i = 0; i < 8; ++i) {
-    data[checksum_at + i] = static_cast<char>((h >> (8 * i)) & 0xFF);
-  }
+  expect_crafted_fails("not a multiple of 8", grow(4));
+  expect_crafted_fails("bytes past the last chunk", grow(8));
+}
+
+/// Bits the reader rebuilds rather than trusts: codes under a run and the
+/// code bits past a chunk's last base. Set in the file, they load as
+/// swar_pack packs the decoded text, the run bytes kept.
+TEST_F(CorruptIndex, StrayCodeBitsLoadAsSwarPack) {
+  std::string data = saved_;
+  const v2_layout l = parse_v2(data, idx_);
+  const auto& c0 = l.chunks[0];
+  ASSERT_NE(c0.len % 32, 0u);
+  const util::usize words = c0.at + 24;
+  const util::usize last = words + 8 * (c0.len / 32);
+  for (util::usize b = (c0.len % 32) / 4 + 1; b < 8; ++b) data[last + b] = '\xff';
+  ASSERT_GT(u32_at(data, c0.spans + 4), 4u);
+  const util::u32 run0 = u32_at(data, c0.spans);
+  data[words + run0 / 4 + 1] = '\xff';  // four bases inside run 0
+  restamp(data, l);
   write_file(data);
-  expect_load_fails("plain base");
+  const cof::genome_index idx = cof::load_index(path_);
+  for (util::usize i = 0; i < idx.chunks.size(); ++i) {
+    const auto& ch = idx.chunks[i];
+    EXPECT_EQ(ch.text, idx_.chunks[i].text) << "chunk " << i;
+    const cof::swar_ref packed = cof::swar_pack(ch.text);
+    EXPECT_EQ(ch.words.packed2, packed.packed2) << "chunk " << i;
+    EXPECT_EQ(ch.words.amb2, packed.amb2) << "chunk " << i;
+  }
+}
+
+/// A version-1 file (the per-base exception-list layout) is refused by
+/// number, never parsed as version 2.
+TEST_F(CorruptIndex, VersionOneHeaderFailsClean) {
+  std::string data = saved_;
+  put_le(data, 4, 1, 4);
+  write_file(data);
+  expect_load_fails("unsupported index version 1");
+}
+
+/// Seeded byte flips, each file re-stamped with its checksum so the flips
+/// meet the reader's own checks: half land in the header or in a chunk
+/// record's counts, run table and flags, half anywhere. Every mutant throws
+/// index_error, or loads into chunks whose words equal swar_pack(text),
+/// whose every locus has a full pattern window and whose every flag is 0, 1
+/// or 2, and then answers a query.
+TEST_F(CorruptIndex, MutatedIndexThrowsOrLoadsConsistent) {
+  const v2_layout lay = parse_v2(saved_, idx_);
+  std::vector<util::usize> fields;
+  for (util::usize at = 0; at < lay.payload_at; ++at) fields.push_back(at);
+  for (const auto& c : lay.chunks) {
+    for (util::usize at = c.at; at < c.at + 24; ++at) fields.push_back(at);
+    for (util::usize at = c.spans; at < c.bytes + c.nruns; ++at) fields.push_back(at);
+    for (util::usize k = 0; k < std::min<util::usize>(c.nloci, 8); ++k) {
+      fields.push_back(c.loci + 4 * k + 1);
+      fields.push_back(c.flags + k);
+    }
+  }
+  const cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 9000};
+  util::rng rng(2026);
+  util::usize threw = 0;
+  util::usize loaded = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::string data = saved_;
+    for (util::u64 e = 1 + rng.next_below(3); e > 0; --e) {
+      const util::usize at = rng.next_below(2) == 0 ? fields[rng.next_below(fields.size())]
+                                                    : rng.next_below(data.size());
+      data[at] = static_cast<char>(data[at] ^ (1 + rng.next_below(255)));
+    }
+    restamp(data, lay);
+    write_file(data);
+    try {
+      const cof::genome_index idx = cof::load_index(path_);
+      for (const auto& ch : idx.chunks) {
+        const cof::swar_ref packed = cof::swar_pack(ch.text);
+        ASSERT_EQ(ch.words.bases, ch.text.size()) << "mutant " << i;
+        ASSERT_EQ(ch.words.packed2, packed.packed2) << "mutant " << i;
+        ASSERT_EQ(ch.words.amb2, packed.amb2) << "mutant " << i;
+        ASSERT_EQ(ch.flags.size(), ch.loci.size()) << "mutant " << i;
+        for (util::usize k = 0; k < ch.loci.size(); ++k) {
+          ASSERT_LE(ch.loci[k] + idx.pattern.size(), ch.text.size()) << "mutant " << i;
+          ASSERT_LE(static_cast<unsigned char>(ch.flags[k]), 2u) << "mutant " << i;
+        }
+      }
+      (void)cof::run_query(idx, cfg_.queries, opt);
+      ++loaded;
+    } catch (const cof::index_error& e) {
+      EXPECT_EQ(e.site(), std::string("index.load")) << "mutant " << i;
+      ++threw;
+    }
+  }
+  // The loop reaches both outcomes.
+  EXPECT_GT(threw, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST_F(CorruptIndex, BadMagicFailsClean) {

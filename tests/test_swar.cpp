@@ -781,6 +781,16 @@ multi_entries run_multi_base(const std::string& chunk, const std::vector<u32>& l
   return out;
 }
 
+/// The entries of a threshold-65535 run that a run at threshold `t` gives:
+/// those with at most `t` mismatches.
+multi_entries within(const multi_entries& every, u16 t) {
+  multi_entries out;
+  for (const auto& e : every) {
+    if (std::get<3>(e) <= t) out.push_back(e);
+  }
+  return out;
+}
+
 /// A random query: 'N' half the time, otherwise any IUPAC code, so low
 /// thresholds still find sites.
 std::string random_query(util::rng& rng, u32 plen) {
@@ -979,18 +989,22 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
     }
     for (const usize nq : {usize{1}, usize{8}}) {
       const auto queries = guides_near(rng, chunk, all_loci, plen, nq);
-      for (const u16 t : {u16{0}, static_cast<u16>(plen / 4), static_cast<u16>(plen),
-                          u16{65535}}) {
-        const std::vector<u16> thresholds(nq, t);
-        for (const usize tail : {usize{0}, usize{1}, usize{2}, usize{3}}) {
-          const std::vector<u32> loci(all_loci.begin(), all_loci.begin() + 81 * 4 + tail);
-          const std::vector<char> flags(all_flags.begin(), all_flags.begin() + loci.size());
+      for (const usize tail : {usize{0}, usize{1}, usize{2}, usize{3}}) {
+        const std::vector<u32> loci(all_loci.begin(), all_loci.begin() + 81 * 4 + tail);
+        const std::vector<char> flags(all_flags.begin(), all_flags.begin() + loci.size());
+        // One base run at the loosest threshold; a tighter threshold's
+        // entries are those with at most that many mismatches.
+        const auto every =
+            run_multi_base(chunk, loci, flags, queries, std::vector<u16>(nq, u16{65535}));
+        for (const u16 t : {u16{0}, static_cast<u16>(plen / 4), static_cast<u16>(plen),
+                            u16{65535}}) {
+          const std::vector<u16> thresholds(nq, t);
           const std::string where = "plen=" + std::to_string(plen) +
                                     " queries=" + std::to_string(nq) +
                                     " threshold=" + std::to_string(t) +
                                     " locicnt=" + std::to_string(loci.size());
           const u32 most = static_cast<u32>(loci.size() * 2 * nq);
-          const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
+          const multi_entries want = within(every, t);
           ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
               << where << " lanes";
           scalar_guard pin(true);
@@ -1027,10 +1041,7 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
                                       " queries=" + std::to_string(nq) +
                                       " threshold=" + std::to_string(t);
             const u32 most = static_cast<u32>(loci.size() * 2 * nq);
-            multi_entries want;
-            for (const auto& e : every) {
-              if (std::get<3>(e) <= t) want.push_back(e);
-            }
+            const multi_entries want = within(every, t);
             ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
                           .entries,
                       want)

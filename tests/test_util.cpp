@@ -1,4 +1,5 @@
-// Unit tests for the util layer: RNG, strings, CLI, arithmetic helpers.
+// Unit tests for the util layer: RNG, strings, CLI, arithmetic helpers,
+// the word-wise hash.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -6,6 +7,7 @@
 
 #include "util/cli.hpp"
 #include "util/common.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -132,6 +134,48 @@ TEST(Arith, CeilDivRoundUp) {
   EXPECT_EQ(util::round_up(10, 4), 12);
   EXPECT_EQ(util::round_up(12, 4), 12);
   EXPECT_EQ(util::round_up<util::usize>(0, 16), 0u);
+}
+
+u64 digest_of(std::initializer_list<std::string_view> pieces) {
+  util::word_hash h;
+  for (const auto piece : pieces) h.feed(piece);
+  return h.digest();
+}
+
+/// word_hash carries a partial word across feed() calls: every two- and
+/// three-piece split of a 40-byte string has the digest of feeding it whole.
+TEST(WordHash, EverySplitHasTheWholeDigest) {
+  rng r(91);
+  std::string s;
+  for (int i = 0; i < 40; ++i) s += static_cast<char>(r.next_below(256));
+  const std::string_view v(s);
+  const u64 whole = digest_of({v});
+  for (util::usize i = 0; i <= v.size(); ++i) {
+    EXPECT_EQ(digest_of({v.substr(0, i), v.substr(i)}), whole) << i;
+    for (util::usize j = i; j <= v.size(); ++j) {
+      EXPECT_EQ(digest_of({v.substr(0, i), v.substr(i, j - i), v.substr(j)}), whole)
+          << i << " " << j;
+    }
+  }
+}
+
+/// Every prefix of a 25-byte input with NULs inside, the input with one
+/// more NUL, and every one-bit change of it give distinct digests.
+TEST(WordHash, BitsAndLengthsChangeTheDigest) {
+  using namespace std::string_literals;
+  const std::string s = "GATTACA\0chr1\0ACGTNNNNRYKM"s;
+  std::set<u64> seen;
+  for (util::usize n = 0; n <= s.size(); ++n) {
+    EXPECT_TRUE(seen.insert(digest_of({std::string_view(s).substr(0, n)})).second) << n;
+  }
+  EXPECT_TRUE(seen.insert(digest_of({s, std::string(1, '\0')})).second);
+  for (util::usize i = 0; i < s.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string m = s;
+      m[i] = static_cast<char>(m[i] ^ (1 << bit));
+      EXPECT_TRUE(seen.insert(digest_of({m})).second) << i << " bit " << bit;
+    }
+  }
 }
 
 TEST(Cli, FlagsAndOptions) {
