@@ -1,8 +1,8 @@
 // Optimisation-ladder ablation (base..opt6): for every comparer variant, one
 // counting pass collects the device-event profile (global loads, chain
 // compares, SWAR word evaluations) and repeated direct
-// passes measure simulated wall time — on both dispatch paths (the AVX2
-// lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
+// passes measure simulated wall time — on both dispatch paths (the host's
+// SIMD lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
 // at opt6, where the lane body exists). Every rung compares one guide, as a
 // one-guide batch: base..opt4 launch their per-query kernel, opt6 its
 // batched comparer. A second section isolates the
@@ -92,11 +92,11 @@ variant_row measure_variant(comparer_variant v, const std::string& chunk,
   // once per dispatch path.
   row.wall_nanos = timed_pass(v, chunk, pat, query, reps, row.entries);
   {
-    const bool prev = util::force_scalar();
-    util::force_scalar(true);
+    const util::simd_tier prev = util::tier_cap();
+    util::cap_tier(util::simd_tier::scalar);
     u64 entries_scalar = 0;
     row.wall_scalar_nanos = timed_pass(v, chunk, pat, query, reps, entries_scalar);
-    util::force_scalar(prev);
+    util::cap_tier(prev);
   }
   return row;
 }
@@ -234,8 +234,9 @@ int main(int argc, char** argv) {
                       "simulated comparer wall time + counted device events per "
                       "variant, both dispatch paths; fiber vs two-phase "
                       "executor");
-  std::printf("simd lanes: %s\n",
-              util::simd_lanes_enabled() ? "avx2" : "disabled (scalar)");
+  std::printf("simd lanes: %s\n", util::simd_lanes_enabled()
+                                      ? util::tier_name(util::lane_tier())
+                                      : "disabled (scalar)");
 
   auto g = genome::generate(genome::hg19_like(scale, 11));
   const auto& seq = g.chroms[0].seq;

@@ -5,15 +5,16 @@
 // shapes through the SYCL facade's launch: 8 guides over NRG loci (the cold
 // streamed search) and 1 guide over CGG loci (a served request).
 // bm_comparer_lanes calls the lane body (comparer_multi_swar_lanes) on one
-// thread over the same shapes, without the executor's pool dispatch, so a
-// lane-body change shows its cost per locus. The shape benchmarks count
-// items as loci x guides. Complements fig2_kernel_time, which reports
+// thread over the same shapes at each SIMD tier (AVX-512, AVX2, scalar),
+// without the executor's pool dispatch, so a lane-body change shows its
+// cost per locus. The shape benchmarks count items as loci x guides. Complements fig2_kernel_time, which reports
 // modelled device time.
 #include <benchmark/benchmark.h>
 
 #include "core/kernels_swar.hpp"
 #include "core/pipeline.hpp"
 #include "genome/synth.hpp"
+#include "lane_tier.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -193,6 +194,8 @@ void bm_comparer_shape(benchmark::State& state) {
 
 void bm_comparer_lanes(benchmark::State& state) {
   shape& s = shape::get(static_cast<int>(state.range(0)));
+  const bench::tier_pin tier(state, 1);
+  if (!tier.ok) return;
   shape::outputs out;
   // A first pass with no room counts the entries; size the outputs to them.
   cof::comparer_multi_swar_lanes(s.args(out), 0, s.loci.size());
@@ -213,7 +216,7 @@ void bm_comparer_lanes(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * s.loci.size() * s.queries.size()));
   state.counters["loci"] = static_cast<double>(s.loci.size());
   state.counters["entries/iter"] = static_cast<double>(demand);
-  state.SetLabel(s.name);
+  state.SetLabel(std::string(s.name) + " | " + util::tier_name(util::lane_tier()));
 }
 
 }  // namespace
@@ -228,6 +231,8 @@ BENCHMARK(bm_comparer_threshold)
     ->Arg(20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_comparer_shape)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_comparer_lanes)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_comparer_lanes)
+    ->ArgsProduct({{0, 1}, bench::kLaneTiers})
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -6,8 +6,10 @@
 // chunks) on one thread: bm_producer_decode reads its FASTA through
 // fasta_stream with the streaming engine's chunking, bm_producer_pack
 // packs each chunk (swar_pack), and bm_finder_lanes calls the packed-word
-// finder's lane body (finder_swar_lanes) over the first chromosome with
-// no executor dispatch. Items are bases (positions for the finder).
+// finder's lane body (finder_swar_lanes) over the first chunk with no
+// executor dispatch, for the cold search's PAM (NRG) and the served
+// index's (CGG), at each SIMD tier (AVX-512, AVX2, scalar). Items are
+// bases (positions for the finder).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -20,6 +22,7 @@
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
 #include "genome/synth.hpp"
+#include "lane_tier.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -170,10 +173,16 @@ void bm_producer_pack(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(packed));
 }
 
+/// bm_finder_lanes' shapes: the cold search's PAM and the served index's.
+const char* const kLanePams[] = {"NNNNNNNNNNNNNNNNNNNNNRG", "NNNNNNNNNNNNNNNNNNNNCGG"};
+
 void bm_finder_lanes(benchmark::State& state) {
   const auto& seq = producer_fixture::get().chunks.front();
   const cof::swar_ref ref = cof::swar_pack(seq);
-  const auto pat = cof::make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
+  const bench::tier_pin tier(state, 1);
+  if (!tier.ok) return;
+  const char* pam = kLanePams[state.range(0)];
+  const auto pat = cof::make_pattern(pam);
   const u32 chrsize = static_cast<u32>(seq.size() - pat.plen + 1);
   std::vector<u32> loci(chrsize);
   std::vector<char> flag(chrsize);
@@ -198,13 +207,16 @@ void bm_finder_lanes(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * chrsize));
   state.counters["loci"] = static_cast<double>(count);
+  state.SetLabel(std::string(pam + 20) + " | " + util::tier_name(util::lane_tier()));
 }
 
 }  // namespace
 
 BENCHMARK(bm_producer_decode)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_producer_pack)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_finder_lanes)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_finder_lanes)
+    ->ArgsProduct({{0, 1}, bench::kLaneTiers})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_finder_pam)
     ->ArgsProduct({benchmark::CreateDenseRange(0, 3, 1), {0, 1}})
     ->Unit(benchmark::kMillisecond);

@@ -1,8 +1,8 @@
 // Host-side packing for the opt6 SWAR kernels and their lane-batched
-// bodies. The AVX2 code lives here (not in the header) so it can carry a
-// target("avx2") attribute and compile in a portable build; runtime
-// dispatch (util::simd_lanes_enabled) guarantees it only executes on hosts
-// with the instructions.
+// bodies. The AVX2 and AVX-512 code lives here (not in the header) so it
+// can carry target attributes and compile in a portable build; runtime
+// dispatch (util::lane_tier) guarantees each tier only executes on hosts
+// with its instructions.
 #include "core/kernels_swar.hpp"
 
 #include <algorithm>
@@ -206,10 +206,10 @@ COF_AVX2 inline __m256i avx2_score(const avx2_window_word& ww, const u64* masks)
 /// threshold leaves the registers to append. Lanes outside `live` are
 /// padding. Only sound for the direct memory policy (no event counting) —
 /// the facades only install the lane path when profiling is off.
-COF_AVX2 void avx2_strand_quad(const comparer_multi_swar_args& a, const u32 locus[4],
-                               int live, int half) {
+COF_AVX2 void avx2_strand_quad(const comparer_multi_swar_args& a, const u32* locus,
+                               unsigned live, int half) {
   const avx2_loci loci = avx2_loci_of(locus);
-  const int dead = ~live & 0xF;
+  const int dead = static_cast<int>(~live & 0xF);
   avx2_window_word block[kSwarWindowBlock];
   u32 built = 0;
   for (u32 q = 0; q < a.nqueries; ++q) {
@@ -235,7 +235,7 @@ COF_AVX2 void avx2_strand_quad(const comparer_multi_swar_args& a, const u32 locu
       over = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(lmm, threshold)));
       if ((over | dead) == 0xF) break;
     }
-    int under = live & ~over;
+    int under = static_cast<int>(live) & ~over;
     if (under == 0) continue;
     alignas(32) u64 count[4] = {};
     _mm256_store_si256(reinterpret_cast<__m256i*>(count), lmm);
@@ -249,54 +249,6 @@ COF_AVX2 void avx2_strand_quad(const comparer_multi_swar_args& a, const u32 locu
         a.mm_query[old] = static_cast<u16>(q);
       }
     }
-  }
-}
-
-/// Loci of a row gathered for one strand before its quads score them.
-inline constexpr usize kStrandBlock = 64;
-
-/// Score list[0, n) of one strand four loci at a time. Returns how many
-/// loci are left (fewer than four, moved to the front for the next fill),
-/// or 0 when `flush` scores them too as a quad padded with its first locus.
-COF_AVX2 usize avx2_strand_quads(const comparer_multi_swar_args& a, u32* list, usize n,
-                                 int half, bool flush) {
-  usize k = 0;
-  for (; k + 4 <= n; k += 4) avx2_strand_quad(a, list + k, 0xF, half);
-  const usize rest = n - k;
-  if (rest == 0) return 0;
-  if (!flush) {
-    std::copy(list + k, list + n, list);
-    return rest;
-  }
-  u32 quad[4] = {list[k], list[k], list[k], list[k]};
-  std::copy(list + k, list + n, quad);
-  avx2_strand_quad(a, quad, (1 << rest) - 1, half);
-  return 0;
-}
-
-/// The comparer's lane row [i, end) split by strand: a forward list (flag 0
-/// or 1) and a reverse list (flag 0 or 2), each filled up to kStrandBlock
-/// loci and scored in one-strand quads, so no lane scores a strand its
-/// locus cannot hit on. Each list's last 0-3 loci carry into the next fill;
-/// the row's end scores them padded.
-COF_AVX2 void avx2_strand_row(const comparer_multi_swar_args& a, usize i, usize end) {
-  u32 fw[kStrandBlock];
-  u32 rc[kStrandBlock];
-  usize nfw = 0;
-  usize nrc = 0;
-  for (;;) {
-    for (; i < end && nfw < kStrandBlock && nrc < kStrandBlock; ++i) {
-      const char f = a.flag[i];
-      const u32 locus = a.loci[i];
-      fw[nfw] = locus;
-      rc[nrc] = locus;
-      nfw += static_cast<usize>(f == 0 || f == 1);
-      nrc += static_cast<usize>(f == 0 || f == 2);
-    }
-    const bool last = i == end;
-    nfw = avx2_strand_quads(a, fw, nfw, 0, last);
-    nrc = avx2_strand_quads(a, rc, nrc, 1, last);
-    if (last) return;
   }
 }
 
@@ -345,6 +297,266 @@ COF_AVX2 usize avx2_find_quads(const finder_swar_args& a, usize g, usize n, u64*
 
 #undef COF_AVX2
 
+// AVX-512 (F, VL, BW, VBMI2, VPOPCNTDQ, with BMI2): eight loci or work-items
+// per step. GCC 12's headers route some unmasked forms (_mm512_srli_epi64,
+// _mm512_andnot_si512, _mm512_i64gather_epi64, _mm512_cvtepu32_epi64)
+// through _mm512_undefined_epi32, which -Wall reports as uninitialised, so
+// this code uses their full-mask maskz/mask forms and vpternlogq instead.
+#define COF_AVX512 \
+  __attribute__((target("avx2,bmi2,popcnt,avx512f,avx512vl,avx512bw,avx512vbmi2,avx512vpopcntdq")))
+
+/// vpternlogq immediate for "a ? b : c" per bit (a = 0xF0, b = 0xCC, c = 0xAA).
+inline constexpr int kTernSelect = 0xCA;
+
+COF_AVX512 inline __m512i avx512_select(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi64(a, b, c, kTernSelect);
+}
+
+COF_AVX512 inline __m512i avx512_broadcast(u64 v) {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/// Word w of eight loci's windows: the shift-combined codes, the codes
+/// shifted down one bit (so each base's high code bit sits at its even
+/// bit) and the ambiguity flags.
+struct avx512_window_word {
+  __m512i ref;
+  __m512i ref_hi;
+  __m512i amb;
+};
+
+/// The mismatch lanes of one window word under the five deny masks at
+/// `masks`, counted per locus. The masks carry only even bits, zero past
+/// plen, so a base's bit is picked straight out of them: its low code bit
+/// selects between A's and C's (G's and T's) mask, its high code bit
+/// between those two, and an ambiguous base takes N's mask instead. That
+/// is swar_score's OR of four equality masks and N's, with no equality
+/// mask and no ragged-tail limit built.
+COF_AVX512 inline __m512i avx512_score(const avx512_window_word& ww, const u64* masks) {
+  const __m512i ac = avx512_select(ww.ref, avx512_broadcast(masks[1]),
+                                   avx512_broadcast(masks[0]));
+  const __m512i gt = avx512_select(ww.ref, avx512_broadcast(masks[3]),
+                                   avx512_broadcast(masks[2]));
+  const __m512i code = avx512_select(ww.ref_hi, gt, ac);
+  return _mm512_popcnt_epi64(avx512_select(ww.amb, avx512_broadcast(masks[4]), code));
+}
+
+/// base[at] per lane.
+COF_AVX512 inline __m512i avx512_gather(const u64* base, __m512i at) {
+  return _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, at, base, 8);
+}
+
+/// Word w of the windows at word index `wi` shifted right by `shift` bits
+/// per lane: eight-lane gathers of both arrays' two words, combined with
+/// vpshrdvq ((lo >> s) | (hi << (64 - s)), lo at s == 0).
+COF_AVX512 inline avx512_window_word avx512_window_at(const u64* packed2, const u64* amb2,
+                                                     __m512i wi, __m512i shift, u32 w) {
+  const __m512i idx = _mm512_add_epi64(wi, avx512_broadcast(w));
+  const __m512i idx1 = _mm512_add_epi64(idx, avx512_broadcast(1));
+  avx512_window_word ww;
+  ww.ref = _mm512_shrdv_epi64(avx512_gather(packed2, idx), avx512_gather(packed2, idx1), shift);
+  ww.ref_hi = _mm512_maskz_srli_epi64(0xFF, ww.ref, 1);
+  ww.amb = _mm512_shrdv_epi64(avx512_gather(amb2, idx), avx512_gather(amb2, idx1), shift);
+  return ww;
+}
+
+/// avx2_strand_quad eight loci wide: the windows' first kSwarWindowBlock
+/// words are built once for every query, one masked unsigned compare per
+/// word keeps the live lanes still at or under the threshold (a query stops
+/// when none is), and its lanes are the query's entries, appended behind
+/// one atomic.
+COF_AVX512 void avx512_strand_oct(const comparer_multi_swar_args& a, const u32* locus,
+                                  unsigned live, int half) {
+  const __m512i at = _mm512_maskz_cvtepu32_epi64(
+      0xFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(locus)));
+  const __m512i wi = _mm512_maskz_srli_epi64(0xFF, at, 5);
+  const __m512i in_word = _mm512_and_epi64(at, avx512_broadcast(31));
+  const __m512i shift = _mm512_add_epi64(in_word, in_word);
+  avx512_window_word block[kSwarWindowBlock];
+  u32 built = 0;
+  for (u32 q = 0; q < a.nqueries; ++q) {
+    const __m512i threshold = avx512_broadcast(a.thresholds[q]);
+    const u64* masks = a.l_comp_swar + (static_cast<usize>(q) * 2 +
+                                        static_cast<usize>(half)) *
+                                           a.swar_words * kSwarMasksPerWord;
+    __m512i lmm = _mm512_setzero_si512();
+    auto under = static_cast<__mmask8>(live);
+    for (u32 w = 0; w < a.swar_words && under != 0; ++w) {
+      if (w < kSwarWindowBlock) {
+        // Words are read in order, so word w is built here or was before.
+        if (w == built) {
+          block[built++] = avx512_window_at(a.chr_packed2, a.chr_amb2, wi, shift, w);
+        }
+        lmm = _mm512_add_epi64(lmm, avx512_score(block[w], masks + w * kSwarMasksPerWord));
+      } else {
+        lmm = _mm512_add_epi64(
+            lmm, avx512_score(avx512_window_at(a.chr_packed2, a.chr_amb2, wi, shift, w),
+                              masks + w * kSwarMasksPerWord));
+      }
+      under = _mm512_mask_cmple_epu64_mask(under, lmm, threshold);
+    }
+    if (under == 0) continue;
+    alignas(64) u64 count[8];
+    _mm512_store_si512(count, lmm);
+    u32 slot = std::atomic_ref<u32>(*a.entrycount)
+                   .fetch_add(static_cast<u32>(__builtin_popcount(under)));
+    for (unsigned rest = under; rest != 0; rest &= rest - 1, ++slot) {
+      if (slot >= a.entry_capacity) continue;
+      const int l = __builtin_ctz(rest);
+      a.mm_count[slot] = static_cast<u16>(count[l]);
+      a.direction[slot] = half == 0 ? '+' : '-';
+      a.mm_loci[slot] = locus[l];
+      a.mm_query[slot] = static_cast<u16>(q);
+    }
+  }
+}
+
+/// Every base's even bit when the deny LUT's bit `nibble` is set (the PAM
+/// character mismatches that reference code), none otherwise.
+COF_AVX512 inline __m512i avx512_deny(u16 lut, u32 nibble) {
+  return avx512_broadcast(((lut >> nibble) & 1u) != 0 ? kSwarEvenBits : 0);
+}
+
+/// avx2_find_strand eight work-items wide: both arrays' words from
+/// contiguous loads, one vpshrdvq each, and the PAM character's deny set
+/// picked per base like avx512_score, from all-even or zero masks.
+COF_AVX512 __m512i avx512_find_strand(const finder_swar_args& a, int half, usize g) {
+  const usize off = static_cast<usize>(half) * a.plen;
+  __m512i ok = avx512_broadcast(kSwarEvenBits);
+  for (u32 j = 0; j < a.plen; ++j) {
+    const i32 k = a.pat_index[off + j];
+    if (k == -1) break;
+    const u16 lut = a.pat_mask[off + static_cast<usize>(k)];
+    const usize wi = g + (static_cast<usize>(k) >> 5);
+    const __m512i shift = avx512_broadcast(2 * (static_cast<u32>(k) & 31u));
+    avx512_window_word ww;
+    ww.ref = _mm512_shrdv_epi64(_mm512_loadu_si512(a.chr_packed2 + wi),
+                                _mm512_loadu_si512(a.chr_packed2 + wi + 1), shift);
+    ww.ref_hi = _mm512_maskz_srli_epi64(0xFF, ww.ref, 1);
+    ww.amb = _mm512_shrdv_epi64(_mm512_loadu_si512(a.chr_amb2 + wi),
+                                _mm512_loadu_si512(a.chr_amb2 + wi + 1), shift);
+    const __m512i ac = avx512_select(ww.ref, avx512_deny(lut, 2), avx512_deny(lut, 1));
+    const __m512i gt = avx512_select(ww.ref, avx512_deny(lut, 8), avx512_deny(lut, 4));
+    const __m512i mm =
+        avx512_select(ww.amb, avx512_deny(lut, 15), avx512_select(ww.ref_hi, gt, ac));
+    ok = _mm512_maskz_andnot_epi64(0xFF, mm, ok);
+    if (_mm512_test_epi64_mask(ok, ok) == 0) break;
+  }
+  return ok;
+}
+
+/// swar_store_hits for the work-items [g, g+n) from `slot` on: each
+/// work-item's hit positions and flags compressed in ascending order
+/// (vpcompressd, vpcompressb) and written with masked stores, so nothing
+/// past its hits is touched. A work-item whose hits reach past the capacity
+/// takes swar_store_hits.
+COF_AVX512 void avx512_store_hits(const finder_swar_args& a, u32 slot, usize g, usize n,
+                                  const u64* fw, const u64* rc) {
+  direct_mem::item p;
+  const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  for (usize j = 0; j < n; ++j) {
+    if ((fw[j] | rc[j]) == 0) continue;
+    const usize first = (g + j) * kSwarFinderSpan;
+    const auto fwm = static_cast<u32>(_pext_u64(fw[j], kSwarEvenBits));
+    const auto rcm = static_cast<u32>(_pext_u64(rc[j], kSwarEvenBits));
+    const u32 hits = fwm | rcm;
+    const auto k = static_cast<u32>(__builtin_popcount(hits));
+    if (slot >= a.entry_capacity || k > a.entry_capacity - slot) {
+      slot = detail::swar_store_hits(p, a, slot, first, fw[j], rc[j]);
+      continue;
+    }
+    const __m512i pos = _mm512_add_epi32(iota, _mm512_set1_epi32(static_cast<int>(first)));
+    const auto klo = static_cast<u32>(__builtin_popcount(hits & 0xFFFFu));
+    _mm512_mask_storeu_epi32(a.loci + slot, static_cast<__mmask16>((1u << klo) - 1),
+                             _mm512_maskz_compress_epi32(static_cast<__mmask16>(hits), pos));
+    _mm512_mask_storeu_epi32(
+        a.loci + slot + klo, static_cast<__mmask16>((1u << (k - klo)) - 1),
+        _mm512_maskz_compress_epi32(static_cast<__mmask16>(hits >> 16),
+                                    _mm512_add_epi32(pos, _mm512_set1_epi32(16))));
+    // Flag 0 both strands, 1 forward only, 2 reverse only: 3 less 2 for a
+    // forward hit and 1 for a reverse one.
+    __m256i flags = _mm256_set1_epi8(3);
+    flags = _mm256_mask_sub_epi8(flags, fwm, flags, _mm256_set1_epi8(2));
+    flags = _mm256_mask_sub_epi8(flags, rcm, flags, _mm256_set1_epi8(1));
+    _mm256_mask_storeu_epi8(a.flag + slot, static_cast<__mmask32>((u64{1} << k) - 1),
+                            _mm256_maskz_compress_epi8(hits, flags));
+    slot += k;
+  }
+}
+
+/// Both strands of the full work-items [g, g+n) eight at a time, into
+/// fw/rc; returns how many it covered (a multiple of eight).
+COF_AVX512 usize avx512_find_octs(const finder_swar_args& a, usize g, usize n, u64* fw,
+                                  u64* rc) {
+  usize j = 0;
+  for (; j + 8 <= n && (g + j + 8) * kSwarFinderSpan <= a.chrsize; j += 8) {
+    _mm512_storeu_si512(fw + j, avx512_find_strand(a, 0, g + j));
+    _mm512_storeu_si512(rc + j, avx512_find_strand(a, 1, g + j));
+  }
+  return j;
+}
+
+#undef COF_AVX512
+
+/// One tier's strand scorer: kLanes loci of one strand, `live` marking
+/// the real ones (the rest pad a short group).
+using strand_scorer = void (*)(const comparer_multi_swar_args& a, const u32* locus,
+                               unsigned live, int half);
+
+/// Loci of a row gathered for one strand before its lane groups score them.
+inline constexpr usize kStrandBlock = 64;
+
+/// Score list[0, n) of one strand kLanes loci at a time. Returns how many
+/// loci are left (fewer than kLanes, moved to the front for the next
+/// fill), or 0 when `flush` scores them too as a group padded with its
+/// first locus.
+template <usize kLanes, strand_scorer Score>
+usize strand_groups(const comparer_multi_swar_args& a, u32* list, usize n, int half,
+                    bool flush) {
+  static_assert(kStrandBlock % kLanes == 0);
+  constexpr unsigned kAll = (1u << kLanes) - 1;
+  usize k = 0;
+  for (; k + kLanes <= n; k += kLanes) Score(a, list + k, kAll, half);
+  const usize rest = n - k;
+  if (rest == 0) return 0;
+  if (!flush) {
+    std::copy(list + k, list + n, list);
+    return rest;
+  }
+  u32 group[kLanes];
+  std::fill(group, group + kLanes, list[k]);
+  std::copy(list + k, list + n, group);
+  Score(a, group, (1u << rest) - 1, half);
+  return 0;
+}
+
+/// The comparer's lane row [i, end) split by strand: a forward list (flag 0
+/// or 1) and a reverse list (flag 0 or 2), each filled up to kStrandBlock
+/// loci and scored in one-strand groups of kLanes, so no lane scores a
+/// strand its locus cannot hit on. Each list's last loci short of a group
+/// carry into the next fill; the row's end scores them padded.
+template <usize kLanes, strand_scorer Score>
+void strand_row(const comparer_multi_swar_args& a, usize i, usize end) {
+  u32 fw[kStrandBlock];
+  u32 rc[kStrandBlock];
+  usize nfw = 0;
+  usize nrc = 0;
+  for (;;) {
+    for (; i < end && nfw < kStrandBlock && nrc < kStrandBlock; ++i) {
+      const char f = a.flag[i];
+      const u32 locus = a.loci[i];
+      fw[nfw] = locus;
+      rc[nrc] = locus;
+      nfw += static_cast<usize>(f == 0 || f == 1);
+      nrc += static_cast<usize>(f == 0 || f == 2);
+    }
+    const bool last = i == end;
+    nfw = strand_groups<kLanes, Score>(a, fw, nfw, 0, last);
+    nrc = strand_groups<kLanes, Score>(a, rc, nrc, 1, last);
+    if (last) return;
+  }
+}
+
 }  // namespace
 
 #endif  // __x86_64__
@@ -372,17 +584,18 @@ swar_ref swar_pack(std::string_view seq) {
   return r;
 }
 
-// The lane bodies: AVX2 quads when the host's SIMD lanes are enabled (the
-// finder's ragged rest runs the per-item strand test), the per-item body
-// otherwise.
+// The lane bodies at the tier in force: AVX-512 octs, AVX2 quads (the
+// finder's ragged rest runs the per-item strand test), or the per-item
+// body.
 
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes) {
   const usize end = live_end(first, nlanes, a.locicnts);
 #if defined(__x86_64__)
-  if (util::simd_lanes_enabled()) {
-    avx2_strand_row(a, first, end);
-    return;
+  switch (util::lane_tier()) {
+    case util::simd_tier::avx512: return strand_row<8, avx512_strand_oct>(a, first, end);
+    case util::simd_tier::avx2: return strand_row<4, avx2_strand_quad>(a, first, end);
+    case util::simd_tier::scalar: break;
   }
 #endif
   for (direct_mem::item p; first < end; ++first) detail::swar_multi_item_body(p, a, first);
@@ -390,6 +603,9 @@ void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
 
 void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes) {
   const usize end = live_end(first, nlanes, swar_finder_items(a.chrsize));
+#if defined(__x86_64__)
+  const util::simd_tier tier = util::lane_tier();
+#endif
   direct_mem::item p;
   u64 fw[kSwarFinderAppendBlock] = {};
   u64 rc[kSwarFinderAppendBlock] = {};
@@ -397,7 +613,11 @@ void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes) {
     const usize n = std::min(kSwarFinderAppendBlock, end - g);
     usize j = 0;
 #if defined(__x86_64__)
-    if (util::simd_lanes_enabled()) j = avx2_find_quads(a, g, n, fw, rc);
+    switch (tier) {
+      case util::simd_tier::avx512: j = avx512_find_octs(a, g, n, fw, rc); break;
+      case util::simd_tier::avx2: j = avx2_find_quads(a, g, n, fw, rc); break;
+      case util::simd_tier::scalar: break;
+    }
 #endif
     for (; j < n; ++j) {
       const usize start = (g + j) * kSwarFinderSpan;
@@ -409,6 +629,12 @@ void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes) {
     for (j = 0; j < n; ++j) hits += static_cast<u32>(__builtin_popcountll(fw[j] | rc[j]));
     if (hits == 0) continue;
     u32 slot = p.atomic_add(a.entrycount, hits);
+#if defined(__x86_64__)
+    if (tier == util::simd_tier::avx512) {
+      avx512_store_hits(a, slot, g, n, fw, rc);
+      continue;
+    }
+#endif
     for (j = 0; j < n; ++j) {
       slot = detail::swar_store_hits(p, a, slot, (g + j) * kSwarFinderSpan, fw[j], rc[j]);
     }

@@ -16,9 +16,9 @@
 // non-ACGT byte) mismatches exactly when the PAM character is a concrete
 // A/C/G/T, which is casoffinder_mismatch's rule for every non-ACGT
 // character, so the finder needs no raw-character fallback and no barrier.
-// Its lane body (finder_swar_lanes) tests four work-items' words per AVX2
-// step and appends a block of kSwarFinderAppendBlock work-items' hits
-// behind one atomic.
+// Its lane body (finder_swar_lanes) tests eight work-items' words per
+// AVX-512 step or four per AVX2 step and appends a block of
+// kSwarFinderAppendBlock work-items' hits behind one atomic.
 //
 // Comparer (comparer_multi_swar_kernel): one launch covers every query of
 // the chunk; a single guide is a batch of one. The host precomputes, per
@@ -42,11 +42,12 @@
 // The comparer cooperates with the two-phase executor (single leading
 // barrier) like every other comparer. Both opt6 kernels also expose a
 // lane-batched body (finder_swar_lanes, comparer_multi_swar_lanes) the
-// executor can invoke over a whole work-group row; on AVX2 hosts it
-// processes four work-items per instruction stream (kernels_swar.cpp), with
-// the per-item body as the portable fallback (the comparer's row scores
-// each strand's loci apart, four of one strand per step). The per-item
-// kernels stay the definition: counting launches never install a lane body.
+// executor can invoke over a whole work-group row. It runs at the SIMD tier
+// in force (util::lane_tier, kernels_swar.cpp): eight work-items per
+// instruction stream on AVX-512 hosts, four on AVX2 hosts, and the per-item
+// body as the portable fallback (the comparer's row scores each strand's
+// loci apart, eight or four of one strand per step). The per-item kernels
+// stay the definition: counting launches never install a lane body.
 #pragma once
 
 #include <algorithm>
@@ -220,10 +221,13 @@ inline void finder_swar_kernel(const Item& it, const finder_swar_args& a) {
 /// Lane-batched finder row (direct memory only) over work-items
 /// [first, first+nlanes), the same hits as finder_swar_kernel: each block
 /// of kSwarFinderAppendBlock work-items appends behind one atomic, in
-/// ascending position order. On AVX2 hosts four full work-items share each
-/// step, with contiguous loads (the shift of PAM position k is the same in
-/// every work-item); a ragged last work-item, and every work-item on other
-/// hosts, runs the per-item strand test. Implemented in kernels_swar.cpp.
+/// ascending position order. At the AVX-512 tier eight full work-items
+/// share each step, at the AVX2 tier four, with contiguous loads (the shift
+/// of PAM position k is the same in every work-item), and at the AVX-512
+/// tier each work-item's hits are stored by compress and masked store; the
+/// full work-items left after a block's last group, a ragged last
+/// work-item, and every work-item at the scalar tier run the per-item
+/// strand test. Implemented in kernels_swar.cpp.
 void finder_swar_lanes(const finder_swar_args& a, usize first, usize nlanes);
 
 // ---------------------------------------------------------------------------
@@ -382,12 +386,12 @@ inline void comparer_multi_swar_kernel(const Item& it,
 
 /// Lane-batched post-fetch entry (direct memory policy only): the facades
 /// hand this to the executor's lane dispatch for work-items
-/// [first, first+nlanes). When the host's SIMD lanes are enabled it splits
-/// the row's loci by strand (a flag-0 locus on both) in blocks of bounded
-/// size and scores four loci of one strand per AVX2 step, each quad's
-/// window words built once for every query; the per-item body otherwise
-/// (kernels_swar.cpp). Both give the same entries (their order aside), so
-/// the output bytes are the same too.
+/// [first, first+nlanes). At the AVX-512 or AVX2 tier it splits the row's
+/// loci by strand (a flag-0 locus on both) in blocks of bounded size and
+/// scores eight (AVX-512) or four (AVX2) loci of one strand per step, each
+/// group's window words built once for every query; at the scalar tier it
+/// runs the per-item body (kernels_swar.cpp). All give the same entries
+/// (their order aside), so the output bytes are the same too.
 void comparer_multi_swar_lanes(const comparer_multi_swar_args& a, usize first,
                                usize nlanes);
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "fault/fault.hpp"
 #include "genome/fasta.hpp"
@@ -13,16 +12,15 @@
 namespace genome {
 
 fasta_stream::fasta_stream(const std::string& path)
-    : source_(path), files_(fasta_files_at(path)) {
+    : source_(path), files_(fasta_files_at(path)), buffer_(kBlockBytes) {
   open_next_file();
 }
 
-fasta_stream::fasta_stream(std::unique_ptr<std::istream> in, std::string source)
-    : in_(std::move(in)), source_(std::move(source)), file_(source_) {}
+fasta_stream::fasta_stream(text_tag, std::string_view text)
+    : source_("FASTA text"), file_(source_), block_(text.data()), block_end_(text.size()) {}
 
 fasta_stream fasta_stream::from_text(std::string_view text) {
-  return fasta_stream(std::make_unique<std::istringstream>(std::string(text)),
-                      "FASTA text");
+  return fasta_stream(text_tag{}, text);
 }
 
 bool fasta_stream::open_next_file() {
@@ -31,6 +29,7 @@ bool fasta_stream::open_next_file() {
   auto in = std::make_unique<std::ifstream>(file_, std::ios::binary);
   if (!in->good()) throw fasta_error("cannot open FASTA file: " + file_);
   in_ = std::move(in);
+  block_ = buffer_.data();
   block_pos_ = block_end_ = 0;
   eof_ = false;
   return true;
@@ -39,9 +38,9 @@ bool fasta_stream::open_next_file() {
 bool fasta_stream::next_line(std::string_view& line) {
   carry_.clear();
   for (;;) {
-    const char* at = block_.data() + block_pos_;
+    const char* at = block_ + block_pos_;
     const usize avail = block_end_ - block_pos_;
-    if (const void* nl = std::memchr(at, '\n', avail)) {
+    if (const void* nl = avail != 0 ? std::memchr(at, '\n', avail) : nullptr) {
       const auto len = static_cast<usize>(static_cast<const char*>(nl) - at);
       block_pos_ += len + 1;
       if (carry_.empty()) {
@@ -53,9 +52,12 @@ bool fasta_stream::next_line(std::string_view& line) {
       return true;
     }
     carry_.insert(carry_.end(), at, at + avail);
-    in_->read(block_.data(), static_cast<std::streamsize>(block_.size()));
-    block_pos_ = 0;
-    block_end_ = static_cast<usize>(in_->gcount());
+    block_pos_ = block_end_ = 0;
+    // Text is one block; a file reads its next.
+    if (in_ != nullptr) {
+      in_->read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+      block_end_ = static_cast<usize>(in_->gcount());
+    }
     if (block_end_ == 0) {
       // The source's end: a last line without a newline is still a line.
       line = std::string_view(carry_.data(), carry_.size());
@@ -116,7 +118,7 @@ bool fasta_stream::next_record() {
 usize fasta_stream::read_bases(std::string& out, usize max_bases) {
   COF_CHECK_MSG(in_record_, "read_bases before next_record");
   const usize start = out.size();
-  out.reserve(start + max_bases);
+  bool reserved = false;
   while (out.size() - start < max_bases) {
     // A parked '>' line belongs to the next record; never consume it here.
     if (pending_header_ || eof_) break;
@@ -126,6 +128,13 @@ usize fasta_stream::read_bases(std::string& out, usize max_bases) {
         pending_header_ = true;
         break;
       }
+    }
+    if (!reserved) {
+      // Room for every base this call can append, reserved before the first
+      // one: max_bases, or for text no more than the bytes it has left.
+      const usize left = in_ == nullptr ? line_.size() + (block_end_ - block_pos_) : max_bases;
+      out.reserve(start + std::min(max_bases, left));
+      reserved = true;
     }
     line_.remove_prefix(append_bases(line_, out, max_bases - (out.size() - start)));
   }

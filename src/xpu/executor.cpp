@@ -167,7 +167,7 @@ launch_stats launch_raw(util::thread_pool& pool, const launch_config& cfg,
                   "work-group size must divide the ND-range size in each dim");
   }
   // Lane dispatch: honoured only when the host has the SIMD lanes enabled
-  // (runtime CPU-feature check + COF_FORCE_SCALAR override) and the kernel
+  // (runtime CPU-feature check lowered by the tier cap) and the kernel
   // shape admits barrier-free rows. Fiber-scheduled kernels (arbitrary
   // barriers) always run per-item.
   const bool use_lanes = lanes_fn != nullptr && util::simd_lanes_enabled() &&

@@ -97,12 +97,14 @@ bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-/// RAII force_scalar toggle so a failing assertion cannot leak the override
-/// into later tests.
+/// RAII pin of the SIMD tier to scalar (on) or the host's best (off), so a
+/// failing assertion cannot leak the cap into later tests.
 struct scalar_guard {
-  bool prev;
-  explicit scalar_guard(bool on) : prev(util::force_scalar()) { util::force_scalar(on); }
-  ~scalar_guard() { util::force_scalar(prev); }
+  util::simd_tier prev;
+  explicit scalar_guard(bool on) : prev(util::tier_cap()) {
+    util::cap_tier(on ? util::simd_tier::scalar : util::simd_tier::avx512);
+  }
+  ~scalar_guard() { util::cap_tier(prev); }
 };
 
 struct temp_dir {
@@ -179,7 +181,7 @@ void expect_matches_reference(const std::string& text, const std::string& where,
   for (const bool scalar : {false, true}) {
     scalar_guard pin(scalar);
     for (const util::usize step : {util::usize{7}, util::usize{33}, util::usize{1} << 20}) {
-      const std::string how = where + (scalar ? " force_scalar" : " simd") +
+      const std::string how = where + (scalar ? " scalar" : " simd") +
                               " step=" + std::to_string(step);
       const auto got = stream_records(genome::fasta_stream::from_text(text), step);
       ASSERT_EQ(got.has_value(), want.has_value()) << how;

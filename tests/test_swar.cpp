@@ -2,16 +2,17 @@
 // packed-word finder against the char finder (every PAM character x every
 // reference byte class, every chunk length around the 32/64 word multiples,
 // every facade, counting and direct), and its lane rows' block append
-// around the block size for every work-group shape; the SWAR comparer's
-// exhaustive IUPAC x mismatch-count equivalence against the paper's base
-// comparer (the IUPAC Boolean chain) on every reference byte class,
-// ragged-tail fuzz across pattern lengths and both dispatch paths (AVX2
-// lanes and the forced-scalar fallback), each on a one-guide batch; the
-// comparer's shared window across several guides on both paths against
-// per-query base; its lane body called directly (every flag pattern of a
-// quad, ragged row ends, the capacity clamp) against the per-item body and
-// base; and engine-level byte-identity of opt6 output with base across all
-// four backends and queue counts.
+// around the block size for every work-group shape at every SIMD tier; the
+// SWAR comparer's exhaustive IUPAC x mismatch-count equivalence against the
+// paper's base comparer (the IUPAC Boolean chain) on every reference byte
+// class, ragged-tail fuzz across pattern lengths on the per-item kernel and
+// the host's lane rows, each on a one-guide batch; the dispatch at every
+// tier the host has (scalar, AVX2, AVX-512); the comparer's shared window
+// across several guides at every tier against per-query base; its lane
+// body called directly at every tier (every flag pattern of a quad, the
+// padding lanes of a short oct, ragged row ends, the capacity clamp)
+// against base; and engine-level byte-identity of opt6 output with base
+// across all four backends and queue counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,15 +41,26 @@ xpu::device& dev() {
   return d;
 }
 
-/// RAII force_scalar toggle so a failing assertion cannot leak the override
-/// into later tests.
-struct scalar_guard {
-  bool prev;
-  explicit scalar_guard(bool on) : prev(util::force_scalar()) {
-    util::force_scalar(on);
-  }
-  ~scalar_guard() { util::force_scalar(prev); }
+/// RAII cap on the SIMD tier, so a failing assertion cannot leak it into
+/// later tests.
+struct tier_guard {
+  util::simd_tier prev;
+  explicit tier_guard(util::simd_tier cap) : prev(util::tier_cap()) { util::cap_tier(cap); }
+  ~tier_guard() { util::cap_tier(prev); }
 };
+
+/// Every tier the host runs, scalar first: the caps under which the lane
+/// bodies and the executor's dispatch are tested.
+std::vector<util::simd_tier> host_tiers() {
+  std::vector<util::simd_tier> tiers;
+  for (int t = 0; t <= static_cast<int>(util::host_tier()); ++t) {
+    tiers.push_back(static_cast<util::simd_tier>(t));
+  }
+  return tiers;
+}
+
+/// The tier in force, for failure messages.
+std::string tier_label() { return std::string(" tier=") + util::tier_name(util::lane_tier()); }
 
 struct cmp_run {
   std::vector<u16> mm;
@@ -306,12 +318,13 @@ std::string random_text(util::rng& rng, usize len) {
   return s;
 }
 
-// On both dispatch paths: the AVX2 pack (32 bases per step, the scalar
-// pack_word for the tail) and the scalar pack under force_scalar.
+// On both pack paths: the AVX2 pack (32 bases per step, the scalar
+// pack_word for the tail), which the AVX2 and AVX-512 tiers run, and the
+// scalar pack under a scalar cap.
 TEST(SwarPack, MatchesPerBaseReference) {
-  for (const bool scalar : {false, true}) {
-    scalar_guard pin(scalar);
-    SCOPED_TRACE(scalar ? "force_scalar" : "simd");
+  for (const util::simd_tier cap : {util::simd_tier::avx512, util::simd_tier::scalar}) {
+    tier_guard pin(cap);
+    SCOPED_TRACE(tier_label());
     util::rng rng(611);
     for (usize len = 0; len <= 97; ++len) {
       for (int rep = 0; rep < 4; ++rep) expect_same_pack(random_text(rng, len));
@@ -552,21 +565,29 @@ TEST(SwarFinder, AllFacadesCountingAndDirect) {
   }
 }
 
-// Both finder dispatch paths against the char finder, for chunk lengths
-// around the multiples of 32 (a ragged last work-item) and of the lane
-// body's append block (kSwarFinderAppendBlock work-items), and for
-// work-group sizes that do not divide the block (7), equal or exceed it
-// (256, 1024) or fall below it (4). A PAM position past the first word
-// (k >= 32) is covered by the 40-base pattern.
+// The per-item kernel and the lane rows at every tier against the char
+// finder, for chunk lengths around the multiples of 32 (a ragged last
+// work-item) and of the lane body's append block (kSwarFinderAppendBlock
+// work-items), leaving 0-7 full work-items after a block's last oct (and
+// 0-3 after its last quad), and for work-group sizes that do not divide
+// the block (7), equal or exceed it (256, 1024) or fall below it (4). A
+// PAM position past the first word (k >= 32) is covered by the 40-base
+// pattern; an all-N pattern hits every start position on both strands
+// (every work-item's 32 hits stored at once) and NB nearly every one on
+// one strand or both.
 TEST(SwarFinderLanes, BlockAppendMatchesCharFinder) {
   util::rng rng(615);
   constexpr usize kBlockBases = kSwarFinderAppendBlock * kSwarFinderSpan;
-  const std::vector<std::string> pams = {"NNNNNNNNNNNNNNNNNNNNNRG",
-                                         "TTTVNNNNNNNNNNNNNNNNNNNNN",
-                                         "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNGRRT"};
+  const std::vector<std::string> pams = {
+      "NNNNNNNNNNNNNNNNNNNNNRG", "TTTVNNNNNNNNNNNNNNNNNNNNN",
+      "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNGRRT", "NNNNNNNNNNNNNNNNNNNNNNN",
+      "NNNNNNNNNNNNNNNNNNNNNNB"};
   for (const std::string& pam : pams) {
     const auto pat = make_pattern(pam);
-    for (const usize base : {usize{32}, usize{64}, kBlockBases, 2 * kBlockBases + 32}) {
+    // Full work-items for base-1, base and base+1 start positions: 0 1 1,
+    // 1 2 2, 3 4 4, 5 6 6, 63 64 64 and 128 129 129.
+    for (const usize base : {usize{32}, usize{64}, usize{128}, usize{192}, kBlockBases,
+                             2 * kBlockBases + 32}) {
       for (const usize len : {base - 1, base, base + 1}) {
         const usize chunk_len = len + pat.plen - 1;  // `len` start positions
         std::string chunk = random_text(rng, chunk_len);
@@ -577,9 +598,12 @@ TEST(SwarFinderLanes, BlockAppendMatchesCharFinder) {
               "pam=" + pam + " len=" + std::to_string(len) + " wg=" + std::to_string(wg);
           const auto per_item = launch_packed_finder(chunk, pat, {.wg = wg});
           ASSERT_EQ(per_item.hits, want) << where << " per-item";
-          const auto lanes = launch_packed_finder(chunk, pat, {.wg = wg, .via_lanes = true});
-          ASSERT_EQ(lanes.hits, want) << where << " lanes";
-          ASSERT_EQ(lanes.count, want.size()) << where;
+          for (const util::simd_tier tier : host_tiers()) {
+            tier_guard pin(tier);
+            const auto lanes = launch_packed_finder(chunk, pat, {.wg = wg, .via_lanes = true});
+            ASSERT_EQ(lanes.hits, want) << where << " lanes" << tier_label();
+            ASSERT_EQ(lanes.count, want.size()) << where << tier_label();
+          }
         }
       }
     }
@@ -596,32 +620,35 @@ TEST(SwarFinderLanes, CapacityClampKeepsTrueDemand) {
   const auto pat = make_pattern("NNNNNNNNNNNNNNNNNNNNNGG");
   const hit_set all = run_char_finder(chunk, pat);
   ASSERT_GT(all.size(), 40u);
-  for (const bool via_lanes : {false, true}) {
-    const u32 cap = static_cast<u32>(all.size() / 3);
-    const auto r =
-        launch_packed_finder(chunk, pat, {.wg = 256, .via_lanes = via_lanes, .capacity = cap});
-    EXPECT_EQ(r.count, all.size()) << "lanes=" << via_lanes;
-    EXPECT_EQ(r.hits.size(), cap) << "lanes=" << via_lanes;
-    for (const auto& h : r.hits) {
-      EXPECT_TRUE(std::binary_search(all.begin(), all.end(), h)) << h.first;
+  for (const util::simd_tier tier : host_tiers()) {
+    tier_guard pin(tier);
+    for (const bool via_lanes : {false, true}) {
+      const std::string where = "lanes=" + std::to_string(via_lanes) + tier_label();
+      const u32 cap = static_cast<u32>(all.size() / 3);
+      const auto r =
+          launch_packed_finder(chunk, pat, {.wg = 256, .via_lanes = via_lanes, .capacity = cap});
+      EXPECT_EQ(r.count, all.size()) << where;
+      EXPECT_EQ(r.hits.size(), cap) << where;
+      for (const auto& h : r.hits) {
+        EXPECT_TRUE(std::binary_search(all.begin(), all.end(), h)) << h.first << where;
+      }
     }
   }
 }
 
-// The lane rows are what the executor runs on an AVX2 host, and the
-// per-item kernel under force_scalar; both give the same hits.
+// The executor runs the lane rows at an AVX2 or AVX-512 tier and the
+// per-item kernel at the scalar one; every tier gives the same hits.
 TEST(SwarFinderLanes, DispatchFollowsTheHost) {
   util::rng rng(617);
   const std::string chunk = random_reference(rng, 5000);
   const auto pat = make_pattern("NNNNNNNNNNNNNNNNNNNNNRG");
   const hit_set want = run_char_finder(chunk, pat);
-  const auto simd = launch_packed_finder(chunk, pat, {.wg = 64, .via_lanes = true});
-  EXPECT_EQ(simd.hits, want);
-  EXPECT_EQ(simd.stats.lanes_dispatch, util::simd_lanes_enabled());
-  scalar_guard guard(true);
-  const auto scalar = launch_packed_finder(chunk, pat, {.wg = 64, .via_lanes = true});
-  EXPECT_EQ(scalar.hits, want);
-  EXPECT_FALSE(scalar.stats.lanes_dispatch);
+  for (const util::simd_tier tier : host_tiers()) {
+    tier_guard pin(tier);
+    const auto got = launch_packed_finder(chunk, pat, {.wg = 64, .via_lanes = true});
+    EXPECT_EQ(got.hits, want) << tier_label();
+    EXPECT_EQ(got.stats.lanes_dispatch, util::simd_lanes_enabled()) << tier_label();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -717,11 +744,12 @@ TEST(SwarFuzz, EveryWindowShift) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch paths: AVX2 lane rows vs the forced-scalar fallback.
+// Dispatch paths: the lane rows at every tier vs the per-item kernel.
 // ---------------------------------------------------------------------------
 
-// The lane-batched row body must match the per-item kernel bit for bit, on
-// whichever path the host actually selects.
+// The lane-batched row body must match the per-item kernel bit for bit at
+// every tier, and the executor must take the lane path exactly when the
+// tier in force has one.
 TEST(SwarDispatch, LanesMatchPerItem) {
   util::rng rng(605);
   const std::string chunk = random_reference(rng, 256);
@@ -731,16 +759,17 @@ TEST(SwarDispatch, LanesMatchPerItem) {
   random_loci(rng, chunk.size(), query.plen, 120, loci, flags);
 
   const auto per_item = run_opt6(chunk, loci, flags, query, 6, 16, false);
-  xpu::launch_stats stats;
-  const auto lanes = run_opt6(chunk, loci, flags, query, 6, 16, true, &stats);
-  EXPECT_EQ(lanes, per_item);
-  // On an AVX2 host without the scalar override the executor must actually
-  // have taken the lane path.
-  EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled());
+  for (const util::simd_tier tier : host_tiers()) {
+    tier_guard pin(tier);
+    xpu::launch_stats stats;
+    EXPECT_EQ(run_opt6(chunk, loci, flags, query, 6, 16, true, &stats), per_item)
+        << tier_label();
+    EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled()) << tier_label();
+  }
 }
 
-// COF_FORCE_SCALAR / force_scalar() pins the per-item path; results must be
-// identical and the launch must report scalar dispatch.
+// A scalar cap (what COF_FORCE_SCALAR sets) pins the per-item path: the
+// launch reports scalar dispatch, and every tier's results are identical.
 TEST(SwarDispatch, ForcedScalarMatchesSimd) {
   util::rng rng(606);
   const std::string chunk = random_reference(rng, 200);
@@ -749,16 +778,18 @@ TEST(SwarDispatch, ForcedScalarMatchesSimd) {
   std::vector<char> flags;
   random_loci(rng, chunk.size(), query.plen, 64, loci, flags);
 
-  cmp_run simd, scalar;
-  xpu::launch_stats simd_stats, scalar_stats;
-  simd = run_opt6(chunk, loci, flags, query, 8, 16, true, &simd_stats);
+  cmp_run scalar;
   {
-    scalar_guard guard(true);
+    tier_guard pin(util::simd_tier::scalar);
     EXPECT_FALSE(util::simd_lanes_enabled());
-    scalar = run_opt6(chunk, loci, flags, query, 8, 16, true, &scalar_stats);
+    xpu::launch_stats stats;
+    scalar = run_opt6(chunk, loci, flags, query, 8, 16, true, &stats);
+    EXPECT_FALSE(stats.lanes_dispatch);
   }
-  EXPECT_EQ(scalar, simd);
-  EXPECT_FALSE(scalar_stats.lanes_dispatch);
+  for (const util::simd_tier tier : host_tiers()) {
+    tier_guard pin(tier);
+    EXPECT_EQ(run_opt6(chunk, loci, flags, query, 8, 16, true), scalar) << tier_label();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -822,15 +853,19 @@ TEST(SwarMulti, PerItemAndLanesMatchPerQueryBase) {
         const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
         ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, false), want)
             << where << " per-item";
-        ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, true), want)
-            << where << " lanes";
+        for (const util::simd_tier tier : host_tiers()) {
+          tier_guard pin(tier);
+          ASSERT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 8, true), want)
+              << where << " lanes" << tier_label();
+        }
       }
     }
   }
 }
 
-// The executor takes the batched comparer's lane rows on an AVX2 host and
-// the per-item kernel under force_scalar, with the same entries.
+// The executor takes the batched comparer's lane rows at an AVX2 or
+// AVX-512 tier and the per-item kernel at the scalar one, with the same
+// entries.
 TEST(SwarMulti, DispatchFollowsTheHost) {
   util::rng rng(619);
   const std::string chunk = random_reference(rng, 400);
@@ -841,12 +876,13 @@ TEST(SwarMulti, DispatchFollowsTheHost) {
   for (int q = 0; q < 3; ++q) queries.push_back(make_pattern(random_query(rng, 23)));
   const std::vector<u16> thresholds = {4, 8, 12};
   const auto want = run_multi_base(chunk, loci, flags, queries, thresholds);
-  xpu::launch_stats stats;
-  EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
-  EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled());
-  scalar_guard guard(true);
-  EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want);
-  EXPECT_FALSE(stats.lanes_dispatch);
+  for (const util::simd_tier tier : host_tiers()) {
+    tier_guard pin(tier);
+    xpu::launch_stats stats;
+    EXPECT_EQ(run_multi_opt6(chunk, loci, flags, queries, thresholds, 16, true, &stats), want)
+        << tier_label();
+    EXPECT_EQ(stats.lanes_dispatch, util::simd_lanes_enabled()) << tier_label();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -861,9 +897,9 @@ struct lane_run {
 };
 
 /// comparer_multi_swar_lanes on this thread over every locus, in rows of
-/// `nlanes` loci (0: one row): AVX2 quads on an AVX2 host, the per-item
-/// body under force_scalar. Its output arrays hold `capacity` entries, then
-/// `guard` sentinel slots it must not write.
+/// `nlanes` loci (0: one row), at the tier in force: AVX-512 octs, AVX2
+/// quads or the per-item body. Its output arrays hold `capacity` entries,
+/// then `guard` sentinel slots it must not write.
 lane_run run_lane_body(const swar_ref& ref, const std::vector<u32>& loci,
                        const std::vector<char>& flags,
                        const std::vector<device_pattern>& queries,
@@ -948,9 +984,9 @@ TEST(SwarMultiLanes, CapacityClampKeepsTrueDemand) {
   ASSERT_EQ(full.entries.size(), full.count);
   ASSERT_EQ(full.entries, run_multi_base(chunk, loci, flags, queries, thresholds));
   for (const u32 cap : {0u, 1u, 3u, full.count / 2, full.count - 1}) {
-    for (const bool scalar : {false, true}) {
-      scalar_guard pin(scalar);
-      const std::string where = "cap=" + std::to_string(cap) + (scalar ? " per-item" : " lanes");
+    for (const util::simd_tier tier : host_tiers()) {
+      tier_guard pin(tier);
+      const std::string where = "cap=" + std::to_string(cap) + tier_label();
       const lane_run exact = run_lane_body(ref, loci, flags, queries, thresholds, cap);
       EXPECT_EQ(exact.count, full.count) << where;
       ASSERT_EQ(exact.entries.size(), cap) << where;
@@ -965,23 +1001,28 @@ TEST(SwarMultiLanes, CapacityClampKeepsTrueDemand) {
 }
 
 // Every flag pattern of one quad (0, 1 or 2 on each of four consecutive
-// loci: 81 quads), with 0-3 loci after the last full quad; pattern lengths
-// 23 (one word) and 65 (three words: the multi-word early exit), 1 and 8
-// guides, thresholds 0, plen, 65535 and one in between. Then rows whose
-// loci are all forward, all reverse, all both, alternately forward and
-// reverse, or random, in rows of 1, 4, 63, 64, 65, 256 and 257 loci (the
-// executor's row follows the work-group size) and a last row of 3, so each
-// strand's last quad holds 0-3 loci and a long row refills the lane body's
-// strand lists. The lane body, the per-item body under force_scalar and the
-// per-query base comparer give the same entries.
+// loci: 81 quads, so every pattern of each half of an oct too), with 0-7
+// loci after the last full oct; pattern lengths 23 (one word) and 65
+// (three words: the multi-word early exit), 1 and 8 guides, thresholds 0,
+// plen, 65535 and one in between. Then rows whose loci are all forward,
+// all reverse, all both, alternately forward and reverse, or random, in
+// rows of 1, 4, 63, 64, 65, 256 and 257 loci (the executor's row follows
+// the work-group size) and a shorter last row, so a strand list ends with
+// 1-7 loci past its last full oct (the oct's padding lanes) and a long row
+// refills the lane body's strand lists. The lane body at every tier and
+// the per-query base comparer give the same entries. Each base reference
+// runs once, outside the tier and threshold loops: at the loosest
+// threshold, a tighter one's entries being those with at most that many
+// mismatches.
 TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
   util::rng rng(621);
+  constexpr usize kQuads = 81 * 4;
   for (const u32 plen : {23u, 65u}) {
     const std::string chunk = random_reference(rng, plen + 700);
     const auto ref = swar_pack(chunk);
     std::vector<u32> all_loci;
     std::vector<char> all_flags;
-    random_loci(rng, chunk.size(), plen, 81 * 4 + 3, all_loci, all_flags);
+    random_loci(rng, chunk.size(), plen, kQuads + 7, all_loci, all_flags);
     for (u32 quad = 0; quad < 81; ++quad) {
       for (u32 l = 0, code = quad; l < 4; ++l, code /= 3) {
         all_flags[4 * quad + l] = static_cast<char>(code % 3);
@@ -989,13 +1030,21 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
     }
     for (const usize nq : {usize{1}, usize{8}}) {
       const auto queries = guides_near(rng, chunk, all_loci, plen, nq);
-      for (const usize tail : {usize{0}, usize{1}, usize{2}, usize{3}}) {
-        const std::vector<u32> loci(all_loci.begin(), all_loci.begin() + 81 * 4 + tail);
+      const std::vector<u16> loosest(nq, u16{65535});
+      // The quads' entries, then each tail locus's added in turn.
+      multi_entries every = run_multi_base(
+          chunk, std::vector<u32>(all_loci.begin(), all_loci.begin() + kQuads),
+          std::vector<char>(all_flags.begin(), all_flags.begin() + kQuads), queries, loosest);
+      for (usize tail = 0; tail <= 7; ++tail) {
+        if (tail != 0) {
+          const usize l = kQuads + tail - 1;
+          const multi_entries one =
+              run_multi_base(chunk, {all_loci[l]}, {all_flags[l]}, queries, loosest);
+          every.insert(every.end(), one.begin(), one.end());
+          std::sort(every.begin(), every.end());
+        }
+        const std::vector<u32> loci(all_loci.begin(), all_loci.begin() + kQuads + tail);
         const std::vector<char> flags(all_flags.begin(), all_flags.begin() + loci.size());
-        // One base run at the loosest threshold; a tighter threshold's
-        // entries are those with at most that many mismatches.
-        const auto every =
-            run_multi_base(chunk, loci, flags, queries, std::vector<u16>(nq, u16{65535}));
         for (const u16 t : {u16{0}, static_cast<u16>(plen / 4), static_cast<u16>(plen),
                             u16{65535}}) {
           const std::vector<u16> thresholds(nq, t);
@@ -1005,24 +1054,30 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
                                     " locicnt=" + std::to_string(loci.size());
           const u32 most = static_cast<u32>(loci.size() * 2 * nq);
           const multi_entries want = within(every, t);
-          ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
-              << where << " lanes";
-          scalar_guard pin(true);
-          ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
-              << where << " per-item";
+          for (const util::simd_tier tier : host_tiers()) {
+            tier_guard pin(tier);
+            ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most).entries, want)
+                << where << tier_label();
+          }
         }
       }
     }
   }
 
   const char* const kShapes[] = {"forward", "reverse", "both", "alternating", "random"};
+  // Rows of `nlanes` loci over nlanes + rest loci: a one-strand list ends
+  // the first row with nlanes % 8 loci past its last full oct (1, 4, 7, 0,
+  // 1, 0, 1) and the last row with rest % 8 (1, 2, 5, 6, 7, 3, 1; rows of
+  // 1 hold one locus each).
+  const std::pair<usize, usize> kRows[] = {{1, 3},  {4, 2},   {63, 5}, {64, 6},
+                                           {65, 7}, {256, 3}, {257, 1}};
   for (const u32 plen : {23u, 65u}) {
     const std::string chunk = random_reference(rng, plen + 700);
     const auto ref = swar_pack(chunk);
-    for (const usize nlanes : {1, 4, 63, 64, 65, 256, 257}) {
+    for (const auto& [nlanes, rest] : kRows) {
       std::vector<u32> loci;
       std::vector<char> flags;
-      random_loci(rng, chunk.size(), plen, nlanes + 3, loci, flags);
+      random_loci(rng, chunk.size(), plen, nlanes + rest, loci, flags);
       for (usize shape = 0; shape < std::size(kShapes); ++shape) {
         for (usize i = 0; i < flags.size(); ++i) {
           const char fixed[] = {1, 2, 0, static_cast<char>(1 + i % 2)};
@@ -1030,27 +1085,23 @@ TEST(SwarMultiLanes, EveryFlagPatternOfAQuad) {
         }
         for (const usize nq : {usize{1}, usize{8}}) {
           const auto queries = guides_near(rng, chunk, loci, plen, nq);
-          // One base run at the loosest threshold; a tighter threshold's
-          // entries are those with at most that many mismatches.
           const auto every = run_multi_base(chunk, loci, flags, queries,
                                             std::vector<u16>(nq, u16{65535}));
           for (const u16 t : {static_cast<u16>(plen / 4), u16{65535}}) {
             const std::vector<u16> thresholds(nq, t);
             const std::string where = "plen=" + std::to_string(plen) + " rows of " +
-                                      std::to_string(nlanes) + " " + kShapes[shape] +
-                                      " queries=" + std::to_string(nq) +
+                                      std::to_string(nlanes) + "+" + std::to_string(rest) +
+                                      " " + kShapes[shape] + " queries=" + std::to_string(nq) +
                                       " threshold=" + std::to_string(t);
             const u32 most = static_cast<u32>(loci.size() * 2 * nq);
             const multi_entries want = within(every, t);
-            ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
-                          .entries,
-                      want)
-                << where << " lanes";
-            scalar_guard pin(true);
-            ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
-                          .entries,
-                      want)
-                << where << " per-item";
+            for (const util::simd_tier tier : host_tiers()) {
+              tier_guard pin(tier);
+              ASSERT_EQ(run_lane_body(ref, loci, flags, queries, thresholds, most, 0, nlanes)
+                            .entries,
+                        want)
+                  << where << tier_label();
+            }
           }
         }
       }
@@ -1106,7 +1157,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{backend_kind::sycl_twobit, 4}));
 
 // Streamed (disk-chunked) output with opt6 must equal the in-memory base
-// result for every backend, on both dispatch paths.
+// result for every backend, at every tier.
 TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
   struct temp_dir {
     fs::path path;
@@ -1135,14 +1186,10 @@ TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
     engine_options opt6 = base;
     opt6.variant = comparer_variant::opt6;
     const auto want = run_search(cfg, g, base);
-    const auto simd = run_search_streaming(cfg, file.string(), opt6);
-    EXPECT_EQ(simd.records, want.records)
-        << "backend=" << static_cast<int>(backend);
-    {
-      scalar_guard guard(true);
-      const auto scalar = run_search_streaming(cfg, file.string(), opt6);
-      EXPECT_EQ(scalar.records, want.records)
-          << "scalar, backend=" << static_cast<int>(backend);
+    for (const util::simd_tier tier : host_tiers()) {
+      tier_guard pin(tier);
+      EXPECT_EQ(run_search_streaming(cfg, file.string(), opt6).records, want.records)
+          << "backend=" << backend_name(backend) << tier_label();
     }
   }
 }
