@@ -193,6 +193,18 @@ int main(int argc, char** argv) {
                                 " needs a device backend (O, G, S, U or P)");
       }
     }
+    // An index build and the server answer no query of the input file, so
+    // there is nothing to score or profile.
+    const char* report = cli.get_flag("score")     ? "--score"
+                         : cli.get_flag("profile") ? "--profile"
+                                                   : nullptr;
+    const char* no_queries = !cli.get("build-index").empty() ? "--build-index"
+                             : cli.get_flag("serve")         ? "--serve"
+                                                             : nullptr;
+    if (report != nullptr && no_queries != nullptr) {
+      throw cof::config_error(std::string(report) + " does not apply to " +
+                              no_queries);
+    }
   } catch (const cof::config_error& e) {
     fail(e);
   }
@@ -245,6 +257,16 @@ int main(int argc, char** argv) {
   if (cli.get_flag("serve")) {
     cof::run_scope run(opt);
     try {
+      // The heartbeat's stats file opens once, before serving.
+      const util::u64 hb_interval_s = cli.get_u64("stats-interval");
+      const std::string hb_path = cli.get("stats-out");
+      std::ofstream hb_file;
+      if (hb_interval_s > 0 && !hb_path.empty()) {
+        hb_file.open(hb_path, std::ios::app);
+        if (!hb_file.good()) {
+          throw cof::config_error("cannot open stats output file: " + hb_path);
+        }
+      }
       const cof::resolved_index resolved = cof::resolve_index(index_path, cfg, opt);
       const cof::genome_index& idx = resolved.index;
       if (resolved.cache_hit) {
@@ -263,20 +285,28 @@ int main(int argc, char** argv) {
                    "serve: %zu chunks resident-capable, pattern %s; reading "
                    "GUIDE[:MM] or !stats/!health from stdin\n",
                    idx.chunks.size(), idx.pattern.c_str());
+      const genome::genome_t names = names_only(idx.chrom_names);
+      const std::string outp = cli.get_positional("output");
+      std::ofstream out_file;
+      if (!outp.empty() && outp != "-") {
+        out_file.open(outp, std::ios::binary);
+        if (!out_file.good()) throw cof::config_error("cannot open output file: " + outp);
+      }
+      std::ostream& out = out_file.is_open()
+                              ? static_cast<std::ostream&>(out_file)
+                              : std::cout;
 
       // --stats-interval heartbeat: a sidecar thread appends the live stats
       // snapshot as JSON lines (to --stats-out, else stderr) until the
       // input loop finishes. 100 ms polling keeps shutdown prompt without a
-      // condition variable.
-      const util::u64 hb_interval_s = cli.get_u64("stats-interval");
-      const std::string hb_path = cli.get("stats-out");
+      // condition variable. It starts after every throw above, which would
+      // otherwise destroy it unjoined.
       std::atomic<bool> hb_stop{false};
       std::thread hb_thread;
-      auto emit_stats = [&srv, &hb_path] {
+      auto emit_stats = [&srv, &hb_file] {
         const std::string line = srv.stats_json();
-        if (!hb_path.empty()) {
-          std::ofstream f(hb_path, std::ios::app);
-          if (f.good()) f << line << "\n";
+        if (hb_file.is_open()) {
+          hb_file << line << "\n" << std::flush;
         } else {
           std::fprintf(stderr, "%s\n", line.c_str());
         }
@@ -294,17 +324,6 @@ int main(int argc, char** argv) {
           }
         });
       }
-
-      const genome::genome_t names = names_only(idx.chrom_names);
-      const std::string outp = cli.get_positional("output");
-      std::ofstream out_file;
-      if (!outp.empty() && outp != "-") {
-        out_file.open(outp, std::ios::binary);
-        if (!out_file.good()) throw cof::config_error("cannot open output file: " + outp);
-      }
-      std::ostream& out = out_file.is_open()
-                              ? static_cast<std::ostream&>(out_file)
-                              : std::cout;
 
       struct in_flight {
         std::string guide;
@@ -399,10 +418,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --index (with or without --stream): a warm run. resolve_index loads the
-  // .cofidx (or builds and persists it on a miss); the session answers the
-  // queries with comparer-only launches — no FASTA decode, no finder.
+  // Every run from here answers the input's queries: warm from the index,
+  // streamed, or in memory. Each leaves its records and the chromosome
+  // names they index; the output, scores and profile follow from those.
+  std::vector<cof::ot_record> records;
+  genome::genome_t names;
   if (!index_path.empty()) {
+    // --index (with or without --stream): resolve_index loads the .cofidx
+    // (or builds and persists it on a miss); the session answers the
+    // queries with comparer-only launches — no FASTA decode, no finder.
     cof::resolved_index resolved;
     cof::search_outcome result;
     util::u64 uploads = 0, reuses = 0;
@@ -430,13 +454,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s (warm): %zu records, %.3fs over %zu chunks\n",
                  cof::backend_name(opt.backend), result.records.size(),
                  result.metrics.elapsed_seconds, result.metrics.chunks);
-    write_output(cli.get_positional("output"),
-                 cof::format_records(result.records, query_seqs(cfg),
-                                     names_only(resolved.index.chrom_names)));
-    return 0;
-  }
-
-  if (cli.get_flag("stream")) {
+    records = std::move(result.records);
+    names = names_only(resolved.index.chrom_names);
+  } else if (cli.get_flag("stream")) {
     // Unrecoverable failures (exhausted fault retries, stalled queues)
     // surface as exceptions with the failing site in the message; report
     // them as a clean fatal error instead of std::terminate.
@@ -474,44 +494,44 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(streamed.shard_reassigns));
       }
     }
-    write_output(cli.get_positional("output"),
-                 cof::format_records(streamed.records, query_seqs(cfg),
-                                     names_only(streamed.chrom_names)));
-    return 0;
-  }
+    records = std::move(streamed.records);
+    names = names_only(streamed.chrom_names);
+  } else {
+    util::stopwatch load_sw;
+    genome::genome_t g;
+    try {
+      g = genome::load_genome(cfg.genome_path);
+    } catch (const std::exception& e) {
+      fail(e);  // e.g. a malformed FASTA (genome::fasta_error)
+    }
+    std::fprintf(stderr, "loaded %s: %zu sequences, %s (%.2fs)\n", g.assembly.c_str(),
+                 g.chroms.size(), util::human_bytes(g.total_bases()).c_str(),
+                 load_sw.seconds());
 
-  util::stopwatch load_sw;
-  genome::genome_t g;
-  try {
-    g = genome::load_genome(cfg.genome_path);
-  } catch (const std::exception& e) {
-    fail(e);  // e.g. a malformed FASTA (genome::fasta_error)
+    cof::search_outcome result;
+    try {
+      result = cof::run_search(cfg, g, opt);
+    } catch (const std::exception& e) {
+      fail(e);  // e.g. a guide of the wrong length (cof::config_error)
+    }
+    std::fprintf(stderr,
+                 "%s/%s: %zu records, %.3fs elapsed (%zu chunks, %llu loci, "
+                 "%s h2d, %s d2h)\n",
+                 cof::backend_name(opt.backend),
+                 cof::comparer_variant_name(opt.variant), result.records.size(),
+                 result.metrics.elapsed_seconds, result.metrics.chunks,
+                 static_cast<unsigned long long>(result.metrics.pipeline.total_loci),
+                 util::human_bytes(result.metrics.pipeline.h2d_bytes).c_str(),
+                 util::human_bytes(result.metrics.pipeline.d2h_bytes).c_str());
+    records = std::move(result.records);
+    names = std::move(g);
   }
-  std::fprintf(stderr, "loaded %s: %zu sequences, %s (%.2fs)\n", g.assembly.c_str(),
-               g.chroms.size(), util::human_bytes(g.total_bases()).c_str(),
-               load_sw.seconds());
-
-  cof::search_outcome result;
-  try {
-    result = cof::run_search(cfg, g, opt);
-  } catch (const std::exception& e) {
-    fail(e);  // e.g. a guide of the wrong length (cof::config_error)
-  }
-  std::fprintf(stderr,
-               "%s/%s: %zu records, %.3fs elapsed (%zu chunks, %llu loci, "
-               "%s h2d, %s d2h)\n",
-               cof::backend_name(opt.backend),
-               cof::comparer_variant_name(opt.variant), result.records.size(),
-               result.metrics.elapsed_seconds, result.metrics.chunks,
-               static_cast<unsigned long long>(result.metrics.pipeline.total_loci),
-               util::human_bytes(result.metrics.pipeline.h2d_bytes).c_str(),
-               util::human_bytes(result.metrics.pipeline.d2h_bytes).c_str());
 
   write_output(cli.get_positional("output"),
-               cof::format_records(result.records, query_seqs(cfg), g));
+               cof::format_records(records, query_seqs(cfg), names));
 
   if (cli.get_flag("score")) {
-    const auto reports = cof::scoring::score_search(cfg, result.records);
+    const auto reports = cof::scoring::score_search(cfg, records);
     std::fprintf(stderr, "\nguide specificity (MIT/Hsu):\n%s",
                  cof::scoring::format_report(reports).c_str());
   }

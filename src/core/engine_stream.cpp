@@ -554,9 +554,8 @@ streamed_outcome run_chunks(const search_config& cfg, chunk_source& source,
             util::format("stream queue.push stalled: no consumer took a "
                          "chunk for %lld ms", kQueueTimeoutMs));
       }
-      const usize depth = queue.size();
-      out.peak_queue_depth = std::max(out.peak_queue_depth, depth);
       if (m_depth != nullptr) {
+        const usize depth = queue.size();
         m_depth->set(static_cast<util::i64>(depth));
         obs::counter_track("queue.depth", static_cast<double>(depth));
       }

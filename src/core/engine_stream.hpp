@@ -52,9 +52,6 @@ struct streamed_outcome {
   stream_stage_times stage_times;
   /// Per-queue breakdown. decode/merge are producer-side and stay 0 here.
   std::vector<stream_stage_times> queue_stages;
-  /// Most chunks ever resident in the bounded queue — the backpressure
-  /// high-water mark against capacity num_devices × num_queues + 2.
-  util::usize peak_queue_depth = 0;
   /// Per-device accounting for sharded runs (engine_options::num_devices).
   /// One entry per device even when a device failed mid-run; size 1 for
   /// single-device runs.

@@ -49,20 +49,13 @@ inline bool armed() {
 void arm();
 void disarm();
 
-/// RAII arm/disarm guard (pass on=false for a no-op guard).
+/// RAII arm/disarm guard.
 class scope {
  public:
-  explicit scope(bool on = true) : on_(on) {
-    if (on_) arm();
-  }
-  ~scope() {
-    if (on_) disarm();
-  }
+  scope() { arm(); }
+  ~scope() { disarm(); }
   scope(const scope&) = delete;
   scope& operator=(const scope&) = delete;
-
- private:
-  bool on_ = false;
 };
 
 /// Directory postmortems are written into (default "."). The file name is

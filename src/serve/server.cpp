@@ -68,9 +68,7 @@ struct server::pending {
 };
 
 server::server(const genome_index& idx, const server_options& opt)
-    : opt_(opt),
-      flight_(opt.flight_recorder),
-      admit_window_(admit_bounds()) {
+    : opt_(opt), admit_window_(admit_bounds()) {
   if (!opt_.postmortem_dir.empty()) {
     obs::flight::set_dump_dir(opt_.postmortem_dir);
   }

@@ -49,10 +49,9 @@
 //     protocol; health() derives ok|degraded|draining from the windowed
 //     rejection rate and windowed p99 vs the configured SLO.
 //   * The flight recorder (obs/flight.hpp) is armed for the server's
-//     lifetime (opt-out via server_options::flight_recorder): a batch that
-//     exhausts its retries or fails terminally dumps a postmortem ring +
-//     metrics snapshot to cof-postmortem-<pid>.json before the futures are
-//     failed.
+//     whole lifetime: a batch that exhausts its retries or fails terminally
+//     dumps a postmortem ring + metrics snapshot to cof-postmortem-<pid>.json
+//     before the futures are failed.
 // The caller owns obs/fault scoping (obs::run_scope + fault::scope) exactly
 // as with the engine; run_scope nests, so a server-lifetime scope composes
 // with per-query engine scopes.
@@ -98,9 +97,6 @@ struct server_options {
   /// Health SLO: health() reports degraded while the windowed latency p99
   /// exceeds this many microseconds. 0 = no latency SLO.
   util::u64 slo_us = 0;
-  /// Arm the postmortem flight recorder (obs/flight.hpp) for the server's
-  /// lifetime. Costs one extra relaxed atomic load per trace probe.
-  bool flight_recorder = true;
   /// Directory postmortem dumps are written into (empty = leave the
   /// process-wide default, ".").
   std::string postmortem_dir;

@@ -10,11 +10,13 @@
 #    C). Three queues spill three files into one merge. The other genome
 #    lines, a synth: URI and a .2bit file, run every entry point on device
 #    S (warm: a cache miss, then a hit) against their own oracle.
+#    --score and --profile print their reports on streamed and warm runs.
 # 2. Every hostile command line, malformed input file, unreadable, empty or
 #    corrupt genome (FASTA, .2bit, synth: URI), foreign index, missing
-#    spill directory and unwritable output path exits 2 with exactly one
-#    `error: <message>` line on stderr, no FATAL abort and no spill run left
-#    in the temp directory.
+#    spill directory and unwritable output or stats path exits 2 with
+#    exactly one `error: <message>` line on stderr, no FATAL abort and no
+#    spill run left in the temp directory; so do --score and --profile on
+#    an index build or the server.
 
 foreach(var CLI SIM WORK)
   if(NOT DEFINED ${var})
@@ -166,6 +168,38 @@ foreach(line synth3 twobit)
   endforeach()
 endforeach()
 
+# --score and --profile report on every run that answers the queries: the
+# streamed and warm runs print the MIT table and the kernel profile on
+# stderr, as the in-memory run does, and still match the oracle.
+foreach(entry stream warm)
+  set(args ${chunk} --stream)
+  if(entry STREQUAL "warm")
+    list(APPEND args --index genome.cofidx)
+  endif()
+  foreach(flag score profile)
+    set(out "out_${flag}_${entry}.txt")
+    run_cli(${args} --${flag} input.txt S ${out})
+    set(where "--${flag} (${entry})")
+    if(flag STREQUAL "score")
+      set(want "guide specificity \\(MIT/Hsu\\)")
+    else()
+      set(want "kernel profile:.*comparer share of kernel time")
+    endif()
+    if(NOT run_rc EQUAL 0)
+      fail("${where}: exit ${run_rc}: ${run_err}")
+      continue()
+    elseif(NOT run_err MATCHES "${want}")
+      fail("${where}: no report on stderr: ${run_err}")
+    endif()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                            "${WORK}/${out}" "${WORK}/oracle.txt"
+                    RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+      fail("${where}: output differs from the serial oracle")
+    endif()
+  endforeach()
+endforeach()
+
 # --- 2. hostile input fails clean -------------------------------------------
 file(WRITE "${WORK}/bad_input.txt"
      "${WORK}/genome.fa\nNNNNNNNNNNNNNNNNNNNNNRG\n${guide} 70000\n")
@@ -287,11 +321,31 @@ foreach(c IN LISTS cases)
   expect_clean_error("${name}")
 endforeach()
 
+# An index build and the server answer none of the input's queries, so
+# --score and --profile have nothing to report there. A stats file that
+# cannot be opened fails before serving, and an unwritable record output
+# fails clean with the stats heartbeat on too.
+file(WRITE "${WORK}/serve_stdin.txt" "${guide}:3\n")
+set(cli_stdin "${WORK}/serve_stdin.txt")
+foreach(flag score profile)
+  run_cli(--${flag} --serve input.txt S hostile_out.txt)
+  expect_clean_error("--${flag} with --serve")
+  run_cli(--${flag} --build-index report.cofidx input.txt S hostile_out.txt)
+  expect_clean_error("--${flag} with --build-index")
+endforeach()
+run_cli(--serve --index genome.cofidx --stats-interval 1
+        --stats-out no/such/dir/stats.jsonl input.txt S hostile_out.txt)
+expect_clean_error("unwritable stats output, serve")
+if(NOT run_err MATCHES "cannot open stats output file")
+  fail("unwritable stats output, serve: want 'cannot open stats output file': ${run_err}")
+endif()
+run_cli(--serve --index genome.cofidx --stats-interval 1 input.txt S
+        no/such/dir/out.txt)
+expect_clean_error("unwritable output, serve with a heartbeat")
+
 # A foreign index never answers: genome.fa's index for other.fa through the
 # server, the synth:hg19:16384:3 index for the :4 line, one .2bit's index for
 # another.
-file(WRITE "${WORK}/serve_stdin.txt" "${guide}:3\n")
-set(cli_stdin "${WORK}/serve_stdin.txt")
 foreach(c "serve|--serve|--index|genome.cofidx|other_input.txt|S"
           "synth: line|--index|synth3.cofidx|synth4_input.txt|S"
           ".2bit line|--index|twobit.cofidx|other_twobit_input.txt|S")

@@ -1,11 +1,12 @@
 // Differential fuzzing: random genomes (with N-gaps, reference IUPAC codes,
 // an empty record and a record ending exactly on a chunk boundary), random
 // IUPAC PAM patterns, random degenerate queries and thresholds — every entry
-// point (in-memory, streamed from FASTA, warm index) on every device backend,
-// with both comparer shapes (opt6's batched launch, base's per-query
-// launches), must agree with the serial reference bit-for-bit, across
-// chunkings and work-group sizes. This is the repository's broadest
-// invariant.
+// point (in-memory, streamed from FASTA, streamed over two devices of two
+// queues each, warm index in memory and after a .cofidx save and load) on
+// every device backend, with both comparer shapes (opt6's batched launch,
+// base's per-query launches), must agree with the serial reference
+// bit-for-bit, across chunkings and work-group sizes. This is the
+// repository's broadest invariant.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -113,17 +114,14 @@ fuzz_case make_case(util::u64 seed) {
   return fc;
 }
 
-/// The case's genome as a FASTA file for the streamed entry point.
-struct temp_fasta {
+/// A file in the temp directory, removed when the case ends.
+struct temp_file {
   std::string path;
-  explicit temp_fasta(const genome::genome_t& g, int seed)
+  explicit temp_file(const std::string& name)
       : path((std::filesystem::temp_directory_path() /
-              ("cof_fuzz_" + std::to_string(::getpid()) + "_" +
-               std::to_string(seed) + ".fa"))
-                 .string()) {
-    genome::write_fasta_file(path, g.chroms);
-  }
-  ~temp_fasta() { std::filesystem::remove(path); }
+              ("cof_fuzz_" + std::to_string(::getpid()) + "_" + name))
+                 .string()) {}
+  ~temp_file() { std::filesystem::remove(path); }
 };
 
 class Differential : public ::testing::TestWithParam<int> {};
@@ -131,15 +129,24 @@ class Differential : public ::testing::TestWithParam<int> {};
 TEST_P(Differential, EveryEntryPointMatchesSerial) {
   const auto fc = make_case(static_cast<util::u64>(GetParam()));
   const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
-  const temp_fasta fasta(fc.g, GetParam());
+  const std::string seed = std::to_string(GetParam());
+  const temp_file fasta(seed + ".fa");
+  genome::write_fasta_file(fasta.path, fc.g.chroms);
   for (auto backend : {backend_kind::opencl, backend_kind::sycl,
                        backend_kind::sycl_usm, backend_kind::sycl_twobit}) {
     engine_options opt{.backend = backend,
                        .wg_size = fc.wg,
                        .max_chunk = fc.max_chunk};
     const genome_index idx = build_index(fc.g, fc.cfg.pattern, opt);
+    // The same index through the .cofidx words-and-runs round trip.
+    const temp_file cofidx(seed + "_" + backend_name(backend) + ".cofidx");
+    save_index(cofidx.path, idx);
+    const genome_index loaded = load_index(cofidx.path);
     for (const auto variant : {comparer_variant::opt6, comparer_variant::base}) {
       opt.variant = variant;
+      engine_options sharded = opt;
+      sharded.num_devices = 2;
+      sharded.num_queues = 2;
       const auto where = [&](const char* entry) {
         return std::string(entry) + " " + backend_name(backend) + " " +
                comparer_variant_name(variant) +
@@ -152,8 +159,13 @@ TEST_P(Differential, EveryEntryPointMatchesSerial) {
       ASSERT_EQ(run_search_streaming(fc.cfg, fasta.path, opt).records,
                 serial.records)
           << where("streamed");
+      ASSERT_EQ(run_search_streaming(fc.cfg, fasta.path, sharded).records,
+                serial.records)
+          << where("streamed, 2 devices x 2 queues");
       ASSERT_EQ(run_query(idx, fc.cfg.queries, opt).records, serial.records)
           << where("warm");
+      ASSERT_EQ(run_query(loaded, fc.cfg.queries, opt).records, serial.records)
+          << where("warm, saved and loaded");
     }
   }
 }

@@ -87,7 +87,8 @@ cmp_run canonicalise(const std::vector<u16>& mm, const std::vector<char>& dir,
 }
 
 /// Reference path: the paper's base comparer (the IUPAC Boolean chain)
-/// through the ordinary argument block.
+/// through the ordinary argument block, launched two-phase as every facade
+/// launches it outside counting (fibers stay covered by test_executor).
 cmp_run run_base(const std::string& chunk, const std::vector<u32>& loci,
                  const std::vector<char>& flags, const device_pattern& query,
                  u16 threshold, usize wg = 8) {
@@ -103,6 +104,7 @@ cmp_run run_base(const std::string& chunk, const std::vector<u32>& loci,
   cfg.local[0] = wg;
   cfg.local_mem_bytes = query.device_chars() * (1 + sizeof(i32)) + 128;
   cfg.uses_barrier = true;
+  cfg.single_leading_barrier = true;
   comparer_args a;
   a.locicnts = n;
   a.chr = chunk.data();
